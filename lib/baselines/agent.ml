@@ -146,21 +146,18 @@ let create network ~node ~on_message =
     }
   in
   let dispatch ~from_port bytes =
-    match P4update.Wire.packet_of_bytes bytes with
-    | None -> ()
-    | Some pkt ->
-      (match P4update.Wire.control_of_packet pkt with
-       | Some c ->
-         let c =
-           { c with P4update.Wire.flow_id = c.P4update.Wire.flow_id land (P4update.Wire.flow_space - 1) }
-         in
-         (* Control messages take the slow path through the local agent. *)
-         Sim.schedule (Netsim.sim network) ~delay:control_processing_ms (fun () ->
-             on_message t ~from_port c)
-       | None ->
-         (match P4update.Wire.data_of_packet pkt with
-          | Some d -> handle_data t d
-          | None -> ()))
+    match P4update.Wire.control_of_bytes bytes with
+    | Some c ->
+      let c =
+        { c with P4update.Wire.flow_id = c.P4update.Wire.flow_id land (P4update.Wire.flow_space - 1) }
+      in
+      (* Control messages take the slow path through the local agent. *)
+      Sim.schedule (Netsim.sim network) ~delay:control_processing_ms (fun () ->
+          on_message t ~from_port c)
+    | None ->
+      (match P4update.Wire.data_of_bytes bytes with
+       | Some d -> handle_data t d
+       | None -> ())
   in
   Netsim.attach network ~node (fun event ->
       match event with

@@ -165,7 +165,7 @@ let create network ~congestion =
   in
   let t = Lazy.force t in
   Netsim.set_controller network (fun ~from:_ bytes ->
-      match Option.bind (P4update.Wire.packet_of_bytes bytes) P4update.Wire.control_of_packet with
+      match P4update.Wire.control_of_bytes bytes with
       | Some c when c.kind = P4update.Wire.Ufm -> ack_received t
       | Some _ | None -> ());
   t

@@ -304,8 +304,7 @@ let send_uims t prepared =
                     Obs.Trace.int "to" node;
                   ])
        end);
-      let bytes = Wire.control_to_bytes uim in
-      Netsim.controller_transmit ?recycle:(Wire.recycle_thunk bytes) t.net ~to_:node bytes)
+      Netsim.controller_transmit t.net ~to_:node (Wire.control_to_bytes uim))
     (List.rev prepared.p_uims)
 
 (* ------------------------------------------------------------------ *)
@@ -367,11 +366,9 @@ let abort_update ?(reason = "operator") t ~flow_id =
        supersedes them. *)
     List.iter
       (fun (node, _) ->
-        let bytes =
-          Wire.control_to_bytes
-            { (Wire.control_default Wire.Wdm) with flow_id; version_new = version }
-        in
-        Netsim.controller_transmit ?recycle:(Wire.recycle_thunk bytes) t.net ~to_:node bytes)
+        Netsim.controller_transmit t.net ~to_:node
+          (Wire.control_to_bytes
+             { (Wire.control_default Wire.Wdm) with flow_id; version_new = version }))
       (List.rev p.p_uims);
     flow.path <- p.p_old_path;
     true
@@ -685,9 +682,7 @@ let retrigger t (c : Wire.control) =
           ~attrs:[ Obs.Trace.flow c.flow_id; Obs.Trace.version c.version_new ];
       List.iter
         (fun (node, uim) ->
-          let bytes = Wire.control_to_bytes uim in
-          Netsim.controller_transmit ?recycle:(Wire.recycle_thunk bytes) t.net ~to_:node
-            bytes)
+          Netsim.controller_transmit t.net ~to_:node (Wire.control_to_bytes uim))
         (List.rev prepared.p_uims)
     end
   | Some _ | None -> ()

@@ -167,15 +167,13 @@ let notify_ctl t (msg : Wire.control) =
       (Wire.span_key_ufm ~flow_id:msg.flow_id ~version:msg.version_new ~node:t.node)
       id
   end;
-  let bytes = Wire.control_to_bytes msg in
-  Netsim.notify_controller ?recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node bytes
+  Netsim.notify_controller t.net ~from:t.node (Wire.control_to_bytes msg)
 
 let rec send_upstream t msg ~port =
   if port = Wire.port_none then ()
   else begin
     trace_unm_send t msg;
-    let bytes = Wire.control_to_bytes msg in
-    Netsim.transmit ?recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node ~port bytes
+    Netsim.transmit t.net ~from:t.node ~port (Wire.control_to_bytes msg)
   end
 
 and fire_commit t flow_id (pc : pending_commit) =
@@ -418,8 +416,8 @@ let handle_data t ctx (d : Wire.data) =
     t.stats.forwarded <- t.stats.forwarded + 1;
     let pkt =
       Packet.update (Pipeline.packet ctx) "data" (fun h ->
-          let h = P4rt.Header.set h "ttl" (d.ttl - 1) in
-          P4rt.Header.set h "tag" d.tag)
+          let h = P4rt.Header.set_at h Wire.data_ttl (d.ttl - 1) in
+          P4rt.Header.set_at h Wire.data_tag d.tag)
     in
     Pipeline.set_packet ctx pkt;
     Pipeline.set_egress ctx port
@@ -756,6 +754,13 @@ let handle_cleanup t ctx (c : Wire.control) =
     end
   end
 
+(* Register indices derived from a header are bounded, as in a P4
+   program: an indication naming a port this switch does not have is
+   malformed and dropped before it can stage anything. *)
+let valid_port t port =
+  port = Wire.port_none || port = Wire.port_local
+  || (port >= 0 && port < Netsim.port_count t.net ~node:t.node)
+
 let ingress_control t ctx =
   let pkt = Pipeline.packet ctx in
   match Wire.control_of_packet pkt with
@@ -765,7 +770,9 @@ let ingress_control t ctx =
        verification checks. *)
     let c = { c with Wire.flow_id = c.Wire.flow_id land (Wire.flow_space - 1) } in
     (match c.kind with
-     | Wire.Uim -> handle_uim t ctx c
+     | Wire.Uim when valid_port t c.egress_port && valid_port t c.notify_port ->
+       handle_uim t ctx c
+     | Wire.Uim -> Pipeline.mark_to_drop ctx
      | Wire.Unm -> handle_unm t ctx c
      | Wire.Cln -> handle_cleanup t ctx c
      | Wire.Wdm -> handle_withdraw t ctx c

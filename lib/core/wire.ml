@@ -86,6 +86,39 @@ let parser =
       { Parser.state_name = "data"; extracts = Some data_schema; transition = Accept };
     ]
 
+(* Field indices, resolved once: per-frame code never walks a field list
+   by name.  Encoders build header instances with [Header.of_values] in
+   schema definition order. *)
+let p4u_field = Header.index p4u_schema
+let p4u_msg_type = p4u_field "msg_type"
+let p4u_flow_id = p4u_field "flow_id"
+let p4u_version_new = p4u_field "version_new"
+let p4u_version_old = p4u_field "version_old"
+let p4u_dist_new = p4u_field "dist_new"
+let p4u_dist_old = p4u_field "dist_old"
+let p4u_update_type = p4u_field "update_type"
+let p4u_layer = p4u_field "layer"
+let p4u_counter = p4u_field "counter"
+let p4u_flow_size = p4u_field "flow_size"
+let p4u_egress_port = p4u_field "egress_port"
+let p4u_notify_port = p4u_field "notify_port"
+let p4u_role = p4u_field "role"
+let p4u_src_node = p4u_field "src_node"
+let data_field = Header.index data_schema
+let data_flow_id = data_field "flow_id"
+let data_seq = data_field "seq"
+let data_ttl = data_field "ttl"
+let data_origin = data_field "origin"
+let data_dst = data_field "dst"
+let data_tag = data_field "tag"
+let data_ts = data_field "ts"
+
+(* Header instances are immutable, so one eth header per etype serves
+   every packet. *)
+let eth_header ~etype = Header.of_values eth_schema [| 0; 0; etype |]
+let eth_control = eth_header ~etype:etype_control
+let eth_data = eth_header ~etype:etype_data
+
 type control = {
   kind : msg_kind;
   flow_id : int;
@@ -121,53 +154,41 @@ let control_default kind =
     src_node = 0;
   }
 
-let eth_header ~etype =
-  let h = Header.make eth_schema in
-  Header.set h "etype" etype
-
 let control_to_packet c =
-  let h = Header.make p4u_schema in
-  let h = Header.set h "msg_type" (msg_kind_to_int c.kind) in
-  let h = Header.set h "flow_id" c.flow_id in
-  let h = Header.set h "version_new" c.version_new in
-  let h = Header.set h "version_old" c.version_old in
-  let h = Header.set h "dist_new" c.dist_new in
-  let h = Header.set h "dist_old" c.dist_old in
-  let h = Header.set h "update_type" (update_type_to_int c.update_type) in
-  let h = Header.set h "layer" c.layer in
-  let h = Header.set h "counter" c.counter in
-  let h = Header.set h "flow_size" c.flow_size in
-  let h = Header.set h "egress_port" c.egress_port in
-  let h = Header.set h "notify_port" c.notify_port in
-  let h = Header.set h "role" c.role in
-  let h = Header.set h "src_node" c.src_node in
-  Packet.make [ eth_header ~etype:etype_control; h ]
+  Packet.make
+    [
+      eth_control;
+      Header.of_values p4u_schema
+        [|
+          msg_kind_to_int c.kind; c.flow_id; c.version_new; c.version_old; c.dist_new;
+          c.dist_old; update_type_to_int c.update_type; c.layer; c.counter; c.flow_size;
+          c.egress_port; c.notify_port; c.role; c.src_node;
+        |];
+    ]
 
 let control_of_packet pkt =
   match Packet.header pkt "p4u" with
   | None -> None
   | Some h ->
-    (match
-       ( msg_kind_of_int (Header.get h "msg_type"),
-         update_type_of_int (Header.get h "update_type") )
-     with
+    let f = Header.get_at h in
+    (match (msg_kind_of_int (f p4u_msg_type), update_type_of_int (f p4u_update_type)) with
      | Some kind, Some update_type ->
        Some
          {
            kind;
-           flow_id = Header.get h "flow_id";
-           version_new = Header.get h "version_new";
-           version_old = Header.get h "version_old";
-           dist_new = Header.get h "dist_new";
-           dist_old = Header.get h "dist_old";
+           flow_id = f p4u_flow_id;
+           version_new = f p4u_version_new;
+           version_old = f p4u_version_old;
+           dist_new = f p4u_dist_new;
+           dist_old = f p4u_dist_old;
            update_type;
-           layer = Header.get h "layer";
-           counter = Header.get h "counter";
-           flow_size = Header.get h "flow_size";
-           egress_port = Header.get h "egress_port";
-           notify_port = Header.get h "notify_port";
-           role = Header.get h "role";
-           src_node = Header.get h "src_node";
+           layer = f p4u_layer;
+           counter = f p4u_counter;
+           flow_size = f p4u_flow_size;
+           egress_port = f p4u_egress_port;
+           notify_port = f p4u_notify_port;
+           role = f p4u_role;
+           src_node = f p4u_src_node;
          }
      | _ -> None)
 
@@ -182,29 +203,27 @@ type data = {
 }
 
 let data_to_packet d =
-  let h = Header.make data_schema in
-  let h = Header.set h "flow_id" d.d_flow_id in
-  let h = Header.set h "seq" d.seq in
-  let h = Header.set h "ttl" d.ttl in
-  let h = Header.set h "origin" d.origin in
-  let h = Header.set h "dst" d.dst in
-  let h = Header.set h "tag" d.tag in
-  let h = Header.set h "ts" d.d_ts in
-  Packet.make [ eth_header ~etype:etype_data; h ]
+  Packet.make
+    [
+      eth_data;
+      Header.of_values data_schema
+        [| d.d_flow_id; d.seq; d.ttl; d.origin; d.dst; d.tag; d.d_ts |];
+    ]
 
 let data_of_packet pkt =
   match Packet.header pkt "data" with
   | None -> None
   | Some h ->
+    let f = Header.get_at h in
     Some
       {
-        d_flow_id = Header.get h "flow_id";
-        seq = Header.get h "seq";
-        ttl = Header.get h "ttl";
-        origin = Header.get h "origin";
-        dst = Header.get h "dst";
-        tag = Header.get h "tag";
-        d_ts = Header.get h "ts";
+        d_flow_id = f data_flow_id;
+        seq = f data_seq;
+        ttl = f data_ttl;
+        origin = f data_origin;
+        dst = f data_dst;
+        tag = f data_tag;
+        d_ts = f data_ts;
       }
 
 let packet_of_bytes bytes =
@@ -212,75 +231,19 @@ let packet_of_bytes bytes =
   | pkt -> Some pkt
   | exception Parser.Parse_error _ -> None
 
-(* ---- fast wire path --------------------------------------------------- *)
+(* ---- byte codec --------------------------------------------------------- *)
 
 (* Both wire formats are fully byte-aligned (every field width is a
    multiple of 8), so a control frame is exactly 28 bytes (eth 6 + p4u
-   22) and a data frame 22 (eth 6 + data 16) at fixed offsets.  The fast
-   path encodes/decodes with direct byte stores against that layout —
-   the same image [Header.emit] produces — skipping the whole
-   Packet/Header machinery, and draws its buffers from a free-list pool
-   so a steady stream of control messages stops boxing one packet,
-   fifteen header copies and one fresh byte buffer per send.
-
-   The gate is off by default: the default (heap-kernel) path keeps the
-   reference codecs byte-for-byte, which is what every pinned chaos hash
-   and mc fingerprint was recorded against, and what the bench kernel
-   A/B uses as its baseline side.  [World.make] enables it together with
-   the calendar kernel. *)
+   22) and a data frame 22 (eth 6 + data 16), with every field at a fixed
+   offset.  The codec below stores and loads those offsets directly: the
+   image is the one [Packet.serialize] produces for the same record, and
+   the decoders return the verdicts of [packet_of_bytes] +
+   [*_of_packet] on any byte string.  Both facts are qcheck properties
+   against the Packet path in the tests. *)
 
 let control_bytes_len = 6 + Header.byte_size p4u_schema
 let data_bytes_len = 6 + Header.byte_size data_schema
-
-let fast_path = ref false
-
-let set_fast_path enabled =
-  fast_path := enabled;
-  Header.set_wire_fast enabled
-
-let fast_path_enabled () = !fast_path
-
-(* Free-list pool of wire frames, one stack per frame size.  [release]
-   is only sound once the last delivery of the buffer has completed —
-   [Netsim]'s per-send reference count decides when (see the [?recycle]
-   arguments there).  The pool is capped so a burst cannot pin an
-   unbounded byte arena. *)
-
-type pool = { mutable store : Bytes.t array; mutable n : int }
-
-let pool_cap = 4096
-let control_pool = { store = [||]; n = 0 }
-let data_pool = { store = [||]; n = 0 }
-
-let pool_take pool len =
-  if pool.n = 0 then Bytes.create len
-  else begin
-    pool.n <- pool.n - 1;
-    pool.store.(pool.n)
-  end
-
-let pool_put pool b =
-  if pool.n < pool_cap then begin
-    if pool.n = Array.length pool.store then begin
-      let store = Array.make (max 64 (2 * Array.length pool.store)) Bytes.empty in
-      Array.blit pool.store 0 store 0 pool.n;
-      pool.store <- store
-    end;
-    pool.store.(pool.n) <- b;
-    pool.n <- pool.n + 1
-  end
-
-let release_frame b =
-  if !fast_path then begin
-    let len = Bytes.length b in
-    if len = control_bytes_len then pool_put control_pool b
-    else if len = data_bytes_len then pool_put data_pool b
-  end
-
-let recycle_thunk b =
-  if !fast_path then Some (fun () -> release_frame b) else None
-
-let pooled_frames () = control_pool.n + data_pool.n
 
 (* Direct MSB-first byte accessors.  Stores mask exactly like
    [Header.set] ([v land (2^w - 1)]): the per-byte [land 0xff] keeps
@@ -311,7 +274,8 @@ let[@inline] get32 b pos =
 
 (* Fixed byte offsets (eth: dst@0 src@2 etype@4; payload header at 6). *)
 
-let control_write b (c : control) =
+let control_to_bytes (c : control) =
+  let b = Bytes.create control_bytes_len in
   put16 b 0 0;
   put16 b 2 0;
   put16 b 4 etype_control;
@@ -328,9 +292,11 @@ let control_write b (c : control) =
   put8 b 23 c.egress_port;
   put8 b 24 c.notify_port;
   put8 b 25 c.role;
-  put16 b 26 c.src_node
+  put16 b 26 c.src_node;
+  b
 
-let data_write b (d : data) =
+let data_to_bytes (d : data) =
+  let b = Bytes.create data_bytes_len in
   put16 b 0 0;
   put16 b 2 0;
   put16 b 4 etype_data;
@@ -340,34 +306,14 @@ let data_write b (d : data) =
   put8 b 13 d.origin;
   put16 b 14 d.dst;
   put16 b 16 d.tag;
-  put32 b 18 d.d_ts
+  put32 b 18 d.d_ts;
+  b
 
-(* Reference codecs, always available: the bench kernel A/B and the
-   codec-equivalence qcheck call them by name. *)
-let control_to_bytes_boxed c = Packet.serialize (control_to_packet c)
-let data_to_bytes_boxed d = Packet.serialize (data_to_packet d)
+(* A frame shorter than its format, a foreign etype, or an invalid
+   msg_type / update_type decodes to [None], as through the parse
+   graph. *)
 
-let control_to_bytes c =
-  if !fast_path then begin
-    let b = pool_take control_pool control_bytes_len in
-    control_write b c;
-    b
-  end
-  else control_to_bytes_boxed c
-
-let data_to_bytes d =
-  if !fast_path then begin
-    let b = pool_take data_pool data_bytes_len in
-    data_write b d;
-    b
-  end
-  else data_to_bytes_boxed d
-
-(* Direct decoders replicating Parser.run ∘ of_packet exactly: a frame
-   shorter than its format, a foreign etype, or an invalid msg_type /
-   update_type decodes to [None] on both paths. *)
-
-let control_decode bytes =
+let control_of_bytes bytes =
   if Bytes.length bytes < control_bytes_len || get16 bytes 4 <> etype_control then None
   else
     match (msg_kind_of_int (get8 bytes 6), update_type_of_int (get8 bytes 17)) with
@@ -391,7 +337,7 @@ let control_decode bytes =
         }
     | _ -> None
 
-let data_decode bytes =
+let data_of_bytes bytes =
   if Bytes.length bytes < data_bytes_len || get16 bytes 4 <> etype_data then None
   else
     Some
@@ -405,18 +351,8 @@ let data_decode bytes =
         d_ts = get32 bytes 18;
       }
 
-let control_of_bytes bytes =
-  if !fast_path then control_decode bytes
-  else Option.bind (packet_of_bytes bytes) control_of_packet
-
-let data_of_bytes bytes =
-  if !fast_path then data_decode bytes
-  else Option.bind (packet_of_bytes bytes) data_of_packet
-
 (* Classifier for [Netsim.set_control_classifier]: the message kind of a
-   valid control frame without materializing the record.  Semantics
-   match the full-parse classifier (including the update_type validity
-   check) for any byte string. *)
+   valid control frame without materializing the record. *)
 let control_kind_of_bytes bytes =
   if Bytes.length bytes < control_bytes_len || get16 bytes 4 <> etype_control then None
   else

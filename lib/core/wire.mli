@@ -118,75 +118,40 @@ type data = {
 val data_to_packet : data -> P4rt.Packet.t
 val data_of_packet : P4rt.Packet.t -> data option
 
-(** Serialize helpers (deparse to bytes).  On the default path these go
-    through {!control_to_packet} + [Packet.serialize]; with the fast
-    path enabled (see {!set_fast_path}) they encode byte-identically via
-    direct stores into a pooled buffer. *)
-val control_to_bytes : control -> Bytes.t
-val data_to_bytes : data -> Bytes.t
+(** Field indices of {!data_schema} that the switch's forwarding
+    rewrite updates (see [P4rt.Header.set_at]). *)
+val data_ttl : int
+
+val data_tag : int
 
 (** Parse raw bytes with {!parser} (None on parse failure). *)
 val packet_of_bytes : Bytes.t -> P4rt.Packet.t option
 
-(** {2 Fast wire path}
+(** {2 Byte codec}
 
     Both wire formats are fully byte-aligned, so frames have fixed
-    sizes (control 28 bytes, data 22) and fixed field offsets.  With
-    the fast path enabled, {!control_to_bytes} / {!data_to_bytes}
-    encode with direct byte stores into pooled buffers,
-    {!control_of_bytes} / {!data_of_bytes} decode without running the
-    parse graph, and [P4rt.Header] switches its byte-aligned
-    [emit]/[extract] loops on — every wire image and decode verdict is
-    identical to the reference path (enforced by a qcheck equivalence
-    property), only the cost changes.  Off by default: pinned chaos
-    hashes and mc fingerprints are recorded against the reference path,
-    and the bench kernel A/B uses it as the baseline side.
-    [Harness.World.make] enables it together with the calendar
-    kernel. *)
+    sizes (control 28 bytes, data 22) and fixed field offsets.  The
+    codec stores and loads those offsets directly, without building a
+    packet or running the parse graph.  Every image equals
+    [P4rt.Packet.serialize] of {!control_to_packet} / {!data_to_packet},
+    and every decode verdict equals {!packet_of_bytes} followed by
+    {!control_of_packet} / {!data_of_packet} (qcheck properties in the
+    tests). *)
 
-val control_bytes_len : int
-(** Exact control frame size, 28. *)
+(** Encode into a fresh frame. *)
+val control_to_bytes : control -> Bytes.t
 
-val data_bytes_len : int
-(** Exact data frame size, 22. *)
+val data_to_bytes : data -> Bytes.t
 
-val set_fast_path : bool -> unit
-val fast_path_enabled : unit -> bool
-
-(** [control_of_bytes b] / [data_of_bytes b]: decode on whichever path
-    is enabled; [None] on short frames, foreign etypes or invalid
-    msg_type / update_type, exactly like [packet_of_bytes] +
-    [*_of_packet]. *)
+(** [control_of_bytes b] / [data_of_bytes b]: [None] on short frames,
+    foreign etypes or invalid msg_type / update_type. *)
 val control_of_bytes : Bytes.t -> control option
 
 val data_of_bytes : Bytes.t -> data option
 
 (** Message kind of a valid control frame (for
-    [Netsim.set_control_classifier]) without materializing the record;
-    same verdicts as the full-parse classifier on any byte string. *)
+    [Netsim.set_control_classifier]) without materializing the record. *)
 val control_kind_of_bytes : Bytes.t -> int option
-
-(** Reference codecs, unconditionally on the boxed Packet/Header path —
-    the baseline side of the bench kernel A/B and the oracle for the
-    codec-equivalence qcheck. *)
-val control_to_bytes_boxed : control -> Bytes.t
-
-val data_to_bytes_boxed : data -> Bytes.t
-
-(** [release_frame b] returns a pooled frame to its pool (no-op when
-    the fast path is off or [b] is not a pooled size).  Only sound once
-    no delivery of [b] is outstanding — senders pass it to [Netsim]'s
-    [?recycle] hooks, whose per-send reference count calls it after the
-    last delivery completes. *)
-val release_frame : Bytes.t -> unit
-
-(** [recycle_thunk b] is [Some (fun () -> release_frame b)] when the
-    fast path is on, [None] otherwise — the value to pass straight to
-    [Netsim]'s [?recycle] arguments. *)
-val recycle_thunk : Bytes.t -> (unit -> unit) option
-
-(** Number of frames currently parked in the pools (diagnostic). *)
-val pooled_frames : unit -> int
 
 val pp_control : Format.formatter -> control -> unit
 

@@ -166,6 +166,7 @@ let migrate_to_heap q =
   let h = Event_heap.create () in
   iter_entries q (fun ~time ~seq ~payload ->
       Event_heap.push_seq ?tag:(tag_of q seq) h ~time ~seq (Obj.obj payload));
+  Event_heap.reserve_seqs h ~below:q.next_seq;
   Hashtbl.reset q.tag_table;
   q.buckets <- [||];
   q.mask <- 0;

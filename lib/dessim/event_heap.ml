@@ -158,6 +158,8 @@ let push_seq ?tag heap ~time ~seq payload =
   heap.len <- i + 1;
   sift_up_entry heap i ~time ~seq ~payload:(Obj.repr payload)
 
+let reserve_seqs heap ~below = if heap.next_seq < below then heap.next_seq <- below
+
 let pop heap =
   if heap.len = 0 then None
   else begin

@@ -35,6 +35,12 @@ val push : ?tag:tag -> 'a t -> time:float -> 'a -> unit
     avoid. *)
 val push_seq : ?tag:tag -> 'a t -> time:float -> seq:int -> 'a -> unit
 
+(** [reserve_seqs heap ~below] makes later plain pushes issue seqs of at
+    least [below].  The {!Calendar_queue} migration calls it with its own
+    counter, so seqs it issued to entries already popped are not issued
+    again. *)
+val reserve_seqs : 'a t -> below:int -> unit
+
 (** [pop heap] removes and returns the earliest event, or [None] when the
     heap is empty. *)
 val pop : 'a t -> (float * 'a) option

@@ -135,9 +135,7 @@ let draw_flows sim topo n =
    frame is a drop, not a delivery of garbage.  Data-typed frames get the
    actual bit flip (harmless to forwarding state). *)
 let is_control_frame bytes =
-  match Option.bind (P4update.Wire.packet_of_bytes bytes) P4update.Wire.control_of_packet with
-  | Some _ -> true
-  | None -> false
+  Option.is_some (P4update.Wire.control_of_bytes bytes)
 
 let draw_verdict sim ~downgrade_corrupt =
   let x = Sim.uniform sim ~bound:1.0 in

@@ -24,7 +24,7 @@ let fig2_horizon = 700.0
 let fig2_observers net ~flow_id =
   let v1 = ref [] and v4 = ref [] in
   Netsim.on_delivery net (fun time node _port bytes ->
-      match Option.bind (Wire.packet_of_bytes bytes) Wire.data_of_packet with
+      match Wire.data_of_bytes bytes with
       | Some d when d.Wire.d_flow_id = flow_id ->
         if node = 1 then v1 := (time, d.Wire.seq) :: !v1;
         if node = 4 then v4 := (time, d.Wire.seq) :: !v4

@@ -48,10 +48,10 @@ type t = {
   shards : int;                      (** controller replicas; 1 = the single
                                          controller, byte-identical to the
                                          pre-sharding plane *)
-  kernel : Dessim.Sim.kernel;        (** event-queue implementation; [Heap]
-                                         (default) is the pinned reference
-                                         path, [Calendar] the O(1) kernel
-                                         with the zero-alloc wire path *)
+  kernel : Dessim.Sim.kernel;        (** event-queue implementation: [Heap]
+                                         (default, flat binary heap) or
+                                         [Calendar] (calendar queue); the
+                                         results are identical *)
 }
 
 (** seed 1, 30 runs, 1000 iterations, no congestion, no sink, no faults,

@@ -171,9 +171,7 @@ let multi_flow_time ?update_type setup system ~seed =
     let seen = Hashtbl.create 32 in
     let last = ref None in
     Netsim.set_controller net (fun ~from:_ bytes ->
-        match
-          Option.bind (P4update.Wire.packet_of_bytes bytes) P4update.Wire.control_of_packet
-        with
+        match P4update.Wire.control_of_bytes bytes with
         | Some c when c.kind = P4update.Wire.Ufm ->
           if not (Hashtbl.mem seen c.flow_id) then begin
             Hashtbl.add seen c.flow_id ();

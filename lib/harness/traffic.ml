@@ -185,12 +185,9 @@ let flow_state_of (f : P4update.Controller.flow) =
 
 (* ---- delivery hooks -------------------------------------------------- *)
 
-let data_of_bytes bytes =
-  Option.bind (P4update.Wire.packet_of_bytes bytes) P4update.Wire.data_of_packet
-
 (* A link-hop of one of our probes: append the receiving node. *)
 let on_hop t _time node _port bytes =
-  match data_of_bytes bytes with
+  match P4update.Wire.data_of_bytes bytes with
   | Some d -> (
     match Hashtbl.find_opt t.flight d.P4update.Wire.seq with
     | Some pk when pk.pk_flow = d.P4update.Wire.d_flow_id ->
@@ -249,10 +246,7 @@ let inject t flow_id (st : flow_state) =
       d_ts = int_of_float ((now *. 1000.0) +. 0.5); (* sim µs on the wire *)
     }
   in
-  let bytes = P4update.Wire.data_to_bytes d in
-  Netsim.host_inject
-    ?recycle:(P4update.Wire.recycle_thunk bytes)
-    t.world.World.net ~node:st.fl_src bytes
+  Netsim.host_inject t.world.World.net ~node:st.fl_src (P4update.Wire.data_to_bytes d)
 
 let gap t =
   let sim = t.world.World.sim in

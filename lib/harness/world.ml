@@ -26,11 +26,6 @@ let install_flow ?flow_id w ~src ~dst ~size ~path =
 
 let make ?seed ?config ?(kernel = Sim.Heap) ?(shards = 1) ?(flows = []) topo =
   let sim = Sim.create ?seed ~kernel () in
-  (* The calendar kernel brings the zero-alloc wire path with it: pooled
-     frames, template codecs and byte-aligned header loops.  The heap
-     kernel keeps the boxed reference path so every pinned hash, mc
-     fingerprint and the bench A/B baseline stay byte-identical. *)
-  P4update.Wire.set_fast_path (kernel = Sim.Calendar);
   (* Trace timestamps follow this world's simulated clock (no-op when no
      sink is installed). *)
   Obs.Trace.set_clock (fun () -> Sim.now sim);
@@ -52,19 +47,8 @@ let make ?seed ?config ?(kernel = Sim.Heap) ?(shards = 1) ?(flows = []) topo =
       (Control.Sharded.controller sd 0, Control.Sharded.plane sd, Some pt)
     end
   in
-  (* Split the network's control-plane counters by wire kind (FRM/UIM/...).
-     Under the calendar kernel the classifier reads the kind byte directly
-     (same verdicts, no packet materialization); the heap path keeps the
-     full parse it has always done. *)
-  (if kernel = Sim.Calendar then
-     Netsim.set_control_classifier net P4update.Wire.control_kind_of_bytes
-   else
-     Netsim.set_control_classifier net (fun bytes ->
-         match
-           Option.bind (P4update.Wire.packet_of_bytes bytes) P4update.Wire.control_of_packet
-         with
-         | Some c -> Some (P4update.Wire.msg_kind_to_int c.kind)
-         | None -> None));
+  (* Split the network's control-plane counters by wire kind (FRM/UIM/...). *)
+  Netsim.set_control_classifier net P4update.Wire.control_kind_of_bytes;
   (* A node that comes back up lost its pipeline state (§11). *)
   Netsim.on_topology_event net (function
     | Netsim.Node_up node when node >= 0 && node < n ->

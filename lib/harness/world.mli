@@ -31,11 +31,8 @@ val flow : ?size:int -> src:int -> dst:int -> path:int list -> unit -> flow_spec
     with {!Control.Partition.make} (seeded by [seed]) and fronts the
     network with a {!Control.Sharded} coordinator; [shards = 1] keeps
     the single controller, byte-identical to the pre-sharding plane.
-    [kernel] (default [Heap]) picks the event-queue implementation; the
-    [Calendar] kernel also switches [P4update.Wire] onto its zero-alloc
-    fast path (pooled frames + byte-aligned codecs) and installs the
-    direct control classifier — both deliver identical results, only
-    faster. *)
+    [kernel] (default [Heap]) picks the event-queue implementation and
+    nothing else: both kernels deliver identical results. *)
 val make :
   ?seed:int ->
   ?config:Netsim.config ->

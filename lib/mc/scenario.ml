@@ -55,15 +55,12 @@ let mc_config =
    which pending messages commute. *)
 let install_flow_extractor net =
   Netsim.set_flow_extractor net (fun bytes ->
-      match P4update.Wire.packet_of_bytes bytes with
-      | None -> None
-      | Some p -> (
-        match P4update.Wire.control_of_packet p with
-        | Some c -> Some c.P4update.Wire.flow_id
-        | None -> (
-          match P4update.Wire.data_of_packet p with
-          | Some d -> Some d.P4update.Wire.d_flow_id
-          | None -> None)))
+      match P4update.Wire.control_of_bytes bytes with
+      | Some c -> Some c.P4update.Wire.flow_id
+      | None -> (
+        match P4update.Wire.data_of_bytes bytes with
+        | Some d -> Some d.P4update.Wire.d_flow_id
+        | None -> None))
 
 let make_world ?flows (cfg : Harness.Run_config.t) topo =
   let w = World.make ~seed:cfg.Harness.Run_config.seed ~config:mc_config ?flows topo in

@@ -346,55 +346,29 @@ let rec apply_fault t ~hook ~deliver ~delay ~dup_budget bytes =
 
 let no_fault _ = Deliver
 
-(* Per-send reference count for pooled payload buffers.  The sender's
-   [?recycle] hook must run exactly once, after the issuance and every
-   scheduled delivery of this send (fault duplicates included) have
-   completed — the earliest point at which the frame may return to its
-   pool.  The count starts at 1 (the issuance guard, released when the
-   send call itself finishes, covering Drop verdicts and every
-   dead-node/dead-link early return); each scheduled delivery retains
-   once and releases after its thunk runs.  With no [?recycle] (the
-   default boxed path) all of this is a no-op. *)
-type refcount = { mutable refs : int; rc_recycle : unit -> unit }
-
-let rc_make = function
-  | None -> None
-  | Some recycle -> Some { refs = 1; rc_recycle = recycle }
-
-let rc_retain = function None -> () | Some rc -> rc.refs <- rc.refs + 1
-
-let rc_release = function
-  | None -> ()
-  | Some rc ->
-    rc.refs <- rc.refs - 1;
-    if rc.refs = 0 then rc.rc_recycle ()
-
 (* ------------------------------------------------------------------ *)
 (* Data plane                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let deliver_data t ~via ~node ~port ~rc bytes delay =
-  rc_retain rc;
+let deliver_data t ~via ~node ~port bytes delay =
   Sim.schedule ?tag:(delivery_tag t ~kind:"data" ~node bytes) t.sim ~delay (fun () ->
       (* A packet in flight is lost if the link or the receiver went down
          before it arrived. *)
-      (if t.node_down.(node) || not (link_is_up t via node) then
-         Obs.Metrics.incr t.stats.h_dropped_by_failure
-       else begin
-         Obs.Metrics.incr t.stats.h_data_packets;
-         Obs.Flight_recorder.note ~now:(Sim.now t.sim)
-           ~kind:Obs.Flight_recorder.k_deliver ~node ~flow:(-1) ~a:via ~b:port;
-         if Obs.Trace.enabled () then
-           Obs.Trace.instant ~cat:"net" ~node "data.rx"
-             ~attrs:[ Obs.Trace.int "from" via; Obs.Trace.int "port" port ];
-         List.iter (fun f -> f (Sim.now t.sim) node port bytes) t.observers;
-         t.handlers.(node) (Data { port; bytes })
-       end);
-      rc_release rc)
+      if t.node_down.(node) || not (link_is_up t via node) then
+        Obs.Metrics.incr t.stats.h_dropped_by_failure
+      else begin
+        Obs.Metrics.incr t.stats.h_data_packets;
+        Obs.Flight_recorder.note ~now:(Sim.now t.sim)
+          ~kind:Obs.Flight_recorder.k_deliver ~node ~flow:(-1) ~a:via ~b:port;
+        if Obs.Trace.enabled () then
+          Obs.Trace.instant ~cat:"net" ~node "data.rx"
+            ~attrs:[ Obs.Trace.int "from" via; Obs.Trace.int "port" port ];
+        List.iter (fun f -> f (Sim.now t.sim) node port bytes) t.observers;
+        t.handlers.(node) (Data { port; bytes })
+      end)
 
-let transmit ?recycle t ~from ~port bytes =
-  let rc = rc_make recycle in
-  (match neighbor_of_port t ~node:from ~port with
+let transmit t ~from ~port bytes =
+  match neighbor_of_port t ~node:from ~port with
   | None -> () (* unbound port: packet leaves the modelled network *)
   | Some neighbor ->
     if t.node_down.(from) then () (* a dead node emits nothing *)
@@ -411,30 +385,25 @@ let transmit ?recycle t ~from ~port bytes =
       in
       apply_fault t ~hook
         ~deliver:(fun bytes delay ->
-          deliver_data t ~via:from ~node:neighbor ~port:rx_port ~rc bytes delay)
+          deliver_data t ~via:from ~node:neighbor ~port:rx_port bytes delay)
         ~delay ~dup_budget:1 bytes
-    end);
-  rc_release rc
+    end
 
 (* Ingress port reported to a device for a host-injected packet.  Distinct
    from the resubmit pseudo-port (-1); devices translate it to their own
    host-facing pseudo ingress (e.g. [Switch.host_port]). *)
 let port_host = -2
 
-let host_inject ?(delay = 0.0) ?recycle t ~node bytes =
+let host_inject ?(delay = 0.0) t ~node bytes =
   Obs.Metrics.incr t.stats.h_data_injected;
   Obs.Flight_recorder.note ~now:(Sim.now t.sim) ~kind:Obs.Flight_recorder.k_inject
     ~node ~flow:(-1) ~a:(Bytes.length bytes) ~b:0;
-  let rc = rc_make recycle in
-  rc_retain rc;
   Sim.schedule
     ?tag:(delivery_tag t ~kind:"inject" ~node bytes)
     t.sim ~delay
     (fun () ->
-      (if node_is_up t ~node then t.handlers.(node) (Data { port = port_host; bytes })
-       else Obs.Metrics.incr t.stats.h_dropped_by_failure);
-      rc_release rc);
-  rc_release rc
+      if node_is_up t ~node then t.handlers.(node) (Data { port = port_host; bytes })
+      else Obs.Metrics.incr t.stats.h_dropped_by_failure)
 
 let resubmit t ~node bytes =
   Obs.Metrics.incr t.stats.h_resubmissions;
@@ -470,56 +439,46 @@ let controller_slot t =
 let control_hook t ~dir =
   match t.control_fault with None -> no_fault | Some hook -> hook ~dir
 
-let notify_controller ?recycle t ~from bytes =
-  let rc = rc_make recycle in
-  (if t.node_down.(from) then
-     Obs.Metrics.incr t.stats.h_dropped_by_failure
-   else begin
-     Obs.Metrics.incr t.stats.h_control_to_controller;
-     classify_control t bytes;
-     let uplink = sample_ctl_latency t ~node:from in
-     apply_fault t
-       ~hook:(control_hook t ~dir:(To_controller from))
-       ~deliver:(fun bytes delay ->
-         rc_retain rc;
-         Sim.schedule
-           ?tag:(delivery_tag t ~kind:"ctl.up" ~node:(-1) bytes)
-           t.sim ~delay
-           (fun () ->
-             let service_done = controller_slot t in
-             Sim.schedule t.sim ~delay:service_done (fun () ->
-                 (match t.controller_handler with
-                 | Some handler -> handler ~from bytes
-                 | None -> ());
-                 rc_release rc)))
-       ~delay:uplink ~dup_budget:1 bytes
-   end);
-  rc_release rc
+let notify_controller t ~from bytes =
+  if t.node_down.(from) then Obs.Metrics.incr t.stats.h_dropped_by_failure
+  else begin
+    Obs.Metrics.incr t.stats.h_control_to_controller;
+    classify_control t bytes;
+    let uplink = sample_ctl_latency t ~node:from in
+    apply_fault t
+      ~hook:(control_hook t ~dir:(To_controller from))
+      ~deliver:(fun bytes delay ->
+        Sim.schedule
+          ?tag:(delivery_tag t ~kind:"ctl.up" ~node:(-1) bytes)
+          t.sim ~delay
+          (fun () ->
+            let service_done = controller_slot t in
+            Sim.schedule t.sim ~delay:service_done (fun () ->
+                match t.controller_handler with
+                | Some handler -> handler ~from bytes
+                | None -> ())))
+      ~delay:uplink ~dup_budget:1 bytes
+  end
 
-let controller_transmit ?recycle t ~to_ bytes =
+let controller_transmit t ~to_ bytes =
   Obs.Metrics.incr t.stats.h_control_to_switch;
   classify_control t bytes;
   (* The controller's FIFO slot is paid once at send time; wire-level
      faults (including duplication) happen after the serialization
      point. *)
-  let rc = rc_make recycle in
   let service_done = controller_slot t in
   let downlink = sample_ctl_latency t ~node:to_ in
   apply_fault t
     ~hook:(control_hook t ~dir:(To_switch to_))
     ~deliver:(fun bytes delay ->
-      rc_retain rc;
       Sim.schedule
         ?tag:(delivery_tag t ~kind:"ctl.down" ~node:to_ bytes)
         t.sim ~delay
         (fun () ->
-          (if t.node_down.(to_) then
-             Obs.Metrics.incr t.stats.h_dropped_by_failure
-           else t.handlers.(to_) (From_controller bytes));
-          rc_release rc))
+          if t.node_down.(to_) then Obs.Metrics.incr t.stats.h_dropped_by_failure
+          else t.handlers.(to_) (From_controller bytes)))
     ~delay:(service_done +. downlink +. t.cfg.switch_processing_ms)
-    ~dup_budget:1 bytes;
-  rc_release rc
+    ~dup_budget:1 bytes
 
 let rule_update_delay t ~node =
   ignore node;

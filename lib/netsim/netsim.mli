@@ -85,22 +85,11 @@ val attach : t -> node:int -> (event -> unit) -> unit
     ([handler ~from bytes]). *)
 val set_controller : t -> (from:int -> Bytes.t -> unit) -> unit
 
-(** {2 Transmission}
-
-    Each send below takes an optional [?recycle] hook for pooled payload
-    buffers (see [P4update.Wire.recycle_thunk]).  The network retains the
-    buffer once per scheduled delivery — fault duplicates included — and
-    calls [recycle] exactly once, after the send call and the last
-    delivery of it have both completed.  Drop verdicts, dead senders,
-    dead receivers and unbound ports all still release, so a pooled
-    frame can never leak; a [Corrupt] verdict delivers a private copy,
-    so the original is recycled on the same schedule.  Receivers must
-    not hold onto the delivered [Bytes.t] beyond their synchronous
-    handler (every device in this repo decodes immediately). *)
+(** {2 Transmission} *)
 
 (** [transmit t ~from ~port bytes] sends on a data link; delivery occurs
     after link propagation latency plus the receiver's processing time. *)
-val transmit : ?recycle:(unit -> unit) -> t -> from:int -> port:int -> Bytes.t -> unit
+val transmit : t -> from:int -> port:int -> Bytes.t -> unit
 
 (** Loopback re-injection after [resubmit_delay_ms] (BMv2 resubmit). *)
 val resubmit : t -> node:int -> Bytes.t -> unit
@@ -114,14 +103,14 @@ val port_host : int
     (default 0) simulated ms, through the event heap.  Counted in
     [net.data.injected]; lost (counted as failure drop) if the node is
     down at delivery time. *)
-val host_inject : ?delay:float -> ?recycle:(unit -> unit) -> t -> node:int -> Bytes.t -> unit
+val host_inject : ?delay:float -> t -> node:int -> Bytes.t -> unit
 
 (** Switch-to-controller message (FRM/UFM). *)
-val notify_controller : ?recycle:(unit -> unit) -> t -> from:int -> Bytes.t -> unit
+val notify_controller : t -> from:int -> Bytes.t -> unit
 
 (** Controller-to-switch message (UIM, rule installation).  Serialized
     through the controller's FIFO server. *)
-val controller_transmit : ?recycle:(unit -> unit) -> t -> to_:int -> Bytes.t -> unit
+val controller_transmit : t -> to_:int -> Bytes.t -> unit
 
 (** Extra per-switch latency for applying a rule update; draws from the
     straggler distribution when configured, else 0. *)

@@ -1,21 +1,13 @@
 type schema = {
   name : string;
   field_list : (string * int) list;
+  widths : int array;  (* per-field bit width, in definition order *)
   total_bits : int;
   (* Per-field (byte offset within the header, byte width) when every
      field is byte-aligned; [None] for schemas with sub-byte fields.
-     Precomputed at [define] time for the fast wire path below. *)
+     [emit]/[extract] take the byte loop exactly when this is [Some]. *)
   byte_layout : (int * int) array option;
 }
-
-(* The byte-aligned fast path for [emit]/[extract] is gated off by
-   default so the bit-by-bit reference path stays the measured baseline;
-   the wire layer ([P4update.Wire.set_fast_path]) switches it on
-   together with its own template codecs. *)
-let wire_fast = ref false
-
-let set_wire_fast enabled = wire_fast := enabled
-let wire_fast_enabled () = !wire_fast
 
 type inst = {
   schema : schema;
@@ -52,46 +44,53 @@ let define ~name field_list =
     end
     else None
   in
-  { name; field_list; total_bits; byte_layout }
+  let widths = Array.of_list (List.map snd field_list) in
+  { name; field_list; widths; total_bits; byte_layout }
 
 let schema_name s = s.name
 let byte_size s = s.total_bits / 8
 let fields s = s.field_list
 
 let make schema =
-  { schema; values = Array.make (List.length schema.field_list) 0; valid = true }
+  { schema; values = Array.make (Array.length schema.widths) 0; valid = true }
 
 let schema_of inst = inst.schema
 let is_valid inst = inst.valid
 let set_valid inst valid = { inst with valid }
 
-let index_of inst field =
+let index schema field =
   let rec find i = function
-    | [] ->
-      invalid_arg (Printf.sprintf "Header(%s): unknown field %s" inst.schema.name field)
+    | [] -> invalid_arg (Printf.sprintf "Header(%s): unknown field %s" schema.name field)
     | (f, _) :: rest -> if f = field then i else find (i + 1) rest
   in
-  find 0 inst.schema.field_list
+  find 0 schema.field_list
 
-let width_of inst field =
-  let rec find = function
-    | [] ->
-      invalid_arg (Printf.sprintf "Header(%s): unknown field %s" inst.schema.name field)
-    | (f, w) :: rest -> if f = field then w else find rest
-  in
-  find inst.schema.field_list
+let[@inline] mask w v = v land ((1 lsl w) - 1)
 
-let get inst field = inst.values.(index_of inst field)
+let get_at inst i = inst.values.(i)
 
-let set inst field v =
-  let w = width_of inst field in
+let set_at inst i v =
   let values = Array.copy inst.values in
-  values.(index_of inst field) <- v land ((1 lsl w) - 1);
+  values.(i) <- mask inst.schema.widths.(i) v;
   { inst with values }
 
-let get_bv inst field = Bitval.make ~width:(width_of inst field) (get inst field)
+let of_values schema values =
+  if Array.length values <> Array.length schema.widths then
+    invalid_arg
+      (Printf.sprintf "Header.of_values(%s): %d values for %d fields" schema.name
+         (Array.length values) (Array.length schema.widths));
+  Array.iteri (fun i w -> values.(i) <- mask w values.(i)) schema.widths;
+  { schema; values; valid = true }
 
-(* Bit-level MSB-first writer/reader over a bytes buffer. *)
+let get inst field = get_at inst (index inst.schema field)
+let set inst field v = set_at inst (index inst.schema field) v
+
+let get_bv inst field =
+  let i = index inst.schema field in
+  Bitval.make ~width:inst.schema.widths.(i) inst.values.(i)
+
+(* Bit-level MSB-first writer/reader over a bytes buffer, for schemas
+   with sub-byte fields. *)
 
 let write_bits buf ~bit_offset ~width v =
   for i = 0 to width - 1 do
@@ -116,7 +115,7 @@ let read_bits buf ~bit_offset ~width =
   done;
   !v
 
-(* Byte-aligned MSB-first stores/loads — same wire image as the bit
+(* Byte-aligned MSB-first stores/loads: the same wire image as the bit
    loops, one byte per iteration instead of one bit. *)
 
 let[@inline] write_bytes_be buf ~pos ~nbytes v =
@@ -138,18 +137,18 @@ let emit inst buf offset =
     if Bytes.length buf < offset + byte_size inst.schema then
       invalid_arg (Printf.sprintf "Header.emit(%s): buffer too short" inst.schema.name);
     (match inst.schema.byte_layout with
-    | Some layout when !wire_fast ->
+    | Some layout ->
       Array.iteri
         (fun i (o, nbytes) ->
           write_bytes_be buf ~pos:(offset + o) ~nbytes inst.values.(i))
         layout
-    | _ ->
+    | None ->
       let bit = ref (offset * 8) in
-      List.iteri
-        (fun i (_, w) ->
+      Array.iteri
+        (fun i w ->
           write_bits buf ~bit_offset:!bit ~width:w inst.values.(i);
           bit := !bit + w)
-        inst.schema.field_list);
+        inst.schema.widths);
     offset + byte_size inst.schema
   end
 
@@ -158,18 +157,18 @@ let extract schema buf offset =
     invalid_arg (Printf.sprintf "Header.extract(%s): buffer too short" schema.name);
   let inst = make schema in
   (match schema.byte_layout with
-  | Some layout when !wire_fast ->
+  | Some layout ->
     Array.iteri
       (fun i (o, nbytes) ->
         inst.values.(i) <- read_bytes_be buf ~pos:(offset + o) ~nbytes)
       layout
-  | _ ->
+  | None ->
     let bit = ref (offset * 8) in
-    List.iteri
-      (fun i (_, w) ->
+    Array.iteri
+      (fun i w ->
         inst.values.(i) <- read_bits buf ~bit_offset:!bit ~width:w;
         bit := !bit + w)
-      schema.field_list);
+      schema.widths);
   (inst, offset + byte_size schema)
 
 let pp fmt inst =

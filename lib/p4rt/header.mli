@@ -15,16 +15,6 @@ type inst
     bit width not divisible by 8. *)
 val define : name:string -> (string * int) list -> schema
 
-(** Gate for the byte-aligned fast path in {!emit}/{!extract}: when
-    enabled, schemas whose every field width is a multiple of 8 (all the
-    P4Update wire schemas) serialize with per-byte MSB-first stores
-    instead of per-bit writes — the wire image is identical.  Off by
-    default; [P4update.Wire.set_fast_path] flips it together with its
-    template codecs so the reference path stays the measured baseline. *)
-val set_wire_fast : bool -> unit
-
-val wire_fast_enabled : unit -> bool
-
 val schema_name : schema -> string
 val byte_size : schema -> int
 val fields : schema -> (string * int) list
@@ -38,14 +28,32 @@ val set_valid : inst -> bool -> inst
 
 (** [get inst field] / [set inst field v]: field access by name.  [set]
     truncates to the field width.  Raise [Invalid_argument] on unknown
-    fields. *)
+    fields.  Per-frame code resolves an {!index} once and uses
+    {!get_at}/{!set_at} instead. *)
 val get : inst -> string -> int
 val set : inst -> string -> int -> inst
+
+(** [index schema field] is [field]'s position in definition order.
+    Raises [Invalid_argument] on unknown fields. *)
+val index : schema -> string -> int
+
+(** [get_at inst i] / [set_at inst i v]: field access by {!index}.
+    [set_at] truncates to the field width and copies the instance once. *)
+val get_at : inst -> int -> int
+val set_at : inst -> int -> int -> inst
+
+(** [of_values schema values] is the valid instance whose field [i] (in
+    definition order) holds [values.(i)], truncated to its width.  The
+    array is masked in place and owned by the instance afterwards.
+    Raises [Invalid_argument] unless there is one value per field. *)
+val of_values : schema -> int array -> inst
 
 val get_bv : inst -> string -> Bitval.t
 
 (** Serialize into [bytes] at [offset]; returns the next offset.  Invalid
-    instances emit nothing. *)
+    instances emit nothing.  Schemas whose every field width is a
+    multiple of 8 are written a byte at a time, others a bit at a time;
+    both give the same MSB-first image. *)
 val emit : inst -> Bytes.t -> int -> int
 
 (** [extract schema buf offset] parses one instance; returns it (valid)

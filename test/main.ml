@@ -21,6 +21,7 @@ let () =
       ("consecutive-dl", Test_consecutive_dl.suite);
       ("two-phase", Test_two_phase.suite);
       ("inconsistency", Test_inconsistency.suite);
+      ("switch-fuzz", Test_switch_fuzz.suite);
       ("baselines", Test_baselines.suite);
       ("ez-internals", Test_ez_internals.suite);
       ("obs", Test_obs.suite);

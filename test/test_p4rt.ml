@@ -60,6 +60,61 @@ let test_header_set_truncates () =
   let h = Header.set (Header.make schema) "x" 0x1FF in
   Alcotest.(check int) "truncated to 8 bits" 0xFF (Header.get h "x")
 
+(* A random schema from a width list, with one value per field (full
+   int range, so truncation is exercised too). *)
+let schema_gen width_gen =
+  QCheck.Gen.(
+    let* widths = list_size (int_range 1 12) width_gen in
+    let* values = list_repeat (List.length widths) int in
+    return (widths, values))
+
+let print_schema (widths, values) =
+  Printf.sprintf "widths=[%s] values=[%s]"
+    (String.concat ";" (List.map string_of_int widths))
+    (String.concat ";" (List.map string_of_int values))
+
+(* Header.emit/extract against the bit-by-bit oracle, at a nonzero
+   offset in a buffer pre-filled with a pattern.  [of_values] must build
+   the same instance as by-name [set]s. *)
+let header_matches_oracle (widths, values) =
+  let fields = List.mapi (fun i w -> (Printf.sprintf "f%d" i, w)) widths in
+  let schema = Header.define ~name:"rand" fields in
+  let inst = Codec_oracle.header schema (List.map2 (fun (f, _) v -> (f, v)) fields values) in
+  let size = Header.byte_size schema in
+  let buf () = Bytes.make (size + 2) '\xa5' in
+  let lib = buf () and oracle = buf () and positional = buf () in
+  let next = Header.emit inst lib 1 in
+  let next_oracle = Codec_oracle.emit inst oracle 1 in
+  ignore (Header.emit (Header.of_values schema (Array.of_list values)) positional 1);
+  let parsed, after = Header.extract schema oracle 1 in
+  let parsed_oracle, _ = Codec_oracle.extract schema lib 1 in
+  next = next_oracle && after = next
+  && Bytes.equal lib oracle && Bytes.equal lib positional
+  && List.for_all
+       (fun (f, _) ->
+         let i = Header.index schema f in
+         Header.get parsed f = Header.get inst f
+         && Header.get_at parsed i = Header.get parsed_oracle f)
+       fields
+
+let prop_header_byte_loop =
+  QCheck.Test.make ~name:"header byte loop = bit loop on aligned schemas" ~count:300
+    (QCheck.make ~print:print_schema (schema_gen QCheck.Gen.(map (fun k -> 8 * k) (int_range 1 7))))
+    header_matches_oracle
+
+let prop_header_bit_loop =
+  (* Sub-byte widths, padded to a whole byte with a final field. *)
+  let gen =
+    QCheck.Gen.(
+      let* widths, values = schema_gen (int_range 1 20) in
+      let total = List.fold_left ( + ) 0 widths in
+      let pad = 8 - (total mod 8) in
+      let* last = int in
+      return (widths @ [ pad ], values @ [ last ]))
+  in
+  QCheck.Test.make ~name:"header bit loop = oracle on sub-byte schemas" ~count:300
+    (QCheck.make ~print:print_schema gen) header_matches_oracle
+
 let prop_control_roundtrip =
   let gen =
     QCheck.Gen.(
@@ -266,6 +321,8 @@ let suite =
     Alcotest.test_case "header byte alignment" `Quick test_header_byte_alignment_required;
     Alcotest.test_case "header roundtrip" `Quick test_header_roundtrip_simple;
     Alcotest.test_case "header set truncates" `Quick test_header_set_truncates;
+    QCheck_alcotest.to_alcotest prop_header_byte_loop;
+    QCheck_alcotest.to_alcotest prop_header_bit_loop;
     QCheck_alcotest.to_alcotest prop_control_roundtrip;
     QCheck_alcotest.to_alcotest prop_data_roundtrip;
     Alcotest.test_case "parser rejects truncated" `Quick test_parser_rejects_truncated;

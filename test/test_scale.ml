@@ -6,9 +6,10 @@
      order on random schedules (including exact same-instant ties),
      same [fold] candidate sets, same [remove_seq] behavior, with
      mid-schedule [compact] observably transparent.
-   - Wire codec equivalence: the fast (pooled, direct-store) control and
-     data codecs emit byte-identical frames to the boxed Packet path and
-     return identical decode verdicts on arbitrary byte strings.
+   - Wire codec equivalence: the direct-store control and data codecs
+     emit byte-identical frames to the bit-by-bit Packet oracle in
+     [Codec_oracle] and return the parse graph's decode verdicts on
+     arbitrary byte strings.
    - Determinism pins: the chaos delivery hashes, the mc final-state
      fingerprints on the default schedule and a trace JSONL digest are
      pinned to literals, so any change to event ordering — however
@@ -183,49 +184,52 @@ let prop_control_codec_equiv =
     QCheck.(int_bound 0x3FFFFFFF)
     (fun seed ->
       let c = control_of_seed seed in
-      let boxed = W.control_to_bytes_boxed c in
-      W.set_fast_path true;
-      let fast = W.control_to_bytes c in
-      let same_bytes = Bytes.equal boxed fast in
-      let dec_fast = W.control_of_bytes fast in
-      let kind_fast = W.control_kind_of_bytes fast in
-      W.release_frame fast;
-      W.set_fast_path false;
-      let dec_ref = W.control_of_bytes boxed in
-      same_bytes && dec_fast = Some c && dec_ref = Some c
-      && kind_fast = Some (W.msg_kind_to_int c.W.kind))
+      let bytes = W.control_to_bytes c in
+      let oracle = Codec_oracle.control_to_bytes c in
+      Bytes.equal bytes oracle
+      && Bytes.equal (P4rt.Packet.serialize (W.control_to_packet c)) oracle
+      && W.control_of_bytes bytes = Some c
+      && Codec_oracle.control_of_bytes bytes = Some c
+      && W.control_kind_of_bytes bytes = Some (W.msg_kind_to_int c.W.kind))
 
 let prop_data_codec_equiv =
   QCheck.Test.make ~name:"fast data codec = boxed codec" ~count:500
     QCheck.(int_bound 0x3FFFFFFF)
     (fun seed ->
       let d = data_of_seed seed in
-      let boxed = W.data_to_bytes_boxed d in
-      W.set_fast_path true;
-      let fast = W.data_to_bytes d in
-      let same_bytes = Bytes.equal boxed fast in
-      let dec_fast = W.data_of_bytes fast in
-      W.release_frame fast;
-      W.set_fast_path false;
-      let dec_ref = W.data_of_bytes boxed in
-      same_bytes && dec_fast = Some d && dec_ref = Some d)
+      let bytes = W.data_to_bytes d in
+      let oracle = Codec_oracle.data_to_bytes d in
+      Bytes.equal bytes oracle
+      && Bytes.equal (P4rt.Packet.serialize (W.data_to_packet d)) oracle
+      && W.data_of_bytes bytes = Some d
+      && Codec_oracle.data_of_bytes bytes = Some d)
 
 let prop_decode_equiv_random_bytes =
   (* On arbitrary byte strings (short frames, foreign etypes, invalid
-     enum fields) the fast decoders must return the exact verdict of the
-     parse-graph path. *)
+     enum fields) the direct decoders must return the exact verdict of
+     the parse-graph path. *)
+  let frame_gen =
+    (* Half the frames carry a valid eth header, so the enum checks and
+       the short-frame cut-offs are reached, not just the etype test. *)
+    QCheck.Gen.(
+      let* etype = oneofl [ None; Some W.etype_control; Some W.etype_data ] in
+      let* tail = string_size ~gen:char (int_range 0 34) in
+      match etype with
+      | None -> string_size ~gen:char (int_range 0 40)
+      | Some e ->
+        let eth = Printf.sprintf "\000\000\000\000%c%c" (Char.chr (e lsr 8)) (Char.chr (e land 0xff)) in
+        return (eth ^ tail))
+  in
   QCheck.Test.make ~name:"fast decode verdicts = parser verdicts on random frames"
     ~count:500
-    QCheck.(string_gen_of_size (Gen.int_range 0 40) Gen.char)
+    (QCheck.make ~print:(Printf.sprintf "%S") frame_gen)
     (fun s ->
       let b = Bytes.of_string s in
-      W.set_fast_path true;
-      let fc = W.control_of_bytes b and fd = W.data_of_bytes b in
-      let fk = W.control_kind_of_bytes b in
-      W.set_fast_path false;
-      let rc = W.control_of_bytes b and rd = W.data_of_bytes b in
-      let rk = W.control_kind_of_bytes b in
-      fc = rc && fd = rd && fk = rk)
+      let oracle_control = Codec_oracle.control_of_bytes b in
+      W.control_of_bytes b = oracle_control
+      && W.data_of_bytes b = Codec_oracle.data_of_bytes b
+      && W.control_kind_of_bytes b
+         = Option.map (fun c -> W.msg_kind_to_int c.W.kind) oracle_control)
 
 (* --- determinism pins ----------------------------------------------- *)
 
@@ -327,17 +331,15 @@ let test_scale_deterministic () =
   Alcotest.(check (float 0.0)) "p99" a.Harness.Scale.sr_p99_ms b.Harness.Scale.sr_p99_ms
 
 let test_scale_kernel_identity () =
-  (* The calendar kernel + pooled wire path must produce the exact run
-     the heap kernel does — same event count, same completions, same
-     latency quantiles — on the same seed.  Only the cost model may
-     differ. *)
+  (* The calendar kernel must produce the exact run the heap kernel
+     does — same event count, same completions, same latency quantiles —
+     on the same seed.  Only the cost model may differ. *)
   let run kernel =
     let cfg = Harness.Run_config.make ~seed:11 ~kernel () in
     Harness.Scale.run ~workload:small_workload cfg (Topo.Topologies.attmpls ())
   in
   let h = run Dessim.Sim.Heap in
   let c = run Dessim.Sim.Calendar in
-  P4update.Wire.set_fast_path false;
   Alcotest.(check int) "completed" h.Harness.Scale.sr_updates_completed
     c.Harness.Scale.sr_updates_completed;
   Alcotest.(check int) "events" h.Harness.Scale.sr_events c.Harness.Scale.sr_events;
