@@ -64,6 +64,7 @@ type t = {
   net : Netsim.t;
   flow_db : (int, flow) Hashtbl.t;
   mutable report_log : report list; (* reverse order *)
+  completions : (int * int, float) Hashtbl.t; (* (flow, version) -> first success *)
   mutable report_hooks : (report -> unit) list;
   mutable push_hooks : (flow_id:int -> version:int -> unit) list;
   mutable alarms : int;
@@ -230,17 +231,7 @@ let prepare_batch t requests =
 
 let reports t = List.rev t.report_log
 
-let completion_time t ~flow_id ~version =
-  let rec find = function
-    | [] -> None
-    | r :: rest ->
-      if r.r_flow = flow_id && r.r_version = version && r.r_status = Wire.ufm_success
-      then Some r.r_time
-      else find rest
-  in
-  (* Log is newest-first; the first success seen backwards is the earliest:
-     search from the oldest instead. *)
-  find (List.rev t.report_log)
+let completion_time t ~flow_id ~version = Hashtbl.find_opt t.completions (flow_id, version)
 
 let on_report t f = t.report_hooks <- t.report_hooks @ [ f ]
 let on_push t f = t.push_hooks <- t.push_hooks @ [ f ]
@@ -738,6 +729,9 @@ let handle t ~from bytes =
              | _ -> ())
            | Some _ | None -> ());
         t.report_log <- report :: t.report_log;
+        if report.r_status = Wire.ufm_success
+           && not (Hashtbl.mem t.completions (report.r_flow, report.r_version))
+        then Hashtbl.add t.completions (report.r_flow, report.r_version) report.r_time;
         List.iter (fun f -> f report) t.report_hooks;
         if report.r_status = Wire.ufm_alarm_timeout then begin
           (* §11: a watchdog alarm on a broken path means retransmission
@@ -760,6 +754,7 @@ let create network =
       net = network;
       flow_db = Hashtbl.create 64;
       report_log = [];
+      completions = Hashtbl.create 64;
       report_hooks = [];
       push_hooks = [];
       alarms = 0;

@@ -168,8 +168,9 @@ val update_flow :
 (** All reports received so far (most recent last). *)
 val reports : t -> report list
 
-(** [completion_time t ~flow_id ~version] is the time of the success UFM
-    for that update, if received. *)
+(** [completion_time t ~flow_id ~version] is the time of the first
+    success UFM for that update, if received: a table lookup, filled as
+    reports arrive. *)
 val completion_time : t -> flow_id:int -> version:int -> float option
 
 (** [on_report t f] registers a hook called on every incoming UFM. *)

@@ -414,12 +414,16 @@ let handle_data t ctx (d : Wire.data) =
   end
   else begin
     t.stats.forwarded <- t.stats.forwarded + 1;
-    let pkt =
-      Packet.update (Pipeline.packet ctx) "data" (fun h ->
-          let h = P4rt.Header.set_at h Wire.data_ttl (d.ttl - 1) in
-          P4rt.Header.set_at h Wire.data_tag d.tag)
-    in
-    Pipeline.set_packet ctx pkt;
+    (* One copy of the data header carries both rewrites. *)
+    let pkt = Pipeline.packet ctx in
+    (match Packet.header pkt Wire.data_schema with
+     | Some h ->
+       let values = P4rt.Header.values h in
+       values.(Wire.data_ttl) <- d.ttl - 1;
+       values.(Wire.data_tag) <- d.tag;
+       Pipeline.set_packet ctx
+         (Packet.with_header pkt (P4rt.Header.of_values Wire.data_schema values))
+     | None -> ());
     Pipeline.set_egress ctx port
   end
 
@@ -779,6 +783,7 @@ let ingress_control t ctx =
      | Wire.Frm | Wire.Ufm -> Pipeline.mark_to_drop ctx (* switch is not their consumer *))
   | None ->
     (match Wire.data_of_packet pkt with
+     | Some d when d.Wire.d_flow_id < Wire.flow_space -> handle_data t ctx d
      | Some d ->
        handle_data t ctx { d with Wire.d_flow_id = d.Wire.d_flow_id land (Wire.flow_space - 1) }
      | None -> Pipeline.mark_to_drop ctx)

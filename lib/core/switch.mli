@@ -34,6 +34,9 @@ val stats : t -> stats
 val uib : t -> Uib.t
 val pipeline : t -> P4rt.Pipeline.t
 
+(** The pipeline's ingress port for host-injected data frames. *)
+val host_port : int
+
 (** [on_commit t f] registers [f ~flow_id ~version ~time], called whenever
     this switch commits a forwarding rule. *)
 val on_commit : t -> (flow_id:int -> version:int -> time:float -> unit) -> unit

@@ -167,7 +167,7 @@ let control_to_packet c =
     ]
 
 let control_of_packet pkt =
-  match Packet.header pkt "p4u" with
+  match Packet.header pkt p4u_schema with
   | None -> None
   | Some h ->
     let f = Header.get_at h in
@@ -211,7 +211,7 @@ let data_to_packet d =
     ]
 
 let data_of_packet pkt =
-  match Packet.header pkt "data" with
+  match Packet.header pkt data_schema with
   | None -> None
   | Some h ->
     let f = Header.get_at h in

@@ -117,7 +117,7 @@ type pkt = {
 (* One entry of a flow's version history. *)
 type vrec = {
   vr_version : int;
-  vr_edges : (int * int) list; (* directed edges of that version's path *)
+  vr_edges : int list;         (* directed edges of that version's path, see [edge] *)
   vr_dl : bool;                (* the update installing it was dual-layer *)
 }
 
@@ -153,12 +153,16 @@ type t = {
   m_latency : Obs.Metrics.histogram;
 }
 
-let edges_of_path path =
-  let rec go = function
-    | a :: (b :: _ as rest) -> (a, b) :: go rest
-    | _ -> []
-  in
-  go path
+(* A directed edge a -> b as one int, so the audit compares edges with
+   integer equality instead of polymorphic compare on tuples.  Node ids
+   stay below 2^20 in every topology this repository builds. *)
+let[@inline] edge a b = (a lsl 20) lor b
+
+let rec edges_of_path = function
+  | a :: (b :: _ as rest) -> edge a b :: edges_of_path rest
+  | _ -> []
+
+let rec mem_edge e = function [] -> false | x :: rest -> Int.equal x e || mem_edge e rest
 
 let record_version st ~version ~path ~dl =
   st.fl_version <- version;
@@ -288,6 +292,8 @@ let note_pushed t ~flow_id ~version =
   | _ -> ()
 
 let attach ?(workload = default_workload) (w : World.t) =
+  if Topo.Graph.node_count (Netsim.graph w.World.net) > 1 lsl 20 then
+    invalid_arg "Traffic.attach: more than 2^20 nodes";
   let metrics = Netsim.metrics w.World.net in
   let t =
     {
@@ -357,7 +363,7 @@ let scale_hooks t =
    per-flow version history: exact. *)
 let feasible_trajectory history ~cap edges =
   let allowed e =
-    List.filter (fun r -> r.vr_version <= cap && List.mem e r.vr_edges) history
+    List.filter (fun r -> r.vr_version <= cap && mem_edge e r.vr_edges) history
   in
   let step reach e =
     List.filter
@@ -377,7 +383,7 @@ let feasible_trajectory history ~cap edges =
 let classify (st : flow_state) (pk : pkt) =
   let hops = List.rev pk.pk_hops in
   let edges = edges_of_path hops in
-  let distinct_edges = List.sort_uniq compare edges in
+  let distinct_edges = List.sort_uniq Int.compare edges in
   if List.length distinct_edges < List.length edges then Loop
   else if pk.pk_delivered_at < 0 then Blackhole
   else if pk.pk_delivered_at <> pk.pk_dst then Mixed (* misdelivered *)

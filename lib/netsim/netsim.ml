@@ -84,6 +84,12 @@ type t = {
   topo : Topologies.t;
   cfg : config;
   ports : int array array; (* node -> port -> neighbor *)
+  (* Per (node, port), resolved at [create]: link latency plus switch
+     processing, the neighbor's port back toward node, and whether the
+     link is down (both ends flip together). *)
+  hop_delay : float array array;
+  rx_port : int array array;
+  link_down : bool array array;
   mutable handlers : (event -> unit) array;
   mutable controller_handler : (from:int -> Bytes.t -> unit) option;
   mutable data_fault : (from:int -> to_:int -> Bytes.t -> fault) option;
@@ -93,7 +99,6 @@ type t = {
   mutable observers : (float -> int -> int -> Bytes.t -> unit) list;
   mutable topo_observers : (topo_event -> unit) list;
   node_down : bool array;
-  link_failed : (int * int, unit) Hashtbl.t; (* normalized (min, max) *)
   ctl_latency : float array; (* per-node control-plane latency (Geo/Fixed) *)
   mutable controller_busy_until : float;
   metrics : Obs.Metrics.t;
@@ -135,12 +140,26 @@ let create ?(config = default_config) sim topo =
   let g = topo.Topologies.graph in
   let n = Graph.node_count g in
   let ports = Array.init n (fun node -> Array.of_list (Graph.neighbors g node)) in
+  let port_toward node neighbor =
+    let arr = ports.(neighbor) in
+    let rec find i = if arr.(i) = node then i else find (i + 1) in
+    find 0
+  in
   let metrics = Obs.Metrics.create () in
   {
     sim;
     topo;
     cfg = config;
     ports;
+    hop_delay =
+      Array.mapi
+        (fun node arr ->
+          Array.map
+            (fun neighbor -> Graph.latency g node neighbor +. config.switch_processing_ms)
+            arr)
+        ports;
+    rx_port = Array.mapi (fun node arr -> Array.map (port_toward node) arr) ports;
+    link_down = Array.map (fun arr -> Array.make (Array.length arr) false) ports;
     handlers = Array.make n (fun _ -> ());
     controller_handler = None;
     data_fault = None;
@@ -150,7 +169,6 @@ let create ?(config = default_config) sim topo =
     observers = [];
     topo_observers = [];
     node_down = Array.make n false;
-    link_failed = Hashtbl.create 8;
     ctl_latency = compute_ctl_latencies topo config;
     controller_busy_until = 0.0;
     metrics;
@@ -190,16 +208,23 @@ let neighbor_of_port t ~node ~port =
   if port < 0 || port >= Array.length t.ports.(node) then None
   else Some t.ports.(node).(port)
 
+(* Port of [v] at [u], or -1 when they are not adjacent. *)
+let port_at t u v =
+  if u < 0 || u >= Array.length t.ports then -1
+  else begin
+    let arr = t.ports.(u) in
+    let rec find i =
+      if i >= Array.length arr then -1 else if arr.(i) = v then i else find (i + 1)
+    in
+    find 0
+  end
+
 let port_of_neighbor t ~node ~neighbor =
-  let arr = t.ports.(node) in
-  let rec find i =
-    if i >= Array.length arr then
-      invalid_arg
-        (Printf.sprintf "Netsim.port_of_neighbor: %d is not adjacent to %d" neighbor node)
-    else if arr.(i) = neighbor then i
-    else find (i + 1)
-  in
-  find 0
+  let p = port_at t node neighbor in
+  if p < 0 then
+    invalid_arg
+      (Printf.sprintf "Netsim.port_of_neighbor: %d is not adjacent to %d" neighbor node);
+  p
 
 let attach t ~node handler = t.handlers.(node) <- handler
 let set_controller t handler = t.controller_handler <- Some handler
@@ -231,10 +256,17 @@ let on_topology_event t f = t.topo_observers <- t.topo_observers @ [ f ]
 (* Topology failures                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let link_key u v = (min u v, max u v)
-
 let node_is_up t ~node = not t.node_down.(node)
-let link_is_up t u v = not (Hashtbl.mem t.link_failed (link_key u v))
+
+(* Pairs that share no link are "up": nothing of theirs can fail. *)
+let link_is_up t u v =
+  let p = port_at t u v in
+  p < 0 || not t.link_down.(u).(p)
+
+let set_link_down t u v down =
+  let p = port_at t u v in
+  t.link_down.(u).(p) <- down;
+  t.link_down.(v).(t.rx_port.(u).(p)) <- down
 
 let fire_topo_event t ev =
   (let node, a, b =
@@ -266,7 +298,7 @@ let fail_link t ~u ~v ~at =
   check_link t u v "fail_link";
   Sim.schedule_at t.sim ~time:at (fun () ->
       if link_is_up t u v then begin
-        Hashtbl.replace t.link_failed (link_key u v) ();
+        set_link_down t u v true;
         fire_topo_event t (Link_down (u, v))
       end)
 
@@ -274,7 +306,7 @@ let restore_link t ~u ~v ~at =
   check_link t u v "restore_link";
   Sim.schedule_at t.sim ~time:at (fun () ->
       if not (link_is_up t u v) then begin
-        Hashtbl.remove t.link_failed (link_key u v);
+        set_link_down t u v false;
         fire_topo_event t (Link_up (u, v))
       end)
 
@@ -350,11 +382,17 @@ let no_fault _ = Deliver
 (* Data plane                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let rec notify_observers time node port bytes = function
+  | [] -> ()
+  | f :: rest ->
+    f time node port bytes;
+    notify_observers time node port bytes rest
+
 let deliver_data t ~via ~node ~port bytes delay =
   Sim.schedule ?tag:(delivery_tag t ~kind:"data" ~node bytes) t.sim ~delay (fun () ->
       (* A packet in flight is lost if the link or the receiver went down
          before it arrived. *)
-      if t.node_down.(node) || not (link_is_up t via node) then
+      if t.node_down.(node) || t.link_down.(node).(port) then
         Obs.Metrics.incr t.stats.h_dropped_by_failure
       else begin
         Obs.Metrics.incr t.stats.h_data_packets;
@@ -363,31 +401,30 @@ let deliver_data t ~via ~node ~port bytes delay =
         if Obs.Trace.enabled () then
           Obs.Trace.instant ~cat:"net" ~node "data.rx"
             ~attrs:[ Obs.Trace.int "from" via; Obs.Trace.int "port" port ];
-        List.iter (fun f -> f (Sim.now t.sim) node port bytes) t.observers;
+        notify_observers (Sim.now t.sim) node port bytes t.observers;
         t.handlers.(node) (Data { port; bytes })
       end)
 
 let transmit t ~from ~port bytes =
-  match neighbor_of_port t ~node:from ~port with
-  | None -> () (* unbound port: packet leaves the modelled network *)
-  | Some neighbor ->
+  if port < 0 || port >= Array.length t.ports.(from) then
+    () (* unbound port: packet leaves the modelled network *)
+  else begin
+    let neighbor = t.ports.(from).(port) in
     if t.node_down.(from) then () (* a dead node emits nothing *)
-    else if t.node_down.(neighbor) || not (link_is_up t from neighbor) then
+    else if t.node_down.(neighbor) || t.link_down.(from).(port) then
       Obs.Metrics.incr t.stats.h_dropped_by_failure
     else begin
-      let link = Graph.latency (graph t) from neighbor in
-      let delay = link +. t.cfg.switch_processing_ms in
-      let rx_port = port_of_neighbor t ~node:neighbor ~neighbor:from in
-      let hook =
-        match t.data_fault with
-        | None -> no_fault
-        | Some hook -> hook ~from ~to_:neighbor
-      in
-      apply_fault t ~hook
-        ~deliver:(fun bytes delay ->
-          deliver_data t ~via:from ~node:neighbor ~port:rx_port bytes delay)
-        ~delay ~dup_budget:1 bytes
+      let delay = t.hop_delay.(from).(port) in
+      let rx_port = t.rx_port.(from).(port) in
+      match t.data_fault with
+      | None -> deliver_data t ~via:from ~node:neighbor ~port:rx_port bytes delay
+      | Some hook ->
+        apply_fault t ~hook:(hook ~from ~to_:neighbor)
+          ~deliver:(fun bytes delay ->
+            deliver_data t ~via:from ~node:neighbor ~port:rx_port bytes delay)
+          ~delay ~dup_budget:1 bytes
     end
+  end
 
 (* Ingress port reported to a device for a host-injected packet.  Distinct
    from the resubmit pseudo-port (-1); devices translate it to their own

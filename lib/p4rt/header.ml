@@ -79,8 +79,12 @@ let of_values schema values =
     invalid_arg
       (Printf.sprintf "Header.of_values(%s): %d values for %d fields" schema.name
          (Array.length values) (Array.length schema.widths));
-  Array.iteri (fun i w -> values.(i) <- mask w values.(i)) schema.widths;
+  for i = 0 to Array.length values - 1 do
+    values.(i) <- mask schema.widths.(i) values.(i)
+  done;
   { schema; values; valid = true }
+
+let values inst = Array.copy inst.values
 
 let get inst field = get_at inst (index inst.schema field)
 let set inst field v = set_at inst (index inst.schema field) v
@@ -131,45 +135,51 @@ let[@inline] read_bytes_be buf ~pos ~nbytes =
   done;
   !v
 
+(* [emit]/[extract] are plain loops over the schema's layout: no closure
+   per call, one allocation (the instance) per extraction. *)
+
 let emit inst buf offset =
   if not inst.valid then offset
   else begin
-    if Bytes.length buf < offset + byte_size inst.schema then
-      invalid_arg (Printf.sprintf "Header.emit(%s): buffer too short" inst.schema.name);
-    (match inst.schema.byte_layout with
+    let schema = inst.schema in
+    if Bytes.length buf < offset + byte_size schema then
+      invalid_arg (Printf.sprintf "Header.emit(%s): buffer too short" schema.name);
+    (match schema.byte_layout with
     | Some layout ->
-      Array.iteri
-        (fun i (o, nbytes) ->
-          write_bytes_be buf ~pos:(offset + o) ~nbytes inst.values.(i))
-        layout
+      for i = 0 to Array.length layout - 1 do
+        let o, nbytes = layout.(i) in
+        write_bytes_be buf ~pos:(offset + o) ~nbytes inst.values.(i)
+      done
     | None ->
       let bit = ref (offset * 8) in
-      Array.iteri
-        (fun i w ->
-          write_bits buf ~bit_offset:!bit ~width:w inst.values.(i);
-          bit := !bit + w)
-        inst.schema.widths);
-    offset + byte_size inst.schema
+      for i = 0 to Array.length schema.widths - 1 do
+        let w = schema.widths.(i) in
+        write_bits buf ~bit_offset:!bit ~width:w inst.values.(i);
+        bit := !bit + w
+      done);
+    offset + byte_size schema
   end
 
-let extract schema buf offset =
+let read schema buf offset =
   if Bytes.length buf < offset + byte_size schema then
     invalid_arg (Printf.sprintf "Header.extract(%s): buffer too short" schema.name);
-  let inst = make schema in
+  let values = Array.make (Array.length schema.widths) 0 in
   (match schema.byte_layout with
   | Some layout ->
-    Array.iteri
-      (fun i (o, nbytes) ->
-        inst.values.(i) <- read_bytes_be buf ~pos:(offset + o) ~nbytes)
-      layout
+    for i = 0 to Array.length layout - 1 do
+      let o, nbytes = layout.(i) in
+      values.(i) <- read_bytes_be buf ~pos:(offset + o) ~nbytes
+    done
   | None ->
     let bit = ref (offset * 8) in
-    Array.iteri
-      (fun i w ->
-        inst.values.(i) <- read_bits buf ~bit_offset:!bit ~width:w;
-        bit := !bit + w)
-      schema.widths);
-  (inst, offset + byte_size schema)
+    for i = 0 to Array.length schema.widths - 1 do
+      let w = schema.widths.(i) in
+      values.(i) <- read_bits buf ~bit_offset:!bit ~width:w;
+      bit := !bit + w
+    done);
+  { schema; values; valid = true }
+
+let extract schema buf offset = (read schema buf offset, offset + byte_size schema)
 
 let pp fmt inst =
   Format.fprintf fmt "@[<h>%s{" inst.schema.name;

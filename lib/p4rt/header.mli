@@ -48,6 +48,11 @@ val set_at : inst -> int -> int -> inst
     Raises [Invalid_argument] unless there is one value per field. *)
 val of_values : schema -> int array -> inst
 
+(** [values inst] is a fresh copy of the field values in definition
+    order: edit it and hand it back to {!of_values} to rewrite several
+    fields with one copy. *)
+val values : inst -> int array
+
 val get_bv : inst -> string -> Bitval.t
 
 (** Serialize into [bytes] at [offset]; returns the next offset.  Invalid
@@ -60,5 +65,8 @@ val emit : inst -> Bytes.t -> int -> int
     and the next offset.  Raises [Invalid_argument] if the buffer is too
     short. *)
 val extract : schema -> Bytes.t -> int -> inst * int
+
+(** [read schema buf offset] is [fst (extract schema buf offset)]. *)
+val read : schema -> Bytes.t -> int -> inst
 
 val pp : Format.formatter -> inst -> unit

@@ -5,50 +5,45 @@ type t = {
 
 let make ?(payload = Bytes.empty) headers = { headers; payload }
 
-let header pkt name =
-  List.find_opt
-    (fun h -> Header.is_valid h && Header.schema_name (Header.schema_of h) = name)
-    pkt.headers
+(* Headers are matched by schema identity: a schema is a value defined
+   once, so per-frame lookups compare one pointer and never a name.  The
+   list walks are top-level functions so that a lookup allocates no
+   closure. *)
+let[@inline] is schema h = Header.schema_of h == schema
 
-let has_header pkt name = Option.is_some (header pkt name)
+let rec find_valid schema = function
+  | [] -> None
+  | h :: rest -> if Header.is_valid h && is schema h then Some h else find_valid schema rest
+
+let rec mem schema = function [] -> false | h :: rest -> is schema h || mem schema rest
+
+let rec replace schema inst = function
+  | [] -> []
+  | h :: rest -> if is schema h then inst :: rest else h :: replace schema inst rest
+
+let header pkt schema = find_valid schema pkt.headers
 
 let with_header pkt inst =
-  let name = Header.schema_name (Header.schema_of inst) in
-  let rec replace = function
-    | [] -> None
-    | h :: rest ->
-      if Header.schema_name (Header.schema_of h) = name then Some (inst :: rest)
-      else Option.map (fun r -> h :: r) (replace rest)
-  in
-  match replace pkt.headers with
-  | Some headers -> { pkt with headers }
-  | None -> { pkt with headers = pkt.headers @ [ inst ] }
+  let schema = Header.schema_of inst in
+  if mem schema pkt.headers then { pkt with headers = replace schema inst pkt.headers }
+  else { pkt with headers = pkt.headers @ [ inst ] }
 
-let remove_header pkt name =
-  let rec drop = function
-    | [] -> []
-    | h :: rest ->
-      if Header.schema_name (Header.schema_of h) = name then rest else h :: drop rest
-  in
-  { pkt with headers = drop pkt.headers }
+let rec size_of acc = function
+  | [] -> acc
+  | h :: rest ->
+    size_of (if Header.is_valid h then acc + Header.byte_size (Header.schema_of h) else acc) rest
 
-let update pkt name f =
-  match header pkt name with
-  | None -> pkt
-  | Some inst -> with_header pkt (f inst)
+let wire_size pkt = size_of (Bytes.length pkt.payload) pkt.headers
 
-let wire_size pkt =
-  List.fold_left
-    (fun acc h -> if Header.is_valid h then acc + Header.byte_size (Header.schema_of h) else acc)
-    (Bytes.length pkt.payload) pkt.headers
+let rec emit_all buf off = function
+  | [] -> off
+  | h :: rest -> emit_all buf (Header.emit h buf off) rest
 
 let serialize pkt =
-  let buf = Bytes.make (wire_size pkt) '\000' in
-  let offset =
-    List.fold_left
-      (fun off h -> if Header.is_valid h then Header.emit h buf off else off)
-      0 pkt.headers
-  in
+  (* Every byte is written below: headers cover their whole width, the
+     payload the rest. *)
+  let buf = Bytes.create (wire_size pkt) in
+  let offset = emit_all buf 0 pkt.headers in
   Bytes.blit pkt.payload 0 buf offset (Bytes.length pkt.payload);
   buf
 

@@ -11,21 +11,15 @@ type t = {
 
 val make : ?payload:Bytes.t -> Header.inst list -> t
 
-(** [header pkt name] is the first valid instance of schema [name]. *)
-val header : t -> string -> Header.inst option
+(** Headers are looked up by schema identity (the {!Header.schema} value
+    itself, not its name).
 
-val has_header : t -> string -> bool
+    [header pkt schema] is the first valid instance of [schema]. *)
+val header : t -> Header.schema -> Header.inst option
 
 (** [with_header pkt inst] replaces the first instance of the same schema,
-    or pushes [inst] on top of the stack if absent. *)
+    or appends [inst] to the stack if absent. *)
 val with_header : t -> Header.inst -> t
-
-(** [remove_header pkt name] drops the first instance of schema [name]. *)
-val remove_header : t -> string -> t
-
-(** [update pkt name f] applies [f] to the first valid instance of schema
-    [name].  No-op if the header is absent. *)
-val update : t -> string -> (Header.inst -> Header.inst) -> t
 
 (** Deparser: valid headers in order, then the payload. *)
 val serialize : t -> Bytes.t

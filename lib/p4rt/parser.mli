@@ -3,7 +3,12 @@
 
     A parser is a list of named states.  Parsing starts at ["start"] and
     ends when a state selects [Accept].  The bytes remaining after the
-    final extraction become the payload. *)
+    final extraction become the payload ([Bytes.empty] when the headers
+    consume the whole frame).
+
+    {!create} compiles the graph once: states become array indices and
+    select fields become field indices of the state's schema, so {!run}
+    compares integers only. *)
 
 type next =
   | Accept
@@ -20,8 +25,10 @@ type state = {
 
 type t
 
-(** Raises [Invalid_argument] when no ["start"] state exists or a
-    transition targets an unknown state. *)
+(** Raises [Invalid_argument] when no ["start"] state exists, a
+    transition targets an unknown state, or a [Select] names a field its
+    state's schema lacks or sits in a state that extracts nothing.  When
+    two states share a name, the first one is the one transitions reach. *)
 val create : state list -> t
 
 exception Parse_error of string

@@ -4,8 +4,7 @@ type ctx = {
   mutable pkt : Packet.t;
   in_port : int;
   kind : instance_kind;
-  meta : (string, int) Hashtbl.t;
-  mutable egress : int option;
+  mutable egress : int; (* no_egress until [set_egress] *)
   mutable dropped : bool;
   mutable clones : int list; (* clone sessions requested during ingress *)
   mutable wants_resubmit : bool;
@@ -53,18 +52,17 @@ let set_packet ctx pkt = ctx.pkt <- pkt
 let ingress_port ctx = ctx.in_port
 let instance ctx = ctx.kind
 
-let meta_get ctx key = Option.value (Hashtbl.find_opt ctx.meta key) ~default:0
-let meta_set ctx key v = Hashtbl.replace ctx.meta key v
+let no_egress = min_int
 
 let set_egress ctx port =
-  ctx.egress <- Some port;
+  ctx.egress <- port;
   ctx.dropped <- false
 
-let egress_spec ctx = ctx.egress
+let egress_spec ctx = if ctx.egress = no_egress then None else Some ctx.egress
 
 let mark_to_drop ctx =
   ctx.dropped <- true;
-  ctx.egress <- None
+  ctx.egress <- no_egress
 
 let clone ctx ~session = ctx.clones <- ctx.clones @ [ session ]
 let resubmit ctx = ctx.wants_resubmit <- true
@@ -82,13 +80,12 @@ let table t table_name =
 
 let set_clone_session t ~session ~port = Hashtbl.replace t.clone_sessions session port
 
-let fresh_ctx pkt ~in_port ~kind =
+let fresh_ctx pkt ~in_port ~kind ~egress =
   {
     pkt;
     in_port;
     kind;
-    meta = Hashtbl.create 8;
-    egress = None;
+    egress;
     dropped = false;
     clones = [];
     wants_resubmit = false;
@@ -104,6 +101,41 @@ let instance_name = function
   | Cloned -> "cloned"
   | Resubmitted -> "resubmitted"
 
+let no_outcome = { emissions = []; resubmitted = None; to_controller = [] }
+
+(* One egress pass toward [port]; its digests are added to [ictx]'s. *)
+let run_egress t ictx ~kind ~port pkt =
+  let ectx = fresh_ctx pkt ~in_port:ictx.in_port ~kind ~egress:port in
+  t.program.prog_egress ectx;
+  (match ectx.digests with [] -> () | d -> ictx.digests <- ictx.digests @ d);
+  if ectx.dropped || ectx.egress = no_egress then None
+  else Some { out_port = ectx.egress; bytes = Packet.serialize ectx.pkt }
+
+(* Clones are snapshotted at the end of ingress, as with BMv2's clone3
+   from the ingress pipeline; sessions without a port emit nothing. *)
+let rec clone_emissions t ictx pkt = function
+  | [] -> []
+  | session :: rest -> (
+    match Hashtbl.find_opt t.clone_sessions session with
+    | None -> clone_emissions t ictx pkt rest
+    | Some port -> (
+      match run_egress t ictx ~kind:Cloned ~port pkt with
+      | Some e -> e :: clone_emissions t ictx pkt rest
+      | None -> clone_emissions t ictx pkt rest))
+
+let run_parsed t ~ingress_port ~instance parsed =
+  let ctx = fresh_ctx parsed ~in_port:ingress_port ~kind:instance ~egress:no_egress in
+  t.program.prog_ingress ctx;
+  let resubmitted = if ctx.wants_resubmit then Some ctx.pkt else None in
+  let pkt = ctx.pkt in
+  let main =
+    if ctx.dropped || ctx.egress = no_egress then None
+    else run_egress t ctx ~kind:ctx.kind ~port:ctx.egress pkt
+  in
+  let clones = clone_emissions t ctx pkt ctx.clones in
+  let emissions = match main with Some e -> e :: clones | None -> clones in
+  { emissions; resubmitted; to_controller = ctx.digests }
+
 let process t ~ingress_port ?(instance = Normal) bytes =
   let span =
     if Obs.Trace.enabled () then
@@ -116,63 +148,23 @@ let process t ~ingress_port ?(instance = Normal) bytes =
           ]
     else 0
   in
-  let finish (outcome : outcome) =
-    if span <> 0 then begin
-      if outcome.resubmitted <> None then Obs.Metrics.incr c_resubmits;
-      Obs.Metrics.incr c_digests ~by:(List.length outcome.to_controller);
-      Obs.Trace.span_end span
-        ~attrs:
-          [
-            Obs.Trace.int "emissions" (List.length outcome.emissions);
-            Obs.Trace.int "digests" (List.length outcome.to_controller);
-            ("resubmit", Obs.Json.Bool (outcome.resubmitted <> None));
-          ]
-    end
-    else begin
-      if outcome.resubmitted <> None then Obs.Metrics.incr c_resubmits;
-      Obs.Metrics.incr c_digests ~by:(List.length outcome.to_controller)
-    end;
-    outcome
+  let outcome =
+    match Parser.run t.program.prog_parser bytes with
+    | exception Parser.Parse_error _ ->
+      Obs.Metrics.incr c_parse_errors;
+      no_outcome
+    | parsed -> run_parsed t ~ingress_port ~instance parsed
   in
-  match Parser.run t.program.prog_parser bytes with
-  | exception Parser.Parse_error _ ->
-    Obs.Metrics.incr c_parse_errors;
-    finish { emissions = []; resubmitted = None; to_controller = [] }
-  | parsed ->
-    let ctx = fresh_ctx parsed ~in_port:ingress_port ~kind:instance in
-    t.program.prog_ingress ctx;
-    let resubmitted = if ctx.wants_resubmit then Some ctx.pkt else None in
-    (* Clones are snapshotted at the end of ingress, as with BMv2's
-       clone3 from the ingress pipeline. *)
-    let clone_jobs =
-      List.filter_map
-        (fun session ->
-          match Hashtbl.find_opt t.clone_sessions session with
-          | Some port -> Some (port, ctx.pkt)
-          | None -> None)
-        ctx.clones
-    in
-    let digests = ref ctx.digests in
-    let run_egress ~kind ~port pkt =
-      let ectx = fresh_ctx pkt ~in_port:ingress_port ~kind in
-      ectx.egress <- Some port;
-      t.program.prog_egress ectx;
-      digests := !digests @ ectx.digests;
-      if ectx.dropped then None
-      else
-        Option.map (fun p -> { out_port = p; bytes = Packet.serialize ectx.pkt }) ectx.egress
-    in
-    let main_emission =
-      match (ctx.dropped, ctx.egress) with
-      | true, _ | _, None -> None
-      | false, Some port -> run_egress ~kind:ctx.kind ~port ctx.pkt
-    in
-    let clone_emissions =
-      List.filter_map (fun (port, pkt) -> run_egress ~kind:Cloned ~port pkt) clone_jobs
-    in
-    finish
-      {
-        emissions = Option.to_list main_emission @ clone_emissions;
-        resubmitted;
-        to_controller = !digests;
-      }
+  if Option.is_some outcome.resubmitted then Obs.Metrics.incr c_resubmits;
+  (match outcome.to_controller with
+   | [] -> ()
+   | digests -> Obs.Metrics.incr c_digests ~by:(List.length digests));
+  if span <> 0 then
+    Obs.Trace.span_end span
+      ~attrs:
+        [
+          Obs.Trace.int "emissions" (List.length outcome.emissions);
+          Obs.Trace.int "digests" (List.length outcome.to_controller);
+          ("resubmit", Obs.Json.Bool (Option.is_some outcome.resubmitted));
+        ];
+  outcome

@@ -8,8 +8,9 @@
 
 type instance_kind = Normal | Cloned | Resubmitted
 
-(** Per-packet context.  Metadata is refreshed for each packet (§2.1);
-    registers persist in the enclosing pipeline. *)
+(** Per-packet context: the packet, its ingress port and instance kind,
+    and the forwarding decisions made so far.  It is fresh for each packet
+    (§2.1); registers persist in the enclosing pipeline. *)
 type ctx
 
 type program = {
@@ -43,10 +44,6 @@ val packet : ctx -> Packet.t
 val set_packet : ctx -> Packet.t -> unit
 val ingress_port : ctx -> int
 val instance : ctx -> instance_kind
-
-(** Per-packet scratch metadata. *)
-val meta_get : ctx -> string -> int
-val meta_set : ctx -> string -> int -> unit
 
 val set_egress : ctx -> int -> unit
 val egress_spec : ctx -> int option

@@ -64,10 +64,102 @@ let test_no_recovery_degrades_gracefully () =
   Alcotest.(check bool) "some updates were wedged by the losses" true (!stuck > 0);
   Alcotest.(check bool) "the wedges were reported via watchdog alarms" true (!alarms > 0)
 
+(* [Controller.completion_time] is a (flow, version) table filled as
+   reports arrive.  The reference is the scan it replaced: the first
+   success in the report log, oldest first.  A chaos-style run (lossy
+   control channel, a failed link, recovery with retransmissions and
+   reroutes, two updates per flow) produces duplicate, late and alarm
+   reports for the index to get wrong. *)
+let log_scan reports ~flow_id ~version =
+  List.find_map
+    (fun (r : P4update.Controller.report) ->
+      if r.r_flow = flow_id && r.r_version = version
+         && r.r_status = P4update.Wire.ufm_success
+      then Some r.r_time
+      else None)
+    reports
+
+let test_completion_index_matches_log () =
+  let module C = P4update.Controller in
+  let module W = Harness.World in
+  let topo = Topo.Topologies.b4 () in
+  let g = topo.Topo.Topologies.graph in
+  let w = W.make ~seed:5 topo in
+  let sim = w.W.sim in
+  Array.iter (fun sw -> P4update.Switch.enable_watchdog sw ~timeout_ms:400.0) w.W.switches;
+  Control.Plane.enable_recovery w.W.plane;
+  let pairs = [ (0, 7); (1, 10); (2, 11); (3, 9); (4, 8); (5, 6) ] in
+  let flows =
+    List.filter_map
+      (fun (src, dst) ->
+        match Topo.Graph.k_shortest_paths g ~src ~dst ~k:2 with
+        | [ old_path; new_path ] ->
+          Some (W.install_flow w ~src ~dst ~size:100 ~path:old_path, old_path, new_path)
+        | _ -> None)
+      pairs
+  in
+  List.iteri
+    (fun i ((f : C.flow), old_path, new_path) ->
+      let push at path =
+        Dessim.Sim.schedule_at sim ~time:at (fun () ->
+            ignore (Control.Plane.update_flow w.W.plane ~flow_id:f.flow_id ~new_path:path ()))
+      in
+      push (100.0 +. (37.0 *. float_of_int i)) new_path;
+      push (2500.0 +. (41.0 *. float_of_int i)) old_path)
+    flows;
+  let lossy _ =
+    if Dessim.Sim.uniform sim ~bound:1.0 < 0.1 then
+      Chaos.draw_verdict sim ~downgrade_corrupt:true
+    else Netsim.Deliver
+  in
+  (* Duplicated UFMs give the index repeated successes to ignore. *)
+  Netsim.set_control_fault w.W.net (fun ~dir bytes ->
+      match dir with
+      | Netsim.To_controller _ when Dessim.Sim.uniform sim ~bound:1.0 < 0.3 -> Netsim.Duplicate
+      | _ -> lossy bytes);
+  Netsim.set_data_fault w.W.net (fun ~from:_ ~to_:_ bytes ->
+      if Chaos.is_control_frame bytes then lossy bytes else Netsim.Deliver);
+  (match Topo.Graph.edges g with
+   | e :: _ ->
+     Netsim.fail_link w.W.net ~u:e.Topo.Graph.u ~v:e.Topo.Graph.v ~at:150.0;
+     Netsim.restore_link w.W.net ~u:e.Topo.Graph.u ~v:e.Topo.Graph.v ~at:1200.0
+   | [] -> ());
+  Dessim.Sim.schedule_at sim ~time:4000.0 (fun () ->
+      Netsim.clear_control_fault w.W.net;
+      Netsim.clear_data_fault w.W.net);
+  ignore (W.run ~until:30_000.0 w);
+  let reports = C.reports w.W.controller in
+  let completed = ref 0 in
+  List.iter
+    (fun ((f : C.flow), _, _) ->
+      for version = 0 to f.version + 1 do
+        let indexed = C.completion_time w.W.controller ~flow_id:f.flow_id ~version in
+        if indexed <> None then incr completed;
+        Alcotest.(check (option (float 0.0)))
+          (Printf.sprintf "flow %d version %d" f.flow_id version)
+          (log_scan reports ~flow_id:f.flow_id ~version)
+          indexed
+      done)
+    flows;
+  Alcotest.(check bool) "updates completed" true (!completed >= List.length flows);
+  let successes = Hashtbl.create 16 in
+  List.iter
+    (fun (r : C.report) ->
+      if r.r_status = P4update.Wire.ufm_success then
+        Hashtbl.replace successes (r.r_flow, r.r_version)
+          (1 + Option.value ~default:0 (Hashtbl.find_opt successes (r.r_flow, r.r_version))))
+    reports;
+  Alcotest.(check bool) "some update reported success twice" true
+    (Hashtbl.fold (fun _ n acc -> acc || n > 1) successes false);
+  Alcotest.(check bool) "faults were injected" true
+    ((Netsim.counters w.W.net).Netsim.dropped_by_fault > 0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_finite_loss_converges;
     Alcotest.test_case "same seed, same trace" `Quick test_same_seed_same_trace;
     Alcotest.test_case "no recovery degrades gracefully" `Quick
       test_no_recovery_degrades_gracefully;
+    Alcotest.test_case "completion index = report-log scan" `Quick
+      test_completion_index_matches_log;
   ]

@@ -264,6 +264,159 @@ let test_control_latency_geo () =
   Alcotest.(check (float 0.001)) "geo latency" 5.0 (Netsim.control_latency_of net ~node:0);
   Alcotest.(check (float 0.001)) "geo latency 2" 7.0 (Netsim.control_latency_of net ~node:2)
 
+(* Random fail/restore schedules on random topologies against a
+   [Hashtbl] model of the down links and an array of down nodes.  Op [i]
+   fires at [i + 1.0] ms.  Hops take 0.2 ms, so a frame sent at [i + 0.9]
+   is in flight across op [i] and one sent at [i + 1.5] lands before the
+   next op. *)
+type link_op = Fail_link of int | Restore_link of int | Fail_node of int | Restore_node of int
+
+let link_ops_gen =
+  let open QCheck.Gen in
+  let* n = int_range 2 7 in
+  let pairs = List.concat (List.init n (fun u -> List.init u (fun v -> (v, u)))) in
+  let* edges =
+    map (List.filter snd) (flatten_l (List.map (fun p -> map (fun b -> (p, b)) bool) pairs))
+  in
+  let edges = match List.map fst edges with [] -> [ (0, 1) ] | l -> l in
+  let ne = List.length edges in
+  let op =
+    frequency
+      [
+        (3, map (fun i -> Fail_link i) (int_bound (ne - 1)));
+        (3, map (fun i -> Restore_link i) (int_bound (ne - 1)));
+        (1, map (fun i -> Fail_node i) (int_bound (n - 1)));
+        (1, map (fun i -> Restore_node i) (int_bound (n - 1)));
+      ]
+  in
+  let* ops = list_size (int_range 1 25) op in
+  let* sends = list_repeat (List.length ops) (pair (int_bound (ne - 1)) bool) in
+  return (n, edges, ops, sends)
+
+let print_link_ops (n, edges, ops, _) =
+  Printf.sprintf "n=%d edges=[%s] ops=[%s]" n
+    (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges))
+    (String.concat ";"
+       (List.map
+          (function
+            | Fail_link i -> Printf.sprintf "fail-link %d" i
+            | Restore_link i -> Printf.sprintf "restore-link %d" i
+            | Fail_node i -> Printf.sprintf "fail-node %d" i
+            | Restore_node i -> Printf.sprintf "restore-node %d" i)
+          ops))
+
+let link_state_matches_model (n, edges, ops, sends) =
+  let g = Topo.Graph.create n in
+  List.iter (fun (u, v) -> Topo.Graph.add_edge g ~u ~v ~latency_ms:0.1 ~capacity:1.0) edges;
+  let topo =
+    {
+      Topo.Topologies.name = "random";
+      kind = Topo.Topologies.Synthetic;
+      graph = g;
+      node_names = Array.init n string_of_int;
+      controller = 0;
+    }
+  in
+  let config =
+    { Netsim.default_config with switch_processing_ms = 0.1; control_latency = Netsim.Fixed 1.0 }
+  in
+  let sim = Sim.create () in
+  let net = Netsim.create ~config sim topo in
+  let edge = Array.of_list edges in
+  let received = ref 0 in
+  for node = 0 to n - 1 do
+    Netsim.attach net ~node (fun _ -> incr received)
+  done;
+  let events = ref [] in
+  Netsim.on_topology_event net (fun ev -> events := ev :: !events);
+  (* The model: states after each op, the topology events they imply,
+     and the fate of every probe frame. *)
+  let down_links = Hashtbl.create 8 and down_nodes = Array.make n false in
+  let key u v = (min u v, max u v) in
+  let link_up u v = not (Hashtbl.mem down_links (key u v)) in
+  let expected_events = ref [] and ok = ref true in
+  let expected_drops = ref 0 and expected_rx = ref 0 in
+  (* Fate of a frame u -> v sent now: [`Lost], [`Silent] or [`Sent]. *)
+  let send_fate u v =
+    if down_nodes.(u) then `Silent
+    else if down_nodes.(v) || not (link_up u v) then `Lost
+    else `Sent
+  in
+  let send u v =
+    Netsim.transmit net ~from:u
+      ~port:(Netsim.port_of_neighbor net ~node:u ~neighbor:v)
+      (Bytes.of_string "p")
+  in
+  List.iteri
+    (fun i (op, (send_edge, reverse)) ->
+      let u, v = edge.(send_edge) in
+      let u, v = if reverse then (v, u) else (u, v) in
+      let t = float_of_int i +. 1.0 in
+      (* In flight across the op. *)
+      let in_flight = send_fate u v in
+      Sim.schedule_at sim ~time:(t -. 0.1) (fun () -> send u v);
+      (match op with
+       | Fail_link e ->
+         let a, b = edge.(e) in
+         Netsim.fail_link net ~u:a ~v:b ~at:t;
+         if link_up a b then begin
+           Hashtbl.replace down_links (key a b) ();
+           expected_events := Netsim.Link_down (a, b) :: !expected_events
+         end
+       | Restore_link e ->
+         let a, b = edge.(e) in
+         Netsim.restore_link net ~u:a ~v:b ~at:t;
+         if not (link_up a b) then begin
+           Hashtbl.remove down_links (key a b);
+           expected_events := Netsim.Link_up (a, b) :: !expected_events
+         end
+       | Fail_node x ->
+         Netsim.fail_node net ~node:x ~at:t;
+         if not down_nodes.(x) then begin
+           down_nodes.(x) <- true;
+           expected_events := Netsim.Node_down x :: !expected_events
+         end
+       | Restore_node x ->
+         Netsim.restore_node net ~node:x ~at:t;
+         if down_nodes.(x) then begin
+           down_nodes.(x) <- false;
+           expected_events := Netsim.Node_up x :: !expected_events
+         end);
+      (match in_flight with
+       | `Silent -> ()
+       | `Lost -> incr expected_drops
+       | `Sent ->
+         (* Lost if the receiver or the link went down under the frame. *)
+         if down_nodes.(v) || not (link_up u v) then incr expected_drops else incr expected_rx);
+      (* After the op: compare every ordered pair, then send one frame. *)
+      let snapshot = Array.init n (fun a -> Array.init n (fun b -> a = b || link_up a b)) in
+      (match send_fate u v with
+       | `Silent -> ()
+       | `Lost -> incr expected_drops
+       | `Sent -> incr expected_rx);
+      Sim.schedule_at sim ~time:(t +. 0.5) (fun () ->
+          for a = 0 to n - 1 do
+            for b = 0 to n - 1 do
+              if a <> b then begin
+                let up = Netsim.link_is_up net a b in
+                if up <> Netsim.link_is_up net b a || up <> snapshot.(a).(b) then ok := false;
+                if (not (Topo.Graph.has_edge g a b)) && not up then ok := false
+              end
+            done
+          done;
+          send u v))
+    (List.combine ops sends);
+  let _ = Sim.run sim in
+  !ok
+  && !events = !expected_events
+  && !received = !expected_rx
+  && (Netsim.counters net).Netsim.dropped_by_failure = !expected_drops
+
+let prop_link_state_model =
+  QCheck.Test.make ~name:"link state = Hashtbl model" ~count:300
+    (QCheck.make ~print:print_link_ops link_ops_gen)
+    link_state_matches_model
+
 let suite =
   [
     Alcotest.test_case "port numbering" `Quick test_port_numbering;
@@ -282,4 +435,5 @@ let suite =
     Alcotest.test_case "delivery observer" `Quick test_observer_sees_delivery;
     Alcotest.test_case "straggler distribution" `Quick test_straggler_distribution;
     Alcotest.test_case "geo control latency" `Quick test_control_latency_geo;
+    QCheck_alcotest.to_alcotest prop_link_state_model;
   ]

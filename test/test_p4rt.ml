@@ -166,6 +166,189 @@ let test_parser_rejects_truncated () =
     (P4update.Wire.packet_of_bytes truncated = None)
 
 (* ------------------------------------------------------------------ *)
+(* Compiled parse graph                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let sel_schema = Header.define ~name:"sel" [ ("kind", 8); ("len", 8) ]
+
+let test_parser_rejects_unknown_select_field () =
+  match
+    Parser.create
+      [
+        {
+          Parser.state_name = "start";
+          extracts = Some sel_schema;
+          transition = Select ("nope", [ (1, "start") ], Accept);
+        };
+      ]
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "select on a field the schema lacks was accepted"
+
+let test_parser_rejects_select_without_extract () =
+  match
+    Parser.create
+      [
+        { Parser.state_name = "start"; extracts = None; transition = Goto "sel" };
+        {
+          Parser.state_name = "sel";
+          extracts = None;
+          transition = Select ("kind", [ (1, "start") ], Accept);
+        };
+      ]
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "select in a state that extracts nothing was accepted"
+
+let test_parser_whole_frame_payload () =
+  let bytes =
+    P4update.Wire.data_to_bytes
+      { P4update.Wire.d_flow_id = 3; seq = 9; ttl = 8; origin = 1; dst = 2; tag = 0; d_ts = 0 }
+  in
+  let pkt = Parser.run P4update.Wire.parser bytes in
+  Alcotest.(check bool) "headers consume the frame: shared empty payload" true
+    (pkt.Packet.payload == Bytes.empty);
+  let longer = Bytes.cat bytes (Bytes.of_string "xy") in
+  Alcotest.(check string) "trailing bytes become the payload" "xy"
+    (Bytes.to_string (Parser.run P4update.Wire.parser longer).Packet.payload)
+
+(* A loop through a state that extracts nothing: frame [0^n 1] visits
+   2n + 1 states, so the 64-visit budget admits n = 32 and cuts n = 33,
+   as in the oracle. *)
+let test_parser_visit_budget () =
+  let b = Header.define ~name:"b" [ ("v", 8) ] in
+  let states =
+    [
+      {
+        Parser.state_name = "start";
+        extracts = Some b;
+        transition = Select ("v", [ (0, "hop") ], Accept);
+      };
+      { Parser.state_name = "hop"; extracts = None; transition = Goto "start" };
+    ]
+  in
+  let compiled = Parser.create states in
+  let parses run n =
+    let frame = Bytes.cat (Bytes.make n '\000') (Bytes.make 1 '\001') in
+    match run frame with _ -> true | exception Parser.Parse_error _ -> false
+  in
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check bool) (Printf.sprintf "oracle, %d loops" n) expected
+        (parses (Parser_oracle.run states) n);
+      Alcotest.(check bool) (Printf.sprintf "compiled, %d loops" n) expected
+        (parses (Parser.run compiled) n))
+    [ (31, true); (32, true); (33, false) ]
+
+(* Random parse graphs: a few states over a pool of small schemas, with
+   [Goto] cycles, selects (cases may repeat a value), nested select
+   defaults and states that extract nothing.  Select values and frame
+   bytes come from a small alphabet so that cases actually match. *)
+type graph_case = {
+  g_schemas : (string * int) list list; (* field lists; schema i is "h<i>" *)
+  g_states : (string * int option * Parser.next) list; (* name, schema index, transition *)
+  g_bytes : string;
+}
+
+let graph_gen =
+  let open QCheck.Gen in
+  let field_list =
+    let* widths = list_size (int_range 1 3) (oneofl [ 4; 8; 8; 16 ]) in
+    let total = List.fold_left ( + ) 0 widths in
+    let widths = if total mod 8 = 0 then widths else widths @ [ 8 - (total mod 8) ] in
+    return (List.mapi (fun i w -> (Printf.sprintf "f%d" i, w)) widths)
+  in
+  let* g_schemas = list_size (int_range 1 3) field_list in
+  let* n = int_range 1 4 in
+  let names = List.init n (fun i -> if i = 0 then "start" else Printf.sprintf "s%d" i) in
+  let target = oneofl names in
+  let rec next fields depth =
+    let leaf = oneof [ return Parser.Accept; map (fun s -> Parser.Goto s) target ] in
+    match fields with
+    | [] -> leaf
+    | _ when depth = 0 -> leaf
+    | _ ->
+      frequency
+        [
+          (1, leaf);
+          ( 3,
+            let* field, _ = oneofl fields in
+            let* cases = list_size (int_range 0 3) (pair (int_range 0 3) target) in
+            let* default = next fields (depth - 1) in
+            return (Parser.Select (field, cases, default)) );
+        ]
+  in
+  let* g_states =
+    flatten_l
+      (List.map
+         (fun name ->
+           let* schema =
+             frequency
+               [ (1, return None); (3, map Option.some (int_bound (List.length g_schemas - 1))) ]
+           in
+           let fields = match schema with None -> [] | Some i -> List.nth g_schemas i in
+           let* transition = next fields 2 in
+           return (name, schema, transition))
+         names)
+  in
+  let* g_bytes =
+    string_size ~gen:(frequency [ (4, char_range '\000' '\003'); (1, char) ]) (int_range 0 24)
+  in
+  return { g_schemas; g_states; g_bytes }
+
+let rec print_next = function
+  | Parser.Accept -> "accept"
+  | Parser.Goto s -> "goto " ^ s
+  | Parser.Select (f, cases, d) ->
+    Printf.sprintf "select %s [%s] else (%s)" f
+      (String.concat "; " (List.map (fun (v, s) -> Printf.sprintf "%d->%s" v s) cases))
+      (print_next d)
+
+let print_graph g =
+  Printf.sprintf "schemas: %s\nstates: %s\nbytes: %S"
+    (String.concat " | "
+       (List.mapi
+          (fun i fl ->
+            Printf.sprintf "h%d{%s}" i
+              (String.concat ";" (List.map (fun (f, w) -> Printf.sprintf "%s:%d" f w) fl)))
+          g.g_schemas))
+    (String.concat " | "
+       (List.map
+          (fun (name, schema, next) ->
+            Printf.sprintf "%s: extract %s, %s" name
+              (match schema with None -> "-" | Some i -> Printf.sprintf "h%d" i)
+              (print_next next))
+          g.g_states))
+    g.g_bytes
+
+let parser_matches_oracle g =
+  let schemas =
+    List.mapi (fun i fl -> Header.define ~name:(Printf.sprintf "h%d" i) fl) g.g_schemas
+  in
+  let states =
+    List.map
+      (fun (state_name, schema, transition) ->
+        { Parser.state_name; extracts = Option.map (List.nth schemas) schema; transition })
+      g.g_states
+  in
+  let compiled = Parser.create states in
+  let bytes = Bytes.of_string g.g_bytes in
+  let attempt run frame =
+    match run frame with pkt -> Some pkt | exception Parser.Parse_error _ -> None
+  in
+  (* Every prefix, so truncation is exercised on every graph. *)
+  List.for_all
+    (fun len ->
+      let frame = Bytes.sub bytes 0 len in
+      attempt (Parser.run compiled) frame = attempt (Parser_oracle.run states) frame)
+    (List.init (Bytes.length bytes + 1) Fun.id)
+
+let prop_parser_oracle =
+  QCheck.Test.make ~name:"compiled parser = assoc-list oracle" ~count:500
+    (QCheck.make ~print:print_graph graph_gen)
+    parser_matches_oracle
+
+(* ------------------------------------------------------------------ *)
 (* Registers                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -252,7 +435,7 @@ let make_echo_pipeline () =
       prog_ingress =
         (fun ctx ->
           Register.write counter 0 (Register.read counter 0 + 1);
-          match Packet.header (Pipeline.packet ctx) "echo" with
+          match Packet.header (Pipeline.packet ctx) echo_schema with
           | Some h ->
             let tag = Header.get h "tag" in
             if tag = 0xFF then Pipeline.mark_to_drop ctx
@@ -313,6 +496,61 @@ let test_registers_persist_across_packets () =
   done;
   Alcotest.(check int) "five packets counted" 5 (Register.read (Pipeline.register p "seen") 0)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation guard on the switch's data path                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words one [Pipeline.process] call allocates for [bytes] entering
+   [sw] at [port], averaged over a batch after a warm-up run. *)
+let words_per_frame sw ~port bytes =
+  let pipe = P4update.Switch.pipeline sw in
+  let forwarded () =
+    match (Pipeline.process pipe ~ingress_port:port bytes).Pipeline.emissions with
+    | [ _ ] -> ()
+    | _ -> Alcotest.fail "the frame was not forwarded"
+  in
+  forwarded ();
+  let runs = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    forwarded ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int runs
+
+let forwarding_world () =
+  let w = Harness.World.make (Topo.Topologies.fig1 ()) in
+  let flow =
+    Harness.World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topo.Topologies.fig1_old_path
+  in
+  let frame =
+    P4update.Wire.data_to_bytes
+      { P4update.Wire.d_flow_id = flow.P4update.Controller.flow_id; seq = 1; ttl = 64;
+        origin = 0; dst = 7; tag = 0; d_ts = 0 }
+  in
+  (w, frame)
+
+(* A forwarded data frame costs one parse, one header rewrite and one
+   deparse; 200 words leaves room for the frame itself and the outcome
+   but not for per-frame tables or closures. *)
+let frame_word_budget = 200.0
+
+let test_forwarded_frame_allocation () =
+  let w, frame = forwarding_world () in
+  let hop = List.nth Topo.Topologies.fig1_old_path 1 in
+  let words = words_per_frame w.Harness.World.switches.(hop) ~port:0 frame in
+  if words > frame_word_budget then
+    Alcotest.failf "forwarded frame allocates %.0f minor words (budget %.0f)" words
+      frame_word_budget
+
+let test_injected_frame_allocation () =
+  let w, frame = forwarding_world () in
+  let words =
+    words_per_frame w.Harness.World.switches.(0) ~port:P4update.Switch.host_port frame
+  in
+  if words > frame_word_budget then
+    Alcotest.failf "host-injected frame allocates %.0f minor words (budget %.0f)" words
+      frame_word_budget
+
 let suite =
   [
     Alcotest.test_case "bitval wrap-around" `Quick test_bitval_wrap;
@@ -326,6 +564,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_control_roundtrip;
     QCheck_alcotest.to_alcotest prop_data_roundtrip;
     Alcotest.test_case "parser rejects truncated" `Quick test_parser_rejects_truncated;
+    Alcotest.test_case "parser rejects select on unknown field" `Quick
+      test_parser_rejects_unknown_select_field;
+    Alcotest.test_case "parser rejects select without extraction" `Quick
+      test_parser_rejects_select_without_extract;
+    Alcotest.test_case "parser payload of a whole frame" `Quick test_parser_whole_frame_payload;
+    Alcotest.test_case "parser visit budget" `Quick test_parser_visit_budget;
+    QCheck_alcotest.to_alcotest prop_parser_oracle;
     Alcotest.test_case "register read/write" `Quick test_register_read_write;
     Alcotest.test_case "register bounds" `Quick test_register_bounds;
     Alcotest.test_case "table exact match" `Quick test_table_exact_match;
@@ -339,4 +584,6 @@ let suite =
     Alcotest.test_case "pipeline drops malformed frames" `Quick test_pipeline_malformed_dropped;
     Alcotest.test_case "registers persist across packets" `Quick
       test_registers_persist_across_packets;
+    Alcotest.test_case "forwarded frame allocation" `Quick test_forwarded_frame_allocation;
+    Alcotest.test_case "host-injected frame allocation" `Quick test_injected_frame_allocation;
   ]
