@@ -10,7 +10,6 @@
              dune exec bench/main.exe -- obs     (observability overhead -> BENCH_obs.json)
              dune exec bench/main.exe -- intent  (intent compiler -> BENCH_intent.json)
              dune exec bench/main.exe -- shard   (sharded control plane -> BENCH_shard.json)
-             dune exec bench/main.exe -- kernel  (event queue kernels -> BENCH_kernel.json)
              dune exec bench/main.exe -- check --baseline B.json --current C.json
 
    With [--json FILE] every headline number is additionally written to
@@ -33,7 +32,6 @@ let soak_mode = Array.exists (fun a -> a = "soak") Sys.argv
 let obs_mode = Array.exists (fun a -> a = "obs") Sys.argv
 let intent_mode = Array.exists (fun a -> a = "intent") Sys.argv
 let shard_mode = Array.exists (fun a -> a = "shard") Sys.argv
-let kernel_mode = Array.exists (fun a -> a = "kernel") Sys.argv
 let check_mode = Array.exists (fun a -> a = "check") Sys.argv
 
 let flag_value name =
@@ -51,7 +49,6 @@ let json_out =
   | None when obs_mode -> Some "BENCH_obs.json"
   | None when intent_mode -> Some "BENCH_intent.json"
   | None when shard_mode -> Some "BENCH_shard.json"
-  | None when kernel_mode -> Some "BENCH_kernel.json"
   | out -> out
 
 let check_against = flag_value "--check"
@@ -755,125 +752,6 @@ let run_shard () =
       end)
     shard_counts
 
-(* ------------------------------------------------------------------ *)
-(* Kernel subsuite: calendar queue vs the flat heap, micro and         *)
-(* end-to-end                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Same hold-model drill as [heap_hold_bench], but calendar queue vs
-   flat heap: fill to [hold], then [ops] pop-push cycles over an
-   identical LCG time sequence (uniform-ish increments — the regime the
-   calendar's bucket hashing is tuned for). *)
-let calendar_hold_bench ~hold ~ops =
-  let payload = () in
-  let lcg = ref 1 in
-  let next_time base =
-    lcg := (!lcg * 1103515245 + 12345) land 0x3FFFFFFF;
-    base +. float_of_int (!lcg land 1023) /. 16.0
-  in
-  let run_cal () =
-    lcg := 1;
-    let q = Dessim.Calendar_queue.create () in
-    for _ = 1 to hold do
-      Dessim.Calendar_queue.push q ~time:(next_time 0.0) payload
-    done;
-    let started = Sys.time () in
-    for _ = 1 to ops do
-      match Dessim.Calendar_queue.pop q with
-      | None -> assert false
-      | Some (t, p) -> Dessim.Calendar_queue.push q ~time:(next_time t) p
-    done;
-    let dt = Sys.time () -. started in
-    float_of_int (2 * ops) /. dt
-  in
-  let run_heap () =
-    lcg := 1;
-    let h = Dessim.Event_heap.create () in
-    for _ = 1 to hold do
-      Dessim.Event_heap.push h ~time:(next_time 0.0) payload
-    done;
-    let started = Sys.time () in
-    for _ = 1 to ops do
-      match Dessim.Event_heap.pop h with
-      | None -> assert false
-      | Some (t, p) -> Dessim.Event_heap.push h ~time:(next_time t) p
-    done;
-    let dt = Sys.time () -. started in
-    float_of_int (2 * ops) /. dt
-  in
-  let best f = max (f ()) (max (f ()) (f ())) in
-  let heap_ops = best run_heap in
-  let cal_ops = best run_cal in
-  (cal_ops, heap_ops)
-
-let run_kernel () =
-  Printf.printf "P4Update kernel subsuite (%s mode)\n" (if quick then "quick" else "full");
-  let row name unit value = emit ~prefix:"kernel" name unit value in
-  section "Calendar queue vs flat heap (hold model, LCG arrivals)";
-  let hold = 10_000 in
-  (* Longer than the scale subsuite's heap drill: the calendar's win is
-     steady-state O(1) vs O(log n), and short runs are all warm-up. *)
-  let ops = if quick then 1_000_000 else 4_000_000 in
-  let cal_ops, heap_ops = calendar_hold_bench ~hold ~ops in
-  Printf.printf "  hold %d events, %d pop-push cycles\n" hold ops;
-  Printf.printf "  calendar    %12.0f ops/s\n" cal_ops;
-  Printf.printf "  flat heap   %12.0f ops/s\n" heap_ops;
-  Printf.printf "  ratio       %12.2fx\n" (cal_ops /. heap_ops);
-  row "queue/calendar" "ops/s" cal_ops;
-  row "queue/heap" "ops/s" heap_ops;
-  row "queue/ratio" "x" (cal_ops /. heap_ops);
-  section "End-to-end scale workload: heap vs calendar queue (A/B, best of 3)";
-  let workload =
-    if quick then
-      { Harness.Scale.default_workload with Harness.Scale.wl_updates = 200; wl_flows = 50 }
-    else Harness.Scale.default_workload
-  in
-  let run_with kernel =
-    let cfg = Harness.Run_config.make ~seed:42 ~kernel () in
-    Harness.Scale.run ~workload cfg (Topo.Topologies.attmpls ())
-  in
-  (* Warm-up: page both kernels in once. *)
-  ignore (run_with Dessim.Sim.Heap);
-  ignore (run_with Dessim.Sim.Calendar);
-  let best_heap = ref 0.0 and best_cal = ref 0.0 in
-  let witness_heap = ref None and witness_cal = ref None in
-  for _ = 1 to 3 do
-    let rh = run_with Dessim.Sim.Heap in
-    witness_heap := Some rh;
-    best_heap := max !best_heap rh.Harness.Scale.sr_events_per_s;
-    let rc = run_with Dessim.Sim.Calendar in
-    witness_cal := Some rc;
-    best_cal := max !best_cal rc.Harness.Scale.sr_events_per_s
-  done;
-  let speedup = !best_cal /. !best_heap in
-  Printf.printf "  heap kernel     %12.0f events/s\n" !best_heap;
-  Printf.printf "  calendar kernel %12.0f events/s\n" !best_cal;
-  Printf.printf "  speedup         %12.2fx\n" speedup;
-  row "scale/events_per_s_heap" "events/s" !best_heap;
-  row "scale/events_per_s_calendar" "events/s" !best_cal;
-  row "scale/speedup" "x" speedup;
-  (* Determinism cross-check: the kernels must produce the same run —
-     same completions, same latency quantiles, same violation count. *)
-  (match (!witness_heap, !witness_cal) with
-   | Some h, Some cal ->
-     let agree =
-       h.Harness.Scale.sr_updates_completed = cal.Harness.Scale.sr_updates_completed
-       && List.length h.Harness.Scale.sr_violations
-          = List.length cal.Harness.Scale.sr_violations
-       && h.Harness.Scale.sr_p50_ms = cal.Harness.Scale.sr_p50_ms
-       && h.Harness.Scale.sr_p99_ms = cal.Harness.Scale.sr_p99_ms
-     in
-     row "scale/kernels_agree" "bool" (if agree then 1.0 else 0.0);
-     if not agree then begin
-       Printf.printf
-         "  KERNEL GATE FAILED: heap and calendar kernels disagree \
-          (%d vs %d completed, p50 %.2f vs %.2f)\n"
-         h.Harness.Scale.sr_updates_completed cal.Harness.Scale.sr_updates_completed
-         h.Harness.Scale.sr_p50_ms cal.Harness.Scale.sr_p50_ms;
-       soak_failed := true
-     end
-   | _ -> ())
-
 let () =
   if check_mode then begin
     (* Standalone gate: compare two already-written row files. *)
@@ -891,7 +769,6 @@ let () =
     else if obs_mode then run_obs ()
     else if intent_mode then run_intent ()
     else if shard_mode then run_shard ()
-    else if kernel_mode then run_kernel ()
     else run_figures ();
     (match json_out with Some path -> write_json_rows path | None -> ());
     (match baseline_out with

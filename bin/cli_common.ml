@@ -62,26 +62,6 @@ let shards_arg =
                  owning the flow's source domain, and stitches cross-domain \
                  updates with DL labels at the gateway switches.")
 
-let kernel_conv =
-  let parse = function
-    | "heap" -> Ok Dessim.Sim.Heap
-    | "calendar" -> Ok Dessim.Sim.Calendar
-    | s -> Error (`Msg (Printf.sprintf "unknown kernel %S (heap | calendar)" s))
-  in
-  let print fmt = function
-    | Dessim.Sim.Heap -> Format.pp_print_string fmt "heap"
-    | Dessim.Sim.Calendar -> Format.pp_print_string fmt "calendar"
-  in
-  Arg.conv (parse, print)
-
-let kernel_arg =
-  Arg.(value & opt kernel_conv Dessim.Sim.Heap
-       & info [ "kernel" ] ~docv:"KERNEL"
-           ~doc:"Event-queue kernel: $(b,heap) (flat binary heap, default) or \
-                 $(b,calendar) (O(1)-amortized calendar queue).  Both deliver \
-                 events in identical (time, seq) order; only the cost \
-                 changes.")
-
 (* Shared observability flags: the long-horizon harnesses (scale,
    traffic, soak, chaos, top) all take the same four. *)
 type obs_flags = {
@@ -123,7 +103,7 @@ let obs_term =
 
 (* One Run_config per invocation: flags override [Run_config.default]. *)
 let cfg_of ~seed ?runs ?iterations ?congestion ?trace_sink ?fault_plan
-    ?reorder_window_ms ?obs ?live_top ?intent_churn ?shards ?kernel () =
+    ?reorder_window_ms ?obs ?live_top ?intent_churn ?shards () =
   let recorder, incident_dir, tick_ms, series_out =
     match obs with
     | None -> (None, None, None, None)
@@ -132,7 +112,7 @@ let cfg_of ~seed ?runs ?iterations ?congestion ?trace_sink ?fault_plan
   in
   Harness.Run_config.make ~seed ?runs ?iterations ?congestion ?trace_sink
     ?fault_plan ?reorder_window_ms ?recorder ?incident_dir ?tick_ms ?series_out
-    ?live_top ?intent_churn ?shards ?kernel ()
+    ?live_top ?intent_churn ?shards ()
 
 let system_conv =
   let parse = function

@@ -475,8 +475,8 @@ let scale_cmd =
                    instead of Poisson path flips.")
   in
   let run (name, build) seed updates flows arrival_mean burst churn probe_every
-      intent_churn shards kernel obs =
-    let cfg = cfg_of ~seed ~obs ~intent_churn ~shards ~kernel () in
+      intent_churn shards obs =
+    let cfg = cfg_of ~seed ~obs ~intent_churn ~shards () in
     let workload =
       { Harness.Scale.default_workload with
         wl_updates = updates; wl_flows = flows; wl_arrival_mean_ms = arrival_mean;
@@ -505,7 +505,7 @@ let scale_cmd =
           $ topo_arg ~default:("attmpls", Topo.Topologies.attmpls) ()
           $ seed_arg ~default:Harness.Run_config.default.seed
           $ updates_arg $ flows_arg $ arrival_arg $ burst_arg $ churn_arg $ probe_arg
-          $ intent_churn_arg $ shards_arg $ kernel_arg $ obs_term)
+          $ intent_churn_arg $ shards_arg $ obs_term)
 
 (* --- traffic --- *)
 
@@ -531,8 +531,8 @@ let traffic_cmd =
     Arg.(value & opt float Harness.Traffic.default_workload.Harness.Traffic.tw_stop_ms
          & info [ "stop" ] ~docv:"MS" ~doc:"Stop injecting at this simulated time.")
   in
-  let run (name, build) seed updates flows gap_mean constant stop shards kernel obs =
-    let cfg = cfg_of ~seed ~obs ~shards ~kernel () in
+  let run (name, build) seed updates flows gap_mean constant stop shards obs =
+    let cfg = cfg_of ~seed ~obs ~shards () in
     let scale_workload =
       { Harness.Scale.default_workload with wl_updates = updates; wl_flows = flows }
     in
@@ -561,7 +561,7 @@ let traffic_cmd =
           $ topo_arg ~default:("attmpls", Topo.Topologies.attmpls) ()
           $ seed_arg ~default:Harness.Run_config.default.seed
           $ updates_arg $ flows_arg $ gap_arg $ constant_arg $ stop_arg $ shards_arg
-          $ kernel_arg $ obs_term)
+          $ obs_term)
 
 (* --- soak --- *)
 
@@ -608,7 +608,7 @@ let soak_cmd =
                    compiler, one correlated burst per event.")
   in
   let run (name, build) seed cycles cycle_ms population updates gap fault quick verbose
-      intent_churn shards kernel obs =
+      intent_churn shards obs =
     let base =
       if quick then Harness.Soak.quick_config else Harness.Soak.default_config
     in
@@ -620,7 +620,7 @@ let soak_cmd =
           sk_population = population; sk_updates_per_cycle = updates;
           sk_probe_gap_ms = gap; sk_control_fault_prob = fault }
     in
-    let cfg = cfg_of ~seed ~obs ~intent_churn ~shards ~kernel () in
+    let cfg = cfg_of ~seed ~obs ~intent_churn ~shards () in
     Printf.printf
       "soak run on %s: %d cycles x %.0f ms, %d flows, faults + %s churn + probes (seed %d)\n"
       name config.Harness.Soak.sk_cycles config.Harness.Soak.sk_cycle_ms
@@ -646,8 +646,7 @@ let soak_cmd =
           $ topo_arg ()
           $ seed_arg ~default:Harness.Run_config.default.seed
           $ cycles_arg $ cycle_ms_arg $ population_arg $ updates_arg $ gap_arg
-          $ fault_arg $ quick_arg $ verbose_arg $ churn_arg $ shards_arg $ kernel_arg
-          $ obs_term)
+          $ fault_arg $ quick_arg $ verbose_arg $ churn_arg $ shards_arg $ obs_term)
 
 (* --- intent --- *)
 

@@ -145,21 +145,6 @@ let push ?tag heap ~time payload =
   heap.len <- i + 1;
   sift_up_entry heap i ~time ~seq ~payload:(Obj.repr payload)
 
-(* Insert with a caller-supplied sequence number.  This exists for
-   [Calendar_queue]'s heap fallback, which must preserve the seqs it
-   already handed out so the (time, seq) delivery order survives the
-   migration.  [next_seq] is bumped past [seq] so a later plain [push]
-   cannot hand out a duplicate. *)
-let push_seq ?tag heap ~time ~seq payload =
-  (match tag with None -> () | Some t -> Hashtbl.replace heap.tag_table seq t);
-  if heap.next_seq <= seq then heap.next_seq <- seq + 1;
-  if heap.len = Array.length heap.times then grow heap;
-  let i = heap.len in
-  heap.len <- i + 1;
-  sift_up_entry heap i ~time ~seq ~payload:(Obj.repr payload)
-
-let reserve_seqs heap ~below = if heap.next_seq < below then heap.next_seq <- below
-
 let pop heap =
   if heap.len = 0 then None
   else begin

@@ -26,21 +26,6 @@ val create : unit -> 'a t
 (** [push heap ~time event] inserts [event] to fire at [time]. *)
 val push : ?tag:tag -> 'a t -> time:float -> 'a -> unit
 
-(** [push_seq heap ~time ~seq event] inserts with a caller-supplied
-    sequence number instead of drawing the next one; the internal
-    counter is bumped past [seq].  This is the {!Calendar_queue} heap
-    fallback's migration hook — it preserves already-issued seqs so the
-    (time, seq) delivery order survives the switch.  Supplying a seq
-    that is still live in the heap is the caller's responsibility to
-    avoid. *)
-val push_seq : ?tag:tag -> 'a t -> time:float -> seq:int -> 'a -> unit
-
-(** [reserve_seqs heap ~below] makes later plain pushes issue seqs of at
-    least [below].  The {!Calendar_queue} migration calls it with its own
-    counter, so seqs it issued to entries already popped are not issued
-    again. *)
-val reserve_seqs : 'a t -> below:int -> unit
-
 (** [pop heap] removes and returns the earliest event, or [None] when the
     heap is empty. *)
 val pop : 'a t -> (float * 'a) option

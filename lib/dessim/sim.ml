@@ -11,20 +11,9 @@ type chooser = now:float -> candidate array -> int
 
 type stats = { st_events : int; st_wall_s : float; st_events_per_s : float }
 
-type kernel = Heap | Calendar
-
-(* The pluggable event queue.  A variant with per-operation dispatch
-   beats a first-class module of closures here: the match is a branch on
-   an immediate, monomorphic at every call site, where closure fields
-   would re-box the hot push/pop paths the flat layouts exist to
-   un-box. *)
-type queue =
-  | Q_heap of (unit -> unit) Event_heap.t
-  | Q_cal of (unit -> unit) Calendar_queue.t
-
 type t = {
   mutable clock : float;
-  queue : queue;
+  queue : (unit -> unit) Event_heap.t;
   random : Random.State.t;
   mutable chooser : chooser option;
   mutable chooser_window : float;
@@ -40,13 +29,10 @@ type t = {
   mutable on_tick : (now:float -> unit) option;
 }
 
-let create ?(seed = 0x5eed) ?(kernel = Heap) () =
+let create ?(seed = 0x5eed) () =
   {
     clock = 0.0;
-    queue =
-      (match kernel with
-      | Heap -> Q_heap (Event_heap.create ())
-      | Calendar -> Q_cal (Calendar_queue.create ()));
+    queue = Event_heap.create ();
     random = Random.State.make [| seed |];
     chooser = None;
     chooser_window = 0.0;
@@ -59,45 +45,7 @@ let create ?(seed = 0x5eed) ?(kernel = Heap) () =
 
 let now t = t.clock
 let rng t = t.random
-let kernel t = match t.queue with Q_heap _ -> Heap | Q_cal _ -> Calendar
-
-(* Per-operation queue dispatch.  Both implementations share the
-   (time, seq) contract, so every caller below is implementation-blind. *)
-
-let[@inline] q_push ?tag t ~time f =
-  match t.queue with
-  | Q_heap h -> Event_heap.push ?tag h ~time f
-  | Q_cal c -> Calendar_queue.push ?tag c ~time f
-
-let[@inline] q_pop t =
-  match t.queue with
-  | Q_heap h -> Event_heap.pop h
-  | Q_cal c -> Calendar_queue.pop c
-
-let[@inline] q_peek_time t =
-  match t.queue with
-  | Q_heap h -> Event_heap.peek_time h
-  | Q_cal c -> Calendar_queue.peek_time c
-
-let[@inline] q_size t =
-  match t.queue with
-  | Q_heap h -> Event_heap.size h
-  | Q_cal c -> Calendar_queue.size c
-
-let q_fold t ~init ~f =
-  match t.queue with
-  | Q_heap h -> Event_heap.fold h ~init ~f
-  | Q_cal c -> Calendar_queue.fold c ~init ~f
-
-let q_remove_seq t seq =
-  match t.queue with
-  | Q_heap h -> Event_heap.remove_seq h seq
-  | Q_cal c -> Calendar_queue.remove_seq c seq
-
-let compact t =
-  match t.queue with
-  | Q_heap h -> Event_heap.compact h
-  | Q_cal c -> Calendar_queue.compact c
+let compact t = Event_heap.compact t.queue
 
 let set_chooser ?(window = 0.0) t chooser =
   if not (Float.is_finite window) || window < 0.0 then
@@ -117,7 +65,7 @@ let tag ~kind ~node ~flow ~hash =
 let schedule_at ?tag t ~time f =
   if not (Float.is_finite time) then invalid_arg "Sim.schedule_at: non-finite time";
   if time < t.clock then invalid_arg "Sim.schedule_at: time in the past";
-  q_push ?tag t ~time f
+  Event_heap.push ?tag t.queue ~time f
 
 let schedule ?tag t ~delay f =
   if not (Float.is_finite delay) || delay < 0.0 then
@@ -181,12 +129,12 @@ let dispatch t ~time f =
    forward: it jumps to the *chosen* event's nominal time if that is
    ahead, and stays put if the chosen event was nominally due earlier. *)
 let step_choose t chooser =
-  match q_peek_time t with
+  match Event_heap.peek_time t.queue with
   | None -> false
   | Some min_time ->
     let horizon = min_time +. t.chooser_window in
     let candidates =
-      q_fold t ~init:[] ~f:(fun acc ~time ~seq ~tag ->
+      Event_heap.fold t.queue ~init:[] ~f:(fun acc ~time ~seq ~tag ->
           if time <= horizon then { c_time = time; c_seq = seq; c_tag = tag } :: acc
           else acc)
     in
@@ -202,7 +150,7 @@ let step_choose t chooser =
       invalid_arg
         (Printf.sprintf "Sim.step: chooser picked %d of %d candidates" idx
            (Array.length candidates));
-    (match q_remove_seq t candidates.(idx).c_seq with
+    (match Event_heap.remove_seq t.queue candidates.(idx).c_seq with
      | None -> assert false (* the candidate was just enumerated *)
      | Some (time, _tag, f) ->
        dispatch t ~time:(Float.max t.clock time) f;
@@ -212,7 +160,7 @@ let step t =
   match t.chooser with
   | Some chooser -> step_choose t chooser
   | None -> (
-    match q_pop t with
+    match Event_heap.pop t.queue with
     | None -> false
     | Some (time, f) ->
       dispatch t ~time f;
@@ -220,7 +168,7 @@ let step t =
 
 let run ?until t =
   let horizon_reached () =
-    match (until, q_peek_time t) with
+    match (until, Event_heap.peek_time t.queue) with
     | Some horizon, Some next -> next > horizon
     | _, None -> true
     | None, Some _ -> false
@@ -252,10 +200,10 @@ let reset_stats t =
   t.events <- 0;
   t.wall_s <- 0.0
 
-let pending t = q_size t
+let pending t = Event_heap.size t.queue
 
 let fold_pending t ~init ~f =
-  q_fold t ~init ~f:(fun acc ~time ~seq:_ ~tag -> f acc ~time ~tag)
+  Event_heap.fold t.queue ~init ~f:(fun acc ~time ~seq:_ ~tag -> f acc ~time ~tag)
 
 let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Sim.exponential: mean must be positive";

@@ -38,20 +38,8 @@ type candidate = { c_time : float; c_seq : int; c_tag : tag option }
     next.  Out-of-range indices raise [Invalid_argument]. *)
 type chooser = now:float -> candidate array -> int
 
-(** Which event-queue implementation backs the kernel.  [Heap] is the
-    flat SoA binary heap ({!Event_heap}) — the default, and the path
-    every pinned hash and fingerprint is recorded against.  [Calendar]
-    is the O(1)-amortized calendar queue ({!Calendar_queue}); both
-    deliver in identical (time, seq) order, so the choice is purely a
-    cost model (selected via [Run_config] / [--kernel]). *)
-type kernel = Heap | Calendar
-
-(** [create ~seed ()] makes an empty simulation with its clock at [0.0].
-    [kernel] picks the event-queue implementation (default [Heap]). *)
-val create : ?seed:int -> ?kernel:kernel -> unit -> t
-
-(** The kernel this simulation was created with. *)
-val kernel : t -> kernel
+(** [create ~seed ()] makes an empty simulation with its clock at [0.0]. *)
+val create : ?seed:int -> unit -> t
 
 (** Current simulated time in milliseconds. *)
 val now : t -> float
@@ -108,10 +96,10 @@ val reset_stats : t -> unit
 
 val pending : t -> int
 
-(** [compact t] shrinks the event queue's backing storage to fit its
-    current pending set (see {!Event_heap.compact} /
-    {!Calendar_queue.compact}).  Content and delivery order are
-    unchanged; run it at quiesce points, not on hot paths. *)
+(** [compact t] shrinks the event heap's backing storage to fit its
+    current pending set (see {!Event_heap.compact}).  Content and
+    delivery order are unchanged; run it at quiesce points, not on hot
+    paths. *)
 val compact : t -> unit
 
 (** [set_tick t ~every_ms cb] installs an observability tick: [cb ~now]

@@ -58,7 +58,6 @@ type t = {
   live_top : bool;
   intent_churn : bool;
   shards : int;
-  kernel : Dessim.Sim.kernel;
 }
 
 let default =
@@ -77,15 +76,13 @@ let default =
     live_top = false;
     intent_churn = false;
     shards = 1;
-    kernel = Dessim.Sim.Heap;
   }
 
 let make ?(seed = default.seed) ?(runs = default.runs)
     ?(iterations = default.iterations) ?(congestion = default.congestion)
     ?trace_sink ?fault_plan ?reorder_window_ms ?(recorder = default.recorder)
     ?incident_dir ?tick_ms ?series_out ?(live_top = default.live_top)
-    ?(intent_churn = default.intent_churn) ?(shards = default.shards)
-    ?(kernel = default.kernel) () =
+    ?(intent_churn = default.intent_churn) ?(shards = default.shards) () =
   {
     seed;
     runs;
@@ -101,7 +98,6 @@ let make ?(seed = default.seed) ?(runs = default.runs)
     live_top;
     intent_churn;
     shards;
-    kernel;
   }
 
 let with_seed seed cfg = { cfg with seed }

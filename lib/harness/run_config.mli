@@ -48,10 +48,6 @@ type t = {
   shards : int;                      (** controller replicas; 1 = the single
                                          controller, byte-identical to the
                                          pre-sharding plane *)
-  kernel : Dessim.Sim.kernel;        (** event-queue implementation: [Heap]
-                                         (default, flat binary heap) or
-                                         [Calendar] (calendar queue); the
-                                         results are identical *)
 }
 
 (** seed 1, 30 runs, 1000 iterations, no congestion, no sink, no faults,
@@ -74,7 +70,6 @@ val make :
   ?live_top:bool ->
   ?intent_churn:bool ->
   ?shards:int ->
-  ?kernel:Dessim.Sim.kernel ->
   unit ->
   t
 

@@ -182,8 +182,7 @@ let default_tick_ms = 1000.0
 let run ?(workload = default_workload) ?hooks (cfg : Run_config.t) topo =
   Observe.with_recorder cfg @@ fun _recorder ->
   let w =
-    World.make ~seed:cfg.Run_config.seed ~kernel:cfg.Run_config.kernel
-      ~shards:cfg.Run_config.shards topo
+    World.make ~seed:cfg.Run_config.seed ~shards:cfg.Run_config.shards topo
   in
   let g = topo.Topo.Topologies.graph in
   let n = Graph.node_count g in

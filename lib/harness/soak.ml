@@ -176,8 +176,7 @@ let default_tick_ms = 500.0
 let run ?(config = default_config) (cfg : Run_config.t) topo =
   Observe.with_recorder cfg @@ fun _recorder ->
   let w =
-    World.make ~seed:cfg.Run_config.seed ~kernel:cfg.Run_config.kernel
-      ~shards:cfg.Run_config.shards topo
+    World.make ~seed:cfg.Run_config.seed ~shards:cfg.Run_config.shards topo
   in
   let sim = w.World.sim in
   let net = w.World.net in

@@ -24,8 +24,8 @@ let install_flow ?flow_id w ~src ~dst ~size ~path =
     labels;
   flow
 
-let make ?seed ?config ?(kernel = Sim.Heap) ?(shards = 1) ?(flows = []) topo =
-  let sim = Sim.create ?seed ~kernel () in
+let make ?seed ?config ?(shards = 1) ?(flows = []) topo =
+  let sim = Sim.create ?seed () in
   (* Trace timestamps follow this world's simulated clock (no-op when no
      sink is installed). *)
   Obs.Trace.set_clock (fun () -> Sim.now sim);

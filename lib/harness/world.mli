@@ -30,13 +30,10 @@ val flow : ?size:int -> src:int -> dst:int -> path:int list -> unit -> flow_spec
     {!flow_of_pair}.  [shards] (default 1) > 1 partitions the topology
     with {!Control.Partition.make} (seeded by [seed]) and fronts the
     network with a {!Control.Sharded} coordinator; [shards = 1] keeps
-    the single controller, byte-identical to the pre-sharding plane.
-    [kernel] (default [Heap]) picks the event-queue implementation and
-    nothing else: both kernels deliver identical results. *)
+    the single controller, byte-identical to the pre-sharding plane. *)
 val make :
   ?seed:int ->
   ?config:Netsim.config ->
-  ?kernel:Dessim.Sim.kernel ->
   ?shards:int ->
   ?flows:flow_spec list ->
   Topo.Topologies.t ->

@@ -32,8 +32,11 @@ let add_edge g ~u ~v ~latency_ms ~capacity =
   check_node g v "add_edge";
   if u = v then invalid_arg "Graph.add_edge: self loop";
   if has_edge g u v then invalid_arg "Graph.add_edge: duplicate edge";
-  if latency_ms < 0.0 then invalid_arg "Graph.add_edge: negative latency";
-  if capacity <= 0.0 then invalid_arg "Graph.add_edge: non-positive capacity";
+  (* [Float.is_finite] first: every comparison with nan is false. *)
+  if not (Float.is_finite latency_ms) || latency_ms < 0.0 then
+    invalid_arg "Graph.add_edge: negative or non-finite latency";
+  if not (Float.is_finite capacity) || capacity <= 0.0 then
+    invalid_arg "Graph.add_edge: non-positive or non-finite capacity";
   g.adjacency.(u) <- g.adjacency.(u) @ [ (v, latency_ms, capacity) ];
   g.adjacency.(v) <- g.adjacency.(v) @ [ (u, latency_ms, capacity) ];
   g.edge_list <- { u; v; latency_ms; capacity } :: g.edge_list;
@@ -56,7 +59,8 @@ let capacity g u v =
   | None -> snd (edge_attrs g u v)
 
 let set_capacity g u v cap =
-  if cap <= 0.0 then invalid_arg "Graph.set_capacity: non-positive capacity";
+  if not (Float.is_finite cap) || cap <= 0.0 then
+    invalid_arg "Graph.set_capacity: non-positive or non-finite capacity";
   ignore (edge_attrs g u v);
   Hashtbl.replace g.capacity_overrides (min u v, max u v) cap
 let neighbors g u = check_node g u "neighbors"; List.map (fun (w, _, _) -> w) g.adjacency.(u)

@@ -21,8 +21,9 @@ val node_count : t -> int
 val edge_count : t -> int
 
 (** [add_edge g ~u ~v ~latency_ms ~capacity] inserts an undirected edge.
-    Raises [Invalid_argument] on self-loops, out-of-range ids or duplicate
-    edges. *)
+    Raises [Invalid_argument] on self-loops, out-of-range ids, duplicate
+    edges, a negative or non-finite [latency_ms] and a non-positive or
+    non-finite [capacity]. *)
 val add_edge : t -> u:int -> v:int -> latency_ms:float -> capacity:float -> unit
 
 val has_edge : t -> int -> int -> bool
@@ -34,7 +35,8 @@ val latency : t -> int -> int -> float
 val capacity : t -> int -> int -> float
 
 (** [set_capacity g u v cap] overrides the capacity of edge [u–v] (both
-    directions).  Raises [Not_found] if the edge does not exist. *)
+    directions).  Raises [Not_found] if the edge does not exist and
+    [Invalid_argument] on a non-positive or non-finite [cap]. *)
 val set_capacity : t -> int -> int -> float -> unit
 
 (** Neighbours of a node, in insertion order. *)

@@ -160,6 +160,15 @@ let tokenize source =
 
 let attr name attrs = List.assoc_opt name attrs
 
+(* A coordinate pair counts only when it is a point on the globe.  A
+   non-finite or out-of-range value ("nan", "inf", "1e308") would give a
+   NaN link latency, so it is treated as absent, like an unparsable one;
+   the comparisons are false for nan. *)
+let coords_of lat lon =
+  match (float_of_string_opt lat, float_of_string_opt lon) with
+  | Some lat, Some lon when Float.abs lat <= 90.0 && Float.abs lon <= 180.0 -> Some (lat, lon)
+  | _ -> None
+
 let parse_string source =
   let tokens = tokenize source in
   (* key id -> attribute name, e.g. "d29" -> "Latitude" *)
@@ -183,8 +192,7 @@ let parse_string source =
       let field name = List.assoc_opt name data in
       let coords =
         match (field "Latitude", field "Longitude") with
-        | Some lat, Some lon ->
-          (try Some (float_of_string lat, float_of_string lon) with Failure _ -> None)
+        | Some lat, Some lon -> coords_of lat lon
         | _ -> None
       in
       let label = Option.value (field "label") ~default:id in

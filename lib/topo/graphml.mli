@@ -8,7 +8,9 @@
 
     Latitude/Longitude data, when present, yields the same geographic
     link latencies as the built-in catalogue (distance / 2·10^5 km/s);
-    edges without coordinates fall back to [default_latency_ms]. *)
+    edges without coordinates fall back to [default_latency_ms].  A
+    coordinate that does not parse, is not finite, or lies outside
+    \[-90, 90\] latitude / \[-180, 180\] longitude counts as absent. *)
 
 type node = {
   gn_id : string;

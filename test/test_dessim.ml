@@ -2,7 +2,6 @@
 
 module Sim = Dessim.Sim
 module Event_heap = Dessim.Event_heap
-module Cal = Dessim.Calendar_queue
 
 let test_heap_ordering () =
   let heap = Event_heap.create () in
@@ -86,87 +85,8 @@ let test_compact_burst_order_independent () =
   done;
   Alcotest.(check int) "same residual capacity" (residual calm) (residual spike)
 
-(* --- calendar queue --------------------------------------------------- *)
-
-let test_calendar_ordering () =
-  let q = Cal.create () in
-  Cal.push q ~time:3.0 "c";
-  Cal.push q ~time:1.0 "a";
-  Cal.push q ~time:2.0 "b";
-  let pop () = match Cal.pop q with Some (_, x) -> x | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ];
-  Alcotest.(check bool) "empty" true (Cal.is_empty q)
-
-let test_calendar_fifo_ties () =
-  let q = Cal.create () in
-  for i = 0 to 9 do
-    Cal.push q ~time:5.0 i
-  done;
-  let order = List.init 10 (fun _ -> match Cal.pop q with Some (_, i) -> i | None -> -1) in
-  Alcotest.(check (list int)) "fifo" (List.init 10 Fun.id) order
-
-let test_calendar_spread_retune () =
-  (* An LCG-spread arrival pattern forces several width re-tunes as the
-     queue grows; order stays strict and the heap fallback never fires. *)
-  let q = Cal.create () in
-  let lcg = ref 1 in
-  for i = 1 to 5000 do
-    lcg := (!lcg * 1103515245 + 12345) land 0x3FFFFFFF;
-    Cal.push q ~time:(float_of_int (!lcg land 0xFFFF) /. 16.0) i
-  done;
-  Alcotest.(check bool) "no fallback on spread arrivals" false (Cal.fallback_active q);
-  let rec drain last n =
-    match Cal.pop q with
-    | None -> n
-    | Some (t, _) ->
-      Alcotest.(check bool) "nondecreasing" true (t >= last);
-      drain t (n + 1)
-  in
-  Alcotest.(check int) "all drained" 5000 (drain neg_infinity 0)
-
-let test_calendar_same_instant_fallback () =
-  (* A zero-span pending set is a shape a calendar cannot spread: the
-     re-tune must migrate onto the private heap, preserving seqs so the
-     FIFO tie order survives the switch. *)
-  let q = Cal.create () in
-  for i = 0 to 999 do
-    Cal.push q ~time:7.5 i
-  done;
-  Alcotest.(check bool) "fallback engaged" true (Cal.fallback_active q);
-  let order = List.init 1000 (fun _ -> match Cal.pop q with Some (_, i) -> i | None -> -1) in
-  Alcotest.(check (list int)) "FIFO preserved across migration" (List.init 1000 Fun.id) order
-
-let test_calendar_remove_and_compact () =
-  (* Drive a calendar and a flat heap through identical pushes, remove
-     the same seq from both, compact the calendar (observably a no-op)
-     and compare the full drain. *)
-  let q = Cal.create () and h = Event_heap.create () in
-  for i = 0 to 99 do
-    let time = float_of_int (i mod 10) in
-    Cal.push q ~time i;
-    Event_heap.push h ~time i
-  done;
-  let a = Cal.remove_seq q 55 and b = Event_heap.remove_seq h 55 in
-  Alcotest.(check bool) "same removal result" true (a = b);
-  Alcotest.(check bool) "victim found" true (a <> None);
-  Cal.compact q;
-  Alcotest.(check int) "size after remove+compact" 99 (Cal.size q);
-  let rec drain () =
-    match (Cal.pop q, Event_heap.pop h) with
-    | None, None -> ()
-    | Some (t1, p1), Some (t2, p2) ->
-      Alcotest.(check (pair (float 0.0) int)) "same entry" (t2, p2) (t1, p1);
-      drain ()
-    | _ -> Alcotest.fail "queues drained different lengths"
-  in
-  drain ()
-
-let test_sim_calendar_kernel () =
-  let sim = Sim.create ~kernel:Sim.Calendar () in
-  Alcotest.(check bool) "kernel recorded" true (Sim.kernel sim = Sim.Calendar);
+let test_sim_compact_mid_run () =
+  let sim = Sim.create () in
   let trace = ref [] in
   Sim.schedule sim ~delay:10.0 (fun () -> trace := ("b", Sim.now sim) :: !trace);
   Sim.schedule sim ~delay:5.0 (fun () ->
@@ -317,14 +237,7 @@ let suite =
     Alcotest.test_case "heap compact releases burst capacity" `Quick test_heap_compact_capacity;
     Alcotest.test_case "compact is burst-order independent" `Quick
       test_compact_burst_order_independent;
-    Alcotest.test_case "calendar ordering" `Quick test_calendar_ordering;
-    Alcotest.test_case "calendar breaks ties FIFO" `Quick test_calendar_fifo_ties;
-    Alcotest.test_case "calendar re-tunes under spread arrivals" `Quick
-      test_calendar_spread_retune;
-    Alcotest.test_case "calendar same-instant fallback" `Quick
-      test_calendar_same_instant_fallback;
-    Alcotest.test_case "calendar remove_seq + compact" `Quick test_calendar_remove_and_compact;
-    Alcotest.test_case "sim runs on the calendar kernel" `Quick test_sim_calendar_kernel;
+    Alcotest.test_case "sim compact mid-run is transparent" `Quick test_sim_compact_mid_run;
     Alcotest.test_case "set_tick boundary is exclusive" `Quick test_set_tick_boundary;
     Alcotest.test_case "bounded run fires final ticks" `Quick test_run_until_fires_final_ticks;
     Alcotest.test_case "clock advances with events" `Quick test_clock_advances;

@@ -28,6 +28,28 @@ let test_rejects_invalid_edges () =
   Alcotest.check_raises "duplicate" (Invalid_argument "Graph.add_edge: duplicate edge")
     (fun () -> Graph.add_edge g ~u:0 ~v:1 ~latency_ms:1.0 ~capacity:1.0)
 
+let test_rejects_non_finite_edges () =
+  (* Every comparison with nan is false, so a plain [latency < 0] guard
+     lets nan through; infinity is finite-checked the same way. *)
+  let g = Graph.create 2 in
+  List.iter
+    (fun x ->
+      Alcotest.check_raises "latency"
+        (Invalid_argument "Graph.add_edge: negative or non-finite latency")
+        (fun () -> Graph.add_edge g ~u:0 ~v:1 ~latency_ms:x ~capacity:1.0);
+      Alcotest.check_raises "capacity"
+        (Invalid_argument "Graph.add_edge: non-positive or non-finite capacity")
+        (fun () -> Graph.add_edge g ~u:0 ~v:1 ~latency_ms:1.0 ~capacity:x))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check int) "nothing inserted" 0 (Graph.edge_count g);
+  Graph.add_edge g ~u:0 ~v:1 ~latency_ms:1.0 ~capacity:1.0;
+  List.iter
+    (fun x ->
+      Alcotest.check_raises "override"
+        (Invalid_argument "Graph.set_capacity: non-positive or non-finite capacity")
+        (fun () -> Graph.set_capacity g 0 1 x))
+    [ Float.nan; Float.infinity ]
+
 let test_shortest_path () =
   let g = diamond () in
   Alcotest.(check (option (list int))) "fast branch" (Some [ 0; 1; 3 ])
@@ -163,6 +185,8 @@ let suite =
   [
     Alcotest.test_case "basic structure" `Quick test_basic_structure;
     Alcotest.test_case "invalid edges rejected" `Quick test_rejects_invalid_edges;
+    Alcotest.test_case "non-finite latency and capacity rejected" `Quick
+      test_rejects_non_finite_edges;
     Alcotest.test_case "shortest path" `Quick test_shortest_path;
     Alcotest.test_case "unreachable destination" `Quick test_unreachable;
     Alcotest.test_case "k-shortest on diamond" `Quick test_k_shortest;

@@ -90,6 +90,77 @@ let test_disconnected_rejected () =
     (Invalid_argument "Graphml.to_topology: graph is not connected")
     (fun () -> ignore (Topo.Graphml.to_topology ~name:"x" (Topo.Graphml.parse_string doc)))
 
+(* Two nodes joined by one edge; node "a" sits at ([lat], [lon]). *)
+let pair_doc ~lat ~lon =
+  Printf.sprintf
+    {|<graphml>
+  <key attr.name="Latitude" for="node" id="d1" />
+  <key attr.name="Longitude" for="node" id="d2" />
+  <graph>
+    <node id="a"><data key="d1">%s</data><data key="d2">%s</data></node>
+    <node id="b"><data key="d1">48.14</data><data key="d2">11.58</data></node>
+    <edge source="a" target="b" />
+  </graph>
+</graphml>|}
+    lat lon
+
+let test_bad_coordinates_absent () =
+  (* Coordinates that are not a point on the globe count as absent, so
+     the edge takes the default latency instead of a NaN one (which a
+     frame on that link would later hand to [Sim.schedule]). *)
+  List.iter
+    (fun (lat, lon) ->
+      let parsed = Topo.Graphml.parse_string (pair_doc ~lat ~lon) in
+      let a = List.hd parsed.Topo.Graphml.g_nodes in
+      Alcotest.(check bool) (Printf.sprintf "(%s, %s) absent" lat lon) true
+        (a.Topo.Graphml.gn_coords = None);
+      let topo = Topo.Graphml.to_topology ~default_latency_ms:7.0 ~name:"pair" parsed in
+      Alcotest.(check (float 0.0)) "default latency" 7.0
+        (Topo.Graph.latency topo.Topo.Topologies.graph 0 1))
+    [ ("nan", "13.40"); ("52.52", "nan"); ("inf", "13.40"); ("-inf", "13.40");
+      ("1e308", "13.40"); ("90.5", "13.40"); ("52.52", "-180.5") ];
+  let parsed = Topo.Graphml.parse_string (pair_doc ~lat:"-90" ~lon:"180") in
+  Alcotest.(check bool) "range bounds are valid coordinates" true
+    ((List.hd parsed.Topo.Graphml.g_nodes).Topo.Graphml.gn_coords = Some (-90.0, 180.0))
+
+(* Hostile inputs: random bytes, truncations and byte mutations of
+   [sample], and the two-node document with adversarial numerals in
+   place of its coordinates. *)
+let garbage_gen =
+  let open QCheck.Gen in
+  let n = String.length sample in
+  let numeral =
+    oneofa
+      [| "nan"; "-nan"; "inf"; "-inf"; "1e308"; "-1e308"; "0x1p1023"; "91"; "-181";
+         "4.9e-324"; ""; "52.52"; "13.40" |]
+  in
+  oneof
+    [
+      string_size (int_bound 300);
+      map (fun len -> String.sub sample 0 len) (int_bound n);
+      map
+        (fun edits ->
+          let b = Bytes.of_string sample in
+          List.iter (fun (i, c) -> Bytes.set b (i mod n) c) edits;
+          Bytes.to_string b)
+        (list_size (int_range 1 8) (pair nat char));
+      map2 (fun lat lon -> pair_doc ~lat ~lon) numeral numeral;
+    ]
+
+let prop_garbage_never_raises =
+  QCheck.Test.make ~name:"importer never raises on garbage" ~count:500
+    (QCheck.make ~print:String.escaped garbage_gen)
+    (fun s ->
+      match Topo.Graphml.parse_string s with
+      | exception Topo.Graphml.Parse_error _ -> true
+      | parsed -> (
+        match Topo.Graphml.to_topology ~name:"garbage" parsed with
+        | exception (Topo.Graphml.Parse_error _ | Invalid_argument _) -> true
+        | topo ->
+          List.for_all
+            (fun e -> Float.is_finite e.Topo.Graph.latency_ms && e.Topo.Graph.latency_ms >= 0.0)
+            (Topo.Graph.edges topo.Topo.Topologies.graph)))
+
 let suite =
   [
     Alcotest.test_case "parse nodes and edges" `Quick test_parse_nodes_and_edges;
@@ -97,4 +168,6 @@ let suite =
     Alcotest.test_case "update on imported topology" `Quick test_runs_update_on_imported_topology;
     Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
     Alcotest.test_case "disconnected rejected" `Quick test_disconnected_rejected;
+    Alcotest.test_case "bad coordinates count as absent" `Quick test_bad_coordinates_absent;
+    QCheck_alcotest.to_alcotest prop_garbage_never_raises;
   ]

@@ -1,11 +1,11 @@
-(* Scale-engine and event-kernel tests.
+(* Scale-engine and event-queue tests.
 
    - Differential qcheck properties: the flat structure-of-arrays
-     [Event_heap] and the [Calendar_queue] kernel, each against the
-     seed's boxed heap, kept verbatim as [Event_heap_ref]: same pop
-     order on random schedules (including exact same-instant ties),
-     same [fold] candidate sets, same [remove_seq] behavior, with
-     mid-schedule [compact] observably transparent.
+     [Event_heap] against the seed's boxed heap, kept verbatim as
+     [Event_heap_ref]: same pop order on random schedules (including
+     exact same-instant ties), same [fold] candidate sets, same
+     [remove_seq] behavior, with mid-schedule [compact] observably
+     transparent.
    - Wire codec equivalence: the direct-store control and data codecs
      emit byte-identical frames to the bit-by-bit Packet oracle in
      [Codec_oracle] and return the parse graph's decode verdicts on
@@ -21,27 +21,9 @@
 
 module Heap = Dessim.Event_heap
 module Heap_ref = Dessim.Event_heap_ref
-module Cal = Dessim.Calendar_queue
 module W = P4update.Wire
 
 (* --- differential queue properties ---------------------------------- *)
-
-(* Both kernel-facing queues expose the same surface; the differential
-   oracle below runs each against the seed's boxed heap. *)
-module type QUEUE = sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : ?tag:Heap.tag -> 'a t -> time:float -> 'a -> unit
-  val pop : 'a t -> (float * 'a) option
-  val size : 'a t -> int
-  val compact : 'a t -> unit
-
-  val fold :
-    'a t -> init:'acc -> f:('acc -> time:float -> seq:int -> tag:Heap.tag option -> 'acc) -> 'acc
-
-  val remove_seq : 'a t -> int -> (float * Heap.tag option * 'a) option
-end
 
 (* A schedule mixing pushes (with deliberately colliding times drawn
    from a small grid), pops and occasional tag attachments. *)
@@ -54,12 +36,11 @@ let tag_of_int i =
   { Heap.tag_kind = "k" ^ string_of_int (i mod 3); tag_node = i; tag_flow = i * 7;
     tag_hash = i * 31 }
 
-(* Drive the candidate queue and the boxed oracle through the same
-   schedule; compare every observable.  Every 64th op compacts the
-   candidate (the oracle is untouched): compaction must be observably
-   transparent. *)
-let run_schedule_against (module Q : QUEUE) ops =
-  let h = Q.create () and r = Heap_ref.create () in
+(* Drive the flat heap and the boxed oracle through the same schedule;
+   compare every observable.  Every 64th op compacts the flat heap (the
+   oracle is untouched): compaction must be observably transparent. *)
+let run_schedule ops =
+  let h = Heap.create () and r = Heap_ref.create () in
   let payload = ref 0 in
   let opno = ref 0 in
   let ok = ref true in
@@ -67,7 +48,7 @@ let run_schedule_against (module Q : QUEUE) ops =
   List.iter
     (fun (op, (t, tagged)) ->
       incr opno;
-      if !opno land 63 = 0 then Q.compact h;
+      if !opno land 63 = 0 then Heap.compact h;
       match op with
       | 0 | 1 ->
         (* push; time grid of 16 values forces same-instant ties *)
@@ -75,27 +56,27 @@ let run_schedule_against (module Q : QUEUE) ops =
         let p = !payload in
         incr payload;
         let tag = if tagged = 0 then Some (tag_of_int p) else None in
-        Q.push ?tag h ~time p;
+        Heap.push ?tag h ~time p;
         Heap_ref.push ?tag r ~time p
       | _ -> (
-        match (Q.pop h, Heap_ref.pop r) with
+        match (Heap.pop h, Heap_ref.pop r) with
         | None, None -> ()
         | Some (t1, p1), Some (t2, p2) -> check (t1 = t2 && p1 = p2)
         | _ -> check false))
     ops;
   (* same sizes, same candidate sets under fold, same drain order *)
-  check (Q.size h = Heap_ref.size r);
+  check (Heap.size h = Heap_ref.size r);
   let entry ~time ~seq ~tag = (seq, time, tag) in
   let flat_set =
     List.sort compare
-      (Q.fold h ~init:[] ~f:(fun acc ~time ~seq ~tag -> entry ~time ~seq ~tag :: acc))
+      (Heap.fold h ~init:[] ~f:(fun acc ~time ~seq ~tag -> entry ~time ~seq ~tag :: acc))
   and ref_set =
     List.sort compare
       (Heap_ref.fold r ~init:[] ~f:(fun acc ~time ~seq ~tag -> entry ~time ~seq ~tag :: acc))
   in
   check (flat_set = ref_set);
   let rec drain () =
-    match (Q.pop h, Heap_ref.pop r) with
+    match (Heap.pop h, Heap_ref.pop r) with
     | None, None -> ()
     | Some (t1, p1), Some (t2, p2) ->
       check (t1 = t2 && p1 = p2);
@@ -107,14 +88,10 @@ let run_schedule_against (module Q : QUEUE) ops =
 
 let prop_same_pop_order =
   QCheck.Test.make ~name:"flat heap = boxed heap on random schedules" ~count:300 op_gen
-    (run_schedule_against (module Heap))
+    run_schedule
 
-let prop_calendar_pop_order =
-  QCheck.Test.make ~name:"calendar queue = boxed heap on random schedules" ~count:300 op_gen
-    (run_schedule_against (module Cal))
-
-let remove_seq_matches (module Q : QUEUE) (ops, victim) =
-  let h = Q.create () and r = Heap_ref.create () in
+let remove_seq_matches (ops, victim) =
+  let h = Heap.create () and r = Heap_ref.create () in
   let payload = ref 0 in
   List.iter
     (fun (op, (t, tagged)) ->
@@ -123,21 +100,21 @@ let remove_seq_matches (module Q : QUEUE) (ops, victim) =
         let p = !payload in
         incr payload;
         let tag = if tagged = 0 then Some (tag_of_int p) else None in
-        Q.push ?tag h ~time p;
+        Heap.push ?tag h ~time p;
         Heap_ref.push ?tag r ~time p
       end
       else begin
-        ignore (Q.pop h);
+        ignore (Heap.pop h);
         ignore (Heap_ref.pop r)
       end)
     ops;
   (* both queues allocate seqs identically (same push count), so the
      same victim seq must exist in both or in neither *)
-  let a = Q.remove_seq h victim and b = Heap_ref.remove_seq r victim in
+  let a = Heap.remove_seq h victim and b = Heap_ref.remove_seq r victim in
   if a <> b then false
   else begin
     let rec drain () =
-      match (Q.pop h, Heap_ref.pop r) with
+      match (Heap.pop h, Heap_ref.pop r) with
       | None, None -> true
       | Some (t1, p1), Some (t2, p2) -> t1 = t2 && p1 = p2 && drain ()
       | _ -> false
@@ -148,12 +125,7 @@ let remove_seq_matches (module Q : QUEUE) (ops, victim) =
 let prop_remove_seq =
   QCheck.Test.make ~name:"flat heap remove_seq matches boxed heap" ~count:300
     QCheck.(pair op_gen (int_bound 1000))
-    (remove_seq_matches (module Heap))
-
-let prop_calendar_remove_seq =
-  QCheck.Test.make ~name:"calendar remove_seq matches boxed heap" ~count:300
-    QCheck.(pair op_gen (int_bound 1000))
-    (remove_seq_matches (module Cal))
+    remove_seq_matches
 
 (* --- wire codec equivalence ------------------------------------------ *)
 
@@ -330,26 +302,6 @@ let test_scale_deterministic () =
     b.Harness.Scale.sr_sim_ms;
   Alcotest.(check (float 0.0)) "p99" a.Harness.Scale.sr_p99_ms b.Harness.Scale.sr_p99_ms
 
-let test_scale_kernel_identity () =
-  (* The calendar kernel must produce the exact run the heap kernel
-     does — same event count, same completions, same latency quantiles —
-     on the same seed.  Only the cost model may differ. *)
-  let run kernel =
-    let cfg = Harness.Run_config.make ~seed:11 ~kernel () in
-    Harness.Scale.run ~workload:small_workload cfg (Topo.Topologies.attmpls ())
-  in
-  let h = run Dessim.Sim.Heap in
-  let c = run Dessim.Sim.Calendar in
-  Alcotest.(check int) "completed" h.Harness.Scale.sr_updates_completed
-    c.Harness.Scale.sr_updates_completed;
-  Alcotest.(check int) "events" h.Harness.Scale.sr_events c.Harness.Scale.sr_events;
-  Alcotest.(check (float 0.0)) "sim time" h.Harness.Scale.sr_sim_ms c.Harness.Scale.sr_sim_ms;
-  Alcotest.(check (float 0.0)) "p50" h.Harness.Scale.sr_p50_ms c.Harness.Scale.sr_p50_ms;
-  Alcotest.(check (float 0.0)) "p99" h.Harness.Scale.sr_p99_ms c.Harness.Scale.sr_p99_ms;
-  Alcotest.(check int) "violations" (List.length h.Harness.Scale.sr_violations)
-    (List.length c.Harness.Scale.sr_violations);
-  Alcotest.(check int) "probes" h.Harness.Scale.sr_probes c.Harness.Scale.sr_probes
-
 (* --- Run_config glue ------------------------------------------------- *)
 
 let test_fault_plan_sync () =
@@ -374,9 +326,7 @@ let test_world_flows () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_same_pop_order;
-    QCheck_alcotest.to_alcotest prop_calendar_pop_order;
     QCheck_alcotest.to_alcotest prop_remove_seq;
-    QCheck_alcotest.to_alcotest prop_calendar_remove_seq;
     QCheck_alcotest.to_alcotest prop_control_codec_equiv;
     QCheck_alcotest.to_alcotest prop_data_codec_equiv;
     QCheck_alcotest.to_alcotest prop_decode_equiv_random_bytes;
@@ -385,7 +335,6 @@ let suite =
     Alcotest.test_case "trace digest pinned" `Quick test_trace_digest;
     Alcotest.test_case "scale run completes clean" `Quick test_scale_runs;
     Alcotest.test_case "scale run is deterministic" `Quick test_scale_deterministic;
-    Alcotest.test_case "heap and calendar kernels agree" `Quick test_scale_kernel_identity;
     Alcotest.test_case "fault plan mirrors chaos defaults" `Quick test_fault_plan_sync;
     Alcotest.test_case "world builds with declared flows" `Quick test_world_flows;
   ]
