@@ -1,6 +1,5 @@
 module Sim = Dessim.Sim
 module Pipeline = P4rt.Pipeline
-module Packet = P4rt.Packet
 
 let wait_budget = 500
 let cpu_port = 1000 (* pseudo ingress port for controller messages *)
@@ -62,7 +61,7 @@ type t = {
   cong_counts : (int, int) Hashtbl.t; (* flow id -> congestion defers so far *)
   frm_sent : (int, unit) Hashtbl.t;
   waiting_on : (int, int) Hashtbl.t; (* flow id -> contended port *)
-  mutable queue : action list; (* deferred actions of the running pipeline *)
+  mutable queue : action list; (* deferred actions of the running pipeline, newest first *)
   mutable watchdog_ms : float option; (* §11 failure handling, opt-in *)
   mutable consecutive_dl : bool; (* Appendix C extension, opt-in *)
 }
@@ -77,7 +76,7 @@ let congestion_budget = 10_000
 let unsafe_ruleless_gateway = ref false
 let set_unsafe_ruleless_gateway v = unsafe_ruleless_gateway := v
 
-let push_action t a = t.queue <- t.queue @ [ a ]
+let push_action t a = t.queue <- a :: t.queue
 
 let node t = t.node
 let stats t = t.stats
@@ -357,41 +356,43 @@ let alarm t ctx ~flow_id ~version ~status =
       ~parent:(Obs.Trace.anchor_get (Wire.span_key_update ~flow_id ~version))
       ~attrs:
         [ Obs.Trace.flow flow_id; Obs.Trace.version version; Obs.Trace.int "status" status ];
-  Pipeline.set_packet ctx
-    (Wire.control_to_packet (ufm ~flow_id ~version ~status ~src:t.node));
-  Pipeline.digest ctx;
+  Pipeline.digest ctx (Wire.control_to_bytes (ufm ~flow_id ~version ~status ~src:t.node));
   Pipeline.mark_to_drop ctx
 
-let handle_data t ctx (d : Wire.data) =
+(* Data-header fields the forwarding path reads and rewrites in place. *)
+let f_flow_id = Pipeline.field Wire.data_schema "flow_id"
+let f_ttl = Pipeline.field Wire.data_schema "ttl"
+let f_dst = Pipeline.field Wire.data_schema "dst"
+let f_tag = Pipeline.field Wire.data_schema "tag"
+
+(* [flow_id] is already masked to a register index. *)
+let handle_data t ctx ~flow_id =
   let u = t.uib in
+  let from_host = Pipeline.ingress_port ctx = host_port in
   (* The ingress stamps packets with the active tag (2-phase commit). *)
-  let d =
-    if Pipeline.ingress_port ctx = host_port && d.tag = 0 then
-      { d with tag = Uib.stamp_tag u d.d_flow_id }
-    else d
+  let tag =
+    let tag = Pipeline.get ctx f_tag in
+    if from_host && tag = 0 then Uib.stamp_tag u flow_id else tag
   in
   (* Tagged packets use the tagged rule bank when it matches. *)
   let port =
-    if d.tag <> 0 && d.tag = Uib.tagged_version u d.d_flow_id then
-      Uib.tagged_port u d.d_flow_id
-    else Uib.egress_port u d.d_flow_id
+    if tag <> 0 && tag = Uib.tagged_version u flow_id then Uib.tagged_port u flow_id
+    else Uib.egress_port u flow_id
   in
   if port = Wire.port_none then begin
     (* Unknown flow: the ingress reports it once to the controller (FRM),
        any other switch just counts the blackhole. *)
-    if Pipeline.ingress_port ctx = host_port && not (Hashtbl.mem t.frm_sent d.d_flow_id)
-    then begin
-      Hashtbl.add t.frm_sent d.d_flow_id ();
-      Pipeline.set_packet ctx
-        (Wire.control_to_packet
+    if from_host && not (Hashtbl.mem t.frm_sent flow_id) then begin
+      Hashtbl.add t.frm_sent flow_id ();
+      Pipeline.digest ctx
+        (Wire.control_to_bytes
            {
              (Wire.control_default Wire.Frm) with
-             flow_id = d.d_flow_id;
+             flow_id;
              (* the clone of the first packet carries the destination *)
-             dist_new = d.dst;
+             dist_new = Pipeline.get ctx f_dst;
              src_node = t.node;
-           });
-      Pipeline.digest ctx
+           })
     end
     else t.stats.dropped_no_rule <- t.stats.dropped_no_rule + 1;
     Pipeline.mark_to_drop ctx
@@ -403,29 +404,28 @@ let handle_data t ctx (d : Wire.data) =
        auditor learns a packet left the network. *)
     (match t.deliver_hooks with
      | [] -> ()
-     | hooks ->
-       let time = Sim.now (Netsim.sim t.net) in
-       List.iter (fun f -> f ~time d) hooks);
+     | hooks -> (
+       match Wire.data_of_bytes (Pipeline.frame ctx) with
+       | Some d ->
+         let d = { d with Wire.d_flow_id = flow_id; tag } in
+         let time = Sim.now (Netsim.sim t.net) in
+         List.iter (fun f -> f ~time d) hooks
+       | None -> () (* the parse path holds a data header *)));
     Pipeline.mark_to_drop ctx
   end
-  else if d.ttl <= 1 then begin
-    t.stats.dropped_ttl <- t.stats.dropped_ttl + 1;
-    Pipeline.mark_to_drop ctx
-  end
-  else begin
-    t.stats.forwarded <- t.stats.forwarded + 1;
-    (* One copy of the data header carries both rewrites. *)
-    let pkt = Pipeline.packet ctx in
-    (match Packet.header pkt Wire.data_schema with
-     | Some h ->
-       let values = P4rt.Header.values h in
-       values.(Wire.data_ttl) <- d.ttl - 1;
-       values.(Wire.data_tag) <- d.tag;
-       Pipeline.set_packet ctx
-         (Packet.with_header pkt (P4rt.Header.of_values Wire.data_schema values))
-     | None -> ());
-    Pipeline.set_egress ctx port
-  end
+  else
+    let ttl = Pipeline.get ctx f_ttl in
+    if ttl <= 1 then begin
+      t.stats.dropped_ttl <- t.stats.dropped_ttl + 1;
+      Pipeline.mark_to_drop ctx
+    end
+    else begin
+      t.stats.forwarded <- t.stats.forwarded + 1;
+      (* The first write copies the frame; the second lands in the copy. *)
+      Pipeline.set ctx f_ttl (ttl - 1);
+      Pipeline.set ctx f_tag tag;
+      Pipeline.set_egress ctx port
+    end
 
 let handle_uim t ctx (c : Wire.control) =
   let u = t.uib in
@@ -765,14 +765,16 @@ let valid_port t port =
   port = Wire.port_none || port = Wire.port_local
   || (port >= 0 && port < Netsim.port_count t.net ~node:t.node)
 
-let ingress_control t ctx =
-  let pkt = Pipeline.packet ctx in
-  match Wire.control_of_packet pkt with
+let handle_control t ctx =
+  match Wire.control_of_bytes (Pipeline.frame ctx) with
   | Some c ->
     (* Registers are indexed by the flow-id hash: mask like the P4 program
        does.  A corrupted id aliases some slot and is then rejected by the
        verification checks. *)
-    let c = { c with Wire.flow_id = c.Wire.flow_id land (Wire.flow_space - 1) } in
+    let c =
+      if c.Wire.flow_id < Wire.flow_space then c
+      else { c with Wire.flow_id = c.Wire.flow_id land (Wire.flow_space - 1) }
+    in
     (match c.kind with
      | Wire.Uim when valid_port t c.egress_port && valid_port t c.notify_port ->
        handle_uim t ctx c
@@ -781,42 +783,53 @@ let ingress_control t ctx =
      | Wire.Cln -> handle_cleanup t ctx c
      | Wire.Wdm -> handle_withdraw t ctx c
      | Wire.Frm | Wire.Ufm -> Pipeline.mark_to_drop ctx (* switch is not their consumer *))
-  | None ->
-    (match Wire.data_of_packet pkt with
-     | Some d when d.Wire.d_flow_id < Wire.flow_space -> handle_data t ctx d
-     | Some d ->
-       handle_data t ctx { d with Wire.d_flow_id = d.Wire.d_flow_id land (Wire.flow_space - 1) }
-     | None -> Pipeline.mark_to_drop ctx)
+  | None -> Pipeline.mark_to_drop ctx
+
+(* Data frames, the common case, are told by their parse path and read
+   in place; control frames are decoded from the frame. *)
+let ingress_control t ctx =
+  if Pipeline.valid ctx Wire.data_schema then
+    handle_data t ctx ~flow_id:(Pipeline.get ctx f_flow_id land (Wire.flow_space - 1))
+  else handle_control t ctx
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let run_action t = function
+  | Schedule_commit (flow_id, pc) -> schedule_commit t flow_id pc
+  | Send_upstream (msg, port) -> send_upstream t msg ~port
+  | Send_ufm msg -> notify_ctl t msg
+  | Resubmit_bytes bytes -> Netsim.resubmit t.net ~node:t.node bytes
+
+(* Actions run in the order they were pushed. *)
 let drain_actions t =
-  let todo = t.queue in
-  t.queue <- [];
-  List.iter
-    (fun action ->
-      match action with
-      | Schedule_commit (flow_id, pc) -> schedule_commit t flow_id pc
-      | Send_upstream (msg, port) -> send_upstream t msg ~port
-      | Send_ufm msg -> notify_ctl t msg
-      | Resubmit_bytes bytes -> Netsim.resubmit t.net ~node:t.node bytes)
-    todo
+  match t.queue with
+  | [] -> ()
+  | queue ->
+    t.queue <- [];
+    List.iter (run_action t) (List.rev queue)
+
+let rec transmit_all t = function
+  | [] -> ()
+  | { Pipeline.out_port; bytes } :: rest ->
+    if out_port < Netsim.port_count t.net ~node:t.node then
+      Netsim.transmit t.net ~from:t.node ~port:out_port bytes;
+    transmit_all t rest
+
+let rec notify_all t = function
+  | [] -> ()
+  | bytes :: rest ->
+    Netsim.notify_controller t.net ~from:t.node bytes;
+    notify_all t rest
 
 let run_pipeline t ~port bytes =
   let outcome = Pipeline.process t.pipe ~ingress_port:port bytes in
-  List.iter
-    (fun { Pipeline.out_port; bytes } ->
-      if out_port < Netsim.port_count t.net ~node:t.node then
-        Netsim.transmit t.net ~from:t.node ~port:out_port bytes)
-    outcome.Pipeline.emissions;
+  transmit_all t outcome.Pipeline.emissions;
   (match outcome.Pipeline.resubmitted with
-   | Some pkt -> Netsim.resubmit t.net ~node:t.node (Packet.serialize pkt)
+   | Some bytes -> Netsim.resubmit t.net ~node:t.node bytes
    | None -> ());
-  List.iter
-    (fun pkt -> Netsim.notify_controller t.net ~from:t.node (Packet.serialize pkt))
-    outcome.Pipeline.to_controller;
+  notify_all t outcome.Pipeline.to_controller;
   drain_actions t
 
 (* Port capacities come straight from the topology, in centi-units. *)

@@ -118,12 +118,6 @@ type data = {
 val data_to_packet : data -> P4rt.Packet.t
 val data_of_packet : P4rt.Packet.t -> data option
 
-(** Field indices of {!data_schema} that the switch's forwarding
-    rewrite updates (see [P4rt.Header.set_at]). *)
-val data_ttl : int
-
-val data_tag : int
-
 (** Parse raw bytes with {!parser} (None on parse failure). *)
 val packet_of_bytes : Bytes.t -> P4rt.Packet.t option
 

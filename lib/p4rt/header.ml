@@ -84,8 +84,6 @@ let of_values schema values =
   done;
   { schema; values; valid = true }
 
-let values inst = Array.copy inst.values
-
 let get inst field = get_at inst (index inst.schema field)
 let set inst field v = set_at inst (index inst.schema field) v
 
@@ -180,6 +178,35 @@ let read schema buf offset =
   { schema; values; valid = true }
 
 let extract schema buf offset = (read schema buf offset, offset + byte_size schema)
+
+(* A field in place: its bit offset inside the header and its width.  A
+   field that starts and ends on byte boundaries ([nbytes] > 0 whole
+   bytes) is loaded and stored a byte at a time, any other a bit at a
+   time; both give the MSB-first image of [emit]. *)
+type field = { bit : int; width : int; nbytes : int }
+
+let field schema name =
+  let i = index schema name in
+  let bit = ref 0 in
+  for j = 0 to i - 1 do
+    bit := !bit + schema.widths.(j)
+  done;
+  let bit = !bit and width = schema.widths.(i) in
+  { bit; width; nbytes = (if bit mod 8 = 0 && width mod 8 = 0 then width / 8 else 0) }
+
+let check_bounds f buf offset op =
+  if offset < 0 || (offset * 8) + f.bit + f.width > Bytes.length buf * 8 then
+    invalid_arg (Printf.sprintf "Header.%s: field outside the buffer" op)
+
+let load f buf offset =
+  check_bounds f buf offset "load";
+  if f.nbytes = 0 then read_bits buf ~bit_offset:((offset * 8) + f.bit) ~width:f.width
+  else read_bytes_be buf ~pos:(offset + (f.bit / 8)) ~nbytes:f.nbytes
+
+let store f buf offset v =
+  check_bounds f buf offset "store";
+  if f.nbytes = 0 then write_bits buf ~bit_offset:((offset * 8) + f.bit) ~width:f.width v
+  else write_bytes_be buf ~pos:(offset + (f.bit / 8)) ~nbytes:f.nbytes v
 
 let pp fmt inst =
   Format.fprintf fmt "@[<h>%s{" inst.schema.name;

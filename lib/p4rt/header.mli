@@ -28,8 +28,8 @@ val set_valid : inst -> bool -> inst
 
 (** [get inst field] / [set inst field v]: field access by name.  [set]
     truncates to the field width.  Raise [Invalid_argument] on unknown
-    fields.  Per-frame code resolves an {!index} once and uses
-    {!get_at}/{!set_at} instead. *)
+    fields.  Code that accesses a field often resolves an {!index} once
+    and uses {!get_at}/{!set_at} instead. *)
 val get : inst -> string -> int
 val set : inst -> string -> int -> inst
 
@@ -48,11 +48,6 @@ val set_at : inst -> int -> int -> inst
     Raises [Invalid_argument] unless there is one value per field. *)
 val of_values : schema -> int array -> inst
 
-(** [values inst] is a fresh copy of the field values in definition
-    order: edit it and hand it back to {!of_values} to rewrite several
-    fields with one copy. *)
-val values : inst -> int array
-
 val get_bv : inst -> string -> Bitval.t
 
 (** Serialize into [bytes] at [offset]; returns the next offset.  Invalid
@@ -68,5 +63,26 @@ val extract : schema -> Bytes.t -> int -> inst * int
 
 (** [read schema buf offset] is [fst (extract schema buf offset)]. *)
 val read : schema -> Bytes.t -> int -> inst
+
+(** {2 Fields in place}
+
+    A {!field} is a field resolved once to its bit offset and width
+    inside its schema's wire image, so that per-frame code reads and
+    writes a header where it lies in the frame instead of extracting an
+    instance. *)
+
+type field
+
+(** [field schema name]: raises [Invalid_argument] on unknown fields. *)
+val field : schema -> string -> field
+
+(** [load f buf offset] is the value of [f] in the header image that
+    starts at byte [offset] of [buf]; it equals [get_at (read schema buf
+    offset) (index schema name)].  [store f buf offset v] writes [v],
+    truncated to the field width, and touches no other bit.  Both raise
+    [Invalid_argument] if the field lies outside [buf]. *)
+val load : field -> Bytes.t -> int -> int
+
+val store : field -> Bytes.t -> int -> int -> unit
 
 val pp : Format.formatter -> inst -> unit

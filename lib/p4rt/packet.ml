@@ -6,27 +6,13 @@ type t = {
 let make ?(payload = Bytes.empty) headers = { headers; payload }
 
 (* Headers are matched by schema identity: a schema is a value defined
-   once, so per-frame lookups compare one pointer and never a name.  The
-   list walks are top-level functions so that a lookup allocates no
-   closure. *)
-let[@inline] is schema h = Header.schema_of h == schema
-
+   once, so a lookup compares one pointer and never a name. *)
 let rec find_valid schema = function
   | [] -> None
-  | h :: rest -> if Header.is_valid h && is schema h then Some h else find_valid schema rest
-
-let rec mem schema = function [] -> false | h :: rest -> is schema h || mem schema rest
-
-let rec replace schema inst = function
-  | [] -> []
-  | h :: rest -> if is schema h then inst :: rest else h :: replace schema inst rest
+  | h :: rest ->
+    if Header.is_valid h && Header.schema_of h == schema then Some h else find_valid schema rest
 
 let header pkt schema = find_valid schema pkt.headers
-
-let with_header pkt inst =
-  let schema = Header.schema_of inst in
-  if mem schema pkt.headers then { pkt with headers = replace schema inst pkt.headers }
-  else { pkt with headers = pkt.headers @ [ inst ] }
 
 let rec size_of acc = function
   | [] -> acc

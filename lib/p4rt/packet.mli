@@ -17,10 +17,6 @@ val make : ?payload:Bytes.t -> Header.inst list -> t
     [header pkt schema] is the first valid instance of [schema]. *)
 val header : t -> Header.schema -> Header.inst option
 
-(** [with_header pkt inst] replaces the first instance of the same schema,
-    or appends [inst] to the stack if absent. *)
-val with_header : t -> Header.inst -> t
-
 (** Deparser: valid headers in order, then the payload. *)
 val serialize : t -> Bytes.t
 

@@ -1,14 +1,23 @@
 type instance_kind = Normal | Cloned | Resubmitted
 
+(* The packet is [frame] laid out by [path].  [shared] says that [frame]
+   may be seen outside this context (the received buffer, or bytes
+   handed out since): the next write copies it first.  [hit] is the
+   schema last looked up on [path] and [hit_offset] its offset there
+   (-1: absent), so that a control's run of field accesses to one header
+   looks it up once. *)
 type ctx = {
-  mutable pkt : Packet.t;
+  mutable frame : Bytes.t;
+  mutable path : Parser.path;
+  mutable shared : bool;
+  mutable hit : Header.schema;
+  mutable hit_offset : int;
   in_port : int;
   kind : instance_kind;
-  mutable egress : int; (* no_egress until [set_egress] *)
-  mutable dropped : bool;
-  mutable clones : int list; (* clone sessions requested during ingress *)
+  mutable egress : int; (* no_egress until [set_egress], and after a drop *)
+  mutable clones : int list; (* clone sessions requested, newest first *)
   mutable wants_resubmit : bool;
-  mutable digests : Packet.t list;
+  mutable digests : Bytes.t list; (* newest first *)
 }
 
 type program = {
@@ -29,8 +38,8 @@ type emission = { out_port : int; bytes : Bytes.t }
 
 type outcome = {
   emissions : emission list;
-  resubmitted : Packet.t option;
-  to_controller : Packet.t list;
+  resubmitted : Bytes.t option;
+  to_controller : Bytes.t list;
 }
 
 let create ~name ~registers ~tables program =
@@ -47,26 +56,63 @@ let create ~name ~registers ~tables program =
 
 let name t = t.pipe_name
 
-let packet ctx = ctx.pkt
-let set_packet ctx pkt = ctx.pkt <- pkt
+type field = { schema : Header.schema; at : Header.field }
+
+let field schema name = { schema; at = Header.field schema name }
+
+let lookup ctx schema =
+  if ctx.hit == schema then ctx.hit_offset
+  else begin
+    let offset = Parser.offset ctx.path schema in
+    ctx.hit <- schema;
+    ctx.hit_offset <- offset;
+    offset
+  end
+
+let valid ctx schema = lookup ctx schema >= 0
+
+let header_offset ctx f =
+  let offset = lookup ctx f.schema in
+  if offset < 0 then
+    invalid_arg
+      (Printf.sprintf "Pipeline: no %s header in the packet" (Header.schema_name f.schema));
+  offset
+
+let get ctx f = Header.load f.at ctx.frame (header_offset ctx f)
+
+let set ctx f v =
+  let offset = header_offset ctx f in
+  if ctx.shared then begin
+    ctx.frame <- Bytes.copy ctx.frame;
+    ctx.shared <- false
+  end;
+  Header.store f.at ctx.frame offset v
+
+let frame ctx =
+  ctx.shared <- true;
+  ctx.frame
+
+let packet ctx = Parser.packet_of_path ctx.path ctx.frame
+
+(* Placeholder for [hit]: no path holds it. *)
+let no_header = Header.define ~name:"none" [ ("none", 8) ]
+
+let set_packet ctx pkt =
+  ctx.frame <- Packet.serialize pkt;
+  ctx.path <- Parser.path_of_packet pkt;
+  ctx.shared <- false;
+  ctx.hit <- no_header
+
 let ingress_port ctx = ctx.in_port
 let instance ctx = ctx.kind
 
 let no_egress = min_int
-
-let set_egress ctx port =
-  ctx.egress <- port;
-  ctx.dropped <- false
-
+let set_egress ctx port = ctx.egress <- port
 let egress_spec ctx = if ctx.egress = no_egress then None else Some ctx.egress
-
-let mark_to_drop ctx =
-  ctx.dropped <- true;
-  ctx.egress <- no_egress
-
-let clone ctx ~session = ctx.clones <- ctx.clones @ [ session ]
+let mark_to_drop ctx = ctx.egress <- no_egress
+let clone ctx ~session = ctx.clones <- session :: ctx.clones
 let resubmit ctx = ctx.wants_resubmit <- true
-let digest ctx = ctx.digests <- ctx.digests @ [ ctx.pkt ]
+let digest ctx msg = ctx.digests <- msg :: ctx.digests
 
 let register t reg_name =
   match Hashtbl.find_opt t.registers reg_name with
@@ -80,16 +126,19 @@ let table t table_name =
 
 let set_clone_session t ~session ~port = Hashtbl.replace t.clone_sessions session port
 
-let fresh_ctx pkt ~in_port ~kind ~egress =
+let fresh_ctx frame path ~in_port ~kind ~egress ~digests =
   {
-    pkt;
+    frame;
+    path;
+    shared = true;
+    hit = no_header;
+    hit_offset = -1;
     in_port;
     kind;
     egress;
-    dropped = false;
     clones = [];
     wants_resubmit = false;
-    digests = [];
+    digests;
   }
 
 let c_parse_errors = Obs.Metrics.(counter global) "p4rt.parser.errors"
@@ -103,38 +152,48 @@ let instance_name = function
 
 let no_outcome = { emissions = []; resubmitted = None; to_controller = [] }
 
-(* One egress pass toward [port]; its digests are added to [ictx]'s. *)
-let run_egress t ictx ~kind ~port pkt =
-  let ectx = fresh_ctx pkt ~in_port:ictx.in_port ~kind ~egress:port in
-  t.program.prog_egress ectx;
-  (match ectx.digests with [] -> () | d -> ictx.digests <- ictx.digests @ d);
-  if ectx.dropped || ectx.egress = no_egress then None
-  else Some { out_port = ectx.egress; bytes = Packet.serialize ectx.pkt }
+(* The egress control; true when the packet leaves.  The deparser's
+   image is then the frame itself. *)
+let egress_pass t ctx =
+  t.program.prog_egress ctx;
+  ctx.egress <> no_egress
+
+let emission ctx = { out_port = ctx.egress; bytes = frame ctx }
 
 (* Clones are snapshotted at the end of ingress, as with BMv2's clone3
-   from the ingress pipeline; sessions without a port emit nothing. *)
-let rec clone_emissions t ictx pkt = function
+   from the ingress pipeline; sessions without a port emit nothing.
+   Each clone runs its own egress pass, whose digests join [ictx]'s. *)
+let rec clone_emissions t ictx frame path = function
   | [] -> []
   | session :: rest -> (
     match Hashtbl.find_opt t.clone_sessions session with
-    | None -> clone_emissions t ictx pkt rest
-    | Some port -> (
-      match run_egress t ictx ~kind:Cloned ~port pkt with
-      | Some e -> e :: clone_emissions t ictx pkt rest
-      | None -> clone_emissions t ictx pkt rest))
+    | None -> clone_emissions t ictx frame path rest
+    | Some port ->
+      let ectx =
+        fresh_ctx frame path ~in_port:ictx.in_port ~kind:Cloned ~egress:port
+          ~digests:ictx.digests
+      in
+      let leaves = egress_pass t ectx in
+      ictx.digests <- ectx.digests;
+      let rest = clone_emissions t ictx frame path rest in
+      if leaves then emission ectx :: rest else rest)
 
-let run_parsed t ~ingress_port ~instance parsed =
-  let ctx = fresh_ctx parsed ~in_port:ingress_port ~kind:instance ~egress:no_egress in
-  t.program.prog_ingress ctx;
-  let resubmitted = if ctx.wants_resubmit then Some ctx.pkt else None in
-  let pkt = ctx.pkt in
-  let main =
-    if ctx.dropped || ctx.egress = no_egress then None
-    else run_egress t ctx ~kind:ctx.kind ~port:ctx.egress pkt
+(* The main egress pass reuses the ingress context.  Clone sessions and
+   the resubmit request are read before it runs, so an egress control
+   cannot add to them, and the clones' snapshot is marked shared, so the
+   egress pass writes to a copy. *)
+let run_parsed t ~ingress_port ~instance bytes path =
+  let ctx =
+    fresh_ctx bytes path ~in_port:ingress_port ~kind:instance ~egress:no_egress ~digests:[]
   in
-  let clones = clone_emissions t ctx pkt ctx.clones in
-  let emissions = match main with Some e -> e :: clones | None -> clones in
-  { emissions; resubmitted; to_controller = ctx.digests }
+  t.program.prog_ingress ctx;
+  let resubmitted = if ctx.wants_resubmit then Some (frame ctx) else None in
+  let sessions = ctx.clones and snapshot_path = ctx.path in
+  let snapshot = match sessions with [] -> ctx.frame | _ -> frame ctx in
+  let leaves = ctx.egress <> no_egress && egress_pass t ctx in
+  let clones = clone_emissions t ctx snapshot snapshot_path (List.rev sessions) in
+  let emissions = if leaves then emission ctx :: clones else clones in
+  { emissions; resubmitted; to_controller = List.rev ctx.digests }
 
 let process t ~ingress_port ?(instance = Normal) bytes =
   let span =
@@ -149,11 +208,11 @@ let process t ~ingress_port ?(instance = Normal) bytes =
     else 0
   in
   let outcome =
-    match Parser.run t.program.prog_parser bytes with
+    match Parser.walk t.program.prog_parser bytes with
     | exception Parser.Parse_error _ ->
       Obs.Metrics.incr c_parse_errors;
       no_outcome
-    | parsed -> run_parsed t ~ingress_port ~instance parsed
+    | path -> run_parsed t ~ingress_port ~instance bytes path
   in
   if Option.is_some outcome.resubmitted then Obs.Metrics.incr c_resubmits;
   (match outcome.to_controller with

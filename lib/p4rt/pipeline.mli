@@ -10,7 +10,13 @@ type instance_kind = Normal | Cloned | Resubmitted
 
 (** Per-packet context: the packet, its ingress port and instance kind,
     and the forwarding decisions made so far.  It is fresh for each packet
-    (§2.1); registers persist in the enclosing pipeline. *)
+    (§2.1); registers persist in the enclosing pipeline.
+
+    The packet is held as its frame bytes plus the parser's {!Parser.path}
+    through them: controls read and write header fields in place through
+    {!field} handles.  The received buffer is never written: the first
+    write copies it, as does a write after the frame was handed out
+    ({!frame}, an emission, a resubmission or a clone snapshot). *)
 type ctx
 
 type program = {
@@ -25,8 +31,8 @@ type emission = { out_port : int; bytes : Bytes.t }
 
 type outcome = {
   emissions : emission list;
-  resubmitted : Packet.t option;
-  to_controller : Packet.t list;
+  resubmitted : Bytes.t option;
+  to_controller : Bytes.t list;  (** digests, in the order they were made *)
 }
 
 val create :
@@ -40,8 +46,36 @@ val name : t -> string
 
 (** {2 Context operations (for use inside control functions)} *)
 
+(** A header field resolved once, for {!get}/{!set} on any packet.
+    Raises [Invalid_argument] on unknown fields. *)
+type field
+
+val field : Header.schema -> string -> field
+
+(** [valid ctx schema]: the packet carries a header of [schema] (P4's
+    [isValid]). *)
+val valid : ctx -> Header.schema -> bool
+
+(** [get ctx f] / [set ctx f v] read and write [f] in the first header
+    of its schema, in the frame.  [set] truncates to the field width.
+    Both raise [Invalid_argument] when that header is not {!valid}. *)
+val get : ctx -> field -> int
+
+val set : ctx -> field -> int -> unit
+
+(** The packet's wire image as it stands.  The caller may keep it but
+    must not write to it. *)
+val frame : ctx -> Bytes.t
+
+(** [packet ctx] materializes the packet as it stands, for a control
+    that wants header instances: on the received frame it equals
+    [Parser.run]. *)
 val packet : ctx -> Packet.t
+
+(** [set_packet ctx pkt] replaces the packet: the deparser lays [pkt]
+    out into a fresh frame, which field handles then address. *)
 val set_packet : ctx -> Packet.t -> unit
+
 val ingress_port : ctx -> int
 val instance : ctx -> instance_kind
 
@@ -59,8 +93,9 @@ val clone : ctx -> session:int -> unit
     delay. *)
 val resubmit : ctx -> unit
 
-(** Punt a copy of the current packet to the controller (CPU port). *)
-val digest : ctx -> unit
+(** [digest ctx msg] punts [msg] to the controller (CPU port), like
+    v1model's [digest], whose message the program chooses. *)
+val digest : ctx -> Bytes.t -> unit
 
 (** {2 Control-plane API} *)
 

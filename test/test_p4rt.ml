@@ -214,7 +214,7 @@ let test_parser_whole_frame_payload () =
 
 (* A loop through a state that extracts nothing: frame [0^n 1] visits
    2n + 1 states, so the 64-visit budget admits n = 32 and cuts n = 33,
-   as in the oracle. *)
+   in the oracle, [run] and [walk] alike. *)
 let test_parser_visit_budget () =
   let b = Header.define ~name:"b" [ ("v", 8) ] in
   let states =
@@ -237,8 +237,31 @@ let test_parser_visit_budget () =
       Alcotest.(check bool) (Printf.sprintf "oracle, %d loops" n) expected
         (parses (Parser_oracle.run states) n);
       Alcotest.(check bool) (Printf.sprintf "compiled, %d loops" n) expected
-        (parses (Parser.run compiled) n))
-    [ (31, true); (32, true); (33, false) ]
+        (parses (Parser.run compiled) n);
+      Alcotest.(check bool) (Printf.sprintf "walk, %d loops" n) expected
+        (parses (Parser.walk compiled) n))
+    [ (31, true); (32, true); (33, false) ];
+  (* A self-loop that extracts on every visit: frame [0^n 1] visits n + 1
+     states, so the budget admits n = 64 and cuts n = 65. *)
+  let self_loop =
+    [
+      {
+        Parser.state_name = "start";
+        extracts = Some b;
+        transition = Select ("v", [ (0, "start") ], Accept);
+      };
+    ]
+  in
+  let compiled = Parser.create self_loop in
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check bool) (Printf.sprintf "oracle, %d self-loops" n) expected
+        (parses (Parser_oracle.run self_loop) n);
+      Alcotest.(check bool) (Printf.sprintf "compiled, %d self-loops" n) expected
+        (parses (Parser.run compiled) n);
+      Alcotest.(check bool) (Printf.sprintf "walk, %d self-loops" n) expected
+        (parses (Parser.walk compiled) n))
+    [ (64, true); (65, false) ]
 
 (* Random parse graphs: a few states over a pool of small schemas, with
    [Goto] cycles, selects (cases may repeat a value), nested select
@@ -250,14 +273,16 @@ type graph_case = {
   g_bytes : string;
 }
 
-let graph_gen =
+(* A field list of widths drawn from [width], padded to a whole byte. *)
+let field_list_gen width =
   let open QCheck.Gen in
-  let field_list =
-    let* widths = list_size (int_range 1 3) (oneofl [ 4; 8; 8; 16 ]) in
-    let total = List.fold_left ( + ) 0 widths in
-    let widths = if total mod 8 = 0 then widths else widths @ [ 8 - (total mod 8) ] in
-    return (List.mapi (fun i w -> (Printf.sprintf "f%d" i, w)) widths)
-  in
+  let* widths = list_size (int_range 1 3) width in
+  let total = List.fold_left ( + ) 0 widths in
+  let widths = if total mod 8 = 0 then widths else widths @ [ 8 - (total mod 8) ] in
+  return (List.mapi (fun i w -> (Printf.sprintf "f%d" i, w)) widths)
+
+let graph_gen_of field_list =
+  let open QCheck.Gen in
   let* g_schemas = list_size (int_range 1 3) field_list in
   let* n = int_range 1 4 in
   let names = List.init n (fun i -> if i = 0 then "start" else Printf.sprintf "s%d" i) in
@@ -296,6 +321,8 @@ let graph_gen =
   in
   return { g_schemas; g_states; g_bytes }
 
+let graph_gen = graph_gen_of (field_list_gen (QCheck.Gen.oneofl [ 4; 8; 8; 16 ]))
+
 let rec print_next = function
   | Parser.Accept -> "accept"
   | Parser.Goto s -> "goto " ^ s
@@ -321,7 +348,7 @@ let print_graph g =
           g.g_states))
     g.g_bytes
 
-let parser_matches_oracle g =
+let graph_states g =
   let schemas =
     List.mapi (fun i fl -> Header.define ~name:(Printf.sprintf "h%d" i) fl) g.g_schemas
   in
@@ -331,6 +358,10 @@ let parser_matches_oracle g =
         { Parser.state_name; extracts = Option.map (List.nth schemas) schema; transition })
       g.g_states
   in
+  (schemas, states)
+
+let parser_matches_oracle g =
+  let _, states = graph_states g in
   let compiled = Parser.create states in
   let bytes = Bytes.of_string g.g_bytes in
   let attempt run frame =
@@ -347,6 +378,114 @@ let prop_parser_oracle =
   QCheck.Test.make ~name:"compiled parser = assoc-list oracle" ~count:500
     (QCheck.make ~print:print_graph graph_gen)
     parser_matches_oracle
+
+(* The compiled frame path against the materializing one.  On random
+   byte-aligned and sub-byte schemas, random graphs and every prefix of
+   a random frame (so truncated frames, whole ones and frames with a
+   trailing payload), a pipeline whose ingress reads every field through
+   [Pipeline.get] and then makes random [Pipeline.set]s must see the
+   verdict and values of [Parser.run], and emit the bytes of [Parser.run]
+   -> [Header.set_at] -> [Packet.serialize]; [Parser.walk] must raise
+   exactly when [Parser.run] does, and the assoc-list oracle must agree
+   with both. *)
+type frame_case = {
+  f_graph : graph_case;
+  f_writes : (int * int * int) list; (* schema, field (both mod count), value *)
+}
+
+let frame_case_gen =
+  let open QCheck.Gen in
+  let* aligned = bool in
+  let width = if aligned then oneofl [ 8; 16; 24; 32 ] else int_range 1 20 in
+  let* f_graph = graph_gen_of (field_list_gen width) in
+  let* f_writes = list_size (int_range 0 4) (triple (int_bound 2) (int_bound 7) int) in
+  return { f_graph; f_writes }
+
+let print_frame_case c =
+  Printf.sprintf "%s\nwrites: %s" (print_graph c.f_graph)
+    (String.concat "; "
+       (List.map (fun (s, f, v) -> Printf.sprintf "h%d.f%d <- %d" s f v) c.f_writes))
+
+(* [Header.set_at] on the first instance of [schema], as [Pipeline.set]
+   does in the frame. *)
+let rec set_first schema i v = function
+  | [] -> []
+  | h :: rest when Header.schema_of h == schema -> Header.set_at h i v :: rest
+  | h :: rest -> h :: set_first schema i v rest
+
+let frame_path_matches_oracle c =
+  let schemas, states = graph_states c.f_graph in
+  let compiled = Parser.create states in
+  let nth l i = List.nth l (i mod List.length l) in
+  let all_fields =
+    List.concat_map
+      (fun schema -> List.map (fun (name, _) -> (schema, name)) (Header.fields schema))
+      schemas
+  in
+  let writes =
+    List.map
+      (fun (si, fi, v) ->
+        let schema = nth schemas si in
+        (schema, fst (nth (Header.fields schema) fi), v))
+      c.f_writes
+  in
+  let read_handles = List.map (fun (s, name) -> (s, Pipeline.field s name)) all_fields in
+  let write_handles = List.map (fun (s, name, v) -> (s, Pipeline.field s name, v)) writes in
+  let seen = ref None in
+  let ingress ctx =
+    let reads =
+      List.map
+        (fun (s, f) -> if Pipeline.valid ctx s then Some (Pipeline.get ctx f) else None)
+        read_handles
+    in
+    seen := Some (Pipeline.packet ctx, reads);
+    List.iter (fun (s, f, v) -> if Pipeline.valid ctx s then Pipeline.set ctx f v) write_handles;
+    Pipeline.set_egress ctx 1
+  in
+  let pipe =
+    Pipeline.create ~name:"oracle" ~registers:[] ~tables:[]
+      { Pipeline.prog_parser = compiled; prog_ingress = ingress; prog_egress = ignore }
+  in
+  let verdict f frame = match f frame with v -> Ok v | exception Parser.Parse_error m -> Error m in
+  let bytes = Bytes.of_string c.f_graph.g_bytes in
+  List.for_all
+    (fun len ->
+      let frame = Bytes.sub bytes 0 len in
+      let original = Bytes.copy frame in
+      seen := None;
+      let emissions = (Pipeline.process pipe ~ingress_port:0 frame).Pipeline.emissions in
+      let run = verdict (Parser.run compiled) frame in
+      let walk =
+        verdict (fun b -> Parser.packet_of_path (Parser.walk compiled b) b) frame
+      in
+      let oracle = verdict (Parser_oracle.run states) frame in
+      Bytes.equal frame original && walk = run
+      && Result.is_ok oracle = Result.is_ok run
+      &&
+      match run with
+      | Error _ -> emissions = [] && !seen = None
+      | Ok pkt ->
+        let values =
+          List.map
+            (fun (s, name) -> Option.map (fun h -> Header.get h name) (Packet.header pkt s))
+            all_fields
+        in
+        let expected =
+          List.fold_left
+            (fun headers (s, name, v) -> set_first s (Header.index s name) v headers)
+            pkt.Packet.headers writes
+        in
+        oracle = Ok pkt
+        && !seen = Some (pkt, values)
+        && emissions
+           = [ { Pipeline.out_port = 1;
+                 bytes = Packet.serialize { pkt with Packet.headers = expected } } ])
+    (List.init (Bytes.length bytes + 1) Fun.id)
+
+let prop_frame_path_oracle =
+  QCheck.Test.make ~name:"compiled frame path = parse, set_at, serialize" ~count:500
+    (QCheck.make ~print:print_frame_case frame_case_gen)
+    frame_path_matches_oracle
 
 (* ------------------------------------------------------------------ *)
 (* Registers                                                            *)
@@ -484,6 +623,32 @@ let test_pipeline_resubmit () =
   let out = Pipeline.process p ~ingress_port:0 (echo_bytes ~tag:0xAB ~port:5) in
   Alcotest.(check bool) "resubmit requested" true (out.Pipeline.resubmitted <> None)
 
+(* After [set_packet] the deparser's image of the new packet is what
+   field handles address and what leaves, even for a header the control
+   looked up on the received frame and that now sits elsewhere. *)
+let test_pipeline_set_packet () =
+  let echo_port = Pipeline.field echo_schema "port" in
+  let pad = Header.set (Header.make (Header.define ~name:"pad" [ ("x", 16) ])) "x" 0xABCD in
+  let ingress ctx =
+    let h = Header.set (Header.make echo_schema) "port" (Pipeline.get ctx echo_port) in
+    Pipeline.set_packet ctx
+      (Packet.make ~payload:(Bytes.of_string "zz") [ pad; Header.set h "tag" 1 ]);
+    Pipeline.set ctx echo_port 8;
+    Pipeline.set_egress ctx 3
+  in
+  let p =
+    Pipeline.create ~name:"replace" ~registers:[] ~tables:[]
+      { Pipeline.prog_parser = echo_parser; prog_ingress = ingress; prog_egress = ignore }
+  in
+  let frame = echo_bytes ~tag:0xEE ~port:5 in
+  (match (Pipeline.process p ~ingress_port:0 frame).Pipeline.emissions with
+   | [ { Pipeline.out_port; bytes } ] ->
+     Alcotest.(check int) "port" 3 out_port;
+     Alcotest.(check string) "the replaced packet, rewritten" "\xab\xcd\001\008zz"
+       (Bytes.to_string bytes)
+   | _ -> Alcotest.fail "expected one emission");
+  Alcotest.(check string) "received frame untouched" "\238\005" (Bytes.to_string frame)
+
 let test_pipeline_malformed_dropped () =
   let p = make_echo_pipeline () in
   let out = Pipeline.process p ~ingress_port:0 (Bytes.make 1 'x') in
@@ -497,59 +662,210 @@ let test_registers_persist_across_packets () =
   Alcotest.(check int) "five packets counted" 5 (Register.read (Pipeline.register p "seen") 0)
 
 (* ------------------------------------------------------------------ *)
-(* Allocation guard on the switch's data path                           *)
+(* The switch's frame path                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Minor words one [Pipeline.process] call allocates for [bytes] entering
-   [sw] at [port], averaged over a batch after a warm-up run. *)
-let words_per_frame sw ~port bytes =
-  let pipe = P4update.Switch.pipeline sw in
-  let forwarded () =
-    match (Pipeline.process pipe ~ingress_port:port bytes).Pipeline.emissions with
-    | [ _ ] -> ()
-    | _ -> Alcotest.fail "the frame was not forwarded"
-  in
-  forwarded ();
-  let runs = 1000 in
-  let before = Gc.minor_words () in
-  for _ = 1 to runs do
-    forwarded ()
-  done;
-  (Gc.minor_words () -. before) /. float_of_int runs
+module Wire = P4update.Wire
 
 let forwarding_world () =
   let w = Harness.World.make (Topo.Topologies.fig1 ()) in
   let flow =
     Harness.World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topo.Topologies.fig1_old_path
   in
-  let frame =
-    P4update.Wire.data_to_bytes
-      { P4update.Wire.d_flow_id = flow.P4update.Controller.flow_id; seq = 1; ttl = 64;
-        origin = 0; dst = 7; tag = 0; d_ts = 0 }
-  in
-  (w, frame)
+  (w, flow.P4update.Controller.flow_id)
 
-(* A forwarded data frame costs one parse, one header rewrite and one
-   deparse; 200 words leaves room for the frame itself and the outcome
-   but not for per-frame tables or closures. *)
-let frame_word_budget = 200.0
+let data_frame ?(ttl = 64) flow_id =
+  Wire.data_to_bytes
+    { Wire.d_flow_id = flow_id; seq = 1; ttl; origin = 0; dst = 7; tag = 0; d_ts = 0 }
+
+(* The first switch after the flow's ingress, its ingress port from the
+   ingress and its egress port toward the next hop. *)
+let mid_hop (w : Harness.World.t) =
+  match Topo.Topologies.fig1_old_path with
+  | prev :: hop :: next :: _ ->
+    ( w.Harness.World.switches.(hop),
+      Netsim.port_of_neighbor w.net ~node:hop ~neighbor:prev,
+      Netsim.port_of_neighbor w.net ~node:hop ~neighbor:next )
+  | _ -> assert false
+
+let emitted sw ~port bytes =
+  (Pipeline.process (P4update.Switch.pipeline sw) ~ingress_port:port bytes).Pipeline.emissions
+
+(* What a forward must emit: [frame] with ttl decremented, every other
+   byte (trailing payload included) unchanged. *)
+let decremented frame =
+  let b = Bytes.copy frame in
+  Bytes.set_uint8 b 12 (Bytes.get_uint8 b 12 - 1);
+  b
+
+let test_forward_keeps_payload () =
+  let w, flow_id = forwarding_world () in
+  let sw, in_port, out_port = mid_hop w in
+  let frame = Bytes.cat (data_frame flow_id) (Bytes.of_string "payload\000\255!") in
+  let original = Bytes.copy frame in
+  (match emitted sw ~port:in_port frame with
+   | [ e ] ->
+     Alcotest.(check int) "toward the next hop" out_port e.Pipeline.out_port;
+     Alcotest.(check string) "ttl - 1, payload byte for byte"
+       (Bytes.to_string (decremented original)) (Bytes.to_string e.Pipeline.bytes)
+   | _ -> Alcotest.fail "expected one emission");
+  Alcotest.(check string) "the received buffer is untouched" (Bytes.to_string original)
+    (Bytes.to_string frame)
+
+let test_ttl_expiry () =
+  let w, flow_id = forwarding_world () in
+  let sw, in_port, _ = mid_hop w in
+  let stats = P4update.Switch.stats sw in
+  List.iter
+    (fun ttl ->
+      let before = stats.P4update.Switch.dropped_ttl in
+      Alcotest.(check int) (Printf.sprintf "ttl %d emits nothing" ttl) 0
+        (List.length (emitted sw ~port:in_port (data_frame ~ttl flow_id)));
+      Alcotest.(check int) (Printf.sprintf "ttl %d counted" ttl) (before + 1)
+        stats.P4update.Switch.dropped_ttl)
+    [ 1; 0 ]
+
+let test_flow_id_masked () =
+  let w, flow_id = forwarding_world () in
+  let sw, in_port, out_port = mid_hop w in
+  let frame = data_frame (flow_id + Wire.flow_space) in
+  match emitted sw ~port:in_port frame with
+  | [ e ] ->
+    Alcotest.(check int) "the masked slot's rule" out_port e.Pipeline.out_port;
+    Alcotest.(check string) "the header keeps the id it arrived with"
+      (Bytes.to_string (decremented frame)) (Bytes.to_string e.Pipeline.bytes)
+  | _ -> Alcotest.fail "expected one emission"
+
+let parse_errors () = Obs.Metrics.get_count Obs.Metrics.global "p4rt.parser.errors"
+
+let test_malformed_frames_dropped () =
+  let w, flow_id = forwarding_world () in
+  let sw, in_port, _ = mid_hop w in
+  let frame = data_frame flow_id in
+  List.iter
+    (fun len ->
+      let before = parse_errors () in
+      Alcotest.(check int) (Printf.sprintf "%d-byte prefix emits nothing" len) 0
+        (List.length (emitted sw ~port:in_port (Bytes.sub frame 0 len)));
+      Alcotest.(check int) (Printf.sprintf "%d-byte prefix is a parse error" len) (before + 1)
+        (parse_errors ()))
+    [ 0; 3; 6; 21 ];
+  (* A foreign etype parses (the parse graph accepts after the base
+     header) and is dropped by the ingress control, counted nowhere. *)
+  let foreign = Bytes.copy frame in
+  Bytes.set_uint16_be foreign 4 0x86DD;
+  let before = parse_errors () and stats = P4update.Switch.stats sw in
+  let forwarded = stats.P4update.Switch.forwarded in
+  Alcotest.(check int) "foreign etype emits nothing" 0
+    (List.length (emitted sw ~port:in_port foreign));
+  Alcotest.(check int) "foreign etype is no parse error" before (parse_errors ());
+  Alcotest.(check int) "nor a forward" forwarded stats.P4update.Switch.forwarded
+
+(* Through the network: the bytes handed to [Netsim.transmit] reach the
+   switch, which forwards a copy; the buffer itself never changes. *)
+let test_delivered_buffer_unchanged () =
+  let w, flow_id = forwarding_world () in
+  let hop = List.nth Topo.Topologies.fig1_old_path 1 in
+  let frame = data_frame flow_id in
+  let original = Bytes.copy frame in
+  let seen = ref [] in
+  Netsim.on_delivery w.net (fun _ node _ bytes -> seen := (node, Bytes.copy bytes) :: !seen);
+  Netsim.transmit w.net ~from:0 ~port:(Netsim.port_of_neighbor w.net ~node:0 ~neighbor:hop)
+    frame;
+  ignore (Harness.World.run w);
+  Alcotest.(check string) "sender's buffer untouched" (Bytes.to_string original)
+    (Bytes.to_string frame);
+  let next = List.nth Topo.Topologies.fig1_old_path 2 in
+  match List.assoc_opt next !seen with
+  | Some b ->
+    Alcotest.(check string) "next hop sees ttl - 1" (Bytes.to_string (decremented original))
+      (Bytes.to_string b)
+  | None -> Alcotest.fail "the frame never reached the next hop"
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard on the switch's frame path                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words one [Pipeline.process] call allocates for [bytes] entering
+   [sw] at [port], averaged over a batch after a warm-up run; every run
+   must make [emissions] emissions. *)
+let words_per_frame sw ~port ~emissions bytes =
+  let run () =
+    if List.length (emitted sw ~port bytes) <> emissions then
+      Alcotest.failf "expected %d emissions" emissions
+  in
+  run ();
+  let runs = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    run ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int runs
+
+let check_budget what words budget =
+  if words > budget then
+    Alcotest.failf "%s allocates %.0f minor words (budget %.0f)" what words budget
+
+(* A forwarded data frame costs the parse path, the context, one copy of
+   the frame for the rewrite and the outcome: 48 words leaves no room for
+   a materialized header or packet. *)
+let frame_word_budget = 48.0
 
 let test_forwarded_frame_allocation () =
-  let w, frame = forwarding_world () in
-  let hop = List.nth Topo.Topologies.fig1_old_path 1 in
-  let words = words_per_frame w.Harness.World.switches.(hop) ~port:0 frame in
-  if words > frame_word_budget then
-    Alcotest.failf "forwarded frame allocates %.0f minor words (budget %.0f)" words
-      frame_word_budget
+  let w, flow_id = forwarding_world () in
+  let sw, in_port, _ = mid_hop w in
+  check_budget "forwarded frame"
+    (words_per_frame sw ~port:in_port ~emissions:1 (data_frame flow_id))
+    frame_word_budget
 
 let test_injected_frame_allocation () =
-  let w, frame = forwarding_world () in
-  let words =
-    words_per_frame w.Harness.World.switches.(0) ~port:P4update.Switch.host_port frame
+  let w, flow_id = forwarding_world () in
+  check_budget "host-injected frame"
+    (words_per_frame w.Harness.World.switches.(0) ~port:P4update.Switch.host_port ~emissions:1
+       (data_frame flow_id))
+    frame_word_budget
+
+(* A duplicate notification between switches: after an SL update
+   completes, the committed successor's UNM reaches a committed node on
+   a data port and Alg. 1 ignores it.  That is the pipeline around the
+   decoded record and both verification views: 56 words, and the budget
+   leaves half as much again. *)
+let unm_word_budget = 84.0
+
+let test_unm_allocation () =
+  let w, flow_id = forwarding_world () in
+  let version =
+    P4update.Controller.update_flow w.Harness.World.controller ~flow_id
+      ~new_path:Topo.Topologies.fig1_new_path ~update_type:Wire.Sl ()
   in
-  if words > frame_word_budget then
-    Alcotest.failf "host-injected frame allocates %.0f minor words (budget %.0f)" words
-      frame_word_budget
+  ignore (Harness.World.run w);
+  let node, succ =
+    match Topo.Topologies.fig1_new_path with _ :: n :: s :: _ -> (n, s) | _ -> assert false
+  in
+  let u = P4update.Switch.uib w.Harness.World.switches.(succ) in
+  let unm =
+    Wire.control_to_bytes
+      {
+        (Wire.control_default Wire.Unm) with
+        flow_id;
+        version_new = version;
+        version_old = P4update.Uib.ver_prev u flow_id;
+        dist_new = P4update.Uib.dist_cur u flow_id;
+        dist_old = P4update.Uib.dist_prev u flow_id;
+        layer = 1;
+        flow_size = P4update.Uib.flow_size u flow_id;
+        role = Wire.role_committed;
+        src_node = succ;
+      }
+  in
+  let sw = w.Harness.World.switches.(node) in
+  let commits = (P4update.Switch.stats sw).P4update.Switch.commits in
+  check_budget "inter-switch UNM"
+    (words_per_frame sw ~port:(Netsim.port_of_neighbor w.net ~node ~neighbor:succ)
+       ~emissions:0 unm)
+    unm_word_budget;
+  Alcotest.(check int) "ignored: no commit" commits
+    (P4update.Switch.stats sw).P4update.Switch.commits
 
 let suite =
   [
@@ -571,6 +887,7 @@ let suite =
     Alcotest.test_case "parser payload of a whole frame" `Quick test_parser_whole_frame_payload;
     Alcotest.test_case "parser visit budget" `Quick test_parser_visit_budget;
     QCheck_alcotest.to_alcotest prop_parser_oracle;
+    QCheck_alcotest.to_alcotest prop_frame_path_oracle;
     Alcotest.test_case "register read/write" `Quick test_register_read_write;
     Alcotest.test_case "register bounds" `Quick test_register_bounds;
     Alcotest.test_case "table exact match" `Quick test_table_exact_match;
@@ -581,9 +898,16 @@ let suite =
     Alcotest.test_case "pipeline drop" `Quick test_pipeline_drop;
     Alcotest.test_case "pipeline clone" `Quick test_pipeline_clone;
     Alcotest.test_case "pipeline resubmit" `Quick test_pipeline_resubmit;
+    Alcotest.test_case "pipeline set_packet" `Quick test_pipeline_set_packet;
     Alcotest.test_case "pipeline drops malformed frames" `Quick test_pipeline_malformed_dropped;
     Alcotest.test_case "registers persist across packets" `Quick
       test_registers_persist_across_packets;
+    Alcotest.test_case "forward keeps the payload" `Quick test_forward_keeps_payload;
+    Alcotest.test_case "ttl expiry is counted" `Quick test_ttl_expiry;
+    Alcotest.test_case "flow id is masked" `Quick test_flow_id_masked;
+    Alcotest.test_case "malformed frames are dropped" `Quick test_malformed_frames_dropped;
+    Alcotest.test_case "delivered buffer unchanged" `Quick test_delivered_buffer_unchanged;
     Alcotest.test_case "forwarded frame allocation" `Quick test_forwarded_frame_allocation;
     Alcotest.test_case "host-injected frame allocation" `Quick test_injected_frame_allocation;
+    Alcotest.test_case "inter-switch UNM allocation" `Quick test_unm_allocation;
   ]
