@@ -32,4 +32,5 @@ let () =
       ("traffic", Test_traffic.suite);
       ("soak", Test_soak.suite);
       ("intent", Test_intent.suite);
+      ("run", Test_run.suite);
     ]
