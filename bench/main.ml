@@ -230,6 +230,11 @@ let heap_hold_bench ~hold ~ops =
   let flat_ops = best run_flat in
   (flat_ops, ref_ops)
 
+(* The scale and traffic subsuites' update workload. *)
+let scale_workload =
+  if quick then { Harness.Scale.default_workload with updates = 200; flows = 50 }
+  else Harness.Scale.default_workload
+
 let scale_row topo_name metric unit value =
   emit ~prefix:"scale" (topo_name ^ "/" ^ metric) unit value
 
@@ -248,26 +253,19 @@ let run_scale () =
   record "scale/heap/boxed" "ops/s" ref_ops;
   record "scale/heap/speedup" "x" (flat_ops /. ref_ops);
   section "Many-concurrent-update workloads (Poisson bursts, churn, invariant probes)";
-  let workload =
-    if quick then
-      { Harness.Scale.default_workload with Harness.Scale.wl_updates = 200; wl_flows = 50 }
-    else Harness.Scale.default_workload
-  in
   List.iter
     (fun build ->
-      let topo = build () in
       let cfg = Harness.Run_config.make ~seed:42 ~incident_dir:"incidents" () in
-      let r = Harness.Scale.run ~workload cfg topo in
+      let r = Harness.Run.run scale_workload cfg (build ()) in
       Format.printf "%a@." Harness.Scale.pp r;
-      let name = r.Harness.Scale.sr_topology in
-      scale_row name "events_per_s" "events/s" r.Harness.Scale.sr_events_per_s;
-      scale_row name "updates_per_s" "updates/s" r.Harness.Scale.sr_updates_per_s;
-      scale_row name "prep_per_s" "updates/s" r.Harness.Scale.sr_prep_per_s;
-      scale_row name "completion_p50" "ms" r.Harness.Scale.sr_p50_ms;
-      scale_row name "completion_p99" "ms" r.Harness.Scale.sr_p99_ms;
-      scale_row name "completed" "updates" (float_of_int r.Harness.Scale.sr_updates_completed);
-      scale_row name "violations" "count"
-        (float_of_int (List.length r.Harness.Scale.sr_violations)))
+      let name = r.r_topology in
+      scale_row name "events_per_s" "events/s" r.r_events_per_s;
+      scale_row name "updates_per_s" "updates/s" r.r_updates_per_s;
+      scale_row name "prep_per_s" "updates/s" r.r_prep_per_s;
+      scale_row name "completion_p50" "ms" r.r_p50_ms;
+      scale_row name "completion_p99" "ms" r.r_p99_ms;
+      scale_row name "completed" "updates" (float_of_int r.r_completed);
+      scale_row name "violations" "count" (float_of_int (List.length r.r_violations)))
     [ Topo.Topologies.attmpls; Topo.Topologies.chinanet ]
 
 (* ------------------------------------------------------------------ *)
@@ -278,23 +276,18 @@ let run_scale () =
 let run_traffic () =
   Printf.printf "P4Update traffic-audit subsuite (%s mode)\n" (if quick then "quick" else "full");
   section "Probe traffic racing scale update bursts (per-packet audit)";
-  let scale_workload =
-    if quick then
-      { Harness.Scale.default_workload with Harness.Scale.wl_updates = 200; wl_flows = 50 }
-    else Harness.Scale.default_workload
-  in
-  let workload =
+  let audit =
     if quick then
       { Harness.Traffic.default_workload with Harness.Traffic.tw_stop_ms = 300.0 }
     else Harness.Traffic.default_workload
   in
   List.iter
     (fun build ->
-      let topo = build () in
       let cfg = Harness.Run_config.make ~seed:42 ~incident_dir:"incidents" () in
-      let sr, ts = Harness.Traffic.run_scale ~scale_workload ~workload cfg topo in
-      Format.printf "%a@.%a@." Harness.Scale.pp sr Harness.Traffic.pp ts;
-      let name = sr.Harness.Scale.sr_topology in
+      let r = Harness.Run.run { scale_workload with audit = Some audit } cfg (build ()) in
+      let ts = Option.get r.r_traffic in
+      Format.printf "%a@.%a@." Harness.Scale.pp r Harness.Traffic.pp ts;
+      let name = r.r_topology in
       let row metric unit value = emit ~prefix:"traffic" (name ^ "/" ^ metric) unit value in
       row "pkts_per_s" "pkts/s" ts.Harness.Traffic.ts_pkts_per_s;
       row "injected" "pkts" (float_of_int ts.Harness.Traffic.ts_injected);
@@ -307,8 +300,7 @@ let run_traffic () =
       row "latency_p99" "ms" ts.Harness.Traffic.ts_p99_ms;
       row "reordered" "pkts" (float_of_int ts.Harness.Traffic.ts_reordered);
       row "violations" "count" (float_of_int (Harness.Traffic.violations ts));
-      row "updates_completed" "updates"
-        (float_of_int sr.Harness.Scale.sr_updates_completed))
+      row "updates_completed" "updates" (float_of_int r.r_completed))
     [ Topo.Topologies.attmpls; Topo.Topologies.chinanet ]
 
 (* ------------------------------------------------------------------ *)
@@ -327,42 +319,41 @@ let run_soak () =
     Harness.Run_config.make ~seed:Harness.Run_config.default.Harness.Run_config.seed
       ~incident_dir:"incidents" ()
   in
-  let r = Harness.Soak.run ~config cfg topo in
+  let r = Harness.Run.run config cfg topo in
   Format.printf "%a@." Harness.Soak.pp r;
-  let name = r.Harness.Soak.so_topology in
-  let row metric unit value = emit ~prefix:"soak" (name ^ "/" ^ metric) unit value in
-  let ts = r.Harness.Soak.so_traffic in
-  row "events_per_s" "events/s"
-    (if r.Harness.Soak.so_wall_s <= 0.0 then 0.0
-     else float_of_int r.Harness.Soak.so_events /. r.Harness.Soak.so_wall_s);
+  let row metric unit value =
+    emit ~prefix:"soak" (r.r_topology ^ "/" ^ metric) unit value
+  in
+  let ts = Option.get r.r_traffic in
+  row "events_per_s" "events/s" r.r_events_per_s;
   row "pkts_per_s" "pkts/s" ts.Harness.Traffic.ts_pkts_per_s;
   row "injected" "pkts" (float_of_int ts.Harness.Traffic.ts_injected);
-  row "updates_pushed" "updates" (float_of_int r.Harness.Soak.so_updates_pushed);
-  row "updates_completed" "updates" (float_of_int r.Harness.Soak.so_updates_completed);
-  row "update_p50" "ms" r.Harness.Soak.so_upd_p50_ms;
-  row "update_p99" "ms" r.Harness.Soak.so_upd_p99_ms;
+  row "updates_pushed" "updates" (float_of_int r.r_pushed);
+  row "updates_completed" "updates" (float_of_int r.r_completed);
+  row "update_p50" "ms" r.r_p50_ms;
+  row "update_p99" "ms" r.r_p99_ms;
   row "latency_p99" "ms" ts.Harness.Traffic.ts_p99_ms;
-  row "aborts" "count" (float_of_int r.Harness.Soak.so_recovery.P4update.Controller.aborts);
-  row "give_ups" "count" (float_of_int r.Harness.Soak.so_recovery.P4update.Controller.give_ups);
+  row "aborts" "count" (float_of_int r.r_recovery.P4update.Controller.aborts);
+  row "give_ups" "count" (float_of_int r.r_recovery.P4update.Controller.give_ups);
   row "violations" "count" (float_of_int (Harness.Traffic.violations ts));
-  row "stuck" "count" (float_of_int (List.length r.Harness.Soak.so_stuck));
-  row "leaks" "count" (float_of_int (List.length r.Harness.Soak.so_leaks));
-  row "slo_ok" "bool" (if Harness.Soak.ok r then 1.0 else 0.0);
+  row "stuck" "count" (float_of_int (List.length r.r_stuck));
+  row "leaks" "count" (float_of_int (List.length r.r_leaks));
+  row "slo_ok" "bool" (if Harness.Run.ok r then 1.0 else 0.0);
   (* Per-cycle leak readings as rows: the gate pins each boundary, so a
      heap or flight-table creep that stays under the end-of-run leak
      thresholds still shows up as a regression against the baseline. *)
   List.iter
-    (fun (c : Harness.Soak.cycle) ->
+    (fun (c : Harness.Run.cycle) ->
       let cyc metric unit value =
-        row (Printf.sprintf "cycle%d/%s" c.Harness.Soak.cy_index metric) unit value
+        row (Printf.sprintf "cycle%d/%s" c.cy_index metric) unit value
       in
-      cyc "injected" "pkts" (float_of_int c.Harness.Soak.cy_injected);
-      cyc "pending_events" "count" (float_of_int c.Harness.Soak.cy_pending_events);
-      cyc "flows" "flows" (float_of_int c.Harness.Soak.cy_flows);
-      cyc "in_flight" "count" (float_of_int c.Harness.Soak.cy_in_flight);
-      cyc "violations" "count" (float_of_int c.Harness.Soak.cy_violations))
-    r.Harness.Soak.so_cycles;
-  if not (Harness.Soak.ok r) then begin
+      cyc "injected" "pkts" (float_of_int c.cy_injected);
+      cyc "pending_events" "count" (float_of_int c.cy_pending_events);
+      cyc "flows" "flows" (float_of_int c.cy_flows);
+      cyc "in_flight" "count" (float_of_int c.cy_in_flight);
+      cyc "violations" "count" (float_of_int c.cy_violations))
+    r.r_cycles;
+  if not (Harness.Run.ok r) then begin
     List.iter print_endline (Harness.Soak.report_lines r);
     soak_failed := true
   end
@@ -399,13 +390,11 @@ let run_obs () =
   obs_row "note_enabled" "ops/s" note_on;
   section "Recorder overhead on the scale engine (recorder on vs off, best of 3)";
   let workload =
-    { Harness.Scale.default_workload with
-      Harness.Scale.wl_updates = (if quick then 200 else 1000); wl_flows = 50 }
+    { Harness.Scale.default_workload with flows = 50; updates = (if quick then 200 else 1000) }
   in
   let run_with recorder =
     let cfg = Harness.Run_config.make ~seed:42 ~recorder () in
-    let r = Harness.Scale.run ~workload cfg (Topo.Topologies.attmpls ()) in
-    r.Harness.Scale.sr_events_per_s
+    (Harness.Run.run workload cfg (Topo.Topologies.attmpls ())).r_events_per_s
   in
   ignore (run_with false) (* warm-up: page in the code paths once *);
   let best_off = ref 0.0 and best_on = ref 0.0 in
@@ -582,19 +571,19 @@ let run_intent () =
   let cfg = Harness.Run_config.make ~seed:5 ~recorder:false ~intent_churn:true () in
   let wl =
     { Harness.Scale.default_workload with
-      Harness.Scale.wl_updates = (if quick then 200 else 1000);
-      wl_flows = (if quick then 24 else 60);
-      wl_arrival_mean_ms = 8.0;
-      wl_horizon_ms = 600_000.0 }
+      updates = (if quick then 200 else 1000);
+      flows = (if quick then 24 else 60);
+      arrival_mean_ms = 8.0;
+      pacing = Open 600_000.0 }
   in
-  let r = Harness.Scale.run ~workload:wl cfg (Topo.Topologies.b4 ()) in
+  let r = Harness.Run.run wl cfg (Topo.Topologies.b4 ()) in
   Format.printf "%a@." Harness.Scale.pp r;
-  row "updates_pushed" "updates" (float_of_int r.Harness.Scale.sr_updates_pushed);
-  row "updates_completed" "updates" (float_of_int r.Harness.Scale.sr_updates_completed);
-  row "intent_events" "events" (float_of_int r.Harness.Scale.sr_churned);
-  row "update_p99" "ms" r.Harness.Scale.sr_p99_ms;
-  row "prep_per_s" "updates/s" r.Harness.Scale.sr_prep_per_s;
-  row "violations" "count" (float_of_int (List.length r.Harness.Scale.sr_violations))
+  row "updates_pushed" "updates" (float_of_int r.r_pushed);
+  row "updates_completed" "updates" (float_of_int r.r_completed);
+  row "intent_events" "events" (float_of_int r.r_churned);
+  row "update_p99" "ms" r.r_p99_ms;
+  row "prep_per_s" "updates/s" r.r_prep_per_s;
+  row "violations" "count" (float_of_int (List.length r.r_violations))
 
 (* ------------------------------------------------------------------ *)
 (* Shard subsuite: multi-controller control-plane scaling               *)
@@ -605,7 +594,7 @@ let run_intent () =
    must scale near-linearly in shard count (>= 1.6x at 2 shards), with
    zero Thm. 1-4 / per-packet audit violations at every shard count.
 
-   Throughput is aggregate per-replica capacity ([Scale.retime_prep]):
+   Throughput is aggregate per-replica capacity ([Run.retime_prep]):
    each shard's prep loop is timed in isolation against a clone holding
    only the Flow-DB slice it owns, and the rates are summed — the
    sustained capacity of k controllers each on its own machine (the
@@ -685,7 +674,7 @@ let run_shard () =
                  if r mod 2 = 0 then requests
                  else List.mapi (fun i (_, _, primary, _) -> (i, primary)) specs))
         in
-        let rate = Harness.Scale.retime_prep w stream in
+        let rate = Harness.Run.retime_prep w stream in
         row (Printf.sprintf "fat-tree/shards%d/prep_per_s" shards) "updates/s" rate;
         (shards, rate))
       shard_counts

@@ -442,28 +442,31 @@ let mc_cmd =
 (* --- scale --- *)
 
 let scale_cmd =
+  let d = Harness.Scale.default_workload in
   let updates_arg =
-    Arg.(value & opt int Harness.Scale.default_workload.Harness.Scale.wl_updates
+    Arg.(value & opt int d.updates
          & info [ "updates"; "u" ] ~docv:"N" ~doc:"Total updates to drive.")
   in
   let flows_arg =
-    Arg.(value & opt int Harness.Scale.default_workload.Harness.Scale.wl_flows
+    Arg.(value & opt int d.flows
          & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flow population.")
   in
   let arrival_arg =
-    Arg.(value & opt float Harness.Scale.default_workload.Harness.Scale.wl_arrival_mean_ms
+    Arg.(value & opt float d.arrival_mean_ms
          & info [ "arrival-mean" ] ~docv:"MS" ~doc:"Poisson mean between bursts (ms).")
   in
   let burst_arg =
-    Arg.(value & opt int Harness.Scale.default_workload.Harness.Scale.wl_burst
+    Arg.(value & opt int d.burst
          & info [ "burst" ] ~docv:"N" ~doc:"Updates per arrival burst.")
   in
   let churn_arg =
-    Arg.(value & opt float Harness.Scale.default_workload.Harness.Scale.wl_churn
+    let p = match d.churn with Harness.Run.Per_burst p -> p | Per_cycle _ -> 0.0 in
+    Arg.(value & opt float p
          & info [ "churn" ] ~docv:"P" ~doc:"Per-burst flow churn probability.")
   in
   let probe_arg =
-    Arg.(value & opt int Harness.Scale.default_workload.Harness.Scale.wl_probe_every
+    let n = match d.probe with Harness.Run.Every_bursts n -> n | Every_ms _ -> 0 in
+    Arg.(value & opt int n
          & info [ "probe-every" ] ~docv:"N"
              ~doc:"Invariant probe every N bursts (0 disables).")
   in
@@ -478,20 +481,20 @@ let scale_cmd =
       intent_churn shards obs =
     let cfg = cfg_of ~seed ~obs ~intent_churn ~shards () in
     let workload =
-      { Harness.Scale.default_workload with
-        wl_updates = updates; wl_flows = flows; wl_arrival_mean_ms = arrival_mean;
-        wl_burst = burst; wl_churn = churn; wl_probe_every = probe_every }
+      { d with
+        updates; flows; arrival_mean_ms = arrival_mean; burst;
+        churn = Per_burst churn; probe = Every_bursts probe_every }
     in
     Printf.printf "scale run on %s: %d updates over %d flows (seed %d, shards %d)\n"
       name updates flows seed shards;
-    let r = Harness.Scale.run ~workload cfg (build ()) in
+    let r = Harness.Run.run workload cfg (build ()) in
     Format.printf "%a@." Harness.Scale.pp r;
-    if r.Harness.Scale.sr_violations <> [] then begin
+    if r.r_violations <> [] then begin
       List.iter
         (fun v ->
           Printf.printf "  t=%.1fms flow=%d: %s\n" v.Harness.Invariants.v_time
             v.Harness.Invariants.v_flow v.Harness.Invariants.v_what)
-        r.Harness.Scale.sr_violations;
+        r.r_violations;
       exit 1
     end
   in
@@ -510,12 +513,13 @@ let scale_cmd =
 (* --- traffic --- *)
 
 let traffic_cmd =
+  let d = Harness.Scale.default_workload in
   let updates_arg =
-    Arg.(value & opt int Harness.Scale.default_workload.Harness.Scale.wl_updates
+    Arg.(value & opt int d.updates
          & info [ "updates"; "u" ] ~docv:"N" ~doc:"Total updates to drive.")
   in
   let flows_arg =
-    Arg.(value & opt int Harness.Scale.default_workload.Harness.Scale.wl_flows
+    Arg.(value & opt int d.flows
          & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flow population.")
   in
   let gap_arg =
@@ -533,19 +537,17 @@ let traffic_cmd =
   in
   let run (name, build) seed updates flows gap_mean constant stop shards obs =
     let cfg = cfg_of ~seed ~obs ~shards () in
-    let scale_workload =
-      { Harness.Scale.default_workload with wl_updates = updates; wl_flows = flows }
-    in
-    let workload =
+    let audit =
       { Harness.Traffic.default_workload with
         tw_mean_gap_ms = gap_mean; tw_poisson = not constant; tw_stop_ms = stop }
     in
     Printf.printf
       "traffic run on %s: probes racing %d updates over %d flows (seed %d)\n" name
       updates flows seed;
-    let sr, ts = Harness.Traffic.run_scale ~scale_workload ~workload cfg (build ()) in
-    Format.printf "%a@.%a@." Harness.Scale.pp sr Harness.Traffic.pp ts;
-    if Harness.Traffic.violations ts > 0 || sr.Harness.Scale.sr_violations <> [] then begin
+    let r = Harness.Run.run { d with updates; flows; audit = Some audit } cfg (build ()) in
+    Format.printf "%a@.%a@." Harness.Scale.pp r
+      (Format.pp_print_option Harness.Traffic.pp) r.r_traffic;
+    if not (Harness.Run.ok r) then begin
       Printf.printf "per-packet or structural consistency violations detected\n";
       exit 1
     end
@@ -566,28 +568,29 @@ let traffic_cmd =
 (* --- soak --- *)
 
 let soak_cmd =
+  let cyc = Harness.Soak.default_cycles in
   let cycles_arg =
-    Arg.(value & opt int Harness.Soak.default_config.Harness.Soak.sk_cycles
+    Arg.(value & opt int cyc.cycles
          & info [ "cycles" ] ~docv:"N" ~doc:"Number of soak cycles.")
   in
   let cycle_ms_arg =
-    Arg.(value & opt float Harness.Soak.default_config.Harness.Soak.sk_cycle_ms
+    Arg.(value & opt float cyc.cycle_ms
          & info [ "cycle-ms" ] ~docv:"MS" ~doc:"Length of one cycle (simulated ms).")
   in
   let population_arg =
-    Arg.(value & opt int Harness.Soak.default_config.Harness.Soak.sk_population
+    Arg.(value & opt int Harness.Soak.default_config.flows
          & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flow population.")
   in
   let updates_arg =
-    Arg.(value & opt int Harness.Soak.default_config.Harness.Soak.sk_updates_per_cycle
+    Arg.(value & opt int Harness.Soak.default_config.updates
          & info [ "updates-per-cycle"; "u" ] ~docv:"N" ~doc:"Updates pushed per cycle.")
   in
   let gap_arg =
-    Arg.(value & opt float Harness.Soak.default_config.Harness.Soak.sk_probe_gap_ms
+    Arg.(value & opt float Harness.Soak.default_audit.tw_mean_gap_ms
          & info [ "gap-mean" ] ~docv:"MS" ~doc:"Per-flow mean probe gap (ms).")
   in
   let fault_arg =
-    Arg.(value & opt float Harness.Soak.default_config.Harness.Soak.sk_control_fault_prob
+    Arg.(value & opt float Harness.Soak.default_faults.control_prob
          & info [ "fault-prob" ] ~docv:"P"
              ~doc:"Per-message control-plane fault probability in the window.")
   in
@@ -609,29 +612,26 @@ let soak_cmd =
   in
   let run (name, build) seed cycles cycle_ms population updates gap fault quick verbose
       intent_churn shards obs =
-    let base =
-      if quick then Harness.Soak.quick_config else Harness.Soak.default_config
-    in
+    let cyc = if quick then Harness.Soak.quick_cycles else { cyc with cycles; cycle_ms } in
     let config =
-      if quick then base
+      if quick then Harness.Soak.quick_config
       else
-        { base with
-          Harness.Soak.sk_cycles = cycles; sk_cycle_ms = cycle_ms;
-          sk_population = population; sk_updates_per_cycle = updates;
-          sk_probe_gap_ms = gap; sk_control_fault_prob = fault }
+        { Harness.Soak.default_config with
+          flows = population; updates; pacing = Cycles cyc;
+          audit = Some { Harness.Soak.default_audit with tw_mean_gap_ms = gap };
+          faults = Some { Harness.Soak.default_faults with control_prob = fault } }
     in
     let cfg = cfg_of ~seed ~obs ~intent_churn ~shards () in
     Printf.printf
       "soak run on %s: %d cycles x %.0f ms, %d flows, faults + %s churn + probes (seed %d)\n"
-      name config.Harness.Soak.sk_cycles config.Harness.Soak.sk_cycle_ms
-      config.Harness.Soak.sk_population
+      name cyc.cycles cyc.cycle_ms config.flows
       (if intent_churn then "intent" else "poisson")
       seed;
-    let r = Harness.Soak.run ~config cfg (build ()) in
+    let r = Harness.Run.run config cfg (build ()) in
     Format.printf "%a@." Harness.Soak.pp r;
-    if verbose || not (Harness.Soak.ok r) then
+    if verbose || not (Harness.Run.ok r) then
       List.iter print_endline (Harness.Soak.report_lines r);
-    if not (Harness.Soak.ok r) then begin
+    if not (Harness.Run.ok r) then begin
       Printf.printf "soak SLO breach\n";
       exit 1
     end
@@ -816,22 +816,20 @@ let top_cmd =
          & info [ "cycles" ] ~docv:"N" ~doc:"Override the number of soak cycles.")
   in
   let run (name, build) seed quick cycles shards obs =
-    let base =
-      if quick then Harness.Soak.quick_config else Harness.Soak.default_config
+    let base, cyc =
+      if quick then (Harness.Soak.quick_config, Harness.Soak.quick_cycles)
+      else (Harness.Soak.default_config, Harness.Soak.default_cycles)
     in
-    let config =
-      match cycles with
-      | None -> base
-      | Some n -> { base with Harness.Soak.sk_cycles = n }
-    in
+    let cyc = match cycles with None -> cyc | Some n -> { cyc with cycles = n } in
+    let config = { base with pacing = Cycles cyc } in
     let cfg = cfg_of ~seed ~obs ~live_top:true ~shards () in
     Printf.printf "top: soak on %s, %d cycles x %.0f ms, tick %.0f ms (seed %d)\n%!"
-      name config.Harness.Soak.sk_cycles config.Harness.Soak.sk_cycle_ms
-      (Option.value obs.ob_tick_ms ~default:Harness.Soak.default_tick_ms) seed;
-    let r = Harness.Soak.run ~config cfg (build ()) in
+      name cyc.cycles cyc.cycle_ms
+      (Option.value obs.ob_tick_ms ~default:(Harness.Run.default_tick_ms config)) seed;
+    let r = Harness.Run.run config cfg (build ()) in
     print_newline ();
     Format.printf "%a@." Harness.Soak.pp r;
-    if not (Harness.Soak.ok r) then begin
+    if not (Harness.Run.ok r) then begin
       List.iter print_endline (Harness.Soak.report_lines r);
       exit 1
     end

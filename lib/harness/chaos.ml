@@ -183,7 +183,7 @@ let install_fault_hooks (w : World.t) cfg =
 
 (* 0 .. max element failures, each restored well inside the fault window
    so convergence is expected once the window closes. *)
-let schedule_element_failures (w : World.t) cfg =
+let schedule_element_failures ?(start = 0.0) (w : World.t) cfg =
   let sim = w.World.sim in
   let net = w.World.net in
   let topo = Netsim.topology net in
@@ -195,7 +195,9 @@ let schedule_element_failures (w : World.t) cfg =
     else Sim.uniform_int sim ~bound:(cfg.max_element_failures + 1)
   in
   for _ = 1 to count do
-    let fail_at = 200.0 +. Sim.uniform sim ~bound:(cfg.fault_window_ms -. 1500.0) in
+    let fail_at =
+      start +. 200.0 +. Sim.uniform sim ~bound:(cfg.fault_window_ms -. 1500.0)
+    in
     let restore_at = fail_at +. 300.0 +. Sim.uniform sim ~bound:700.0 in
     if Array.length edges > 0 && Sim.uniform_int sim ~bound:2 = 0 then begin
       let e = edges.(Sim.uniform_int sim ~bound:(Array.length edges)) in

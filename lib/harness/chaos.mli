@@ -112,8 +112,9 @@ val report_line : report -> string
 
 (** {2 Fault-model building blocks}
 
-    Shared with the {!Soak} monitor so both harnesses apply the same
-    Ethernet-FCS corruption model and the same fault distribution. *)
+    Shared with the fault window of {!Run} so every harness applies
+    the same Ethernet-FCS corruption model, fault distribution and
+    element-failure schedule. *)
 
 (** A frame whose payload parses as a {!P4update.Wire.control} message
     (control-typed even when it travels the data plane, like UNMs). *)
@@ -124,3 +125,10 @@ val is_control_frame : bytes -> bool
     packets).  [~downgrade_corrupt] turns Corrupt into Drop — the FCS
     model for control-typed frames. *)
 val draw_verdict : Dessim.Sim.t -> downgrade_corrupt:bool -> Netsim.fault
+
+(** [schedule_element_failures ?start w cfg] schedules 0 to
+    [cfg.max_element_failures] link/node failures (none when the fault
+    window is under 1.5 s), each failing 200 ms or more into the window
+    that opens at [start] (default 0) and restored 0.3–1 s later.
+    Returns how many were scheduled. *)
+val schedule_element_failures : ?start:float -> World.t -> config -> int

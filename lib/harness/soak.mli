@@ -1,4 +1,5 @@
-(** Soak monitor: long-horizon graceful-degradation runs.
+(** Soak monitor: long-horizon graceful-degradation runs — a cycled
+    {!Run} with every monitor on.
 
     Composes the three stress dimensions on one world and keeps them
     running for hours of simulated time, organised in fixed-length
@@ -20,86 +21,33 @@
     DB and the flight table must return to baseline.  After the settle
     tail, no trace anchor may be outstanding and no pushed update may be
     {e stuck} (neither completed, superseded, retired nor aborted).
+    {!Run.ok} is the soak SLO. *)
 
-    Everything random draws from the world's sim RNG: a
-    [Run_config.seed] fully determines the run. *)
+(** 8 cycles of 6 s, then an 8 s settle tail. *)
+val default_cycles : Run.cycles
 
-type config = {
-  sk_cycles : int;
-  sk_cycle_ms : float;          (** cycle length; faults early, drain at the end *)
-  sk_population : int;          (** constant concurrent-flow population *)
-  sk_updates_per_cycle : int;
-  sk_burst : int;               (** updates per arrival burst *)
-  sk_arrival_mean_ms : float;   (** Poisson mean between bursts *)
-  sk_churn_per_cycle : int;     (** flows retired + re-admitted per cycle *)
-  sk_control_fault_prob : float;(** per-message fault probability in the window *)
-  sk_fault_window_ms : float;   (** fault window at the start of each cycle *)
-  sk_element_failures : int;    (** max scheduled link/node failures per cycle *)
-  sk_probe_gap_ms : float;      (** per-flow mean probe gap *)
-  sk_probe_window_ms : float;   (** probe injection window per cycle *)
-  sk_flow_size : int;
-  sk_watchdog_ms : float;
-  sk_deadline_ms : float option;(** operator deadline → abort ([None]: retries only) *)
-  sk_settle_tail_ms : float;    (** extra horizon after the last cycle *)
-}
+(** Probes at a 1 ms mean gap for the first 4 s of each cycle. *)
+val default_audit : Traffic.workload
 
-(** ~1.28M expected probe packets: 8 cycles × 40 flows × 4 s probe
-    windows at a 1 ms mean gap. *)
-val default_config : config
+(** 5% control-frame faults in a 2.5 s window, up to 2 element failures
+    and a 1.5 s operator deadline. *)
+val default_faults : Run.faults
+
+(** ~1.28M expected probe packets: 40 flows, 48 updates per cycle in
+    bursts of 4, 2 churned per cycle, probes every 500 ms, with
+    {!default_cycles}, {!default_audit} and {!default_faults}. *)
+val default_config : Run.workload
+
+(** 3 cycles of 4 s, then a 6 s settle tail. *)
+val quick_cycles : Run.cycles
 
 (** A CI-sized run (tens of thousands of probes) with every mechanism
     still exercised. *)
-val quick_config : config
+val quick_config : Run.workload
 
-(** Rolling SLO window length (simulated ms) when [Run_config.tick_ms]
-    is not set. *)
-val default_tick_ms : float
-
-(** Per-cycle leak reading, taken at the boundary after the drain. *)
-type cycle = {
-  cy_index : int;
-  cy_injected : int;        (** cumulative probes injected so far *)
-  cy_pending_events : int;  (** [Sim.pending]: event-heap footprint *)
-  cy_flows : int;           (** Flow DB size (must equal the population) *)
-  cy_in_flight : int;       (** traffic flight table after the drain *)
-  cy_violations : int;      (** cumulative invariant violations *)
-}
-
-type result = {
-  so_topology : string;
-  so_cycles : cycle list;   (** chronological *)
-  so_sim_ms : float;
-  so_wall_s : float;
-  so_events : int;
-  so_updates_pushed : int;
-  so_updates_completed : int;
-  so_churned : int;
-  so_element_failures : int;
-  so_recovery : P4update.Controller.recovery_stats;
-  so_withdrawals : int;     (** switch-side WDMs that discarded staged state *)
-  so_upd_p50_ms : float;    (** update completion percentiles *)
-  so_upd_p99_ms : float;
-  so_stuck : (int * int) list; (** unresolved (flow, version) after the tail *)
-  so_leaks : string list;      (** leak / monotonicity breaches *)
-  so_violations : Invariants.violation list;
-  so_traffic : Traffic.summary;
-  so_series : Obs.Timeseries.window list;
-      (** rolling SLO windows (one per [Run_config.tick_ms], default
-          0.5 s simulated): probe and completion rates, update-latency
-          p50/p99, in-flight updates, recovery activity, heap footprint *)
-}
-
-(** The soak SLO: zero invariant violations, zero probe-audit violations
-    (excused blackholes aside), zero stuck updates, zero leaks. *)
-val ok : result -> bool
-
-(** [run ?config cfg topo] executes the soak on [topo], seeded from
-    [cfg.Run_config.seed].  Deterministic except the wall-clock fields. *)
-val run : ?config:config -> Run_config.t -> Topo.Topologies.t -> result
-
-val pp : Format.formatter -> result -> unit
+val pp : Format.formatter -> Run.result -> unit
 
 (** One line per cycle reading, plus one line per stuck update, leak and
     invariant violation, plus one sparkline trend per SLO metric — the
     CLI's machine-greppable breach report. *)
-val report_lines : result -> string list
+val report_lines : Run.result -> string list

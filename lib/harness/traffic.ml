@@ -329,8 +329,8 @@ let attach ?(workload = default_workload) (w : World.t) =
   (* Subscribe to every controller push — explicit caller pushes AND the
      recovery loop's internal reroutes/resyncs — so the version history
      never misses a path the plane is switching to.  record_version is
-     idempotent per version, so callers that also report pushes through
-     the Scale hooks cost nothing extra. *)
+     idempotent per version, so callers that also report pushes cost
+     nothing extra. *)
   Control.Plane.on_push w.World.plane (fun ~flow_id ~version ->
       note_pushed t ~flow_id ~version);
   t
@@ -345,12 +345,6 @@ let inject_until t ~stop_ms =
   start t
 
 let note_admitted t ~flow_id = start_flow t flow_id
-
-let scale_hooks t =
-  {
-    Scale.h_admitted = (fun ~flow_id -> note_admitted t ~flow_id);
-    Scale.h_pushed = (fun ~flow_id ~version -> note_pushed t ~flow_id ~version);
-  }
 
 (* ---- classification -------------------------------------------------- *)
 
@@ -473,23 +467,6 @@ let finalize ?(wall_s = 0.0) t =
     ts_pkts_per_s = (if wall_s > 0.0 then float_of_int injected /. wall_s else 0.0);
     ts_digest = t.acc_digest;
   }
-
-(* ---- combined runner: traffic racing the scale engine ---------------- *)
-
-let run_scale ?scale_workload ?(workload = default_workload) (cfg : Run_config.t) topo =
-  let engine = ref None in
-  let hooks w =
-    let t = attach ~workload w in
-    start t;
-    engine := Some t;
-    scale_hooks t
-  in
-  let started = Dessim.Wallclock.now_s () in
-  let sr = Scale.run ?workload:scale_workload ~hooks cfg topo in
-  let wall_s = Dessim.Wallclock.elapsed_s ~since:started in
-  match !engine with
-  | Some t -> (sr, finalize ~wall_s t)
-  | None -> assert false (* Scale.run always calls the hooks factory *)
 
 let pp ppf s =
   Format.fprintf ppf

@@ -88,9 +88,6 @@ val note_pushed : t -> flow_id:int -> version:int -> unit
 (** Record a newly admitted flow and arm its injector. *)
 val note_admitted : t -> flow_id:int -> unit
 
-(** The engine's hooks in {!Scale.run} form. *)
-val scale_hooks : t -> Scale.hooks
-
 (** Classify and retire every packet injected so far, folding it into
     the running totals that {!finalize} reports.  Call at quiet instants
     only (the plane drained, so every such packet is terminal); the
@@ -111,14 +108,5 @@ val in_flight : t -> int
     undelivered packets classify as [Blackhole].  [wall_s] (when the
     caller timed the run) prices [ts_pkts_per_s]. *)
 val finalize : ?wall_s:float -> t -> summary
-
-(** [run_scale ?scale_workload ?workload cfg topo] races probe traffic
-    against the Scale engine's update bursts on [topo]: one world, the
-    update workload from [scale_workload] and sustained traffic from
-    [workload], both seeded from [cfg].  Returns the scale result and
-    the traffic audit. *)
-val run_scale :
-  ?scale_workload:Scale.workload -> ?workload:workload -> Run_config.t ->
-  Topo.Topologies.t -> Scale.result * summary
 
 val pp : Format.formatter -> summary -> unit

@@ -19,6 +19,9 @@ val to_string : t -> string
     [3.000000]); NaN renders as [null]; object keys keep their given
     order. *)
 
+val float_repr : float -> string
+(** The rendering {!to_string} gives a non-NaN [Float]. *)
+
 exception Parse_error of string
 (** Raised by {!of_string} with a message and byte offset. *)
 

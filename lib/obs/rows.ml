@@ -187,6 +187,12 @@ let judge ~baseline ~current =
   in
   { vd_name = baseline.r_name; vd_ok = ok; vd_line = line }
 
+(* The value a rows file holds for [v]: [write] keeps six decimals, so a
+   baseline read back from disk says 8.611111 where the run computed
+   8.6111111...  Judging live rows at that precision makes the
+   in-process gate agree with the file-to-file one. *)
+let stored v = if Float.is_nan v then v else float_of_string (Json.float_repr v)
+
 (* Compare current rows against a pinned baseline.  Every baseline row
    must be present in the current run (a silently vanished metric is a
    failure, not a pass); rows only the current run has are ignored —
@@ -196,7 +202,7 @@ let check ~baseline ~current =
     List.map
       (fun b ->
         match List.find_opt (fun c -> c.r_name = b.r_name) current with
-        | Some c -> judge ~baseline:b ~current:c
+        | Some c -> judge ~baseline:b ~current:{ c with r_value = stored c.r_value }
         | None ->
           {
             vd_name = b.r_name;

@@ -60,7 +60,9 @@ val check : baseline:row list -> current:row list -> bool * verdict list
     failure, not a pass); rows only the current run has are ignored —
     adding metrics must not break the gate.  Per-row band =
     tolerance x max(|baseline|, unit floor), judged in the row's
-    direction. *)
+    direction.  Current values are judged at the precision {!write}
+    stores, so checking live rows and checking their written file give
+    the same verdicts. *)
 
 val report_lines : baseline_path:string -> verdict list -> string list
 (** Summary line followed by one indented judgement line per verdict. *)

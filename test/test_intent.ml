@@ -352,12 +352,8 @@ let drain_burst_audit () =
 
 (* ---- seeded drain-storm determinism ----------------------------------- *)
 
-let scale_digest (r : Harness.Scale.result) =
-  ( r.Harness.Scale.sr_updates_pushed,
-    r.Harness.Scale.sr_updates_completed,
-    r.Harness.Scale.sr_churned,
-    r.Harness.Scale.sr_bursts,
-    List.length r.Harness.Scale.sr_completion_ms )
+let scale_digest (r : Harness.Run.result) =
+  (r.r_pushed, r.r_completed, r.r_churned, r.r_bursts, List.length r.r_completion_ms)
 
 let digest_t = Alcotest.(pair (pair int int) (pair int (pair int int)))
 let flat (a, b, c, d, e) = ((a, b), (c, (d, e)))
@@ -369,33 +365,30 @@ let intent_scale_deterministic () =
   let wl =
     {
       Harness.Scale.default_workload with
-      wl_updates = 80;
-      wl_flows = 16;
-      wl_arrival_mean_ms = 8.0;
-      wl_horizon_ms = 120_000.0;
+      updates = 80;
+      flows = 16;
+      arrival_mean_ms = 8.0;
+      pacing = Harness.Run.Open 120_000.0;
     }
   in
-  let r1 = Harness.Scale.run ~workload:wl cfg (Topo.Topologies.b4 ()) in
-  let r2 = Harness.Scale.run ~workload:wl cfg (Topo.Topologies.b4 ()) in
+  let r1 = Harness.Run.run wl cfg (Topo.Topologies.b4 ()) in
+  let r2 = Harness.Run.run wl cfg (Topo.Topologies.b4 ()) in
   check digest_t "same seed, same run" (flat (scale_digest r1))
     (flat (scale_digest r2));
   check Alcotest.int "no invariant violations" 0
-    (List.length r1.Harness.Scale.sr_violations);
-  check bool "drain storm pushed updates" true
-    (r1.Harness.Scale.sr_updates_pushed > 0);
-  check bool "updates completed" true
-    (r1.Harness.Scale.sr_updates_completed > 0)
+    (List.length r1.r_violations);
+  check bool "drain storm pushed updates" true (r1.r_pushed > 0);
+  check bool "updates completed" true (r1.r_completed > 0)
 
 let soak_intent_quick () =
   let cfg =
     Harness.Run_config.make ~seed:3 ~recorder:false ~intent_churn:true ()
   in
   let r =
-    Harness.Soak.run ~config:Harness.Soak.quick_config cfg
-      (Topo.Topologies.b4 ())
+    Harness.Run.run Harness.Soak.quick_config cfg (Topo.Topologies.b4 ())
   in
-  check Alcotest.(list string) "no leaks" [] r.Harness.Soak.so_leaks;
-  check bool "soak SLO holds under intent churn" true (Harness.Soak.ok r)
+  check Alcotest.(list string) "no leaks" [] r.r_leaks;
+  check bool "soak SLO holds under intent churn" true (Harness.Run.ok r)
 
 let suite =
   [

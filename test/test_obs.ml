@@ -316,8 +316,22 @@ let test_phase_breakdown () =
   Alcotest.(check bool) "renders" true
     (String.length (Harness.Traced.render_phases r.Harness.Traced.tr_phases) > 0)
 
+(* The gate judges a live value at the precision a rows file keeps: a
+   band-0 count of 155/18 (8.6111...) matches its written baseline
+   8.611111, while a real difference in the sixth decimal still fails. *)
+let test_rows_check_stored_precision () =
+  let module Rows = Obs.Rows in
+  let baseline = [ Rows.row "intent/recompiled_per_event" "count" 8.611111 ] in
+  let live v = [ Rows.row "intent/recompiled_per_event" "count" v ] in
+  Alcotest.(check bool) "live value at stored precision passes" true
+    (fst (Rows.check ~baseline ~current:(live (155.0 /. 18.0))));
+  Alcotest.(check bool) "sixth-decimal drift fails" false
+    (fst (Rows.check ~baseline ~current:(live 8.611112)))
+
 let suite =
   [
+    Alcotest.test_case "rows gate judges at stored precision" `Quick
+      test_rows_check_stored_precision;
     Alcotest.test_case "span nesting & causality" `Quick test_span_nesting;
     Alcotest.test_case "disabled & filtered are no-ops" `Quick test_disabled_and_filtered;
     Alcotest.test_case "anchors" `Quick test_anchors;

@@ -421,10 +421,14 @@ let test_recorder_soak_determinism () =
     let r = Recorder.create () in
     Recorder.install r;
     let cfg = Harness.Run_config.make ~seed:11 () in
-    let config = { Harness.Soak.quick_config with Harness.Soak.sk_cycles = 1 } in
+    let config =
+      { Harness.Soak.quick_config with
+        Harness.Run.pacing =
+          Harness.Run.Cycles { Harness.Soak.quick_cycles with cycles = 1 } }
+    in
     let result =
       Fun.protect ~finally:Recorder.uninstall (fun () ->
-          Harness.Soak.run ~config cfg (Topo.Topologies.fig1 ()))
+          Harness.Run.run config cfg (Topo.Topologies.fig1 ()))
     in
     (result, Recorder.total r, Recorder.events r)
   in
@@ -437,10 +441,9 @@ let test_recorder_soak_determinism () =
       Alcotest.(check (float 0.0)) "same ts" a.Recorder.ev_ts b.Recorder.ev_ts;
       Alcotest.(check int) "same kind" a.Recorder.ev_kind b.Recorder.ev_kind)
     e1 e2;
-  Alcotest.(check int) "same updates completed" r1.Harness.Soak.so_updates_completed
-    r2.Harness.Soak.so_updates_completed;
-  Alcotest.(check int) "same series windows" (List.length r1.Harness.Soak.so_series)
-    (List.length r2.Harness.Soak.so_series)
+  Alcotest.(check int) "same updates completed" r1.Harness.Run.r_completed r2.r_completed;
+  Alcotest.(check int) "same series windows" (List.length r1.r_series)
+    (List.length r2.r_series)
 
 let suite =
   [

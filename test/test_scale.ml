@@ -277,30 +277,26 @@ let test_trace_digest () =
 
 let small_workload =
   { Harness.Scale.default_workload with
-    Harness.Scale.wl_updates = 120; wl_flows = 30; wl_probe_every = 10 }
+    Harness.Run.updates = 120; flows = 30; probe = Harness.Run.Every_bursts 10 }
 
 let test_scale_runs () =
   let cfg = Harness.Run_config.make ~seed:11 () in
-  let r = Harness.Scale.run ~workload:small_workload cfg (Topo.Topologies.attmpls ()) in
-  Alcotest.(check int) "all updates pushed" 120 r.Harness.Scale.sr_updates_pushed;
+  let r = Harness.Run.run small_workload cfg (Topo.Topologies.attmpls ()) in
+  Alcotest.(check int) "all updates pushed" 120 r.r_pushed;
   Alcotest.(check bool) "most updates completed (rest overtaken by skip-ahead)" true
-    (r.Harness.Scale.sr_updates_completed > 85);
-  Alcotest.(check int) "no invariant violations" 0
-    (List.length r.Harness.Scale.sr_violations);
-  Alcotest.(check bool) "probes ran" true (r.Harness.Scale.sr_probes > 0);
-  Alcotest.(check bool) "percentiles ordered" true
-    (r.Harness.Scale.sr_p50_ms <= r.Harness.Scale.sr_p99_ms)
+    (r.r_completed > 85);
+  Alcotest.(check int) "no invariant violations" 0 (List.length r.r_violations);
+  Alcotest.(check bool) "probes ran" true (r.r_probes > 0);
+  Alcotest.(check bool) "percentiles ordered" true (r.r_p50_ms <= r.r_p99_ms)
 
 let test_scale_deterministic () =
   let cfg = Harness.Run_config.make ~seed:11 () in
-  let run () = Harness.Scale.run ~workload:small_workload cfg (Topo.Topologies.chinanet ()) in
+  let run () = Harness.Run.run small_workload cfg (Topo.Topologies.chinanet ()) in
   let a = run () and b = run () in
-  Alcotest.(check int) "completed" a.Harness.Scale.sr_updates_completed
-    b.Harness.Scale.sr_updates_completed;
-  Alcotest.(check int) "events" a.Harness.Scale.sr_events b.Harness.Scale.sr_events;
-  Alcotest.(check (float 0.0)) "sim time" a.Harness.Scale.sr_sim_ms
-    b.Harness.Scale.sr_sim_ms;
-  Alcotest.(check (float 0.0)) "p99" a.Harness.Scale.sr_p99_ms b.Harness.Scale.sr_p99_ms
+  Alcotest.(check int) "completed" a.r_completed b.r_completed;
+  Alcotest.(check int) "events" a.r_events b.r_events;
+  Alcotest.(check (float 0.0)) "sim time" a.r_sim_ms b.r_sim_ms;
+  Alcotest.(check (float 0.0)) "p99" a.r_p99_ms b.r_p99_ms
 
 (* --- Run_config glue ------------------------------------------------- *)
 

@@ -187,40 +187,51 @@ let test_permanent_partition_aborts_and_reverts () =
 let smoke_config =
   {
     Harness.Soak.quick_config with
-    Harness.Soak.sk_cycles = 2;
-    sk_cycle_ms = 3_000.0;
-    sk_population = 10;
-    sk_updates_per_cycle = 12;
-    sk_probe_gap_ms = 4.0;
-    sk_probe_window_ms = 1_500.0;
-    sk_settle_tail_ms = 5_000.0;
+    Harness.Run.flows = 10;
+    updates = 12;
+    pacing = Harness.Run.Cycles { cycles = 2; cycle_ms = 3_000.0; tail_ms = 5_000.0 };
+    audit =
+      Some
+        { Harness.Traffic.default_workload with
+          tw_mean_gap_ms = 4.0; tw_stop_ms = 1_500.0 };
   }
 
 let run_smoke () =
-  Harness.Soak.run ~config:smoke_config
-    (Harness.Run_config.make ~seed:11 ())
-    (Topo.Topologies.b4 ())
+  Harness.Run.run smoke_config (Harness.Run_config.make ~seed:11 ()) (Topo.Topologies.b4 ())
+
+let injected (r : Harness.Run.result) = (Option.get r.r_traffic).Harness.Traffic.ts_injected
 
 let test_soak_smoke_green () =
   let r = run_smoke () in
-  Alcotest.(check bool) "SLO holds" true (Harness.Soak.ok r);
-  Alcotest.(check int) "no stuck update" 0 (List.length r.Harness.Soak.so_stuck);
-  Alcotest.(check int) "no leak" 0 (List.length r.Harness.Soak.so_leaks);
-  Alcotest.(check bool) "probes actually flowed" true
-    (r.Harness.Soak.so_traffic.Harness.Traffic.ts_injected > 5_000);
-  Alcotest.(check bool) "updates actually pushed" true
-    (r.Harness.Soak.so_updates_pushed > 0)
+  Alcotest.(check bool) "SLO holds" true (Harness.Run.ok r);
+  Alcotest.(check int) "no stuck update" 0 (List.length r.r_stuck);
+  Alcotest.(check int) "no leak" 0 (List.length r.r_leaks);
+  Alcotest.(check bool) "probes actually flowed" true (injected r > 5_000);
+  Alcotest.(check bool) "updates actually pushed" true (r.r_pushed > 0)
 
 let test_soak_smoke_deterministic () =
   let a = run_smoke () and b = run_smoke () in
-  Alcotest.(check int) "same event count" a.Harness.Soak.so_events
-    b.Harness.Soak.so_events;
+  Alcotest.(check int) "same event count" a.r_events b.r_events;
   Alcotest.(check int) "same traffic digest"
-    a.Harness.Soak.so_traffic.Harness.Traffic.ts_digest
-    b.Harness.Soak.so_traffic.Harness.Traffic.ts_digest;
-  Alcotest.(check int) "same injected count"
-    a.Harness.Soak.so_traffic.Harness.Traffic.ts_injected
-    b.Harness.Soak.so_traffic.Harness.Traffic.ts_injected
+    (Option.get a.r_traffic).Harness.Traffic.ts_digest
+    (Option.get b.r_traffic).Harness.Traffic.ts_digest;
+  Alcotest.(check int) "same injected count" (injected a) (injected b)
+
+(* Churn must never re-admit a retired flow id.  Ids are pair hashes
+   masked into the flow space, so a fresh pair can carry a retired id;
+   admitted at version 1 over the retired flow's higher-version switch
+   state, it left an update stuck and probes on mixed paths.  Keying the
+   never-reuse set by pair (not id) failed this run. *)
+let test_churn_never_reuses_flow_ids () =
+  let r =
+    Harness.Run.run
+      { Harness.Soak.quick_config with churn = Harness.Run.Per_cycle 6 }
+      (Harness.Run_config.make ~seed:3 ()) (Topo.Topologies.b4 ())
+  in
+  Alcotest.(check int) "no stuck update" 0 (List.length r.r_stuck);
+  Alcotest.(check int) "no audit violation" 0
+    (Harness.Traffic.violations (Option.get r.r_traffic));
+  Alcotest.(check bool) "SLO holds" true (Harness.Run.ok r)
 
 let suite =
   [
@@ -235,4 +246,6 @@ let suite =
     Alcotest.test_case "soak smoke meets the SLO" `Quick test_soak_smoke_green;
     Alcotest.test_case "soak smoke is seed-deterministic" `Quick
       test_soak_smoke_deterministic;
+    Alcotest.test_case "churn never re-admits a retired flow id" `Quick
+      test_churn_never_reuses_flow_ids;
   ]

@@ -6,20 +6,20 @@
 module Sim = Dessim.Sim
 module Graph = Topo.Graph
 module Topologies = Topo.Topologies
+module Run = Harness.Run
 module Scale = Harness.Scale
 module Traffic = Harness.Traffic
 module Stats = Harness.Stats
 module World = Harness.World
 
 let small_scale =
-  { Scale.default_workload with Scale.wl_updates = 120; wl_flows = 30 }
-
-let small_traffic = { Traffic.default_workload with Traffic.tw_stop_ms = 250.0 }
+  { Scale.default_workload with
+    Run.updates = 120; flows = 30;
+    audit = Some { Traffic.default_workload with tw_stop_ms = 250.0 } }
 
 let run_small seed =
-  let cfg = Harness.Run_config.make ~seed () in
-  Traffic.run_scale ~scale_workload:small_scale ~workload:small_traffic cfg
-    (Topologies.attmpls ())
+  let r = Run.run small_scale (Harness.Run_config.make ~seed ()) (Topologies.attmpls ()) in
+  (r, Option.get r.r_traffic)
 
 (* Satellite 1: kernel run stats measure monotonic wall time.  Under the
    old [Sys.time] (CPU time) implementation a sleeping run was billed as
@@ -47,7 +47,7 @@ let test_retime_prep_pure () =
   in
   let before = P4update.Controller.fingerprint w.World.controller in
   let rate =
-    Scale.retime_prep w
+    Run.retime_prep w
       [ (f.P4update.Controller.flow_id, Topologies.fig1_new_path) ]
   in
   let after = P4update.Controller.fingerprint w.World.controller in
@@ -77,16 +77,16 @@ let test_alt_paths_needs_two () =
    under-fill is recorded rather than silently shrinking the workload. *)
 let test_underfill_recorded () =
   let wl =
-    { Scale.default_workload with Scale.wl_updates = 16; wl_flows = 2;
-      wl_burst = 8; wl_churn = 0.0 }
+    { Scale.default_workload with Run.updates = 16; flows = 2; burst = 8;
+      churn = Run.Per_burst 0.0 }
   in
   let cfg = Harness.Run_config.make ~seed:5 () in
-  let r = Scale.run ~workload:wl cfg (Topologies.attmpls ()) in
+  let r = Run.run wl cfg (Topologies.attmpls ()) in
   Alcotest.(check bool)
-    (Printf.sprintf "under-fill recorded (%d bursts, %d underfilled)"
-       r.Scale.sr_bursts r.Scale.sr_underfilled)
+    (Printf.sprintf "under-fill recorded (%d bursts, %d underfilled)" r.r_bursts
+       r.r_underfilled)
     true
-    (r.Scale.sr_underfilled > 0)
+    (r.r_underfilled > 0)
 
 (* Satellite 4: percentile validates p before looking at the data, so a
    bogus p on an empty series is an error, not a silent [None]. *)
@@ -117,11 +117,11 @@ let test_deterministic () =
    see zero mixed/loop/blackhole packets, and nothing is lost. *)
 let test_zero_violations () =
   let sr, ts = run_small 9 in
-  Alcotest.(check bool) "updates actually raced" true (sr.Scale.sr_updates_pushed > 50);
+  Alcotest.(check bool) "updates actually raced" true (sr.Run.r_pushed > 50);
   Alcotest.(check bool) "enough probes" true (ts.Traffic.ts_injected > 1000);
   Alcotest.(check int) "all delivered" ts.Traffic.ts_injected ts.Traffic.ts_delivered;
   Alcotest.(check int) "no audit violations" 0 (Traffic.violations ts);
-  Alcotest.(check int) "scale invariants hold" 0 (List.length sr.Scale.sr_violations)
+  Alcotest.(check int) "scale invariants hold" 0 (List.length sr.Run.r_violations)
 
 (* Chaos integration: traffic is opt-in and rides the degraded run; with
    the fault schedule turned off the audit is clean end to end. *)
