@@ -110,10 +110,10 @@ let partition_deterministic =
    primary shortest path and an alternative avoiding the primary's
    middle edge; pushed through the plane as one burst while the auditor
    races probes through it. *)
-let fat_tree_specs topo count =
+let fat_tree_specs ?(seed = 0xca11) topo count =
   let g = topo.Topologies.graph in
   let n = Graph.node_count g in
-  let rng = Random.State.make [| 0xca11 |] in
+  let rng = Random.State.make [| seed |] in
   let seen = Hashtbl.create 64 in
   let specs = ref [] and made = ref 0 in
   while !made < count do
@@ -137,9 +137,7 @@ let fat_tree_specs topo count =
   done;
   List.rev !specs
 
-let sharded_workload ~shards ~audit () =
-  let topo = Topologies.fat_tree () in
-  let specs = fat_tree_specs topo 40 in
+let sharded_run ~shards ~audit ~topo ~specs ~warm_ms ~stop_ms =
   let w = World.make ~seed:42 ~shards topo in
   List.iteri
     (fun i (src, dst, primary, _) ->
@@ -151,9 +149,9 @@ let sharded_workload ~shards ~audit () =
   Option.iter
     (fun tr ->
       Harness.Traffic.start tr;
-      Harness.Traffic.inject_until tr ~stop_ms:300.0)
+      Harness.Traffic.inject_until tr ~stop_ms)
     tr;
-  ignore (World.run ~until:30.0 w);
+  ignore (World.run ~until:warm_ms w);
   let prepared = Plane.prepare_batch w.World.plane requests in
   List.iter
     (fun (p : P4update.Controller.prepared) ->
@@ -165,15 +163,24 @@ let sharded_workload ~shards ~audit () =
       Plane.push w.World.plane p)
     prepared;
   ignore (World.run w);
-  let audit_violations =
+  let audited, audit_violations =
     match tr with
-    | None -> 0
+    | None -> (0, 0)
     | Some tr ->
       Harness.Traffic.drain tr;
-      Harness.Traffic.violations (Harness.Traffic.finalize tr)
+      let ts = Harness.Traffic.finalize tr in
+      (ts.Harness.Traffic.ts_injected, Harness.Traffic.violations ts)
   in
   Harness.Invariants.check_structural monitor (World.flows w);
-  (w, List.length prepared, audit_violations, Harness.Invariants.violations monitor)
+  (w, List.length prepared, audited, audit_violations, Harness.Invariants.violations monitor)
+
+let sharded_workload ~shards ~audit () =
+  let topo = Topologies.fat_tree () in
+  let w, pushed, _, audit_violations, structural =
+    sharded_run ~shards ~audit ~topo ~specs:(fat_tree_specs topo 40) ~warm_ms:30.0
+      ~stop_ms:300.0
+  in
+  (w, pushed, audit_violations, structural)
 
 let test_cross_shard_audit () =
   List.iter
@@ -197,6 +204,34 @@ let test_cross_shard_audit () =
           | Some pt -> Partition.domains pt
           | None -> 0))
     [ 1; 2; 4 ]
+
+(* The larger audit leg, pinned: 150 flows on the K=16 fat-tree.  Every
+   shard count audits the same probes; the coordinator routes every
+   update and stitches the cross-domain ones. *)
+let test_cross_shard_audit_pins () =
+  let topo = Topologies.fat_tree ~k:16 () in
+  let specs = fat_tree_specs ~seed:0x5eed topo 150 in
+  List.iter
+    (fun (shards, cross) ->
+      let w, pushed, audited, audit, structural =
+        sharded_run ~shards ~audit:true ~topo ~specs ~warm_ms:50.0 ~stop_ms:400.0
+      in
+      let at what = Printf.sprintf "%s at shards=%d" what shards in
+      Alcotest.(check int) (at "updates") 150 pushed;
+      Alcotest.(check int) (at "audited") 23954 audited;
+      Alcotest.(check int) (at "violations") 0 (audit + List.length structural);
+      if shards > 1 then begin
+        let reg = Netsim.metrics w.World.net in
+        let total metric =
+          List.fold_left
+            (fun acc i ->
+              acc + Obs.Metrics.get_count reg (Printf.sprintf "shard.%d.%s" i metric))
+            0 (List.init shards Fun.id)
+        in
+        Alcotest.(check int) (at "routed") 150 (total "routed");
+        Alcotest.(check int) (at "cross-domain") cross (total "cross")
+      end)
+    [ (1, 0); (2, 40); (4, 67) ]
 
 (* At shards > 1 some flows cross domains; the coordinator must stitch
    those with a DL label (version downgrade at the gateway) unless the
@@ -258,6 +293,8 @@ let suite =
   @ [
       Alcotest.test_case "cross-shard updates audited at shards 1/2/4" `Slow
         test_cross_shard_audit;
+      Alcotest.test_case "cross-shard audit on the K=16 fat-tree pinned" `Slow
+        test_cross_shard_audit_pins;
       Alcotest.test_case "cross-domain flows stitched with DL labels" `Quick
         test_cross_domain_stitching;
       Alcotest.test_case "plane fingerprints deterministic (pins)" `Quick

@@ -380,6 +380,73 @@ let intent_scale_deterministic () =
   check bool "drain storm pushed updates" true (r1.r_pushed > 0);
   check bool "updates completed" true (r1.r_completed > 0)
 
+(* ---- pins: the compiler's drain footprint and an intent-churn run ----- *)
+
+(* A drawn 24-intent program on B4: drain then undrain every link its
+   members use; the totals are pure functions of the seed. *)
+let compiler_footprint_pins () =
+  let w = World.make ~seed:7 (Topo.Topologies.b4 ()) in
+  let g = Netsim.graph w.World.net in
+  let profile = { Harness.Intent_churn.default_profile with ip_flows = 24 } in
+  let ic = Harness.Intent_churn.create ~profile w in
+  let program = Harness.Intent_churn.program ic in
+  let flows = List.length program.Lang.flows in
+  check Alcotest.int "flows" 24 flows;
+  check Alcotest.int "members" 36 (Harness.Intent_churn.members ic);
+  let comp = Compiler.create g program in
+  let used = Hashtbl.create 64 in
+  List.iter
+    (fun (_, members) ->
+      List.iter
+        (fun path ->
+          let rec walk = function
+            | a :: (b :: _ as rest) ->
+              Hashtbl.replace used (Lang.ekey a b) ();
+              walk rest
+            | _ -> ()
+          in
+          walk path)
+        members)
+    (Compiler.assignment comp);
+  let links = Hashtbl.fold (fun k () acc -> k :: acc) used [] |> List.sort compare in
+  let events = ref 0 and recomputed = ref 0 and changed = ref 0 and max_diff = ref 0 in
+  List.iter
+    (fun (u, v) ->
+      List.iter
+        (fun ev ->
+          let d = Compiler.apply comp ev in
+          incr events;
+          recomputed := !recomputed + d.Compiler.d_recomputed;
+          changed := !changed + List.length d.Compiler.d_changes;
+          max_diff := max !max_diff d.Compiler.d_recomputed)
+        [ Compiler.Drain (u, v); Compiler.Undrain (u, v) ])
+    links;
+  check Alcotest.int "drain/undrain events" 36 !events;
+  check Alcotest.int "recomputed" 310 !recomputed;
+  check Alcotest.int "changed" 186 !changed;
+  check Alcotest.int "max diff" 15 !max_diff;
+  check bool "largest diff below a full recompile" true (!max_diff < flows)
+
+let intent_churn_run_pins () =
+  let cfg = Harness.Run_config.make ~seed:5 ~recorder:false ~intent_churn:true () in
+  let wl =
+    {
+      Harness.Scale.default_workload with
+      updates = 200;
+      flows = 24;
+      arrival_mean_ms = 8.0;
+      pacing = Harness.Run.Open 600_000.0;
+    }
+  in
+  let r = Harness.Run.run wl cfg (Topo.Topologies.b4 ()) in
+  check Alcotest.int "pushed" 204 r.r_pushed;
+  check Alcotest.int "completed" 87 r.r_completed;
+  check Alcotest.int "events" 3196 r.r_events;
+  check Alcotest.int "bursts" 26 r.r_bursts;
+  check Alcotest.int "churned" 28 r.r_churned;
+  check (Alcotest.float 1e-6) "p99" 274.381738 r.r_p99_ms;
+  check Alcotest.int "violations" 0 (List.length r.r_violations)
+
 let soak_intent_quick () =
   let cfg =
     Harness.Run_config.make ~seed:3 ~recorder:false ~intent_churn:true ()
@@ -405,4 +472,6 @@ let suite =
     Alcotest.test_case "seeded drain storm is deterministic" `Quick
       intent_scale_deterministic;
     Alcotest.test_case "soak holds under intent churn" `Quick soak_intent_quick;
+    Alcotest.test_case "compiler drain footprint pinned" `Quick compiler_footprint_pins;
+    Alcotest.test_case "intent-churn run pinned" `Quick intent_churn_run_pins;
   ]

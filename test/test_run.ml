@@ -1,7 +1,9 @@
 (* The burst-run loop.
 
    - Pins: the scale, traffic and soak runs are pure functions of their
-     seed, so their deterministic outputs are pinned to literals here.
+     seed, so their deterministic outputs are pinned to literals here:
+     counts, violations, simulated-ms percentiles, digests, the soak's
+     cycle-boundary leak readings and the flight recorder's note count.
      Same-seed repeats only prove a run is reproducible; these pins
      prove it is unchanged, so a change to the run loop that shifts one
      RNG draw or one event fails here.
@@ -22,8 +24,8 @@ let ms = Alcotest.(check (float 1e-6))
 
 let scale_workload = { Scale.default_workload with Run.updates = 200; flows = 50 }
 
-let scale_run ?(intent_churn = false) () =
-  Run.run scale_workload (Run_config.make ~seed:42 ~intent_churn ()) (Topologies.attmpls ())
+let scale_run ?(intent_churn = false) ?recorder ?(topo = Topologies.attmpls) () =
+  Run.run scale_workload (Run_config.make ~seed:42 ~intent_churn ?recorder ()) (topo ())
 
 let check_scale (r : Run.result) ~pushed ~completed ~events ~bursts ~churned ~p50 ~p99 =
   int "pushed" pushed r.r_pushed;
@@ -32,30 +34,66 @@ let check_scale (r : Run.result) ~pushed ~completed ~events ~bursts ~churned ~p5
   int "bursts" bursts r.r_bursts;
   int "churned" churned r.r_churned;
   ms "p50" p50 r.r_p50_ms;
-  ms "p99" p99 r.r_p99_ms
+  ms "p99" p99 r.r_p99_ms;
+  int "violations" 0 (List.length r.r_violations)
+
+(* The flight recorder's cost is its note count, exact for a seed.
+   Recording never perturbs the schedule, so the run without a recorder
+   is the same run. *)
+let scale_pins ?recorder r =
+  check_scale r ~pushed:200 ~completed:162 ~events:3040 ~bursts:25 ~churned:2
+    ~p50:193.285595 ~p99:216.030560;
+  Option.iter (fun fr -> int "recorder notes" 1321 (Obs.Flight_recorder.total fr)) recorder
 
 let test_scale_pins () =
-  check_scale (scale_run ()) ~pushed:200 ~completed:162 ~events:3040 ~bursts:25 ~churned:2
-    ~p50:193.285595 ~p99:216.030560
+  let recorder = Obs.Flight_recorder.create () in
+  Obs.Flight_recorder.install recorder;
+  scale_pins ~recorder (Fun.protect ~finally:Obs.Flight_recorder.uninstall scale_run)
+
+let test_scale_recorder_off_pins () = scale_pins (scale_run ~recorder:false ())
+
+let test_scale_chinanet_pins () =
+  check_scale
+    (scale_run ~topo:Topologies.chinanet ())
+    ~pushed:200 ~completed:152 ~events:4112 ~bursts:25 ~churned:3 ~p50:276.908567
+    ~p99:300.952116
 
 let test_scale_intent_pins () =
   check_scale (scale_run ~intent_churn:true ()) ~pushed:203 ~completed:159 ~events:3913
     ~bursts:46 ~churned:50 ~p50:122.259334 ~p99:191.139223
 
+let traffic_run topo =
+  Run.run
+    { scale_workload with
+      audit = Some { Traffic.default_workload with tw_stop_ms = 300.0 } }
+    (Run_config.make ~seed:42 ()) (topo ())
+
+let check_probes (ts : Traffic.summary) ~p50 ~p99 =
+  ms "probe p50" p50 ts.ts_p50_ms;
+  ms "probe p99" p99 ts.ts_p99_ms;
+  int "audit violations" 0 (Traffic.violations ts)
+
 let test_traffic_pins () =
-  let r =
-    Run.run
-      { scale_workload with
-        audit = Some { Traffic.default_workload with tw_stop_ms = 300.0 } }
-      (Run_config.make ~seed:42 ()) (Topologies.attmpls ())
-  in
+  let r = traffic_run Topologies.attmpls in
   let ts = Option.get r.r_traffic in
   int "events" 34735 r.r_events;
   int "completed" 169 r.r_completed;
   int "injected" 6115 ts.Traffic.ts_injected;
   int "delivered" 6115 ts.Traffic.ts_delivered;
   int "reordered" 47 ts.Traffic.ts_reordered;
-  int "digest" 0x13a5b370 ts.Traffic.ts_digest
+  int "digest" 0x13a5b370 ts.Traffic.ts_digest;
+  check_probes ts ~p50:15.326472 ~p99:31.623915
+
+let test_traffic_chinanet_pins () =
+  let r = traffic_run Topologies.chinanet in
+  let ts = Option.get r.r_traffic in
+  int "events" 47337 r.r_events;
+  int "completed" 154 r.r_completed;
+  int "injected" 6070 ts.Traffic.ts_injected;
+  int "delivered" 6070 ts.Traffic.ts_delivered;
+  int "reordered" 35 ts.Traffic.ts_reordered;
+  int "digest" 0x107a158a ts.Traffic.ts_digest;
+  check_probes ts ~p50:25.833743 ~p99:51.195470
 
 let soak_run ?(intent_churn = false) config ~seed =
   Run.run config (Run_config.make ~seed ~intent_churn ()) (Topologies.b4 ())
@@ -88,7 +126,24 @@ let test_soak_intent_pins () =
 let test_soak_quick_pins () =
   let r = soak_run Soak.quick_config ~seed:1 in
   check_soak r ~events:159660 ~completed:37 ~injected:28802 ~digest:0xf14789;
-  ms "p99" 750.467812 r.r_p99_ms
+  ms "p99" 750.467812 r.r_p99_ms;
+  int "pushed" 54 r.r_pushed;
+  ms "p50" 129.755305 r.r_p50_ms;
+  ms "probe p99" 152.141583 (Option.get r.r_traffic).Traffic.ts_p99_ms;
+  int "aborts" 0 r.r_recovery.P4update.Controller.aborts;
+  int "give-ups" 0 r.r_recovery.P4update.Controller.give_ups;
+  int "stuck" 0 (List.length r.r_stuck);
+  int "leaks" 0 (List.length r.r_leaks);
+  Alcotest.(check bool) "ok" true (Run.ok r);
+  (* Boundary readings: (injected, pending events, flows, in flight,
+     violations) per cycle. *)
+  Alcotest.(check (list (pair (pair int int) (pair int (pair int int)))))
+    "cycle readings"
+    [ ((9575, 5), (12, (0, 0))); ((19159, 3), (12, (0, 0))); ((28802, 1), (12, (0, 0))) ]
+    (List.map
+       (fun (c : Run.cycle) ->
+         ((c.cy_injected, c.cy_pending_events), (c.cy_flows, (c.cy_in_flight, c.cy_violations))))
+       r.r_cycles)
 
 (* [ops] is a list of (slot, retire) replacements applied to a
    population of [flows] on [topo] seeded with [seed]. *)
@@ -127,7 +182,11 @@ let suite =
   [
     Alcotest.test_case "scale run pinned" `Quick test_scale_pins;
     Alcotest.test_case "scale intent-churn run pinned" `Quick test_scale_intent_pins;
+    Alcotest.test_case "scale chinanet run pinned" `Quick test_scale_chinanet_pins;
+    Alcotest.test_case "scale run without recorder pinned" `Quick
+      test_scale_recorder_off_pins;
     Alcotest.test_case "traffic run pinned" `Quick test_traffic_pins;
+    Alcotest.test_case "traffic chinanet run pinned" `Quick test_traffic_chinanet_pins;
     Alcotest.test_case "soak smoke pinned" `Quick test_soak_pins;
     Alcotest.test_case "soak smoke intent-churn pinned" `Quick test_soak_intent_pins;
     Alcotest.test_case "soak quick pinned" `Quick test_soak_quick_pins;
