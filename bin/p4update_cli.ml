@@ -198,7 +198,7 @@ let trace_cmd =
         in
         Printf.printf "tracing multi-flow update on %s (%s, seed %d)\n" name
           (Harness.Scenarios.system_name sys) seed;
-        Harness.Traced.run_multi_cfg cfg ~exclude setup sys
+        Harness.Traced.run_multi cfg ~exclude setup sys
       end
       else begin
         let topo = build () in
@@ -214,7 +214,7 @@ let trace_cmd =
           (Harness.Scenarios.system_name sys) seed
           (String.concat ";" (List.map string_of_int old_path))
           (String.concat ";" (List.map string_of_int new_path));
-        Harness.Traced.run_single_cfg cfg ~exclude setup sys ~old_path ~new_path
+        Harness.Traced.run_single cfg ~exclude setup sys ~old_path ~new_path
       end
     in
     write_file out (Obs.Trace.to_chrome ~pretty:true result.Harness.Traced.tr_sink);
@@ -298,7 +298,7 @@ let chaos_cmd =
               | Some _ -> Some (Obs.Trace.create ~exclude:[ "sim"; "net"; "p4rt" ] ())
             in
             let cfg = cfg_of ~seed ~fault_plan ?trace_sink ~obs ~shards () in
-            let r = Harness.Chaos.run_cfg cfg ~scenario:sc in
+            let r = Harness.Chaos.run cfg ~scenario:sc in
             (match (trace_out, trace_sink) with
             | Some path, Some sink ->
               let path =

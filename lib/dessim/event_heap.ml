@@ -18,9 +18,8 @@
    each level costs one 3-field move instead of a 3-read/3-write swap.
 
    Ordering is (time, seq) with strict comparison — byte-identical
-   delivery order to the original boxed heap, which is kept verbatim as
-   [Event_heap_ref] and enforced as the oracle by a differential qcheck
-   property in [test/test_dessim.ml]. *)
+   delivery order to the original boxed heap, which is kept verbatim in
+   the test suite as the oracle of a differential qcheck property. *)
 
 (* A delivery tag carried by schedulable events.  Tags are metadata only:
    they never influence the default heap order.  The model checker

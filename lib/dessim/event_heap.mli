@@ -9,8 +9,8 @@
     (structure-of-arrays): ordering comparisons load from an unboxed
     [float array] and steady-state push/pop allocates nothing, which is
     what lets the scale engine sustain millions of events per second.
-    Delivery order is byte-identical to the original boxed heap, kept as
-    {!Event_heap_ref} and enforced as a differential-testing oracle. *)
+    Delivery order is byte-identical to the original boxed heap, kept in
+    the test suite as a differential-testing oracle. *)
 
 (** Optional metadata attached to an event at push time.  Tags never
     affect ordering; they exist so a scheduling policy (the [lib/mc]

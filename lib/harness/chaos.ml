@@ -19,31 +19,6 @@ let topo_of = function
   | B4 -> Topologies.b4 ()
   | Fat_tree -> Topologies.fat_tree ~k:4 ()
 
-type config = {
-  flows : int;
-  fault_window_ms : float;
-  horizon_ms : float;
-  probe_interval_ms : float;
-  data_fault_prob : float;
-  control_fault_prob : float;
-  max_element_failures : int;
-  recovery : bool;
-  watchdog_ms : float;
-}
-
-let default_config =
-  {
-    flows = 3;
-    fault_window_ms = 3000.0;
-    horizon_ms = 120_000.0;
-    probe_interval_ms = 500.0;
-    data_fault_prob = 0.08;
-    control_fault_prob = 0.08;
-    max_element_failures = 2;
-    recovery = true;
-    watchdog_ms = Run_config.default_watchdog_ms;
-  }
-
 type violation = Invariants.violation = {
   v_time : float;
   v_flow : int;
@@ -161,20 +136,20 @@ let trace_injection ~plane verdict =
       ~attrs:
         [ Obs.Trace.str "plane" plane; Obs.Trace.str "verdict" (verdict_name verdict) ]
 
-let install_fault_hooks (w : World.t) cfg =
+let install_fault_hooks (w : World.t) (plan : Run_config.fault_plan) =
   let sim = w.World.sim in
-  let active () = Sim.now sim < cfg.fault_window_ms in
-  if cfg.data_fault_prob > 0.0 then
+  let active () = Sim.now sim < plan.fp_window_ms in
+  if plan.fp_data_prob > 0.0 then
     Netsim.set_data_fault w.World.net (fun ~from:_ ~to_:_ bytes ->
-        if active () && Sim.uniform sim ~bound:1.0 < cfg.data_fault_prob then begin
+        if active () && Sim.uniform sim ~bound:1.0 < plan.fp_data_prob then begin
           let v = draw_verdict sim ~downgrade_corrupt:(is_control_frame bytes) in
           trace_injection ~plane:"data" v;
           v
         end
         else Netsim.Deliver);
-  if cfg.control_fault_prob > 0.0 then
+  if plan.fp_control_prob > 0.0 then
     Netsim.set_control_fault w.World.net (fun ~dir:_ bytes ->
-        if active () && Sim.uniform sim ~bound:1.0 < cfg.control_fault_prob then begin
+        if active () && Sim.uniform sim ~bound:1.0 < plan.fp_control_prob then begin
           let v = draw_verdict sim ~downgrade_corrupt:(is_control_frame bytes) in
           trace_injection ~plane:"control" v;
           v
@@ -183,7 +158,7 @@ let install_fault_hooks (w : World.t) cfg =
 
 (* 0 .. max element failures, each restored well inside the fault window
    so convergence is expected once the window closes. *)
-let schedule_element_failures ?(start = 0.0) (w : World.t) cfg =
+let schedule_element_failures ?(start = 0.0) (w : World.t) ~window_ms ~max_failures =
   let sim = w.World.sim in
   let net = w.World.net in
   let topo = Netsim.topology net in
@@ -191,12 +166,12 @@ let schedule_element_failures ?(start = 0.0) (w : World.t) cfg =
   let nodes = Graph.node_count g in
   let edges = Array.of_list (Graph.edges g) in
   let count =
-    if cfg.max_element_failures <= 0 || cfg.fault_window_ms < 1500.0 then 0
-    else Sim.uniform_int sim ~bound:(cfg.max_element_failures + 1)
+    if max_failures <= 0 || window_ms < 1500.0 then 0
+    else Sim.uniform_int sim ~bound:(max_failures + 1)
   in
   for _ = 1 to count do
     let fail_at =
-      start +. 200.0 +. Sim.uniform sim ~bound:(cfg.fault_window_ms -. 1500.0)
+      start +. 200.0 +. Sim.uniform sim ~bound:(window_ms -. 1500.0)
     in
     let restore_at = fail_at +. 300.0 +. Sim.uniform sim ~bound:700.0 in
     if Array.length edges > 0 && Sim.uniform_int sim ~bound:2 = 0 then begin
@@ -220,15 +195,16 @@ let schedule_element_failures ?(start = 0.0) (w : World.t) cfg =
 (* Invariant probes (Thm. 1-4) — shared implementation in Invariants.   *)
 (* ------------------------------------------------------------------ *)
 
-let install_probes (w : World.t) cfg monitor (flows : P4update.Controller.flow list) =
+let install_probes (w : World.t) (plan : Run_config.fault_plan) monitor
+    (flows : P4update.Controller.flow list) =
   let sim = w.World.sim in
   let rec arm time =
-    if time <= cfg.horizon_ms then
+    if time <= plan.fp_horizon_ms then
       Sim.schedule_at sim ~time (fun () ->
           Invariants.check_structural monitor flows;
-          arm (time +. cfg.probe_interval_ms))
+          arm (time +. plan.fp_probe_interval_ms))
   in
-  arm cfg.probe_interval_ms
+  arm plan.fp_probe_interval_ms
 
 (* ------------------------------------------------------------------ *)
 (* One run                                                              *)
@@ -236,7 +212,7 @@ let install_probes (w : World.t) cfg monitor (flows : P4update.Controller.flow l
 
 let hash_combine h x = ((h * 1000003) lxor x) land 0x3FFFFFFF
 
-let run_one ?traffic ?(shards = 1) ~scenario ~seed ~cfg () =
+let run_one ?traffic ~shards ~scenario ~seed (plan : Run_config.fault_plan) =
   let topo = topo_of scenario in
   let w = World.make ~seed ~shards topo in
   let trace_hash = ref 0x1505 in
@@ -245,12 +221,12 @@ let run_one ?traffic ?(shards = 1) ~scenario ~seed ~cfg () =
         hash_combine !trace_hash
           (Hashtbl.hash (int_of_float (time *. 1000.0), node, port, Bytes.to_string bytes)));
   Array.iter
-    (fun sw -> P4update.Switch.enable_watchdog sw ~timeout_ms:cfg.watchdog_ms)
+    (fun sw -> P4update.Switch.enable_watchdog sw ~timeout_ms:plan.fp_watchdog_ms)
     w.World.switches;
-  if cfg.recovery then Control.Plane.enable_recovery w.World.plane;
+  if plan.fp_recovery then Control.Plane.enable_recovery w.World.plane;
   (* Workload first, fault schedule second: a fault-free baseline run of
      the same seed draws the identical workload. *)
-  let planned = draw_flows w.World.sim topo cfg.flows in
+  let planned = draw_flows w.World.sim topo plan.fp_flows in
   let flows =
     List.map
       (fun pl ->
@@ -264,7 +240,7 @@ let run_one ?traffic ?(shards = 1) ~scenario ~seed ~cfg () =
   let tr = Option.map (fun workload -> Traffic.attach ~workload w) traffic in
   List.iter2
     (fun pl (f : P4update.Controller.flow) ->
-      let at = 100.0 +. Sim.uniform w.World.sim ~bound:(cfg.fault_window_ms /. 2.0) in
+      let at = 100.0 +. Sim.uniform w.World.sim ~bound:(plan.fp_window_ms /. 2.0) in
       Sim.schedule_at w.World.sim ~time:at (fun () ->
           ignore
             (Control.Plane.update_flow w.World.plane
@@ -275,11 +251,14 @@ let run_one ?traffic ?(shards = 1) ~scenario ~seed ~cfg () =
             tr))
     planned flows;
   Option.iter Traffic.start tr;
-  install_fault_hooks w cfg;
-  let element_failures = schedule_element_failures w cfg in
+  install_fault_hooks w plan;
+  let element_failures =
+    schedule_element_failures w ~window_ms:plan.fp_window_ms
+      ~max_failures:plan.fp_max_element_failures
+  in
   let monitor = Invariants.create w in
-  install_probes w cfg monitor flows;
-  ignore (World.run ~until:cfg.horizon_ms w);
+  install_probes w plan monitor flows;
+  ignore (World.run ~until:plan.fp_horizon_ms w);
   let converged, completion =
     List.fold_left
       (fun (n, latest) (f : P4update.Controller.flow) ->
@@ -329,56 +308,33 @@ let run_one ?traffic ?(shards = 1) ~scenario ~seed ~cfg () =
     r_traffic = Option.map (fun t -> Traffic.finalize t) tr;
   }
 
-let run ?(config = default_config) ?trace_sink ?traffic ?(shards = 1) ~scenario ~seed () =
+let run ?traffic (cfg : Run_config.t) ~scenario =
+  let plan = Option.value cfg.Run_config.fault_plan ~default:Run_config.default_faults in
+  let seed = cfg.Run_config.seed and shards = cfg.Run_config.shards in
+  (* The flight recorder rides the whole pair of runs (degraded +
+     baseline): a baseline-run violation is every bit as reportable. *)
+  Observe.with_recorder cfg @@ fun _recorder ->
   (* Only the degraded run is traced: the fault-free baseline would overlay
      a second span tree at the same timestamps.  Probe traffic likewise
      rides the degraded run only — the baseline's job is the workload's
      fault-free convergence reference, not a second packet audit. *)
   let faulty =
-    match trace_sink with
-    | None -> run_one ?traffic ~shards ~scenario ~seed ~cfg:config ()
+    match cfg.Run_config.trace_sink with
+    | None -> run_one ?traffic ~shards ~scenario ~seed plan
     | Some sink ->
       Obs.Trace.install sink;
       Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
-          run_one ?traffic ~shards ~scenario ~seed ~cfg:config ())
+          run_one ?traffic ~shards ~scenario ~seed plan)
   in
   let baseline =
     run_one ~shards ~scenario ~seed
-      ~cfg:{ config with data_fault_prob = 0.0; control_fault_prob = 0.0;
-             max_element_failures = 0 }
-      ()
+      { plan with fp_data_prob = 0.0; fp_control_prob = 0.0; fp_max_element_failures = 0 }
   in
   {
     faulty with
     r_baseline_converged = baseline.r_converged;
     r_baseline_completion_ms = baseline.r_completion_ms;
   }
-
-(* --- Run_config entry point --- *)
-
-let config_of_plan (p : Run_config.fault_plan) =
-  {
-    flows = p.Run_config.fp_flows;
-    fault_window_ms = p.fp_window_ms;
-    horizon_ms = p.fp_horizon_ms;
-    probe_interval_ms = p.fp_probe_interval_ms;
-    data_fault_prob = p.fp_data_prob;
-    control_fault_prob = p.fp_control_prob;
-    max_element_failures = p.fp_max_element_failures;
-    recovery = p.fp_recovery;
-    watchdog_ms = p.fp_watchdog_ms;
-  }
-
-let run_cfg ?traffic (cfg : Run_config.t) ~scenario =
-  let config =
-    config_of_plan
-      (Option.value cfg.Run_config.fault_plan ~default:Run_config.default_faults)
-  in
-  (* The flight recorder rides the whole pair of runs (degraded +
-     baseline): a baseline-run violation is every bit as reportable. *)
-  Observe.with_recorder cfg @@ fun _recorder ->
-  run ~config ?trace_sink:cfg.Run_config.trace_sink ?traffic
-    ~shards:cfg.Run_config.shards ~scenario ~seed:cfg.Run_config.seed ()
 
 let report_line r =
   let verdict = if ok r then "ok" else "FAIL" in

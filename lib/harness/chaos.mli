@@ -7,7 +7,7 @@
     faults — drop, delay, reorder-via-delay, corrupt, duplicate — on the
     data plane and the control channel for the duration of the fault
     window, plus up to two link/node failures (each restored within the
-    window).  Every [probe_interval_ms] the forwarding state of every
+    window).  Every [fp_probe_interval_ms] the forwarding state of every
     flow is checked against the Thm. 1–4 invariants:
 
     - no loop, ever;
@@ -19,7 +19,7 @@
     Corrupted control-typed frames are dropped rather than delivered
     (the Ethernet-FCS model); data frames get an actual bit flip.
 
-    The same (scenario, seed, config) reproduces the same run, byte for
+    The same (scenario, seed, fault plan) reproduces the same run, byte for
     byte ([r_trace_hash] is a digest of every data-plane delivery).  The
     report also contains the fault-free baseline of the same seed for a
     one-line degradation summary ({!report_line}). *)
@@ -29,20 +29,6 @@ type scenario = Fig1 | B4 | Fat_tree
 val scenario_name : scenario -> string
 val scenario_of_string : string -> scenario option
 val all_scenarios : scenario list
-
-type config = {
-  flows : int;                  (** workload size (fig1 always includes the Fig. 1 flow) *)
-  fault_window_ms : float;      (** faults and failures stop after this time *)
-  horizon_ms : float;           (** simulation bound for the convergence verdict *)
-  probe_interval_ms : float;
-  data_fault_prob : float;      (** per-packet fault probability, data plane *)
-  control_fault_prob : float;   (** per-message fault probability, control channel *)
-  max_element_failures : int;   (** 0–n scheduled link/node failures *)
-  recovery : bool;              (** arm {!P4update.Controller.enable_recovery} *)
-  watchdog_ms : float;          (** switch watchdog timeout (§11) *)
-}
-
-val default_config : config
 
 (** Re-export of {!Invariants.violation}: probes live in {!Invariants},
     shared with the property tests and the [lib/mc] model checker. *)
@@ -81,9 +67,9 @@ type report = {
 (** All invariants held and every flow converged. *)
 val ok : report -> bool
 
-(** [run_cfg cfg ~scenario] is the {!Run_config} entry point: the seed,
-    the trace sink and the fault plan (default {!Run_config.default_faults})
-    all come from [cfg].  Executes the faulty run and its fault-free
+(** [run cfg ~scenario]: the seed, the shard count, the flight recorder,
+    the trace sink and the fault plan (default
+    {!Run_config.default_faults}) all come from [cfg].  Executes the faulty run and its fault-free
     baseline (identical workload) and merges both into one report.  The
     sink is installed around the degraded run only (not the baseline);
     injected faults appear as ["fault.injected"] instants in category
@@ -95,17 +81,7 @@ val ok : report -> bool
     and reports the per-packet audit in [r_traffic].  Runs without
     [?traffic] draw exactly the same schedule as before the auditor
     existed ([r_trace_hash] unchanged). *)
-val run_cfg : ?traffic:Traffic.workload -> Run_config.t -> scenario:scenario -> report
-
-(** Translation of a {!Run_config.fault_plan} into this harness's
-    {!config} (field for field). *)
-val config_of_plan : Run_config.fault_plan -> config
-
-(** Deprecated scattered-argument wrapper around {!run_cfg}; prefer
-    building a {!Run_config.t}.  Kept for existing call sites. *)
-val run :
-  ?config:config -> ?trace_sink:Obs.Trace.sink -> ?traffic:Traffic.workload ->
-  ?shards:int -> scenario:scenario -> seed:int -> unit -> report
+val run : ?traffic:Traffic.workload -> Run_config.t -> scenario:scenario -> report
 
 (** One-line degradation summary. *)
 val report_line : report -> string
@@ -126,9 +102,10 @@ val is_control_frame : bytes -> bool
     model for control-typed frames. *)
 val draw_verdict : Dessim.Sim.t -> downgrade_corrupt:bool -> Netsim.fault
 
-(** [schedule_element_failures ?start w cfg] schedules 0 to
-    [cfg.max_element_failures] link/node failures (none when the fault
-    window is under 1.5 s), each failing 200 ms or more into the window
-    that opens at [start] (default 0) and restored 0.3–1 s later.
-    Returns how many were scheduled. *)
-val schedule_element_failures : ?start:float -> World.t -> config -> int
+(** [schedule_element_failures ?start w ~window_ms ~max_failures]
+    schedules 0 to [max_failures] link/node failures (none when the
+    [window_ms] fault window is under 1.5 s), each failing 200 ms or more
+    into the window that opens at [start] (default 0) and restored
+    0.3–1 s later.  Returns how many were scheduled. *)
+val schedule_element_failures :
+  ?start:float -> World.t -> window_ms:float -> max_failures:int -> int

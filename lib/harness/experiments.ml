@@ -144,7 +144,9 @@ let fig2_ez ~seed =
   let _ = Sim.run ~until:(fig2_horizon +. 500.0) sim in
   fig2_summarize ~system:"ez-Segway" ~sent:!sent ~v1:!v1 ~v4:!v4
 
-let fig2 ?(seed = 1) () = [ fig2_p4update ~seed; fig2_ez ~seed ]
+let run_fig2 (cfg : Run_config.t) =
+  let seed = cfg.Run_config.seed in
+  [ fig2_p4update ~seed; fig2_ez ~seed ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 4                                                               *)
@@ -221,13 +223,11 @@ let fig4_ez_run ~seed =
   | Some t -> t -. start
   | None -> failwith "fig4: ez-Segway did not complete U3"
 
-let fig4_runs ~runs =
-  let seeds = List.init runs (fun i -> 100 + i) in
+let run_fig4 (cfg : Run_config.t) =
+  let seeds = List.init cfg.Run_config.runs (fun i -> 100 + i) in
   let f4_p4update = List.map (fun seed -> fig4_p4u_run ~seed) seeds in
   let f4_ez = List.map (fun seed -> fig4_ez_run ~seed) seeds in
   { f4_p4update; f4_ez; f4_speedup = Stats.mean f4_ez /. Stats.mean f4_p4update }
-
-let fig4 () = fig4_runs ~runs:Scenarios.runs
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 7                                                               *)
@@ -299,8 +299,8 @@ type fig7_result = {
   f7_samples : (Scenarios.system * float list) list;
 }
 
-let fig7 ?(runs = Scenarios.runs) scenario =
-  let seeds = List.init runs (fun i -> 1000 + i) in
+let run_fig7 (cfg : Run_config.t) scenario =
+  let seeds = List.init cfg.Run_config.runs (fun i -> 1000 + i) in
   let single_paths =
     if scenario.f7_multi then None
     else if scenario.f7_id = "7a" then
@@ -339,21 +339,21 @@ type phase_result = {
   pb_rows : Traced.phase_row list;
 }
 
-let phase_breakdown ?(seed = 1000) scenario system =
+let run_phase_breakdown (cfg : Run_config.t) scenario system =
   let r =
-    if scenario.f7_multi then Traced.run_multi scenario.f7_setup system ~seed
+    if scenario.f7_multi then Traced.run_multi cfg scenario.f7_setup system
     else
       let old_path, new_path =
         if scenario.f7_id = "7a" then
           (Topo.Topologies.fig1_old_path, Topo.Topologies.fig1_new_path)
         else Scenarios.single_flow_paths (scenario.f7_setup.Scenarios.topo ())
       in
-      Traced.run_single scenario.f7_setup system ~old_path ~new_path ~seed
+      Traced.run_single cfg scenario.f7_setup system ~old_path ~new_path
   in
   {
     pb_scenario = scenario;
     pb_system = system;
-    pb_seed = seed;
+    pb_seed = cfg.Run_config.seed;
     pb_completion_ms = r.Traced.tr_completion_ms;
     pb_rows = r.Traced.tr_phases;
   }
@@ -424,7 +424,8 @@ let p4u_prepare net ~old_path ~new_path =
   let seg = P4update.Segment.compute ~old_path ~new_path in
   ignore (P4update.Segment.annotate seg labels)
 
-let fig8 ?(iterations = 1000) ~congestion () =
+let run_fig8 (cfg : Run_config.t) =
+  let iterations = cfg.Run_config.iterations and congestion = cfg.Run_config.congestion in
   List.map
     (fun topo ->
       let graph = topo.Topo.Topologies.graph in
@@ -563,19 +564,3 @@ let render_fig8 ~congestion rows =
     (if congestion then "  expectation: ratio 0.002-0.02 (50-500x, larger networks win more)\n"
      else "  expectation: ratio around 0.7\n");
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Run_config entry points — the scattered-argument functions above     *)
-(* are kept as wrappers for existing call sites; new code (and the CLI) *)
-(* passes one [Run_config.t].                                           *)
-(* ------------------------------------------------------------------ *)
-
-let run_fig2 (cfg : Run_config.t) = fig2 ~seed:cfg.Run_config.seed ()
-let run_fig4 (cfg : Run_config.t) = fig4_runs ~runs:cfg.Run_config.runs
-let run_fig7 (cfg : Run_config.t) scenario = fig7 ~runs:cfg.Run_config.runs scenario
-
-let run_fig8 (cfg : Run_config.t) =
-  fig8 ~iterations:cfg.Run_config.iterations ~congestion:cfg.Run_config.congestion ()
-
-let run_phase_breakdown (cfg : Run_config.t) scenario system =
-  phase_breakdown ~seed:cfg.Run_config.seed scenario system

@@ -20,9 +20,6 @@ type fig2_result = {
     with [cfg.seed]. *)
 val run_fig2 : Run_config.t -> fig2_result list
 
-(** Deprecated wrapper around {!run_fig2}. *)
-val fig2 : ?seed:int -> unit -> fig2_result list
-
 (** {2 Fig. 4 — skip-ahead over an ongoing update} *)
 
 type fig4_result = {
@@ -33,9 +30,6 @@ type fig4_result = {
 
 (** [run_fig4 cfg] runs [cfg.runs] seeded pairs. *)
 val run_fig4 : Run_config.t -> fig4_result
-
-(** Deprecated wrapper around {!run_fig4} ([Scenarios.runs] pairs). *)
-val fig4 : unit -> fig4_result
 
 (** {2 Fig. 7 — total update time CDFs} *)
 
@@ -57,9 +51,6 @@ type fig7_result = {
     each. *)
 val run_fig7 : Run_config.t -> fig7_scenario -> fig7_result
 
-(** Deprecated wrapper around {!run_fig7}. *)
-val fig7 : ?runs:int -> fig7_scenario -> fig7_result
-
 (** {2 Phase breakdown — where a traced run's completion time goes} *)
 
 type phase_result = {
@@ -70,16 +61,13 @@ type phase_result = {
   pb_rows : Traced.phase_row list;
 }
 
-(** [phase_breakdown scenario system] runs one seed of a Fig. 7 scenario
-    under a trace sink and folds the span tree into per-update phase rows
-    (prep / control-plane flight / data-plane propagation / verification /
-    ack).  Baseline systems produce no rows: only P4Update is
+(** [run_phase_breakdown cfg scenario system] runs seed [cfg.seed] of a
+    Fig. 7 scenario under a trace sink and folds the span tree into
+    per-update phase rows (prep / control-plane flight / data-plane
+    propagation / verification / ack).  Baseline systems produce no rows: only P4Update is
     span-instrumented. *)
 val run_phase_breakdown :
   Run_config.t -> fig7_scenario -> Scenarios.system -> phase_result
-
-(** Deprecated wrapper around {!run_phase_breakdown} (seed 1000). *)
-val phase_breakdown : ?seed:int -> fig7_scenario -> Scenarios.system -> phase_result
 
 val render_phase_breakdown : phase_result -> string
 
@@ -98,9 +86,6 @@ type fig8_row = {
     [cfg.iterations] random updates on the four WANs of Fig. 8, in the
     congestion-aware variant when [cfg.congestion]. *)
 val run_fig8 : Run_config.t -> fig8_row list
-
-(** Deprecated wrapper around {!run_fig8}. *)
-val fig8 : ?iterations:int -> congestion:bool -> unit -> fig8_row list
 
 (** {2 Rendering} *)
 

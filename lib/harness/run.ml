@@ -482,10 +482,8 @@ let run wl (cfg : Run_config.t) topo =
                 fault_until := start +. f.window_ms;
                 element_failures :=
                   !element_failures
-                  + Chaos.schedule_element_failures ~start w
-                      { Chaos.default_config with
-                        Chaos.fault_window_ms = f.window_ms;
-                        max_element_failures = f.element_failures })
+                  + Chaos.schedule_element_failures ~start w ~window_ms:f.window_ms
+                      ~max_failures:f.element_failures)
               wl.faults;
             (match source, wl.churn with
              | Slots pop, Per_cycle n ->

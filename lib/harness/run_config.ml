@@ -6,12 +6,11 @@
    cross-cutting knobs (trace sink, fault plan, reorder window) so the
    CLI builds exactly one value per invocation and passes it down.
 
-   This module is deliberately dependency-free within the harness: the
-   fault plan is a structural record translated by [Chaos], not a
-   reference to [Chaos.config], so [Chaos] (which needs [World] and
-   [Invariants]) can depend on it without a cycle. *)
+   This module is deliberately dependency-free within the harness, so
+   [Chaos] (which needs [World] and [Invariants]) reads its fault plan
+   from here without a cycle. *)
 
-(* Mirrors the chaos harness's knobs; [Chaos.config_of_plan] translates. *)
+(* The chaos harness's knobs. *)
 type fault_plan = {
   fp_flows : int;
   fp_window_ms : float;
@@ -28,8 +27,6 @@ type fault_plan = {
    from this constant instead of repeating the literal. *)
 let default_watchdog_ms = 400.0
 
-(* Values mirror [Chaos.default_config]; a regression test keeps the two
-   in sync through [Chaos.config_of_plan]. *)
 let default_faults =
   {
     fp_flows = 3;

@@ -8,9 +8,7 @@
     the shared command-line flags and passes it to whichever subcommand
     runs.  Runners read the fields they care about and ignore the rest. *)
 
-(** Stochastic-fault schedule knobs, mirroring the chaos harness's
-    {!Chaos.config} structurally (no dependency — [Chaos] translates via
-    [Chaos.config_of_plan]). *)
+(** Stochastic-fault schedule knobs of the chaos harness ({!Chaos.run}). *)
 type fault_plan = {
   fp_flows : int;                (** workload size *)
   fp_window_ms : float;          (** faults and failures stop after this *)
@@ -27,7 +25,9 @@ type fault_plan = {
     configurations derive from it. *)
 val default_watchdog_ms : float
 
-(** Same values as [Chaos.default_config]. *)
+(** 3 flows, 3 s fault window, 120 s horizon, probes every 500 ms, 8%
+    fault probability on both planes, up to 2 element failures, §11
+    recovery on, {!default_watchdog_ms}. *)
 val default_faults : fault_plan
 
 type t = {

@@ -156,19 +156,12 @@ let with_sink ?sink ?(exclude = [ "sim"; "net"; "p4rt" ]) f =
       let completion = f () in
       { tr_sink = sink; tr_completion_ms = completion; tr_phases = phase_rows sink })
 
-let run_single_cfg (cfg : Run_config.t) ?update_type ?exclude setup system ~old_path
+let run_single (cfg : Run_config.t) ?update_type ?exclude setup system ~old_path
     ~new_path =
   with_sink ?sink:cfg.Run_config.trace_sink ?exclude (fun () ->
       Scenarios.single_flow_time ?update_type setup system ~old_path ~new_path
         ~seed:cfg.Run_config.seed)
 
-let run_multi_cfg (cfg : Run_config.t) ?update_type ?exclude setup system =
+let run_multi (cfg : Run_config.t) ?update_type ?exclude setup system =
   with_sink ?sink:cfg.Run_config.trace_sink ?exclude (fun () ->
       Scenarios.multi_flow_time ?update_type setup system ~seed:cfg.Run_config.seed)
-
-let run_single ?update_type ?exclude setup system ~old_path ~new_path ~seed =
-  run_single_cfg (Run_config.make ~seed ()) ?update_type ?exclude setup system
-    ~old_path ~new_path
-
-let run_multi ?update_type ?exclude setup system ~seed =
-  run_multi_cfg (Run_config.make ~seed ()) ?update_type ?exclude setup system

@@ -32,46 +32,26 @@ type result = {
   tr_phases : phase_row list;
 }
 
-(** [run_single_cfg cfg setup system ~old_path ~new_path] runs the
+(** [run_single cfg setup system ~old_path ~new_path] runs the
     single-flow scenario under a trace sink — [cfg.trace_sink] when
     present, otherwise a fresh one — with [cfg.seed].  [exclude]
     overrides the default category filter (["sim"; "net"; "p4rt"] —
     scheduler and packet-level events off, protocol spans on). *)
-val run_single_cfg :
-  Run_config.t ->
-  ?update_type:P4update.Wire.update_type ->
-  ?exclude:string list ->
-  Scenarios.setup ->
-  Scenarios.system ->
-  old_path:int list ->
-  new_path:int list ->
-  result
-
-val run_multi_cfg :
-  Run_config.t ->
-  ?update_type:P4update.Wire.update_type ->
-  ?exclude:string list ->
-  Scenarios.setup ->
-  Scenarios.system ->
-  result
-
-(** Deprecated scattered-argument wrappers around the [_cfg] runners;
-    prefer building a {!Run_config.t}. *)
-
 val run_single :
+  Run_config.t ->
   ?update_type:P4update.Wire.update_type ->
   ?exclude:string list ->
   Scenarios.setup ->
   Scenarios.system ->
   old_path:int list ->
   new_path:int list ->
-  seed:int ->
   result
 
+(** [run_multi cfg setup system]: the multi-flow scenario, likewise. *)
 val run_multi :
+  Run_config.t ->
   ?update_type:P4update.Wire.update_type ->
   ?exclude:string list ->
   Scenarios.setup ->
   Scenarios.system ->
-  seed:int ->
   result

@@ -6,14 +6,17 @@
 
 let seeds = List.init 20 (fun i -> i + 1)
 
+let run ~scenario ~seed =
+  Harness.Chaos.run (Harness.Run_config.make ~seed ~recorder:false ()) ~scenario
+
 let () =
   let failures = ref 0 in
   List.iter
     (fun scenario ->
       List.iter
         (fun seed ->
-          let r = Harness.Chaos.run ~scenario ~seed () in
-          let r' = Harness.Chaos.run ~scenario ~seed () in
+          let r = run ~scenario ~seed in
+          let r' = run ~scenario ~seed in
           let deterministic = r.Harness.Chaos.r_trace_hash = r'.Harness.Chaos.r_trace_hash in
           let good = Harness.Chaos.ok r && deterministic in
           if not good then begin

@@ -1,10 +1,9 @@
 (* Reference event heap: the original boxed-entry binary heap, kept
    verbatim as the behavioural oracle for the flat-array [Event_heap]
-   that replaced it on the hot path.  The differential property tests
-   drive both implementations through identical operation sequences and
-   require identical observable behaviour; the bench harness reports the
-   throughput of both on the same workload. *)
-type tag = Event_heap.tag = {
+   that replaced it on the hot path.  The differential property tests in
+   [test_scale.ml] drive both implementations through identical operation
+   sequences and require identical observable behaviour. *)
+type tag = Dessim.Event_heap.tag = {
   tag_kind : string;
   tag_node : int;
   tag_flow : int;

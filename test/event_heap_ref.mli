@@ -2,14 +2,12 @@
 
     This is the original [Event_heap] implementation, kept as the
     behavioural oracle for the flat-array heap that replaced it: the
-    differential property tests ([test/test_dessim.ml]) drive both
-    through identical operation sequences and require identical pop
-    order, candidate sets and [remove_seq] results, and the bench
-    harness measures both on the same workload so every flat-heap
-    change has a recorded baseline to beat.  Not used on any hot path. *)
+    differential property tests ([test_scale.ml]) drive both through
+    identical operation sequences and require identical pop order,
+    candidate sets and [remove_seq] results. *)
 
-(** Same tag type as {!Event_heap.tag} (re-exported equality). *)
-type tag = Event_heap.tag = {
+(** Same tag type as {!Dessim.Event_heap.tag} (re-exported equality). *)
+type tag = Dessim.Event_heap.tag = {
   tag_kind : string;
   tag_node : int;
   tag_flow : int;

@@ -4,10 +4,14 @@
    gracefully (alarms, no silent wedge of the committed state). *)
 
 module Chaos = Harness.Chaos
+module Run_config = Harness.Run_config
 
 (* Small fault window and horizon keep the property cheap per case. *)
-let quick_config =
-  { Chaos.default_config with fault_window_ms = 2000.0; horizon_ms = 60_000.0 }
+let quick_plan =
+  { Run_config.default_faults with fp_window_ms = 2000.0; fp_horizon_ms = 60_000.0 }
+
+let run ?(plan = quick_plan) ~scenario ~seed () =
+  Chaos.run (Run_config.make ~seed ~fault_plan:plan ~recorder:false ()) ~scenario
 
 let scenario_of_case n =
   match n mod 3 with 0 -> Chaos.Fig1 | 1 -> Chaos.B4 | _ -> Chaos.Fat_tree
@@ -18,7 +22,7 @@ let prop_finite_loss_converges =
     (fun case ->
       let scenario = scenario_of_case case in
       let seed = 100 + case in
-      let r = Chaos.run ~config:quick_config ~scenario ~seed () in
+      let r = run ~scenario ~seed () in
       if r.Chaos.r_violations <> [] then
         QCheck.Test.fail_reportf "invariant violations in %s" (Chaos.report_line r)
       else if r.Chaos.r_converged <> r.Chaos.r_flows then
@@ -26,11 +30,11 @@ let prop_finite_loss_converges =
       else true)
 
 let test_same_seed_same_trace () =
-  let r1 = Chaos.run ~config:quick_config ~scenario:Chaos.B4 ~seed:42 () in
-  let r2 = Chaos.run ~config:quick_config ~scenario:Chaos.B4 ~seed:42 () in
+  let r1 = run ~scenario:Chaos.B4 ~seed:42 () in
+  let r2 = run ~scenario:Chaos.B4 ~seed:42 () in
   Alcotest.(check int) "identical trace hash" r1.Chaos.r_trace_hash r2.Chaos.r_trace_hash;
   Alcotest.(check string) "identical report" (Chaos.report_line r1) (Chaos.report_line r2);
-  let r3 = Chaos.run ~config:quick_config ~scenario:Chaos.B4 ~seed:43 () in
+  let r3 = run ~scenario:Chaos.B4 ~seed:43 () in
   Alcotest.(check bool) "different seed, different trace" true
     (r3.Chaos.r_trace_hash <> r1.Chaos.r_trace_hash)
 
@@ -38,18 +42,18 @@ let test_no_recovery_degrades_gracefully () =
   (* Data-plane-only faults with retransmission disabled: today's behaviour
      — watchdog alarms where the chain is lost, committed state never
      violates the invariants, and the run terminates (no silent hang). *)
-  let config =
+  let plan =
     {
-      quick_config with
-      Chaos.recovery = false;
-      control_fault_prob = 0.0;
-      max_element_failures = 0;
-      data_fault_prob = 0.15;
+      quick_plan with
+      fp_recovery = false;
+      fp_control_prob = 0.0;
+      fp_max_element_failures = 0;
+      fp_data_prob = 0.15;
     }
   in
   let alarms = ref 0 and stuck = ref 0 in
   for seed = 1 to 10 do
-    let r = Chaos.run ~config ~scenario:Chaos.Fig1 ~seed () in
+    let r = run ~plan ~scenario:Chaos.Fig1 ~seed () in
     Alcotest.(check (list (triple (float 0.0) int string)))
       (Printf.sprintf "no violations (seed %d)" seed)
       []

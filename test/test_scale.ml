@@ -15,12 +15,10 @@
      pinned to literals, so any change to event ordering — however
      subtle — fails here rather than silently shifting every figure.
    - The scale engine itself: completes, is deterministic, and the
-     sampled Thm. 1-4 probes see no violations.
-   - Run_config glue: the default fault plan translates to exactly
-     [Chaos.default_config]. *)
+     sampled Thm. 1-4 probes see no violations. *)
 
 module Heap = Dessim.Event_heap
-module Heap_ref = Dessim.Event_heap_ref
+module Heap_ref = Event_heap_ref
 module W = P4update.Wire
 
 (* --- differential queue properties ---------------------------------- *)
@@ -219,7 +217,7 @@ let test_chaos_pins () =
     (fun (name, seed, expected) ->
       let scenario = Option.get (Harness.Chaos.scenario_of_string name) in
       let cfg = Harness.Run_config.make ~seed () in
-      let r = Harness.Chaos.run_cfg cfg ~scenario in
+      let r = Harness.Chaos.run cfg ~scenario in
       Alcotest.(check int)
         (Printf.sprintf "chaos %s seed %d hash" name seed)
         expected r.Harness.Chaos.r_trace_hash)
@@ -266,7 +264,7 @@ let test_trace_digest () =
   in
   let cfg = Harness.Run_config.make ~seed:2024 () in
   let r =
-    Harness.Traced.run_single_cfg cfg setup Harness.Scenarios.P4u
+    Harness.Traced.run_single cfg setup Harness.Scenarios.P4u
       ~old_path:Topo.Topologies.fig1_old_path ~new_path:Topo.Topologies.fig1_new_path
   in
   Alcotest.(check int) "trace JSONL digest" 0x2aabd754
@@ -298,13 +296,6 @@ let test_scale_deterministic () =
   Alcotest.(check (float 0.0)) "sim time" a.r_sim_ms b.r_sim_ms;
   Alcotest.(check (float 0.0)) "p99" a.r_p99_ms b.r_p99_ms
 
-(* --- Run_config glue ------------------------------------------------- *)
-
-let test_fault_plan_sync () =
-  let c = Harness.Chaos.config_of_plan Harness.Run_config.default_faults in
-  Alcotest.(check bool) "default fault plan = Chaos.default_config" true
-    (c = Harness.Chaos.default_config)
-
 let test_world_flows () =
   let topo = Topo.Topologies.b4 () in
   let path = Option.get (Topo.Graph.shortest_path topo.Topo.Topologies.graph ~src:0 ~dst:9) in
@@ -331,6 +322,5 @@ let suite =
     Alcotest.test_case "trace digest pinned" `Quick test_trace_digest;
     Alcotest.test_case "scale run completes clean" `Quick test_scale_runs;
     Alcotest.test_case "scale run is deterministic" `Quick test_scale_deterministic;
-    Alcotest.test_case "fault plan mirrors chaos defaults" `Quick test_fault_plan_sync;
     Alcotest.test_case "world builds with declared flows" `Quick test_world_flows;
   ]

@@ -126,15 +126,16 @@ let test_zero_violations () =
 (* Chaos integration: traffic is opt-in and rides the degraded run; with
    the fault schedule turned off the audit is clean end to end. *)
 let test_chaos_traffic () =
-  let config =
-    { Harness.Chaos.default_config with
-      Harness.Chaos.fault_window_ms = 1000.0; horizon_ms = 5000.0;
-      data_fault_prob = 0.0; control_fault_prob = 0.0; max_element_failures = 0 }
+  let fault_plan =
+    { Harness.Run_config.default_faults with
+      fp_window_ms = 1000.0; fp_horizon_ms = 5000.0;
+      fp_data_prob = 0.0; fp_control_prob = 0.0; fp_max_element_failures = 0 }
   in
   let workload = { Traffic.default_workload with Traffic.tw_stop_ms = 400.0 } in
   let r =
-    Harness.Chaos.run ~config ~traffic:workload ~scenario:Harness.Chaos.Fig1
-      ~seed:2 ()
+    Harness.Chaos.run ~traffic:workload
+      (Harness.Run_config.make ~seed:2 ~fault_plan ~recorder:false ())
+      ~scenario:Harness.Chaos.Fig1
   in
   match r.Harness.Chaos.r_traffic with
   | None -> Alcotest.fail "traffic audit missing from report"

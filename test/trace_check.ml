@@ -23,9 +23,8 @@ let setup =
   }
 
 let run seed =
-  Harness.Traced.run_single setup Harness.Scenarios.P4u
+  Harness.Traced.run_single (Harness.Run_config.make ~seed ()) setup Harness.Scenarios.P4u
     ~old_path:Topo.Topologies.fig1_old_path ~new_path:Topo.Topologies.fig1_new_path
-    ~seed
 
 let () =
   let r = run 2024 in
