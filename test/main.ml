@@ -33,4 +33,5 @@ let () =
       ("soak", Test_soak.suite);
       ("intent", Test_intent.suite);
       ("run", Test_run.suite);
+      ("figures", Test_figures.suite);
     ]
