@@ -46,33 +46,12 @@ let section title =
 let bechamel_prepare_tests () =
   let open Bechamel in
   let make_pair topo =
-    let sim = Dessim.Sim.create ~seed:5 () in
-    let net = Netsim.create sim topo in
-    let graph = topo.Topo.Topologies.graph in
-    let rng = Random.State.make [| 42 |] in
-    let updates = ref [] in
-    while List.length !updates < 20 do
-      let n = Topo.Graph.node_count graph in
-      let src = Random.State.int rng n and dst = Random.State.int rng n in
-      if src <> dst then
-        match Topo.Graph.k_shortest_paths graph ~src ~dst ~k:2 with
-        | [ old_path; new_path ] -> updates := (old_path, new_path) :: !updates
-        | _ -> ()
-    done;
-    let updates = !updates in
-    let requests =
-      List.map
-        (fun (old_path, new_path) ->
-          let src = List.hd old_path and dst = List.nth old_path (List.length old_path - 1) in
-          {
-            Baselines.Ez_segway.ur_flow =
-              Topo.Traffic.flow_id_of_pair ~src ~dst land (P4update.Wire.flow_space - 1);
-            ur_size = 100;
-            ur_old_path = old_path;
-            ur_new_path = new_path;
-          })
-        updates
+    let net = Netsim.create (Dessim.Sim.create ~seed:5 ()) topo in
+    let updates =
+      Harness.Experiments.random_updates (Random.State.make [| 42 |]) topo.Topo.Topologies.graph
+        ~count:20
     in
+    let requests = List.map Harness.Experiments.ez_request updates in
     let name = topo.Topo.Topologies.name in
     [
       Test.make
@@ -80,9 +59,7 @@ let bechamel_prepare_tests () =
         (Staged.stage (fun () ->
              List.iter
                (fun (old_path, new_path) ->
-                 let labels = P4update.Label.of_path net new_path in
-                 let seg = P4update.Segment.compute ~old_path ~new_path in
-                 ignore (P4update.Segment.annotate seg labels))
+                 Harness.Experiments.p4u_prepare net ~old_path ~new_path)
                updates));
       Test.make
         ~name:(Printf.sprintf "fig8a/ez-segway-prepare/%s" name)

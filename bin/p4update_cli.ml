@@ -41,38 +41,23 @@ let topo_cmd =
 
 (* --- single / multi --- *)
 
-let summarize_runs cfg setup systems ~time_of =
+let summarize cfg setup systems =
   List.iter
     (fun sys ->
-      let samples =
-        List.filter_map
-          (fun i ->
-            let seed = Harness.Run_config.run_seed cfg i in
-            match time_of setup sys ~seed with
-            | t -> Some t
-            | exception Failure _ -> None)
-          (List.init cfg.Harness.Run_config.runs (fun i -> i))
-      in
-      print_endline (Harness.Stats.summary (Harness.Scenarios.system_name sys) samples))
+      print_endline
+        (Harness.Stats.summary (Harness.Scenarios.system_name sys)
+           (Harness.Scenarios.sample cfg setup sys)))
     systems
+
+let print_paths (old_path, new_path) =
+  let show path = String.concat ";" (List.map string_of_int path) in
+  Printf.printf "[%s] -> [%s]\n" (show old_path) (show new_path)
 
 let single_cmd =
   let run (name, build) system seed runs =
-    let cfg = cfg_of ~seed ~runs () in
-    let topo = build () in
-    let old_path, new_path =
-      if name = "fig1" then (Topo.Topologies.fig1_old_path, Topo.Topologies.fig1_new_path)
-      else Harness.Scenarios.single_flow_paths topo
-    in
-    Printf.printf "single-flow update on %s: [%s] -> [%s]\n" name
-      (String.concat ";" (List.map string_of_int old_path))
-      (String.concat ";" (List.map string_of_int new_path));
-    let setup =
-      { Harness.Scenarios.topo = build; stragglers = true; congestion = false;
-        headroom = 1.4; control = None }
-    in
-    summarize_runs cfg setup (systems_of system) ~time_of:(fun setup sys ~seed ->
-        Harness.Scenarios.single_flow_time setup sys ~old_path ~new_path ~seed)
+    Printf.printf "single-flow update on %s: " name;
+    print_paths (Harness.Scenarios.single_paths (build ()));
+    summarize (cfg_of ~seed ~runs ()) (Harness.Scenarios.single build) (systems_of system)
   in
   Cmd.v (cmd_info "single" ~doc:"Run the single-flow (straggler) scenario.")
     Term.(const run $ topo_arg () $ system_arg $ seed_arg ~default:scenario_seed_base
@@ -80,18 +65,9 @@ let single_cmd =
 
 let multi_cmd =
   let run (name, build) system seed runs =
-    let cfg = cfg_of ~seed ~runs () in
-    let control =
-      if name = "fat-tree" then Some (Netsim.Normal_dist { mean = 5.0; stddev = 2.0 })
-      else None
-    in
-    let setup =
-      { Harness.Scenarios.topo = build; stragglers = false; congestion = true;
-        headroom = 1.4; control }
-    in
     Printf.printf "multi-flow update on %s (congested, near capacity)\n" name;
-    summarize_runs cfg setup (systems_of system)
-      ~time_of:(fun setup sys ~seed -> Harness.Scenarios.multi_flow_time setup sys ~seed)
+    summarize (cfg_of ~seed ~runs ()) (Harness.Scenarios.multi ~headroom:1.4 build)
+      (systems_of system)
   in
   Cmd.v (cmd_info "multi" ~doc:"Run the multi-flow (congestion) scenario.")
     Term.(const run $ topo_arg () $ system_arg $ seed_arg ~default:scenario_seed_base
@@ -115,6 +91,11 @@ let fig_cmd =
              ~doc:"For 7a..7f: trace one P4Update run and print the per-update \
                    phase breakdown instead of the CDFs.")
   in
+  let fig7 id =
+    List.find_opt
+      (fun sc -> sc.Harness.Experiments.f7_id = id)
+      (Harness.Experiments.fig7_scenarios ())
+  in
   let run_figure cfg id =
     match id with
     | "2" -> print_string (Harness.Experiments.render_fig2 (Harness.Experiments.run_fig2 cfg))
@@ -131,11 +112,7 @@ let fig_cmd =
         (Harness.Experiments.render_fig8 ~congestion:true
            (Harness.Experiments.run_fig8 cfg))
     | id ->
-      (match
-         List.find_opt
-           (fun sc -> sc.Harness.Experiments.f7_id = id)
-           (Harness.Experiments.fig7_scenarios ())
-       with
+      (match fig7 id with
        | Some sc ->
          print_string (Harness.Experiments.render_fig7 (Harness.Experiments.run_fig7 cfg sc))
        | None -> Printf.eprintf "unknown figure id %S\n" id; exit 1)
@@ -145,11 +122,7 @@ let fig_cmd =
        an explicit --runs overrides. *)
     let cfg = cfg_of ~seed ?runs () in
     if phases then
-      match
-        List.find_opt
-          (fun sc -> sc.Harness.Experiments.f7_id = id)
-          (Harness.Experiments.fig7_scenarios ())
-      with
+      match fig7 id with
       | Some sc ->
         let cfg = { cfg with Harness.Run_config.seed = scenario_seed_base } in
         print_string
@@ -190,33 +163,19 @@ let trace_cmd =
     let sys = match system with Some s -> s | None -> Harness.Scenarios.P4u in
     let exclude = if full then [] else [ "sim"; "net"; "p4rt" ] in
     let cfg = cfg_of ~seed ~trace_sink:(Obs.Trace.create ~exclude ()) () in
-    let result =
+    let sys_name = Harness.Scenarios.system_name sys in
+    let setup =
       if multi then begin
-        let setup =
-          { Harness.Scenarios.topo = build; stragglers = false; congestion = true;
-            headroom = 1.4; control = None }
-        in
-        Printf.printf "tracing multi-flow update on %s (%s, seed %d)\n" name
-          (Harness.Scenarios.system_name sys) seed;
-        Harness.Traced.run_multi cfg ~exclude setup sys
+        Printf.printf "tracing multi-flow update on %s (%s, seed %d)\n" name sys_name seed;
+        Harness.Scenarios.multi ~headroom:1.4 build
       end
       else begin
-        let topo = build () in
-        let old_path, new_path =
-          if name = "fig1" then (Topo.Topologies.fig1_old_path, Topo.Topologies.fig1_new_path)
-          else Harness.Scenarios.single_flow_paths topo
-        in
-        let setup =
-          { Harness.Scenarios.topo = build; stragglers = true; congestion = false;
-            headroom = 1.4; control = None }
-        in
-        Printf.printf "tracing single-flow update on %s (%s, seed %d): [%s] -> [%s]\n" name
-          (Harness.Scenarios.system_name sys) seed
-          (String.concat ";" (List.map string_of_int old_path))
-          (String.concat ";" (List.map string_of_int new_path));
-        Harness.Traced.run_single cfg ~exclude setup sys ~old_path ~new_path
+        Printf.printf "tracing single-flow update on %s (%s, seed %d): " name sys_name seed;
+        print_paths (Harness.Scenarios.single_paths (build ()));
+        Harness.Scenarios.single build
       end
     in
+    let result = Harness.Traced.run cfg setup sys in
     write_file out (Obs.Trace.to_chrome ~pretty:true result.Harness.Traced.tr_sink);
     Printf.printf "completion: %.2f ms\n" result.Harness.Traced.tr_completion_ms;
     Printf.printf "wrote %s (%d events; load it at https://ui.perfetto.dev)\n" out
@@ -859,17 +818,9 @@ let import_cmd =
     let g = topo.Topo.Topologies.graph in
     Printf.printf "%s: %d nodes, %d edges (imported)\n" name (Topo.Graph.node_count g)
       (Topo.Graph.edge_count g);
-    let old_path, new_path = Harness.Scenarios.single_flow_paths topo in
-    Printf.printf "single-flow scenario: [%s] -> [%s]\n"
-      (String.concat ";" (List.map string_of_int old_path))
-      (String.concat ";" (List.map string_of_int new_path));
-    let setup =
-      { Harness.Scenarios.topo = (fun () -> topo); stragglers = true; congestion = false;
-        headroom = 1.4; control = None }
-    in
-    summarize_runs cfg setup Harness.Scenarios.all_systems
-      ~time_of:(fun setup sys ~seed ->
-        Harness.Scenarios.single_flow_time setup sys ~old_path ~new_path ~seed)
+    print_string "single-flow scenario: ";
+    print_paths (Harness.Scenarios.single_paths topo);
+    summarize cfg (Harness.Scenarios.single (fun () -> topo)) Harness.Scenarios.all_systems
   in
   Cmd.v
     (cmd_info "import"

@@ -144,6 +144,9 @@ let on_agent_message _t agent ~from_port:_ (c : P4update.Wire.control) =
   | P4update.Wire.Unm | P4update.Wire.Frm | P4update.Wire.Ufm | P4update.Wire.Wdm -> ()
 
 let create network ~congestion =
+  (* Trace timestamps follow this network's simulated clock, as in
+     [World.make] for P4Update (no-op when no sink is installed). *)
+  Obs.Trace.set_clock (fun () -> Dessim.Sim.now (Netsim.sim network));
   let n = Topo.Graph.node_count (Netsim.graph network) in
   let rec t =
     lazy

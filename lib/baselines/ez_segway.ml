@@ -508,6 +508,9 @@ and handle_install_msg t agent node (c : P4update.Wire.control) =
 (* ------------------------------------------------------------------ *)
 
 let create network ~congestion =
+  (* Trace timestamps follow this network's simulated clock, as in
+     [World.make] for P4Update (no-op when no sink is installed). *)
+  Obs.Trace.set_clock (fun () -> Dessim.Sim.now (Netsim.sim network));
   let n = Topo.Graph.node_count (Netsim.graph network) in
   let rec t =
     lazy

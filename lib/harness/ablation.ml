@@ -1,16 +1,8 @@
-let wan_control = None
-let dc_control = Some (Netsim.Normal_dist { mean = 5.0; stddev = 2.0 })
+let multi topo = Scenarios.multi ~headroom:1.4 topo
 
-let single_setup topo =
-  { Scenarios.topo; stragglers = true; congestion = false; headroom = 1.4; control = wan_control }
-
-let multi_setup ?(control = wan_control) topo =
-  { Scenarios.topo; stragglers = false; congestion = true; headroom = 1.4; control }
-
-let sample ~runs f =
-  List.filter_map
-    (fun seed -> match f seed with t -> Some t | exception Failure _ -> None)
-    (List.init runs (fun i -> 1000 + i))
+(* P4Update's samples over seeds 1000, 1001, ... *)
+let sample ~runs ?update_type setup =
+  Scenarios.sample ?update_type (Run_config.make ~seed:1000 ~runs ()) setup Scenarios.P4u
 
 let pct a b = 100.0 *. ((a /. b) -. 1.0)
 
@@ -20,41 +12,31 @@ let pct a b = 100.0 *. ((a /. b) -. 1.0)
 
 let render_sl_vs_dl ~runs () =
   let buf = Buffer.create 1024 in
+  let rows ~expect setup_of topos =
+    List.iter
+      (fun (name, topo) ->
+        let setup = setup_of topo in
+        let sl = Stats.mean (sample ~runs ~update_type:P4update.Wire.Sl setup) in
+        let dl = Stats.mean (sample ~runs ~update_type:P4update.Wire.Dl setup) in
+        Buffer.add_string buf
+          (Printf.sprintf
+             "  %-10s SL %7.1f ms   DL %7.1f ms   SL vs DL %+6.1f%%   (paper: SL %s)\n" name
+             sl dl (pct sl dl) expect))
+      topos
+  in
   Buffer.add_string buf "Single flow (Exp(100 ms) straggler installs), mean update time:\n";
-  List.iter
-    (fun (name, topo) ->
-      let setup = single_setup topo in
-      let old_path, new_path =
-        if name = "synthetic" then (Topo.Topologies.fig1_old_path, Topo.Topologies.fig1_new_path)
-        else Scenarios.single_flow_paths (topo ())
-      in
-      let run update_type seed =
-        Scenarios.single_flow_time ~update_type setup Scenarios.P4u ~old_path ~new_path ~seed
-      in
-      let sl = sample ~runs (run P4update.Wire.Sl) in
-      let dl = sample ~runs (run P4update.Wire.Dl) in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-10s SL %7.1f ms   DL %7.1f ms   SL vs DL %+6.1f%%   (paper: SL slower)\n"
-           name (Stats.mean sl) (Stats.mean dl) (pct (Stats.mean sl) (Stats.mean dl))))
+  rows ~expect:"slower" Scenarios.single
     [
       ("synthetic", Topo.Topologies.fig1);
       ("b4", Topo.Topologies.b4);
       ("internet2", Topo.Topologies.internet2);
     ];
   Buffer.add_string buf "Multiple flows (congested), mean completion of the last flow:\n";
-  List.iter
-    (fun (name, topo, control) ->
-      let setup = { (multi_setup topo) with Scenarios.control } in
-      let run update_type seed = Scenarios.multi_flow_time ~update_type setup Scenarios.P4u ~seed in
-      let sl = sample ~runs (run P4update.Wire.Sl) in
-      let dl = sample ~runs (run P4update.Wire.Dl) in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-10s SL %7.1f ms   DL %7.1f ms   SL vs DL %+6.1f%%   (paper: SL faster)\n"
-           name (Stats.mean sl) (Stats.mean dl) (pct (Stats.mean sl) (Stats.mean dl))))
+  rows ~expect:"faster" multi
     [
-      ("fat-tree", (fun () -> Topo.Topologies.fat_tree ()), dc_control);
-      ("b4", Topo.Topologies.b4, wan_control);
-      ("internet2", Topo.Topologies.internet2, wan_control);
+      ("fat-tree", fun () -> Topo.Topologies.fat_tree ());
+      ("b4", Topo.Topologies.b4);
+      ("internet2", Topo.Topologies.internet2);
     ];
   Buffer.contents buf
 
@@ -66,59 +48,13 @@ let render_resubmit_sweep ~runs () =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     "P4Update multi-flow completion on Internet2 vs resubmission-loop delay:\n";
+  let setup = multi Topo.Topologies.internet2 in
   List.iter
-    (fun resubmit_ms ->
-      let setup = multi_setup Topo.Topologies.internet2 in
-      let run seed =
-        (* Rebuild the config with the swept resubmission delay. *)
-        let base = Scenarios.config_of setup in
-        let config = { base with Netsim.resubmit_delay_ms = resubmit_ms } in
-        let setup_cfg = setup in
-        (* multi_flow_time derives its config from the setup; inline a
-           variant run here instead. *)
-        ignore setup_cfg;
-        let topo = Topo.Topologies.internet2 () in
-        let sim = Dessim.Sim.create ~seed () in
-        let rng = Random.State.make [| seed * 7919 |] in
-        let flows = Topo.Traffic.multi_flow_workload rng topo.Topo.Topologies.graph in
-        Topo.Traffic.tighten_capacities topo.Topo.Topologies.graph flows ~headroom:1.4;
-        let net = Netsim.create ~config sim topo in
-        let n = Topo.Graph.node_count topo.Topo.Topologies.graph in
-        let switches = Array.init n (fun node -> P4update.Switch.create net ~node) in
-        let controller = P4update.Controller.create net in
-        let centi s = max 1 (int_of_float (s *. 100.0)) in
-        let versions =
-          List.map
-            (fun (f : Topo.Traffic.flow) ->
-              let flow =
-                P4update.Controller.register_flow controller ~src:f.src ~dst:f.dst
-                  ~size:(centi f.size) ~path:f.old_path
-              in
-              List.iter
-                (fun (l : P4update.Label.node_label) ->
-                  P4update.Switch.install_initial switches.(l.node) ~flow_id:flow.flow_id
-                    ~version:1 ~dist:l.dist_new ~egress_port:l.egress_port
-                    ~notify_port:l.notify_port ~size:(centi f.size))
-                (P4update.Label.of_path net f.old_path);
-              (flow.flow_id,
-               P4update.Controller.update_flow controller ~flow_id:flow.flow_id
-                 ~new_path:f.new_path ()))
-            flows
-        in
-        let _ = Dessim.Sim.run ~until:120_000.0 sim in
-        let times =
-          List.map
-            (fun (flow_id, version) ->
-              match P4update.Controller.completion_time controller ~flow_id ~version with
-              | Some t -> t
-              | None -> failwith "incomplete")
-            versions
-        in
-        Stats.maximum times
-      in
-      let samples = sample ~runs run in
+    (fun resubmit_delay_ms ->
+      let config = { setup.Scenarios.config with Netsim.resubmit_delay_ms } in
+      let samples = sample ~runs { setup with Scenarios.config } in
       Buffer.add_string buf
-        (Printf.sprintf "  resubmit %5.2f ms -> completion %7.1f ms (n=%d)\n" resubmit_ms
+        (Printf.sprintf "  resubmit %5.2f ms -> completion %7.1f ms (n=%d)\n" resubmit_delay_ms
            (Stats.mean samples) (List.length samples)))
     [ 0.05; 0.25; 1.0; 4.0 ];
   Buffer.contents buf
@@ -131,12 +67,10 @@ let render_scheduler_ablation ~runs () =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     "P4Update multi-flow completion with and without the dynamic priority gate:\n";
-  let setup = multi_setup Topo.Topologies.internet2 in
+  let setup = multi Topo.Topologies.internet2 in
   let measure enabled =
     P4update.Congestion.priority_gate_enabled := enabled;
-    let samples =
-      sample ~runs (fun seed -> Scenarios.multi_flow_time setup Scenarios.P4u ~seed)
-    in
+    let samples = sample ~runs setup in
     P4update.Congestion.priority_gate_enabled := true;
     samples
   in

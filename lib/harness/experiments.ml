@@ -60,24 +60,12 @@ let fig2_summarize ~system ~sent ~v1 ~v4 =
   }
 
 let fig2_p4update ~seed =
-  let topo = Topo.Topologies.fig2 () in
-  let sim = Sim.create ~seed () in
-  let net = Netsim.create sim topo in
-  let switches =
-    Array.init (Topo.Graph.node_count topo.Topo.Topologies.graph) (fun node ->
-        P4update.Switch.create net ~node)
-  in
-  let controller = P4update.Controller.create net in
+  let w = World.make ~seed (Topo.Topologies.fig2 ()) in
+  let sim = w.World.sim and controller = w.World.controller in
   let flow =
-    P4update.Controller.register_flow controller ~src:0 ~dst:4 ~size:50
-      ~path:Topo.Topologies.fig2_config_a
+    World.install_flow w ~src:0 ~dst:4 ~size:50 ~path:Topo.Topologies.fig2_config_a
   in
-  List.iter
-    (fun (l : P4update.Label.node_label) ->
-      P4update.Switch.install_initial switches.(l.node) ~flow_id:flow.flow_id ~version:1
-        ~dist:l.dist_new ~egress_port:l.egress_port ~notify_port:l.notify_port ~size:50)
-    (P4update.Label.of_path net Topo.Topologies.fig2_config_a);
-  let v1, v4 = fig2_observers net ~flow_id:flow.flow_id in
+  let v1, v4 = fig2_observers w.World.net ~flow_id:flow.flow_id in
   (* Version 2 targets configuration (b); version 3, computed against the
      (b) view, targets configuration (c).  (c) is pushed first; (b)'s
      messages are delayed (§4.1). *)
@@ -96,7 +84,7 @@ let fig2_p4update ~seed =
   let sent = ref 0 in
   let rec generator () =
     if Sim.now sim < fig2_horizon then begin
-      P4update.Switch.inject_data switches.(0)
+      P4update.Switch.inject_data w.World.switches.(0)
         { Wire.d_flow_id = flow.flow_id; seq = !sent; ttl = fig2_ttl; origin = 0; dst = 4; tag = 0; d_ts = 0 };
       incr sent;
       Sim.schedule sim ~delay:fig2_packet_interval_ms generator
@@ -165,23 +153,12 @@ let fig4_u2 = [ 0; 1; 3; 2; 4; 5 ]
 let fig4_u3 = [ 0; 2; 4; 5 ]
 let fig4_gap_ms = 5.0
 
+let fig4_config = { Netsim.default_config with rule_update_mean_ms = Some 100.0 }
+
 let fig4_p4u_run ~seed =
-  let topo = Topo.Topologies.six_node () in
-  let sim = Sim.create ~seed () in
-  let config = { Netsim.default_config with rule_update_mean_ms = Some 100.0 } in
-  let net = Netsim.create ~config sim topo in
-  let switches =
-    Array.init (Topo.Graph.node_count topo.Topo.Topologies.graph) (fun node ->
-        P4update.Switch.create net ~node)
-  in
-  let controller = P4update.Controller.create net in
-  let flow = P4update.Controller.register_flow controller ~src:0 ~dst:5 ~size:100 ~path:fig4_v1 in
-  List.iter
-    (fun (l : P4update.Label.node_label) ->
-      P4update.Switch.install_initial switches.(l.node) ~flow_id:flow.flow_id ~version:1
-        ~dist:l.dist_new ~egress_port:l.egress_port ~notify_port:l.notify_port ~size:100)
-    (P4update.Label.of_path net fig4_v1);
-  let start = Sim.now sim in
+  let w = World.make ~seed ~config:fig4_config (Topo.Topologies.six_node ()) in
+  let sim = w.World.sim and controller = w.World.controller in
+  let flow = World.install_flow w ~src:0 ~dst:5 ~size:100 ~path:fig4_v1 in
   let _v2 =
     P4update.Controller.update_flow controller ~flow_id:flow.flow_id ~new_path:fig4_u2
       ~update_type:Wire.Dl ()
@@ -193,14 +170,12 @@ let fig4_p4u_run ~seed =
           ~update_type:Wire.Sl ());
   let _ = Sim.run sim in
   match P4update.Controller.completion_time controller ~flow_id:flow.flow_id ~version:!v3 with
-  | Some t -> t -. start
+  | Some t -> t
   | None -> failwith "fig4: P4Update did not complete U3"
 
 let fig4_ez_run ~seed =
-  let topo = Topo.Topologies.six_node () in
   let sim = Sim.create ~seed () in
-  let config = { Netsim.default_config with rule_update_mean_ms = Some 100.0 } in
-  let net = Netsim.create ~config sim topo in
+  let net = Netsim.create ~config:fig4_config sim (Topo.Topologies.six_node ()) in
   let ez = Baselines.Ez_segway.create net ~congestion:false in
   let flow_id = Baselines.Ez_segway.register_flow ez ~src:0 ~dst:5 ~size:100 ~path:fig4_v1 in
   (* ez-Segway must wait for U2 to finish before it can deploy U3 (§4.2). *)
@@ -214,13 +189,12 @@ let fig4_ez_run ~seed =
           [ { Baselines.Ez_segway.ur_flow = flow_id; ur_size = 100; ur_old_path = fig4_u2;
               ur_new_path = fig4_u3 } ]
       | `U3 -> if !u3_done = None then u3_done := Some (Sim.now sim));
-  let start = Sim.now sim in
   Baselines.Ez_segway.schedule_updates ez
     [ { Baselines.Ez_segway.ur_flow = flow_id; ur_size = 100; ur_old_path = fig4_v1;
         ur_new_path = fig4_u2 } ];
   let _ = Sim.run sim in
   match !u3_done with
-  | Some t -> t -. start
+  | Some t -> t
   | None -> failwith "fig4: ez-Segway did not complete U3"
 
 let run_fig4 (cfg : Run_config.t) =
@@ -237,61 +211,24 @@ type fig7_scenario = {
   f7_id : string;
   f7_title : string;
   f7_setup : Scenarios.setup;
-  f7_multi : bool;
 }
 
-let fat_tree_control = Netsim.Normal_dist { mean = 5.0; stddev = 2.0 }
+(* Every Fig. 7 sample set runs seeds 1000, 1001, ... *)
+let fig7_seed = 1000
 
 let fig7_scenarios () =
+  let single = Scenarios.single and multi = Scenarios.multi ~headroom:1.25 in
   [
-    {
-      f7_id = "7a";
-      f7_title = "Synthetic (Fig. 1) - single flow";
-      f7_setup =
-        { Scenarios.topo = Topo.Topologies.fig1; stragglers = true; congestion = false;
-          headroom = 1.25; control = None };
-      f7_multi = false;
-    };
-    {
-      f7_id = "7b";
-      f7_title = "Fat-tree (K=4) - multiple flows";
-      f7_setup =
-        { Scenarios.topo = (fun () -> Topo.Topologies.fat_tree ()); stragglers = false;
-          congestion = true; headroom = 1.25; control = Some fat_tree_control };
-      f7_multi = true;
-    };
-    {
-      f7_id = "7c";
-      f7_title = "B4 - single flow";
-      f7_setup =
-        { Scenarios.topo = Topo.Topologies.b4; stragglers = true; congestion = false;
-          headroom = 1.25; control = None };
-      f7_multi = false;
-    };
-    {
-      f7_id = "7d";
-      f7_title = "B4 - multiple flows";
-      f7_setup =
-        { Scenarios.topo = Topo.Topologies.b4; stragglers = false; congestion = true;
-          headroom = 1.25; control = None };
-      f7_multi = true;
-    };
-    {
-      f7_id = "7e";
-      f7_title = "Internet2 - single flow";
-      f7_setup =
-        { Scenarios.topo = Topo.Topologies.internet2; stragglers = true; congestion = false;
-          headroom = 1.25; control = None };
-      f7_multi = false;
-    };
-    {
-      f7_id = "7f";
-      f7_title = "Internet2 - multiple flows";
-      f7_setup =
-        { Scenarios.topo = Topo.Topologies.internet2; stragglers = false; congestion = true;
-          headroom = 1.25; control = None };
-      f7_multi = true;
-    };
+    { f7_id = "7a"; f7_title = "Synthetic (Fig. 1) - single flow";
+      f7_setup = single Topo.Topologies.fig1 };
+    { f7_id = "7b"; f7_title = "Fat-tree (K=4) - multiple flows";
+      f7_setup = multi (fun () -> Topo.Topologies.fat_tree ()) };
+    { f7_id = "7c"; f7_title = "B4 - single flow"; f7_setup = single Topo.Topologies.b4 };
+    { f7_id = "7d"; f7_title = "B4 - multiple flows"; f7_setup = multi Topo.Topologies.b4 };
+    { f7_id = "7e"; f7_title = "Internet2 - single flow";
+      f7_setup = single Topo.Topologies.internet2 };
+    { f7_id = "7f"; f7_title = "Internet2 - multiple flows";
+      f7_setup = multi Topo.Topologies.internet2 };
   ]
 
 type fig7_result = {
@@ -300,31 +237,11 @@ type fig7_result = {
 }
 
 let run_fig7 (cfg : Run_config.t) scenario =
-  let seeds = List.init cfg.Run_config.runs (fun i -> 1000 + i) in
-  let single_paths =
-    if scenario.f7_multi then None
-    else if scenario.f7_id = "7a" then
-      Some (Topo.Topologies.fig1_old_path, Topo.Topologies.fig1_new_path)
-    else Some (Scenarios.single_flow_paths (scenario.f7_setup.Scenarios.topo ()))
-  in
-  let sample system =
-    (* A congested transition can be genuinely unschedulable for a
-       one-move-at-a-time heuristic (the 15-puzzle effect, §7.4); such
-       seeds are skipped and the reported n shrinks. *)
-    List.filter_map
-      (fun seed ->
-        let run () =
-          match single_paths with
-          | None -> Scenarios.multi_flow_time scenario.f7_setup system ~seed
-          | Some (old_path, new_path) ->
-            Scenarios.single_flow_time scenario.f7_setup system ~old_path ~new_path ~seed
-        in
-        match run () with t -> Some t | exception Failure _ -> None)
-      seeds
-  in
+  let cfg = { cfg with Run_config.seed = fig7_seed } in
   {
     f7_scenario = scenario;
-    f7_samples = List.map (fun s -> (s, sample s)) Scenarios.all_systems;
+    f7_samples =
+      List.map (fun s -> (s, Scenarios.sample cfg scenario.f7_setup s)) Scenarios.all_systems;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -340,16 +257,7 @@ type phase_result = {
 }
 
 let run_phase_breakdown (cfg : Run_config.t) scenario system =
-  let r =
-    if scenario.f7_multi then Traced.run_multi cfg scenario.f7_setup system
-    else
-      let old_path, new_path =
-        if scenario.f7_id = "7a" then
-          (Topo.Topologies.fig1_old_path, Topo.Topologies.fig1_new_path)
-        else Scenarios.single_flow_paths (scenario.f7_setup.Scenarios.topo ())
-      in
-      Traced.run_single cfg scenario.f7_setup system ~old_path ~new_path
-  in
+  let r = Traced.run cfg scenario.f7_setup system in
   {
     pb_scenario = scenario;
     pb_system = system;
@@ -371,7 +279,9 @@ let render_phase_breakdown r =
   | rows -> Buffer.add_string buf (Traced.render_phases rows));
   Buffer.add_string buf
     (Printf.sprintf "  end-to-end completion: %.2f ms%s\n" r.pb_completion_ms
-       (if r.pb_scenario.f7_multi then " (updates overlap; rows are per flow)" else ""));
+       (match r.pb_scenario.f7_setup.Scenarios.flows with
+        | Scenarios.Multi _ -> " (updates overlap; rows are per flow)"
+        | Scenarios.Single -> ""));
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -405,6 +315,15 @@ let random_updates rng graph ~count =
   in
   draw [] count 0
 
+let ez_request (old_path, new_path) =
+  let src = List.hd old_path and dst = List.nth old_path (List.length old_path - 1) in
+  {
+    Baselines.Ez_segway.ur_flow = Topo.Traffic.flow_id_of_pair ~src ~dst land (Wire.flow_space - 1);
+    ur_size = 100;
+    ur_old_path = old_path;
+    ur_new_path = new_path;
+  }
+
 (* [Sys.time]'s granularity is coarse; repeat the measured body enough
    times for totals well above it and report the per-batch average. *)
 let fig8_reps = 50
@@ -433,19 +352,7 @@ let run_fig8 (cfg : Run_config.t) =
       let net = Netsim.create sim topo in
       let rng = Random.State.make [| 42 |] in
       let updates = random_updates rng graph ~count:iterations in
-      let requests =
-        List.map
-          (fun (old_path, new_path) ->
-            let src = List.hd old_path and dst = List.nth old_path (List.length old_path - 1) in
-            {
-              Baselines.Ez_segway.ur_flow =
-                Topo.Traffic.flow_id_of_pair ~src ~dst land (Wire.flow_space - 1);
-              ur_size = 100;
-              ur_old_path = old_path;
-              ur_new_path = new_path;
-            })
-          updates
-      in
+      let requests = List.map ez_request updates in
       let p4u_ms =
         time_it (fun () ->
             List.iter

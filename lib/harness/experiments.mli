@@ -37,7 +37,6 @@ type fig7_scenario = {
   f7_id : string;       (** "7a" .. "7f" *)
   f7_title : string;
   f7_setup : Scenarios.setup;
-  f7_multi : bool;
 }
 
 val fig7_scenarios : unit -> fig7_scenario list
@@ -48,7 +47,7 @@ type fig7_result = {
 }
 
 (** [run_fig7 cfg scenario] runs all three systems, [cfg.runs] seeds
-    each. *)
+    each from 1000 ([cfg.seed] is not used). *)
 val run_fig7 : Run_config.t -> fig7_scenario -> fig7_result
 
 (** {2 Phase breakdown — where a traced run's completion time goes} *)
@@ -81,6 +80,17 @@ type fig8_row = {
   f8_ez_ms : float;    (** total preparation time, ez-Segway *)
   f8_ratio : float;    (** p4u / ez — Fig. 8 bar value *)
 }
+
+(** [random_updates rng graph ~count] draws [count] random (shortest,
+    2nd-shortest) path pairs — the updates Fig. 8 prepares. *)
+val random_updates : Random.State.t -> Topo.Graph.t -> count:int -> (int list * int list) list
+
+(** ez-Segway's request for one drawn update (size 100, pair-derived id). *)
+val ez_request : int list * int list -> Baselines.Ez_segway.update_request
+
+(** [p4u_prepare net ~old_path ~new_path] is P4Update's preparation
+    kernel: distance labels, segmentation and roles. *)
+val p4u_prepare : Netsim.t -> old_path:int list -> new_path:int list -> unit
 
 (** [run_fig8 cfg] measures the preparation runtime over
     [cfg.iterations] random updates on the four WANs of Fig. 8, in the

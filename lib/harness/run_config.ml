@@ -97,11 +97,6 @@ let make ?(seed = default.seed) ?(runs = default.runs)
     shards;
   }
 
-let with_seed seed cfg = { cfg with seed }
-let with_runs runs cfg = { cfg with runs }
-let with_trace_sink sink cfg = { cfg with trace_sink = Some sink }
-let with_faults plan cfg = { cfg with fault_plan = Some plan }
-
 (* The seed of the [i]th run of a multi-run experiment: run 0 uses the
    configured seed itself, so single-run and multi-run entry points agree
    on what "the" seed means. *)

@@ -73,13 +73,6 @@ val make :
   unit ->
   t
 
-(** Functional updates for the common fields. *)
-
-val with_seed : int -> t -> t
-val with_runs : int -> t -> t
-val with_trace_sink : Obs.Trace.sink -> t -> t
-val with_faults : fault_plan -> t -> t
-
 (** [run_seed cfg i] is the seed of the [i]th run ([i] from 0) of a
     multi-run experiment: [cfg.seed + i], so run 0 uses the configured
     seed itself. *)

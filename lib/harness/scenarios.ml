@@ -6,80 +6,30 @@ let system_name = function P4u -> "P4Update" | Ez -> "ez-Segway" | Central -> "C
 let all_systems = [ P4u; Ez; Central ]
 let runs = 30
 
-type setup = {
-  topo : unit -> Topo.Topologies.t;
-  stragglers : bool;
-  congestion : bool;
-  headroom : float;
-  control : Netsim.control_latency option;
-}
+type flows = Single | Multi of { headroom : float }
 
-let config_of setup =
-  {
-    Netsim.default_config with
-    rule_update_mean_ms = (if setup.stragglers then Some 100.0 else None);
-    control_latency =
-      Option.value setup.control ~default:Netsim.default_config.Netsim.control_latency;
-  }
+type setup = { topo : unit -> Topo.Topologies.t; flows : flows; config : Netsim.config }
 
-let fail_incomplete system = failwith (system_name system ^ ": update did not complete")
+(* §9.1: Exp(100 ms) straggler installs for single flows; control latency
+   Normal(5, 2) on a datacenter (the fat-tree), elsewhere the path latency
+   to the controller node. *)
+let make flows topo =
+  let control_latency =
+    match (topo ()).Topo.Topologies.kind with
+    | Topo.Topologies.Datacenter -> Netsim.Normal_dist { mean = 5.0; stddev = 2.0 }
+    | Topo.Topologies.Wan | Topo.Topologies.Synthetic -> Netsim.Geo
+  in
+  let rule_update_mean_ms = match flows with Single -> Some 100.0 | Multi _ -> None in
+  { topo; flows; config = { Netsim.default_config with rule_update_mean_ms; control_latency } }
 
-(* ------------------------------------------------------------------ *)
-(* Single flow                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let single_flow_time ?update_type setup system ~old_path ~new_path ~seed =
-  let topo = setup.topo () in
-  let sim = Sim.create ~seed () in
-  Obs.Trace.set_clock (fun () -> Sim.now sim);
-  let net = Netsim.create ~config:(config_of setup) sim topo in
-  let src = List.hd old_path and dst = List.nth old_path (List.length old_path - 1) in
-  match system with
-  | P4u ->
-    let switches =
-      Array.init (Topo.Graph.node_count topo.Topo.Topologies.graph) (fun node ->
-          P4update.Switch.create net ~node)
-    in
-    let controller = P4update.Controller.create net in
-    let flow = P4update.Controller.register_flow controller ~src ~dst ~size:100 ~path:old_path in
-    List.iter
-      (fun (l : P4update.Label.node_label) ->
-        P4update.Switch.install_initial switches.(l.node) ~flow_id:flow.flow_id ~version:1
-          ~dist:l.dist_new ~egress_port:l.egress_port ~notify_port:l.notify_port ~size:100)
-      (P4update.Label.of_path net old_path);
-    let start = Sim.now sim in
-    let version =
-      P4update.Controller.update_flow controller ~flow_id:flow.flow_id ~new_path ?update_type ()
-    in
-    let _ = Sim.run ~until:120_000.0 sim in
-    (match P4update.Controller.completion_time controller ~flow_id:flow.flow_id ~version with
-     | Some t -> t -. start
-     | None -> fail_incomplete system)
-  | Ez ->
-    let ez = Baselines.Ez_segway.create net ~congestion:setup.congestion in
-    let flow_id = Baselines.Ez_segway.register_flow ez ~src ~dst ~size:100 ~path:old_path in
-    (* Completion is the controller-received UFM, as for the others. *)
-    let done_time = ref None in
-    Netsim.set_controller net (fun ~from:_ _ -> done_time := Some (Sim.now sim));
-    let start = Sim.now sim in
-    Baselines.Ez_segway.schedule_updates ez
-      [ { Baselines.Ez_segway.ur_flow = flow_id; ur_size = 100; ur_old_path = old_path;
-          ur_new_path = new_path } ];
-    let _ = Sim.run ~until:120_000.0 sim in
-    (match !done_time with Some t -> t -. start | None -> fail_incomplete system)
-  | Central ->
-    let central = Baselines.Central.create net ~congestion:setup.congestion in
-    let flow_id = Baselines.Central.register_flow central ~src ~dst ~size:100 ~path:old_path in
-    let start = Sim.now sim in
-    Baselines.Central.schedule_updates central [ (flow_id, new_path) ];
-    let _ = Sim.run ~until:120_000.0 sim in
-    (match Baselines.Central.completion_time central with
-     | Some t -> t -. start
-     | None -> fail_incomplete system)
+let single topo = make Single topo
+let multi ~headroom topo = make (Multi { headroom }) topo
 
 (* ------------------------------------------------------------------ *)
-(* Multiple flows                                                       *)
+(* Workloads                                                            *)
 (* ------------------------------------------------------------------ *)
+
+type update = { src : int; dst : int; size : int; old_path : int list; new_path : int list }
 
 let centi flow_size = max 1 (int_of_float (flow_size *. 100.0))
 
@@ -87,122 +37,116 @@ let centi flow_size = max 1 (int_of_float (flow_size *. 100.0))
    not feasible; we additionally require the transition itself to be
    schedulable under the tightened capacities (no unresolvable inter-flow
    dependency cycle). *)
-let workload_of topo ~seed ~congestion ~headroom =
+let workload_of topo ~seed ~headroom =
   let graph = topo.Topo.Topologies.graph in
   let rec draw attempt =
     let rng = Random.State.make [| (seed * 7919) + attempt |] in
     let flows = Topo.Traffic.multi_flow_workload rng graph in
-    if not congestion then flows
-    else begin
-      Topo.Traffic.tighten_capacities graph flows ~headroom;
-      if Topo.Traffic.transition_schedulable graph flows || attempt > 60 then flows
-      else draw (attempt + 1)
-    end
+    Topo.Traffic.tighten_capacities graph flows ~headroom;
+    if Topo.Traffic.transition_schedulable graph flows || attempt > 60 then flows
+    else draw (attempt + 1)
   in
-  draw 0
-
-let multi_flow_time ?update_type setup system ~seed =
-  let topo = setup.topo () in
-  let sim = Sim.create ~seed () in
-  Obs.Trace.set_clock (fun () -> Sim.now sim);
-  let flows =
-    workload_of topo ~seed ~congestion:setup.congestion ~headroom:setup.headroom
-  in
-  if flows = [] then failwith "multi_flow_time: empty workload";
-  let net = Netsim.create ~config:(config_of setup) sim topo in
-  match system with
-  | P4u ->
-    let switches =
-      Array.init (Topo.Graph.node_count topo.Topo.Topologies.graph) (fun node ->
-          P4update.Switch.create net ~node)
-    in
-    let controller = P4update.Controller.create net in
-    let registered =
-      List.map
-        (fun (f : Topo.Traffic.flow) ->
-          let flow =
-            P4update.Controller.register_flow controller ~src:f.src ~dst:f.dst
-              ~size:(centi f.size) ~path:f.old_path
-          in
-          List.iter
-            (fun (l : P4update.Label.node_label) ->
-              P4update.Switch.install_initial switches.(l.node) ~flow_id:flow.flow_id
-                ~version:1 ~dist:l.dist_new ~egress_port:l.egress_port
-                ~notify_port:l.notify_port ~size:(centi f.size))
-            (P4update.Label.of_path net f.old_path);
-          (flow.flow_id, f.new_path))
-        flows
-    in
-    let start = Sim.now sim in
-    let versions =
-      List.map
-        (fun (flow_id, new_path) ->
-          (flow_id, P4update.Controller.update_flow controller ~flow_id ~new_path ?update_type ()))
-        registered
-    in
-    let _ = Sim.run ~until:120_000.0 sim in
-    let times =
-      List.map
-        (fun (flow_id, version) ->
-          match P4update.Controller.completion_time controller ~flow_id ~version with
-          | Some t -> t
-          | None -> fail_incomplete system)
-        versions
-    in
-    Stats.maximum times -. start
-  | Ez ->
-    let ez = Baselines.Ez_segway.create net ~congestion:setup.congestion in
-    let requests =
-      List.map
-        (fun (f : Topo.Traffic.flow) ->
-          let flow_id =
-            Baselines.Ez_segway.register_flow ez ~src:f.src ~dst:f.dst ~size:(centi f.size)
-              ~path:f.old_path
-          in
-          {
-            Baselines.Ez_segway.ur_flow = flow_id;
-            ur_size = centi f.size;
-            ur_old_path = f.old_path;
-            ur_new_path = f.new_path;
-          })
-        flows
-    in
-    let expected = List.length requests in
-    let seen = Hashtbl.create 32 in
-    let last = ref None in
-    Netsim.set_controller net (fun ~from:_ bytes ->
-        match P4update.Wire.control_of_bytes bytes with
-        | Some c when c.kind = P4update.Wire.Ufm ->
-          if not (Hashtbl.mem seen c.flow_id) then begin
-            Hashtbl.add seen c.flow_id ();
-            if Hashtbl.length seen = expected then last := Some (Sim.now sim)
-          end
-        | Some _ | None -> ());
-    let start = Sim.now sim in
-    Baselines.Ez_segway.schedule_updates ez requests;
-    let _ = Sim.run ~until:120_000.0 sim in
-    (match !last with Some t -> t -. start | None -> fail_incomplete system)
-  | Central ->
-    let central = Baselines.Central.create net ~congestion:setup.congestion in
-    let updates =
-      List.map
-        (fun (f : Topo.Traffic.flow) ->
-          let flow_id =
-            Baselines.Central.register_flow central ~src:f.src ~dst:f.dst ~size:(centi f.size)
-              ~path:f.old_path
-          in
-          (flow_id, f.new_path))
-        flows
-    in
-    let start = Sim.now sim in
-    Baselines.Central.schedule_updates central updates;
-    let _ = Sim.run ~until:120_000.0 sim in
-    (match Baselines.Central.completion_time central with
-     | Some t -> t -. start
-     | None -> fail_incomplete system)
+  match draw 0 with
+  | [] -> failwith "multi-flow workload: empty"
+  | flows ->
+    List.map
+      (fun (f : Topo.Traffic.flow) ->
+        { src = f.src; dst = f.dst; size = centi f.size; old_path = f.old_path;
+          new_path = f.new_path })
+      flows
 
 (* ------------------------------------------------------------------ *)
-(* Path selection for the single-flow WAN scenarios                     *)
+(* One run per system: install the old paths, push every update at      *)
+(* t = 0, return the time of the last completion                        *)
+(* ------------------------------------------------------------------ *)
+
+let horizon_ms = 120_000.0
+let fail_incomplete system = failwith (system_name system ^ ": update did not complete")
+
+let run_p4u ?update_type config topo ~seed updates =
+  let w = World.make ~seed ~config topo in
+  let flow_ids =
+    List.map
+      (fun u ->
+        (World.install_flow w ~src:u.src ~dst:u.dst ~size:u.size ~path:u.old_path)
+          .P4update.Controller.flow_id)
+      updates
+  in
+  let versions =
+    List.map2
+      (fun flow_id u ->
+        (flow_id, Control.Plane.update_flow w.World.plane ~flow_id ~new_path:u.new_path
+                    ?update_type ()))
+      flow_ids updates
+  in
+  ignore (World.run ~until:horizon_ms w);
+  List.map
+    (fun (flow_id, version) ->
+      match Control.Plane.completion_time w.World.plane ~flow_id ~version with
+      | Some t -> t
+      | None -> fail_incomplete P4u)
+    versions
+  |> Stats.maximum
+
+(* Completion is the controller-received UFM, as for the others. *)
+let run_ez net ~congestion updates =
+  let sim = Netsim.sim net in
+  let ez = Baselines.Ez_segway.create net ~congestion in
+  let requests =
+    List.map
+      (fun u ->
+        { Baselines.Ez_segway.ur_flow =
+            Baselines.Ez_segway.register_flow ez ~src:u.src ~dst:u.dst ~size:u.size
+              ~path:u.old_path;
+          ur_size = u.size; ur_old_path = u.old_path; ur_new_path = u.new_path })
+      updates
+  in
+  let expected = List.length requests in
+  let seen = Hashtbl.create 32 in
+  let last = ref None in
+  Netsim.set_controller net (fun ~from:_ bytes ->
+      match P4update.Wire.control_of_bytes bytes with
+      | Some c when c.kind = P4update.Wire.Ufm && not (Hashtbl.mem seen c.flow_id) ->
+        Hashtbl.add seen c.flow_id ();
+        if Hashtbl.length seen = expected then last := Some (Sim.now sim)
+      | Some _ | None -> ());
+  Baselines.Ez_segway.schedule_updates ez requests;
+  ignore (Sim.run ~until:horizon_ms sim);
+  match !last with Some t -> t | None -> fail_incomplete Ez
+
+let run_central net ~congestion updates =
+  let central = Baselines.Central.create net ~congestion in
+  Baselines.Central.schedule_updates central
+    (List.map
+       (fun u ->
+         ( Baselines.Central.register_flow central ~src:u.src ~dst:u.dst ~size:u.size
+             ~path:u.old_path,
+           u.new_path ))
+       updates);
+  ignore (Sim.run ~until:horizon_ms (Netsim.sim net));
+  match Baselines.Central.completion_time central with
+  | Some t -> t
+  | None -> fail_incomplete Central
+
+(* The seed's updates on a fresh topology; a single flow moves [paths]. *)
+let run_with ?update_type setup system ~paths ~seed =
+  let topo = setup.topo () in
+  let updates, congestion =
+    match setup.flows with
+    | Single ->
+      let old_path, new_path = Lazy.force paths in
+      let dst = List.nth old_path (List.length old_path - 1) in
+      ([ { src = List.hd old_path; dst; size = 100; old_path; new_path } ], false)
+    | Multi { headroom } -> (workload_of topo ~seed ~headroom, true)
+  in
+  let baseline_net () = Netsim.create ~config:setup.config (Sim.create ~seed ()) topo in
+  match system with
+  | P4u -> run_p4u ?update_type setup.config topo ~seed updates
+  | Ez -> run_ez (baseline_net ()) ~congestion updates
+  | Central -> run_central (baseline_net ()) ~congestion updates
+
+(* ------------------------------------------------------------------ *)
+(* Path selection for the single-flow scenarios                         *)
 (* ------------------------------------------------------------------ *)
 
 (* The paper picks the single-flow paths "intentionally ... to traverse a
@@ -261,3 +205,28 @@ let single_flow_paths topo =
   match !best with
   | Some (_, old_path, new_path) -> (old_path, new_path)
   | None -> failwith "single_flow_paths: no alternative path"
+
+let single_paths topo =
+  if topo.Topo.Topologies.name = (Topo.Topologies.fig1 ()).Topo.Topologies.name then
+    (Topo.Topologies.fig1_old_path, Topo.Topologies.fig1_new_path)
+  else single_flow_paths topo
+
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let paths_of setup = lazy (single_paths (setup.topo ()))
+
+let run ?update_type setup system ~seed =
+  run_with ?update_type setup system ~paths:(paths_of setup) ~seed
+
+(* A congested transition can be genuinely unschedulable for a
+   one-move-at-a-time heuristic (the 15-puzzle effect, §7.4); such seeds
+   are skipped and the reported n shrinks. *)
+let sample ?update_type (cfg : Run_config.t) setup system =
+  let paths = paths_of setup in
+  List.init cfg.Run_config.runs (Run_config.run_seed cfg)
+  |> List.filter_map (fun seed ->
+         match run_with ?update_type setup system ~paths ~seed with
+         | t -> Some t
+         | exception Failure _ -> None)

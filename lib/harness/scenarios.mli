@@ -1,38 +1,54 @@
-(** Shared experiment runners: one update-time measurement per system,
-    on identical topologies, workloads and seeds (§9.1). *)
+(** The scenario driver: one update-time measurement per system, on
+    identical topologies, workloads and seeds (§9.1).  The figures,
+    ablations, traced runs and the CLI are configurations of it. *)
 
 type system = P4u | Ez | Central
 
 val system_name : system -> string
 val all_systems : system list
 
-(** Configuration of one run. *)
+(** The flows a scenario updates. *)
+type flows =
+  | Single
+      (** one flow of size 100, moved from the {!single_paths} old path
+          to its new path *)
+  | Multi of { headroom : float }
+      (** §9.1's workload, drawn per seed: shortest → 2nd-shortest path,
+          gravity sizes, link capacities tightened to [headroom] over the
+          worst load (the traffic sits "close to the network's capacity")
+          and capacity-gated moves *)
+
 type setup = {
-  topo : unit -> Topo.Topologies.t;
-  stragglers : bool;        (** Exp(100 ms) rule installs (single-flow setup) *)
-  congestion : bool;        (** capacity-gated moves (multi-flow setup) *)
-  headroom : float;
-      (** per-link capacity headroom over the workload's worst load (the
-          multi-flow traffic sits "close to the network's capacity") *)
-  control : Netsim.control_latency option;
-      (** override (fat-tree uses a normal distribution); default Geo *)
+  topo : unit -> Topo.Topologies.t;  (** a fresh topology per run *)
+  flows : flows;
+  config : Netsim.config;
 }
 
-val config_of : setup -> Netsim.config
+(** [single topo] and [multi ~headroom topo] are §9.1's setups: single
+    flows pay Exp(100 ms) straggler rule installs; the control latency is
+    Normal(5, 2) on a datacenter and the path latency to the controller
+    node elsewhere. *)
+val single : (unit -> Topo.Topologies.t) -> setup
 
-(** [single_flow_time setup system ~old_path ~new_path ~seed] runs one
-    single-flow update and returns the completion time in ms (update
-    start → controller-received UFM).  Raises [Failure] if the update
+val multi : headroom:float -> (unit -> Topo.Topologies.t) -> setup
+
+(** [run setup system ~seed] installs the old paths, pushes every update
+    at t = 0 and returns the time (ms) of the last completion: the
+    controller receiving the flow's UFM.  Raises [Failure] if an update
     never completes. *)
-val single_flow_time :
-  ?update_type:P4update.Wire.update_type ->
-  setup -> system -> old_path:int list -> new_path:int list -> seed:int -> float
+val run : ?update_type:P4update.Wire.update_type -> setup -> system -> seed:int -> float
 
-(** [multi_flow_time setup system ~seed] draws the multi-flow workload of
-    §9.1 (shortest → 2nd-shortest, gravity sizes near capacity) and
-    returns the completion time of the last flow. *)
-val multi_flow_time :
-  ?update_type:P4update.Wire.update_type -> setup -> system -> seed:int -> float
+(** [sample cfg setup system] runs seeds [Run_config.run_seed cfg 0 ..
+    runs - 1] and returns the completion times.  Seeds whose transition
+    cannot complete are skipped, so the sample can be shorter than
+    [cfg.runs]. *)
+val sample :
+  ?update_type:P4update.Wire.update_type -> Run_config.t -> setup -> system -> float list
+
+(** [single_paths topo] is the single-flow scenario of [topo]: Fig. 1's
+    old and new paths on the Fig. 1 topology, {!single_flow_paths}
+    elsewhere. *)
+val single_paths : Topo.Topologies.t -> int list * int list
 
 (** [single_flow_paths topo] picks the single-flow scenario paths on a
     WAN: a long old path and an alternative that triggers segmentation

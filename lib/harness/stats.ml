@@ -52,11 +52,6 @@ let cdf xs =
   let n = float_of_int (List.length sorted) in
   List.mapi (fun i x -> (x, float_of_int (i + 1) /. n)) sorted
 
-(* z = 2.576 for a two-sided 99% interval. *)
-let confidence99 = function
-  | [] | [ _ ] -> 0.0
-  | xs -> 2.576 *. stddev xs /. sqrt (float_of_int (List.length xs))
-
 let summary name xs =
   match xs with
   | [] -> Printf.sprintf "%s: n=0 (no samples)" name

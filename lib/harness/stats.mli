@@ -22,9 +22,6 @@ val maximum_opt : float list -> float option
 (** [cdf xs] is the empirical CDF as sorted [(value, fraction)] points. *)
 val cdf : float list -> (float * float) list
 
-(** 99% confidence half-interval of the mean (normal approximation). *)
-val confidence99 : float list -> float
-
 (** [summary name xs] renders a one-line summary ("name: mean=… p50=…"). *)
 val summary : string -> float list -> string
 

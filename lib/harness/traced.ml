@@ -40,6 +40,8 @@ let attr_str key attrs =
   | Some (Obs.Json.Str s) -> Some s
   | _ -> None
 
+(* Fold a sink's events into phase rows (updates with a completed root
+   span only). *)
 let phase_rows sink =
   let spans : (int, span_acc) Hashtbl.t = Hashtbl.create 256 in
   List.iter
@@ -149,19 +151,13 @@ type result = {
   tr_phases : phase_row list;
 }
 
-let with_sink ?sink ?(exclude = [ "sim"; "net"; "p4rt" ]) f =
-  let sink = match sink with Some s -> s | None -> Obs.Trace.create ~exclude () in
+let run (cfg : Run_config.t) setup system =
+  let sink =
+    match cfg.Run_config.trace_sink with
+    | Some s -> s
+    | None -> Obs.Trace.create ~exclude:[ "sim"; "net"; "p4rt" ] ()
+  in
   Obs.Trace.install sink;
   Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
-      let completion = f () in
+      let completion = Scenarios.run setup system ~seed:cfg.Run_config.seed in
       { tr_sink = sink; tr_completion_ms = completion; tr_phases = phase_rows sink })
-
-let run_single (cfg : Run_config.t) ?update_type ?exclude setup system ~old_path
-    ~new_path =
-  with_sink ?sink:cfg.Run_config.trace_sink ?exclude (fun () ->
-      Scenarios.single_flow_time ?update_type setup system ~old_path ~new_path
-        ~seed:cfg.Run_config.seed)
-
-let run_multi (cfg : Run_config.t) ?update_type ?exclude setup system =
-  with_sink ?sink:cfg.Run_config.trace_sink ?exclude (fun () ->
-      Scenarios.multi_flow_time ?update_type setup system ~seed:cfg.Run_config.seed)

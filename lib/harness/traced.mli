@@ -18,10 +18,6 @@ type phase_row = {
   ph_total : float;
 }
 
-(** Fold a sink's events into phase rows (updates with a completed root
-    span only). *)
-val phase_rows : Obs.Trace.sink -> phase_row list
-
 (** Render rows as an aligned text table (with a sum line when there is
     more than one row). *)
 val render_phases : phase_row list -> string
@@ -32,26 +28,8 @@ type result = {
   tr_phases : phase_row list;
 }
 
-(** [run_single cfg setup system ~old_path ~new_path] runs the
-    single-flow scenario under a trace sink — [cfg.trace_sink] when
-    present, otherwise a fresh one — with [cfg.seed].  [exclude]
-    overrides the default category filter (["sim"; "net"; "p4rt"] —
-    scheduler and packet-level events off, protocol spans on). *)
-val run_single :
-  Run_config.t ->
-  ?update_type:P4update.Wire.update_type ->
-  ?exclude:string list ->
-  Scenarios.setup ->
-  Scenarios.system ->
-  old_path:int list ->
-  new_path:int list ->
-  result
-
-(** [run_multi cfg setup system]: the multi-flow scenario, likewise. *)
-val run_multi :
-  Run_config.t ->
-  ?update_type:P4update.Wire.update_type ->
-  ?exclude:string list ->
-  Scenarios.setup ->
-  Scenarios.system ->
-  result
+(** [run cfg setup system] runs seed [cfg.seed] of the scenario under a
+    trace sink: [cfg.trace_sink] when present, otherwise a fresh one that
+    excludes the ["sim"; "net"; "p4rt"] categories (scheduler and
+    packet-level events off, protocol spans on). *)
+val run : Run_config.t -> Scenarios.setup -> Scenarios.system -> result

@@ -208,18 +208,10 @@ let fuzz_bad_escape_positions =
 (* --- end-to-end: traced runs --- *)
 
 let fig1_setup =
-  {
-    Harness.Scenarios.topo = Topo.Topologies.fig1;
-    stragglers = false;
-    congestion = false;
-    headroom = 1.4;
-    control = None;
-  }
+  { (Harness.Scenarios.single Topo.Topologies.fig1) with config = Netsim.default_config }
 
 let traced_fig1 seed =
-  Harness.Traced.run_single (Harness.Run_config.make ~seed ()) fig1_setup
-    Harness.Scenarios.P4u ~old_path:Topo.Topologies.fig1_old_path
-    ~new_path:Topo.Topologies.fig1_new_path
+  Harness.Traced.run (Harness.Run_config.make ~seed ()) fig1_setup Harness.Scenarios.P4u
 
 let test_trace_determinism () =
   let a = traced_fig1 1234 and b = traced_fig1 1234 in
@@ -235,9 +227,7 @@ let test_no_sink_equivalence () =
   let traced = traced_fig1 1234 in
   Alcotest.(check bool) "no sink left installed" false (Trace.enabled ());
   let bare =
-    Harness.Scenarios.single_flow_time fig1_setup Harness.Scenarios.P4u
-      ~old_path:Topo.Topologies.fig1_old_path ~new_path:Topo.Topologies.fig1_new_path
-      ~seed:1234
+    Harness.Scenarios.run fig1_setup Harness.Scenarios.P4u ~seed:1234
   in
   Alcotest.(check (float 0.0)) "identical completion" bare
     traced.Harness.Traced.tr_completion_ms

@@ -259,14 +259,9 @@ let djb2 s =
 
 let test_trace_digest () =
   let setup =
-    { Harness.Scenarios.topo = Topo.Topologies.fig1; stragglers = false;
-      congestion = false; headroom = 1.4; control = None }
+    { (Harness.Scenarios.single Topo.Topologies.fig1) with config = Netsim.default_config }
   in
-  let cfg = Harness.Run_config.make ~seed:2024 () in
-  let r =
-    Harness.Traced.run_single cfg setup Harness.Scenarios.P4u
-      ~old_path:Topo.Topologies.fig1_old_path ~new_path:Topo.Topologies.fig1_new_path
-  in
+  let r = Harness.Traced.run (Harness.Run_config.make ~seed:2024 ()) setup Harness.Scenarios.P4u in
   Alcotest.(check int) "trace JSONL digest" 0x2aabd754
     (djb2 (Obs.Trace.to_jsonl r.Harness.Traced.tr_sink));
   Alcotest.(check (float 0.001)) "completion" 204.5 r.Harness.Traced.tr_completion_ms

@@ -13,18 +13,12 @@ let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("trace_check: " ^ s); ex
 
 let check name cond = if not cond then fail "%s" name
 
+(* Fig. 1's single flow without straggler installs. *)
 let setup =
-  {
-    Harness.Scenarios.topo = Topo.Topologies.fig1;
-    stragglers = false;
-    congestion = false;
-    headroom = 1.4;
-    control = None;
-  }
+  { (Harness.Scenarios.single Topo.Topologies.fig1) with config = Netsim.default_config }
 
 let run seed =
-  Harness.Traced.run_single (Harness.Run_config.make ~seed ()) setup Harness.Scenarios.P4u
-    ~old_path:Topo.Topologies.fig1_old_path ~new_path:Topo.Topologies.fig1_new_path
+  Harness.Traced.run (Harness.Run_config.make ~seed ()) setup Harness.Scenarios.P4u
 
 let () =
   let r = run 2024 in
