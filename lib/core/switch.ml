@@ -128,7 +128,9 @@ let ufm ~flow_id ~version ~status ~src =
 
 (* Trace helpers.  Spans are handed across wire messages through the
    sink's anchor table (the byte format is fixed); every helper is a no-op
-   when no sink is installed. *)
+   when no sink is installed.  Anchor keys and attribute lists are built
+   only behind an [Obs.Trace.enabled] (or nonzero span id) check, so the
+   untraced path pays no [sprintf] per message. *)
 
 let root_span (c : Wire.control) =
   Obs.Trace.anchor_get
@@ -185,7 +187,8 @@ and fire_commit t flow_id (pc : pending_commit) =
     || Uib.ver_cur u flow_id >= pc.pc_version
     || Uib.withdrawn_version u flow_id >= pc.pc_version
   then begin
-    Obs.Trace.span_end pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "cancelled" ];
+    if pc.pc_span <> 0 then
+      Obs.Trace.span_end pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "cancelled" ];
     Hashtbl.remove t.pending flow_id
   end
   else begin
@@ -205,7 +208,8 @@ and fire_commit t flow_id (pc : pending_commit) =
         ~high_priority:high ~other_high_waiters
     with
     | Congestion.Defer_capacity | Congestion.Defer_priority ->
-      Obs.Trace.span_end pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "deferred" ];
+      if pc.pc_span <> 0 then
+        Obs.Trace.span_end pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "deferred" ];
       t.stats.congestion_defers <- t.stats.congestion_defers + 1;
       Uib.set_flow_priority u flow_id (if high then 1 else 0);
       if not (Hashtbl.mem t.waiting_on flow_id) then begin
@@ -263,13 +267,14 @@ and fire_commit t flow_id (pc : pending_commit) =
       Hashtbl.remove t.pending flow_id;
       Hashtbl.remove t.cong_counts flow_id;
       t.stats.commits <- t.stats.commits + 1;
-      Obs.Trace.span_end pc.pc_span
-        ~attrs:
-          [
-            Obs.Trace.str "outcome" "committed";
-            Obs.Trace.int "egress" pc.pc_egress;
-            Obs.Trace.int "label" pc.pc_label;
-          ];
+      if pc.pc_span <> 0 then
+        Obs.Trace.span_end pc.pc_span
+          ~attrs:
+            [
+              Obs.Trace.str "outcome" "committed";
+              Obs.Trace.int "egress" pc.pc_egress;
+              Obs.Trace.int "label" pc.pc_label;
+            ];
       (* Rule cleanup (§11): tell the abandoned old parent that no further
          packets will arrive, so it can free its rule and reservation. *)
       if
@@ -433,10 +438,11 @@ let handle_uim t ctx (c : Wire.control) =
   let accepted = Uib.stage_uim u flow_id c in
   Pipeline.mark_to_drop ctx;
   (* End the controller's flight span for this indication. *)
-  Obs.Trace.span_end
-    (Obs.Trace.anchor_pop
-       (Wire.span_key_uim ~flow_id ~version:c.version_new ~node:t.node))
-    ~attrs:[ ("accepted", Obs.Json.Bool accepted) ];
+  if Obs.Trace.enabled () then
+    Obs.Trace.span_end
+      (Obs.Trace.anchor_pop
+         (Wire.span_key_uim ~flow_id ~version:c.version_new ~node:t.node))
+      ~attrs:[ ("accepted", Obs.Json.Bool accepted) ];
   (* §11 failure handling: a re-pushed indication for the already-staged
      version makes an already-committed egress (or DL segment egress)
      regenerate its notification, restarting a chain lost to packet
@@ -692,10 +698,11 @@ let handle_unm t ctx (c : Wire.control) =
     && Uib.ver_cur u c.flow_id < c.version_new
   then begin
     Pipeline.mark_to_drop ctx;
-    Obs.Trace.span_end
-      (Obs.Trace.anchor_pop
-         (Wire.span_key_unm ~flow_id:c.flow_id ~version:c.version_new ~node:c.src_node))
-      ~attrs:[ Obs.Trace.str "decision" "withdrawn" ]
+    if Obs.Trace.enabled () then
+      Obs.Trace.span_end
+        (Obs.Trace.anchor_pop
+           (Wire.span_key_unm ~flow_id:c.flow_id ~version:c.version_new ~node:c.src_node))
+        ~attrs:[ Obs.Trace.str "decision" "withdrawn" ]
   end
   else handle_unm_verified t ctx c
 

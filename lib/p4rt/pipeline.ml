@@ -142,8 +142,6 @@ let fresh_ctx frame path ~in_port ~kind ~egress ~digests =
   }
 
 let c_parse_errors = Obs.Metrics.(counter global) "p4rt.parser.errors"
-let c_resubmits = Obs.Metrics.(counter global) "p4rt.pipeline.resubmit_requests"
-let c_digests = Obs.Metrics.(counter global) "p4rt.pipeline.digests"
 
 let instance_name = function
   | Normal -> "normal"
@@ -214,10 +212,6 @@ let process t ~ingress_port ?(instance = Normal) bytes =
       no_outcome
     | path -> run_parsed t ~ingress_port ~instance bytes path
   in
-  if Option.is_some outcome.resubmitted then Obs.Metrics.incr c_resubmits;
-  (match outcome.to_controller with
-   | [] -> ()
-   | digests -> Obs.Metrics.incr c_digests ~by:(List.length digests));
   if span <> 0 then
     Obs.Trace.span_end span
       ~attrs:

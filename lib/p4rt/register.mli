@@ -18,8 +18,6 @@ val width : t -> int
 val read : t -> int -> int
 val write : t -> int -> int -> unit
 
-val read_bv : t -> int -> Bitval.t
-
 (** Reset every cell to zero. *)
 val clear : t -> unit
 

@@ -85,6 +85,62 @@ let test_compact_burst_order_independent () =
   done;
   Alcotest.(check int) "same residual capacity" (residual calm) (residual spike)
 
+(* The heap must never keep a payload alive once it has left: pending
+   thunks capture whole simulation worlds.  Payloads are pushed from a
+   function that keeps no reference to them, watched through a weak
+   array, and after each of [pop], [remove_seq], [compact] and [clear] a
+   full major collection must have reclaimed exactly the payloads that
+   left the heap and none of those still pending. *)
+let n_watched = 300
+
+let[@inline never] push_watched h watch =
+  for i = 0 to n_watched - 1 do
+    let payload = ref i in
+    Weak.set watch i (Some payload);
+    Event_heap.push h ~time:(float_of_int (i mod 37)) payload
+  done
+
+let test_heap_releases_payloads () =
+  let h = Event_heap.create () in
+  let watch = Weak.create n_watched in
+  push_watched h watch;
+  let left = Array.make n_watched false in
+  let check_live what =
+    Gc.full_major ();
+    Array.iteri
+      (fun i gone ->
+        if Weak.check watch i = gone then
+          Alcotest.failf "after %s: payload %d %s" what i
+            (if gone then "still retained" else "collected while pending"))
+      left
+  in
+  check_live "push";
+  for _ = 1 to 100 do
+    match Event_heap.pop h with Some (_, p) -> left.(!p) <- true | None -> assert false
+  done;
+  check_live "pop";
+  (* Seqs equal push indices here; remove every seventh still-pending one. *)
+  for seq = 0 to n_watched - 1 do
+    if seq mod 7 = 3 then
+      match Event_heap.remove_seq h seq with
+      | Some (_, _, p) -> left.(!p) <- true
+      | None -> ()
+  done;
+  check_live "remove_seq";
+  for _ = 1 to 120 do
+    match Event_heap.pop h with Some (_, p) -> left.(!p) <- true | None -> assert false
+  done;
+  let before = Event_heap.capacity h in
+  Event_heap.compact h;
+  Alcotest.(check bool) "compact shrank the heap" true (Event_heap.capacity h < before);
+  check_live "compact";
+  Event_heap.clear h;
+  Array.fill left 0 n_watched true;
+  check_live "clear";
+  (* [h] stays reachable through the last check, so a cleared table
+     cannot pass by being collected whole. *)
+  Alcotest.(check int) "cleared" 0 (Event_heap.size h)
+
 let test_sim_compact_mid_run () =
   let sim = Sim.create () in
   let trace = ref [] in
@@ -237,6 +293,7 @@ let suite =
     Alcotest.test_case "heap compact releases burst capacity" `Quick test_heap_compact_capacity;
     Alcotest.test_case "compact is burst-order independent" `Quick
       test_compact_burst_order_independent;
+    Alcotest.test_case "heap releases payloads that leave" `Quick test_heap_releases_payloads;
     Alcotest.test_case "sim compact mid-run is transparent" `Quick test_sim_compact_mid_run;
     Alcotest.test_case "set_tick boundary is exclusive" `Quick test_set_tick_boundary;
     Alcotest.test_case "bounded run fires final ticks" `Quick test_run_until_fires_final_ticks;

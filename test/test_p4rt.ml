@@ -867,6 +867,68 @@ let test_unm_allocation () =
   Alcotest.(check int) "ignored: no commit" commits
     (P4update.Switch.stats sw).P4update.Switch.commits
 
+(* The untraced event path.  A stale UIM (below the version the switch
+   has staged) sent through [Netsim.controller_transmit] and taken by one
+   [Sim.step]: the send, the delivery event, the pipeline around the
+   decoded record and Alg. 1's rejection.  No trace key or attribute is
+   built without a sink and no register access allocates: 69 words, and
+   the budget leaves a third as much again (159 when every UIM built its
+   trace key). *)
+let stale_uim_word_budget = 100.0
+
+let test_stale_uim_allocation () =
+  let w, flow_id = forwarding_world () in
+  let version =
+    P4update.Controller.update_flow w.Harness.World.controller ~flow_id
+      ~new_path:Topo.Topologies.fig1_new_path ~update_type:Wire.Sl ()
+  in
+  ignore (Harness.World.run w);
+  let node = List.nth Topo.Topologies.fig1_new_path 1 in
+  let sw = w.Harness.World.switches.(node) in
+  let u = P4update.Switch.uib sw in
+  Alcotest.(check int) "staged the update" version (P4update.Uib.uim_version u flow_id);
+  let uim =
+    Wire.control_to_bytes
+      { (Wire.control_default Wire.Uim) with flow_id; version_new = version - 1; src_node = -1 }
+  in
+  let sim = w.Harness.World.sim in
+  let send () =
+    Netsim.controller_transmit w.net ~to_:node uim;
+    if not (Dessim.Sim.step sim) || Dessim.Sim.pending sim <> 0 then
+      Alcotest.fail "one step must deliver the UIM and leave nothing pending"
+  in
+  send ();
+  let runs = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    send ()
+  done;
+  check_budget "stale UIM delivery"
+    ((Gc.minor_words () -. before) /. float_of_int runs)
+    stale_uim_word_budget;
+  Alcotest.(check int) "still staged, never re-staged" version
+    (P4update.Uib.uim_version u flow_id)
+
+(* [Sim.step] over a queue holding one preallocated no-op thunk: the
+   schedule boxes the event time once and the step boxes the clock once,
+   4 words per event (9 when a step built [Some (time, thunk)]). *)
+let step_word_budget = 4.0
+
+let test_sim_step_allocation () =
+  let sim = Dessim.Sim.create () in
+  let noop () = () in
+  let event () =
+    Dessim.Sim.schedule sim ~delay:0.5 noop;
+    ignore (Dessim.Sim.step sim)
+  in
+  event ();
+  let runs = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    event ()
+  done;
+  check_budget "Sim.step" ((Gc.minor_words () -. before) /. float_of_int runs) step_word_budget
+
 let suite =
   [
     Alcotest.test_case "bitval wrap-around" `Quick test_bitval_wrap;
@@ -910,4 +972,6 @@ let suite =
     Alcotest.test_case "forwarded frame allocation" `Quick test_forwarded_frame_allocation;
     Alcotest.test_case "host-injected frame allocation" `Quick test_injected_frame_allocation;
     Alcotest.test_case "inter-switch UNM allocation" `Quick test_unm_allocation;
+    Alcotest.test_case "stale UIM delivery allocation" `Quick test_stale_uim_allocation;
+    Alcotest.test_case "Sim.step allocation" `Quick test_sim_step_allocation;
   ]
