@@ -337,8 +337,10 @@ let control_of_bytes bytes =
         }
     | _ -> None
 
+let[@inline] is_data bytes = Bytes.length bytes >= data_bytes_len && get16 bytes 4 = etype_data
+
 let data_of_bytes bytes =
-  if Bytes.length bytes < data_bytes_len || get16 bytes 4 <> etype_data then None
+  if not (is_data bytes) then None
   else
     Some
       {
@@ -350,6 +352,12 @@ let data_of_bytes bytes =
         tag = get16 bytes 16;
         d_ts = get32 bytes 18;
       }
+
+(* The two fields a hop observer needs, read in place: -1 on any frame
+   [data_of_bytes] rejects (both fields are unsigned on the wire, so
+   never negative). *)
+let data_seq_of_bytes bytes = if is_data bytes then get32 bytes 8 else -1
+let data_flow_id_of_bytes bytes = if is_data bytes then get16 bytes 6 else -1
 
 (* Classifier for [Netsim.set_control_classifier]: the message kind of a
    valid control frame without materializing the record. *)

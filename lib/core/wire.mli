@@ -143,6 +143,12 @@ val control_of_bytes : Bytes.t -> control option
 
 val data_of_bytes : Bytes.t -> data option
 
+(** [seq] / [d_flow_id] of [data_of_bytes b] read in place, or [-1]
+    exactly when [data_of_bytes b] is [None]; neither allocates. *)
+val data_seq_of_bytes : Bytes.t -> int
+
+val data_flow_id_of_bytes : Bytes.t -> int
+
 (** Message kind of a valid control frame (for
     [Netsim.set_control_classifier]) without materializing the record. *)
 val control_kind_of_bytes : Bytes.t -> int option

@@ -102,18 +102,6 @@ let violations s = s.ts_mixed + s.ts_loops + s.ts_blackholes
 
 (* ---- internal state -------------------------------------------------- *)
 
-(* One probe in flight (or finished). *)
-type pkt = {
-  pk_flow : int;
-  pk_seq : int;
-  pk_dst : int;
-  pk_version_at_inject : int; (* controller version of the flow at injection *)
-  pk_injected_at : float;     (* simulated injection instant *)
-  mutable pk_hops : int list; (* visited nodes, newest first *)
-  mutable pk_delivered_at : int; (* node, -1 while undelivered *)
-  mutable pk_latency_ms : float; (* wire-carried ingress timestamp delta *)
-}
-
 (* One entry of a flow's version history. *)
 type vrec = {
   vr_version : int;
@@ -125,22 +113,43 @@ type vrec = {
 type flow_state = {
   fl_src : int;
   fl_dst : int;
-  mutable fl_history : vrec list; (* oldest first *)
+  mutable fl_history : vrec list; (* latest recorded first, one entry per version *)
+  mutable fl_top : int;       (* greatest version in [fl_history] *)
   mutable fl_version : int;   (* current controller version *)
   mutable fl_last_seq : int;  (* highest seq delivered so far (reordering) *)
   mutable fl_injecting : bool;
+}
+
+(* One probe in flight (or finished); its seq is its window position. *)
+type pkt = {
+  pk_flow : int;
+  pk_st : flow_state;         (* its flow's audit state, fixed at injection *)
+  pk_version_at_inject : int; (* controller version of the flow at injection *)
+  pk_injected_at : float;     (* simulated injection instant *)
+  mutable pk_hops : int list; (* visited nodes, newest first *)
+  mutable pk_delivered_at : int; (* node, -1 while undelivered *)
+  mutable pk_latency_ms : float; (* wire-carried ingress timestamp delta *)
 }
 
 type t = {
   world : World.t;
   wl : workload;
   mutable stop_ms : float;       (* injectors stop at this simulated time *)
+  (* Never loses or swaps an entry ([start_flow] reuses one), so a probe
+     may carry its flow's state.  A stdlib table on purpose: [start]
+     iterates it, and that order decides the injectors' schedule and RNG
+     draws, hence every pinned digest. *)
   flows : (int, flow_state) Hashtbl.t;
-  flight : (int, pkt) Hashtbl.t; (* seq -> packet, kept until drained *)
+  (* The flight window: probe [seq] sits in slot [seq - drained_upto]
+     until drained.  Seqs are dense from 0 and [drain] retires the whole
+     prefix below [next_seq], so [drained_upto, next_seq) is exactly the
+     set of probes in flight.  Slots live in chunks of [chunk_len], see
+     [slot]. *)
+  mutable window : pkt array array;
   mutable next_seq : int;
   mutable reordered : int;
   (* incremental drain accumulators (seq order, so the digest is
-     independent of table iteration order and of drain batching) *)
+     independent of drain batching) *)
   mutable drained_upto : int;    (* every seq below this is accounted for *)
   acc_counts : int array;        (* per-outcome totals *)
   mutable acc_excused : int;
@@ -153,6 +162,38 @@ type t = {
   m_latency : Obs.Metrics.histogram;
 }
 
+(* The filler of free window slots. *)
+let no_pkt =
+  {
+    pk_flow = -1;
+    pk_st =
+      { fl_src = -1; fl_dst = -1; fl_history = []; fl_top = min_int; fl_version = 0;
+        fl_last_seq = -1; fl_injecting = false };
+    pk_version_at_inject = 0;
+    pk_injected_at = 0.0;
+    pk_hops = [];
+    pk_delivered_at = -1;
+    pk_latency_ms = 0.0;
+  }
+
+(* Window slot [i] is [(slot t i).(i land chunk_mask)].  Every chunk is
+   a pool-sized block and growth copies only the spine.  One flat array
+   (a large block, reallocated on growth) made the peak heap of
+   identical perfbench episodes differ by one 32 KB pool in about one
+   run in twenty. *)
+let chunk_bits = 7
+let chunk_len = 1 lsl chunk_bits
+let chunk_mask = chunk_len - 1
+
+let[@inline] slot t i = t.window.(i lsr chunk_bits)
+
+(* The probe [seq] if it is in flight, [no_pkt] otherwise. *)
+let[@inline] find t seq =
+  if seq >= t.drained_upto && seq < t.next_seq then
+    let i = seq - t.drained_upto in
+    (slot t i).(i land chunk_mask)
+  else no_pkt
+
 (* A directed edge a -> b as one int, so the audit compares edges with
    integer equality instead of polymorphic compare on tuples.  Node ids
    stay below 2^20 in every topology this repository builds. *)
@@ -164,12 +205,19 @@ let rec edges_of_path = function
 
 let rec mem_edge e = function [] -> false | x :: rest -> Int.equal x e || mem_edge e rest
 
+(* Idempotent per version.  A push normally reports a version above
+   every recorded one (the controller prepares [version + 1] and [push]
+   stores it), which is recorded without a scan; only a stale prepared
+   update repeats or lowers a version, and only that case searches the
+   history.  The classifier does not depend on the order. *)
 let record_version st ~version ~path ~dl =
   st.fl_version <- version;
-  (* Idempotent per version. *)
-  if not (List.exists (fun r -> r.vr_version = version) st.fl_history) then
+  if version > st.fl_top || not (List.exists (fun r -> r.vr_version = version) st.fl_history)
+  then begin
+    st.fl_top <- max st.fl_top version;
     st.fl_history <-
-      st.fl_history @ [ { vr_version = version; vr_edges = edges_of_path path; vr_dl = dl } ]
+      { vr_version = version; vr_edges = edges_of_path path; vr_dl = dl } :: st.fl_history
+  end
 
 let flow_state_of (f : P4update.Controller.flow) =
   let st =
@@ -177,6 +225,7 @@ let flow_state_of (f : P4update.Controller.flow) =
       fl_src = f.P4update.Controller.src;
       fl_dst = f.P4update.Controller.dst;
       fl_history = [];
+      fl_top = min_int;
       fl_version = f.P4update.Controller.version;
       fl_last_seq = -1;
       fl_injecting = false;
@@ -189,34 +238,32 @@ let flow_state_of (f : P4update.Controller.flow) =
 
 (* ---- delivery hooks -------------------------------------------------- *)
 
-(* A link-hop of one of our probes: append the receiving node. *)
+(* A link-hop of one of our probes: prepend the receiving node.  Reads
+   the two header fields in place; a control frame or short frame has
+   seq -1 and finds nothing. *)
 let on_hop t _time node _port bytes =
-  match P4update.Wire.data_of_bytes bytes with
-  | Some d -> (
-    match Hashtbl.find_opt t.flight d.P4update.Wire.seq with
-    | Some pk when pk.pk_flow = d.P4update.Wire.d_flow_id ->
-      pk.pk_hops <- node :: pk.pk_hops
-    | Some _ | None -> ())
-  | None -> ()
+  let pk = find t (P4update.Wire.data_seq_of_bytes bytes) in
+  if pk != no_pkt && pk.pk_flow = P4update.Wire.data_flow_id_of_bytes bytes then
+    pk.pk_hops <- node :: pk.pk_hops
 
 (* Egress: the packet left the network at [node]. *)
 let on_egress t node ~time (d : P4update.Wire.data) =
-  match Hashtbl.find_opt t.flight d.P4update.Wire.seq with
-  | Some pk when pk.pk_flow = d.P4update.Wire.d_flow_id && pk.pk_delivered_at < 0 ->
+  let seq = d.P4update.Wire.seq in
+  let pk = find t seq in
+  if pk != no_pkt && pk.pk_flow = d.P4update.Wire.d_flow_id && pk.pk_delivered_at < 0
+  then begin
     pk.pk_delivered_at <- node;
     (* Latency from the wire-carried ingress timestamp (µs). *)
     pk.pk_latency_ms <- time -. (float_of_int d.P4update.Wire.d_ts /. 1000.0);
     Obs.Metrics.incr t.m_delivered;
     Obs.Metrics.observe t.m_latency pk.pk_latency_ms;
-    (match Hashtbl.find_opt t.flows pk.pk_flow with
-     | Some st ->
-       if pk.pk_seq < st.fl_last_seq then begin
-         t.reordered <- t.reordered + 1;
-         Obs.Metrics.incr t.m_reordered
-       end
-       else st.fl_last_seq <- pk.pk_seq
-     | None -> ())
-  | Some _ | None -> ()
+    let st = pk.pk_st in
+    if seq < st.fl_last_seq then begin
+      t.reordered <- t.reordered + 1;
+      Obs.Metrics.incr t.m_reordered
+    end
+    else st.fl_last_seq <- seq
+  end
 
 (* ---- injection ------------------------------------------------------- *)
 
@@ -228,8 +275,7 @@ let inject t flow_id (st : flow_state) =
   let pk =
     {
       pk_flow = flow_id;
-      pk_seq = seq;
-      pk_dst = st.fl_dst;
+      pk_st = st;
       pk_version_at_inject = st.fl_version;
       pk_injected_at = now;
       pk_hops = [ st.fl_src ];
@@ -237,7 +283,12 @@ let inject t flow_id (st : flow_state) =
       pk_latency_ms = 0.0;
     }
   in
-  Hashtbl.replace t.flight seq pk;
+  let i = seq - t.drained_upto in
+  let chunks = Array.length t.window in
+  if i = chunks * chunk_len then
+    t.window <-
+      Array.append t.window (Array.init chunks (fun _ -> Array.make chunk_len no_pkt));
+  (slot t i).(i land chunk_mask) <- pk;
   Obs.Metrics.incr t.m_injected;
   let d =
     {
@@ -301,7 +352,7 @@ let attach ?(workload = default_workload) (w : World.t) =
       wl = workload;
       stop_ms = workload.tw_stop_ms;
       flows = Hashtbl.create 256;
-      flight = Hashtbl.create 4096;
+      window = Array.init (4096 / chunk_len) (fun _ -> Array.make chunk_len no_pkt);
       next_seq = 0;
       reordered = 0;
       drained_upto = 0;
@@ -348,42 +399,51 @@ let note_admitted t ~flow_id = start_flow t flow_id
 
 (* ---- classification -------------------------------------------------- *)
 
-(* Does a consistent version assignment exist for the edge sequence,
+(* Does the directed edge a -> b occur in the newest-first hop list? *)
+let rec has_edge a b = function
+  | x :: (y :: _ as rest) -> (y = a && x = b) || has_edge a b rest
+  | _ -> false
+
+(* Does any directed edge repeat?  Each hop's edge is looked for among
+   the older ones. *)
+let rec repeats_edge = function
+  | x :: (y :: _ as rest) -> has_edge y x rest || repeats_edge rest
+  | _ -> false
+
+(* The greatest version <= [cap] whose path holds [e] and from which a
+   packet may move on to a version in a set whose greatest element is
+   [hi]: a rise always, a drop only out of a dual-layer version.
+   [min_int] when there is none. *)
+let rec greatest_entry ~cap ~hi e best = function
+  | [] -> best
+  | r :: more ->
+    let v = r.vr_version in
+    if v > best && v <= cap && (v <= hi || r.vr_dl) && mem_edge e r.vr_edges then
+      greatest_entry ~cap ~hi e v more
+    else greatest_entry ~cap ~hi e best more
+
+(* Does a consistent version assignment exist along the trajectory,
    using only versions <= cap?  Each edge may take any version whose
    path contains it; across consecutive edges the version may rise
    (downstream-first switchover) always, and may drop only out of a
    dual-layer version (the packet exits a committed DL segment at its
-   gateway onto a lower version).  Forward reachability over the (tiny)
-   per-flow version history: exact. *)
-let feasible_trajectory history ~cap edges =
-  let allowed e =
-    List.filter (fun r -> r.vr_version <= cap && mem_edge e r.vr_edges) history
-  in
-  let step reach e =
-    List.filter
-      (fun r ->
-        List.exists (fun p -> r.vr_version >= p.vr_version || p.vr_dl) reach)
-      (allowed e)
-  in
-  match edges with
-  | [] -> true
-  | e :: rest ->
-    let rec go reach = function
-      | [] -> reach <> []
-      | e :: more -> ( match step reach e with [] -> false | r -> go r more)
-    in
-    go (allowed e) rest
+   gateway onto a lower version).  Exact backward reachability over the
+   newest-first hops: a version fits an edge iff it is allowed there and
+   may move on to some version that completes the newer part of the
+   trajectory, which depends on that set only through its greatest
+   element [hi].  So the fold keeps one int and allocates nothing. *)
+let rec feasible history ~cap hi = function
+  | x :: (y :: _ as rest) ->
+    let hi = greatest_entry ~cap ~hi (edge y x) min_int history in
+    hi <> min_int && feasible history ~cap hi rest
+  | _ -> true
 
-let classify (st : flow_state) (pk : pkt) =
-  let hops = List.rev pk.pk_hops in
-  let edges = edges_of_path hops in
-  let distinct_edges = List.sort_uniq Int.compare edges in
-  if List.length distinct_edges < List.length edges then Loop
-  else if pk.pk_delivered_at < 0 then Blackhole
-  else if pk.pk_delivered_at <> pk.pk_dst then Mixed (* misdelivered *)
-  else if feasible_trajectory st.fl_history ~cap:pk.pk_version_at_inject edges
-  then Old_path
-  else if feasible_trajectory st.fl_history ~cap:max_int edges then New_path
+let classify ~history ~cap ~dst ~delivered_at hops =
+  if repeats_edge hops then Loop
+  else if delivered_at < 0 then Blackhole
+  else if delivered_at <> dst then Mixed (* misdelivered *)
+  else if feasible history ~cap max_int hops then Old_path
+  else if feasible history ~cap:max_int max_int hops then New_path
   else Mixed
 
 let hash_combine h x = ((h * 1000003) lxor x) land 0x3FFFFFFF
@@ -391,7 +451,7 @@ let hash_combine h x = ((h * 1000003) lxor x) land 0x3FFFFFFF
 (* Classify and retire every packet injected so far.  Call at quiet
    instants only (the plane drained: every such packet is terminal), so
    the soak monitor can account for millions of probes cycle by cycle
-   while the flight table returns to empty between bursts — the leak
+   while the flight window returns to empty between bursts — the leak
    check depends on that.  Seq order keeps the running digest independent
    of drain batching: one drain at the end and N incremental drains
    produce identical summaries.  [?excuse flow ~injected_at] may waive a
@@ -399,49 +459,51 @@ let hash_combine h x = ((h * 1000003) lxor x) land 0x3FFFFFFF
    failed element); waived packets count as [ts_excused], not as
    violations. *)
 let drain ?excuse t =
-  for seq = t.drained_upto to t.next_seq - 1 do
-    match Hashtbl.find_opt t.flight seq with
-    | None -> ()
-    | Some pk ->
-      Hashtbl.remove t.flight seq;
-      let cls =
-        match Hashtbl.find_opt t.flows pk.pk_flow with
-        | Some st -> classify st pk
-        | None -> Blackhole
-      in
-      let excused =
-        cls = Blackhole
-        && (match excuse with
-           | Some f -> f pk.pk_flow ~injected_at:pk.pk_injected_at
-           | None -> false)
-      in
-      if excused then t.acc_excused <- t.acc_excused + 1
-      else begin
-        t.acc_counts.(outcome_to_int cls) <- t.acc_counts.(outcome_to_int cls) + 1;
-        match cls with
-        | Mixed | Loop | Blackhole ->
-          (* A per-packet consistency violation: stamp it and dump the
-             flight-recorder window while the evidence is still in it. *)
-          let now = Sim.now (Netsim.sim t.world.World.net) in
-          Obs.Flight_recorder.note ~now ~kind:Obs.Flight_recorder.k_violation
-            ~node:pk.pk_delivered_at ~flow:pk.pk_flow ~a:(outcome_to_int cls)
-            ~b:pk.pk_seq;
-          ignore
-            (Obs.Flight_recorder.trigger ~now
-               ~reason:("traffic-" ^ outcome_name cls))
-        | Old_path | New_path -> ()
-      end;
-      if pk.pk_delivered_at >= 0 then
-        t.acc_latencies <- pk.pk_latency_ms :: t.acc_latencies;
-      t.acc_digest <-
-        hash_combine t.acc_digest
-          (Hashtbl.hash
-             ( pk.pk_flow, pk.pk_seq, outcome_to_int cls, pk.pk_hops,
-               int_of_float ((pk.pk_latency_ms *. 1000.0) +. 0.5) ))
+  let base = t.drained_upto in
+  for seq = base to t.next_seq - 1 do
+    let chunk = slot t (seq - base) and j = (seq - base) land chunk_mask in
+    let pk = chunk.(j) in
+    chunk.(j) <- no_pkt;
+    let st = pk.pk_st in
+    let cls =
+      classify ~history:st.fl_history ~cap:pk.pk_version_at_inject ~dst:st.fl_dst
+        ~delivered_at:pk.pk_delivered_at pk.pk_hops
+    in
+    let excused =
+      cls = Blackhole
+      && (match excuse with
+         | Some f -> f pk.pk_flow ~injected_at:pk.pk_injected_at
+         | None -> false)
+    in
+    if excused then t.acc_excused <- t.acc_excused + 1
+    else begin
+      t.acc_counts.(outcome_to_int cls) <- t.acc_counts.(outcome_to_int cls) + 1;
+      match cls with
+      | Mixed | Loop | Blackhole ->
+        (* A per-packet consistency violation: stamp it and dump the
+           flight-recorder window while the evidence is still in it. *)
+        let now = Sim.now (Netsim.sim t.world.World.net) in
+        Obs.Flight_recorder.note ~now ~kind:Obs.Flight_recorder.k_violation
+          ~node:pk.pk_delivered_at ~flow:pk.pk_flow ~a:(outcome_to_int cls) ~b:seq;
+        ignore
+          (Obs.Flight_recorder.trigger ~now
+             ~reason:("traffic-" ^ outcome_name cls))
+      | Old_path | New_path -> ()
+    end;
+    if pk.pk_delivered_at >= 0 then
+      t.acc_latencies <- pk.pk_latency_ms :: t.acc_latencies;
+    t.acc_digest <-
+      hash_combine t.acc_digest
+        (Hashtbl.hash
+           ( pk.pk_flow, seq, outcome_to_int cls, pk.pk_hops,
+             int_of_float ((pk.pk_latency_ms *. 1000.0) +. 0.5) ))
   done;
   t.drained_upto <- t.next_seq
 
-let in_flight t = Hashtbl.length t.flight
+let in_flight t = t.next_seq - t.drained_upto
+
+let history t ~flow_id =
+  match Hashtbl.find_opt t.flows flow_id with Some st -> st.fl_history | None -> []
 
 let finalize ?(wall_s = 0.0) t =
   drain t;

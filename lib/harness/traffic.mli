@@ -35,10 +35,34 @@ type outcome =
   | Old_path   (** explainable by versions current at injection *)
   | New_path   (** needed a later version: rode an update's legal switchover *)
   | Mixed      (** version downgrade or misdelivery — a real violation *)
-  | Loop       (** a node repeats in the trajectory *)
+  | Loop       (** a directed edge repeats in the trajectory *)
   | Blackhole  (** never delivered by drain *)
 
 val outcome_name : outcome -> string
+
+(** {2 Classification} *)
+
+(** One entry of a flow's version history. *)
+type vrec = {
+  vr_version : int;
+  vr_edges : int list;  (** the version path's directed edges, {!edges_of_path} *)
+  vr_dl : bool;         (** installed by a dual-layer update *)
+}
+
+(** Directed edges of a node path, oldest first, one int each. *)
+val edges_of_path : int list -> int list
+
+(** [classify ~history ~cap ~dst ~delivered_at hops] is a probe's
+    outcome: [history] is its flow's version history (any order, one
+    entry per version), [cap] the flow's controller version when the
+    probe was injected, [dst] the flow's destination, [delivered_at] the
+    node it left the network at ([-1] if it never did) and [hops] its
+    visited nodes, newest first.  [Loop] on a repeated directed edge,
+    then [Blackhole] if undelivered, [Mixed] if misdelivered, [Old_path]
+    if a consistent version assignment exists within [cap], [New_path]
+    if one exists at all, else [Mixed].  Allocates nothing. *)
+val classify :
+  history:vrec list -> cap:int -> dst:int -> delivered_at:int -> int list -> outcome
 
 type summary = {
   ts_injected : int;
@@ -91,7 +115,7 @@ val note_admitted : t -> flow_id:int -> unit
 (** Classify and retire every packet injected so far, folding it into
     the running totals that {!finalize} reports.  Call at quiet instants
     only (the plane drained, so every such packet is terminal); the
-    flight table returns to empty, which is what lets a soak run audit
+    flight window returns to empty, which is what lets a soak run audit
     millions of probes in bounded memory — and what its leak check
     verifies.  Drain batching is unobservable: one drain at the end and
     [N] incremental drains produce identical summaries, digest included.
@@ -102,6 +126,10 @@ val drain : ?excuse:(int -> injected_at:float -> bool) -> t -> unit
 
 (** Packets injected but not yet retired by {!drain} — the leak probe. *)
 val in_flight : t -> int
+
+(** A flow's version history, latest recorded first, one entry per
+    version ([[]] for a flow the auditor never saw). *)
+val history : t -> flow_id:int -> vrec list
 
 (** Drain the remainder and summarise the whole run.  Call once the
     plane has drained ([World.run] returned with an empty heap);

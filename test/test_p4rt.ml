@@ -929,6 +929,53 @@ let test_sim_step_allocation () =
   done;
   check_budget "Sim.step" ((Gc.minor_words () -. before) /. float_of_int runs) step_word_budget
 
+(* One data-frame delivery audited by [Harness.Traffic]: the frame
+   carries a probe still in the flight window (delivered, not drained)
+   and ttl 1, so one [Sim.step] hands it to the hop observers and the
+   next switch drops it.  Minus the same step without the auditor, the
+   hop costs only the cons of the visited node, 3 words (15 when each
+   hop decoded the whole header into [Some] record and looked the probe
+   up with [Hashtbl.find_opt]). *)
+let audited_hop_word_budget = 3.0
+
+let test_audited_hop_allocation () =
+  let words_per_step ~audited =
+    let w, flow_id = forwarding_world () in
+    if audited then begin
+      let t =
+        Harness.Traffic.attach
+          ~workload:
+            { Harness.Traffic.default_workload with
+              tw_mean_gap_ms = 1.0; tw_poisson = false; tw_stop_ms = 1.5 }
+          w
+      in
+      Harness.Traffic.start t;
+      ignore (Harness.World.run w);
+      Alcotest.(check int) "probe 0 awaits drain" 1 (Harness.Traffic.in_flight t)
+    end;
+    let hop = List.nth Topo.Topologies.fig1_old_path 1 in
+    let port = Netsim.port_of_neighbor w.net ~node:0 ~neighbor:hop in
+    let frame =
+      Wire.data_to_bytes
+        { Wire.d_flow_id = flow_id; seq = 0; ttl = 1; origin = 0; dst = 7; tag = 0; d_ts = 0 }
+    in
+    let sim = w.Harness.World.sim in
+    let deliver () =
+      Netsim.transmit w.net ~from:0 ~port frame;
+      if not (Dessim.Sim.step sim) || Dessim.Sim.pending sim <> 0 then
+        Alcotest.fail "one step must deliver the frame and leave nothing pending"
+    in
+    deliver ();
+    let runs = 1000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to runs do
+      deliver ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int runs
+  in
+  let plain = words_per_step ~audited:false in
+  check_budget "audited hop" (words_per_step ~audited:true -. plain) audited_hop_word_budget
+
 let suite =
   [
     Alcotest.test_case "bitval wrap-around" `Quick test_bitval_wrap;
@@ -974,4 +1021,5 @@ let suite =
     Alcotest.test_case "inter-switch UNM allocation" `Quick test_unm_allocation;
     Alcotest.test_case "stale UIM delivery allocation" `Quick test_stale_uim_allocation;
     Alcotest.test_case "Sim.step allocation" `Quick test_sim_step_allocation;
+    Alcotest.test_case "audited hop allocation" `Quick test_audited_hop_allocation;
   ]

@@ -233,13 +233,11 @@ let prop_data_codec_equiv =
       && W.data_of_bytes bytes = Some d
       && Codec_oracle.data_of_bytes bytes = Some d)
 
-let prop_decode_equiv_random_bytes =
-  (* On arbitrary byte strings (short frames, foreign etypes, invalid
-     enum fields) the direct decoders must return the exact verdict of
-     the parse-graph path. *)
-  let frame_gen =
-    (* Half the frames carry a valid eth header, so the enum checks and
-       the short-frame cut-offs are reached, not just the etype test. *)
+(* Arbitrary byte strings: short frames, foreign etypes, invalid enum
+   fields.  Two thirds carry a valid eth header, so the enum checks and
+   the short-frame cut-offs are reached, not just the etype test. *)
+let random_frame =
+  QCheck.make ~print:(Printf.sprintf "%S")
     QCheck.Gen.(
       let* etype = oneofl [ None; Some W.etype_control; Some W.etype_data ] in
       let* tail = string_size ~gen:char (int_range 0 34) in
@@ -248,10 +246,12 @@ let prop_decode_equiv_random_bytes =
       | Some e ->
         let eth = Printf.sprintf "\000\000\000\000%c%c" (Char.chr (e lsr 8)) (Char.chr (e land 0xff)) in
         return (eth ^ tail))
-  in
+
+let prop_decode_equiv_random_bytes =
+  (* The direct decoders must return the exact verdict of the
+     parse-graph path. *)
   QCheck.Test.make ~name:"fast decode verdicts = parser verdicts on random frames"
-    ~count:500
-    (QCheck.make ~print:(Printf.sprintf "%S") frame_gen)
+    ~count:500 random_frame
     (fun s ->
       let b = Bytes.of_string s in
       let oracle_control = Codec_oracle.control_of_bytes b in
@@ -259,6 +259,17 @@ let prop_decode_equiv_random_bytes =
       && W.data_of_bytes b = Codec_oracle.data_of_bytes b
       && W.control_kind_of_bytes b
          = Option.map (fun c -> W.msg_kind_to_int c.W.kind) oracle_control)
+
+let prop_data_field_accessors =
+  (* The in-place field reads agree with the full decode: -1 exactly
+     where it rejects the frame. *)
+  QCheck.Test.make ~name:"data seq / flow id accessors = data_of_bytes" ~count:500
+    random_frame
+    (fun s ->
+      let b = Bytes.of_string s in
+      match W.data_of_bytes b with
+      | None -> W.data_seq_of_bytes b = -1 && W.data_flow_id_of_bytes b = -1
+      | Some d -> W.data_seq_of_bytes b = d.W.seq && W.data_flow_id_of_bytes b = d.W.d_flow_id)
 
 (* --- determinism pins ----------------------------------------------- *)
 
@@ -372,6 +383,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_control_codec_equiv;
     QCheck_alcotest.to_alcotest prop_data_codec_equiv;
     QCheck_alcotest.to_alcotest prop_decode_equiv_random_bytes;
+    QCheck_alcotest.to_alcotest prop_data_field_accessors;
     Alcotest.test_case "chaos delivery hashes pinned" `Slow test_chaos_pins;
     Alcotest.test_case "mc fingerprints pinned" `Quick test_mc_pins;
     Alcotest.test_case "trace digest pinned" `Quick test_trace_digest;
