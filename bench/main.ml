@@ -9,8 +9,8 @@
    With [--json FILE] every headline number is additionally written to
    FILE as an array of {"name", "unit", "value"} rows, one per metric
    ([Obs.Rows]).  Nothing here is gated: the deterministic outputs of the
-   scale, traffic, soak, intent and shard runs are pinned in the test
-   suite, and throughput is priced by perfbench/. *)
+   scale, traffic, soak and intent runs are pinned in the test suite,
+   and throughput is priced by perfbench/. *)
 
 let quick = Array.exists (fun a -> a = "quick" || a = "--quick") Sys.argv
 

@@ -3,7 +3,7 @@
    Every subcommand of [p4update_cli] historically copy-pasted its own
    --seed/--topo/--runs specs and observability flags; they are defined
    once here so all subcommands (and the bench front end) agree on flag
-   names, docs and defaults, and new cross-cutting flags (--shards) land
+   names, docs and defaults, and a new cross-cutting flag lands
    everywhere at once.
 
    Exit codes, uniform across subcommands (see [exits]):
@@ -53,15 +53,6 @@ let seed_arg ~default =
 (* The scenario runners historically number their runs 1000, 1001, ... *)
 let scenario_seed_base = 1000
 
-let shards_arg =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Controller replicas (topology domains).  1 keeps the single \
-                 controller (byte-identical to the pre-sharding plane); N>1 \
-                 partitions the topology, routes each update to the shard \
-                 owning the flow's source domain, and stitches cross-domain \
-                 updates with DL labels at the gateway switches.")
-
 (* Shared observability flags: the long-horizon harnesses (scale,
    traffic, soak, chaos, top) all take the same four. *)
 type obs_flags = {
@@ -103,7 +94,7 @@ let obs_term =
 
 (* One Run_config per invocation: flags override [Run_config.default]. *)
 let cfg_of ~seed ?runs ?iterations ?congestion ?trace_sink ?fault_plan
-    ?reorder_window_ms ?obs ?live_top ?intent_churn ?shards () =
+    ?reorder_window_ms ?obs ?live_top ?intent_churn () =
   let recorder, incident_dir, tick_ms, series_out =
     match obs with
     | None -> (None, None, None, None)
@@ -112,7 +103,7 @@ let cfg_of ~seed ?runs ?iterations ?congestion ?trace_sink ?fault_plan
   in
   Harness.Run_config.make ~seed ?runs ?iterations ?congestion ?trace_sink
     ?fault_plan ?reorder_window_ms ?recorder ?incident_dir ?tick_ms ?series_out
-    ?live_top ?intent_churn ?shards ()
+    ?live_top ?intent_churn ()
 
 let system_conv =
   let parse = function

@@ -5,7 +5,7 @@
    Every subcommand builds exactly one [Harness.Run_config.t] from its
    flags and hands it to the library — the CLI owns flag parsing, the
    config record owns the knobs.  Flag specs shared across subcommands
-   (--seed/--topo/--runs, the observability four, --shards) and the
+   (--seed/--topo/--runs, the observability four) and the
    uniform exit-code table live in {!Cli_common}.
 
    Examples:
@@ -13,7 +13,7 @@
      p4update single --topo internet2 --system all --runs 10
      p4update multi --topo fat-tree --system p4update
      p4update fig --id 7c
-     p4update scale --topo chinanet --updates 2000 --shards 4
+     p4update scale --topo chinanet --updates 2000
 *)
 
 open Cmdliner
@@ -237,7 +237,7 @@ let chaos_cmd =
                    Chrome trace JSON; with several runs, FILE gets the scenario and seed \
                    appended.")
   in
-  let run scenario seed runs no_recovery trace_out shards obs =
+  let run scenario seed runs no_recovery trace_out obs =
     let fault_plan =
       { Harness.Run_config.default_faults with fp_recovery = not no_recovery }
     in
@@ -256,7 +256,7 @@ let chaos_cmd =
               | None -> None
               | Some _ -> Some (Obs.Trace.create ~exclude:[ "sim"; "net"; "p4rt" ] ())
             in
-            let cfg = cfg_of ~seed ~fault_plan ?trace_sink ~obs ~shards () in
+            let cfg = cfg_of ~seed ~fault_plan ?trace_sink ~obs () in
             let r = Harness.Chaos.run cfg ~scenario:sc in
             (match (trace_out, trace_sink) with
             | Some path, Some sink ->
@@ -290,7 +290,7 @@ let chaos_cmd =
          "Run seeded chaos schedules (both-plane faults plus link/node failures) and check \
           the Thm. 1-4 invariants and convergence.")
     Term.(const run $ scenario_arg $ seed_arg $ runs_arg $ no_recovery_arg $ trace_out_arg
-          $ shards_arg $ obs_term)
+          $ obs_term)
 
 (* --- mc --- *)
 
@@ -437,15 +437,15 @@ let scale_cmd =
                    instead of Poisson path flips.")
   in
   let run (name, build) seed updates flows arrival_mean burst churn probe_every
-      intent_churn shards obs =
-    let cfg = cfg_of ~seed ~obs ~intent_churn ~shards () in
+      intent_churn obs =
+    let cfg = cfg_of ~seed ~obs ~intent_churn () in
     let workload =
       { d with
         updates; flows; arrival_mean_ms = arrival_mean; burst;
         churn = Per_burst churn; probe = Every_bursts probe_every }
     in
-    Printf.printf "scale run on %s: %d updates over %d flows (seed %d, shards %d)\n"
-      name updates flows seed shards;
+    Printf.printf "scale run on %s: %d updates over %d flows (seed %d)\n" name updates
+      flows seed;
     let r = Harness.Run.run workload cfg (build ()) in
     Format.printf "%a@." Harness.Scale.pp r;
     if r.r_violations <> [] then begin
@@ -467,7 +467,7 @@ let scale_cmd =
           $ topo_arg ~default:("attmpls", Topo.Topologies.attmpls) ()
           $ seed_arg ~default:Harness.Run_config.default.seed
           $ updates_arg $ flows_arg $ arrival_arg $ burst_arg $ churn_arg $ probe_arg
-          $ intent_churn_arg $ shards_arg $ obs_term)
+          $ intent_churn_arg $ obs_term)
 
 (* --- traffic --- *)
 
@@ -494,8 +494,8 @@ let traffic_cmd =
     Arg.(value & opt float Harness.Traffic.default_workload.Harness.Traffic.tw_stop_ms
          & info [ "stop" ] ~docv:"MS" ~doc:"Stop injecting at this simulated time.")
   in
-  let run (name, build) seed updates flows gap_mean constant stop shards obs =
-    let cfg = cfg_of ~seed ~obs ~shards () in
+  let run (name, build) seed updates flows gap_mean constant stop obs =
+    let cfg = cfg_of ~seed ~obs () in
     let audit =
       { Harness.Traffic.default_workload with
         tw_mean_gap_ms = gap_mean; tw_poisson = not constant; tw_stop_ms = stop }
@@ -521,8 +521,7 @@ let traffic_cmd =
     Term.(const run
           $ topo_arg ~default:("attmpls", Topo.Topologies.attmpls) ()
           $ seed_arg ~default:Harness.Run_config.default.seed
-          $ updates_arg $ flows_arg $ gap_arg $ constant_arg $ stop_arg $ shards_arg
-          $ obs_term)
+          $ updates_arg $ flows_arg $ gap_arg $ constant_arg $ stop_arg $ obs_term)
 
 (* --- soak --- *)
 
@@ -570,7 +569,7 @@ let soak_cmd =
                    compiler, one correlated burst per event.")
   in
   let run (name, build) seed cycles cycle_ms population updates gap fault quick verbose
-      intent_churn shards obs =
+      intent_churn obs =
     let cyc = if quick then Harness.Soak.quick_cycles else { cyc with cycles; cycle_ms } in
     let config =
       if quick then Harness.Soak.quick_config
@@ -580,7 +579,7 @@ let soak_cmd =
           audit = Some { Harness.Soak.default_audit with tw_mean_gap_ms = gap };
           faults = Some { Harness.Soak.default_faults with control_prob = fault } }
     in
-    let cfg = cfg_of ~seed ~obs ~intent_churn ~shards () in
+    let cfg = cfg_of ~seed ~obs ~intent_churn () in
     Printf.printf
       "soak run on %s: %d cycles x %.0f ms, %d flows, faults + %s churn + probes (seed %d)\n"
       name cyc.cycles cyc.cycle_ms config.flows
@@ -605,7 +604,7 @@ let soak_cmd =
           $ topo_arg ()
           $ seed_arg ~default:Harness.Run_config.default.seed
           $ cycles_arg $ cycle_ms_arg $ population_arg $ updates_arg $ gap_arg
-          $ fault_arg $ quick_arg $ verbose_arg $ churn_arg $ shards_arg $ obs_term)
+          $ fault_arg $ quick_arg $ verbose_arg $ churn_arg $ obs_term)
 
 (* --- intent --- *)
 
@@ -684,7 +683,7 @@ let intent_cmd =
           (members_str ch.Intent.Compiler.ch_new))
       d.Intent.Compiler.d_changes
   in
-  let run mode (name, build) seed shards file events =
+  let run mode (name, build) seed file events =
     try
       let topo = build () in
       let program =
@@ -706,15 +705,15 @@ let intent_cmd =
         Printf.printf "final assignment:\n";
         print_assignment comp
       | `Run ->
-        let w = Harness.World.make ~seed ~shards topo in
+        let w = Harness.World.make ~seed topo in
         let g = Netsim.graph w.Harness.World.net in
-        let plane = w.Harness.World.plane in
+        let controller = w.Harness.World.controller in
         let comp = Intent.Compiler.create g program in
         let bridge = Intent.Bridge.create () in
         let install ~flow_id ~src ~dst ~size ~path =
           ignore (Harness.World.install_flow ~flow_id w ~src ~dst ~size ~path)
         in
-        let retire ~flow_id = Control.Plane.retire_flow plane ~flow_id in
+        let retire ~flow_id = P4update.Controller.retire_flow controller ~flow_id in
         ignore
           (Intent.Bridge.lower bridge ~program
              ~diff:(Intent.Compiler.bootstrap_diff comp) ~install ~retire);
@@ -733,10 +732,10 @@ let intent_cmd =
               Intent.Bridge.lower bridge
                 ~program:(Intent.Compiler.program comp) ~diff:d ~install ~retire
             in
-            let prepared = Control.Plane.prepare_batch plane reqs in
+            let prepared = P4update.Controller.prepare_batch controller reqs in
             print_diff ev d;
             Printf.printf "  -> burst of %d updates\n" (List.length prepared);
-            List.iter (fun p -> Control.Plane.push plane p) prepared;
+            List.iter (P4update.Controller.push controller) prepared;
             pushed := !pushed + List.length prepared;
             stop := !stop +. 250.0;
             Harness.Traffic.inject_until tr ~stop_ms:!stop;
@@ -760,8 +759,8 @@ let intent_cmd =
           spread, drains) to concrete member paths, replay topology/intent \
           events through the incremental recompiler, and optionally lower the \
           diffs into audited consistent-update bursts.")
-    Term.(const run $ mode_arg $ topo_arg () $ seed_arg ~default:7 $ shards_arg
-          $ file_arg $ event_arg)
+    Term.(const run $ mode_arg $ topo_arg () $ seed_arg ~default:7 $ file_arg
+          $ event_arg)
 
 (* --- top --- *)
 
@@ -774,14 +773,14 @@ let top_cmd =
     Arg.(value & opt (some int) None
          & info [ "cycles" ] ~docv:"N" ~doc:"Override the number of soak cycles.")
   in
-  let run (name, build) seed quick cycles shards obs =
+  let run (name, build) seed quick cycles obs =
     let base, cyc =
       if quick then (Harness.Soak.quick_config, Harness.Soak.quick_cycles)
       else (Harness.Soak.default_config, Harness.Soak.default_cycles)
     in
     let cyc = match cycles with None -> cyc | Some n -> { cyc with cycles = n } in
     let config = { base with pacing = Cycles cyc } in
-    let cfg = cfg_of ~seed ~obs ~live_top:true ~shards () in
+    let cfg = cfg_of ~seed ~obs ~live_top:true () in
     Printf.printf "top: soak on %s, %d cycles x %.0f ms, tick %.0f ms (seed %d)\n%!"
       name cyc.cycles cyc.cycle_ms
       (Option.value obs.ob_tick_ms ~default:(Harness.Run.default_tick_ms config)) seed;
@@ -802,7 +801,7 @@ let top_cmd =
     Term.(const run
           $ topo_arg ()
           $ seed_arg ~default:Harness.Run_config.default.seed
-          $ quick_arg $ cycles_arg $ shards_arg $ obs_term)
+          $ quick_arg $ cycles_arg $ obs_term)
 
 (* --- import --- *)
 

@@ -1,125 +1,3 @@
-(* The first-class control-plane interface.
-
-   Harnesses (Scale, Traffic, Soak, Chaos, Intent bridge, mc) depend on
-   this record instead of the concrete [P4update.Controller] module, so
-   the same code drives a single controller or a sharded coordinator.
-   [single] is pure 1:1 delegation — at shards=1 every call bottoms out
-   in exactly the Controller call it replaced, keeping pinned chaos
-   hashes and mc fingerprints byte-identical. *)
-
-module C = P4update.Controller
-module Wire = P4update.Wire
-
-type t = {
-  shards : int;
-  controllers : C.t array;  (* shard id -> replica; index 0 at shards=1 *)
-  partition : Partition.t option;  (* None at shards=1 *)
-  shard_of_node : int -> int;
-  register_flow :
-    ?version:int ->
-    ?flow_id:int ->
-    src:int ->
-    dst:int ->
-    size:int ->
-    path:int list ->
-    unit ->
-    C.flow;
-  find_flow : flow_id:int -> C.flow option;
-  flows : unit -> C.flow list;
-  retire_flow : flow_id:int -> unit;
-  prepare :
-    flow_id:int ->
-    new_path:int list ->
-    ?update_type:Wire.update_type ->
-    unit ->
-    C.prepared;
-  prepare_batch : (int * int list) list -> C.prepared list;
-  push : C.prepared -> unit;
-  update_flow :
-    flow_id:int ->
-    new_path:int list ->
-    ?update_type:Wire.update_type ->
-    unit ->
-    int;
-  abort_update : ?reason:string -> flow_id:int -> unit -> bool;
-  aborted_version : flow_id:int -> int option;
-  on_push : (flow_id:int -> version:int -> unit) -> unit;
-  on_report : (C.report -> unit) -> unit;
-  completion_time : flow_id:int -> version:int -> float option;
-  enable_recovery :
-    ?timeout_ms:float -> ?max_retries:int -> ?deadline_ms:float -> unit -> unit;
-  recovery_stats : unit -> C.recovery_stats option;
-  alarm_count : unit -> int;
-  fingerprint : unit -> int;
-}
-
-let single c =
-  {
-    shards = 1;
-    controllers = [| c |];
-    partition = None;
-    shard_of_node = (fun _ -> 0);
-    register_flow =
-      (fun ?version ?flow_id ~src ~dst ~size ~path () ->
-        C.register_flow ?version ?flow_id c ~src ~dst ~size ~path);
-    find_flow = (fun ~flow_id -> C.find_flow c ~flow_id);
-    flows = (fun () -> C.flows c);
-    retire_flow = (fun ~flow_id -> C.retire_flow c ~flow_id);
-    prepare =
-      (fun ~flow_id ~new_path ?update_type () ->
-        C.prepare c ~flow_id ~new_path ?update_type ());
-    prepare_batch = (fun reqs -> C.prepare_batch c reqs);
-    push = (fun p -> C.push c p);
-    update_flow =
-      (fun ~flow_id ~new_path ?update_type () ->
-        C.update_flow c ~flow_id ~new_path ?update_type ());
-    abort_update = (fun ?reason ~flow_id () -> C.abort_update ?reason c ~flow_id);
-    aborted_version = (fun ~flow_id -> C.aborted_version c ~flow_id);
-    on_push = C.on_push c;
-    on_report = C.on_report c;
-    completion_time =
-      (fun ~flow_id ~version -> C.completion_time c ~flow_id ~version);
-    enable_recovery =
-      (fun ?timeout_ms ?max_retries ?deadline_ms () ->
-        C.enable_recovery ?timeout_ms ?max_retries ?deadline_ms c);
-    recovery_stats = (fun () -> C.recovery_stats c);
-    alarm_count = (fun () -> C.alarm_count c);
-    fingerprint = (fun () -> C.fingerprint c);
-  }
-
-(* Call-style wrappers so call sites read like the Controller calls they
-   replaced: [Plane.update_flow p ~flow_id ~new_path ()]. *)
-
-let shards t = t.shards
-let controller t i = t.controllers.(i)
-let partition t = t.partition
-let shard_of_node t node = t.shard_of_node node
-
-let register_flow ?version ?flow_id t ~src ~dst ~size ~path =
-  t.register_flow ?version ?flow_id ~src ~dst ~size ~path ()
-
-let find_flow t ~flow_id = t.find_flow ~flow_id
-let flows t = t.flows ()
-let retire_flow t ~flow_id = t.retire_flow ~flow_id
-
-let prepare t ~flow_id ~new_path ?update_type () =
-  t.prepare ~flow_id ~new_path ?update_type ()
-
-let prepare_batch t reqs = t.prepare_batch reqs
-let push t p = t.push p
-
-let update_flow t ~flow_id ~new_path ?update_type () =
-  t.update_flow ~flow_id ~new_path ?update_type ()
-
-let abort_update ?reason t ~flow_id = t.abort_update ?reason ~flow_id ()
-let aborted_version t ~flow_id = t.aborted_version ~flow_id
-let on_push t f = t.on_push f
-let on_report t f = t.on_report f
-let completion_time t ~flow_id ~version = t.completion_time ~flow_id ~version
-
-let enable_recovery ?timeout_ms ?max_retries ?deadline_ms t =
-  t.enable_recovery ?timeout_ms ?max_retries ?deadline_ms ()
-
-let recovery_stats t = t.recovery_stats ()
-let alarm_count t = t.alarm_count ()
-let fingerprint t = t.fingerprint ()
+(* Only perfbench/episode.ml uses this alias: it calls [Control.Plane.*]
+   on [World.plane], the world's one controller. *)
+include P4update.Controller

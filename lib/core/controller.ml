@@ -679,8 +679,8 @@ let retrigger t (c : Wire.control) =
   | Some _ | None -> ()
 
 (* Process one control-channel frame addressed to this controller.  Kept
-   separate from [install_handler] so a sharded coordinator can parse the
-   frame once, pick the owning shard, and dispatch to it directly. *)
+   separate from [install_handler] so a caller that re-points the
+   network's handler can still dispatch here. *)
 let handle t ~from bytes =
   match Wire.control_of_bytes bytes with
       | Some c when c.kind = Wire.Ufm ->

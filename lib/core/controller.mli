@@ -52,6 +52,8 @@ type recovery_stats = {
   give_ups : int;        (** retry/deadline exhaustions that triggered an abort *)
 }
 
+(** [create net] builds the controller of [net] and wires {!handle} in
+    as the network's controller-channel handler. *)
 val create : Netsim.t -> t
 
 val net : t -> Netsim.t
@@ -239,9 +241,8 @@ val retire_flow : t -> flow_id:int -> unit
 
 (** [handle t ~from bytes] processes one control-channel frame (FRM/UFM)
     as if it had been delivered to this controller.  {!create} wires this
-    into the network via {!Netsim.set_controller} (which holds a single
-    handler — creating several controllers over one network leaves only
-    the last one wired); the sharded control plane re-points the handler
-    at a router that parses the frame once, picks the owning shard, and
-    dispatches here. *)
+    into the network via {!Netsim.set_controller}, which holds a single
+    handler: creating several controllers over one network leaves only
+    the last one wired.  A caller that re-points the handler (perfbench
+    wraps it in a timer) dispatches here. *)
 val handle : t -> from:int -> Bytes.t -> unit

@@ -212,9 +212,9 @@ let install_probes (w : World.t) (plan : Run_config.fault_plan) monitor
 
 let hash_combine h x = ((h * 1000003) lxor x) land 0x3FFFFFFF
 
-let run_one ?traffic ~shards ~scenario ~seed (plan : Run_config.fault_plan) =
+let run_one ?traffic ~scenario ~seed (plan : Run_config.fault_plan) =
   let topo = topo_of scenario in
-  let w = World.make ~seed ~shards topo in
+  let w = World.make ~seed topo in
   let trace_hash = ref 0x1505 in
   Netsim.on_delivery w.World.net (fun time node port bytes ->
       trace_hash :=
@@ -223,7 +223,7 @@ let run_one ?traffic ~shards ~scenario ~seed (plan : Run_config.fault_plan) =
   Array.iter
     (fun sw -> P4update.Switch.enable_watchdog sw ~timeout_ms:plan.fp_watchdog_ms)
     w.World.switches;
-  if plan.fp_recovery then Control.Plane.enable_recovery w.World.plane;
+  if plan.fp_recovery then P4update.Controller.enable_recovery w.World.controller;
   (* Workload first, fault schedule second: a fault-free baseline run of
      the same seed draws the identical workload. *)
   let planned = draw_flows w.World.sim topo plan.fp_flows in
@@ -243,7 +243,7 @@ let run_one ?traffic ~shards ~scenario ~seed (plan : Run_config.fault_plan) =
       let at = 100.0 +. Sim.uniform w.World.sim ~bound:(plan.fp_window_ms /. 2.0) in
       Sim.schedule_at w.World.sim ~time:at (fun () ->
           ignore
-            (Control.Plane.update_flow w.World.plane
+            (P4update.Controller.update_flow w.World.controller
                ~flow_id:f.P4update.Controller.flow_id ~new_path:pl.pl_new ());
           Option.iter
             (fun t ->
@@ -271,7 +271,7 @@ let run_one ?traffic ~shards ~scenario ~seed (plan : Run_config.fault_plan) =
           | _ -> false
         in
         let t =
-          Control.Plane.completion_time w.World.plane
+          P4update.Controller.completion_time w.World.controller
             ~flow_id:f.P4update.Controller.flow_id ~version:f.P4update.Controller.version
         in
         if structurally_ok then
@@ -284,7 +284,7 @@ let run_one ?traffic ~shards ~scenario ~seed (plan : Run_config.fault_plan) =
       (0, None) flows
   in
   let stats = Netsim.counters w.World.net in
-  let rstats = Control.Plane.recovery_stats w.World.plane in
+  let rstats = P4update.Controller.recovery_stats w.World.controller in
   let get f = match rstats with Some s -> f s | None -> 0 in
   {
     r_scenario = scenario;
@@ -298,7 +298,7 @@ let run_one ?traffic ~shards ~scenario ~seed (plan : Run_config.fault_plan) =
     r_resyncs = get (fun s -> s.P4update.Controller.resyncs);
     r_aborts = get (fun s -> s.P4update.Controller.aborts);
     r_give_ups = get (fun s -> s.P4update.Controller.give_ups);
-    r_alarms = Control.Plane.alarm_count w.World.plane;
+    r_alarms = P4update.Controller.alarm_count w.World.controller;
     r_dropped_by_fault = stats.Netsim.dropped_by_fault;
     r_dropped_by_failure = stats.Netsim.dropped_by_failure;
     r_element_failures = element_failures;
@@ -310,7 +310,7 @@ let run_one ?traffic ~shards ~scenario ~seed (plan : Run_config.fault_plan) =
 
 let run ?traffic (cfg : Run_config.t) ~scenario =
   let plan = Option.value cfg.Run_config.fault_plan ~default:Run_config.default_faults in
-  let seed = cfg.Run_config.seed and shards = cfg.Run_config.shards in
+  let seed = cfg.Run_config.seed in
   (* The flight recorder rides the whole pair of runs (degraded +
      baseline): a baseline-run violation is every bit as reportable. *)
   Observe.with_recorder cfg @@ fun _recorder ->
@@ -320,14 +320,14 @@ let run ?traffic (cfg : Run_config.t) ~scenario =
      fault-free convergence reference, not a second packet audit. *)
   let faulty =
     match cfg.Run_config.trace_sink with
-    | None -> run_one ?traffic ~shards ~scenario ~seed plan
+    | None -> run_one ?traffic ~scenario ~seed plan
     | Some sink ->
       Obs.Trace.install sink;
       Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
-          run_one ?traffic ~shards ~scenario ~seed plan)
+          run_one ?traffic ~scenario ~seed plan)
   in
   let baseline =
-    run_one ~shards ~scenario ~seed
+    run_one ~scenario ~seed
       { plan with fp_data_prob = 0.0; fp_control_prob = 0.0; fp_max_element_failures = 0 }
   in
   {

@@ -67,11 +67,11 @@ type report = {
 (** All invariants held and every flow converged. *)
 val ok : report -> bool
 
-(** [run cfg ~scenario]: the seed, the shard count, the flight recorder,
-    the trace sink and the fault plan (default
-    {!Run_config.default_faults}) all come from [cfg].  Executes the faulty run and its fault-free
-    baseline (identical workload) and merges both into one report.  The
-    sink is installed around the degraded run only (not the baseline);
+(** [run cfg ~scenario]: the seed, the flight recorder, the trace sink
+    and the fault plan (default {!Run_config.default_faults}) all come
+    from [cfg].  Executes the faulty run and its fault-free baseline
+    (identical workload) and merges both into one report.  The sink is
+    installed around the degraded run only (not the baseline);
     injected faults appear as ["fault.injected"] instants in category
     ["chaos"].  Tracing never perturbs the schedule, so the report —
     including [r_trace_hash] — is identical with or without a sink.

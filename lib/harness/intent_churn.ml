@@ -138,7 +138,7 @@ let install_cb t ~flow_id ~src ~dst ~size ~path =
   match t.on_install with Some f -> f ~flow_id | None -> ()
 
 let retire_cb t ~flow_id =
-  Control.Plane.retire_flow t.world.World.plane ~flow_id
+  P4update.Controller.retire_flow t.world.World.controller ~flow_id
 
 let lower t diff =
   t.changes <- t.changes + List.length diff.Compiler.d_changes;
@@ -296,7 +296,7 @@ let burst t =
            end)
     |> List.rev
   in
-  Control.Plane.prepare_batch t.world.World.plane deduped
+  P4update.Controller.prepare_batch t.world.World.controller deduped
 
 let stats t =
   {

@@ -135,7 +135,7 @@ let populate w ~flows =
   { world = w; used; slots }
 
 let replace p ~retire i =
-  if retire then Control.Plane.retire_flow p.world.World.plane ~flow_id:p.slots.(i).flow_id;
+  if retire then C.retire_flow p.world.World.controller ~flow_id:p.slots.(i).flow_id;
   let s = admit p.world ~used:p.used in
   p.slots.(i) <- s;
   s.flow_id
@@ -167,12 +167,12 @@ type source = Slots of population | Intent of Intent_churn.t
 
 (* ---- preparation re-timing ------------------------------------------- *)
 
-(* Time [prepare_batch] over a request slice without mutating the world
-   it measures: a throwaway single-controller [World] is built on the
-   same topology, the slice's flows are re-registered into it at their
-   current paths, and the timing loop hammers the clone's controller. *)
-let retime_slice (w : World.t) topo requests =
-  let clone = World.make ~seed:0 topo in
+(* Time [prepare_batch] over a request batch without mutating the world
+   it measures: a throwaway [World] is built on the same topology, the
+   batch's flows are re-registered into it at their current paths, and
+   the timing loop hammers the clone's controller. *)
+let retime_prep (w : World.t) requests =
+  let clone = World.make ~seed:0 (Netsim.topology w.World.net) in
   List.iter
     (fun (flow_id, _) ->
       match World.find_flow w ~flow_id with
@@ -195,28 +195,6 @@ let retime_slice (w : World.t) topo requests =
     float_of_int (!reps * batch) /. elapsed ()
   end
 
-(* At shards>1, one clone per shard carrying only the Flow DB slice that
-   shard owns (cloning every slice into every replica copied
-   quadratically in shard count).  Clones are built sequentially in the
-   calling domain (World.make sets the global trace clock). *)
-let retime_prep (w : World.t) requests =
-  let topo = Netsim.topology w.World.net in
-  match w.World.partition with
-  | None -> retime_slice w topo requests
-  | Some pt ->
-    let per_shard = Array.make (Control.Partition.domains pt) [] in
-    List.iter
-      (fun ((flow_id, _) as req) ->
-        match World.find_flow w ~flow_id with
-        | Some f ->
-          let d = Control.Partition.domain_of pt f.C.src in
-          per_shard.(d) <- req :: per_shard.(d)
-        | None -> ())
-      requests;
-    Array.fold_left
-      (fun acc reqs -> acc +. retime_slice w topo (List.rev reqs))
-      0.0 per_shard
-
 (* ---- the run loop ---------------------------------------------------- *)
 
 let run wl (cfg : Run_config.t) topo =
@@ -226,7 +204,7 @@ let run wl (cfg : Run_config.t) topo =
    | Open _, Per_cycle _ -> invalid_arg "Run.run: per-cycle churn needs cycles"
    | _ -> ());
   Observe.with_recorder cfg @@ fun _recorder ->
-  let w = World.make ~seed:cfg.Run_config.seed ~shards:cfg.Run_config.shards topo in
+  let w = World.make ~seed:cfg.Run_config.seed topo in
   let sim = w.World.sim in
   let net = w.World.net in
   let metrics = Netsim.metrics net in
@@ -237,7 +215,7 @@ let run wl (cfg : Run_config.t) topo =
         (fun sw ->
           P4update.Switch.enable_watchdog sw ~timeout_ms:Run_config.default_watchdog_ms)
         w.World.switches;
-      Control.Plane.enable_recovery ?deadline_ms:f.deadline_ms w.World.plane)
+      C.enable_recovery ?deadline_ms:f.deadline_ms w.World.controller)
     wl.faults;
   (* Population first, then the observers: they see it as the initial
      state. *)
@@ -344,7 +322,7 @@ let run wl (cfg : Run_config.t) topo =
         Obs.Timeseries.gauge ts "heap" ~unit_:"events" (fun () ->
             float_of_int (Sim.pending sim)))
   in
-  Control.Plane.on_report w.World.plane (fun r ->
+  C.on_report w.World.controller (fun r ->
       if r.C.r_status = P4update.Wire.ufm_success then begin
         let key = (r.C.r_flow, r.C.r_version) in
         match Hashtbl.find_opt pending key with
@@ -410,13 +388,13 @@ let run wl (cfg : Run_config.t) topo =
       | Slots pop ->
         let requests = rotate pop ~want in
         if List.length requests < want then incr underfilled;
-        timed (fun () -> Control.Plane.prepare_batch w.World.plane requests)
+        timed (fun () -> C.prepare_batch w.World.controller requests)
     in
     let now = Sim.now sim in
     List.iter
       (fun (p : C.prepared) ->
         Hashtbl.replace pending (p.C.p_flow, p.C.p_version) now;
-        Control.Plane.push w.World.plane p;
+        C.push w.World.controller p;
         incr pushed;
         decr quota)
       prepared;
@@ -446,7 +424,7 @@ let run wl (cfg : Run_config.t) topo =
     Option.iter (fun tr -> Traffic.drain ?excuse tr) audit;
     probe ();
     let in_flight = Option.fold ~none:0 ~some:Traffic.in_flight audit in
-    let flows = List.length (Control.Plane.flows w.World.plane) in
+    let flows = List.length (C.flows w.World.controller) in
     Obs.Metrics.incr (Obs.Metrics.counter metrics "soak.cycles");
     Obs.Metrics.set (Obs.Metrics.gauge metrics "soak.heap_pending")
       (float_of_int (Sim.pending sim));
@@ -528,11 +506,11 @@ let run wl (cfg : Run_config.t) topo =
     else
       Hashtbl.fold
         (fun (flow_id, version) _ acc ->
-          match Control.Plane.find_flow w.World.plane ~flow_id with
+          match C.find_flow w.World.controller ~flow_id with
           | None -> acc
           | Some f when f.C.version > version -> acc
           | Some _ -> (
-            match Control.Plane.aborted_version w.World.plane ~flow_id with
+            match C.aborted_version w.World.controller ~flow_id with
             | Some v when v >= version -> acc
             | _ -> (flow_id, version) :: acc))
         pending []
@@ -642,7 +620,7 @@ let run wl (cfg : Run_config.t) topo =
     r_element_failures = !element_failures;
     r_recovery =
       Option.value
-        (Control.Plane.recovery_stats w.World.plane)
+        (C.recovery_stats w.World.controller)
         ~default:
           { C.retransmissions = 0; reroutes = 0; resyncs = 0; aborts = 0; give_ups = 0 };
     r_withdrawals =

@@ -7,7 +7,7 @@
       at least two alternative paths) or, with
       [Run_config.intent_churn], the {!Intent_churn} program; Poisson
       arrival bursts of distinct flows prepared through
-      [Plane.prepare_batch] and pushed; churn; and the pacing — one
+      [Controller.prepare_batch] and pushed; churn; and the pacing — one
       open update stream ({!Scale}) or fixed-length cycles ({!Soak});
     - {e monitors}: Thm. 1–4 probes every n bursts or every t ms, the
       {!Traffic} per-packet auditor, and the control-frame fault window
@@ -156,10 +156,7 @@ val populate : World.t -> flows:int -> population
 val replace : population -> retire:bool -> int -> int
 
 (** [retime_prep w requests] measures [prepare_batch] throughput
-    (updates/s) for [requests] without touching [w]'s control plane: the
-    timing loops run against throwaway clone worlds.  At shards=1 one
-    clone carries all the flows; at shards>1 each shard gets its own
-    clone carrying {e only} the Flow DB slice it owns, its prep loop is
-    timed in isolation, and the result is the sum of per-replica rates —
-    the sustained capacity of k controllers each on its own machine. *)
+    (updates/s) for [requests] without touching [w]'s controller: the
+    timing loop runs against one throwaway clone world that carries the
+    requests' flows at their current paths. *)
 val retime_prep : World.t -> (int * int list) list -> float

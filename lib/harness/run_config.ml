@@ -54,7 +54,6 @@ type t = {
   series_out : string option;
   live_top : bool;
   intent_churn : bool;
-  shards : int;
 }
 
 let default =
@@ -72,14 +71,13 @@ let default =
     series_out = None;
     live_top = false;
     intent_churn = false;
-    shards = 1;
   }
 
 let make ?(seed = default.seed) ?(runs = default.runs)
     ?(iterations = default.iterations) ?(congestion = default.congestion)
     ?trace_sink ?fault_plan ?reorder_window_ms ?(recorder = default.recorder)
     ?incident_dir ?tick_ms ?series_out ?(live_top = default.live_top)
-    ?(intent_churn = default.intent_churn) ?(shards = default.shards) () =
+    ?(intent_churn = default.intent_churn) () =
   {
     seed;
     runs;
@@ -94,7 +92,6 @@ let make ?(seed = default.seed) ?(runs = default.runs)
     series_out;
     live_top;
     intent_churn;
-    shards;
   }
 
 (* The seed of the [i]th run of a multi-run experiment: run 0 uses the

@@ -45,9 +45,6 @@ type t = {
   live_top : bool;                   (** render the top dashboard per window *)
   intent_churn : bool;               (** source churn from [Intent_churn]
                                          instead of Poisson pair flips *)
-  shards : int;                      (** controller replicas; 1 = the single
-                                         controller, byte-identical to the
-                                         pre-sharding plane *)
 }
 
 (** seed 1, 30 runs, 1000 iterations, no congestion, no sink, no faults,
@@ -69,7 +66,6 @@ val make :
   ?series_out:string ->
   ?live_top:bool ->
   ?intent_churn:bool ->
-  ?shards:int ->
   unit ->
   t
 

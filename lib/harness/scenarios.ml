@@ -75,14 +75,15 @@ let run_p4u ?update_type config topo ~seed updates =
   let versions =
     List.map2
       (fun flow_id u ->
-        (flow_id, Control.Plane.update_flow w.World.plane ~flow_id ~new_path:u.new_path
-                    ?update_type ()))
+        ( flow_id,
+          P4update.Controller.update_flow w.World.controller ~flow_id
+            ~new_path:u.new_path ?update_type () ))
       flow_ids updates
   in
   ignore (World.run ~until:horizon_ms w);
   List.map
     (fun (flow_id, version) ->
-      match Control.Plane.completion_time w.World.plane ~flow_id ~version with
+      match P4update.Controller.completion_time w.World.controller ~flow_id ~version with
       | Some t -> t
       | None -> fail_incomplete P4u)
     versions

@@ -382,7 +382,7 @@ let attach ?(workload = default_workload) (w : World.t) =
      never misses a path the plane is switching to.  record_version is
      idempotent per version, so callers that also report pushes cost
      nothing extra. *)
-  Control.Plane.on_push w.World.plane (fun ~flow_id ~version ->
+  P4update.Controller.on_push w.World.controller (fun ~flow_id ~version ->
       note_pushed t ~flow_id ~version);
   t
 

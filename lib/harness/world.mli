@@ -6,12 +6,9 @@ type t = {
   net : Netsim.t;
   switches : P4update.Switch.t array;
   controller : P4update.Controller.t;
-      (** shard 0's replica at [shards > 1]; kept for test surfaces that
-          poke controller internals — harness code goes through [plane] *)
-  plane : Control.Plane.t;
-      (** the control plane: single delegation at [shards = 1], the
-          sharded coordinator otherwise *)
-  partition : Control.Partition.t option;  (** [Some] iff [shards > 1] *)
+  plane : P4update.Controller.t;
+      (** the same value as [controller], under the name perfbench's
+          episode driver reads; every other caller uses [controller] *)
 }
 
 (** A flow to install at construction time: registered with the
@@ -23,18 +20,14 @@ type flow_spec = { fs_src : int; fs_dst : int; fs_size : int; fs_path : int list
     100). *)
 val flow : ?size:int -> src:int -> dst:int -> path:int list -> unit -> flow_spec
 
-(** [make ?seed ?config ?shards ?flows topo] builds the world (one
-    switch per node) and installs every flow of [flows] in order.
-    Declarative construction replaces make-then-[install_flow]
+(** [make ?seed ?config ?flows topo] builds the world (one switch per
+    node and one controller) and installs every flow of [flows] in
+    order.  Declarative construction replaces make-then-[install_flow]
     sequences; installed flows are found again with {!find_flow} /
-    {!flow_of_pair}.  [shards] (default 1) > 1 partitions the topology
-    with {!Control.Partition.make} (seeded by [seed]) and fronts the
-    network with a {!Control.Sharded} coordinator; [shards = 1] keeps
-    the single controller, byte-identical to the pre-sharding plane. *)
+    {!flow_of_pair}. *)
 val make :
   ?seed:int ->
   ?config:Netsim.config ->
-  ?shards:int ->
   ?flows:flow_spec list ->
   Topo.Topologies.t ->
   t

@@ -373,6 +373,8 @@ type result = {
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
+(* The DFS: stops at the first violation (unminimized) or when the
+   schedule space within the bounds is exhausted. *)
 let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) sc =
   let window =
     match bounds.b_window_ms with

@@ -59,11 +59,6 @@ type result = {
   r_stats : stats;
 }
 
-(** [explore ?bounds sc] runs the DFS and stops at the first violation
-    (unminimized) or when the schedule space within the bounds is
-    exhausted. *)
-val explore : ?bounds:bounds -> ?cfg:Harness.Run_config.t -> Scenario.t -> result
-
 (** [minimize sc ~window schedule] greedily resets choices to the
     default and trims the all-default tail while the violation persists;
     each probe is one deterministic replay (POR off, so explicit
@@ -72,12 +67,14 @@ val minimize :
   ?bounds:bounds -> ?cfg:Harness.Run_config.t -> Scenario.t -> window:float ->
   int list -> int list
 
-(** [check ?bounds ?cfg ?unsafe sc] = {!explore} + {!minimize} on any
-    counterexample, with the scenario's §4b fix toggled off for the
-    whole run when [unsafe] (default [false]).  This is the CLI and
-    test entry point.  [cfg] (default {!Scenario.default_cfg}) supplies
-    the build seed and, when [bounds.b_window_ms] is [None], the
-    reorder-window override ([cfg.reorder_window_ms]). *)
+(** [check ?bounds ?cfg ?unsafe sc] runs the DFS, which stops at the
+    first violation or when the schedule space within the bounds is
+    exhausted, then {!minimize}s any counterexample, with the
+    scenario's §4b fix toggled off for the whole run when [unsafe]
+    (default [false]).  This is the CLI and test entry point.  [cfg]
+    (default {!Scenario.default_cfg}) supplies the build seed and, when
+    [bounds.b_window_ms] is [None], the reorder-window override
+    ([cfg.reorder_window_ms]). *)
 val check :
   ?bounds:bounds -> ?cfg:Harness.Run_config.t -> ?unsafe:bool -> Scenario.t -> result
 

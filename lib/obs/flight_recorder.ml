@@ -64,8 +64,6 @@ type t = {
   max_incidents : int;
   mutable incidents : int;  (* snapshot files written *)
   mutable triggers : int;   (* triggers fired (dumped or not) *)
-  mutable last_reason : string;
-  mutable last_file : string option;
 }
 
 let default_capacity = 8192
@@ -87,8 +85,6 @@ let create ?(capacity = default_capacity) ?incident_dir
     max_incidents;
     incidents = 0;
     triggers = 0;
-    last_reason = "";
-    last_file = None;
   }
 
 let capacity t = t.cap
@@ -96,7 +92,6 @@ let total t = t.total
 let dropped t = max 0 (t.total - t.cap)
 let triggers t = t.triggers
 let incidents t = t.incidents
-let last_incident_file t = t.last_file
 
 (* --- the global recorder, Trace-style ------------------------------- *)
 
@@ -232,6 +227,7 @@ let snapshot_events r ~now ~reason =
   in
   meta @ List.map instant evs @ [ trigger ]
 
+(* The Chrome trace-event JSON a trigger dumps. *)
 let snapshot_string r ~now ~reason =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf "[\n";
@@ -266,7 +262,6 @@ let trigger ~now ~reason =
   | None -> None
   | Some r ->
     r.triggers <- r.triggers + 1;
-    r.last_reason <- reason;
     record r ~now ~kind:k_trigger ~node:(-1) ~flow:(-1) ~a:r.triggers ~b:0;
     (match r.incident_dir with
      | Some dir when r.incidents < r.max_incidents ->
@@ -279,6 +274,5 @@ let trigger ~now ~reason =
        let oc = open_out path in
        output_string oc (snapshot_string r ~now ~reason);
        close_out oc;
-       r.last_file <- Some path;
        Some path
      | Some _ | None -> None)

@@ -94,9 +94,4 @@ val triggers : t -> int
 val incidents : t -> int
 (** Snapshot files actually written. *)
 
-val last_incident_file : t -> string option
 val clear : t -> unit
-
-val snapshot_string : t -> now:float -> reason:string -> string
-(** The Chrome trace-event JSON a trigger would dump, without touching
-    the filesystem. *)

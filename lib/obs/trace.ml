@@ -137,9 +137,6 @@ let anchor_pop key =
       id
     | None -> 0)
 
-let anchor_del key =
-  match !current with None -> () | Some s -> Hashtbl.remove s.anchors key
-
 (* Outstanding anchors in the installed sink: a leak probe.  Every span
    handed off across the wire should be popped by a terminal handler, so
    a quiesced plane leaves this at zero. *)

@@ -90,7 +90,6 @@ val anchor_set : string -> int -> unit
 
 val anchor_get : string -> int
 val anchor_pop : string -> int
-val anchor_del : string -> unit
 
 val anchor_count : unit -> int
 (** Outstanding anchors in the installed sink: a leak probe.  Every

@@ -20,6 +20,8 @@ let directed_pairs_of_path path =
   in
   pairs path
 
+(* Flow sizes summed per directed link under the old ([use_new = false])
+   or new paths, as an association list over directed node pairs. *)
 let link_loads _graph flows ~use_new =
   let table = Hashtbl.create 64 in
   List.iter

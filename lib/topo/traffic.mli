@@ -24,11 +24,6 @@ type flow = {
 val multi_flow_workload :
   ?utilization:float -> Random.State.t -> Graph.t -> flow list
 
-(** [link_loads graph flows ~use_new] sums flow sizes per directed link
-    under the old ([use_new = false]) or new paths.  Returns an association
-    list over directed node pairs. *)
-val link_loads : Graph.t -> flow list -> use_new:bool -> ((int * int) * float) list
-
 (** [feasible graph flows ~use_new] checks capacity on every link. *)
 val feasible : Graph.t -> flow list -> use_new:bool -> bool
 

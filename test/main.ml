@@ -28,7 +28,6 @@ let () =
       ("observability", Test_observability.suite);
       ("mc", Test_mc.suite);
       ("scale", Test_scale.suite);
-      ("control", Test_control.suite);
       ("traffic", Test_traffic.suite);
       ("soak", Test_soak.suite);
       ("intent", Test_intent.suite);

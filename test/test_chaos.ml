@@ -91,7 +91,7 @@ let test_completion_index_matches_log () =
   let w = W.make ~seed:5 topo in
   let sim = w.W.sim in
   Array.iter (fun sw -> P4update.Switch.enable_watchdog sw ~timeout_ms:400.0) w.W.switches;
-  Control.Plane.enable_recovery w.W.plane;
+  C.enable_recovery w.W.controller;
   let pairs = [ (0, 7); (1, 10); (2, 11); (3, 9); (4, 8); (5, 6) ] in
   let flows =
     List.filter_map
@@ -106,7 +106,7 @@ let test_completion_index_matches_log () =
     (fun i ((f : C.flow), old_path, new_path) ->
       let push at path =
         Dessim.Sim.schedule_at sim ~time:at (fun () ->
-            ignore (Control.Plane.update_flow w.W.plane ~flow_id:f.flow_id ~new_path:path ()))
+            ignore (C.update_flow w.W.controller ~flow_id:f.flow_id ~new_path:path ()))
       in
       push (100.0 +. (37.0 *. float_of_int i)) new_path;
       push (2500.0 +. (41.0 *. float_of_int i)) old_path)

@@ -4,7 +4,9 @@
    seeded-determinism / zero-violation guarantees of the probe engine,
    and its allocation-free probe path: the classifier against the list
    oracle in classify_oracle.ml, the flight window and the version
-   history. *)
+   history.  Also the single-controller fat-tree bursts: a 40-flow audited
+   burst on k=4, the pinned 150-flow audit on K=16 and a stable
+   controller fingerprint. *)
 
 module Sim = Dessim.Sim
 module Graph = Topo.Graph
@@ -403,10 +405,10 @@ let test_history_idempotent () =
    element failures: the case [record_version] serves without a scan. *)
 let test_pushed_versions_rise () =
   let w = World.make ~seed:11 (Topologies.b4 ()) in
-  let plane = w.World.plane and net = w.World.net and sim = w.World.sim in
-  Control.Plane.enable_recovery ~timeout_ms:40.0 plane;
+  let c = w.World.controller and net = w.World.net and sim = w.World.sim in
+  P4update.Controller.enable_recovery ~timeout_ms:40.0 c;
   let last = Hashtbl.create 16 and drops = ref 0 and pushes = ref 0 in
-  Control.Plane.on_push plane (fun ~flow_id ~version ->
+  P4update.Controller.on_push c (fun ~flow_id ~version ->
       incr pushes;
       (match Hashtbl.find_opt last flow_id with
        | Some v when version <= v -> incr drops
@@ -435,10 +437,10 @@ let test_pushed_versions_rise () =
         let requests =
           List.map (fun (flow_id, paths) -> (flow_id, paths.(burst mod Array.length paths))) flows
         in
-        List.iter (Control.Plane.push plane) (Control.Plane.prepare_batch plane requests))
+        List.iter (P4update.Controller.push c) (P4update.Controller.prepare_batch c requests))
   done;
   ignore (World.run ~until:20_000.0 w);
-  let rs = Option.get (Control.Plane.recovery_stats plane) in
+  let rs = Option.get (P4update.Controller.recovery_stats c) in
   Alcotest.(check bool) "recovery pushed too" true
     (rs.P4update.Controller.reroutes + rs.P4update.Controller.resyncs > 0);
   Alcotest.(check bool) "bursts pushed" true (!pushes >= 20 * List.length flows);
@@ -449,6 +451,110 @@ let test_pushed_versions_rise () =
       Alcotest.(check (list int)) "history strictly newest first"
         (List.sort_uniq (fun a b -> compare b a) vs) vs)
     flows
+
+(* One audited burst on a fat-tree: every flow has a primary shortest
+   path and an alternative avoiding the primary's middle edge, and all
+   of them move in one [prepare_batch] while the auditor races probes
+   through the update. *)
+let fat_tree_specs ?(seed = 0xca11) topo count =
+  let g = topo.Topologies.graph in
+  let n = Graph.node_count g in
+  let rng = Random.State.make [| seed |] in
+  let seen = Hashtbl.create 64 in
+  let specs = ref [] and made = ref 0 in
+  while !made < count do
+    let src = Random.State.int rng n and dst = Random.State.int rng n in
+    if src <> dst && not (Hashtbl.mem seen (src, dst)) then begin
+      Hashtbl.replace seen (src, dst) ();
+      match Graph.shortest_path g ~src ~dst with
+      | Some primary when List.length primary >= 3 ->
+        let mid = List.length primary / 2 in
+        let a = List.nth primary (mid - 1) and b = List.nth primary mid in
+        let edge_ok u v = not ((u = a && v = b) || (u = b && v = a)) in
+        (match
+           Graph.shortest_path_avoiding g ~src ~dst ~node_ok:(fun _ -> true) ~edge_ok
+         with
+        | Some alt when alt <> primary ->
+          specs := (src, dst, primary, alt) :: !specs;
+          incr made
+        | _ -> ())
+      | _ -> ()
+    end
+  done;
+  List.rev !specs
+
+let fat_tree_burst ~audit ~topo ~specs ~warm_ms ~stop_ms =
+  let w = World.make ~seed:42 topo in
+  let c = w.World.controller in
+  List.iteri
+    (fun i (src, dst, primary, _) ->
+      ignore (World.install_flow ~flow_id:i w ~src ~dst ~size:1 ~path:primary))
+    specs;
+  let requests = List.mapi (fun i (_, _, _, alt) -> (i, alt)) specs in
+  let monitor = Harness.Invariants.create w in
+  let tr = if audit then Some (Traffic.attach w) else None in
+  Option.iter
+    (fun tr ->
+      Traffic.start tr;
+      Traffic.inject_until tr ~stop_ms)
+    tr;
+  ignore (World.run ~until:warm_ms w);
+  let prepared = P4update.Controller.prepare_batch c requests in
+  List.iter
+    (fun (p : P4update.Controller.prepared) ->
+      Option.iter
+        (fun tr ->
+          Traffic.note_pushed tr ~flow_id:p.P4update.Controller.p_flow
+            ~version:p.P4update.Controller.p_version)
+        tr;
+      P4update.Controller.push c p)
+    prepared;
+  ignore (World.run w);
+  let audited, audit_violations =
+    match tr with
+    | None -> (0, 0)
+    | Some tr ->
+      Traffic.drain tr;
+      let ts = Traffic.finalize tr in
+      (ts.Traffic.ts_injected, Traffic.violations ts)
+  in
+  Harness.Invariants.check_structural monitor (World.flows w);
+  ( w,
+    List.length prepared,
+    audited,
+    audit_violations,
+    List.length (Harness.Invariants.violations monitor) )
+
+(* The 40-flow burst on the k=4 fat-tree. *)
+let small_fat_tree_burst ~audit =
+  let topo = Topologies.fat_tree () in
+  fat_tree_burst ~audit ~topo ~specs:(fat_tree_specs topo 40) ~warm_ms:30.0 ~stop_ms:300.0
+
+let test_fat_tree_burst_audited () =
+  let _, pushed, _, audit, structural = small_fat_tree_burst ~audit:true in
+  Alcotest.(check int) "all updates pushed" 40 pushed;
+  Alcotest.(check int) "no per-packet violations" 0 audit;
+  Alcotest.(check int) "no structural violations" 0 structural
+
+(* The larger leg, pinned: 150 flows on the K=16 fat-tree. *)
+let test_k16_fat_tree_audit_pinned () =
+  let topo = Topologies.fat_tree ~k:16 () in
+  let specs = fat_tree_specs ~seed:0x5eed topo 150 in
+  let _, pushed, audited, audit, structural =
+    fat_tree_burst ~audit:true ~topo ~specs ~warm_ms:50.0 ~stop_ms:400.0
+  in
+  Alcotest.(check int) "updates" 150 pushed;
+  Alcotest.(check int) "audited" 23954 audited;
+  Alcotest.(check int) "violations" 0 (audit + structural)
+
+(* The controller fingerprint after the 40-flow burst is a pure function
+   of the seed. *)
+let test_fat_tree_fingerprint_stable () =
+  let fp () =
+    let w, _, _, _, _ = small_fat_tree_burst ~audit:false in
+    P4update.Controller.fingerprint w.World.controller
+  in
+  Alcotest.(check int) "fingerprint stable run to run" (fp ()) (fp ())
 
 let suite =
   [
@@ -478,4 +584,8 @@ let suite =
       test_window_grows_and_releases;
     Alcotest.test_case "version history is idempotent" `Quick test_history_idempotent;
     Alcotest.test_case "pushed versions only rise" `Quick test_pushed_versions_rise;
+    Alcotest.test_case "fat-tree burst audited" `Slow test_fat_tree_burst_audited;
+    Alcotest.test_case "K=16 fat-tree audit pinned" `Slow test_k16_fat_tree_audit_pinned;
+    Alcotest.test_case "fat-tree fingerprint stable" `Quick
+      test_fat_tree_fingerprint_stable;
   ]
