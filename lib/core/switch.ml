@@ -1,5 +1,4 @@
 module Sim = Dessim.Sim
-module Pipeline = P4rt.Pipeline
 
 let wait_budget = 500
 let cpu_port = 1000 (* pseudo ingress port for controller messages *)
@@ -39,7 +38,7 @@ type pending_commit = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Deferred actions collected while the pipeline runs                   *)
+(* Deferred actions collected while a frame is processed                *)
 (* ------------------------------------------------------------------ *)
 
 type action =
@@ -52,7 +51,7 @@ type t = {
   net : Netsim.t;
   node : int;
   uib : Uib.t;
-  mutable pipe : Pipeline.t;
+  name : string; (* the [pipeline] attribute of traced frames *)
   stats : stats;
   mutable commit_hooks : (flow_id:int -> version:int -> time:float -> unit) list;
   mutable deliver_hooks : (time:float -> Wire.data -> unit) list;
@@ -61,7 +60,12 @@ type t = {
   cong_counts : (int, int) Hashtbl.t; (* flow id -> congestion defers so far *)
   frm_sent : (int, unit) Hashtbl.t;
   waiting_on : (int, int) Hashtbl.t; (* flow id -> contended port *)
-  mutable queue : action list; (* deferred actions of the running pipeline, newest first *)
+  mutable queue : action list; (* deferred actions of the running frame, newest first *)
+  (* What the running frame sends once its processing ends: at most one
+     emission and one digest, [no_frame] when none. *)
+  mutable out_port : int;
+  mutable out_bytes : Bytes.t;
+  mutable digest : Bytes.t;
   mutable watchdog_ms : float option; (* §11 failure handling, opt-in *)
   mutable consecutive_dl : bool; (* Appendix C extension, opt-in *)
 }
@@ -83,7 +87,6 @@ let stats t = t.stats
 let enable_watchdog t ~timeout_ms = t.watchdog_ms <- Some timeout_ms
 let enable_consecutive_dl t = t.consecutive_dl <- true
 let uib t = t.uib
-let pipeline t = t.pipe
 let on_commit t f = t.commit_hooks <- t.commit_hooks @ [ f ]
 let on_deliver t f = t.deliver_hooks <- t.deliver_hooks @ [ f ]
 
@@ -351,32 +354,31 @@ let schedule_commit t flow_id pc =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline control blocks                                              *)
+(* The frame path                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let alarm t ctx ~flow_id ~version ~status =
+let no_frame = Bytes.empty
+
+(* An alarm drops the frame and punts a UFM to the controller.  A frame
+   raises at most one. *)
+let alarm t ~flow_id ~version ~status =
   t.stats.alarms <- t.stats.alarms + 1;
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~cat:"switch" "alarm" ~node:t.node
       ~parent:(Obs.Trace.anchor_get (Wire.span_key_update ~flow_id ~version))
       ~attrs:
         [ Obs.Trace.flow flow_id; Obs.Trace.version version; Obs.Trace.int "status" status ];
-  Pipeline.digest ctx (Wire.control_to_bytes (ufm ~flow_id ~version ~status ~src:t.node));
-  Pipeline.mark_to_drop ctx
+  t.digest <- Wire.control_to_bytes (ufm ~flow_id ~version ~status ~src:t.node)
 
-(* Data-header fields the forwarding path reads and rewrites in place. *)
-let f_flow_id = Pipeline.field Wire.data_schema "flow_id"
-let f_ttl = Pipeline.field Wire.data_schema "ttl"
-let f_dst = Pipeline.field Wire.data_schema "dst"
-let f_tag = Pipeline.field Wire.data_schema "tag"
-
-(* [flow_id] is already masked to a register index. *)
-let handle_data t ctx ~flow_id =
+(* A data frame, read in place: [classify] vouched for its length. *)
+let handle_data t ~in_port bytes =
   let u = t.uib in
-  let from_host = Pipeline.ingress_port ctx = host_port in
+  (* Registers are indexed by the flow-id hash, masked like the P4 program. *)
+  let flow_id = Wire.data_flow_id_of_bytes bytes land (Wire.flow_space - 1) in
+  let from_host = in_port = host_port in
   (* The ingress stamps packets with the active tag (2-phase commit). *)
   let tag =
-    let tag = Pipeline.get ctx f_tag in
+    let tag = Wire.data_tag_of_bytes bytes in
     if from_host && tag = 0 then Uib.stamp_tag u flow_id else tag
   in
   (* Tagged packets use the tagged rule bank when it matches. *)
@@ -389,54 +391,47 @@ let handle_data t ctx ~flow_id =
        any other switch just counts the blackhole. *)
     if from_host && not (Hashtbl.mem t.frm_sent flow_id) then begin
       Hashtbl.add t.frm_sent flow_id ();
-      Pipeline.digest ctx
-        (Wire.control_to_bytes
-           {
-             (Wire.control_default Wire.Frm) with
-             flow_id;
-             (* the clone of the first packet carries the destination *)
-             dist_new = Pipeline.get ctx f_dst;
-             src_node = t.node;
-           })
+      t.digest <-
+        Wire.control_to_bytes
+          {
+            (Wire.control_default Wire.Frm) with
+            flow_id;
+            (* the clone of the first packet carries the destination *)
+            dist_new = Wire.data_dst_of_bytes bytes;
+            src_node = t.node;
+          }
     end
-    else t.stats.dropped_no_rule <- t.stats.dropped_no_rule + 1;
-    Pipeline.mark_to_drop ctx
+    else t.stats.dropped_no_rule <- t.stats.dropped_no_rule + 1
   end
   else if port = Wire.port_local then begin
     t.stats.delivered <- t.stats.delivered + 1;
     (* Local delivery bypasses [Netsim.transmit], so [Netsim.on_delivery]
        observers never see it; the egress hook is the only place a live
        auditor learns a packet left the network. *)
-    (match t.deliver_hooks with
-     | [] -> ()
-     | hooks -> (
-       match Wire.data_of_bytes (Pipeline.frame ctx) with
-       | Some d ->
-         let d = { d with Wire.d_flow_id = flow_id; tag } in
-         let time = Sim.now (Netsim.sim t.net) in
-         List.iter (fun f -> f ~time d) hooks
-       | None -> () (* the parse path holds a data header *)));
-    Pipeline.mark_to_drop ctx
+    match t.deliver_hooks with
+    | [] -> ()
+    | hooks -> (
+      match Wire.data_of_bytes bytes with
+      | Some d ->
+        let d = { d with Wire.d_flow_id = flow_id; tag } in
+        let time = Sim.now (Netsim.sim t.net) in
+        List.iter (fun f -> f ~time d) hooks
+      | None -> () (* [classify] vouched for a data header *))
   end
   else
-    let ttl = Pipeline.get ctx f_ttl in
-    if ttl <= 1 then begin
-      t.stats.dropped_ttl <- t.stats.dropped_ttl + 1;
-      Pipeline.mark_to_drop ctx
-    end
+    let ttl = Wire.data_ttl_of_bytes bytes in
+    if ttl <= 1 then t.stats.dropped_ttl <- t.stats.dropped_ttl + 1
     else begin
       t.stats.forwarded <- t.stats.forwarded + 1;
-      (* The first write copies the frame; the second lands in the copy. *)
-      Pipeline.set ctx f_ttl (ttl - 1);
-      Pipeline.set ctx f_tag tag;
-      Pipeline.set_egress ctx port
+      (* The received buffer is never written: the emission is a copy. *)
+      t.out_port <- port;
+      t.out_bytes <- Wire.data_forward_copy bytes ~ttl:(ttl - 1) ~tag
     end
 
-let handle_uim t ctx (c : Wire.control) =
+let handle_uim t (c : Wire.control) =
   let u = t.uib in
   let flow_id = c.flow_id in
   let accepted = Uib.stage_uim u flow_id c in
-  Pipeline.mark_to_drop ctx;
   (* End the controller's flight span for this indication. *)
   if Obs.Trace.enabled () then
     Obs.Trace.span_end
@@ -589,10 +584,9 @@ let decision_name = function
   | Verify.Reject_distance -> "reject_distance"
   | Verify.Ignore -> "ignore"
 
-let handle_unm_verified t ctx (c : Wire.control) =
+let handle_unm_verified t (c : Wire.control) =
   let u = t.uib in
   let flow_id = c.flow_id in
-  Pipeline.mark_to_drop ctx;
   let node = node_view_of u flow_id in
   let dual =
     c.update_type = Wire.Dl
@@ -674,16 +668,16 @@ let handle_unm_verified t ctx (c : Wire.control) =
     let count = Option.value (Hashtbl.find_opt t.wait_counts flow_id) ~default:0 in
     if count >= wait_budget then begin
       Hashtbl.remove t.wait_counts flow_id;
-      alarm t ctx ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_wait_budget
+      alarm t ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_wait_budget
     end
     else begin
       Hashtbl.replace t.wait_counts flow_id (count + 1);
       t.stats.waits <- t.stats.waits + 1;
       push_action t (Resubmit_bytes (Wire.control_to_bytes c))
     end
-  | Verify.Reject_stale -> alarm t ctx ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_stale
+  | Verify.Reject_stale -> alarm t ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_stale
   | Verify.Reject_distance ->
-    alarm t ctx ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_distance
+    alarm t ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_distance
   | Verify.Ignore -> ()
 
 (* §11 abort: a notification for a withdrawn, uncommitted version is dead
@@ -691,20 +685,19 @@ let handle_unm_verified t ctx (c : Wire.control) =
    controller just discarded.  Committed versions are untouchable (the
    withdraw itself refuses them), so this check can only suppress a
    commit that has not happened yet. *)
-let handle_unm t ctx (c : Wire.control) =
+let handle_unm t (c : Wire.control) =
   let u = t.uib in
   if
     Uib.withdrawn_version u c.flow_id >= c.version_new
     && Uib.ver_cur u c.flow_id < c.version_new
   then begin
-    Pipeline.mark_to_drop ctx;
     if Obs.Trace.enabled () then
       Obs.Trace.span_end
         (Obs.Trace.anchor_pop
            (Wire.span_key_unm ~flow_id:c.flow_id ~version:c.version_new ~node:c.src_node))
         ~attrs:[ Obs.Trace.str "decision" "withdrawn" ]
   end
-  else handle_unm_verified t ctx c
+  else handle_unm_verified t c
 
 (* §11 abort: the controller withdraws a staged (uncommitted) update.
    Already-committed versions ignore the message — their rules are part
@@ -712,11 +705,10 @@ let handle_unm t ctx (c : Wire.control) =
    Otherwise the withdraw floor in the UIB kills the staged indication,
    any pending commit, and blocks late duplicates (UIM/UNM) of the
    aborted version from resurrecting it. *)
-let handle_withdraw t ctx (c : Wire.control) =
+let handle_withdraw t (c : Wire.control) =
   let u = t.uib in
   let flow_id = c.flow_id in
   let version = c.version_new in
-  Pipeline.mark_to_drop ctx;
   if Uib.ver_cur u flow_id < version then begin
     let had_staged = Uib.withdraw u flow_id ~version in
     (match Hashtbl.find_opt t.pending flow_id with
@@ -744,10 +736,9 @@ let handle_withdraw t ctx (c : Wire.control) =
    update.  Nodes that participate in the update (their staged indication
    is at least as new) ignore it: their own commit manages the
    reservations. *)
-let handle_cleanup t ctx (c : Wire.control) =
+let handle_cleanup t (c : Wire.control) =
   let u = t.uib in
   let flow_id = c.flow_id in
-  Pipeline.mark_to_drop ctx;
   (* Only release the capacity reservation: the stale rule itself stays in
      place, because other (equally stale) parents of older versions may
      still route traffic through this node, and a stale rule can never
@@ -772,8 +763,9 @@ let valid_port t port =
   port = Wire.port_none || port = Wire.port_local
   || (port >= 0 && port < Netsim.port_count t.net ~node:t.node)
 
-let handle_control t ctx =
-  match Wire.control_of_bytes (Pipeline.frame ctx) with
+(* A control frame is decoded, then dropped once its handler ran. *)
+let handle_control t bytes =
+  match Wire.control_of_bytes bytes with
   | Some c ->
     (* Registers are indexed by the flow-id hash: mask like the P4 program
        does.  A corrupted id aliases some slot and is then rejected by the
@@ -784,20 +776,25 @@ let handle_control t ctx =
     in
     (match c.kind with
      | Wire.Uim when valid_port t c.egress_port && valid_port t c.notify_port ->
-       handle_uim t ctx c
-     | Wire.Uim -> Pipeline.mark_to_drop ctx
-     | Wire.Unm -> handle_unm t ctx c
-     | Wire.Cln -> handle_cleanup t ctx c
-     | Wire.Wdm -> handle_withdraw t ctx c
-     | Wire.Frm | Wire.Ufm -> Pipeline.mark_to_drop ctx (* switch is not their consumer *))
-  | None -> Pipeline.mark_to_drop ctx
+       handle_uim t c
+     | Wire.Uim -> ()
+     | Wire.Unm -> handle_unm t c
+     | Wire.Cln -> handle_cleanup t c
+     | Wire.Wdm -> handle_withdraw t c
+     | Wire.Frm | Wire.Ufm -> () (* switch is not their consumer *))
+  | None -> ()
 
-(* Data frames, the common case, are told by their parse path and read
-   in place; control frames are decoded from the frame. *)
-let ingress_control t ctx =
-  if Pipeline.valid ctx Wire.data_schema then
-    handle_data t ctx ~flow_id:(Pipeline.get ctx f_flow_id land (Wire.flow_space - 1))
-  else handle_control t ctx
+(* The parse verdict comes from the base header's fixed offsets: a frame
+   too short for its etype is a parse error, a foreign etype is dropped
+   silently, as by the parse graph in [Wire.parser]. *)
+let c_parse_errors = Obs.Metrics.(counter global) "p4rt.parser.errors"
+
+let ingress t ~in_port bytes =
+  match Wire.classify bytes with
+  | Wire.Data_frame -> handle_data t ~in_port bytes
+  | Wire.Control_frame -> handle_control t bytes
+  | Wire.Foreign -> ()
+  | Wire.Truncated -> Obs.Metrics.incr c_parse_errors
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -817,26 +814,36 @@ let drain_actions t =
     t.queue <- [];
     List.iter (run_action t) (List.rev queue)
 
-let rec transmit_all t = function
-  | [] -> ()
-  | { Pipeline.out_port; bytes } :: rest ->
-    if out_port < Netsim.port_count t.net ~node:t.node then
-      Netsim.transmit t.net ~from:t.node ~port:out_port bytes;
-    transmit_all t rest
-
-let rec notify_all t = function
-  | [] -> ()
-  | bytes :: rest ->
-    Netsim.notify_controller t.net ~from:t.node bytes;
-    notify_all t rest
-
-let run_pipeline t ~port bytes =
-  let outcome = Pipeline.process t.pipe ~ingress_port:port bytes in
-  transmit_all t outcome.Pipeline.emissions;
-  (match outcome.Pipeline.resubmitted with
-   | Some bytes -> Netsim.resubmit t.net ~node:t.node bytes
-   | None -> ());
-  notify_all t outcome.Pipeline.to_controller;
+(* One frame, whatever its origin: a data port, [host_port], [cpu_port]
+   or a resubmission.  Under a sink it is one [pipeline.process] span;
+   its emission and digest leave after the span ends, then the deferred
+   actions run. *)
+let receive t ~port bytes =
+  let span =
+    if Obs.Trace.enabled () then
+      Obs.Trace.span_begin ~cat:"p4rt" "pipeline.process"
+        ~attrs:
+          [
+            Obs.Trace.str "pipeline" t.name;
+            Obs.Trace.str "instance" "normal";
+            Obs.Trace.int "in_port" port;
+          ]
+    else 0
+  in
+  ingress t ~in_port:port bytes;
+  let out_bytes = t.out_bytes and digest = t.digest in
+  t.out_bytes <- no_frame;
+  t.digest <- no_frame;
+  if span <> 0 then
+    Obs.Trace.span_end span
+      ~attrs:
+        [
+          Obs.Trace.int "emissions" (if out_bytes == no_frame then 0 else 1);
+          Obs.Trace.int "digests" (if digest == no_frame then 0 else 1);
+          ("resubmit", Obs.Json.Bool false);
+        ];
+  if out_bytes != no_frame then Netsim.transmit t.net ~from:t.node ~port:t.out_port out_bytes;
+  if digest != no_frame then Netsim.notify_controller t.net ~from:t.node digest;
   drain_actions t
 
 (* Port capacities come straight from the topology, in centi-units. *)
@@ -857,8 +864,7 @@ let create net ~node =
       net;
       node;
       uib = u;
-      pipe = Pipeline.create ~name:"uninitialized" ~registers:[] ~tables:[]
-          { Pipeline.prog_parser = Wire.parser; prog_ingress = ignore; prog_egress = ignore };
+      name = Printf.sprintf "p4update-sw%d" node;
       stats =
         {
           delivered = 0;
@@ -879,34 +885,21 @@ let create net ~node =
       frm_sent = Hashtbl.create 16;
       waiting_on = Hashtbl.create 16;
       queue = [];
+      out_port = Wire.port_none;
+      out_bytes = no_frame;
+      digest = no_frame;
       watchdog_ms = None;
       consecutive_dl = false;
     }
   in
-  let program =
-    {
-      Pipeline.prog_parser = Wire.parser;
-      prog_ingress = (fun ctx -> ingress_control t ctx);
-      prog_egress = (fun _ -> ());
-    }
-  in
-  t.pipe <-
-    Pipeline.create
-      ~name:(Printf.sprintf "p4update-sw%d" node)
-      ~registers:(Uib.registers u) ~tables:[] program;
-  (* One-to-one port-based clone sessions (§8). *)
-  for port = 0 to ports - 1 do
-    Pipeline.set_clone_session t.pipe ~session:port ~port
-  done;
   Netsim.attach net ~node (fun event ->
       match event with
       | Netsim.Data { port; bytes } ->
-        let port = if port = Netsim.port_host then host_port else port in
-        run_pipeline t ~port bytes
-      | Netsim.From_controller bytes -> run_pipeline t ~port:cpu_port bytes);
+        receive t ~port:(if port = Netsim.port_host then host_port else port) bytes
+      | Netsim.From_controller bytes -> receive t ~port:cpu_port bytes);
   t
 
-(* §11: a power-cycled switch loses its whole pipeline state — UIB
+(* §11: a power-cycled switch loses its whole soft state — UIB
    registers, staged commits and the scratch tables around them.  Port
    capacities are re-read from the (persistent) platform configuration.
    The controller is expected to re-sync the UIB afterwards. *)
@@ -923,7 +916,7 @@ let restart t =
   Uib.reset t.uib;
   install_port_capacities t.net ~node:t.node t.uib
 
-let inject_data t data = run_pipeline t ~port:host_port (Wire.data_to_bytes data)
+let inject_data t data = receive t ~port:host_port (Wire.data_to_bytes data)
 
 let install_initial t ~flow_id ~version ~dist ~egress_port ~notify_port ~size =
   let u = t.uib in

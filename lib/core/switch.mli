@@ -1,11 +1,19 @@
-(** The P4Update switch: a {!P4rt.Pipeline} program attached to one
-    network node.
+(** The P4Update switch: the P4 program of §8 attached to one network
+    node, run directly on its frames.
 
-    The pipeline parses FRM/UIM/UNM/UFM control messages and data packets,
-    keeps the UIB registers of Table 1, runs the verification algorithms
-    (via {!Verify}), coordinates updates by cloning UNMs toward the
-    notify port, resubmits notifications that must wait (for a missing
-    UIM or for link capacity), and punts FRMs/UFMs to the controller.
+    Every frame — data, control, host-injected or resubmitted — takes
+    one path, {!receive}.  Its parse verdict comes from the fixed
+    offsets of {!Wire} (the verdict of the [Wire.parser] parse graph).
+    A data frame is forwarded as a copy with ttl − 1 and the stamped
+    tag; control frames carry FRM/UIM/UNM/UFM messages.  The switch keeps
+    the UIB registers of Table 1, runs the verification algorithms (via
+    {!Verify}), coordinates updates by sending UNMs toward the notify
+    port, resubmits notifications that must wait (for a missing UIM or
+    for link capacity), and punts FRMs and alarms to the controller.
+
+    The same program hosted in the {!P4rt.Pipeline} interpreter is the
+    test suite's reference: a differential property holds the two to
+    the same emissions, digests, deliveries and counters.
 
     Forwarding-rule installation pays the platform's rule-update delay
     (when the network is configured with one); verification itself is
@@ -32,10 +40,22 @@ val create : Netsim.t -> node:int -> t
 val node : t -> int
 val stats : t -> stats
 val uib : t -> Uib.t
-val pipeline : t -> P4rt.Pipeline.t
 
-(** The pipeline's ingress port for host-injected data frames. *)
+(** Ingress port of host-injected data frames. *)
 val host_port : int
+
+(** [receive t ~port bytes] processes one frame arriving on ingress
+    [port]: a data port, {!host_port}, [-1] for a resubmission, or the
+    switch's CPU pseudo-port for controller frames.  {!create} attaches
+    it to the network as the node's device.  A frame too short for its
+    etype counts on the global ["p4rt.parser.errors"] counter; a foreign
+    etype is dropped silently.  The received buffer is never written.
+    The frame's emission (on [Netsim.transmit]) and digest (on
+    [Netsim.notify_controller]) leave once it is processed, in that
+    order, then its deferred sends, commits and resubmissions run.
+    Under an [Obs.Trace] sink each frame is one ["pipeline.process"]
+    span. *)
+val receive : t -> port:int -> Bytes.t -> unit
 
 (** [on_commit t f] registers [f ~flow_id ~version ~time], called whenever
     this switch commits a forwarding rule. *)
@@ -49,7 +69,8 @@ val on_commit : t -> (flow_id:int -> version:int -> time:float -> unit) -> unit
 val on_deliver : t -> (time:float -> Wire.data -> unit) -> unit
 
 (** [inject_data t data] lets the attached host push a data packet into
-    the ingress pipeline (used by traffic generators). *)
+    the switch's ingress, as {!receive} on {!host_port} (used by traffic
+    generators). *)
 val inject_data : t -> Wire.data -> unit
 
 (** [restart t] models a power cycle (§11): the UIB registers are reset,

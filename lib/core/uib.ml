@@ -71,6 +71,7 @@ let create ~ports =
     waiters = per_port "waiters" ports;
   }
 
+(* Every register, for [reset] and [fingerprint]. *)
 let registers t =
   [
     t.new_version; t.new_distance; t.old_version; t.old_distance; t.egress_port;

@@ -3,16 +3,17 @@
     capacity bookkeeping used by the congestion scheduler (§7.4).
 
     All per-flow registers are indexed by flow id (array size
-    {!Wire.flow_space}); per-port registers are indexed by port number. *)
+    {!Wire.flow_space}); per-port registers are indexed by port number.
+    Each is a {!P4rt.Register.t}, so reads and writes keep the widths
+    and bounds a P4 register array has.  {!Switch} reads and writes them
+    through the accessors below, and so does the test suite's
+    Pipeline-hosted reference program. *)
 
 type t
 
 (** [create ~ports] allocates the registers for one switch with [ports]
     data ports. *)
 val create : ports:int -> t
-
-(** All registers (for handing to the {!P4rt.Pipeline}). *)
-val registers : t -> P4rt.Register.t list
 
 (** [reset t] zeroes every register — the state of a power-cycled switch
     (§11).  Port capacities are configuration, not state; the caller

@@ -353,11 +353,37 @@ let data_of_bytes bytes =
         d_ts = get32 bytes 18;
       }
 
-(* The two fields a hop observer needs, read in place: -1 on any frame
-   [data_of_bytes] rejects (both fields are unsigned on the wire, so
-   never negative). *)
+(* Single fields read in place: -1 on any frame [data_of_bytes] rejects
+   (every field is unsigned on the wire, so never negative). *)
 let data_seq_of_bytes bytes = if is_data bytes then get32 bytes 8 else -1
 let data_flow_id_of_bytes bytes = if is_data bytes then get16 bytes 6 else -1
+let data_ttl_of_bytes bytes = if is_data bytes then get8 bytes 12 else -1
+let data_dst_of_bytes bytes = if is_data bytes then get16 bytes 14 else -1
+let data_tag_of_bytes bytes = if is_data bytes then get16 bytes 16 else -1
+
+(* A forwarded frame: a copy with ttl and tag rewritten, every other
+   byte (trailing payload included) unchanged. *)
+let data_forward_copy bytes ~ttl ~tag =
+  if not (is_data bytes) then invalid_arg "Wire.data_forward_copy: not a data frame";
+  let b = Bytes.copy bytes in
+  put8 b 12 ttl;
+  put16 b 16 tag;
+  b
+
+type frame_class = Truncated | Data_frame | Control_frame | Foreign
+
+(* The parse graph's verdict from the base header alone: [parser]
+   extracts eth, then the header its etype selects, or accepts any other
+   etype after eth. *)
+let classify bytes =
+  let len = Bytes.length bytes in
+  if len < 6 then Truncated
+  else
+    let etype = get16 bytes 4 in
+    if etype = etype_data then if len < data_bytes_len then Truncated else Data_frame
+    else if etype = etype_control then
+      if len < control_bytes_len then Truncated else Control_frame
+    else Foreign
 
 (* Classifier for [Netsim.set_control_classifier]: the message kind of a
    valid control frame without materializing the record. *)

@@ -143,11 +143,29 @@ val control_of_bytes : Bytes.t -> control option
 
 val data_of_bytes : Bytes.t -> data option
 
-(** [seq] / [d_flow_id] of [data_of_bytes b] read in place, or [-1]
-    exactly when [data_of_bytes b] is [None]; neither allocates. *)
+(** One field of [data_of_bytes b] read in place, or [-1] exactly when
+    [data_of_bytes b] is [None]; none allocates. *)
 val data_seq_of_bytes : Bytes.t -> int
 
 val data_flow_id_of_bytes : Bytes.t -> int
+val data_ttl_of_bytes : Bytes.t -> int
+val data_dst_of_bytes : Bytes.t -> int
+val data_tag_of_bytes : Bytes.t -> int
+
+(** [data_forward_copy b ~ttl ~tag] is a copy of data frame [b] with
+    [ttl] and [tag] stored (masked to their widths) and every other byte,
+    trailing payload included, unchanged.  Raises [Invalid_argument]
+    when [data_of_bytes b] is [None]. *)
+val data_forward_copy : Bytes.t -> ttl:int -> tag:int -> Bytes.t
+
+(** The verdict of running {!parser} over a frame: [Truncated] when it
+    raises a parse error (under 6 bytes, or a data / control etype
+    shorter than its format), [Data_frame] / [Control_frame] when it
+    extracts a data / p4u header, [Foreign] when it accepts the base
+    header of any other etype.  Only the length and the etype are read. *)
+type frame_class = Truncated | Data_frame | Control_frame | Foreign
+
+val classify : Bytes.t -> frame_class
 
 (** Message kind of a valid control frame (for
     [Netsim.set_control_classifier]) without materializing the record. *)

@@ -12,11 +12,16 @@ module Graph = Topo.Graph
 
 type violation = { v_time : float; v_flow : int; v_what : string }
 
+(* Last committed versions, keyed by [node * Wire.flow_space + flow]. *)
+module Itbl = Hashtbl.Make (Int)
+
+let flow_space = P4update.Wire.flow_space
+
 type monitor = {
   world : World.t;
   mutable violations : violation list; (* reverse order *)
   ever_failed : bool array;
-  last_committed : (int * int, int) Hashtbl.t; (* (node, flow) -> version *)
+  last_committed : int Itbl.t;
 }
 
 let record m ~time ~flow what =
@@ -38,28 +43,27 @@ let create (w : World.t) =
       world = w;
       violations = [];
       ever_failed = Array.make n false;
-      last_committed = Hashtbl.create 64;
+      last_committed = Itbl.create 64;
     }
   in
   Array.iteri
     (fun node sw ->
       P4update.Switch.on_commit sw (fun ~flow_id ~version ~time ->
-          let key = (node, flow_id) in
-          (match Hashtbl.find_opt m.last_committed key with
-           | Some prev when version <= prev ->
+          let key = (node * flow_space) + flow_id in
+          (match Itbl.find m.last_committed key with
+           | prev when version <= prev ->
              record m ~time ~flow:flow_id
                (Printf.sprintf "non-monotone commit at node %d: %d after %d" node
                   version prev)
-           | _ -> ());
-          Hashtbl.replace m.last_committed key version))
+           | _ | (exception Not_found) -> ());
+          Itbl.replace m.last_committed key version))
     w.World.switches;
   Netsim.on_topology_event w.World.net (function
     | Netsim.Node_down n ->
       m.ever_failed.(n) <- true;
-      Hashtbl.iter
-        (fun (node, flow) _ ->
-          if node = n then Hashtbl.remove m.last_committed (node, flow))
-        (Hashtbl.copy m.last_committed)
+      Itbl.filter_map_inplace
+        (fun key version -> if key / flow_space = n then None else Some version)
+        m.last_committed
     | _ -> ());
   m
 

@@ -220,9 +220,62 @@ let prop_runtime_version_monotonicity =
             (Harness.Invariants.violation_to_string v)
             (scenario_print sc))
 
+(* The monotone-commit probe in isolation.  [force_commit] makes [node]
+   commit [version] of [flow_id] as a flow egress would; a silent
+   register wipe first lets it commit a version at or below its last
+   one, which the probe must flag.  A node that went down and came back
+   starts a fresh history, and only its own. *)
+let test_monotone_commit_probe () =
+  let w = Harness.World.make (Topo.Topologies.fig1 ()) in
+  let flow =
+    Harness.World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topo.Topologies.fig1_old_path
+  in
+  let flow_id = flow.Controller.flow_id in
+  let monitor = Harness.Invariants.create w in
+  let version =
+    Controller.update_flow w.controller ~flow_id ~new_path:Topo.Topologies.fig1_new_path
+      ~update_type:Wire.Sl ()
+  in
+  ignore (Harness.World.run w);
+  let violations () = List.length (Harness.Invariants.violations monitor) in
+  Alcotest.(check int) "the update commits monotonically" 0 (violations ());
+  let force_commit node ~version =
+    let commits = (Switch.stats w.switches.(node)).Switch.commits in
+    Netsim.controller_transmit w.net ~to_:node
+      (Wire.control_to_bytes
+         {
+           (Wire.control_default Wire.Uim) with
+           flow_id;
+           version_new = version;
+           egress_port = Wire.port_local;
+           role = Wire.role_flow_egress;
+         });
+    ignore (Harness.World.run w);
+    Alcotest.(check int)
+      (Printf.sprintf "node %d committed v%d" node version)
+      (commits + 1) (Switch.stats w.switches.(node)).Switch.commits
+  in
+  (* node 3 restarts: its next commit of version 1 is its first *)
+  let now = Dessim.Sim.now w.sim in
+  Netsim.fail_node w.net ~node:3 ~at:(now +. 1.0);
+  Netsim.restore_node w.net ~node:3 ~at:(now +. 2.0);
+  ignore (Harness.World.run w);
+  force_commit 3 ~version:1;
+  Alcotest.(check int) "a restarted node's first commit is not flagged" 0 (violations ());
+  (* node 5 never restarted: after a silent wipe, version 1 follows [version] *)
+  Uib.reset (Switch.uib w.switches.(5));
+  force_commit 5 ~version:1;
+  match Harness.Invariants.violations monitor with
+  | [ v ] ->
+    Alcotest.(check string) "the lower-version commit is flagged"
+      (Printf.sprintf "non-monotone commit at node 5: 1 after %d" version)
+      v.Harness.Invariants.v_what
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~long:true prop_consistency_under_faults;
     QCheck_alcotest.to_alcotest ~long:true prop_convergence;
     QCheck_alcotest.to_alcotest ~long:true prop_runtime_version_monotonicity;
+    Alcotest.test_case "monotone-commit probe" `Quick test_monotone_commit_probe;
   ]

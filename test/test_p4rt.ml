@@ -688,8 +688,11 @@ let mid_hop (w : Harness.World.t) =
       Netsim.port_of_neighbor w.net ~node:hop ~neighbor:next )
   | _ -> assert false
 
-let emitted sw ~port bytes =
-  (Pipeline.process (P4update.Switch.pipeline sw) ~ingress_port:port bytes).Pipeline.emissions
+(* What [sw] emits on its data ports for [bytes] arriving at [port]. *)
+let emitted (w : Harness.World.t) sw ~port bytes =
+  fst
+    (Switch_oracle.capture w.net ~node:(P4update.Switch.node sw) (fun () ->
+         P4update.Switch.receive sw ~port bytes))
 
 (* What a forward must emit: [frame] with ttl decremented, every other
    byte (trailing payload included) unchanged. *)
@@ -703,11 +706,11 @@ let test_forward_keeps_payload () =
   let sw, in_port, out_port = mid_hop w in
   let frame = Bytes.cat (data_frame flow_id) (Bytes.of_string "payload\000\255!") in
   let original = Bytes.copy frame in
-  (match emitted sw ~port:in_port frame with
+  (match emitted w sw ~port:in_port frame with
    | [ e ] ->
-     Alcotest.(check int) "toward the next hop" out_port e.Pipeline.out_port;
+     Alcotest.(check int) "toward the next hop" out_port e.Switch_oracle.out_port;
      Alcotest.(check string) "ttl - 1, payload byte for byte"
-       (Bytes.to_string (decremented original)) (Bytes.to_string e.Pipeline.bytes)
+       (Bytes.to_string (decremented original)) (Bytes.to_string e.Switch_oracle.bytes)
    | _ -> Alcotest.fail "expected one emission");
   Alcotest.(check string) "the received buffer is untouched" (Bytes.to_string original)
     (Bytes.to_string frame)
@@ -720,7 +723,7 @@ let test_ttl_expiry () =
     (fun ttl ->
       let before = stats.P4update.Switch.dropped_ttl in
       Alcotest.(check int) (Printf.sprintf "ttl %d emits nothing" ttl) 0
-        (List.length (emitted sw ~port:in_port (data_frame ~ttl flow_id)));
+        (List.length (emitted w sw ~port:in_port (data_frame ~ttl flow_id)));
       Alcotest.(check int) (Printf.sprintf "ttl %d counted" ttl) (before + 1)
         stats.P4update.Switch.dropped_ttl)
     [ 1; 0 ]
@@ -729,11 +732,11 @@ let test_flow_id_masked () =
   let w, flow_id = forwarding_world () in
   let sw, in_port, out_port = mid_hop w in
   let frame = data_frame (flow_id + Wire.flow_space) in
-  match emitted sw ~port:in_port frame with
+  match emitted w sw ~port:in_port frame with
   | [ e ] ->
-    Alcotest.(check int) "the masked slot's rule" out_port e.Pipeline.out_port;
+    Alcotest.(check int) "the masked slot's rule" out_port e.Switch_oracle.out_port;
     Alcotest.(check string) "the header keeps the id it arrived with"
-      (Bytes.to_string (decremented frame)) (Bytes.to_string e.Pipeline.bytes)
+      (Bytes.to_string (decremented frame)) (Bytes.to_string e.Switch_oracle.bytes)
   | _ -> Alcotest.fail "expected one emission"
 
 let parse_errors () = Obs.Metrics.get_count Obs.Metrics.global "p4rt.parser.errors"
@@ -746,18 +749,18 @@ let test_malformed_frames_dropped () =
     (fun len ->
       let before = parse_errors () in
       Alcotest.(check int) (Printf.sprintf "%d-byte prefix emits nothing" len) 0
-        (List.length (emitted sw ~port:in_port (Bytes.sub frame 0 len)));
+        (List.length (emitted w sw ~port:in_port (Bytes.sub frame 0 len)));
       Alcotest.(check int) (Printf.sprintf "%d-byte prefix is a parse error" len) (before + 1)
         (parse_errors ()))
     [ 0; 3; 6; 21 ];
   (* A foreign etype parses (the parse graph accepts after the base
-     header) and is dropped by the ingress control, counted nowhere. *)
+     header) and is dropped, counted nowhere. *)
   let foreign = Bytes.copy frame in
   Bytes.set_uint16_be foreign 4 0x86DD;
   let before = parse_errors () and stats = P4update.Switch.stats sw in
   let forwarded = stats.P4update.Switch.forwarded in
   Alcotest.(check int) "foreign etype emits nothing" 0
-    (List.length (emitted sw ~port:in_port foreign));
+    (List.length (emitted w sw ~port:in_port foreign));
   Alcotest.(check int) "foreign etype is no parse error" before (parse_errors ());
   Alcotest.(check int) "nor a forward" forwarded stats.P4update.Switch.forwarded
 
@@ -783,22 +786,218 @@ let test_delivered_buffer_unchanged () =
   | None -> Alcotest.fail "the frame never reached the next hop"
 
 (* ------------------------------------------------------------------ *)
+(* Differential oracle: the switch against its Pipeline-hosted program  *)
+(* ------------------------------------------------------------------ *)
+
+(* Fig. 1's node 2 (four ports); its frames address the register slots
+   of flows 0-3, under ids that alias them through the mask. *)
+let oracle_node = 2
+let oracle_ports = 4
+let oracle_flows = 4
+
+(* One flow's registers: committed version, egress port, tagged bank
+   (port, version) and the tag the ingress stamps. *)
+type slot = {
+  s_ver : int;
+  s_egress : int;
+  s_tagged_port : int;
+  s_tagged_ver : int;
+  s_stamp : int;
+}
+
+type oracle_case = { slots : slot array; frames : (int * Bytes.t) list (* ingress, frame *) }
+
+let hex b =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+
+let print_oracle_case c =
+  let slot s =
+    Printf.sprintf "{ver=%d egress=%d tagged=%d@%d stamp=%d}" s.s_ver s.s_egress
+      s.s_tagged_port s.s_tagged_ver s.s_stamp
+  in
+  let frame (port, b) = Printf.sprintf "%d<-%s" port (hex b) in
+  String.concat " " (Array.to_list (Array.map slot c.slots))
+  ^ "\n" ^ String.concat "\n" (List.map frame c.frames)
+
+let oracle_case_gen =
+  let open QCheck.Gen in
+  (* a rule's port: no rule, local delivery, a data port, or a port the
+     node does not have *)
+  let port =
+    frequency
+      [
+        (3, int_bound (oracle_ports - 1));
+        (2, oneofl [ Wire.port_none; Wire.port_local; oracle_ports; 99 ]);
+      ]
+  in
+  let slot =
+    let* s_ver = frequency [ (3, int_range 1 3); (1, return 0) ] in
+    let* s_egress = port in
+    let* s_tagged_port = port in
+    let* s_tagged_ver = int_bound 2 in
+    let* s_stamp = int_bound 2 in
+    return { s_ver; s_egress; s_tagged_port; s_tagged_ver; s_stamp }
+  in
+  let ingress =
+    frequency
+      [ (2, return P4update.Switch.host_port); (2, int_bound (oracle_ports - 1)); (1, return (-1)) ]
+  in
+  let flip b =
+    let* i = int_bound (Bytes.length b - 1) in
+    let* bit = int_bound 7 in
+    let b = Bytes.copy b in
+    Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl bit));
+    return b
+  in
+  let frame =
+    let* flow = int_bound (oracle_flows - 1) in
+    let* alias = frequency [ (3, return 0); (1, int_range 1 63) ] in
+    let* ttl = oneofl [ 0; 1; 2; 64; 255 ] in
+    let* tag = frequency [ (3, int_bound 3); (1, int_bound 0xFFFF) ] in
+    let* dst = int_bound 0xFFFF in
+    let* seq = int_bound 0xFFFFFF in
+    let d_flow_id = flow + (alias * Wire.flow_space) in
+    let valid =
+      Wire.data_to_bytes
+        { Wire.d_flow_id; seq; ttl; origin = seq land 0xFF; dst; tag; d_ts = seq }
+    in
+    let relabel b etype =
+      let b = Bytes.copy b in
+      Bytes.set_uint16_be b 4 etype;
+      b
+    in
+    frequency
+      [
+        (4, return valid);
+        (1, map (fun len -> Bytes.sub valid 0 len) (int_bound 21));
+        (2, map (fun p -> Bytes.cat valid (Bytes.of_string p)) (string_size (int_range 1 40)));
+        (1, map (relabel valid) (oneofl [ 0; 0x0801; 0x0806; 0x86DD; 0xFFFF ]));
+        (2, flip valid);
+        (* control-typed frames the switch drops without a handler *)
+        ( 1,
+          let* kind = oneofl [ Wire.Frm; Wire.Ufm ] in
+          return
+            (Wire.control_to_bytes
+               {
+                 (Wire.control_default kind) with
+                 flow_id = d_flow_id;
+                 version_new = seq land 0xFFFF;
+               }) );
+        ( 1,
+          (* an invalid msg_type or update_type: undecodable *)
+          let* offset, bad = oneofl [ (6, 0); (6, 7); (6, 0xFF); (17, 0); (17, 3) ] in
+          let b =
+            Wire.control_to_bytes { (Wire.control_default Wire.Unm) with flow_id = d_flow_id }
+          in
+          Bytes.set_uint8 b offset bad;
+          return b );
+        (* a control etype too short for a control header *)
+        (1, map (fun len -> Bytes.sub (relabel valid Wire.etype_control) 0 len) (int_range 6 22));
+      ]
+  in
+  let* slots = array_repeat oracle_flows slot in
+  let* frames = list_size (int_range 1 24) (pair ingress frame) in
+  return { slots; frames }
+
+let load_slots u slots =
+  Array.iteri
+    (fun flow s ->
+      P4update.Uib.set_ver_cur u flow s.s_ver;
+      P4update.Uib.set_egress_port u flow s.s_egress;
+      P4update.Uib.set_tagged_port u flow s.s_tagged_port;
+      P4update.Uib.set_tagged_version u flow s.s_tagged_ver;
+      P4update.Uib.set_stamp_tag u flow s.s_stamp)
+    slots
+
+(* Run [c] through [Switch.receive] and through the reference program in
+   [P4rt.Pipeline], from the same registers; after every frame the two
+   must agree on what they emit (ports and bytes), the digests they punt,
+   what they deliver locally, their counters and the parse errors they
+   count, and neither may write the received buffer. *)
+let run_oracle_case c =
+  let net = Netsim.create (Dessim.Sim.create ()) (Topo.Topologies.fig1 ()) in
+  let sw = P4update.Switch.create net ~node:oracle_node in
+  let r, pipe = Switch_oracle.create net ~node:oracle_node in
+  load_slots (P4update.Switch.uib sw) c.slots;
+  load_slots r.Switch_oracle.uib c.slots;
+  let sw_delivered = ref [] and ref_delivered = ref [] in
+  P4update.Switch.on_deliver sw (fun ~time d -> sw_delivered := (time, d) :: !sw_delivered);
+  Switch_oracle.on_deliver r (fun ~time d -> ref_delivered := (time, d) :: !ref_delivered);
+  List.for_all
+    (fun (port, frame) ->
+      let original = Bytes.copy frame in
+      let e0 = parse_errors () in
+      let emissions, digests =
+        Switch_oracle.capture net ~node:oracle_node (fun () ->
+            P4update.Switch.receive sw ~port frame)
+      in
+      let e1 = parse_errors () in
+      let outcome = Pipeline.process pipe ~ingress_port:port frame in
+      let e2 = parse_errors () in
+      (* [Netsim.transmit] drops an emission to a port the node lacks *)
+      let reference =
+        List.filter_map
+          (fun { Pipeline.out_port; bytes } ->
+            if out_port < oracle_ports then Some { Switch_oracle.out_port; bytes } else None)
+          outcome.Pipeline.emissions
+      in
+      emissions = reference
+      && List.equal Bytes.equal digests outcome.Pipeline.to_controller
+      && !sw_delivered = !ref_delivered
+      && P4update.Switch.stats sw = r.Switch_oracle.stats
+      && e1 - e0 = e2 - e1
+      && Bytes.equal frame original)
+    c.frames
+
+let prop_switch_oracle =
+  QCheck.Test.make ~name:"Switch.receive = the program in P4rt.Pipeline" ~count:300
+    (QCheck.make ~print:print_oracle_case oracle_case_gen)
+    run_oracle_case
+
+(* The property checks only what its inputs reach.  On a fixed sample,
+   every verdict of the frame path must occur. *)
+let test_switch_oracle_reach () =
+  let rand = Random.State.make [| 24 |] in
+  let total = Switch_oracle.no_stats () and parse = ref 0 and digests = ref 0 in
+  List.iter
+    (fun c ->
+      let net = Netsim.create (Dessim.Sim.create ()) (Topo.Topologies.fig1 ()) in
+      let r, pipe = Switch_oracle.create net ~node:oracle_node in
+      load_slots r.Switch_oracle.uib c.slots;
+      List.iter
+        (fun (port, frame) ->
+          let before = parse_errors () in
+          let o = Pipeline.process pipe ~ingress_port:port frame in
+          parse := !parse + parse_errors () - before;
+          digests := !digests + List.length o.Pipeline.to_controller)
+        c.frames;
+      let s = r.Switch_oracle.stats in
+      total.forwarded <- total.forwarded + s.forwarded;
+      total.delivered <- total.delivered + s.delivered;
+      total.dropped_ttl <- total.dropped_ttl + s.dropped_ttl;
+      total.dropped_no_rule <- total.dropped_no_rule + s.dropped_no_rule)
+    (QCheck.Gen.generate ~rand ~n:100 oracle_case_gen);
+  List.iter
+    (fun (what, n) -> Alcotest.(check bool) (what ^ " reached") true (n > 0))
+    [
+      ("forward", total.forwarded); ("local delivery", total.delivered);
+      ("ttl expiry", total.dropped_ttl); ("blackhole", total.dropped_no_rule);
+      ("FRM digest", !digests); ("parse error", !parse);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Allocation guard on the switch's frame path                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Minor words one [Pipeline.process] call allocates for [bytes] entering
-   [sw] at [port], averaged over a batch after a warm-up run; every run
-   must make [emissions] emissions. *)
-let words_per_frame sw ~port ~emissions bytes =
-  let run () =
-    if List.length (emitted sw ~port bytes) <> emissions then
-      Alcotest.failf "expected %d emissions" emissions
-  in
-  run ();
+(* Minor words one [Switch.receive] of [bytes] at [port] allocates,
+   averaged over a batch after a warm-up run. *)
+let words_per_frame sw ~port bytes =
   let runs = 1000 in
+  P4update.Switch.receive sw ~port bytes;
   let before = Gc.minor_words () in
   for _ = 1 to runs do
-    run ()
+    P4update.Switch.receive sw ~port bytes
   done;
   (Gc.minor_words () -. before) /. float_of_int runs
 
@@ -806,31 +1005,50 @@ let check_budget what words budget =
   if words > budget then
     Alcotest.failf "%s allocates %.0f minor words (budget %.0f)" what words budget
 
-(* A forwarded data frame costs the parse path, the context, one copy of
-   the frame for the rewrite and the outcome: 48 words leaves no room for
-   a materialized header or packet. *)
-let frame_word_budget = 48.0
+(* A forward whose link is down: [Netsim.transmit] counts the loss and
+   schedules nothing, so what remains is the switch's own cost.  Every
+   frame must be forwarded and reach the link. *)
+let forwarded_words (w : Harness.World.t) sw ~port ~next bytes =
+  let node = P4update.Switch.node sw in
+  Netsim.fail_link w.net ~u:node ~v:next ~at:(Dessim.Sim.now w.sim);
+  ignore (Harness.World.run w);
+  let stats = P4update.Switch.stats sw in
+  let forwarded = stats.P4update.Switch.forwarded
+  and lost = (Netsim.counters w.net).Netsim.dropped_by_failure in
+  let words = words_per_frame sw ~port bytes in
+  Alcotest.(check int) "every frame forwarded" (forwarded + 1001) stats.P4update.Switch.forwarded;
+  Alcotest.(check int) "every emission transmitted" (lost + 1001)
+    (Netsim.counters w.net).Netsim.dropped_by_failure;
+  words
+
+(* A forwarded data frame costs the copy of the frame for the rewrite
+   and nothing else: 4 words (22 bytes and a header), and the budget
+   leaves half as much again.  Through the interpreter it cost 32 words:
+   the parse path, the context and the outcome. *)
+let frame_word_budget = 6.0
 
 let test_forwarded_frame_allocation () =
   let w, flow_id = forwarding_world () in
   let sw, in_port, _ = mid_hop w in
+  let next = List.nth Topo.Topologies.fig1_old_path 2 in
   check_budget "forwarded frame"
-    (words_per_frame sw ~port:in_port ~emissions:1 (data_frame flow_id))
+    (forwarded_words w sw ~port:in_port ~next (data_frame flow_id))
     frame_word_budget
 
 let test_injected_frame_allocation () =
   let w, flow_id = forwarding_world () in
+  let next = List.nth Topo.Topologies.fig1_old_path 1 in
   check_budget "host-injected frame"
-    (words_per_frame w.Harness.World.switches.(0) ~port:P4update.Switch.host_port ~emissions:1
+    (forwarded_words w w.Harness.World.switches.(0) ~port:P4update.Switch.host_port ~next
        (data_frame flow_id))
     frame_word_budget
 
 (* A duplicate notification between switches: after an SL update
    completes, the committed successor's UNM reaches a committed node on
-   a data port and Alg. 1 ignores it.  That is the pipeline around the
-   decoded record and both verification views: 56 words, and the budget
-   leaves half as much again. *)
-let unm_word_budget = 84.0
+   a data port and Alg. 1 ignores it.  That is the decoded record and
+   both verification views: 34 words, and the budget leaves half as
+   much again (56 words through the interpreter). *)
+let unm_word_budget = 51.0
 
 let test_unm_allocation () =
   let w, flow_id = forwarding_world () in
@@ -860,21 +1078,20 @@ let test_unm_allocation () =
   in
   let sw = w.Harness.World.switches.(node) in
   let commits = (P4update.Switch.stats sw).P4update.Switch.commits in
-  check_budget "inter-switch UNM"
-    (words_per_frame sw ~port:(Netsim.port_of_neighbor w.net ~node ~neighbor:succ)
-       ~emissions:0 unm)
-    unm_word_budget;
+  let port = Netsim.port_of_neighbor w.net ~node ~neighbor:succ in
+  check_budget "inter-switch UNM" (words_per_frame sw ~port unm) unm_word_budget;
   Alcotest.(check int) "ignored: no commit" commits
-    (P4update.Switch.stats sw).P4update.Switch.commits
+    (P4update.Switch.stats sw).P4update.Switch.commits;
+  Alcotest.(check int) "nothing scheduled" 0 (Dessim.Sim.pending w.Harness.World.sim)
 
 (* The untraced event path.  A stale UIM (below the version the switch
    has staged) sent through [Netsim.controller_transmit] and taken by one
-   [Sim.step]: the send, the delivery event, the pipeline around the
-   decoded record and Alg. 1's rejection.  No trace key or attribute is
-   built without a sink and no register access allocates: 69 words, and
-   the budget leaves a third as much again (159 when every UIM built its
-   trace key). *)
-let stale_uim_word_budget = 100.0
+   [Sim.step]: the send, the delivery event, the decoded record and
+   Alg. 1's rejection.  No trace key or attribute is built without a
+   sink and no register access allocates: 47 words, and the budget
+   leaves a third as much again (69 through the interpreter, 159 when
+   every UIM built its trace key). *)
+let stale_uim_word_budget = 63.0
 
 let test_stale_uim_allocation () =
   let w, flow_id = forwarding_world () in
@@ -1016,6 +1233,9 @@ let suite =
     Alcotest.test_case "flow id is masked" `Quick test_flow_id_masked;
     Alcotest.test_case "malformed frames are dropped" `Quick test_malformed_frames_dropped;
     Alcotest.test_case "delivered buffer unchanged" `Quick test_delivered_buffer_unchanged;
+    QCheck_alcotest.to_alcotest prop_switch_oracle;
+    Alcotest.test_case "switch oracle inputs reach every verdict" `Quick
+      test_switch_oracle_reach;
     Alcotest.test_case "forwarded frame allocation" `Quick test_forwarded_frame_allocation;
     Alcotest.test_case "host-injected frame allocation" `Quick test_injected_frame_allocation;
     Alcotest.test_case "inter-switch UNM allocation" `Quick test_unm_allocation;

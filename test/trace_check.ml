@@ -3,8 +3,11 @@
    Runs a small traced scenario, exports the Chrome trace, parses it back
    with the Obs JSON parser and validates the schema: every event carries
    ph/pid, complete spans carry ts/dur, the protocol span tree is present,
-   and the per-update phase breakdown sums to the completion time.  Exits
-   nonzero on the first violation, so `dune runtest` fails too. *)
+   and the per-update phase breakdown sums to the completion time.  Then
+   races probes through a faulted B4 chaos run with the packet-level
+   categories on: two runs export identical JSONL, and every frame's
+   [pipeline.process] span carries its attributes at begin and end.
+   Exits nonzero on the first violation, so `dune runtest` fails too. *)
 
 module Json = Obs.Json
 module Trace = Obs.Trace
@@ -19,6 +22,42 @@ let setup =
 
 let run seed =
   Harness.Traced.run (Harness.Run_config.make ~seed ()) setup Harness.Scenarios.P4u
+
+(* Probe traffic through a faulted B4 chaos run under a sink that keeps
+   the p4rt and net categories. *)
+let probe_run () =
+  let sink = Trace.create () in
+  let fault_plan =
+    { Harness.Run_config.default_faults with fp_window_ms = 600.0; fp_horizon_ms = 3000.0 }
+  in
+  let cfg = Harness.Run_config.make ~seed:3 ~trace_sink:sink ~fault_plan ~recorder:false () in
+  ignore
+    (Harness.Chaos.run
+       ~traffic:{ Harness.Traffic.default_workload with Harness.Traffic.tw_stop_ms = 250.0 }
+       cfg ~scenario:Harness.Chaos.B4);
+  sink
+
+let has_keys keys attrs = List.for_all (fun k -> List.mem_assoc k attrs) keys
+
+(* Every [pipeline.process] span begins with pipeline/instance/in_port
+   and ends with emissions/digests/resubmit; returns how many there are. *)
+let check_frame_spans sink =
+  let open_frames = Hashtbl.create 64 and frames = ref 0 in
+  List.iter
+    (function
+      | Trace.Span_begin { Trace.id; name = "pipeline.process"; attrs; _ } ->
+        check "pipeline.process begins with pipeline/instance/in_port"
+          (has_keys [ "pipeline"; "instance"; "in_port" ] attrs);
+        Hashtbl.replace open_frames id ();
+        incr frames
+      | Trace.Span_end { id; attrs; _ } when Hashtbl.mem open_frames id ->
+        check "pipeline.process ends with emissions/digests/resubmit"
+          (has_keys [ "emissions"; "digests"; "resubmit" ] attrs);
+        Hashtbl.remove open_frames id
+      | _ -> ())
+    (Trace.events sink);
+  check "every pipeline.process span ends" (Hashtbl.length open_frames = 0);
+  !frames
 
 let () =
   let r = run 2024 in
@@ -68,5 +107,10 @@ let () =
       (Float.abs (row.ph_total -. r.Harness.Traced.tr_completion_ms)
       <= 0.01 *. r.Harness.Traced.tr_completion_ms)
   | rows -> fail "expected 1 phase row, got %d" (List.length rows));
-  Printf.printf "trace_check: ok (%d chrome events, completion %.2f ms)\n"
-    (List.length evs) r.Harness.Traced.tr_completion_ms
+  let probes = probe_run () in
+  check "same-seed probe runs byte-identical"
+    (Trace.to_jsonl probes = Trace.to_jsonl (probe_run ()));
+  let frames = check_frame_spans probes in
+  check "probe run traces frames" (frames > 0);
+  Printf.printf "trace_check: ok (%d chrome events, completion %.2f ms, %d traced frames)\n"
+    (List.length evs) r.Harness.Traced.tr_completion_ms frames
