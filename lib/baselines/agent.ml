@@ -1,13 +1,5 @@
 module Sim = Dessim.Sim
 
-type stats = {
-  mutable delivered : int;
-  mutable forwarded : int;
-  mutable dropped_no_rule : int;
-  mutable dropped_ttl : int;
-  mutable commits : int;
-}
-
 (* ez-Segway and Central run their coordination logic in a local agent on
    the switch CPU (slow path), not in the forwarding pipeline; every
    control message pays this processing overhead (cf. §10: P4Update keeps
@@ -22,14 +14,9 @@ type t = {
   port_reserved : (int, int) Hashtbl.t;
   versions : (int, int) Hashtbl.t; (* flow id -> newest command version seen *)
   cleaned : (int, unit) Hashtbl.t; (* flows whose reservation a cleanup already freed *)
-  stats : stats;
-  mutable commit_hooks : (flow_id:int -> time:float -> unit) list;
 }
 
 let node t = t.node
-let net t = t.net
-let stats t = t.stats
-let on_commit t f = t.commit_hooks <- t.commit_hooks @ [ f ]
 
 let port_of t ~flow_id =
   Option.value (Hashtbl.find_opt t.table flow_id) ~default:P4update.Wire.port_none
@@ -88,14 +75,11 @@ let install t ~flow_id ~port ~size ~k =
       adjust_reservation t ~port:old_port ~delta:(-old_size);
       Hashtbl.replace t.flow_sizes flow_id size;
       Hashtbl.replace t.table flow_id port;
-      t.stats.commits <- t.stats.commits + 1;
       (* Rule cleanup (§11) down the abandoned old link. *)
       if is_real_port old_port && old_port <> port then
         Netsim.transmit t.net ~from:t.node ~port:old_port
           (P4update.Wire.control_to_bytes
              (cleanup_msg t ~flow_id ~version:(last_version t ~flow_id)));
-      let time = Sim.now (Netsim.sim t.net) in
-      List.iter (fun f -> f ~flow_id ~time) t.commit_hooks;
       k ())
 
 let handle_cleanup t ~flow_id ~version =
@@ -119,16 +103,12 @@ let send t ~port msg =
 let send_to_controller t msg =
   Netsim.notify_controller t.net ~from:t.node (P4update.Wire.control_to_bytes msg)
 
+(* No rule, local delivery and an expiring ttl all end the packet here. *)
 let handle_data t (d : P4update.Wire.data) =
   let port = port_of t ~flow_id:d.d_flow_id in
-  if port = P4update.Wire.port_none then t.stats.dropped_no_rule <- t.stats.dropped_no_rule + 1
-  else if port = P4update.Wire.port_local then t.stats.delivered <- t.stats.delivered + 1
-  else if d.ttl <= 1 then t.stats.dropped_ttl <- t.stats.dropped_ttl + 1
-  else begin
-    t.stats.forwarded <- t.stats.forwarded + 1;
+  if port <> P4update.Wire.port_none && port <> P4update.Wire.port_local && d.ttl > 1 then
     Netsim.transmit t.net ~from:t.node ~port
       (P4update.Wire.data_to_bytes { d with ttl = d.ttl - 1 })
-  end
 
 let create network ~node ~on_message =
   let t =
@@ -140,9 +120,6 @@ let create network ~node ~on_message =
       port_reserved = Hashtbl.create 8;
       versions = Hashtbl.create 32;
       cleaned = Hashtbl.create 32;
-      stats =
-        { delivered = 0; forwarded = 0; dropped_no_rule = 0; dropped_ttl = 0; commits = 0 };
-      commit_hooks = [];
     }
   in
   let dispatch ~from_port bytes =

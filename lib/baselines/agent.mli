@@ -9,14 +9,6 @@
 
 type t
 
-type stats = {
-  mutable delivered : int;
-  mutable forwarded : int;
-  mutable dropped_no_rule : int;
-  mutable dropped_ttl : int;
-  mutable commits : int;
-}
-
 (** [create net ~node ~on_message] builds the agent; control messages
     (anything that is not a data packet) are handed to [on_message]. *)
 val create :
@@ -26,8 +18,6 @@ val create :
   t
 
 val node : t -> int
-val net : t -> Netsim.t
-val stats : t -> stats
 
 (** {2 Forwarding state} *)
 
@@ -54,12 +44,8 @@ val handle_cleanup : t -> flow_id:int -> version:int -> unit
     this agent has seen for the flow. *)
 val note_version : t -> flow_id:int -> version:int -> unit
 
-val last_version : t -> flow_id:int -> int
-
 (** {2 Capacity accounting} *)
 
-val reserved : t -> port:int -> int
-val capacity : t -> port:int -> int
 val remaining : t -> port:int -> int
 val reserve_initial : t -> flow_id:int -> port:int -> size:int -> unit
 
@@ -70,6 +56,3 @@ val send_to_controller : t -> P4update.Wire.control -> unit
 
 (** [inject_data t data] host-side packet injection. *)
 val inject_data : t -> P4update.Wire.data -> unit
-
-(** [on_commit t f] observer for rule commits. *)
-val on_commit : t -> (flow_id:int -> time:float -> unit) -> unit

@@ -30,7 +30,6 @@ type t = {
   mutable retries : int;
 }
 
-let agents t = t.agents
 let completion_time t = t.done_time
 let rounds_used t = t.rounds
 

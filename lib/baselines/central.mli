@@ -14,8 +14,6 @@ type t
     gated on link capacities. *)
 val create : Netsim.t -> congestion:bool -> t
 
-val agents : t -> Agent.t array
-
 (** [register_flow t ~src ~dst ~size ~path] installs the initial state
     and returns the flow id. *)
 val register_flow : t -> src:int -> dst:int -> size:int -> path:int list -> int

@@ -571,11 +571,6 @@ let schedule_updates t requests = push t (prepare t.net ~congestion:t.congestion
 
 let completion_time t ~flow_id = Hashtbl.find_opt t.completions flow_id
 
-let last_completion t =
-  Hashtbl.fold (fun _ time acc ->
-      match acc with None -> Some time | Some a -> Some (Float.max a time))
-    t.completions None
-
 let trace t ~flow_id ~src =
   let n = Topo.Graph.node_count (Netsim.graph t.net) in
   let rec walk node acc steps =

@@ -90,7 +90,4 @@ val schedule_updates : t -> update_request list -> unit
 (** Completion time of a flow (token reached the ingress), if done. *)
 val completion_time : t -> flow_id:int -> float option
 
-(** Latest completion over a set of flows. *)
-val last_completion : t -> float option
-
 val trace : t -> flow_id:int -> src:int -> int list option

@@ -69,21 +69,15 @@ type t = {
   mutable push_hooks : (flow_id:int -> version:int -> unit) list;
   mutable alarms : int;
   mutable auto_route : bool;
-  mutable auto_retrigger : bool;
   mutable allow_consecutive_dl : bool;
   mutable recovery : recovery option; (* §11 recovery loop, opt-in *)
   last_pushed : (int, prepared) Hashtbl.t; (* flow id -> last pushed update *)
-  retriggers : (int * int, int) Hashtbl.t; (* flow id, version -> count *)
-  retrigger_times : (int * int, float) Hashtbl.t;
   aborted : (int, int) Hashtbl.t; (* flow id -> highest aborted version *)
   mutable prep : prep_cache option; (* built lazily on first prepare *)
 }
 
 let sl_threshold = 5
 let default_flow_size = 100
-let retrigger_budget = 3
-
-let net t = t.net
 
 let register_flow ?(version = 1) ?flow_id t ~src ~dst ~size ~path =
   let flow_id =
@@ -99,7 +93,6 @@ let register_flow ?(version = 1) ?flow_id t ~src ~dst ~size ~path =
   flow
 
 let set_auto_route t enabled = t.auto_route <- enabled
-let set_auto_retrigger t enabled = t.auto_retrigger <- enabled
 let set_allow_consecutive_dl t enabled = t.allow_consecutive_dl <- enabled
 
 let find_flow t ~flow_id = Hashtbl.find_opt t.flow_db flow_id
@@ -558,9 +551,11 @@ and kick t (flow : flow) =
 let flows_sorted t =
   List.sort (fun a b -> compare a.flow_id b.flow_id) (flows t)
 
-(* Digest of the controller's flow database and retrigger bookkeeping for
+(* Digest of the controller's flow database and abort bookkeeping for
    the model checker's state pruning.  Sorted so that hash-table
-   insertion history does not leak into the fingerprint. *)
+   insertion history does not leak into the fingerprint.  The constant 7
+   stands where a digest of alarm-driven re-pushes was: it keeps every
+   pinned fingerprint. *)
 let fingerprint t =
   let flow_part =
     List.fold_left
@@ -570,17 +565,12 @@ let fingerprint t =
               (f.flow_id, f.version, f.path, Wire.update_type_to_int f.last_type))
       5 (flows_sorted t)
   in
-  let retrigger_part =
-    Hashtbl.fold (fun k v acc -> Hashtbl.hash (k, v) :: acc) t.retriggers []
-    |> List.sort compare
-    |> List.fold_left (fun acc x -> (acc * 31) lxor x) 7
-  in
   let aborted_part =
     Hashtbl.fold (fun k v acc -> Hashtbl.hash (k, v) :: acc) t.aborted []
     |> List.sort compare
     |> List.fold_left (fun acc x -> (acc * 31) lxor x) 11
   in
-  (flow_part * 131) lxor retrigger_part lxor (aborted_part * 13) lxor (t.alarms * 97)
+  (flow_part * 131) lxor 7 lxor (aborted_part * 13) lxor (t.alarms * 97)
 
 let flows_affected t ~uses = List.filter (fun f -> uses f.path) (flows_sorted t)
 
@@ -612,22 +602,14 @@ let enable_recovery ?(timeout_ms = 500.0) ?(max_retries = 6) ?deadline_ms t =
   end
 
 (* Forget a flow entirely (soak churn): the Flow DB, push history and
-   abort/retrigger bookkeeping are dropped so long-horizon runs return to
+   abort bookkeeping are dropped so long-horizon runs return to
    their baseline footprint between bursts.  Installed data-plane rules
    stay — a stale rule can never violate the consistency invariants, and
    cleanup packets already released any reservations that matter. *)
 let retire_flow t ~flow_id =
-  let remove_flow_keys h =
-    let keys =
-      Hashtbl.fold (fun ((f, _) as k) _ acc -> if f = flow_id then k :: acc else acc) h []
-    in
-    List.iter (Hashtbl.remove h) keys
-  in
   Hashtbl.remove t.flow_db flow_id;
   Hashtbl.remove t.last_pushed flow_id;
-  Hashtbl.remove t.aborted flow_id;
-  remove_flow_keys t.retriggers;
-  remove_flow_keys t.retrigger_times
+  Hashtbl.remove t.aborted flow_id
 
 (* A new flow reported by the data plane (§6): compute a shortest path and
    deploy it egress-first with SL, so rules exist downstream before any
@@ -645,38 +627,6 @@ let route_new_flow t (c : Wire.control) =
       else
         (* hash mismatch: the FRM did not come from this (src, dst) pair *)
         Hashtbl.remove t.flow_db flow.flow_id
-
-(* §11 failure handling: re-push the indications of a timed-out update so
-   the egress regenerates the notification chain. *)
-let retrigger t (c : Wire.control) =
-  match Hashtbl.find_opt t.last_pushed c.flow_id with
-  | Some prepared
-    when prepared.p_version = c.version_new
-         && Option.value (Hashtbl.find_opt t.aborted c.flow_id) ~default:0
-            < c.version_new ->
-    let key = (c.flow_id, c.version_new) in
-    let count = Option.value (Hashtbl.find_opt t.retriggers key) ~default:0 in
-    let now = Sim.now (Netsim.sim t.net) in
-    let recently =
-      match Hashtbl.find_opt t.retrigger_times key with
-      | Some last -> now -. last < 100.0 (* one re-push per alarm wave *)
-      | None -> false
-    in
-    if count < retrigger_budget && not recently then begin
-      Hashtbl.replace t.retriggers key (count + 1);
-      Hashtbl.replace t.retrigger_times key now;
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"recovery" "recovery.retrigger"
-          ~parent:
-            (Obs.Trace.anchor_get
-               (Wire.span_key_update ~flow_id:c.flow_id ~version:c.version_new))
-          ~attrs:[ Obs.Trace.flow c.flow_id; Obs.Trace.version c.version_new ];
-      List.iter
-        (fun (node, uim) ->
-          Netsim.controller_transmit t.net ~to_:node (Wire.control_to_bytes uim))
-        (List.rev prepared.p_uims)
-    end
-  | Some _ | None -> ()
 
 (* Process one control-channel frame addressed to this controller.  Kept
    separate from [install_handler] so a caller that re-points the
@@ -736,10 +686,9 @@ let handle t ~from bytes =
         if report.r_status = Wire.ufm_alarm_timeout then begin
           (* §11: a watchdog alarm on a broken path means retransmission
              cannot help — re-label and re-segment around the failure. *)
-          (match t.recovery, find_flow t ~flow_id:c.flow_id with
-           | Some _, Some flow when not (path_alive t flow.path) -> reroute t flow
-           | _ -> ());
-          if t.auto_retrigger then retrigger t c
+          match t.recovery, find_flow t ~flow_id:c.flow_id with
+          | Some _, Some flow when not (path_alive t flow.path) -> reroute t flow
+          | _ -> ()
         end
       | Some c when c.kind = Wire.Frm ->
         if t.auto_route && find_flow t ~flow_id:c.flow_id = None then route_new_flow t c
@@ -759,12 +708,9 @@ let create network =
       push_hooks = [];
       alarms = 0;
       auto_route = true;
-      auto_retrigger = false;
       allow_consecutive_dl = false;
       recovery = None;
       last_pushed = Hashtbl.create 32;
-      retriggers = Hashtbl.create 32;
-      retrigger_times = Hashtbl.create 32;
       aborted = Hashtbl.create 16;
       prep = None;
     }

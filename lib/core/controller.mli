@@ -56,8 +56,6 @@ type recovery_stats = {
     as the network's controller-channel handler. *)
 val create : Netsim.t -> t
 
-val net : t -> Netsim.t
-
 (** {2 Flow DB} *)
 
 (** [register_flow t ~src ~dst ~size ~path] adds a flow (version 1 by
@@ -78,21 +76,10 @@ val register_flow :
   path:int list ->
   flow
 
-(** Default size assigned to flows the data plane reports via FRM. *)
-val default_flow_size : int
-
 (** When enabled (default), an FRM for an unknown flow makes the
     controller compute a shortest path and deploy it with a (blackhole-
     free, egress-first) SL update — the new-flow setup loop of §6. *)
 val set_auto_route : t -> bool -> unit
-
-(** When enabled, a timeout alarm ({!Wire.ufm_alarm_timeout}) makes the
-    controller re-push the corresponding update's indications, up to
-    [retrigger_budget] times per flow and version (§11 failure
-    handling).  Disabled by default. *)
-val set_auto_retrigger : t -> bool -> unit
-
-val retrigger_budget : int
 
 (** Appendix C: when enabled the §7.5 policy no longer forces SL after a
     DL update (the switches must have {!Switch.enable_consecutive_dl}). *)
@@ -101,7 +88,7 @@ val set_allow_consecutive_dl : t -> bool -> unit
 val find_flow : t -> flow_id:int -> flow option
 val flows : t -> flow list
 
-(** Digest of the flow database, retrigger bookkeeping and alarm count,
+(** Digest of the flow database, abort bookkeeping and alarm count,
     for the model checker's revisited-state pruning. *)
 val fingerprint : t -> int
 
@@ -109,14 +96,12 @@ val fingerprint : t -> int
 
 (** [choose_type t ~old_path ~new_path ~last_type] applies the §7.5
     policy: single-layer when the update only installs rules on few
-    (≤ {!sl_threshold}) nodes, all inside forward segments; dual-layer
+    (at most 5) nodes, all inside forward segments; dual-layer
     otherwise.  A flow whose last update was dual-layer must use SL
     (Thm. 4). *)
 val choose_type :
   t -> old_path:int list -> new_path:int list -> last_type:Wire.update_type ->
   Wire.update_type
-
-val sl_threshold : int
 
 (** [prepare t ~flow_id ~new_path ?update_type ?assume_old_path ()]
     computes the UIMs for the next version of the flow without sending
@@ -234,7 +219,7 @@ val abort_update : ?reason:string -> t -> flow_id:int -> bool
 val aborted_version : t -> flow_id:int -> int option
 
 (** [retire_flow t ~flow_id] forgets the flow — Flow DB, push history and
-    abort/retrigger bookkeeping — so long-horizon workloads (soak churn)
+    abort bookkeeping — so long-horizon workloads (soak churn)
     return to their baseline footprint.  Installed data-plane rules stay;
     a stale rule cannot violate the consistency invariants. *)
 val retire_flow : t -> flow_id:int -> unit

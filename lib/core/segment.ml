@@ -73,15 +73,3 @@ let forward_interior_nodes t =
   List.concat_map
     (fun s -> if s.direction = Forward then s.interior else [])
     t.segments
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>gateways: %s@,"
-    (String.concat ", " (List.map string_of_int t.gateways));
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "  segment %d -> %d via [%s] (%s)@," s.ingress_gateway
-        s.egress_gateway
-        (String.concat "; " (List.map string_of_int s.interior))
-        (match s.direction with Forward -> "forward" | Backward -> "backward"))
-    t.segments;
-  Format.fprintf fmt "@]"

@@ -35,5 +35,3 @@ val forward_count : t -> int
 (** Nodes that receive new forwarding rules and lie inside forward
     segments (for the §7.5 policy). *)
 val forward_interior_nodes : t -> int list
-
-val pp : Format.formatter -> t -> unit

@@ -53,6 +53,7 @@ type t = {
   uib : Uib.t;
   name : string; (* the [pipeline] attribute of traced frames *)
   stats : stats;
+  parse_errors : Obs.Metrics.counter; (* net-wide, in [Netsim.metrics] *)
   mutable commit_hooks : (flow_id:int -> version:int -> time:float -> unit) list;
   mutable deliver_hooks : (time:float -> Wire.data -> unit) list;
   pending : (int, pending_commit) Hashtbl.t; (* flow id -> staged commit *)
@@ -787,14 +788,12 @@ let handle_control t bytes =
 (* The parse verdict comes from the base header's fixed offsets: a frame
    too short for its etype is a parse error, a foreign etype is dropped
    silently, as by the parse graph in [Wire.parser]. *)
-let c_parse_errors = Obs.Metrics.(counter global) "p4rt.parser.errors"
-
 let ingress t ~in_port bytes =
   match Wire.classify bytes with
   | Wire.Data_frame -> handle_data t ~in_port bytes
   | Wire.Control_frame -> handle_control t bytes
   | Wire.Foreign -> ()
-  | Wire.Truncated -> Obs.Metrics.incr c_parse_errors
+  | Wire.Truncated -> Obs.Metrics.incr t.parse_errors
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -877,6 +876,7 @@ let create net ~node =
           congestion_defers = 0;
           withdrawals = 0;
         };
+      parse_errors = Obs.Metrics.counter (Netsim.metrics net) "p4rt.parser.errors";
       commit_hooks = [];
       deliver_hooks = [];
       pending = Hashtbl.create 16;

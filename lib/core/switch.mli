@@ -11,9 +11,11 @@
     port, resubmits notifications that must wait (for a missing UIM or
     for link capacity), and punts FRMs and alarms to the controller.
 
-    The same program hosted in the {!P4rt.Pipeline} interpreter is the
+    The same program written over the [Wire.parser] parse graph is the
     test suite's reference: a differential property holds the two to
-    the same emissions, digests, deliveries and counters.
+    the same emissions, digests, deliveries, counters and parse
+    errors.  A parse error is counted on [p4rt.parser.errors] in the
+    network's registry ({!Netsim.metrics}).
 
     Forwarding-rule installation pays the platform's rule-update delay
     (when the network is configured with one); verification itself is
@@ -111,10 +113,6 @@ val enable_watchdog : t -> timeout_ms:float -> unit
     dual-layer updates (gateways then follow already-committed parents
     instead of the exhausted old-distance labels). *)
 val enable_consecutive_dl : t -> unit
-
-(** Resubmission budget for a single waiting notification before the
-    switch gives up and alarms the controller. *)
-val wait_budget : int
 
 (** Digest of the switch's full soft state — UIB registers plus staged
     commits and scratch tables — for the model checker's revisited-state

@@ -112,7 +112,6 @@ let notify_port t fid =
   if ver_cur t fid = 0 then Wire.port_none else Register.read t.notify_port fid
 
 let flow_size t fid = Register.read t.flow_size fid
-let flow_priority t fid = Register.read t.flow_priority fid
 let last_type t fid = Register.read t.last_type fid
 let counter t fid = Register.read t.counter fid
 

@@ -46,7 +46,6 @@ val notify_port : t -> int -> int
 (** port toward the committed child (upstream on the committed path) *)
 
 val flow_size : t -> int -> int
-val flow_priority : t -> int -> int
 val last_type : t -> int -> int
 (** register [t]: 0 none, 1 single, 2 dual *)
 

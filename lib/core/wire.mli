@@ -33,7 +33,6 @@ type msg_kind =
           rules persist until final verification (DESIGN §11). *)
 
 val msg_kind_to_int : msg_kind -> int
-val msg_kind_of_int : int -> msg_kind option
 
 (** {2 Update types} *)
 
@@ -44,7 +43,6 @@ val update_type_of_int : int -> update_type option
 
 (** {2 Node roles within an update (bit flags in the role field)} *)
 
-val role_plain : int
 val role_flow_egress : int
 val role_flow_ingress : int
 val role_segment_egress : int

@@ -216,7 +216,6 @@ let pop heap =
     let time = Array.unsafe_get heap.times 0 in
     Some (time, remove_at heap 0)
 
-let peek_time heap = if heap.len = 0 then None else Some heap.times.(0)
 let size heap = heap.len
 let is_empty heap = heap.len = 0
 

@@ -31,12 +31,8 @@ val push : ?tag:tag -> 'a t -> time:float -> 'a -> unit
     heap is empty. *)
 val pop : 'a t -> (float * 'a) option
 
-(** [peek_time heap] is the timestamp of the earliest event without
-    removing it. *)
-val peek_time : 'a t -> float option
-
 (** [min_time heap] is the timestamp of the earliest event.  With
-    {!take_min} it is the allocation-free form of {!peek_time} and {!pop}
+    {!take_min} it is the allocation-free form of {!pop}
     that the simulator's step loop uses, after an {!is_empty} check.
     Raises [Invalid_argument] on an empty heap. *)
 val min_time : 'a t -> float

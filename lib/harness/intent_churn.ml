@@ -178,7 +178,6 @@ let create ?(profile = default_profile) (w : World.t) =
   t
 
 let set_on_install t f = t.on_install <- Some f
-let compiler t = t.compiler
 let program t = Compiler.program t.compiler
 let members t = Compiler.member_count t.compiler
 

@@ -57,6 +57,5 @@ val burst : t -> P4update.Controller.prepared list
 (** Installed member-path count of the compiled program. *)
 val members : t -> int
 
-val compiler : t -> Intent.Compiler.t
 val program : t -> Intent.Lang.t
 val stats : t -> stats

@@ -97,7 +97,6 @@ let check_structural m (flows : P4update.Controller.flow list) =
     (Fwdcheck.link_violations net w.World.switches)
 
 let violations m = List.rev m.violations
-let clear m = m.violations <- []
 
 let violation_to_string v =
   Printf.sprintf "t=%.2fms flow=%d: %s" v.v_time v.v_flow v.v_what

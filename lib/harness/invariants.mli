@@ -21,14 +21,7 @@ val create : World.t -> monitor
     violations. *)
 val check_structural : monitor -> P4update.Controller.flow list -> unit
 
-(** [record m ~time ~flow what] appends a custom violation (used by
-    callers layering extra invariants, e.g. convergence). *)
-val record : monitor -> time:float -> flow:int -> string -> unit
-
 (** Violations recorded so far, in chronological order. *)
 val violations : monitor -> violation list
-
-(** Drop all recorded violations (e.g. between model-checker schedules). *)
-val clear : monitor -> unit
 
 val violation_to_string : violation -> string

@@ -22,9 +22,6 @@ val scatter_plot : title:string -> x_label:string -> y_label:string -> series li
     (used for the Fig. 8 preparation-time ratios). *)
 val bar_chart : title:string -> y_label:string -> (string * float) list -> string
 
-(** [save path svg] writes the document to disk. *)
-val save : string -> string -> unit
-
 (** Render every figure result into [dir] (created if missing):
     fig2_*.svg, fig4.svg, fig7*.svg, fig8*.svg. *)
 val render_fig2 : dir:string -> Experiments.fig2_result list -> unit

@@ -96,9 +96,6 @@ val attach : ?workload:workload -> World.t -> t
 (** Arm one injector per known flow (idempotent per flow). *)
 val start : t -> unit
 
-(** Arm (or re-arm, if it went idle) the injector of one flow. *)
-val start_flow : t -> int -> unit
-
 (** Extend or resume injection until [stop_ms] (simulated).  The soak
     monitor uses this to run probe bursts cycle after cycle on a single
     engine: idle injectors are re-armed, running ones simply observe the

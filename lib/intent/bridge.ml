@@ -16,7 +16,6 @@ type t = {
   installed : (int, int list) Hashtbl.t; (* id -> path last handed to the plane *)
   bound : (string, int) Hashtbl.t; (* flow -> member ids bound so far *)
   mutable installs : int;
-  mutable retires : int;
   mutable parked : int; (* members left on their stale path (unroutable) *)
 }
 
@@ -27,18 +26,13 @@ let create () =
     installed = Hashtbl.create 64;
     bound = Hashtbl.create 64;
     installs = 0;
-    retires = 0;
     parked = 0;
   }
 
 let reserve t id = Hashtbl.replace t.used id ()
 
 let installs t = t.installs
-let retires t = t.retires
 let parked t = t.parked
-let member_ids t name =
-  let n = Option.value (Hashtbl.find_opt t.bound name) ~default:0 in
-  List.init n (fun j -> Hashtbl.find t.ids (name, j))
 
 let space = P4update.Wire.flow_space
 
@@ -83,7 +77,6 @@ let lower t ~program ~(diff : Compiler.diff) ~install ~retire =
           | Some id ->
             if Hashtbl.mem t.installed id then begin
               Hashtbl.remove t.installed id;
-              t.retires <- t.retires + 1;
               retire ~flow_id:id
             end
           | None -> ()

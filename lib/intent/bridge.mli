@@ -41,11 +41,7 @@ val lower :
   retire:(flow_id:int -> unit) ->
   (int * int list) list
 
-(** Member ids currently bound for a flow, in member order. *)
-val member_ids : t -> string -> int list
-
 val installs : t -> int
-val retires : t -> int
 
 (** Members currently left on a stale path because their flow lost all
     routes. *)

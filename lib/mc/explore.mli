@@ -36,9 +36,6 @@ type stats = {
   mutable st_truncated : bool;
 }
 
-(** Schedules avoided per schedule explored ([>= 1.0]). *)
-val por_factor : stats -> float
-
 type counterexample = {
   cex_schedule : int list;
       (** pickable-candidate index chosen at each branch point; trailing
@@ -58,14 +55,6 @@ type result = {
   r_verdict : verdict;
   r_stats : stats;
 }
-
-(** [minimize sc ~window schedule] greedily resets choices to the
-    default and trims the all-default tail while the violation persists;
-    each probe is one deterministic replay (POR off, so explicit
-    schedules replay independently of exploration order). *)
-val minimize :
-  ?bounds:bounds -> ?cfg:Harness.Run_config.t -> Scenario.t -> window:float ->
-  int list -> int list
 
 (** [check ?bounds ?cfg ?unsafe sc] runs the DFS, which stops at the
     first violation or when the schedule space within the bounds is

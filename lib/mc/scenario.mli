@@ -43,24 +43,6 @@ val default_cfg : Harness.Run_config.t
     config beats the scenario's default. *)
 val window_of : Harness.Run_config.t -> t -> float
 
-(** The RNG-free {!Netsim.config} every scenario world runs under. *)
-val mc_config : Netsim.config
-
-(** [make_world ?flows cfg topo] builds a seeded world under
-    {!mc_config} with the flow extractor installed, so the explorer can
-    tell which pending deliveries commute. *)
-val make_world :
-  ?flows:Harness.World.flow_spec list -> Harness.Run_config.t ->
-  Topo.Topologies.t -> Harness.World.t
-
-(** Push gap between the overtaken DL update and the overtaking SL
-    update in the six-skip scenario (ms). *)
-val six_skip_gap_ms : float
-
-(** Delay before the WDM withdraw races the in-flight update in the
-    abort-race scenario (ms). *)
-val abort_race_delay_ms : float
-
 (** The scenario registry, in CLI listing order: fig2a, six-skip,
     ruleless-gateway, stale-label, abort-race. *)
 val all : t list

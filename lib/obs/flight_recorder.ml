@@ -87,7 +87,6 @@ let create ?(capacity = default_capacity) ?incident_dir
     triggers = 0;
   }
 
-let capacity t = t.cap
 let total t = t.total
 let dropped t = max 0 (t.total - t.cap)
 let triggers t = t.triggers

@@ -41,9 +41,6 @@ val k_violation : int
 val k_leak : int
 val k_stuck : int
 val k_slo : int
-val k_trigger : int
-
-val kind_name : int -> string
 
 val create : ?capacity:int -> ?incident_dir:string -> ?max_incidents:int -> unit -> t
 (** Ring of [capacity] slots (default 8192; < 1 raises
@@ -83,7 +80,6 @@ type event = {
 val events : t -> event list
 (** Ring contents in chronological order (oldest retained first). *)
 
-val capacity : t -> int
 val total : t -> int
 (** Events ever recorded (including overwritten ones). *)
 

@@ -247,8 +247,6 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 let to_list = function List xs -> Some xs | _ -> None
 
-let to_str = function Str s -> Some s | _ -> None
-
 let to_number = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f

@@ -34,7 +34,6 @@ val member : string -> t -> t option
 (** [member k j] is the value bound to [k] if [j] is an [Obj]. *)
 
 val to_list : t -> t list option
-val to_str : t -> string option
 
 val to_number : t -> float option
 (** [Int] and [Float] both read as a float. *)

@@ -36,10 +36,6 @@ type t = { table : (string, instrument) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 64 }
 
-(* A process-wide registry for leaf modules (p4rt tables/registers) that
-   have no good place to thread a registry handle through. *)
-let global = create ()
-
 let counter t name =
   match Hashtbl.find_opt t.table name with
   | Some (Counter c) -> c
@@ -143,39 +139,3 @@ let reset t =
         h.h_samples <- [];
         h.h_retained <- 0)
     t.table
-
-let names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.table []
-  |> List.sort compare
-
-let to_json t =
-  let entry name =
-    match Hashtbl.find_opt t.table name with
-    | None -> None
-    | Some (Counter c) -> Some (name, Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Int c.c_value) ])
-    | Some (Gauge g) -> Some (name, Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.Float g.g_value) ])
-    | Some (Histogram h) ->
-      let buckets =
-        let acc = ref [] in
-        for i = histogram_buckets - 1 downto 0 do
-          if h.h_buckets.(i) > 0 then
-            acc :=
-              Json.Obj
-                [ ("ge", Json.Float (bucket_floor i)); ("n", Json.Int h.h_buckets.(i)) ]
-              :: !acc
-        done;
-        !acc
-      in
-      Some
-        ( name,
-          Json.Obj
-            [
-              ("type", Json.Str "histogram");
-              ("count", Json.Int h.h_count);
-              ("sum", Json.Float h.h_sum);
-              ("min", Json.Float (if h.h_count = 0 then 0.0 else h.h_min));
-              ("max", Json.Float (if h.h_count = 0 then 0.0 else h.h_max));
-              ("buckets", Json.List buckets);
-            ] )
-  in
-  Json.Obj (List.filter_map entry (names t))

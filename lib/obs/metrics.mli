@@ -32,10 +32,6 @@ type t
 
 val create : unit -> t
 
-val global : t
-(** A process-wide registry for leaf modules (p4rt tables/registers)
-    that have no good place to thread a registry handle through. *)
-
 (** {2 Lookup-or-create} — raise [Invalid_argument] if the name is
     already bound to a different instrument kind. *)
 
@@ -76,10 +72,3 @@ val get_count : t -> string -> int
 
 val reset : t -> unit
 (** Zero every instrument in place (handles stay valid). *)
-
-val names : t -> string list
-(** Sorted. *)
-
-val to_json : t -> Json.t
-(** Deterministic snapshot: instruments in name order, histograms with
-    only their non-empty buckets. *)

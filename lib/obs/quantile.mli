@@ -11,12 +11,9 @@
     prefixed with the caller-supplied [who]; empty samples return
     [None]. *)
 
-val of_sorted_array : ?who:string -> float -> float array -> float option
-(** Linear interpolation on rank [p/100 * (n-1)] over an already-sorted
-    array — the "type 7" estimator (R's default). *)
-
 val of_list_opt : ?who:string -> float -> float list -> float option
-(** Sorts a copy, then {!of_sorted_array}. *)
+(** Sorts a copy, then interpolates linearly on rank [p/100 * (n-1)] —
+    the "type 7" estimator (R's default). *)
 
 val of_buckets_opt :
   ?who:string -> float -> count:int -> buckets:int array -> float option

@@ -42,8 +42,6 @@ let create ~tick_ms =
     invalid_arg "Timeseries.create: tick_ms must be positive";
   { ts_tick_ms = tick_ms; ts_probes = []; ts_windows = [] }
 
-let tick_ms t = t.ts_tick_ms
-
 let add t p =
   if List.exists (fun q -> q.p_name = p.p_name) t.ts_probes then
     invalid_arg ("Timeseries: duplicate probe " ^ p.p_name);
@@ -94,7 +92,6 @@ let tick t ~now =
   t.ts_windows <- { w_t_ms = now; w_values = values } :: t.ts_windows
 
 let windows t = List.rev t.ts_windows
-let window_count t = List.length t.ts_windows
 
 (* Column labels, in window-value order (dist probes expand to three). *)
 let labels t =

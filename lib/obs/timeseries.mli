@@ -21,8 +21,6 @@ type window = {
 val create : tick_ms:float -> t
 (** Raises [Invalid_argument] unless [tick_ms] is finite and positive. *)
 
-val tick_ms : t -> float
-
 (** {2 Probe registration} — duplicate names raise [Invalid_argument].
     A [dist] probe expands to three window columns: [<name>.p50],
     [<name>.p99] and [<name>.n]. *)
@@ -52,11 +50,6 @@ val tick : t -> now:float -> unit
 
 val windows : t -> window list
 (** Oldest first. *)
-
-val window_count : t -> int
-
-val labels : t -> (string * string) list
-(** [(column, unit)] pairs in window-value order. *)
 
 (** {2 Exporters} *)
 

@@ -146,10 +146,6 @@ let anchor_count () =
 (* --- introspection --- *)
 
 let events s = List.rev s.events
-let clear s =
-  s.events <- [];
-  s.next_id <- 1;
-  Hashtbl.reset s.anchors
 
 (* --- exporters --- *)
 

@@ -101,9 +101,6 @@ val anchor_count : unit -> int
 val events : sink -> event list
 (** Oldest first. *)
 
-val clear : sink -> unit
-(** Drop events and anchors, reset span ids. *)
-
 val to_jsonl : sink -> string
 (** One compact JSON object per event, oldest first. *)
 

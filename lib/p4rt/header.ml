@@ -12,7 +12,6 @@ type schema = {
 type inst = {
   schema : schema;
   values : int array;
-  valid : bool;
 }
 
 let define ~name field_list =
@@ -52,11 +51,9 @@ let byte_size s = s.total_bits / 8
 let fields s = s.field_list
 
 let make schema =
-  { schema; values = Array.make (Array.length schema.widths) 0; valid = true }
+  { schema; values = Array.make (Array.length schema.widths) 0 }
 
 let schema_of inst = inst.schema
-let is_valid inst = inst.valid
-let set_valid inst valid = { inst with valid }
 
 let index schema field =
   let rec find i = function
@@ -82,14 +79,10 @@ let of_values schema values =
   for i = 0 to Array.length values - 1 do
     values.(i) <- mask schema.widths.(i) values.(i)
   done;
-  { schema; values; valid = true }
+  { schema; values }
 
 let get inst field = get_at inst (index inst.schema field)
 let set inst field v = set_at inst (index inst.schema field) v
-
-let get_bv inst field =
-  let i = index inst.schema field in
-  Bitval.make ~width:inst.schema.widths.(i) inst.values.(i)
 
 (* Bit-level MSB-first writer/reader over a bytes buffer, for schemas
    with sub-byte fields. *)
@@ -137,26 +130,23 @@ let[@inline] read_bytes_be buf ~pos ~nbytes =
    per call, one allocation (the instance) per extraction. *)
 
 let emit inst buf offset =
-  if not inst.valid then offset
-  else begin
-    let schema = inst.schema in
-    if Bytes.length buf < offset + byte_size schema then
-      invalid_arg (Printf.sprintf "Header.emit(%s): buffer too short" schema.name);
-    (match schema.byte_layout with
-    | Some layout ->
-      for i = 0 to Array.length layout - 1 do
-        let o, nbytes = layout.(i) in
-        write_bytes_be buf ~pos:(offset + o) ~nbytes inst.values.(i)
-      done
-    | None ->
-      let bit = ref (offset * 8) in
-      for i = 0 to Array.length schema.widths - 1 do
-        let w = schema.widths.(i) in
-        write_bits buf ~bit_offset:!bit ~width:w inst.values.(i);
-        bit := !bit + w
-      done);
-    offset + byte_size schema
-  end
+  let schema = inst.schema in
+  if Bytes.length buf < offset + byte_size schema then
+    invalid_arg (Printf.sprintf "Header.emit(%s): buffer too short" schema.name);
+  (match schema.byte_layout with
+  | Some layout ->
+    for i = 0 to Array.length layout - 1 do
+      let o, nbytes = layout.(i) in
+      write_bytes_be buf ~pos:(offset + o) ~nbytes inst.values.(i)
+    done
+  | None ->
+    let bit = ref (offset * 8) in
+    for i = 0 to Array.length schema.widths - 1 do
+      let w = schema.widths.(i) in
+      write_bits buf ~bit_offset:!bit ~width:w inst.values.(i);
+      bit := !bit + w
+    done);
+  offset + byte_size schema
 
 let read schema buf offset =
   if Bytes.length buf < offset + byte_size schema then
@@ -175,44 +165,6 @@ let read schema buf offset =
       values.(i) <- read_bits buf ~bit_offset:!bit ~width:w;
       bit := !bit + w
     done);
-  { schema; values; valid = true }
+  { schema; values }
 
 let extract schema buf offset = (read schema buf offset, offset + byte_size schema)
-
-(* A field in place: its bit offset inside the header and its width.  A
-   field that starts and ends on byte boundaries ([nbytes] > 0 whole
-   bytes) is loaded and stored a byte at a time, any other a bit at a
-   time; both give the MSB-first image of [emit]. *)
-type field = { bit : int; width : int; nbytes : int }
-
-let field schema name =
-  let i = index schema name in
-  let bit = ref 0 in
-  for j = 0 to i - 1 do
-    bit := !bit + schema.widths.(j)
-  done;
-  let bit = !bit and width = schema.widths.(i) in
-  { bit; width; nbytes = (if bit mod 8 = 0 && width mod 8 = 0 then width / 8 else 0) }
-
-let check_bounds f buf offset op =
-  if offset < 0 || (offset * 8) + f.bit + f.width > Bytes.length buf * 8 then
-    invalid_arg (Printf.sprintf "Header.%s: field outside the buffer" op)
-
-let load f buf offset =
-  check_bounds f buf offset "load";
-  if f.nbytes = 0 then read_bits buf ~bit_offset:((offset * 8) + f.bit) ~width:f.width
-  else read_bytes_be buf ~pos:(offset + (f.bit / 8)) ~nbytes:f.nbytes
-
-let store f buf offset v =
-  check_bounds f buf offset "store";
-  if f.nbytes = 0 then write_bits buf ~bit_offset:((offset * 8) + f.bit) ~width:f.width v
-  else write_bytes_be buf ~pos:(offset + (f.bit / 8)) ~nbytes:f.nbytes v
-
-let pp fmt inst =
-  Format.fprintf fmt "@[<h>%s{" inst.schema.name;
-  List.iteri
-    (fun i (f, _) ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%s=%d" f inst.values.(i))
-    inst.schema.field_list;
-  Format.fprintf fmt "}%s@]" (if inst.valid then "" else " (invalid)")

@@ -7,17 +7,15 @@ let make ?(payload = Bytes.empty) headers = { headers; payload }
 
 (* Headers are matched by schema identity: a schema is a value defined
    once, so a lookup compares one pointer and never a name. *)
-let rec find_valid schema = function
+let rec find schema = function
   | [] -> None
-  | h :: rest ->
-    if Header.is_valid h && Header.schema_of h == schema then Some h else find_valid schema rest
+  | h :: rest -> if Header.schema_of h == schema then Some h else find schema rest
 
-let header pkt schema = find_valid schema pkt.headers
+let header pkt schema = find schema pkt.headers
 
 let rec size_of acc = function
   | [] -> acc
-  | h :: rest ->
-    size_of (if Header.is_valid h then acc + Header.byte_size (Header.schema_of h) else acc) rest
+  | h :: rest -> size_of (acc + Header.byte_size (Header.schema_of h)) rest
 
 let wire_size pkt = size_of (Bytes.length pkt.payload) pkt.headers
 
@@ -32,8 +30,3 @@ let serialize pkt =
   let offset = emit_all buf 0 pkt.headers in
   Bytes.blit pkt.payload 0 buf offset (Bytes.length pkt.payload);
   buf
-
-let pp fmt pkt =
-  Format.fprintf fmt "@[<v>packet (%d bytes):@," (wire_size pkt);
-  List.iter (fun h -> Format.fprintf fmt "  %a@," Header.pp h) pkt.headers;
-  Format.fprintf fmt "@]"

@@ -1,6 +1,6 @@
 (** Packets: an ordered stack of header instances plus an opaque payload.
 
-    The deparser serializes valid headers in stack order followed by the
+    The deparser serializes the headers in stack order followed by the
     payload; a parse specification (ordered schema list with a select
     function) rebuilds the stack from bytes. *)
 
@@ -14,13 +14,8 @@ val make : ?payload:Bytes.t -> Header.inst list -> t
 (** Headers are looked up by schema identity (the {!Header.schema} value
     itself, not its name).
 
-    [header pkt schema] is the first valid instance of [schema]. *)
+    [header pkt schema] is the first instance of [schema]. *)
 val header : t -> Header.schema -> Header.inst option
 
-(** Deparser: valid headers in order, then the payload. *)
+(** Deparser: the headers in order, then the payload. *)
 val serialize : t -> Bytes.t
-
-(** Total wire size in bytes. *)
-val wire_size : t -> int
-
-val pp : Format.formatter -> t -> unit

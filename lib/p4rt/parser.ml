@@ -10,15 +10,13 @@ type state = {
 }
 
 (* The compiled graph: states by index (0 is "start"), select fields by
-   index into the state's schema and in place ([at]), case targets by
-   state index.  Cases keep their declaration order, so the first
-   matching value wins. *)
+   index into the state's schema, case targets by state index.  Cases
+   keep their declaration order, so the first matching value wins. *)
 type cnext =
   | C_accept
   | C_goto of int
   | C_select of {
       field : int;
-      at : Header.field;
       values : int array;
       targets : int array;
       default : cnext;
@@ -26,7 +24,6 @@ type cnext =
 
 type cstate = {
   c_extracts : Header.schema option;
-  c_size : int; (* byte size of [c_extracts], 0 for none *)
   c_next : cnext;
 }
 
@@ -62,13 +59,16 @@ let create states =
         | Some schema -> schema
         | None -> fail "state %s selects on %s but extracts nothing" s.state_name field
       in
-      if not (List.mem_assoc field (Header.fields schema)) then
-        fail "state %s selects on %s, not a field of %s" s.state_name field
-          (Header.schema_name schema);
+      let index =
+        match Header.index schema field with
+        | i -> i
+        | exception Invalid_argument _ ->
+          fail "state %s selects on %s, not a field of %s" s.state_name field
+            (Header.schema_name schema)
+      in
       C_select
         {
-          field = Header.index schema field;
-          at = Header.field schema field;
+          field = index;
           values = Array.of_list (List.map fst cases);
           targets = Array.of_list (List.map (fun (_, name) -> target s name) cases);
           default = compile s default;
@@ -78,12 +78,7 @@ let create states =
     states =
       Array.of_list
         (List.map
-           (fun s ->
-             {
-               c_extracts = s.extracts;
-               c_size = Option.fold ~none:0 ~some:Header.byte_size s.extracts;
-               c_next = compile s s.transition;
-             })
+           (fun s -> { c_extracts = s.extracts; c_next = compile s s.transition })
            ordered);
   }
 
@@ -95,7 +90,7 @@ let rec case values v i =
 let rec decide h = function
   | C_accept -> -1
   | C_goto i -> i
-  | C_select { field; values; targets; default; _ } ->
+  | C_select { field; values; targets; default } ->
     let i = case values (Header.get_at h field) 0 in
     if i < 0 then decide h default else targets.(i)
 
@@ -128,62 +123,3 @@ let run t bytes =
   let offset = size_of 0 headers and len = Bytes.length bytes in
   let payload = if offset = len then Bytes.empty else Bytes.sub bytes offset (len - offset) in
   { Packet.headers; payload }
-
-(* ---- the compiled walk ---------------------------------------------- *)
-
-(* The extracted schemas in stack order.  Headers sit back to back from
-   offset 0, so a header's offset is the size of those before it. *)
-type path = Header.schema list
-
-(* [decide] on the frame: the select field is read where it lies. *)
-let rec decide_at bytes offset = function
-  | C_accept -> -1
-  | C_goto i -> i
-  | C_select { at; values; targets; default; _ } ->
-    let i = case values (Header.load at bytes offset) 0 in
-    if i < 0 then decide_at bytes offset default else targets.(i)
-
-(* [step]'s recursion, the same checks in the same order, collecting
-   schemas instead of headers. *)
-let rec walk_from t bytes state offset visits =
-  if visits > visit_budget then raise (Parse_error "state visit budget exceeded");
-  let s = t.states.(state) in
-  match s.c_extracts with
-  | None ->
-    (match s.c_next with
-     | C_accept -> []
-     | C_goto i -> walk_from t bytes i offset (visits + 1)
-     | C_select _ -> assert false (* rejected by [create] *))
-  | Some schema ->
-    let next_offset = offset + s.c_size in
-    if next_offset > Bytes.length bytes then
-      raise (Parse_error ("truncated " ^ Header.schema_name schema));
-    let next = decide_at bytes offset s.c_next in
-    if next < 0 then [ schema ] else schema :: walk_from t bytes next next_offset (visits + 1)
-
-let walk t bytes = walk_from t bytes 0 0 0
-
-let rec find schema offset = function
-  | [] -> -1
-  | s :: rest -> if s == schema then offset else find schema (offset + Header.byte_size s) rest
-
-let offset path schema = find schema 0 path
-
-let packet_of_path path bytes =
-  let offset = ref 0 in
-  let headers =
-    List.map
-      (fun schema ->
-        let h = Header.read schema bytes !offset in
-        offset := !offset + Header.byte_size schema;
-        h)
-      path
-  in
-  let offset = !offset and len = Bytes.length bytes in
-  let payload = if offset = len then Bytes.empty else Bytes.sub bytes offset (len - offset) in
-  { Packet.headers; payload }
-
-let path_of_packet (pkt : Packet.t) =
-  List.filter_map
-    (fun h -> if Header.is_valid h then Some (Header.schema_of h) else None)
-    pkt.headers

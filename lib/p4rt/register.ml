@@ -5,10 +5,6 @@ let create ~name ~width ~size =
   if size < 1 then invalid_arg "Register.create: size must be positive";
   { reg_name = name; cell_width = width; cells = Array.make size 0 }
 
-let name t = t.reg_name
-let size t = Array.length t.cells
-let width t = t.cell_width
-
 (* Register R/W is the hottest p4rt path (the UIB does dozens per
    packet): one bounds check and one array access, with the message
    built only on the cold out-of-range path. *)

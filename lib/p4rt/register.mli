@@ -9,10 +9,6 @@ type t
 (** [create ~name ~width ~size] makes an all-zero register array. *)
 val create : name:string -> width:int -> size:int -> t
 
-val name : t -> string
-val size : t -> int
-val width : t -> int
-
 (** [read reg i] / [write reg i v]: cell access; [v] is truncated to the
     register width.  Raise [Invalid_argument] on out-of-range indices. *)
 val read : t -> int -> int

@@ -378,11 +378,3 @@ let centroid g =
       if e < best_ecc then best (i + 1) i e else best (i + 1) best_node best_ecc
   in
   best 1 0 (eccentricity 0)
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>graph: %d nodes, %d edges@," g.n g.m;
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  %d -- %d  (%.2f ms, cap %.1f)@," e.u e.v e.latency_ms e.capacity)
-    (edges g);
-  Format.fprintf fmt "@]"

@@ -107,5 +107,3 @@ val centroid : t -> int
 (** [hop_distances g ~dst] is the array of hop counts to [dst] (BFS);
     [max_int] where unreachable. *)
 val hop_distances : t -> dst:int -> int array
-
-val pp : Format.formatter -> t -> unit

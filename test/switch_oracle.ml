@@ -1,9 +1,13 @@
-(* The switch's program hosted in the [P4rt.Pipeline] interpreter, as the
-   switch ran it before it executed its frames directly: the parse graph
-   [Wire.parser] walks the frame, [ingress_control] and [handle_data] below
-   are the context-based control blocks kept verbatim (only the switch
-   record they read is this module's [t]).  [Test_p4rt] holds
-   [Switch.receive] to it with a differential property.
+(* The switch's frame path as a literal specification: one function from
+   (oracle state, ingress port, frame) to what the switch must do with the
+   frame.  It parses with the [Wire.parser] parse graph
+   ([Wire.packet_of_bytes]), reads and rewrites header fields by name
+   ([Header.get] / [set]) and deparses with [Packet.serialize], so it
+   shares nothing with the switch's fixed-offset reads, [Wire.classify]
+   or [Wire.data_forward_copy].  [handle_data] keeps the switch program's
+   decisions verbatim (only the switch record it reads is this module's
+   [t]).  [Test_p4rt] holds [Switch.receive] to it with a differential
+   property.
 
    The control handlers ([handle_uim] and the others) are the switch's own
    code, not reproduced here; the chaos hashes, the mc fingerprints and
@@ -11,7 +15,8 @@
    control frames the switch drops without running a handler:
    undecodable ones and FRM/UFM, which the switch does not consume. *)
 
-module Pipeline = P4rt.Pipeline
+module Header = P4rt.Header
+module Packet = P4rt.Packet
 module Sim = Dessim.Sim
 module Wire = P4update.Wire
 module Uib = P4update.Uib
@@ -28,19 +33,22 @@ type t = {
   mutable deliver_hooks : (time:float -> Wire.data -> unit) list;
 }
 
-(* Data-header fields the forwarding path reads and rewrites in place. *)
-let f_flow_id = Pipeline.field Wire.data_schema "flow_id"
-let f_ttl = Pipeline.field Wire.data_schema "ttl"
-let f_dst = Pipeline.field Wire.data_schema "dst"
-let f_tag = Pipeline.field Wire.data_schema "tag"
+type emission = { out_port : int; bytes : Bytes.t }
 
-(* [flow_id] is already masked to a register index. *)
-let handle_data t ctx ~flow_id =
+(* What one frame makes: at most one emission and one digest to the
+   controller, or a parse error. *)
+type outcome = { emission : emission option; digest : Bytes.t option; parse_error : bool }
+
+let dropped = { emission = None; digest = None; parse_error = false }
+
+(* [flow_id] is already masked to a register index; [h] is [pkt]'s data
+   header. *)
+let handle_data t pkt h ~in_port ~flow_id =
   let u = t.uib in
-  let from_host = Pipeline.ingress_port ctx = host_port in
+  let from_host = in_port = host_port in
   (* The ingress stamps packets with the active tag (2-phase commit). *)
   let tag =
-    let tag = Pipeline.get ctx f_tag in
+    let tag = Header.get h "tag" in
     if from_host && tag = 0 then Uib.stamp_tag u flow_id else tag
   in
   (* Tagged packets use the tagged rule bank when it matches. *)
@@ -53,18 +61,22 @@ let handle_data t ctx ~flow_id =
        any other switch just counts the blackhole. *)
     if from_host && not (Hashtbl.mem t.frm_sent flow_id) then begin
       Hashtbl.add t.frm_sent flow_id ();
-      Pipeline.digest ctx
-        (Wire.control_to_bytes
-           {
-             (Wire.control_default Wire.Frm) with
-             flow_id;
-             (* the clone of the first packet carries the destination *)
-             dist_new = Pipeline.get ctx f_dst;
-             src_node = t.node;
-           })
+      let frm =
+        Wire.control_to_bytes
+          {
+            (Wire.control_default Wire.Frm) with
+            flow_id;
+            (* the clone of the first packet carries the destination *)
+            dist_new = Header.get h "dst";
+            src_node = t.node;
+          }
+      in
+      { dropped with digest = Some frm }
     end
-    else t.stats.dropped_no_rule <- t.stats.dropped_no_rule + 1;
-    Pipeline.mark_to_drop ctx
+    else begin
+      t.stats.dropped_no_rule <- t.stats.dropped_no_rule + 1;
+      dropped
+    end
   end
   else if port = Wire.port_local then begin
     t.stats.delivered <- t.stats.delivered + 1;
@@ -74,40 +86,49 @@ let handle_data t ctx ~flow_id =
     (match t.deliver_hooks with
      | [] -> ()
      | hooks -> (
-       match Wire.data_of_bytes (Pipeline.frame ctx) with
+       match Wire.data_of_packet pkt with
        | Some d ->
          let d = { d with Wire.d_flow_id = flow_id; tag } in
          let time = Sim.now (Netsim.sim t.net) in
          List.iter (fun f -> f ~time d) hooks
        | None -> () (* the parse path holds a data header *)));
-    Pipeline.mark_to_drop ctx
+    dropped
   end
   else
-    let ttl = Pipeline.get ctx f_ttl in
+    let ttl = Header.get h "ttl" in
     if ttl <= 1 then begin
       t.stats.dropped_ttl <- t.stats.dropped_ttl + 1;
-      Pipeline.mark_to_drop ctx
+      dropped
     end
     else begin
       t.stats.forwarded <- t.stats.forwarded + 1;
-      (* The first write copies the frame; the second lands in the copy. *)
-      Pipeline.set ctx f_ttl (ttl - 1);
-      Pipeline.set ctx f_tag tag;
-      Pipeline.set_egress ctx port
+      let h = Header.set (Header.set h "ttl" (ttl - 1)) "tag" tag in
+      let headers =
+        List.map
+          (fun x -> if Header.schema_of x == Wire.data_schema then h else x)
+          pkt.Packet.headers
+      in
+      let bytes = Packet.serialize { pkt with headers } in
+      { dropped with emission = Some { out_port = port; bytes } }
     end
 
-let handle_control _t ctx =
-  (match Wire.control_of_bytes (Pipeline.frame ctx) with
+let handle_control pkt =
+  (match Wire.control_of_packet pkt with
    | Some { Wire.kind = Wire.Frm | Wire.Ufm; _ } | None -> ()
    | Some _ -> invalid_arg "Switch_oracle: the control handlers are the switch's own");
-  Pipeline.mark_to_drop ctx
+  dropped
 
-(* Data frames, the common case, are told by their parse path and read
-   in place; control frames are decoded from the frame. *)
-let ingress_control t ctx =
-  if Pipeline.valid ctx Wire.data_schema then
-    handle_data t ctx ~flow_id:(Pipeline.get ctx f_flow_id land (Wire.flow_space - 1))
-  else handle_control t ctx
+(* The frame the switch receives at [in_port]: a frame with a data
+   header takes the data path, any other that parses is dropped unless
+   a control handler would run. *)
+let receive t ~in_port frame =
+  match Wire.packet_of_bytes frame with
+  | None -> { dropped with parse_error = true }
+  | Some pkt -> (
+    match Packet.header pkt Wire.data_schema with
+    | Some h ->
+      handle_data t pkt h ~in_port ~flow_id:(Header.get h "flow_id" land (Wire.flow_space - 1))
+    | None -> handle_control pkt)
 
 let no_stats () =
   {
@@ -124,31 +145,20 @@ let no_stats () =
 
 (* The reference of node [node] of [net], with its own registers. *)
 let create net ~node =
-  let t =
-    {
-      net;
-      node;
-      uib = Uib.create ~ports:(Netsim.port_count net ~node);
-      stats = no_stats ();
-      frm_sent = Hashtbl.create 16;
-      deliver_hooks = [];
-    }
-  in
-  let pipe =
-    Pipeline.create
-      ~name:(Printf.sprintf "p4update-sw%d" node)
-      ~registers:[] ~tables:[]
-      { Pipeline.prog_parser = Wire.parser; prog_ingress = ingress_control t; prog_egress = ignore }
-  in
-  (t, pipe)
+  {
+    net;
+    node;
+    uib = Uib.create ~ports:(Netsim.port_count net ~node);
+    stats = no_stats ();
+    frm_sent = Hashtbl.create 16;
+    deliver_hooks = [];
+  }
 
 let on_deliver t f = t.deliver_hooks <- t.deliver_hooks @ [ f ]
 
 (* ------------------------------------------------------------------ *)
 (* Observing the switch                                                 *)
 (* ------------------------------------------------------------------ *)
-
-type emission = { out_port : int; bytes : Bytes.t }
 
 (* [capture net ~node f] runs [f ()] and returns what node [node] sent
    meanwhile: its data-port emissions, in order, and its messages to the

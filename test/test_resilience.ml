@@ -1,5 +1,5 @@
 (* Tests for the new-flow setup loop (FRM, §6) and the §11 failure
-   handling (UNM-loss watchdog + controller re-trigger). *)
+   handling (UNM-loss watchdog + the controller's recovery loop). *)
 
 open P4update
 
@@ -68,12 +68,12 @@ let test_watchdog_reports_lost_chain () =
     Alcotest.(check (list int)) "still on old path" Topo.Topologies.fig1_old_path path
   | o -> Alcotest.failf "broken: %a" Harness.Fwdcheck.pp_outcome o
 
-let test_retrigger_recovers_from_unm_loss () =
-  (* Drop the first few UNMs; with the watchdog and auto-retrigger the
-     controller re-pushes the indications and the update completes. *)
+let test_recovery_survives_unm_loss () =
+  (* Drop the first few UNMs; with the watchdog and the §11 recovery loop
+     the controller re-pushes the indications and the update completes. *)
   let w = Harness.World.make (fig1 ()) in
   Array.iter (fun sw -> Switch.enable_watchdog sw ~timeout_ms:400.0) w.switches;
-  Controller.set_auto_retrigger w.controller true;
+  Controller.enable_recovery w.controller;
   let flow =
     Harness.World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topo.Topologies.fig1_old_path
   in
@@ -92,17 +92,17 @@ let test_retrigger_recovers_from_unm_loss () =
   Alcotest.(check int) "three UNMs were dropped" 3 !dropped;
   (match Controller.completion_time w.controller ~flow_id:flow.flow_id ~version with
    | Some _ -> ()
-   | None -> Alcotest.fail "update never completed despite re-trigger");
+   | None -> Alcotest.fail "update never completed despite recovery");
   match Harness.Fwdcheck.trace w.net w.switches ~flow_id:flow.flow_id ~src:0 with
   | Harness.Fwdcheck.Reaches_egress path ->
     Alcotest.(check (list int)) "converged to new path" Topo.Topologies.fig1_new_path path
   | o -> Alcotest.failf "broken: %a" Harness.Fwdcheck.pp_outcome o
 
-let test_retrigger_budget_bounded () =
-  (* Permanent UNM loss: the controller must not re-trigger forever. *)
+let test_recovery_bounded_under_unm_loss () =
+  (* Permanent UNM loss: the controller must not re-push forever. *)
   let w = Harness.World.make (fig1 ()) in
   Array.iter (fun sw -> Switch.enable_watchdog sw ~timeout_ms:300.0) w.switches;
-  Controller.set_auto_retrigger w.controller true;
+  Controller.enable_recovery w.controller;
   let flow =
     Harness.World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topo.Topologies.fig1_old_path
   in
@@ -246,9 +246,9 @@ let suite =
     Alcotest.test_case "FRM routes a new flow" `Quick test_frm_routes_new_flow;
     Alcotest.test_case "FRM reported once" `Quick test_frm_reported_once;
     Alcotest.test_case "watchdog reports a lost chain" `Quick test_watchdog_reports_lost_chain;
-    Alcotest.test_case "re-trigger recovers from UNM loss" `Quick
-      test_retrigger_recovers_from_unm_loss;
-    Alcotest.test_case "re-trigger budget bounded" `Quick test_retrigger_budget_bounded;
+    Alcotest.test_case "recovery survives UNM loss" `Quick test_recovery_survives_unm_loss;
+    Alcotest.test_case "recovery bounded under UNM loss" `Quick
+      test_recovery_bounded_under_unm_loss;
     Alcotest.test_case "recovery retransmits a lost UIM" `Quick
       test_recovery_retransmits_lost_uim;
     Alcotest.test_case "recovery survives a lost success UFM" `Quick

@@ -273,11 +273,9 @@ let prop_data_field_accessors =
 
 let prop_data_readers_and_forward_copy =
   (* The switch's data path: in-place ttl / dst / tag reads agree with the
-     full decode, and the forward copy is the frame the interpreter's
-     field writes made (ttl and tag stored, trailing bytes kept), on a
-     fresh buffer. *)
-  let f_ttl = P4rt.Pipeline.field W.data_schema "ttl"
-  and f_tag = P4rt.Pipeline.field W.data_schema "tag" in
+     full decode, and the forward copy is the frame the parse graph makes
+     when its data header's ttl and tag are set by name and the packet is
+     deparsed (trailing bytes kept), on a fresh buffer. *)
   QCheck.Test.make ~name:"data ttl / dst / tag readers and forward copy = decode"
     ~count:500
     QCheck.(triple random_frame (int_bound 0x1FF) (int_bound 0x1FFFF))
@@ -291,25 +289,21 @@ let prop_data_readers_and_forward_copy =
             | exception Invalid_argument _ -> true)
       | Some d ->
         let copy = W.data_forward_copy b ~ttl ~tag in
-        let interpreted =
-          let program ctx =
-            P4rt.Pipeline.set ctx f_ttl ttl;
-            P4rt.Pipeline.set ctx f_tag tag;
-            P4rt.Pipeline.set_egress ctx 0
+        let deparsed =
+          let pkt = P4rt.Parser.run W.parser b in
+          let set h =
+            if P4rt.Header.schema_of h == W.data_schema then
+              P4rt.Header.set (P4rt.Header.set h "ttl" ttl) "tag" tag
+            else h
           in
-          let pipe =
-            P4rt.Pipeline.create ~name:"forward" ~registers:[] ~tables:[]
-              { P4rt.Pipeline.prog_parser = W.parser; prog_ingress = program; prog_egress = ignore }
-          in
-          match (P4rt.Pipeline.process pipe ~ingress_port:0 b).P4rt.Pipeline.emissions with
-          | [ e ] -> Some e.P4rt.Pipeline.bytes
-          | _ -> None
+          P4rt.Packet.serialize
+            { pkt with P4rt.Packet.headers = List.map set pkt.P4rt.Packet.headers }
         in
         W.data_ttl_of_bytes b = d.W.ttl && W.data_dst_of_bytes b = d.W.dst
         && W.data_tag_of_bytes b = d.W.tag
         && copy != b
         && Bytes.to_string b = s
-        && interpreted = Some copy
+        && Bytes.equal deparsed copy
         && W.data_of_bytes copy = Some { d with W.ttl = ttl land 0xFF; tag = tag land 0xFFFF })
 
 let prop_classify_equiv =
@@ -320,11 +314,11 @@ let prop_classify_equiv =
     (fun s ->
       let b = Bytes.of_string s in
       let expected =
-        match P4rt.Parser.walk W.parser b with
+        match P4rt.Parser.run W.parser b with
         | exception P4rt.Parser.Parse_error _ -> W.Truncated
-        | path ->
-          if P4rt.Parser.offset path W.data_schema >= 0 then W.Data_frame
-          else if P4rt.Parser.offset path W.p4u_schema >= 0 then W.Control_frame
+        | pkt ->
+          if P4rt.Packet.header pkt W.data_schema <> None then W.Data_frame
+          else if P4rt.Packet.header pkt W.p4u_schema <> None then W.Control_frame
           else W.Foreign
       in
       W.classify b = expected)
