@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every evaluation artifact of the paper
    (Figs. 2, 4, 7a-7f, 8a, 8b - see DESIGN.md par. 3), the ablations, and
-   micro-benchmarks the control-plane preparation functions and the
-   intent compiler with Bechamel.
+   micro-benchmarks the control-plane preparation functions, the intent
+   compiler and the UIB's stage-and-commit path with Bechamel.
 
    Run with: dune exec bench/main.exe            (full: 30 runs/figure)
              dune exec bench/main.exe -- quick   (smoke: 5 runs/figure)
@@ -39,8 +39,8 @@ let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the Fig. 8 preparation kernels and the    *)
-(* intent compiler                                                      *)
+(* Bechamel micro-benchmarks: the Fig. 8 preparation kernels, the       *)
+(* intent compiler and the UIB                                          *)
 (* ------------------------------------------------------------------ *)
 
 let bechamel_prepare_tests () =
@@ -114,14 +114,58 @@ let bechamel_intent_tests () =
              links));
   ]
 
+(* One UIM staged and then committed through the [Uib] setters on every
+   one of the 1024 flow ids in turn, so a run walks the whole per-flow
+   store and the row prices the UIB layout's cache behaviour.  Versions
+   are 16-bit registers: the store is reset before they would wrap. *)
+let bechamel_uib_tests () =
+  let open Bechamel in
+  let module Uib = P4update.Uib in
+  let u = Uib.create ~ports:8 in
+  let version = ref 0 in
+  [
+    Test.make ~name:"uib/stage-commit-1024-flows"
+      (Staged.stage (fun () ->
+           if !version = 0xFFFF then begin
+             Uib.reset u;
+             version := 0
+           end;
+           incr version;
+           let c =
+             {
+               (P4update.Wire.control_default P4update.Wire.Uim) with
+               version_new = !version;
+               dist_new = 3;
+               egress_port = !version land 7;
+               notify_port = (!version + 1) land 7;
+               flow_size = 100;
+             }
+           in
+           for fid = 0 to P4update.Wire.flow_space - 1 do
+             if Uib.stage_uim u fid c then begin
+               Uib.set_ver_prev u fid (Uib.ver_cur u fid);
+               Uib.set_dist_prev u fid (Uib.dist_cur u fid);
+               Uib.set_ver_cur u fid (Uib.uim_version u fid);
+               Uib.set_dist_cur u fid (Uib.uim_distance u fid);
+               Uib.set_egress_port u fid (Uib.uim_egress u fid);
+               Uib.set_notify_port u fid (Uib.uim_notify u fid);
+               Uib.set_flow_size u fid (Uib.uim_size u fid);
+               Uib.set_last_type u fid (Uib.uim_type u fid);
+               Uib.set_counter u fid 0;
+               Uib.set_chain_ok u fid 1
+             end
+           done));
+  ]
+
 let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
   section
-    "Bechamel micro-benchmarks (Fig. 8 preparation kernels, 20 updates per run; intent compiler)";
+    "Bechamel micro-benchmarks (Fig. 8 preparation kernels, 20 updates per run; intent \
+     compiler; UIB)";
   let instances = [ Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 200) () in
-  let tests = bechamel_prepare_tests () @ bechamel_intent_tests () in
+  let tests = bechamel_prepare_tests () @ bechamel_intent_tests () @ bechamel_uib_tests () in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances test in

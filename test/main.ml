@@ -11,6 +11,7 @@ let () =
       ("netsim", Test_netsim.suite);
       ("segment-label", Test_segment_label.suite);
       ("verify", Test_verify.suite);
+      ("uib", Test_uib.suite);
       ("congestion", Test_congestion.suite);
       ("controller", Test_controller.suite);
       ("sl-update", Test_sl_update.suite);

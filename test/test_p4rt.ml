@@ -3,7 +3,6 @@
 module Header = P4rt.Header
 module Packet = P4rt.Packet
 module Parser = P4rt.Parser
-module Register = P4rt.Register
 
 (* ------------------------------------------------------------------ *)
 (* Header serialization                                                 *)
