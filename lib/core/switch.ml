@@ -215,7 +215,6 @@ and fire_commit t flow_id (pc : pending_commit) =
       if pc.pc_span <> 0 then
         Obs.Trace.span_end pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "deferred" ];
       t.stats.congestion_defers <- t.stats.congestion_defers + 1;
-      Uib.set_flow_priority u flow_id (if high then 1 else 0);
       if not (Hashtbl.mem t.waiting_on flow_id) then begin
         Hashtbl.add t.waiting_on flow_id pc.pc_egress;
         Congestion.note_contention u ~port:pc.pc_egress
@@ -267,7 +266,6 @@ and fire_commit t flow_id (pc : pending_commit) =
       Uib.set_counter u flow_id pc.pc_counter;
       Uib.set_last_type u flow_id pc.pc_utype;
       Uib.set_chain_ok u flow_id (if pc.pc_chain then 1 else 0);
-      Uib.set_flow_priority u flow_id 0;
       Hashtbl.remove t.pending flow_id;
       Hashtbl.remove t.cong_counts flow_id;
       t.stats.commits <- t.stats.commits + 1;
