@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every evaluation artifact of the paper
    (Figs. 2, 4, 7a-7f, 8a, 8b - see DESIGN.md par. 3), the ablations, and
    micro-benchmarks the control-plane preparation functions, the intent
-   compiler and the UIB's stage-and-commit path with Bechamel.
+   compiler, the UIB's stage-and-commit path and the event heap with
+   Bechamel.
 
    Run with: dune exec bench/main.exe            (full: 30 runs/figure)
              dune exec bench/main.exe -- quick   (smoke: 5 runs/figure)
@@ -40,7 +41,7 @@ let section title =
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: the Fig. 8 preparation kernels, the       *)
-(* intent compiler and the UIB                                          *)
+(* intent compiler, the UIB and the event heap                          *)
 (* ------------------------------------------------------------------ *)
 
 let bechamel_prepare_tests () =
@@ -157,15 +158,41 @@ let bechamel_uib_tests () =
            done));
   ]
 
+(* The event queue outside the simulator: one hold (take the earliest
+   entry, push a new one an exponential gap after it) on a heap kept at
+   512 entries, where a pop descends nine levels.  The gaps are drawn
+   up front so the row prices the heap, not the RNG. *)
+let bechamel_heap_tests () =
+  let open Bechamel in
+  let module Heap = Dessim.Event_heap in
+  let rand = Random.State.make [| 512 |] in
+  let gaps = Array.init 4096 (fun _ -> -.log (1.0 -. Random.State.float rand 1.0)) in
+  let heap = Heap.create () in
+  for i = 0 to 511 do
+    Heap.push heap ~time:gaps.(i) ()
+  done;
+  let next = ref 0 in
+  [
+    Test.make ~name:"dessim/heap-hold-512"
+      (Staged.stage (fun () ->
+           let now = Heap.min_time heap in
+           Heap.take_min heap;
+           Heap.push heap ~time:(now +. gaps.(!next land 4095)) ();
+           incr next));
+  ]
+
 let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
   section
     "Bechamel micro-benchmarks (Fig. 8 preparation kernels, 20 updates per run; intent \
-     compiler; UIB)";
+     compiler; UIB; event heap)";
   let instances = [ Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 200) () in
-  let tests = bechamel_prepare_tests () @ bechamel_intent_tests () @ bechamel_uib_tests () in
+  let tests =
+    bechamel_prepare_tests () @ bechamel_intent_tests () @ bechamel_uib_tests ()
+    @ bechamel_heap_tests ()
+  in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances test in

@@ -27,10 +27,11 @@
 
    (Tags live in a side table — see [tag_table] below.)
 
-   Steady-state push/pop allocates nothing, and sifting uses the hole
-   technique: the moving entry is held in locals while blocking entries
-   shift, so each level costs one 3-field move instead of a
-   3-read/3-write swap.
+   Sifting uses the hole technique: the moving entry is held in locals
+   while blocking entries shift, so each level costs one 3-field move
+   instead of a 3-read/3-write swap.  A push sifts up; a removal walks
+   its hole down to a leaf and sifts the heap's last entry up from there
+   (see [remove_at]).
 
    Ordering is (time, seq) with strict comparison — byte-identical
    delivery order to the original boxed heap, which is kept verbatim in
@@ -125,40 +126,6 @@ let sift_up_entry heap i ~time ~seq ~slot =
   done;
   place heap !i ~time ~seq ~slot
 
-(* Sift the entry down from hole [i]: the earlier child shifts up while
-   it precedes the held entry. *)
-let sift_down_entry heap i ~time ~seq ~slot =
-  let len = heap.len in
-  let i = ref i in
-  let stop = ref false in
-  while not !stop do
-    let left = (2 * !i) + 1 in
-    if left >= len then stop := true
-    else begin
-      let right = left + 1 in
-      let lt = Array.unsafe_get heap.times left in
-      (* Seqs are only consulted on exact time ties, so load them lazily:
-         on the random-time fast path each level costs two float loads. *)
-      let child, ct =
-        if right < len then begin
-          let rt = Array.unsafe_get heap.times right in
-          if rt < lt then (right, rt)
-          else if
-            rt = lt && Array.unsafe_get heap.seqs right < Array.unsafe_get heap.seqs left
-          then (right, rt)
-          else (left, lt)
-        end
-        else (left, lt)
-      in
-      if ct < time || (ct = time && Array.unsafe_get heap.seqs child < seq) then begin
-        move heap ~src:child ~dst:!i;
-        i := child
-      end
-      else stop := true
-    end
-  done;
-  place heap !i ~time ~seq ~slot
-
 let push ?tag heap ~time payload =
   let seq = heap.next_seq in
   heap.next_seq <- seq + 1;
@@ -170,8 +137,15 @@ let push ?tag heap ~time payload =
   Array.unsafe_set heap.payloads slot (Obj.repr payload);
   sift_up_entry heap i ~time ~seq ~slot
 
-(* Remove the entry at heap position [i]: the last entry fills the hole,
-   travelling whichever way it must, and the freed slot goes back on the
+(* Remove the entry at heap position [i], bottom-up: the hole walks
+   from [i] down to a leaf, the earlier child shifting up at each level,
+   then the displaced last entry drops into the leaf hole and sifts up —
+   above [i] too when an interior [remove_seq] took an early entry.  On
+   continuous times which child is earlier is a coin flip, so the child
+   index is computed from the comparison instead of branched on (seqs
+   are read only on an exact time tie); the last entry, usually a late
+   one, then rises only a level or two.  The heap left is the one a
+   top-down sift-down would leave.  The freed slot goes back on the
    free-slot stack at the position the heap gave up.  Returns the
    payload; the table no longer references it. *)
 let remove_at heap i =
@@ -182,21 +156,26 @@ let remove_at heap i =
   let last = heap.len - 1 in
   heap.len <- last;
   if i < last then begin
-    let mt = Array.unsafe_get heap.times last in
-    let ms = Array.unsafe_get heap.seqs last in
-    let mslot = Array.unsafe_get heap.slots last in
-    (* The heap property makes the two directions exclusive (the old
-       parent preceded everything in the removed entry's subtree), so
-       pick the direction by one comparison against the parent. *)
-    let goes_up =
-      i > 0
-      &&
-      let parent = (i - 1) / 2 in
-      let pt = Array.unsafe_get heap.times parent in
-      mt < pt || (mt = pt && ms < Array.unsafe_get heap.seqs parent)
-    in
-    if goes_up then sift_up_entry heap i ~time:mt ~seq:ms ~slot:mslot
-    else sift_down_entry heap i ~time:mt ~seq:ms ~slot:mslot
+    let times = heap.times and seqs = heap.seqs in
+    let hole = ref i in
+    let left = ref ((2 * i) + 1) in
+    (* children live in [0, last): position [last] is the displaced entry *)
+    while !left < last do
+      let l = !left in
+      let child =
+        if l + 1 = last then l
+        else
+          let lt = Array.unsafe_get times l and rt = Array.unsafe_get times (l + 1) in
+          if rt = lt then
+            if Array.unsafe_get seqs (l + 1) < Array.unsafe_get seqs l then l + 1 else l
+          else l + Bool.to_int (rt < lt)
+      in
+      move heap ~src:child ~dst:!hole;
+      hole := child;
+      left := (2 * child) + 1
+    done;
+    sift_up_entry heap !hole ~time:(Array.unsafe_get times last)
+      ~seq:(Array.unsafe_get seqs last) ~slot:(Array.unsafe_get heap.slots last)
   end;
   Array.unsafe_set heap.slots last slot;
   if Hashtbl.length heap.tag_table <> 0 then Hashtbl.remove heap.tag_table seq;

@@ -7,9 +7,11 @@
 
     The implementation stores entry fields in parallel flat arrays
     (structure-of-arrays): ordering comparisons load from an unboxed
-    [float array], sifting moves only immediates (the payloads stay put
-    in a slot table) and steady-state push/pop allocates nothing, which
-    is what lets the scale engine sustain millions of events per second.
+    [float array] and sifting moves only immediates (the payloads stay
+    put in a slot table).  A push sifts up.  A pop or {!remove_seq}
+    removes bottom-up: the hole descends to a leaf through the earlier
+    child at each level, chosen from the two children's times without a
+    branch, and the heap's last entry fills the leaf and sifts up.
     Delivery order is byte-identical to the original boxed heap, kept in
     the test suite as a differential-testing oracle. *)
 
