@@ -41,7 +41,7 @@ let section title =
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: the Fig. 8 preparation kernels, the       *)
-(* intent compiler, the UIB and the event heap                          *)
+(* controller's batch, the intent compiler, the UIB and the event heap  *)
 (* ------------------------------------------------------------------ *)
 
 let bechamel_prepare_tests () =
@@ -54,13 +54,19 @@ let bechamel_prepare_tests () =
     in
     let requests = List.map Harness.Experiments.ez_request updates in
     let name = topo.Topo.Topologies.name in
+    (* As in [Experiments.run_fig8]: the controller's DL preparation of a
+       stand-in flow from each old path. *)
+    let ctl = P4update.Controller.create net in
+    ignore (P4update.Controller.register_flow ctl ~flow_id:0 ~src:0 ~dst:0 ~size:100 ~path:[]);
     [
       Test.make
         ~name:(Printf.sprintf "fig8a/p4update-prepare/%s" name)
         (Staged.stage (fun () ->
              List.iter
                (fun (old_path, new_path) ->
-                 Harness.Experiments.p4u_prepare net ~old_path ~new_path)
+                 ignore
+                   (P4update.Controller.prepare ctl ~flow_id:0 ~new_path
+                      ~assume_old_path:old_path ~update_type:P4update.Wire.Dl ()))
                updates));
       Test.make
         ~name:(Printf.sprintf "fig8a/ez-segway-prepare/%s" name)
@@ -75,6 +81,32 @@ let bechamel_prepare_tests () =
     ]
   in
   List.concat_map make_pair [ Topo.Topologies.b4 (); Topo.Topologies.chinanet () ]
+
+(* [Controller.prepare_batch] on 20 drawn AttMpls updates, each from a
+   registered flow's shortest path to its second-shortest, the §7.5
+   policy choosing each type: the preparation perfbench's update-storm
+   bursts run. *)
+let bechamel_prepare_batch_tests () =
+  let open Bechamel in
+  let module C = P4update.Controller in
+  let topo = Topo.Topologies.attmpls () in
+  let ctl = C.create (Netsim.create (Dessim.Sim.create ~seed:5 ()) topo) in
+  let updates =
+    Harness.Experiments.random_updates (Random.State.make [| 42 |]) topo.Topo.Topologies.graph
+      ~count:20
+  in
+  let requests =
+    List.mapi
+      (fun flow_id (old_path, new_path) ->
+        let dst = List.nth old_path (List.length old_path - 1) in
+        ignore (C.register_flow ctl ~flow_id ~src:(List.hd old_path) ~dst ~size:100 ~path:old_path);
+        (flow_id, new_path))
+      updates
+  in
+  [
+    Test.make ~name:"controller/prepare-batch-attmpls"
+      (Staged.stage (fun () -> ignore (C.prepare_batch ctl requests)));
+  ]
 
 (* The intent compiler on a drawn 24-intent B4 program: a full compile,
    and a drain then undrain of every link the program's members use
@@ -185,13 +217,13 @@ let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
   section
-    "Bechamel micro-benchmarks (Fig. 8 preparation kernels, 20 updates per run; intent \
-     compiler; UIB; event heap)";
+    "Bechamel micro-benchmarks (Fig. 8 preparation kernels and the controller's batch, 20 \
+     updates per run; intent compiler; UIB; event heap)";
   let instances = [ Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 200) () in
   let tests =
-    bechamel_prepare_tests () @ bechamel_intent_tests () @ bechamel_uib_tests ()
-    @ bechamel_heap_tests ()
+    bechamel_prepare_tests () @ bechamel_prepare_batch_tests () @ bechamel_intent_tests ()
+    @ bechamel_uib_tests () @ bechamel_heap_tests ()
   in
   List.iter
     (fun test ->

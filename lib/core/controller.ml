@@ -49,15 +49,23 @@ type recovery = {
   rc_give_ups : Obs.Metrics.counter;
 }
 
-(* Traversal state shared across preparations: the topology's controller
-   node (stamped into every UIM as [src_node]) and a per-node
-   neighbor→port index.  Ports are static for a network's lifetime, so
-   the index is built once on first use and reused by every subsequent
-   [prepare]/[prepare_batch] — labelling a path becomes pure hash
-   lookups instead of a linear port-table scan per hop. *)
+(* Preparation scratch, built on first use and reused by every
+   [prepare]/[prepare_batch].  [pc_stamp], [pc_old_dist] and
+   [pc_old_succ] index the old path by node (hops to its egress, the
+   successor on it or -1); an entry counts only while its stamp equals
+   [pc_gen], which every indexing bumps, so the index needs no reset
+   pass and an [invalid_arg] escaping mid-walk leaves nothing stale.
+   [pc_path], [pc_egress] and [pc_notify] hold the new path and its two
+   ports by position and grow with the longest path seen. *)
 type prep_cache = {
-  pc_src_node : int;
-  pc_port_of : (int, int) Hashtbl.t array; (* node -> (neighbor -> port) *)
+  pc_src_node : int; (* the controller's node, stamped into every UIM *)
+  pc_stamp : int array;
+  pc_old_dist : int array;
+  pc_old_succ : int array;
+  mutable pc_gen : int;
+  mutable pc_path : int array;
+  mutable pc_egress : int array;
+  mutable pc_notify : int array;
 }
 
 type t = {
@@ -98,36 +106,6 @@ let set_allow_consecutive_dl t enabled = t.allow_consecutive_dl <- enabled
 let find_flow t ~flow_id = Hashtbl.find_opt t.flow_db flow_id
 let flows t = Hashtbl.fold (fun _ f acc -> f :: acc) t.flow_db []
 
-(* §7.5: SL for updates that install new rules on at most [sl_threshold]
-   nodes, all of them within forward segments; DL otherwise.  A flow whose
-   previous update was dual-layer must take SL next (Thm. 4). *)
-let choose_type t ~old_path ~new_path ~last_type =
-  if last_type = Wire.Dl && not t.allow_consecutive_dl then Wire.Sl
-  else
-    let seg = Segment.compute ~old_path ~new_path in
-    let all_forward =
-      List.for_all (fun s -> s.Segment.direction = Segment.Forward) seg.Segment.segments
-    in
-    let fresh_nodes =
-      (* Nodes that get new forwarding rules: everything except nodes that
-         keep the same successor in both paths. *)
-      let next_of path =
-        let rec pairs = function
-          | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-          | _ -> []
-        in
-        pairs path
-      in
-      let old_next = next_of old_path in
-      List.filter
-        (fun (node, succ) ->
-          match List.assoc_opt node old_next with
-          | Some old_succ -> old_succ <> succ
-          | None -> true)
-        (next_of new_path)
-    in
-    if all_forward && List.length fresh_nodes <= sl_threshold then Wire.Sl else Wire.Dl
-
 let bump_version t ~flow_id =
   match find_flow t ~flow_id with
   | Some flow -> flow.version <- flow.version + 1
@@ -137,33 +115,75 @@ let prep_cache t =
   match t.prep with
   | Some c -> c
   | None ->
-    let g = Netsim.graph t.net in
-    let pc_port_of =
-      Array.init (Topo.Graph.node_count g) (fun node ->
-          let ports = Hashtbl.create 8 in
-          for port = 0 to Netsim.port_count t.net ~node - 1 do
-            match Netsim.neighbor_of_port t.net ~node ~port with
-            | Some neighbor -> Hashtbl.replace ports neighbor port
-            | None -> ()
-          done;
-          ports)
-    in
+    let n = Topo.Graph.node_count (Netsim.graph t.net) in
     let c =
-      { pc_src_node = (Netsim.topology t.net).Topo.Topologies.controller; pc_port_of }
+      {
+        pc_src_node = (Netsim.topology t.net).Topo.Topologies.controller;
+        pc_stamp = Array.make n 0;
+        pc_old_dist = Array.make n 0;
+        pc_old_succ = Array.make n (-1);
+        pc_gen = 0;
+        pc_path = Array.make (n + 1) 0;
+        pc_egress = Array.make (n + 1) 0;
+        pc_notify = Array.make (n + 1) 0;
+      }
     in
     t.prep <- Some c;
     c
 
-let cached_port_of cache ~node ~neighbor =
-  match Hashtbl.find_opt cache.pc_port_of.(node) neighbor with
-  | Some port -> port
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Netsim.port_of_neighbor: %d is not adjacent to %d" neighbor node)
+(* Copy [path] into [c.pc_path] from position [i]; returns the last
+   position, -1 for an empty path. *)
+let rec load_path c i = function
+  | [] -> i - 1
+  | node :: rest ->
+    if i = Array.length c.pc_path then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      c.pc_path <- grow c.pc_path;
+      c.pc_egress <- grow c.pc_egress;
+      c.pc_notify <- grow c.pc_notify
+    end;
+    c.pc_path.(i) <- node;
+    load_path c (i + 1) rest
 
-(* Core of [prepare], parameterized over the shared cache so a batch
-   builds it once. *)
-let prepare_with t cache ~flow_id ~new_path ?update_type ?assume_old_path
+(* Index the old path from position [i] ([node] there, [k] its last
+   position); a node's first occurrence wins.  Returns the last node. *)
+let rec index_old c ~gen ~k i node rest =
+  let first = c.pc_stamp.(node) <> gen in
+  if first then begin
+    c.pc_stamp.(node) <- gen;
+    c.pc_old_dist.(node) <- k - i
+  end;
+  match rest with
+  | [] ->
+    if first then c.pc_old_succ.(node) <- -1;
+    node
+  | next :: rest ->
+    if first then c.pc_old_succ.(node) <- next;
+    index_old c ~gen ~k (i + 1) next rest
+
+(* Every UIM is this record with the label fields set. *)
+let uim_template = Wire.control_default Wire.Uim
+
+(* The preparation kernel: the UIMs of the flow's next version.
+
+   The §7.5 policy picks SL for updates that install new rules on at
+   most [sl_threshold] nodes, all of them within forward segments, and
+   DL otherwise; a flow whose previous update was dual-layer takes SL
+   (Thm. 4).  Labels give node v_i of the new path v_0 … v_k the distance
+   [k - i] and its ports toward v_(i+1) (forwarding) and v_(i-1)
+   (notifications).  For DL, the nodes the new path shares with the old
+   one are gateways; the stretch between two consecutive gateways is a
+   segment, forward when it lowers the old-path distance, and each
+   segment's egress gateway gets the segment-egress role.
+
+   One forward walk over the new path, against the old path's node
+   index, finds the ports, the fresh-rule count and the segment
+   directions; the UIMs, gateway roles and segments are then consed
+   from the tail, so every list comes out in path order.  The errors
+   keep a fixed order (the tests pin it against the list pipeline this
+   replaced): for a policy choice the endpoint checks come first, for an
+   explicit DL they follow the port checks. *)
+let prepare_with t c ~flow_id ~new_path ?update_type ?assume_old_path
     ?(two_phase = false) () =
   let flow =
     match find_flow t ~flow_id with
@@ -171,44 +191,121 @@ let prepare_with t cache ~flow_id ~new_path ?update_type ?assume_old_path
     | None -> invalid_arg (Printf.sprintf "Controller.prepare: unknown flow %d" flow_id)
   in
   let old_path = Option.value assume_old_path ~default:flow.path in
+  let policy, segmented =
+    match update_type with
+    | Some Wire.Sl -> (false, false)
+    | Some Wire.Dl -> (false, true)
+    | None ->
+      let free = flow.last_type = Wire.Sl || t.allow_consecutive_dl in
+      (free, free)
+  in
+  let k = load_path c 0 new_path in
+  let path = c.pc_path in
+  let bad_ends =
+    if not segmented then None
+    else begin
+      c.pc_gen <- c.pc_gen + 1;
+      match old_path with
+      | [] -> Some "Segment.compute: empty path"
+      | _ when k < 0 -> Some "Segment.compute: empty path"
+      | first :: rest ->
+        let last =
+          index_old c ~gen:c.pc_gen ~k:(List.length old_path - 1) 0 first rest
+        in
+        if first <> path.(0) then Some "Segment.compute: ingress mismatch"
+        else if last <> path.(k) then Some "Segment.compute: egress mismatch"
+        else None
+    end
+  in
+  (match bad_ends with Some msg when policy -> invalid_arg msg | _ -> ());
+  if k < 0 then invalid_arg "Label.of_path: empty path";
+  let gen = c.pc_gen in
+  let walk_segments = match bad_ends with None -> segmented | Some _ -> false in
+  let fresh = ref 0 and all_forward = ref true and prev_dist = ref 0 in
+  let ingress_recurs = ref false in
+  for i = 0 to k do
+    let node = path.(i) in
+    c.pc_egress.(i) <-
+      (if i = k then Wire.port_local
+       else Netsim.port_of_neighbor t.net ~node ~neighbor:path.(i + 1));
+    c.pc_notify.(i) <-
+      (if i = 0 then Wire.port_none
+       else Netsim.port_of_neighbor t.net ~node ~neighbor:path.(i - 1));
+    if walk_segments then begin
+      let on_old = c.pc_stamp.(node) = gen in
+      (* a node keeping its old successor needs no new rule *)
+      if i < k && not (on_old && c.pc_old_succ.(node) = path.(i + 1)) then incr fresh;
+      if on_old then begin
+        let d = c.pc_old_dist.(node) in
+        if i > 0 then begin
+          if d >= !prev_dist then all_forward := false;
+          if node = path.(0) then ingress_recurs := true
+        end;
+        prev_dist := d
+      end
+    end
+  done;
+  (match bad_ends with Some msg -> invalid_arg msg | None -> ());
   let p_type =
     match update_type with
     | Some ut -> ut
-    | None -> choose_type t ~old_path ~new_path ~last_type:flow.last_type
+    | None ->
+      if policy && not (!all_forward && !fresh <= sl_threshold) then Wire.Dl else Wire.Sl
   in
-  let labels = Label.of_path_with ~port_of:(cached_port_of cache) new_path in
-  let labels, segments =
-    match p_type with
-    | Wire.Sl -> (labels, None)
-    | Wire.Dl ->
-      let seg = Segment.compute ~old_path ~new_path in
-      (Segment.annotate seg labels, Some seg)
-  in
+  let dl = p_type = Wire.Dl in
   let version = flow.version + 1 in
-  let uims =
-    List.map
-      (fun (l : Label.node_label) ->
-        ( l.node,
-          {
-            (Wire.control_default Wire.Uim) with
-            flow_id;
-            version_new = version;
-            dist_new = l.dist_new;
-            update_type = p_type;
-            flow_size = flow.size;
-            egress_port = l.egress_port;
-            notify_port = l.notify_port;
-            role = (l.role lor if two_phase then Wire.role_two_phase else 0);
-            src_node = cache.pc_src_node;
-          } ))
-      labels
-  in
+  let phase_role = if two_phase then Wire.role_two_phase else 0 in
+  let uims = ref [] and gateways = ref [] and segments = ref [] and interior = ref [] in
+  let seg_end = ref (-1) in
+  for i = k downto 0 do
+    let node = path.(i) in
+    let gateway = dl && c.pc_stamp.(node) = gen in
+    let role =
+      (if i = k then Wire.role_flow_egress else 0)
+      lor (if i = 0 then Wire.role_flow_ingress else 0)
+      lor (if gateway then Wire.role_gateway else 0)
+      lor (if gateway && (i > 0 || !ingress_recurs) then Wire.role_segment_egress else 0)
+      lor phase_role
+    in
+    uims :=
+      ( node,
+        {
+          uim_template with
+          flow_id;
+          version_new = version;
+          dist_new = k - i;
+          update_type = p_type;
+          flow_size = flow.size;
+          egress_port = c.pc_egress.(i);
+          notify_port = c.pc_notify.(i);
+          role;
+          src_node = c.pc_src_node;
+        } )
+      :: !uims;
+    if gateway then begin
+      gateways := node :: !gateways;
+      if !seg_end >= 0 then begin
+        let egress_gateway = path.(!seg_end) in
+        let direction =
+          if c.pc_old_dist.(egress_gateway) < c.pc_old_dist.(node) then Segment.Forward
+          else Segment.Backward
+        in
+        segments :=
+          { Segment.ingress_gateway = node; egress_gateway; interior = !interior; direction }
+          :: !segments;
+        interior := []
+      end;
+      seg_end := i
+    end
+    else if dl then interior := node :: !interior
+  done;
   {
     p_flow = flow_id;
     p_version = version;
     p_type;
-    p_uims = uims;
-    p_segments = segments;
+    p_uims = !uims;
+    p_segments =
+      (if dl then Some { Segment.gateways = !gateways; segments = !segments } else None);
     p_old_path = old_path;
   }
 

@@ -94,20 +94,19 @@ val fingerprint : t -> int
 
 (** {2 Preparation (the Fig. 8 benchmark surface)} *)
 
-(** [choose_type t ~old_path ~new_path ~last_type] applies the §7.5
-    policy: single-layer when the update only installs rules on few
-    (at most 5) nodes, all inside forward segments; dual-layer
-    otherwise.  A flow whose last update was dual-layer must use SL
-    (Thm. 4). *)
-val choose_type :
-  t -> old_path:int list -> new_path:int list -> last_type:Wire.update_type ->
-  Wire.update_type
-
 (** [prepare t ~flow_id ~new_path ?update_type ?assume_old_path ()]
     computes the UIMs for the next version of the flow without sending
-    anything.  The update type defaults to the §7.5 policy choice.
-    [assume_old_path] overrides the controller's view of the current path
-    (used to reproduce the inconsistent-view scenarios of §4/§9). *)
+    anything: distance labels and ports for every node of [new_path],
+    plus gateway and segment-egress roles and [p_segments] for DL.
+    The update type defaults to the §7.5 policy: single-layer when the
+    update installs new rules on at most 5 nodes, all inside forward
+    segments; dual-layer otherwise; and SL after a dual-layer update
+    (Thm. 4) unless {!set_allow_consecutive_dl}.  [assume_old_path]
+    overrides the controller's view of the current path (used to
+    reproduce the inconsistent-view scenarios of §4/§9).  Raises
+    [Invalid_argument] for an unknown flow, an empty path, non-adjacent
+    hops, or — when segments are needed — old and new paths that do not
+    share their first and last node. *)
 val prepare :
   t ->
   flow_id:int ->
@@ -119,13 +118,8 @@ val prepare :
   prepared
 
 (** [prepare_batch t requests] prepares one update per [(flow_id,
-    new_path)] request, in order, sharing traversal state across the
-    whole batch: the neighbor→port index and the controller's node id
-    are computed once and reused, so preparing [n] concurrent updates
-    costs [n] labellings plus one index build instead of [n] full
-    topology walks.  Each update's type follows the §7.5 policy.  The
-    index is also kept for later calls (ports are static), which is what
-    makes sustained preparation throughput scale — the scale engine's
+    new_path)] request, in order, each as {!prepare} with the §7.5
+    policy choosing its type.  The scale engine's and perfbench's
     arrival bursts go through this entry point. *)
 val prepare_batch : t -> (int * int list) list -> prepared list
 

@@ -335,14 +335,6 @@ let time_it f =
   done;
   (Sys.time () -. t0) *. 1000.0 /. float_of_int fig8_reps
 
-(* P4Update's preparation: distance labels (+ segmentation and roles for
-   DL).  Congestion freedom adds nothing — it is resolved in the data
-   plane (§7.4), which is the entire point of Fig. 8b. *)
-let p4u_prepare net ~old_path ~new_path =
-  let labels = P4update.Label.of_path net new_path in
-  let seg = P4update.Segment.compute ~old_path ~new_path in
-  ignore (P4update.Segment.annotate seg labels)
-
 let run_fig8 (cfg : Run_config.t) =
   let iterations = cfg.Run_config.iterations and congestion = cfg.Run_config.congestion in
   List.map
@@ -353,10 +345,19 @@ let run_fig8 (cfg : Run_config.t) =
       let rng = Random.State.make [| 42 |] in
       let updates = random_updates rng graph ~count:iterations in
       let requests = List.map ez_request updates in
+      (* P4Update's preparation is the controller's: a DL update (labels,
+         segments and roles) of a stand-in flow from each old path.
+         Congestion freedom adds nothing — it is resolved in the data
+         plane (§7.4), which is the entire point of Fig. 8b. *)
+      let ctl = P4update.Controller.create net in
+      ignore (P4update.Controller.register_flow ctl ~flow_id:0 ~src:0 ~dst:0 ~size:100 ~path:[]);
       let p4u_ms =
         time_it (fun () ->
             List.iter
-              (fun (old_path, new_path) -> p4u_prepare net ~old_path ~new_path)
+              (fun (old_path, new_path) ->
+                ignore
+                  (P4update.Controller.prepare ctl ~flow_id:0 ~new_path
+                     ~assume_old_path:old_path ~update_type:Wire.Dl ()))
               updates)
       in
       let ez_ms =

@@ -88,10 +88,6 @@ val random_updates : Random.State.t -> Topo.Graph.t -> count:int -> (int list * 
 (** ez-Segway's request for one drawn update (size 100, pair-derived id). *)
 val ez_request : int list * int list -> Baselines.Ez_segway.update_request
 
-(** [p4u_prepare net ~old_path ~new_path] is P4Update's preparation
-    kernel: distance labels, segmentation and roles. *)
-val p4u_prepare : Netsim.t -> old_path:int list -> new_path:int list -> unit
-
 (** [run_fig8 cfg] measures the preparation runtime over
     [cfg.iterations] random updates on the four WANs of Fig. 8, in the
     congestion-aware variant when [cfg.congestion]. *)

@@ -158,8 +158,17 @@ let single_flow_paths topo =
   let g = topo.Topo.Topologies.graph in
   let n = Topo.Graph.node_count g in
   let best = ref None in
+  (* Each candidate pair is segmented as the controller prepares it: a DL
+     update of one stand-in flow from [old_path]. *)
+  let ctl = P4update.Controller.create (Netsim.create (Sim.create ()) topo) in
+  ignore (P4update.Controller.register_flow ctl ~flow_id:0 ~src:0 ~dst:0 ~size:100 ~path:[]);
   let score ~old_path ~new_path =
-    let seg = P4update.Segment.compute ~old_path ~new_path in
+    let seg =
+      Option.get
+        (P4update.Controller.prepare ctl ~flow_id:0 ~new_path ~assume_old_path:old_path
+           ~update_type:P4update.Wire.Dl ())
+          .P4update.Controller.p_segments
+    in
     let backward =
       if
         List.exists

@@ -16,12 +16,15 @@ let flow ?(size = 100) ~src ~dst ~path () =
 
 let install_flow ?flow_id w ~src ~dst ~size ~path =
   let flow = C.register_flow ?flow_id w.controller ~src ~dst ~size ~path in
-  let labels = P4update.Label.of_path w.net path in
+  (* The initial rules are the labels an SL update of [path] stages. *)
+  let p =
+    C.prepare w.controller ~flow_id:flow.flow_id ~new_path:path ~update_type:P4update.Wire.Sl ()
+  in
   List.iter
-    (fun (l : P4update.Label.node_label) ->
-      P4update.Switch.install_initial w.switches.(l.node) ~flow_id:flow.flow_id ~version:1
-        ~dist:l.dist_new ~egress_port:l.egress_port ~notify_port:l.notify_port ~size)
-    labels;
+    (fun (node, (uim : P4update.Wire.control)) ->
+      P4update.Switch.install_initial w.switches.(node) ~flow_id:flow.flow_id ~version:1
+        ~dist:uim.dist_new ~egress_port:uim.egress_port ~notify_port:uim.notify_port ~size)
+    p.C.p_uims;
   flow
 
 let make ?seed ?config ?(flows = []) topo =

@@ -108,16 +108,19 @@ type t = {
 let compute_ctl_latencies topo cfg =
   let g = topo.Topologies.graph in
   let n = Graph.node_count g in
-  Array.init n (fun node ->
-      match cfg.control_latency with
-      | Fixed ms -> ms
-      | Normal_dist _ -> 0.0 (* sampled per message instead *)
-      | Geo ->
-        if node = topo.Topologies.controller then 0.05
-        else (
-          match Graph.shortest_path g ~src:topo.Topologies.controller ~dst:node with
-          | Some path -> Graph.path_latency g path
-          | None -> invalid_arg "Netsim: controller cannot reach every node"))
+  match cfg.control_latency with
+  | Fixed ms -> Array.make n ms
+  | Normal_dist _ -> Array.make n 0.0 (* sampled per message instead *)
+  | Geo ->
+    (* the shortest-path latency from the controller, bit for bit *)
+    let controller = topo.Topologies.controller in
+    Array.mapi
+      (fun node ms ->
+        if node = controller then 0.05
+        else if ms = infinity then invalid_arg "Netsim: controller cannot reach every node"
+        else ms)
+      (Graph.distances_avoiding g ~src:controller ~node_ok:(fun _ -> true)
+         ~edge_ok:(fun _ _ -> true))
 
 let make_stats_handles metrics =
   let c = Obs.Metrics.counter metrics in

@@ -354,22 +354,14 @@ let k_shortest_paths g ~src ~dst ~k =
     ~node_ok:(fun _ -> true)
     ~edge_ok:(fun _ _ -> true)
 
+(* One full Dijkstra per source.  Its distances equal, bit for bit, the
+   [path_latency] of each [shortest_path]: the same tie-breaking picks
+   the same path, whose latencies are added in the same order. *)
 let centroid g =
   if g.n = 0 then invalid_arg "Graph.centroid: empty graph";
   let eccentricity src =
-    let rec worst acc dst =
-      if dst >= g.n then acc
-      else
-        let acc =
-          if dst = src then acc
-          else
-            match shortest_path g ~src ~dst with
-            | None -> infinity
-            | Some p -> Float.max acc (path_latency g p)
-        in
-        worst acc (dst + 1)
-    in
-    worst 0.0 0
+    Array.fold_left Float.max 0.0
+      (distances_avoiding g ~src ~node_ok:(fun _ -> true) ~edge_ok:(fun _ _ -> true))
   in
   let rec best i best_node best_ecc =
     if i >= g.n then best_node

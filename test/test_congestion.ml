@@ -105,12 +105,7 @@ let test_dependent_flows_eventually_move () =
   let fa = Harness.World.install_flow w ~src:0 ~dst:2 ~size:400 ~path:[ 0; 1; 2 ] in
   let fb_dst = 0 in
   ignore fb_dst;
-  let fb = P4update.Controller.register_flow w.controller ~src:2 ~dst:0 ~size:400 ~path:[ 2; 3; 0 ] in
-  List.iter
-    (fun (l : Label.node_label) ->
-      Switch.install_initial w.switches.(l.node) ~flow_id:fb.flow_id ~version:1
-        ~dist:l.dist_new ~egress_port:l.egress_port ~notify_port:l.notify_port ~size:400)
-    (Label.of_path w.net [ 2; 3; 0 ]);
+  let fb = Harness.World.install_flow w ~src:2 ~dst:0 ~size:400 ~path:[ 2; 3; 0 ] in
   let va = Controller.update_flow w.controller ~flow_id:fa.flow_id ~new_path:[ 0; 3; 2 ] () in
   let vb = Controller.update_flow w.controller ~flow_id:fb.flow_id ~new_path:[ 2; 1; 0 ] () in
   while Dessim.Sim.step w.sim do

@@ -17,10 +17,13 @@ let make_world ?(enable = true) () =
 let trace w flow_id = Harness.Fwdcheck.trace w.Harness.World.net w.Harness.World.switches ~flow_id ~src:0
 
 let test_policy_allows_consecutive_dl () =
-  let w, _ = make_world () in
+  let w, flow = make_world () in
+  flow.Controller.last_type <- Wire.Dl;
   let chosen =
-    Controller.choose_type w.controller ~old_path:Topo.Topologies.fig1_new_path
-      ~new_path:Topo.Topologies.fig1_old_path ~last_type:Wire.Dl
+    (Controller.prepare w.controller ~flow_id:flow.flow_id
+       ~new_path:Topo.Topologies.fig1_old_path
+       ~assume_old_path:Topo.Topologies.fig1_new_path ())
+      .Controller.p_type
   in
   Alcotest.(check bool) "DL after DL allowed" true (chosen = Wire.Dl)
 

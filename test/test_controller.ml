@@ -52,45 +52,77 @@ let test_prepare_unknown_flow () =
     (Invalid_argument "Controller.prepare: unknown flow 42") (fun () ->
       ignore (Controller.prepare ctl ~flow_id:42 ~new_path:[ 0; 1 ] ()))
 
-(* §7.5: SL for small all-forward updates, DL otherwise. *)
+(* §7.5: SL for small all-forward updates, DL otherwise.  [choose] is
+   the type [prepare] picks for a flow on [old_path] whose last update
+   had [last_type]. *)
+let choose ctl ?(last_type = Wire.Sl) ~old_path ~new_path () =
+  let flow =
+    Controller.register_flow ctl ~flow_id:1 ~src:(List.hd old_path)
+      ~dst:(List.nth old_path (List.length old_path - 1))
+      ~size:100 ~path:old_path
+  in
+  flow.Controller.last_type <- last_type;
+  (Controller.prepare ctl ~flow_id:1 ~new_path ()).Controller.p_type
+
 let test_policy_boundaries () =
   let _, ctl = make () in
-  let choose ~old_path ~new_path =
-    Controller.choose_type ctl ~old_path ~new_path ~last_type:Wire.Sl
-  in
   (* Small forward detour: v0,v4,v2,v7 -> v0,v1,v2,v7 changes two rules. *)
   Alcotest.(check bool) "small forward detour -> SL" true
-    (choose ~old_path:[ 0; 4; 2; 7 ] ~new_path:[ 0; 1; 2; 7 ] = Wire.Sl);
+    (choose ctl ~old_path:[ 0; 4; 2; 7 ] ~new_path:[ 0; 1; 2; 7 ] () = Wire.Sl);
   (* The Fig. 1 update has a backward segment -> DL. *)
   Alcotest.(check bool) "backward segment -> DL" true
-    (choose ~old_path:Topo.Topologies.fig1_old_path
-       ~new_path:Topo.Topologies.fig1_new_path
+    (choose ctl ~old_path:Topo.Topologies.fig1_old_path
+       ~new_path:Topo.Topologies.fig1_new_path ()
      = Wire.Dl);
   (* After a DL update the policy must fall back to SL (Thm. 4). *)
   Alcotest.(check bool) "forced SL after DL" true
-    (Controller.choose_type ctl ~old_path:Topo.Topologies.fig1_new_path
-       ~new_path:Topo.Topologies.fig1_old_path ~last_type:Wire.Dl
+    (choose ctl ~last_type:Wire.Dl ~old_path:Topo.Topologies.fig1_new_path
+       ~new_path:Topo.Topologies.fig1_old_path ()
      = Wire.Sl)
 
 let test_policy_threshold () =
   (* All-forward updates with more than [sl_threshold] fresh rules take
-     the dual layer. *)
-  let _, ctl = make () in
-  (* fig1: 0,4,2,7 -> 0,1,2,3,4,5,6,7 rewrites 7 rules but also contains
-     a backward segment; build an all-forward long detour instead on a
-     chain topology. *)
+     the dual layer.  fig1's 0,4,2,7 -> 0,1,...,7 rewrites 7 rules but
+     also contains a backward segment, so the detour is a chain 0..9
+     closed by a direct 0-9 link. *)
   let g = Topo.Graph.create 10 in
   for v = 1 to 9 do
     Topo.Graph.add_edge g ~u:(v - 1) ~v ~latency_ms:1.0 ~capacity:10.0
   done;
   Topo.Graph.add_edge g ~u:0 ~v:9 ~latency_ms:1.0 ~capacity:10.0;
-  ignore g;
+  let topo =
+    {
+      Topo.Topologies.name = "chain";
+      kind = Topo.Topologies.Synthetic;
+      graph = g;
+      node_names = Array.init 10 string_of_int;
+      controller = 0;
+    }
+  in
+  let ctl = (Harness.World.make topo).Harness.World.controller in
   (* old: the direct 0-9 link; new: the 9-hop chain — one long forward
      segment with 8 interior nodes > threshold. *)
   let old_path = [ 0; 9 ] in
   let new_path = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] in
   Alcotest.(check bool) "long forward detour -> DL" true
-    (Controller.choose_type ctl ~old_path ~new_path ~last_type:Wire.Sl = Wire.Dl)
+    (choose ctl ~old_path ~new_path () = Wire.Dl);
+  (* A node of the old path that changes its successor also counts: on a
+     13-node chain with chords (2i, 2i+2), taking five chords rewrites 5
+     rules and six rewrite 6, with every new node on the old path. *)
+  let g = Topo.Graph.create 13 in
+  for v = 1 to 12 do
+    Topo.Graph.add_edge g ~u:(v - 1) ~v ~latency_ms:1.0 ~capacity:10.0
+  done;
+  for i = 0 to 5 do
+    Topo.Graph.add_edge g ~u:(2 * i) ~v:((2 * i) + 2) ~latency_ms:1.0 ~capacity:10.0
+  done;
+  let chords = { topo with graph = g; node_names = Array.init 13 string_of_int } in
+  let ctl = (Harness.World.make chords).Harness.World.controller in
+  let old_path = List.init 13 Fun.id in
+  Alcotest.(check bool) "five rerouted old-path nodes -> SL" true
+    (choose ctl ~old_path ~new_path:[ 0; 2; 4; 6; 8; 10; 11; 12 ] () = Wire.Sl);
+  Alcotest.(check bool) "six rerouted old-path nodes -> DL" true
+    (choose ctl ~old_path ~new_path:[ 0; 2; 4; 6; 8; 10; 12 ] () = Wire.Dl)
 
 let test_reports_and_alarms () =
   let w, ctl = make () in

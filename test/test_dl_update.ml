@@ -17,9 +17,12 @@ let path_of_trace w ~flow_id ~src =
   | o -> Alcotest.failf "flow broken: %a" Harness.Fwdcheck.pp_outcome o
 
 let test_segmentation_fig1 () =
+  let w, flow = setup () in
   let seg =
-    Segment.compute ~old_path:Topo.Topologies.fig1_old_path
-      ~new_path:Topo.Topologies.fig1_new_path
+    Option.get
+      (Controller.prepare w.controller ~flow_id:flow.flow_id
+         ~new_path:Topo.Topologies.fig1_new_path ~update_type:Wire.Dl ())
+        .Controller.p_segments
   in
   Alcotest.(check (list int)) "gateways" [ 0; 2; 4; 7 ]
     (List.sort compare seg.Segment.gateways);
@@ -152,8 +155,9 @@ let test_dl_then_dl_needs_sl () =
   in
   let _ = Harness.World.run w in
   let chosen =
-    Controller.choose_type w.controller ~old_path:Topo.Topologies.fig1_new_path
-      ~new_path:Topo.Topologies.fig1_old_path ~last_type:Wire.Dl
+    (Controller.prepare w.controller ~flow_id:flow.flow_id
+       ~new_path:Topo.Topologies.fig1_old_path ())
+      .Controller.p_type
   in
   Alcotest.(check bool) "policy forces SL after DL" true (chosen = Wire.Sl);
   (* And an SL follow-up indeed converges. *)

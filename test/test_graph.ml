@@ -181,6 +181,86 @@ let prop_first_yen_is_shortest =
       | [], None -> true
       | _ -> false)
 
+(* The centroid and the controller's Geo latencies as they were computed
+   before one full Dijkstra per source replaced them: the eccentricity
+   sums [path_latency] along each [shortest_path]. *)
+let centroid_oracle g =
+  let n = Graph.node_count g in
+  let eccentricity src =
+    let rec worst acc dst =
+      if dst >= n then acc
+      else
+        let acc =
+          if dst = src then acc
+          else
+            match Graph.shortest_path g ~src ~dst with
+            | None -> infinity
+            | Some p -> Float.max acc (Graph.path_latency g p)
+        in
+        worst acc (dst + 1)
+    in
+    worst 0.0 0
+  in
+  let rec best i best_node best_ecc =
+    if i >= n then best_node
+    else
+      let e = eccentricity i in
+      if e < best_ecc then best (i + 1) i e else best (i + 1) best_node best_ecc
+  in
+  best 1 0 (eccentricity 0)
+
+(* Random graphs of 1-14 nodes whose latencies come from five values
+   that tie often and whose sums round differently by order (0.1 + 0.2
+   is not 0.3); one graph in six is left disconnected. *)
+let tied_graph seed =
+  let rng = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int rng 14 in
+  let g = Graph.create n in
+  let lats = [| 0.1; 0.2; 0.3; 0.7; 1.0 |] in
+  let lat () = lats.(Random.State.int rng (Array.length lats)) in
+  let connected = Random.State.int rng 6 > 0 in
+  for v = 1 to n - 1 do
+    if connected || Random.State.bool rng then
+      Graph.add_edge g ~u:(Random.State.int rng v) ~v ~latency_ms:(lat ()) ~capacity:10.0
+  done;
+  for _ = 1 to Random.State.int rng (2 * n) do
+    let u = Random.State.int rng n and v = Random.State.int rng n in
+    if u <> v && not (Graph.has_edge g u v) then
+      Graph.add_edge g ~u ~v ~latency_ms:(lat ()) ~capacity:10.0
+  done;
+  g
+
+let prop_centroid_matches_oracle =
+  QCheck.Test.make ~name:"centroid and controller latencies equal per-pair Dijkstra" ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g = tied_graph seed in
+      let controller = Graph.centroid g in
+      controller = centroid_oracle g
+      && ((not (Graph.is_connected g))
+          ||
+          let topo =
+            {
+              Topo.Topologies.name = "tied";
+              kind = Topo.Topologies.Wan;
+              graph = g;
+              node_names = Array.init (Graph.node_count g) string_of_int;
+              controller;
+            }
+          in
+          let net = Netsim.create (Dessim.Sim.create ()) topo in
+          List.for_all
+            (fun node ->
+              let expected =
+                if node = controller then 0.05
+                else
+                  Graph.path_latency g
+                    (Option.get (Graph.shortest_path g ~src:controller ~dst:node))
+              in
+              Int64.equal (Int64.bits_of_float expected)
+                (Int64.bits_of_float (Netsim.control_latency_of net ~node)))
+            (List.init (Graph.node_count g) Fun.id)))
+
 let suite =
   [
     Alcotest.test_case "basic structure" `Quick test_basic_structure;
@@ -197,4 +277,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_shortest_path_valid;
     QCheck_alcotest.to_alcotest prop_yen_paths_simple_and_sorted;
     QCheck_alcotest.to_alcotest prop_first_yen_is_shortest;
+    QCheck_alcotest.to_alcotest prop_centroid_matches_oracle;
   ]

@@ -827,14 +827,20 @@ let test_stale_uim_allocation () =
   Alcotest.(check int) "still staged, never re-staged" version
     (P4update.Uib.uim_version u flow_id)
 
-(* [Sim.step] over a queue holding one preallocated no-op thunk: the
-   schedule boxes the event time once and the step boxes the clock once,
-   4 words per event (9 when a step built [Some (time, thunk)]). *)
+(* [Sim.step] over a queue holding 63 later events and one
+   preallocated no-op thunk, so every removal sifts the displaced last
+   entry up: the schedule boxes the event time once and the step boxes
+   the clock once, 4 words per event (6 while [Event_heap]'s sift-up was
+   a call that boxed the entry's time, 9 when a step built
+   [Some (time, thunk)]). *)
 let step_word_budget = 4.0
 
 let test_sim_step_allocation () =
   let sim = Dessim.Sim.create () in
   let noop () = () in
+  for _ = 1 to 63 do
+    Dessim.Sim.schedule sim ~delay:1e9 noop
+  done;
   let event () =
     Dessim.Sim.schedule sim ~delay:0.5 noop;
     ignore (Dessim.Sim.step sim)
@@ -894,6 +900,41 @@ let test_audited_hop_allocation () =
   let plain = words_per_step ~audited:false in
   check_budget "audited hop" (words_per_step ~audited:true -. plain) audited_hop_word_budget
 
+(* [Controller.prepare_batch] on 20 drawn AttMpls updates, each from a
+   registered flow's shortest path to its second-shortest with the §7.5
+   policy choosing the type (the bench row
+   [controller/prepare-batch-attmpls]): per update, the UIM records,
+   their tuples and conses, the prepared record and its segments when
+   DL.  150 words, and the budget leaves a third as much again (483
+   when the list pipeline labelled, segmented twice and copied a
+   default record per UIM). *)
+let prepare_word_budget = 200.0
+
+let test_prepare_batch_allocation () =
+  let module C = P4update.Controller in
+  let topo = Topo.Topologies.attmpls () in
+  let ctl = C.create (Netsim.create (Dessim.Sim.create ()) topo) in
+  let updates =
+    Harness.Experiments.random_updates (Random.State.make [| 42 |]) topo.Topo.Topologies.graph
+      ~count:20
+  in
+  let requests =
+    List.mapi
+      (fun flow_id (old_path, new_path) ->
+        let dst = List.nth old_path (List.length old_path - 1) in
+        ignore (C.register_flow ctl ~flow_id ~src:(List.hd old_path) ~dst ~size:100 ~path:old_path);
+        (flow_id, new_path))
+      updates
+  in
+  ignore (C.prepare_batch ctl requests);
+  let runs = 200 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (C.prepare_batch ctl requests))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int (runs * List.length requests) in
+  check_budget "prepared update" words prepare_word_budget
+
 let suite =
   [
     Alcotest.test_case "header byte alignment" `Quick test_header_byte_alignment_required;
@@ -927,4 +968,5 @@ let suite =
     Alcotest.test_case "stale UIM delivery allocation" `Quick test_stale_uim_allocation;
     Alcotest.test_case "Sim.step allocation" `Quick test_sim_step_allocation;
     Alcotest.test_case "audited hop allocation" `Quick test_audited_hop_allocation;
+    Alcotest.test_case "prepared update allocation" `Quick test_prepare_batch_allocation;
   ]
