@@ -20,6 +20,10 @@ let () =
     Harness.World.install_flow world ~src:0 ~dst:7 ~size:100
       ~path:Topo.Topologies.fig1_old_path
   in
+  (* Count the notifications that report a superseded or rejected chain. *)
+  let stale_chains = ref 0 in
+  Controller.on_report world.controller (fun r ->
+      if r.Controller.r_status <> Wire.ufm_success then incr stale_chains);
   (* Three configurations pushed 5 ms apart, each before the previous one
      could possibly finish (links are 20 ms). *)
   let configs =
@@ -63,10 +67,5 @@ let () =
         (Switch.version_of world.switches.(node) ~flow_id:flow.flow_id))
     Topo.Topologies.fig1_new_path;
 
-  let stale_chains =
-    Controller.reports world.controller
-    |> List.filter (fun r -> r.Controller.r_status <> Wire.ufm_success)
-    |> List.length
-  in
   Printf.printf "superseded/rejected notifications reported to the controller: %d\n"
-    stale_chains
+    !stale_chains

@@ -68,10 +68,16 @@ type prep_cache = {
   mutable pc_notify : int array;
 }
 
+(* One Flow DB entry per flow: everything the §11 ladder knows of it. *)
+type entry = {
+  mutable flow : flow;
+  mutable pushed : prepared option; (* the last pushed update *)
+  mutable aborted : int option; (* highest aborted, not rescinded, version *)
+}
+
 type t = {
   net : Netsim.t;
-  flow_db : (int, flow) Hashtbl.t;
-  mutable report_log : report list; (* reverse order *)
+  flow_db : (int, entry) Hashtbl.t;
   completions : (int * int, float) Hashtbl.t; (* (flow, version) -> first success *)
   mutable report_hooks : (report -> unit) list;
   mutable push_hooks : (flow_id:int -> version:int -> unit) list;
@@ -79,8 +85,6 @@ type t = {
   mutable auto_route : bool;
   mutable allow_consecutive_dl : bool;
   mutable recovery : recovery option; (* §11 recovery loop, opt-in *)
-  last_pushed : (int, prepared) Hashtbl.t; (* flow id -> last pushed update *)
-  aborted : (int, int) Hashtbl.t; (* flow id -> highest aborted version *)
   mutable prep : prep_cache option; (* built lazily on first prepare *)
 }
 
@@ -97,14 +101,22 @@ let register_flow ?(version = 1) ?flow_id t ~src ~dst ~size ~path =
     | None -> Topo.Traffic.flow_id_of_pair ~src ~dst land (Wire.flow_space - 1)
   in
   let flow = { flow_id; src; dst; size; version; path; last_type = Wire.Sl } in
-  Hashtbl.replace t.flow_db flow_id flow;
+  (* Registering over a live id replaces the flow but keeps its push and
+     abort history. *)
+  (match Hashtbl.find_opt t.flow_db flow_id with
+   | Some e -> e.flow <- flow
+   | None -> Hashtbl.add t.flow_db flow_id { flow; pushed = None; aborted = None });
   flow
 
 let set_auto_route t enabled = t.auto_route <- enabled
 let set_allow_consecutive_dl t enabled = t.allow_consecutive_dl <- enabled
 
-let find_flow t ~flow_id = Hashtbl.find_opt t.flow_db flow_id
-let flows t = Hashtbl.fold (fun _ f acc -> f :: acc) t.flow_db []
+let find_flow t ~flow_id =
+  match Hashtbl.find t.flow_db flow_id with
+  | e -> Some e.flow
+  | exception Not_found -> None
+
+let flows t = Hashtbl.fold (fun _ e acc -> e.flow :: acc) t.flow_db []
 
 let bump_version t ~flow_id =
   match find_flow t ~flow_id with
@@ -206,19 +218,19 @@ let prepare_with t c ~flow_id ~new_path ?update_type ?assume_old_path
     else begin
       c.pc_gen <- c.pc_gen + 1;
       match old_path with
-      | [] -> Some "Segment.compute: empty path"
-      | _ when k < 0 -> Some "Segment.compute: empty path"
+      | [] -> Some "Controller.prepare: empty old or new path"
+      | _ when k < 0 -> Some "Controller.prepare: empty old or new path"
       | first :: rest ->
         let last =
           index_old c ~gen:c.pc_gen ~k:(List.length old_path - 1) 0 first rest
         in
-        if first <> path.(0) then Some "Segment.compute: ingress mismatch"
-        else if last <> path.(k) then Some "Segment.compute: egress mismatch"
+        if first <> path.(0) then Some "Controller.prepare: ingress mismatch"
+        else if last <> path.(k) then Some "Controller.prepare: egress mismatch"
         else None
     end
   in
   (match bad_ends with Some msg when policy -> invalid_arg msg | _ -> ());
-  if k < 0 then invalid_arg "Label.of_path: empty path";
+  if k < 0 then invalid_arg "Controller.prepare: empty path";
   let gen = c.pc_gen in
   let walk_segments = match bad_ends with None -> segmented | Some _ -> false in
   let fresh = ref 0 and all_forward = ref true and prev_dist = ref 0 in
@@ -319,8 +331,6 @@ let prepare_batch t requests =
     (fun (flow_id, new_path) -> prepare_with t cache ~flow_id ~new_path ())
     requests
 
-let reports t = List.rev t.report_log
-
 let completion_time t ~flow_id ~version = Hashtbl.find_opt t.completions (flow_id, version)
 
 let on_report t f = t.report_hooks <- t.report_hooks @ [ f ]
@@ -339,7 +349,10 @@ let recovery_stats t =
       })
     t.recovery
 
-let aborted_version t ~flow_id = Hashtbl.find_opt t.aborted flow_id
+let aborted_version t ~flow_id =
+  match Hashtbl.find_opt t.flow_db flow_id with
+  | Some e -> e.aborted
+  | None -> None
 
 let path_alive t path =
   let rec ok = function
@@ -389,264 +402,240 @@ let send_uims t prepared =
     (List.rev prepared.p_uims)
 
 (* ------------------------------------------------------------------ *)
-(* §11 abort: bounded-retry rollback.
-
-   When retries and reroutes are exhausted (or an operator deadline
-   passes), the controller gives up on the in-flight version: it sends a
-   withdraw (WDM) to every node of the pushed path, discarding staged
-   new-version UIB state there, and reverts the Flow DB to the old path.
-   This is safe because P4Update never removes old rules before final
-   verification: uncommitted nodes still forward on the old version, and
-   any node that did commit has (by downstream-first ordering) a
-   committed chain to the egress — so traffic is always either on the
-   old path or on a legal old-prefix/new-suffix hybrid, and Thm. 1-4
-   hold throughout.  The flow's version counter is NOT rolled back: the
-   aborted version stays burned, so the next update strictly supersedes
-   every staged remnant of it. *)
+(* The §11 recovery ladder: DESIGN §4a's state machine per (flow,
+   version), with [live] its in-flight test.  [transition] maps a flow's
+   entry and one event to the next step: retransmit the same UIM set
+   (idempotent: switches reject non-higher versions), reroute onto a
+   shortest surviving path, resync a restarted switch by re-deploying the
+   current path at a fresh version, give up and abort, or rescind an
+   abort that a success UFM raced.  An abort sends a WDM to every node of
+   the pushed path and reverts the Flow DB to the old path; it is safe
+   because old rules persist until final verification (DESIGN §4a).  The
+   aborted version stays burned, so the next update supersedes every
+   staged remnant of it. *)
 (* ------------------------------------------------------------------ *)
 
-let abort_update ?(reason = "operator") t ~flow_id =
-  match (find_flow t ~flow_id, Hashtbl.find_opt t.last_pushed flow_id) with
-  | Some flow, Some p
-    when flow.version = p.p_version
-         && completion_time t ~flow_id ~version:p.p_version = None
-         && Option.value (Hashtbl.find_opt t.aborted flow_id) ~default:0 < p.p_version
-    ->
-    let version = p.p_version in
-    Hashtbl.replace t.aborted flow_id version;
-    (match t.recovery with
-     | Some rc -> Obs.Metrics.incr rc.rc_aborts
-     | None -> ());
-    (let now = Sim.now (Netsim.sim t.net) in
-     Obs.Flight_recorder.note ~now ~kind:Obs.Flight_recorder.k_abort ~node:(-1)
-       ~flow:flow_id ~a:version ~b:0;
-     ignore (Obs.Flight_recorder.trigger ~now ~reason:"abort"));
-    (if Obs.Trace.enabled () then begin
-       Obs.Trace.instant ~cat:"recovery" "recovery.abort"
-         ~parent:(Obs.Trace.anchor_get (Wire.span_key_update ~flow_id ~version))
-         ~attrs:
-           [
-             Obs.Trace.flow flow_id;
-             Obs.Trace.version version;
-             Obs.Trace.str "reason" reason;
-           ];
-       (* Indications dropped in flight leave their spans anchored; the
-          abort is where those flights end. *)
-       List.iter
-         (fun (node, _) ->
-           Obs.Trace.span_end
-             (Obs.Trace.anchor_pop (Wire.span_key_uim ~flow_id ~version ~node))
-             ~attrs:[ Obs.Trace.str "outcome" "aborted" ])
-         p.p_uims;
-       Obs.Trace.span_end
-         (Obs.Trace.anchor_pop (Wire.span_key_update ~flow_id ~version))
-         ~attrs:[ Obs.Trace.str "outcome" "aborted" ]
-     end);
-    (* Withdraw the staged state along the pushed path.  Committed nodes
-       ignore the message; their rules stay until a higher version
-       supersedes them. *)
+type event =
+  | Backoff of int * int (* version, attempt: the attempt's timeout *)
+  | Deadline of int (* the operator deadline of that version *)
+  | Path_lost (* link/node down, or a watchdog alarm on a dead path *)
+  | Node_restarted
+  | Link_restored
+  | Late_success of int (* a success UFM for an aborted version *)
+
+let live t e ~version =
+  e.flow.version = version
+  && completion_time t ~flow_id:e.flow.flow_id ~version = None
+  && Option.value e.aborted ~default:0 < version
+
+(* One ladder step's bookkeeping, in the order every step emits it: its
+   counter, its flight-recorder note (with an incident trigger for the
+   two end-of-ladder steps) and its trace instant, which [~anchored]
+   hangs under the update's root span. *)
+let note_step t counter ~kind ~flow_id ~version ?(b = 0) ?trigger ?(anchored = false)
+    ?trace () =
+  (match t.recovery with Some rc -> Obs.Metrics.incr (counter rc) | None -> ());
+  let now = Sim.now (Netsim.sim t.net) in
+  Obs.Flight_recorder.note ~now ~kind ~node:(-1) ~flow:flow_id ~a:version ~b;
+  (match trigger with
+   | Some reason -> ignore (Obs.Flight_recorder.trigger ~now ~reason)
+   | None -> ());
+  match trace with
+  | Some (name, attrs) when Obs.Trace.enabled () ->
+    Obs.Trace.instant ~cat:"recovery" name
+      ~parent:
+        (if anchored then Obs.Trace.anchor_get (Wire.span_key_update ~flow_id ~version)
+         else 0)
+      ~attrs:(Obs.Trace.flow flow_id :: Obs.Trace.version version :: attrs)
+  | Some _ | None -> ()
+
+(* Withdraw [e]'s in-flight update; false when there is none. *)
+let abort t e ~reason =
+  match e.pushed with
+  | Some p when live t e ~version:p.p_version ->
+    let flow_id = e.flow.flow_id and version = p.p_version in
+    e.aborted <- Some version;
+    note_step t (fun rc -> rc.rc_aborts) ~kind:Obs.Flight_recorder.k_abort ~flow_id ~version
+      ~trigger:"abort" ~anchored:true
+      ~trace:("recovery.abort", [ Obs.Trace.str "reason" reason ])
+      ();
+    if Obs.Trace.enabled () then begin
+      (* Indications dropped in flight leave their spans anchored; the
+         abort is where those flights end. *)
+      List.iter
+        (fun (node, _) ->
+          Obs.Trace.span_end
+            (Obs.Trace.anchor_pop (Wire.span_key_uim ~flow_id ~version ~node))
+            ~attrs:[ Obs.Trace.str "outcome" "aborted" ])
+        p.p_uims;
+      Obs.Trace.span_end
+        (Obs.Trace.anchor_pop (Wire.span_key_update ~flow_id ~version))
+        ~attrs:[ Obs.Trace.str "outcome" "aborted" ]
+    end;
+    (* Committed nodes ignore the withdraw; their rules stay until a
+       higher version supersedes them. *)
     List.iter
       (fun (node, _) ->
         Netsim.controller_transmit t.net ~to_:node
           (Wire.control_to_bytes
              { (Wire.control_default Wire.Wdm) with flow_id; version_new = version }))
       (List.rev p.p_uims);
-    flow.path <- p.p_old_path;
+    e.flow.path <- p.p_old_path;
     true
-  | _ -> false
+  | Some _ | None -> false
 
-(* Exhaustion (or deadline): count the give-up, then abort. *)
-let give_up t rc ~flow_id ~version ~why =
-  Obs.Metrics.incr rc.rc_give_ups;
-  (let now = Sim.now (Netsim.sim t.net) in
-   Obs.Flight_recorder.note ~now ~kind:Obs.Flight_recorder.k_give_up ~node:(-1)
-     ~flow:flow_id ~a:version ~b:0;
-   ignore (Obs.Flight_recorder.trigger ~now ~reason:"give-up"));
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~cat:"recovery" "recovery.give_up"
-      ~parent:(Obs.Trace.anchor_get (Wire.span_key_update ~flow_id ~version))
-      ~attrs:
-        [ Obs.Trace.flow flow_id; Obs.Trace.version version; Obs.Trace.str "why" why ];
-  ignore (abort_update ~reason:why t ~flow_id)
+let abort_update ?(reason = "operator") t ~flow_id =
+  match Hashtbl.find_opt t.flow_db flow_id with
+  | Some e -> abort t e ~reason
+  | None -> false
 
-(* ------------------------------------------------------------------ *)
-(* Update execution and the §11 recovery loop.
+let give_up t e ~version ~why =
+  note_step t (fun rc -> rc.rc_give_ups) ~kind:Obs.Flight_recorder.k_give_up
+    ~flow_id:e.flow.flow_id ~version ~trigger:"give-up" ~anchored:true
+    ~trace:("recovery.give_up", [ Obs.Trace.str "why" why ])
+    ();
+  ignore (abort t e ~reason:why)
 
-   [push] arms a per-flow timeout when recovery is enabled.  On expiry
-   with no success UFM recorded, the controller either retransmits the
-   same (flow, version) UIM set — duplicates are absorbed by the data
-   plane's version checks, so retransmission is idempotent — with
-   exponential backoff, or, when the pushed path lost a link or node,
-   re-labels and re-segments the flow around the failure ([reroute]).
-   Topology observers drive the event-based half: link/node failures
-   reroute affected flows immediately, and a restarted switch gets its
-   UIB re-synced from the NIB by re-deploying the current path at a
-   fresh version ([resync]). *)
-(* ------------------------------------------------------------------ *)
+(* Re-send the pushed UIM set of [version]; false when the last push was
+   of another version. *)
+let retransmit t e ~version ~attempt ~traced =
+  match e.pushed with
+  | Some p when p.p_version = version ->
+    note_step t (fun rc -> rc.rc_retransmissions) ~kind:Obs.Flight_recorder.k_retransmit
+      ~flow_id:e.flow.flow_id ~version ~b:attempt ~anchored:true
+      ?trace:
+        (if traced then Some ("recovery.retransmit", [ Obs.Trace.int "attempt" attempt ])
+         else None)
+      ();
+    send_uims t p;
+    true
+  | Some _ | None -> false
 
 let rec push t prepared =
-  (match find_flow t ~flow_id:prepared.p_flow with
-   | Some flow ->
-     flow.version <- prepared.p_version;
-     flow.path <- List.map fst prepared.p_uims;
-     flow.last_type <- prepared.p_type
+  let flow_id = prepared.p_flow and version = prepared.p_version in
+  (match Hashtbl.find_opt t.flow_db flow_id with
+   | Some e ->
+     e.flow.version <- version;
+     e.flow.path <- List.map fst prepared.p_uims;
+     e.flow.last_type <- prepared.p_type;
+     e.pushed <- Some prepared
    | None -> ());
-  Hashtbl.replace t.last_pushed prepared.p_flow prepared;
   (* Observers (the traffic auditor) hear about EVERY push — including
      the recovery loop's internal reroutes and resyncs, which never pass
      through a caller's hands; without this their paths would be invisible
      to per-packet classification. *)
-  List.iter
-    (fun f -> f ~flow_id:prepared.p_flow ~version:prepared.p_version)
-    t.push_hooks;
+  List.iter (fun f -> f ~flow_id ~version) t.push_hooks;
   Obs.Flight_recorder.note ~now:(Sim.now (Netsim.sim t.net))
-    ~kind:Obs.Flight_recorder.k_push ~node:(-1) ~flow:prepared.p_flow
-    ~a:prepared.p_version ~b:(List.length prepared.p_uims);
+    ~kind:Obs.Flight_recorder.k_push ~node:(-1) ~flow:flow_id ~a:version
+    ~b:(List.length prepared.p_uims);
   (* Root span of the update's causal tree; ended by the success UFM. *)
   if Obs.Trace.enabled () then
     Obs.Trace.anchor_set
-      (Wire.span_key_update ~flow_id:prepared.p_flow ~version:prepared.p_version)
+      (Wire.span_key_update ~flow_id ~version)
       (Obs.Trace.span_begin ~cat:"update" "update"
          ~attrs:
            [
-             Obs.Trace.flow prepared.p_flow;
-             Obs.Trace.version prepared.p_version;
+             Obs.Trace.flow flow_id;
+             Obs.Trace.version version;
              Obs.Trace.str "type"
                (match prepared.p_type with Wire.Sl -> "sl" | Wire.Dl -> "dl");
              Obs.Trace.int "nodes" (List.length prepared.p_uims);
            ]);
   send_uims t prepared;
-  arm_recovery t ~flow_id:prepared.p_flow ~version:prepared.p_version ~attempt:0;
-  (* Operator deadline: an absolute abort timer per pushed update. *)
-  (match t.recovery with
-   | Some { rc_deadline_ms = Some deadline; _ } ->
-     let flow_id = prepared.p_flow and version = prepared.p_version in
-     Sim.schedule (Netsim.sim t.net) ~delay:deadline (fun () ->
-         match (t.recovery, find_flow t ~flow_id) with
-         | Some rc, Some flow
-           when flow.version = version
-                && completion_time t ~flow_id ~version = None
-                && Option.value (Hashtbl.find_opt t.aborted flow_id) ~default:0 < version
-           -> give_up t rc ~flow_id ~version ~why:"deadline"
-         | _ -> ())
-   | Some { rc_deadline_ms = None; _ } | None -> ())
+  match t.recovery with
+  | Some rc ->
+    backoff t rc ~flow_id ~version ~attempt:0;
+    Option.iter (fun delay -> arm t ~flow_id ~delay (Deadline version)) rc.rc_deadline_ms
+  | None -> ()
 
 and update_flow t ~flow_id ~new_path ?update_type ?two_phase () =
   let prepared = prepare t ~flow_id ~new_path ?update_type ?two_phase () in
   push t prepared;
   prepared.p_version
 
-and arm_recovery t ~flow_id ~version ~attempt =
-  match t.recovery with
-  | None -> ()
-  | Some rc ->
-    let delay = rc.rc_timeout_ms *. (2.0 ** float_of_int attempt) in
-    Sim.schedule (Netsim.sim t.net) ~delay (fun () ->
-        match find_flow t ~flow_id with
-        | Some flow
-          when flow.version = version
-               && completion_time t ~flow_id ~version = None
-               && Option.value (Hashtbl.find_opt t.aborted flow_id) ~default:0 < version
-          ->
-          if attempt >= rc.rc_max_retries then
-            (* Retries exhausted: no silent drop — give up explicitly and
-               roll the flow back to its old path. *)
-            give_up t rc ~flow_id ~version ~why:"retries-exhausted"
-          else if not (path_alive t flow.path) then begin
-            reroute t flow;
-            (* Reroute found no surviving alternative (version unchanged):
-               keep the clock running so the update eventually aborts
-               instead of wedging half-deployed forever. *)
-            if flow.version = version then
-              arm_recovery t ~flow_id ~version ~attempt:(attempt + 1)
-          end
-          else begin
-            (match Hashtbl.find_opt t.last_pushed flow_id with
-             | Some p when p.p_version = version ->
-               Obs.Metrics.incr rc.rc_retransmissions;
-               Obs.Flight_recorder.note ~now:(Sim.now (Netsim.sim t.net))
-                 ~kind:Obs.Flight_recorder.k_retransmit ~node:(-1) ~flow:flow_id
-                 ~a:version ~b:attempt;
-               if Obs.Trace.enabled () then
-                 Obs.Trace.instant ~cat:"recovery" "recovery.retransmit"
-                   ~parent:
-                     (Obs.Trace.anchor_get (Wire.span_key_update ~flow_id ~version))
-                   ~attrs:
-                     [
-                       Obs.Trace.flow flow_id;
-                       Obs.Trace.version version;
-                       Obs.Trace.int "attempt" attempt;
-                     ];
-               send_uims t p
-             | Some _ | None -> ());
-            arm_recovery t ~flow_id ~version ~attempt:(attempt + 1)
-          end
-        | Some _ | None -> ())
+(* A timer delivers its event to whatever entry holds the flow id when
+   it fires: none after [retire_flow]. *)
+and arm t ~flow_id ~delay event =
+  Sim.schedule (Netsim.sim t.net) ~delay (fun () ->
+      match Hashtbl.find_opt t.flow_db flow_id with
+      | Some e -> transition t e event
+      | None -> ())
 
-and reroute t (flow : flow) =
-  match t.recovery with
-  | None -> ()
-  | Some rc ->
-    let g = Netsim.graph t.net in
-    let node_ok n = Netsim.node_is_up t.net ~node:n in
-    let edge_ok a b = Netsim.link_is_up t.net a b in
-    (match
-       Topo.Graph.shortest_path_avoiding g ~src:flow.src ~dst:flow.dst ~node_ok ~edge_ok
-     with
-     | Some new_path when new_path <> flow.path ->
-       Obs.Metrics.incr rc.rc_reroutes;
-       Obs.Flight_recorder.note ~now:(Sim.now (Netsim.sim t.net))
-         ~kind:Obs.Flight_recorder.k_reroute ~node:(-1) ~flow:flow.flow_id
-         ~a:flow.version ~b:0;
-       if Obs.Trace.enabled () then
-         Obs.Trace.instant ~cat:"recovery" "recovery.reroute"
-           ~attrs:[ Obs.Trace.flow flow.flow_id; Obs.Trace.version flow.version ];
-       ignore (update_flow t ~flow_id:flow.flow_id ~new_path ())
-     | Some _ | None ->
-       (* No surviving alternative (or already on it): wait for a restore
-          event; [resync]/[kick] picks the flow up again. *)
-       ())
+and backoff t rc ~flow_id ~version ~attempt =
+  arm t ~flow_id
+    ~delay:(rc.rc_timeout_ms *. (2.0 ** float_of_int attempt))
+    (Backoff (version, attempt))
 
-(* A restarted switch lost its UIB: re-deploy the flow's current path at
-   a fresh version, which re-installs rules, re-reserves capacity and
-   regenerates the notification chain end to end. *)
-and resync t (flow : flow) =
-  match t.recovery with
-  | None -> ()
-  | Some rc ->
-    Obs.Metrics.incr rc.rc_resyncs;
-    Obs.Flight_recorder.note ~now:(Sim.now (Netsim.sim t.net))
-      ~kind:Obs.Flight_recorder.k_resync ~node:(-1) ~flow:flow.flow_id
-      ~a:flow.version ~b:0;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~cat:"recovery" "recovery.resync"
-        ~attrs:[ Obs.Trace.flow flow.flow_id; Obs.Trace.version flow.version ];
-    ignore (update_flow t ~flow_id:flow.flow_id ~new_path:flow.path ~update_type:Wire.Sl ())
-
-(* A restored link makes a stalled update viable again: retransmit (the
-   backoff timers may have run out while the path was dead). *)
-and kick t (flow : flow) =
-  (* An aborted version stays aborted: a restored link must not resurrect
-     the withdrawn staged state (the switches would reject it anyway). *)
-  if
-    completion_time t ~flow_id:flow.flow_id ~version:flow.version = None
-    && Option.value (Hashtbl.find_opt t.aborted flow.flow_id) ~default:0 < flow.version
-  then
-    if path_alive t flow.path then begin
-      (match t.recovery, Hashtbl.find_opt t.last_pushed flow.flow_id with
-       | Some rc, Some p when p.p_version = flow.version ->
-         Obs.Metrics.incr rc.rc_retransmissions;
-         Obs.Flight_recorder.note ~now:(Sim.now (Netsim.sim t.net))
-           ~kind:Obs.Flight_recorder.k_retransmit ~node:(-1) ~flow:flow.flow_id
-           ~a:flow.version ~b:0;
-         send_uims t p;
-         arm_recovery t ~flow_id:flow.flow_id ~version:flow.version ~attempt:1
-       | _ -> ())
+and transition t e event =
+  match (t.recovery, event) with
+  | _, Late_success version -> (
+    (* Rescinding needs no recovery loop: [abort_update] works without. *)
+    match e.aborted with
+    | Some v when v = version -> (
+      e.aborted <- None;
+      match e.pushed with
+      | Some p when e.flow.version = version && p.p_version = version ->
+        e.flow.path <- List.map fst p.p_uims;
+        if Obs.Trace.enabled () then
+          Obs.Trace.instant ~cat:"recovery" "recovery.abort_rescinded"
+            ~attrs:[ Obs.Trace.flow e.flow.flow_id; Obs.Trace.version version ]
+      | Some _ | None -> ())
+    | Some _ | None -> ())
+  | None, _ -> ()
+  | Some rc, Backoff (version, attempt) when live t e ~version ->
+    let flow_id = e.flow.flow_id in
+    if attempt >= rc.rc_max_retries then give_up t e ~version ~why:"retries-exhausted"
+    else if not (path_alive t e.flow.path) then begin
+      reroute t e;
+      (* No surviving alternative (version unchanged): keep the clock
+         running so the update eventually aborts instead of wedging
+         half-deployed forever. *)
+      if e.flow.version = version then backoff t rc ~flow_id ~version ~attempt:(attempt + 1)
     end
-    else reroute t flow
+    else begin
+      ignore (retransmit t e ~version ~attempt ~traced:true);
+      backoff t rc ~flow_id ~version ~attempt:(attempt + 1)
+    end
+  | Some _, Deadline version when live t e ~version -> give_up t e ~version ~why:"deadline"
+  | Some _, (Backoff _ | Deadline _) -> ()
+  | Some _, Path_lost -> reroute t e
+  | Some _, Node_restarted -> resync t e
+  | Some rc, Link_restored ->
+    (* The backoff timers may have run out while the path was dead.  An
+       aborted version stays aborted: a restored link must not resurrect
+       the withdrawn staged state. *)
+    let version = e.flow.version in
+    if live t e ~version then
+      if not (path_alive t e.flow.path) then reroute t e
+      else if retransmit t e ~version ~attempt:0 ~traced:false then
+        backoff t rc ~flow_id:e.flow.flow_id ~version ~attempt:1
 
-let flows_sorted t =
-  List.sort (fun a b -> compare a.flow_id b.flow_id) (flows t)
+(* With no surviving alternative (or already on it) the flow waits for a
+   restore or restart event. *)
+and reroute t e =
+  let flow = e.flow in
+  let node_ok n = Netsim.node_is_up t.net ~node:n in
+  let edge_ok a b = Netsim.link_is_up t.net a b in
+  match
+    Topo.Graph.shortest_path_avoiding (Netsim.graph t.net) ~src:flow.src ~dst:flow.dst
+      ~node_ok ~edge_ok
+  with
+  | Some new_path when new_path <> flow.path ->
+    note_step t (fun rc -> rc.rc_reroutes) ~kind:Obs.Flight_recorder.k_reroute
+      ~flow_id:flow.flow_id ~version:flow.version ~trace:("recovery.reroute", []) ();
+    ignore (update_flow t ~flow_id:flow.flow_id ~new_path ())
+  | Some _ | None -> ()
+
+and resync t e =
+  let flow = e.flow in
+  note_step t (fun rc -> rc.rc_resyncs) ~kind:Obs.Flight_recorder.k_resync
+    ~flow_id:flow.flow_id ~version:flow.version ~trace:("recovery.resync", []) ();
+  ignore (update_flow t ~flow_id:flow.flow_id ~new_path:flow.path ~update_type:Wire.Sl ())
+
+let entries_sorted t =
+  List.sort
+    (fun a b -> compare a.flow.flow_id b.flow.flow_id)
+    (Hashtbl.fold (fun _ e acc -> e :: acc) t.flow_db [])
 
 (* Digest of the controller's flow database and abort bookkeeping for
    the model checker's state pruning.  Sorted so that hash-table
@@ -654,31 +643,35 @@ let flows_sorted t =
    stands where a digest of alarm-driven re-pushes was: it keeps every
    pinned fingerprint. *)
 let fingerprint t =
+  let entries = entries_sorted t in
   let flow_part =
     List.fold_left
-      (fun acc f ->
+      (fun acc { flow = f; _ } ->
         (acc * 31)
         lxor Hashtbl.hash
               (f.flow_id, f.version, f.path, Wire.update_type_to_int f.last_type))
-      5 (flows_sorted t)
+      5 entries
   in
   let aborted_part =
-    Hashtbl.fold (fun k v acc -> Hashtbl.hash (k, v) :: acc) t.aborted []
+    List.filter_map
+      (fun e -> Option.map (fun v -> Hashtbl.hash (e.flow.flow_id, v)) e.aborted)
+      entries
     |> List.sort compare
     |> List.fold_left (fun acc x -> (acc * 31) lxor x) 11
   in
   (flow_part * 131) lxor 7 lxor (aborted_part * 13) lxor (t.alarms * 97)
 
-let flows_affected t ~uses = List.filter (fun f -> uses f.path) (flows_sorted t)
-
-let handle_topo_event t = function
-  | Netsim.Link_down (u, v) ->
-    List.iter (reroute t) (flows_affected t ~uses:(fun p -> path_uses_link p u v))
-  | Netsim.Node_down n ->
-    List.iter (reroute t) (flows_affected t ~uses:(fun p -> List.mem n p))
-  | Netsim.Node_up n -> List.iter (resync t) (flows_affected t ~uses:(fun p -> List.mem n p))
-  | Netsim.Link_up (u, v) ->
-    List.iter (kick t) (flows_affected t ~uses:(fun p -> path_uses_link p u v))
+let handle_topo_event t topo_event =
+  let each uses event =
+    List.iter
+      (fun e -> transition t e event)
+      (List.filter (fun e -> uses e.flow.path) (entries_sorted t))
+  in
+  match topo_event with
+  | Netsim.Link_down (u, v) -> each (fun p -> path_uses_link p u v) Path_lost
+  | Netsim.Node_down n -> each (List.mem n) Path_lost
+  | Netsim.Node_up n -> each (List.mem n) Node_restarted
+  | Netsim.Link_up (u, v) -> each (fun p -> path_uses_link p u v) Link_restored
 
 let enable_recovery ?(timeout_ms = 500.0) ?(max_retries = 6) ?deadline_ms t =
   if t.recovery = None then begin
@@ -698,32 +691,30 @@ let enable_recovery ?(timeout_ms = 500.0) ?(max_retries = 6) ?deadline_ms t =
     Netsim.on_topology_event t.net (handle_topo_event t)
   end
 
-(* Forget a flow entirely (soak churn): the Flow DB, push history and
-   abort bookkeeping are dropped so long-horizon runs return to
-   their baseline footprint between bursts.  Installed data-plane rules
-   stay — a stale rule can never violate the consistency invariants, and
-   cleanup packets already released any reservations that matter. *)
-let retire_flow t ~flow_id =
-  Hashtbl.remove t.flow_db flow_id;
-  Hashtbl.remove t.last_pushed flow_id;
-  Hashtbl.remove t.aborted flow_id
+(* Forget a flow entirely (soak churn): its one Flow DB entry holds the
+   push history and abort bookkeeping, so long-horizon runs return to
+   their baseline footprint between bursts and its pending timers find
+   nothing.  Installed data-plane rules stay — a stale rule can never
+   violate the consistency invariants, and cleanup packets already
+   released any reservations that matter. *)
+let retire_flow t ~flow_id = Hashtbl.remove t.flow_db flow_id
 
 (* A new flow reported by the data plane (§6): compute a shortest path and
    deploy it egress-first with SL, so rules exist downstream before any
-   node starts forwarding. *)
+   node starts forwarding.  An FRM whose flow id is not its (src, dst)
+   pair's is ignored; registering the pair could overwrite a live flow
+   that owns the pair's id. *)
 let route_new_flow t (c : Wire.control) =
   let src = c.src_node and dst = c.dist_new in
   let graph = Netsim.graph t.net in
-  if src <> dst && dst < Topo.Graph.node_count graph then
+  if src <> dst && dst < Topo.Graph.node_count graph
+     && Topo.Traffic.flow_id_of_pair ~src ~dst land (Wire.flow_space - 1) = c.flow_id
+  then
     match Topo.Graph.shortest_path graph ~src ~dst with
     | None -> ()
     | Some path ->
       let flow = register_flow ~version:0 t ~src ~dst ~size:default_flow_size ~path in
-      if flow.flow_id = c.flow_id then
-        ignore (update_flow t ~flow_id:flow.flow_id ~new_path:path ~update_type:Wire.Sl ())
-      else
-        (* hash mismatch: the FRM did not come from this (src, dst) pair *)
-        Hashtbl.remove t.flow_db flow.flow_id
+      ignore (update_flow t ~flow_id:flow.flow_id ~new_path:path ~update_type:Wire.Sl ())
 
 (* Process one control-channel frame addressed to this controller.  Kept
    separate from [install_handler] so a caller that re-points the
@@ -759,23 +750,11 @@ let handle t ~from bytes =
                ~attrs:[ Obs.Trace.int "ingress" from ]
          end);
         (* §11 abort racing a late success: the ingress committed before
-           the withdraw reached it.  Downstream-first ordering means the
-           whole path is then committed at this version — the withdraws
-           were no-ops everywhere — so the update in fact succeeded:
-           rescind the abort and restore the pushed path. *)
+           the withdraw reached it, so the update in fact succeeded. *)
         (if report.r_status = Wire.ufm_success then
-           match Hashtbl.find_opt t.aborted c.flow_id with
-           | Some v when v = c.version_new -> (
-             Hashtbl.remove t.aborted c.flow_id;
-             match (find_flow t ~flow_id:c.flow_id, Hashtbl.find_opt t.last_pushed c.flow_id) with
-             | Some flow, Some p when flow.version = v && p.p_version = v ->
-               flow.path <- List.map fst p.p_uims;
-               if Obs.Trace.enabled () then
-                 Obs.Trace.instant ~cat:"recovery" "recovery.abort_rescinded"
-                   ~attrs:[ Obs.Trace.flow c.flow_id; Obs.Trace.version v ]
-             | _ -> ())
+           match Hashtbl.find_opt t.flow_db c.flow_id with
+           | Some ({ aborted = Some _; _ } as e) -> transition t e (Late_success c.version_new)
            | Some _ | None -> ());
-        t.report_log <- report :: t.report_log;
         if report.r_status = Wire.ufm_success
            && not (Hashtbl.mem t.completions (report.r_flow, report.r_version))
         then Hashtbl.add t.completions (report.r_flow, report.r_version) report.r_time;
@@ -783,9 +762,9 @@ let handle t ~from bytes =
         if report.r_status = Wire.ufm_alarm_timeout then begin
           (* §11: a watchdog alarm on a broken path means retransmission
              cannot help — re-label and re-segment around the failure. *)
-          match t.recovery, find_flow t ~flow_id:c.flow_id with
-          | Some _, Some flow when not (path_alive t flow.path) -> reroute t flow
-          | _ -> ()
+          match Hashtbl.find_opt t.flow_db c.flow_id with
+          | Some e when not (path_alive t e.flow.path) -> transition t e Path_lost
+          | Some _ | None -> ()
         end
       | Some c when c.kind = Wire.Frm ->
         if t.auto_route && find_flow t ~flow_id:c.flow_id = None then route_new_flow t c
@@ -799,7 +778,6 @@ let create network =
     {
       net = network;
       flow_db = Hashtbl.create 64;
-      report_log = [];
       completions = Hashtbl.create 64;
       report_hooks = [];
       push_hooks = [];
@@ -807,8 +785,6 @@ let create network =
       auto_route = true;
       allow_consecutive_dl = false;
       recovery = None;
-      last_pushed = Hashtbl.create 32;
-      aborted = Hashtbl.create 16;
       prep = None;
     }
   in

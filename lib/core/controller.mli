@@ -31,7 +31,7 @@ type prepared = {
       (** the path this update moves away from — what an abort reverts to *)
 }
 
-(** An UFM as recorded by the controller. *)
+(** An UFM as handed to {!on_report} hooks. *)
 type report = {
   r_flow : int;
   r_version : int;
@@ -64,8 +64,9 @@ val create : Netsim.t -> t
     {!Topo.Traffic.flow_id_of_pair} masked into {!Wire.flow_space} unless
     [?flow_id] overrides it — the intent bridge uses the override to give
     each ECMP member of one (src, dst) pair its own flow identity.
-    Raises [Invalid_argument] when an explicit id falls outside the flow
-    space. *)
+    Registering over a live id replaces the flow record and keeps the
+    entry's push and abort history.  Raises [Invalid_argument] when an
+    explicit id falls outside the flow space. *)
 val register_flow :
   ?version:int ->
   ?flow_id:int ->
@@ -146,9 +147,6 @@ val update_flow :
 
 (** {2 UFM collection} *)
 
-(** All reports received so far (most recent last). *)
-val reports : t -> report list
-
 (** [completion_time t ~flow_id ~version] is the time of the first
     success UFM for that update, if received: a table lookup, filled as
     reports arrive. *)
@@ -212,10 +210,11 @@ val abort_update : ?reason:string -> t -> flow_id:int -> bool
 (** Highest aborted (not rescinded) version of a flow, if any. *)
 val aborted_version : t -> flow_id:int -> int option
 
-(** [retire_flow t ~flow_id] forgets the flow — Flow DB, push history and
-    abort bookkeeping — so long-horizon workloads (soak churn)
-    return to their baseline footprint.  Installed data-plane rules stay;
-    a stale rule cannot violate the consistency invariants. *)
+(** [retire_flow t ~flow_id] forgets the flow — its Flow DB entry, with
+    the push history and abort bookkeeping — so long-horizon workloads
+    (soak churn) return to their baseline footprint, and its pending
+    recovery timers do nothing.  Installed data-plane rules stay; a
+    stale rule cannot violate the consistency invariants. *)
 val retire_flow : t -> flow_id:int -> unit
 
 (** [handle t ~from bytes] processes one control-channel frame (FRM/UFM)

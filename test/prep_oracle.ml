@@ -28,7 +28,7 @@ module Label = struct
     List.mapi (fun i node -> (node, k - i)) path
 
   let of_path_with ~port_of path =
-    if path = [] then invalid_arg "Label.of_path: empty path";
+    if path = [] then invalid_arg "Controller.prepare: empty path";
     let k = List.length path - 1 in
     let arr = Array.of_list path in
     List.mapi
@@ -56,12 +56,12 @@ module Segment = struct
 
   let compute ~old_path ~new_path =
     (match (old_path, new_path) with
-     | [], _ | _, [] -> invalid_arg "Segment.compute: empty path"
-     | o :: _, n :: _ when o <> n -> invalid_arg "Segment.compute: ingress mismatch"
+     | [], _ | _, [] -> invalid_arg "Controller.prepare: empty old or new path"
+     | o :: _, n :: _ when o <> n -> invalid_arg "Controller.prepare: ingress mismatch"
      | _ ->
        if List.nth old_path (List.length old_path - 1)
           <> List.nth new_path (List.length new_path - 1)
-       then invalid_arg "Segment.compute: egress mismatch");
+       then invalid_arg "Controller.prepare: egress mismatch");
     let old_dist_assoc = Label.distances old_path in
     let old_dist node = List.assoc node old_dist_assoc in
     let on_old node = List.mem_assoc node old_dist_assoc in

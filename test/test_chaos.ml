@@ -70,7 +70,8 @@ let test_no_recovery_degrades_gracefully () =
 
 (* [Controller.completion_time] is a (flow, version) table filled as
    reports arrive.  The reference is the scan it replaced: the first
-   success in the report log, oldest first.  A chaos-style run (lossy
+   success in the report log, oldest first, which this test keeps
+   through [Controller.on_report].  A chaos-style run (lossy
    control channel, a failed link, recovery with retransmissions and
    reroutes, two updates per flow) produces duplicate, late and alarm
    reports for the index to get wrong. *)
@@ -90,6 +91,8 @@ let test_completion_index_matches_log () =
   let g = topo.Topo.Topologies.graph in
   let w = W.make ~seed:5 topo in
   let sim = w.W.sim in
+  let log = ref [] in
+  C.on_report w.W.controller (fun r -> log := r :: !log);
   Array.iter (fun sw -> P4update.Switch.enable_watchdog sw ~timeout_ms:400.0) w.W.switches;
   C.enable_recovery w.W.controller;
   let pairs = [ (0, 7); (1, 10); (2, 11); (3, 9); (4, 8); (5, 6) ] in
@@ -132,7 +135,7 @@ let test_completion_index_matches_log () =
       Netsim.clear_control_fault w.W.net;
       Netsim.clear_data_fault w.W.net);
   ignore (W.run ~until:30_000.0 w);
-  let reports = C.reports w.W.controller in
+  let reports = List.rev !log in
   let completed = ref 0 in
   List.iter
     (fun ((f : C.flow), _, _) ->

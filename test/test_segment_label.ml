@@ -65,15 +65,15 @@ let test_labels_fig1 () =
 
 let test_label_rejects_empty () =
   let ctl = fig1_controller () in
-  Alcotest.check_raises "empty" (Invalid_argument "Label.of_path: empty path") (fun () ->
+  Alcotest.check_raises "empty" (Invalid_argument "Controller.prepare: empty path") (fun () ->
       ignore (prepare ctl ~update_type:Wire.Sl ~old_path:[] []))
 
 (* The §7.5 choice segments the update, so it checks the endpoints. *)
 let test_segment_rejects_mismatched_endpoints () =
   let ctl = fig1_controller () in
-  Alcotest.check_raises "ingress" (Invalid_argument "Segment.compute: ingress mismatch")
+  Alcotest.check_raises "ingress" (Invalid_argument "Controller.prepare: ingress mismatch")
     (fun () -> ignore (prepare ctl ~old_path:[ 1; 2 ] [ 0; 1; 2 ]));
-  Alcotest.check_raises "egress" (Invalid_argument "Segment.compute: egress mismatch")
+  Alcotest.check_raises "egress" (Invalid_argument "Controller.prepare: egress mismatch")
     (fun () -> ignore (prepare ctl ~old_path:[ 0; 1; 2 ] [ 0; 1 ]))
 
 let test_identical_paths_single_forward_chain () =
@@ -313,9 +313,9 @@ let test_requests_reach_every_verdict () =
     (fun v -> if not (Hashtbl.mem seen v) then Alcotest.failf "no request reached %S" v)
     [
       "policy SL"; "policy DL"; "policy DL backward"; "SL"; "DL backward";
-      "Controller.prepare: unknown flow 2"; "Label.of_path: empty path";
-      "Segment.compute: empty path"; "Segment.compute: ingress mismatch";
-      "Segment.compute: egress mismatch"; "non-adjacent hop";
+      "Controller.prepare: unknown flow 2"; "Controller.prepare: empty path";
+      "Controller.prepare: empty old or new path"; "Controller.prepare: ingress mismatch";
+      "Controller.prepare: egress mismatch"; "non-adjacent hop";
     ]
 
 let suite =

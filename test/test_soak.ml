@@ -1,7 +1,8 @@
 (* Tests for the §11 abort/rollback path and the soak monitor: retry
    exhaustion on a dead path, abort racing a late success UFM, the
-   permanent-partition pin (aborted and reverted, never silently stuck)
-   and a pinned-determinism soak smoke run. *)
+   permanent-partition pin (aborted and reverted, never silently stuck),
+   the ladder's events on updates in an end state, and a
+   pinned-determinism soak smoke run. *)
 
 open P4update
 
@@ -182,6 +183,121 @@ let test_permanent_partition_aborts_and_reverts () =
   Alcotest.(check int) "no invariant violation across the abort" 0
     (List.length (Harness.Invariants.violations monitor))
 
+(* The remaining edges of DESIGN §4a's diagram: events that reach an
+   update in an end state (completed, superseded, aborted, retired) must
+   find it dead.  [watch_downlink] records every controller-to-switch
+   frame as (kind, version) and drops those [drop] selects. *)
+let watch_downlink ?(drop = fun _ -> false) (w : Harness.World.t) =
+  let sent = ref [] in
+  Netsim.set_control_fault w.net (fun ~dir bytes ->
+      match (dir, Option.bind (Wire.packet_of_bytes bytes) Wire.control_of_packet) with
+      | Netsim.To_switch _, Some c ->
+        sent := (c.Wire.kind, c.Wire.version_new) :: !sent;
+        if drop c then Netsim.Drop else Netsim.Deliver
+      | _ -> Netsim.Deliver);
+  sent
+
+let count sent kind version =
+  List.length (List.filter (fun (k, v) -> k = kind && v = version) !sent)
+
+let install_fig1 () =
+  let w = Harness.World.make (Topo.Topologies.fig1 ()) in
+  let flow =
+    Harness.World.install_flow w ~src:0 ~dst:7 ~size:100
+      ~path:Topo.Topologies.fig1_old_path
+  in
+  (w, flow)
+
+let new_path_nodes = List.length Topo.Topologies.fig1_new_path
+
+let push_new_path w (flow : Controller.flow) =
+  Controller.update_flow w.Harness.World.controller ~flow_id:flow.flow_id
+    ~new_path:Topo.Topologies.fig1_new_path ~update_type:Wire.Sl ()
+
+let check_no_recovery w =
+  let rc = recovery_or_fail w in
+  Alcotest.(check int) "no retransmission" 0 rc.Controller.retransmissions;
+  Alcotest.(check int) "no give-up" 0 rc.Controller.give_ups;
+  Alcotest.(check int) "no abort" 0 rc.Controller.aborts
+
+let test_deadline_after_success () =
+  let w, flow = install_fig1 () in
+  Controller.enable_recovery ~timeout_ms:5_000.0 ~deadline_ms:600.0 w.controller;
+  let sent = watch_downlink w in
+  let version = push_new_path w flow in
+  let _ = Harness.World.run ~until:60_000.0 w in
+  (match Controller.completion_time w.controller ~flow_id:flow.flow_id ~version with
+   | Some t -> Alcotest.(check bool) "completed before the deadline" true (t < 600.0)
+   | None -> Alcotest.fail "update never completed");
+  Alcotest.(check int) "no WDM" 0 (count sent Wire.Wdm version);
+  check_no_recovery w;
+  Alcotest.(check (option int)) "not aborted" None
+    (Controller.aborted_version w.controller ~flow_id:flow.flow_id)
+
+let test_superseded_backoff () =
+  (* The first push's UIMs are all lost, so only its own backoff timers
+     could ever resend them; a second push supersedes it first. *)
+  let w, flow = install_fig1 () in
+  Controller.enable_recovery ~timeout_ms:300.0 ~max_retries:3 w.controller;
+  let superseded = flow.Controller.version + 1 in
+  let sent =
+    watch_downlink w ~drop:(fun c -> c.Wire.kind = Wire.Uim && c.Wire.version_new = superseded)
+  in
+  Alcotest.(check int) "first push" superseded (push_new_path w flow);
+  let latest = ref 0 in
+  Dessim.Sim.schedule_at w.sim ~time:100.0 (fun () -> latest := push_new_path w flow);
+  let _ = Harness.World.run ~until:60_000.0 w in
+  Alcotest.(check bool) "the superseding update completed" true
+    (Controller.completion_time w.controller ~flow_id:flow.flow_id ~version:!latest <> None);
+  Alcotest.(check int) "superseded UIMs sent once" new_path_nodes
+    (count sent Wire.Uim superseded);
+  check_no_recovery w
+
+let test_link_restore_after_abort () =
+  (* (2, 7) is on the old path only: its failure leaves the in-flight
+     update alone, the abort reverts the flow onto it, and its restore
+     reaches the aborted version. *)
+  let w, flow = install_fig1 () in
+  Controller.enable_recovery ~timeout_ms:5_000.0 w.controller;
+  let aborted = flow.Controller.version + 1 in
+  let sent =
+    watch_downlink w ~drop:(fun c -> c.Wire.kind = Wire.Uim && c.Wire.version_new = aborted)
+  in
+  Alcotest.(check int) "pushed" aborted (push_new_path w flow);
+  Netsim.fail_link w.net ~u:2 ~v:7 ~at:50.0;
+  let took = ref false in
+  Dessim.Sim.schedule_at w.sim ~time:100.0 (fun () ->
+      took := Controller.abort_update w.controller ~flow_id:flow.flow_id);
+  Netsim.restore_link w.net ~u:2 ~v:7 ~at:200.0;
+  let _ = Harness.World.run ~until:60_000.0 w in
+  Alcotest.(check bool) "aborted" true !took;
+  Alcotest.(check (option int)) "still aborted" (Some aborted)
+    (Controller.aborted_version w.controller ~flow_id:flow.flow_id);
+  Alcotest.(check int) "aborted UIMs sent once" new_path_nodes (count sent Wire.Uim aborted);
+  Alcotest.(check int) "no retransmission" 0
+    (recovery_or_fail w).Controller.retransmissions
+
+let test_retire_silences_timers () =
+  let run ~retire =
+    let w, flow = install_fig1 () in
+    Controller.enable_recovery ~timeout_ms:300.0 ~max_retries:3 ~deadline_ms:2_000.0
+      w.controller;
+    let sent = watch_downlink w ~drop:(fun c -> c.Wire.kind = Wire.Uim) in
+    let version = push_new_path w flow in
+    if retire then
+      Dessim.Sim.schedule_at w.sim ~time:50.0 (fun () ->
+          Controller.retire_flow w.controller ~flow_id:flow.flow_id);
+    let _ = Harness.World.run ~until:60_000.0 w in
+    (w, count sent Wire.Uim version)
+  in
+  let kept, _ = run ~retire:false in
+  let rc = recovery_or_fail kept in
+  Alcotest.(check bool) "kept: the timers retransmit and give up" true
+    (rc.Controller.retransmissions > 0 && rc.Controller.give_ups > 0);
+  let retired, uims = run ~retire:true in
+  check_no_recovery retired;
+  Alcotest.(check int) "retired: UIMs sent once" new_path_nodes uims
+
 (* A CI-sized soak: every mechanism on, two runs from one seed must be
    byte-identical, and the SLO must hold. *)
 let smoke_config =
@@ -243,6 +359,14 @@ let suite =
       test_abort_idempotent;
     Alcotest.test_case "permanent partition ends aborted and reverted" `Quick
       test_permanent_partition_aborts_and_reverts;
+    Alcotest.test_case "deadline after success sends no WDM" `Quick
+      test_deadline_after_success;
+    Alcotest.test_case "superseded backoff timer does nothing" `Quick
+      test_superseded_backoff;
+    Alcotest.test_case "link restore on an aborted version resends nothing" `Quick
+      test_link_restore_after_abort;
+    Alcotest.test_case "retire_flow silences pending timers" `Quick
+      test_retire_silences_timers;
     Alcotest.test_case "soak smoke meets the SLO" `Quick test_soak_smoke_green;
     Alcotest.test_case "soak smoke is seed-deterministic" `Quick
       test_soak_smoke_deterministic;
