@@ -122,7 +122,7 @@ let create network ~node ~on_message =
       cleaned = Hashtbl.create 32;
     }
   in
-  let dispatch ~from_port bytes =
+  let dispatch ~port bytes =
     match P4update.Wire.control_of_bytes bytes with
     | Some c ->
       let c =
@@ -130,16 +130,13 @@ let create network ~node ~on_message =
       in
       (* Control messages take the slow path through the local agent. *)
       Sim.schedule (Netsim.sim network) ~delay:control_processing_ms (fun () ->
-          on_message t ~from_port c)
+          on_message t ~from_port:port c)
     | None ->
       (match P4update.Wire.data_of_bytes bytes with
        | Some d -> handle_data t d
        | None -> ())
   in
-  Netsim.attach network ~node (fun event ->
-      match event with
-      | Netsim.Data { port; bytes } -> dispatch ~from_port:port bytes
-      | Netsim.From_controller bytes -> dispatch ~from_port:(-1) bytes);
+  Netsim.attach network ~node dispatch;
   t
 
 let inject_data t d = handle_data t d

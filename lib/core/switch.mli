@@ -43,12 +43,10 @@ val node : t -> int
 val stats : t -> stats
 val uib : t -> Uib.t
 
-(** Ingress port of host-injected data frames. *)
-val host_port : int
-
 (** [receive t ~port bytes] processes one frame arriving on ingress
-    [port]: a data port, {!host_port}, [-1] for a resubmission, or the
-    switch's CPU pseudo-port for controller frames.  {!create} attaches
+    [port]: a data port, {!Netsim.port_host} for host-injected frames,
+    [-1] for a resubmission, or {!Netsim.port_controller} for controller
+    frames.  {!create} attaches
     it to the network as the node's device.  A frame too short for its
     etype counts on the global ["p4rt.parser.errors"] counter; a foreign
     etype is dropped silently.  The received buffer is never written.
@@ -71,7 +69,7 @@ val on_commit : t -> (flow_id:int -> version:int -> time:float -> unit) -> unit
 val on_deliver : t -> (time:float -> Wire.data -> unit) -> unit
 
 (** [inject_data t data] lets the attached host push a data packet into
-    the switch's ingress, as {!receive} on {!host_port} (used by traffic
+    the switch's ingress, as {!receive} on {!Netsim.port_host} (used by traffic
     generators). *)
 val inject_data : t -> Wire.data -> unit
 

@@ -25,8 +25,6 @@
    found at position [len]; pop, [remove_seq] and [clear] put the freed
    slot back at the position the heap just gave up.
 
-   (Tags live in a side table — see [tag_table] below.)
-
    Sifting uses the hole technique: the moving entry is held in locals
    while blocking entries shift, so each level costs one 3-field move
    instead of a 3-read/3-write swap.  A push sifts up; a removal walks
@@ -37,21 +35,11 @@
    delivery order to the original boxed heap, which is kept verbatim in
    the test suite as the oracle of a differential qcheck property. *)
 
-(* A delivery tag carried by schedulable events.  Tags are metadata only:
-   they never influence the default heap order.  The model checker
-   ([lib/mc]) uses them to identify commuting deliveries — kind of wire
-   event, receiving node, flow id, and a digest of the payload bytes. *)
-type tag = { tag_kind : string; tag_node : int; tag_flow : int; tag_hash : int }
-
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
   mutable slots : int array;
   mutable payloads : Obj.t array;
-  (* Tags ride in a side table keyed by seq: they are only ever attached
-     while the model checker's chooser is installed, so the default path
-     never touches the table. *)
-  tag_table : (int, tag) Hashtbl.t;
   mutable len : int;
   mutable next_seq : int;
 }
@@ -68,14 +56,9 @@ let create () =
     seqs = [||];
     slots = [||];
     payloads = [||];
-    tag_table = Hashtbl.create 8;
     len = 0;
     next_seq = 0;
   }
-
-let[@inline] tag_of heap seq =
-  if Hashtbl.length heap.tag_table = 0 then None
-  else Hashtbl.find_opt heap.tag_table seq
 
 (* Re-size every array to [capacity] (>= len).  The live entries keep
    their heap positions and are renumbered to slots [0, len), so the
@@ -128,10 +111,9 @@ let[@inline] sift_up_entry heap i ~time ~seq ~slot =
   done;
   place heap !i ~time ~seq ~slot
 
-let push ?tag heap ~time payload =
+let push heap ~time payload =
   let seq = heap.next_seq in
   heap.next_seq <- seq + 1;
-  (match tag with None -> () | Some t -> Hashtbl.replace heap.tag_table seq t);
   if heap.len = Array.length heap.times then grow heap;
   let i = heap.len in
   heap.len <- i + 1;
@@ -154,7 +136,6 @@ let remove_at heap i =
   let slot = Array.unsafe_get heap.slots i in
   let payload : 'a = Obj.obj (Array.unsafe_get heap.payloads slot) in
   Array.unsafe_set heap.payloads slot dummy;
-  let seq = Array.unsafe_get heap.seqs i in
   let last = heap.len - 1 in
   heap.len <- last;
   if i < last then begin
@@ -180,7 +161,6 @@ let remove_at heap i =
       ~seq:(Array.unsafe_get seqs last) ~slot:(Array.unsafe_get heap.slots last)
   end;
   Array.unsafe_set heap.slots last slot;
-  if Hashtbl.length heap.tag_table <> 0 then Hashtbl.remove heap.tag_table seq;
   payload
 
 let min_time heap =
@@ -204,7 +184,6 @@ let clear heap =
   for i = 0 to heap.len - 1 do
     heap.payloads.(heap.slots.(i)) <- dummy
   done;
-  Hashtbl.reset heap.tag_table;
   heap.len <- 0
 
 let capacity heap = Array.length heap.times
@@ -228,8 +207,9 @@ let compact heap =
 let fold heap ~init ~f =
   let acc = ref init in
   for i = 0 to heap.len - 1 do
-    let seq = heap.seqs.(i) in
-    acc := f !acc ~time:heap.times.(i) ~seq ~tag:(tag_of heap seq)
+    acc :=
+      f !acc ~time:heap.times.(i) ~seq:heap.seqs.(i)
+        ~payload:(Obj.obj heap.payloads.(heap.slots.(i)))
   done;
   !acc
 
@@ -247,6 +227,5 @@ let remove_seq heap seq =
   if i < 0 then None
   else begin
     let time = heap.times.(i) in
-    let tag = tag_of heap seq in
-    Some (time, tag, remove_at heap i)
+    Some (time, remove_at heap i)
   end

@@ -13,21 +13,19 @@
     child at each level, chosen from the two children's times without a
     branch, and the heap's last entry fills the leaf and sifts up.
     Delivery order is byte-identical to the original boxed heap, kept in
-    the test suite as a differential-testing oracle. *)
+    the test suite as a differential-testing oracle.
 
-(** Optional metadata attached to an event at push time.  Tags never
-    affect ordering; they exist so a scheduling policy (the [lib/mc]
-    model checker) can recognise what a pending event *is*: the kind of
-    delivery, the node whose state it touches ([-1] = controller), the
-    flow it belongs to ([-1] = unknown), and a digest of the payload. *)
-type tag = { tag_kind : string; tag_node : int; tag_flow : int; tag_hash : int }
+    The heap is payload-agnostic: {!Sim} stores each event as it is —
+    a timer's closure or a netsim frame record — and a pending payload
+    stays readable through {!fold}, so what an event {e is} needs no
+    second description beside it. *)
 
 type 'a t
 
 val create : unit -> 'a t
 
 (** [push heap ~time event] inserts [event] to fire at [time]. *)
-val push : ?tag:tag -> 'a t -> time:float -> 'a -> unit
+val push : 'a t -> time:float -> 'a -> unit
 
 (** [pop heap] removes and returns the earliest event, or [None] when the
     heap is empty. *)
@@ -61,12 +59,12 @@ val capacity : 'a t -> int
     between cycles), not on hot paths. *)
 val compact : 'a t -> unit
 
-(** [fold heap ~init ~f] folds over every pending entry in unspecified
-    (heap-internal) order. *)
+(** [fold heap ~init ~f] folds over every pending entry (time, sequence
+    number and payload) in unspecified (heap-internal) order. *)
 val fold :
-  'a t -> init:'acc -> f:('acc -> time:float -> seq:int -> tag:tag option -> 'acc) -> 'acc
+  'a t -> init:'acc -> f:('acc -> time:float -> seq:int -> payload:'a -> 'acc) -> 'acc
 
 (** [remove_seq heap seq] removes the entry with the given sequence
-    number, returning its time, tag and payload.  O(n); meant for the
-    model checker's choice-point layer, not for hot paths. *)
-val remove_seq : 'a t -> int -> (float * tag option * 'a) option
+    number, returning its time and payload.  O(n); meant for the model
+    checker's choice-point layer, not for hot paths. *)
+val remove_seq : 'a t -> int -> (float * 'a) option

@@ -1,19 +1,32 @@
-type tag = Event_heap.tag = {
-  tag_kind : string;
-  tag_node : int;
-  tag_flow : int;
-  tag_hash : int;
-}
+type frame_kind = Data | Inject | Resubmit | Ctl_up | Ctl_down
 
-type candidate = { c_time : float; c_seq : int; c_tag : tag option }
+type frame_event = { kind : frame_kind; node : int; port : int; via : int; frame : Bytes.t }
+
+type candidate = { c_time : float; c_seq : int; c_frame : frame_event option }
 
 type chooser = now:float -> candidate array -> int
 
 type stats = { st_events : int; st_wall_s : float; st_events_per_s : float }
 
+(* A queued event is a timer's [unit -> unit] closure or a [frame_event]
+   record, stored as it is: a record block has tag 0 and a closure never
+   does ([Closure_tag], or [Infix_tag] inside a set of mutually recursive
+   functions), so [is_frame] tells them apart from the header alone and
+   no timer pays for a constructor block around it. *)
+type event = Obj.t
+
+let[@inline] is_frame (e : event) = Obj.tag e = 0
+
+let frame_of (e : event) : frame_event option =
+  if is_frame e then Some (Obj.obj e) else None
+
+let no_frame_handler (_ : frame_event) =
+  invalid_arg "Sim: a frame event fired with no frame handler installed"
+
 type t = {
   mutable clock : float;
-  queue : (unit -> unit) Event_heap.t;
+  queue : event Event_heap.t;
+  mutable on_frame : frame_event -> unit;
   random : Random.State.t;
   mutable chooser : chooser option;
   mutable chooser_window : float;
@@ -33,6 +46,7 @@ let create ?(seed = 0x5eed) () =
   {
     clock = 0.0;
     queue = Event_heap.create ();
+    on_frame = no_frame_handler;
     random = Random.State.make [| seed |];
     chooser = None;
     chooser_window = 0.0;
@@ -57,20 +71,23 @@ let clear_chooser t =
   t.chooser <- None;
   t.chooser_window <- 0.0
 
-let chooser_installed t = t.chooser <> None
+let set_frame_handler t handler =
+  if t.on_frame != no_frame_handler then
+    invalid_arg "Sim.set_frame_handler: this simulation already has a frame handler";
+  t.on_frame <- handler
 
-let tag ~kind ~node ~flow ~hash =
-  { tag_kind = kind; tag_node = node; tag_flow = flow; tag_hash = hash }
-
-let schedule_at ?tag t ~time f =
+let schedule_at t ~time f =
   if not (Float.is_finite time) then invalid_arg "Sim.schedule_at: non-finite time";
   if time < t.clock then invalid_arg "Sim.schedule_at: time in the past";
-  Event_heap.push ?tag t.queue ~time f
+  Event_heap.push t.queue ~time (Obj.repr f)
 
-let schedule ?tag t ~delay f =
+let push_after t ~delay (e : event) =
   if not (Float.is_finite delay) || delay < 0.0 then
     invalid_arg "Sim.schedule: negative or non-finite delay";
-  schedule_at ?tag t ~time:(t.clock +. delay) f
+  Event_heap.push t.queue ~time:(t.clock +. delay) e
+
+let schedule t ~delay (f : unit -> unit) = push_after t ~delay (Obj.repr f)
+let schedule_frame t ~delay (fr : frame_event) = push_after t ~delay (Obj.repr fr)
 
 (* Catch-up loop: a dispatch that jumps several tick periods ahead fires
    every intermediate tick, each stamped with its own boundary time, so
@@ -109,7 +126,10 @@ let clear_tick t =
   t.tick_every <- 0.0;
   t.on_tick <- None
 
-let dispatch t ~time f =
+let[@inline] fire t (e : event) =
+  if is_frame e then t.on_frame (Obj.obj e) else (Obj.obj e : unit -> unit) ()
+
+let dispatch t ~time e =
   t.clock <- time;
   t.events <- t.events + 1;
   if t.on_tick <> None then fire_ticks t;
@@ -118,8 +138,8 @@ let dispatch t ~time f =
   if Obs.Trace.enabled () then
     Obs.Trace.with_span ~cat:"sim" "dispatch"
       ~attrs:[ Obs.Trace.float "time" time ]
-      f
-  else f ()
+      (fun () -> fire t e)
+  else fire t e
 
 (* Choice-point path: collect every pending event within the reorder
    window of the earliest one (sorted by the default (time, seq) order,
@@ -133,8 +153,9 @@ let step_choose t chooser =
   else begin
     let horizon = Event_heap.min_time t.queue +. t.chooser_window in
     let candidates =
-      Event_heap.fold t.queue ~init:[] ~f:(fun acc ~time ~seq ~tag ->
-          if time <= horizon then { c_time = time; c_seq = seq; c_tag = tag } :: acc
+      Event_heap.fold t.queue ~init:[] ~f:(fun acc ~time ~seq ~payload ->
+          if time <= horizon then
+            { c_time = time; c_seq = seq; c_frame = frame_of payload } :: acc
           else acc)
     in
     let candidates =
@@ -151,8 +172,8 @@ let step_choose t chooser =
            (Array.length candidates));
     (match Event_heap.remove_seq t.queue candidates.(idx).c_seq with
      | None -> assert false (* the candidate was just enumerated *)
-     | Some (time, _tag, f) ->
-       dispatch t ~time:(Float.max t.clock time) f;
+     | Some (time, e) ->
+       dispatch t ~time:(Float.max t.clock time) e;
        true)
   end
 
@@ -205,7 +226,8 @@ let reset_stats t =
 let pending t = Event_heap.size t.queue
 
 let fold_pending t ~init ~f =
-  Event_heap.fold t.queue ~init ~f:(fun acc ~time ~seq:_ ~tag -> f acc ~time ~tag)
+  Event_heap.fold t.queue ~init ~f:(fun acc ~time ~seq ~payload ->
+      f acc ~time ~seq ~frame:(frame_of payload))
 
 let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Sim.exponential: mean must be positive";

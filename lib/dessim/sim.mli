@@ -1,36 +1,36 @@
 (** Discrete-event simulation kernel.
 
     A simulation owns a virtual clock (milliseconds, [float]), an event heap
-    and a deterministic random state.  Events are thunks; scheduling is the
-    only way time advances.  The kernel is single-threaded and fully
-    deterministic for a given seed and scheduling order.
+    and a deterministic random state.  Scheduling is the only way time
+    advances.  The kernel is single-threaded and fully deterministic for
+    a given seed and scheduling order.
+
+    An event is a {e timer}, a [unit -> unit] closure ({!schedule}), or
+    a {e frame} in flight, plain data ({!schedule_frame}) handed on
+    firing to the one frame handler that [Netsim.create] installs.
+    Events fire in (time, seq) order.
 
     A pluggable {e choice-point layer} lets an external policy (the
     [lib/mc] model checker) pick which of the currently-enabled events
-    fires next, instead of the heap's (time, seq) FIFO order.  With no
+    fires next instead, reading each pending frame itself.  With no
     chooser installed the kernel behaves exactly as before — byte for
     byte. *)
 
 type t
 
-(** Metadata describing what a pending event is, attached at schedule
-    time.  [tag_node] is the node whose state the delivery touches
-    ([-1] = controller); [tag_flow] is the flow it belongs to ([-1] =
-    unknown); [tag_hash] digests the payload so fingerprints can
-    distinguish in-flight messages.  Tags never affect default ordering. *)
-type tag = private {
-  tag_kind : string;
-  tag_node : int;
-  tag_flow : int;
-  tag_hash : int;
-}
+(** The network layer's deliveries: over a link, host injection,
+    resubmission, switch to controller and controller to switch. *)
+type frame_kind = Data | Inject | Resubmit | Ctl_up | Ctl_down
 
-val tag : kind:string -> node:int -> flow:int -> hash:int -> tag
+(** A frame in flight.  [node] is the receiving node ([-1] for [Ctl_up]:
+    the controller), [port] its ingress, [via] the sender ([-1]: the
+    controller). *)
+type frame_event = { kind : frame_kind; node : int; port : int; via : int; frame : Bytes.t }
 
 (** One currently-enabled event presented to a chooser.  [c_seq] is a
-    stable identity for the pending event; [c_tag] is [None] for events
-    scheduled without a tag (timers, internal callbacks). *)
-type candidate = { c_time : float; c_seq : int; c_tag : tag option }
+    stable identity for the pending event; [c_frame] is the frame for a
+    delivery and [None] for a timer. *)
+type candidate = { c_time : float; c_seq : int; c_frame : frame_event option }
 
 (** A scheduling policy: given the current clock and the non-empty array
     of enabled candidates — sorted by (time, seq), so index [0] is what
@@ -58,18 +58,24 @@ val set_chooser : ?window:float -> t -> chooser -> unit
 
 val clear_chooser : t -> unit
 
-(** [chooser_installed t] is true between [set_chooser] and
-    [clear_chooser].  Layers that tag events may use it to skip tag
-    computation on the default path. *)
-val chooser_installed : t -> bool
-
 (** [schedule t ~delay f] runs [f ()] at [now t +. delay].  Raises
     [Invalid_argument] if [delay] is negative or not finite. *)
-val schedule : ?tag:tag -> t -> delay:float -> (unit -> unit) -> unit
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** [schedule_at t ~time f] runs [f ()] at absolute [time], which must not
     be in the simulated past. *)
-val schedule_at : ?tag:tag -> t -> time:float -> (unit -> unit) -> unit
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
+
+(** [schedule_frame t ~delay fr] hands [fr] to the frame handler at
+    [now t +. delay].  Raises [Invalid_argument] if [delay] is negative
+    or not finite. *)
+val schedule_frame : t -> delay:float -> frame_event -> unit
+
+(** [set_frame_handler t h] installs the function every frame event is
+    dispatched to.  A simulation carries one network, so a second
+    installation raises [Invalid_argument]; a frame firing with none
+    installed raises it too. *)
+val set_frame_handler : t -> (frame_event -> unit) -> unit
 
 (** [run t] processes events until the queue is empty or the optional
     [until] horizon is passed (events scheduled later stay pending).
@@ -115,11 +121,15 @@ val set_tick : t -> every_ms:float -> (now:float -> unit) -> unit
 
 val clear_tick : t -> unit
 
-(** [fold_pending t ~init ~f] folds over the pending events' times and
-    tags, in unspecified order.  Used to fingerprint the in-flight
+(** [fold_pending t ~init ~f] folds over the pending events' times,
+    sequence numbers (as in {!candidate}) and frames ([None] for a
+    timer), in unspecified order.  Used to fingerprint the in-flight
     message multiset. *)
 val fold_pending :
-  t -> init:'acc -> f:('acc -> time:float -> tag:tag option -> 'acc) -> 'acc
+  t ->
+  init:'acc ->
+  f:('acc -> time:float -> seq:int -> frame:frame_event option -> 'acc) ->
+  'acc
 
 (** Exponential sample with the given [mean], from the simulation RNG. *)
 val exponential : t -> mean:float -> float

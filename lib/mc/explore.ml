@@ -1,11 +1,14 @@
 (* Stateless DFS over delivery schedules.
 
    A schedule is the vector of choices made at the branch points of one
-   execution: whenever more than one *tagged* delivery is enabled (same
+   execution: whenever more than one frame delivery is enabled (same
    instant, or within the reorder window of the earliest pending event),
-   the explorer picks which fires.  Untagged events — timers, commit
-   thunks, controller service completions — are never reordered: the
-   earliest one runs first, exactly as in the default simulation.
+   the explorer picks which fires.  Timers — commit delays, timeouts,
+   controller service completions — are never reordered: the earliest
+   one runs first, exactly as in the default simulation.  Nor are the
+   deliveries already in flight when exploration starts (the pushes a
+   scenario makes while it is built): only what the run itself sends
+   is a choice point.
 
    The search is stateless: every schedule re-executes the scenario from
    scratch (the worlds are cheap), so backtracking is just re-running
@@ -88,7 +91,10 @@ let por_factor st =
 
 (* Stable identity of a pending delivery, valid across replays of the
    same prefix (executions are deterministic, so times and payloads
-   coincide). *)
+   coincide), read off the pending frame itself: its kind, the node
+   whose state it touches (-1 = the controller), the flow its wire
+   header names (-1 when it parses as neither a control nor a data
+   frame) and a digest of its bytes. *)
 type cand_id = {
   ci_time : float;
   ci_kind : string;
@@ -97,18 +103,29 @@ type cand_id = {
   ci_hash : int;
 }
 
-let cand_id_of (c : Sim.candidate) =
-  match c.Sim.c_tag with
-  | None -> None
-  | Some t ->
-    Some
-      {
-        ci_time = c.Sim.c_time;
-        ci_kind = t.Sim.tag_kind;
-        ci_node = t.Sim.tag_node;
-        ci_flow = t.Sim.tag_flow;
-        ci_hash = t.Sim.tag_hash;
-      }
+let kind_name : Sim.frame_kind -> string = function
+  | Data -> "data"
+  | Inject -> "inject"
+  | Resubmit -> "resubmit"
+  | Ctl_up -> "ctl.up"
+  | Ctl_down -> "ctl.down"
+
+let flow_of bytes =
+  match P4update.Wire.control_of_bytes bytes with
+  | Some c -> c.P4update.Wire.flow_id
+  | None -> (
+    match P4update.Wire.data_of_bytes bytes with
+    | Some d -> d.P4update.Wire.d_flow_id
+    | None -> -1)
+
+let cand_id ~time (fr : Sim.frame_event) =
+  {
+    ci_time = time;
+    ci_kind = kind_name fr.kind;
+    ci_node = fr.node;
+    ci_flow = flow_of fr.frame;
+    ci_hash = Hashtbl.hash fr.frame;
+  }
 
 (* Sound commutation: same-instant deliveries at two distinct switches
    touch disjoint state and leave identical timestamps either way.
@@ -123,7 +140,12 @@ let in_sleep sleep id = List.exists (fun u -> u = id) sleep
 (* State fingerprint                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let state_fingerprint (ctx : Scenario.ctx) =
+(* Deliveries with a sequence number up to [setup] were in flight when
+   exploration started; they keep their default order and fingerprint
+   like timers. *)
+let[@inline] choosable ~setup seq frame = if seq > setup then frame else None
+
+let state_fingerprint ~setup (ctx : Scenario.ctx) =
   let w = ctx.Scenario.cx_world in
   let sw =
     Array.fold_left
@@ -132,17 +154,19 @@ let state_fingerprint (ctx : Scenario.ctx) =
   in
   let ctl = P4update.Controller.fingerprint w.World.controller in
   let now = Sim.now w.World.sim in
-  (* In-flight messages hashed by (time relative to the clock, tag); the
-     absolute clock is excluded so schedules that reach the same protocol
-     state at different instants coincide. *)
+  (* In-flight messages hashed by (time relative to the clock, kind,
+     node, flow, bytes digest); timers hash as 0.  The absolute clock is
+     excluded so schedules that reach the same protocol state at
+     different instants coincide. *)
   let inflight =
-    Sim.fold_pending w.World.sim ~init:[] ~f:(fun acc ~time ~tag ->
+    Sim.fold_pending w.World.sim ~init:[] ~f:(fun acc ~time ~seq ~frame ->
         let rel = int_of_float (Float.round ((time -. now) *. 1_000_000.0)) in
         let th =
-          match tag with
+          match choosable ~setup seq frame with
           | None -> 0
-          | Some t ->
-            Hashtbl.hash (t.Sim.tag_kind, t.Sim.tag_node, t.Sim.tag_flow, t.Sim.tag_hash)
+          | Some fr ->
+            let c = cand_id ~time fr in
+            Hashtbl.hash (c.ci_kind, c.ci_node, c.ci_flow, c.ci_hash)
         in
         Hashtbl.hash (rel, th) :: acc)
     |> List.sort compare
@@ -156,7 +180,7 @@ let state_fingerprint (ctx : Scenario.ctx) =
 
 type branch_info = {
   bi_depth : int;
-  bi_pickable : cand_id array; (* tagged candidates, FIFO order *)
+  bi_pickable : cand_id array; (* frame candidates, FIFO order *)
   bi_sleep : cand_id list;     (* sleep set when this branch was met *)
   bi_chosen : int;             (* index into [bi_pickable] *)
 }
@@ -203,21 +227,25 @@ let execute ?visited ?stats ?on_choice ?(cfg = Scenario.default_cfg) sc ~window 
   let bump_branches () =
     match stats with Some st -> st.st_branch_points <- st.st_branch_points + 1 | None -> ()
   in
+  let setup = Sim.fold_pending sim ~init:(-1) ~f:(fun acc ~time:_ ~seq ~frame:_ -> max acc seq) in
+  let frame_of (c : Sim.candidate) = choosable ~setup c.Sim.c_seq c.Sim.c_frame in
   let chooser ~now:_ (cands : Sim.candidate array) =
-    if cands.(0).Sim.c_tag = None then begin
-      (* A timer fires: deterministic, and it may interleave with
-         anything — wake every sleeping delivery. *)
+    if Option.is_none (frame_of cands.(0)) then begin
+      (* A timer or a set-up delivery fires: deterministic, and it may
+         interleave with anything — wake every sleeping delivery. *)
       sleep := [];
       0
     end
     else begin
-      let pick_idx =
+      let picks =
         Array.of_list
-          (List.filter
-             (fun i -> cands.(i).Sim.c_tag <> None)
+          (List.filter_map
+             (fun i ->
+               let c = cands.(i) in
+               Option.map (fun fr -> (i, cand_id ~time:c.Sim.c_time fr)) (frame_of c))
              (List.init (Array.length cands) Fun.id))
       in
-      let ids = Array.map (fun i -> Option.get (cand_id_of cands.(i))) pick_idx in
+      let pick_idx = Array.map fst picks and ids = Array.map snd picks in
       let n = Array.length pick_idx in
       if n = 1 then begin
         let id = ids.(0) in
@@ -238,7 +266,7 @@ let execute ?visited ?stats ?on_choice ?(cfg = Scenario.default_cfg) sc ~window 
             else begin
               (match visited with
                | Some tbl ->
-                 let fp = state_fingerprint ctx in
+                 let fp = state_fingerprint ~setup ctx in
                  if visited_prune tbl ~fp ~sleep:!sleep ~depth:d then raise (Cut Cut_visited)
                  else bump_states ()
                | None -> ());

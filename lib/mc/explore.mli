@@ -5,7 +5,7 @@
     The explorer re-executes a {!Scenario.t} once per schedule, steering
     delivery order through the {!Dessim.Sim.chooser} hook: a schedule is
     the vector of picks made at branch points (instants where more than
-    one tagged delivery is enabled within the reorder window).  After
+    one frame delivery is enabled within the reorder window).  After
     every event the shared {!Harness.Invariants} probes run; scenarios
     with declared expectations are additionally checked for convergence
     when a run drains. *)

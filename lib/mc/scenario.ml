@@ -51,21 +51,8 @@ let mc_config =
     controller_background_ms = 0.0;
   }
 
-(* Tag deliveries with the flow they belong to, so the explorer can tell
-   which pending messages commute. *)
-let install_flow_extractor net =
-  Netsim.set_flow_extractor net (fun bytes ->
-      match P4update.Wire.control_of_bytes bytes with
-      | Some c -> Some c.P4update.Wire.flow_id
-      | None -> (
-        match P4update.Wire.data_of_bytes bytes with
-        | Some d -> Some d.P4update.Wire.d_flow_id
-        | None -> None))
-
 let make_world ?flows (cfg : Harness.Run_config.t) topo =
-  let w = World.make ~seed:cfg.Harness.Run_config.seed ~config:mc_config ?flows topo in
-  install_flow_extractor w.World.net;
-  w
+  World.make ~seed:cfg.Harness.Run_config.seed ~config:mc_config ?flows topo
 
 (* Fig. 2a: the paper's running example — one SL update moving the flow
    from [0;1;2;3;4] to [0;1;2;4] on the 5-node Fig. 2 topology. *)

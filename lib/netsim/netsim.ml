@@ -36,10 +36,6 @@ type topo_event =
   | Node_down of int
   | Node_up of int
 
-type event =
-  | Data of { port : int; bytes : Bytes.t }
-  | From_controller of Bytes.t
-
 let kind_space = 8
 
 (* Human-readable wire-kind names used in metric names; index = kind. *)
@@ -90,12 +86,11 @@ type t = {
   hop_delay : float array array;
   rx_port : int array array;
   link_down : bool array array;
-  mutable handlers : (event -> unit) array;
+  mutable handlers : (port:int -> Bytes.t -> unit) array;
   mutable controller_handler : (from:int -> Bytes.t -> unit) option;
   mutable data_fault : (from:int -> to_:int -> Bytes.t -> fault) option;
   mutable control_fault : (dir:ctl_direction -> Bytes.t -> fault) option;
   mutable control_classifier : (Bytes.t -> int option) option;
-  mutable flow_extractor : (Bytes.t -> int option) option;
   mutable observers : (float -> int -> int -> Bytes.t -> unit) list;
   mutable topo_observers : (topo_event -> unit) list;
   node_down : bool array;
@@ -139,7 +134,7 @@ let make_stats_handles metrics =
       Array.init kind_space (fun k -> c ("net.ctl.kind." ^ kind_names.(k)));
   }
 
-let create ?(config = default_config) sim topo =
+let make config sim topo =
   let g = topo.Topologies.graph in
   let n = Graph.node_count g in
   let ports = Array.init n (fun node -> Array.of_list (Graph.neighbors g node)) in
@@ -163,12 +158,11 @@ let create ?(config = default_config) sim topo =
         ports;
     rx_port = Array.mapi (fun node arr -> Array.map (port_toward node) arr) ports;
     link_down = Array.map (fun arr -> Array.make (Array.length arr) false) ports;
-    handlers = Array.make n (fun _ -> ());
+    handlers = Array.make n (fun ~port:_ _ -> ());
     controller_handler = None;
     data_fault = None;
     control_fault = None;
     control_classifier = None;
-    flow_extractor = None;
     observers = [];
     topo_observers = [];
     node_down = Array.make n false;
@@ -236,22 +230,6 @@ let clear_data_fault t = t.data_fault <- None
 let set_control_fault t hook = t.control_fault <- Some hook
 let clear_control_fault t = t.control_fault <- None
 let set_control_classifier t f = t.control_classifier <- Some f
-let set_flow_extractor t f = t.flow_extractor <- Some f
-
-(* Delivery tags feed the model checker's choice-point layer; computing
-   them costs a payload hash, so they are only built when a scheduling
-   policy is actually installed.  [node] is the node whose state the
-   delivery mutates (-1 = the controller). *)
-let delivery_tag t ~kind ~node bytes =
-  if not (Sim.chooser_installed t.sim) then None
-  else begin
-    let flow =
-      match t.flow_extractor with
-      | None -> -1
-      | Some f -> ( match f bytes with Some fl -> fl | None -> -1)
-    in
-    Some (Sim.tag ~kind ~node ~flow ~hash:(Hashtbl.hash (Bytes.to_string bytes)))
-  end
 let on_delivery t f = t.observers <- t.observers @ [ f ]
 let on_topology_event t f = t.topo_observers <- t.topo_observers @ [ f ]
 
@@ -391,22 +369,8 @@ let rec notify_observers time node port bytes = function
     f time node port bytes;
     notify_observers time node port bytes rest
 
-let deliver_data t ~via ~node ~port bytes delay =
-  Sim.schedule ?tag:(delivery_tag t ~kind:"data" ~node bytes) t.sim ~delay (fun () ->
-      (* A packet in flight is lost if the link or the receiver went down
-         before it arrived. *)
-      if t.node_down.(node) || t.link_down.(node).(port) then
-        Obs.Metrics.incr t.stats.h_dropped_by_failure
-      else begin
-        Obs.Metrics.incr t.stats.h_data_packets;
-        Obs.Flight_recorder.note ~now:(Sim.now t.sim)
-          ~kind:Obs.Flight_recorder.k_deliver ~node ~flow:(-1) ~a:via ~b:port;
-        if Obs.Trace.enabled () then
-          Obs.Trace.instant ~cat:"net" ~node "data.rx"
-            ~attrs:[ Obs.Trace.int "from" via; Obs.Trace.int "port" port ];
-        notify_observers (Sim.now t.sim) node port bytes t.observers;
-        t.handlers.(node) (Data { port; bytes })
-      end)
+let deliver_data t ~via ~node ~port frame delay =
+  Sim.schedule_frame t.sim ~delay { kind = Data; node; port; via; frame }
 
 let transmit t ~from ~port bytes =
   if port < 0 || port >= Array.length t.ports.(from) then
@@ -429,29 +393,21 @@ let transmit t ~from ~port bytes =
     end
   end
 
-(* Ingress port reported to a device for a host-injected packet.  Distinct
-   from the resubmit pseudo-port (-1); devices translate it to their own
-   host-facing pseudo ingress (e.g. [Switch.host_port]). *)
-let port_host = -2
+(* Pseudo ingress ports a device sees besides its data ports and the
+   resubmission port -1. *)
+let port_controller = 1000
+let port_host = 1001
 
-let host_inject ?(delay = 0.0) t ~node bytes =
+let host_inject ?(delay = 0.0) t ~node frame =
   Obs.Metrics.incr t.stats.h_data_injected;
   Obs.Flight_recorder.note ~now:(Sim.now t.sim) ~kind:Obs.Flight_recorder.k_inject
-    ~node ~flow:(-1) ~a:(Bytes.length bytes) ~b:0;
-  Sim.schedule
-    ?tag:(delivery_tag t ~kind:"inject" ~node bytes)
-    t.sim ~delay
-    (fun () ->
-      if node_is_up t ~node then t.handlers.(node) (Data { port = port_host; bytes })
-      else Obs.Metrics.incr t.stats.h_dropped_by_failure)
+    ~node ~flow:(-1) ~a:(Bytes.length frame) ~b:0;
+  Sim.schedule_frame t.sim ~delay { kind = Inject; node; port = port_host; via = -1; frame }
 
-let resubmit t ~node bytes =
+let resubmit t ~node frame =
   Obs.Metrics.incr t.stats.h_resubmissions;
-  Sim.schedule
-    ?tag:(delivery_tag t ~kind:"resubmit" ~node bytes)
-    t.sim ~delay:t.cfg.resubmit_delay_ms
-    (fun () ->
-      if node_is_up t ~node then t.handlers.(node) (Data { port = -1; bytes }))
+  Sim.schedule_frame t.sim ~delay:t.cfg.resubmit_delay_ms
+    { kind = Resubmit; node; port = -1; via = node; frame }
 
 (* ------------------------------------------------------------------ *)
 (* Control plane                                                        *)
@@ -487,16 +443,9 @@ let notify_controller t ~from bytes =
     let uplink = sample_ctl_latency t ~node:from in
     apply_fault t
       ~hook:(control_hook t ~dir:(To_controller from))
-      ~deliver:(fun bytes delay ->
-        Sim.schedule
-          ?tag:(delivery_tag t ~kind:"ctl.up" ~node:(-1) bytes)
-          t.sim ~delay
-          (fun () ->
-            let service_done = controller_slot t in
-            Sim.schedule t.sim ~delay:service_done (fun () ->
-                match t.controller_handler with
-                | Some handler -> handler ~from bytes
-                | None -> ())))
+      ~deliver:(fun frame delay ->
+        Sim.schedule_frame t.sim ~delay
+          { kind = Ctl_up; node = -1; port = -1; via = from; frame })
       ~delay:uplink ~dup_budget:1 bytes
   end
 
@@ -510,13 +459,9 @@ let controller_transmit t ~to_ bytes =
   let downlink = sample_ctl_latency t ~node:to_ in
   apply_fault t
     ~hook:(control_hook t ~dir:(To_switch to_))
-    ~deliver:(fun bytes delay ->
-      Sim.schedule
-        ?tag:(delivery_tag t ~kind:"ctl.down" ~node:to_ bytes)
-        t.sim ~delay
-        (fun () ->
-          if t.node_down.(to_) then Obs.Metrics.incr t.stats.h_dropped_by_failure
-          else t.handlers.(to_) (From_controller bytes)))
+    ~deliver:(fun frame delay ->
+      Sim.schedule_frame t.sim ~delay
+        { kind = Ctl_down; node = to_; port = port_controller; via = -1; frame })
     ~delay:(service_done +. downlink +. t.cfg.switch_processing_ms)
     ~dup_budget:1 bytes
 
@@ -525,3 +470,46 @@ let rule_update_delay t ~node =
   match t.cfg.rule_update_mean_ms with
   | None -> 0.0
   | Some mean -> Sim.exponential t.sim ~mean
+
+(* ------------------------------------------------------------------ *)
+(* Arrival                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The simulation's frame handler: each delivery scheduled above fires
+   here, as the data it was scheduled with.  A frame in flight is lost
+   if its receiver (or, for a data frame, its link) went down before it
+   arrived; a resubmission at a dead node vanishes uncounted.  A
+   controller-bound message then waits for the controller's FIFO
+   server, a timer like any other. *)
+let deliver t (fr : Sim.frame_event) =
+  let node = fr.node in
+  match fr.kind with
+  | Data ->
+    let port = fr.port in
+    if t.node_down.(node) || t.link_down.(node).(port) then
+      Obs.Metrics.incr t.stats.h_dropped_by_failure
+    else begin
+      Obs.Metrics.incr t.stats.h_data_packets;
+      Obs.Flight_recorder.note ~now:(Sim.now t.sim) ~kind:Obs.Flight_recorder.k_deliver
+        ~node ~flow:(-1) ~a:fr.via ~b:port;
+      if Obs.Trace.enabled () then
+        Obs.Trace.instant ~cat:"net" ~node "data.rx"
+          ~attrs:[ Obs.Trace.int "from" fr.via; Obs.Trace.int "port" port ];
+      notify_observers (Sim.now t.sim) node port fr.frame t.observers;
+      t.handlers.(node) ~port fr.frame
+    end
+  | Inject | Ctl_down ->
+    if t.node_down.(node) then Obs.Metrics.incr t.stats.h_dropped_by_failure
+    else t.handlers.(node) ~port:fr.port fr.frame
+  | Resubmit -> if not t.node_down.(node) then t.handlers.(node) ~port:fr.port fr.frame
+  | Ctl_up ->
+    let service_done = controller_slot t in
+    Sim.schedule t.sim ~delay:service_done (fun () ->
+        match t.controller_handler with
+        | Some handler -> handler ~from:fr.via fr.frame
+        | None -> ())
+
+let create ?(config = default_config) sim topo =
+  let t = make config sim topo in
+  Sim.set_frame_handler sim (deliver t);
+  t

@@ -58,10 +58,10 @@ type topo_event =
   | Node_down of int
   | Node_up of int
 
-type event =
-  | Data of { port : int; bytes : Bytes.t }  (** data-plane arrival *)
-  | From_controller of Bytes.t               (** control-plane downlink *)
-
+(** [create sim topo] builds the network.  Every frame in flight is a
+    {!Dessim.Sim.frame_event} in [sim]'s queue, and the network installs
+    itself as [sim]'s frame handler, so a simulation carries at most one
+    network. *)
 val create : ?config:config -> Dessim.Sim.t -> Topo.Topologies.t -> t
 
 val sim : t -> Dessim.Sim.t
@@ -77,9 +77,17 @@ val port_of_neighbor : t -> node:int -> neighbor:int -> int
 
 (** {2 Devices} *)
 
-(** [attach t ~node handler] installs the device of [node].  Re-attaching
-    replaces the handler. *)
-val attach : t -> node:int -> (event -> unit) -> unit
+(** [attach t ~node handler] installs the device of [node]: every frame
+    reaching [node] is [handler ~port bytes], with [port] a data port,
+    one of the pseudo-ports below or [-1] for a resubmission.
+    Re-attaching replaces the handler. *)
+val attach : t -> node:int -> (port:int -> Bytes.t -> unit) -> unit
+
+(** Ingress port of a controller-to-switch message ({!controller_transmit}). *)
+val port_controller : int
+
+(** Ingress port of host-injected traffic ({!host_inject}). *)
+val port_host : int
 
 (** [set_controller t handler] installs the controller message handler
     ([handler ~from bytes]). *)
@@ -93,10 +101,6 @@ val transmit : t -> from:int -> port:int -> Bytes.t -> unit
 
 (** Loopback re-injection after [resubmit_delay_ms] (BMv2 resubmit). *)
 val resubmit : t -> node:int -> Bytes.t -> unit
-
-(** Ingress port a device sees for a host-injected packet ([-2]); devices
-    translate it to their host-facing pseudo ingress. *)
-val port_host : int
 
 (** [host_inject t ~node bytes] delivers [bytes] to [node]'s device as
     host traffic entering the network at that node, after [delay]
@@ -190,13 +194,6 @@ val metrics : t -> Obs.Metrics.t
     itself is payload-agnostic, so without a classifier all control
     sends land in slot 0. *)
 val set_control_classifier : t -> (Bytes.t -> int option) -> unit
-
-(** [set_flow_extractor t f] installs the function that recovers the flow
-    id a payload belongs to, used to label pending deliveries for the
-    model checker's choice-point layer ({!Dessim.Sim.set_chooser}).
-    Tags are only computed while a chooser is installed, so the default
-    simulation path pays nothing. *)
-val set_flow_extractor : t -> (Bytes.t -> int option) -> unit
 
 (** Control-channel sends recorded for [kind] (both directions). *)
 val control_kind_count : t -> kind:int -> int

@@ -3,14 +3,7 @@
    that replaced it on the hot path.  The differential property tests in
    [test_scale.ml] drive both implementations through identical operation
    sequences and require identical observable behaviour. *)
-type tag = Dessim.Event_heap.tag = {
-  tag_kind : string;
-  tag_node : int;
-  tag_flow : int;
-  tag_hash : int;
-}
-
-type 'a entry = { time : float; seq : int; tag : tag option; payload : 'a }
+type 'a entry = { time : float; seq : int; payload : 'a }
 
 type 'a t = {
   mutable data : 'a entry array;
@@ -58,8 +51,8 @@ let rec sift_down data len i =
     sift_down data len smallest
   end
 
-let push ?tag heap ~time payload =
-  let entry = { time; seq = heap.next_seq; tag; payload } in
+let push heap ~time payload =
+  let entry = { time; seq = heap.next_seq; payload } in
   heap.next_seq <- heap.next_seq + 1;
   grow heap entry;
   heap.data.(heap.len) <- entry;
@@ -87,7 +80,7 @@ let fold heap ~init ~f =
   let acc = ref init in
   for i = 0 to heap.len - 1 do
     let e = heap.data.(i) in
-    acc := f !acc ~time:e.time ~seq:e.seq ~tag:e.tag
+    acc := f !acc ~time:e.time ~seq:e.seq ~payload:e.payload
   done;
   !acc
 
@@ -108,5 +101,5 @@ let remove_seq heap seq =
       sift_down heap.data heap.len i;
       sift_up heap.data i
     end;
-    Some (victim.time, victim.tag, victim.payload)
+    Some (victim.time, victim.payload)
   end

@@ -22,7 +22,7 @@ module Wire = P4update.Wire
 module Uib = P4update.Uib
 module Switch = P4update.Switch
 
-let host_port = Switch.host_port
+let host_port = Netsim.port_host
 
 type t = {
   net : Netsim.t; (* the clock of local deliveries *)

@@ -16,10 +16,7 @@ let test_default_chooser_identity () =
     let log = ref [] in
     let emit x = log := (x, Sim.now sim) :: !log in
     for i = 0 to 9 do
-      Sim.schedule sim
-        ~tag:(Sim.tag ~kind:"t" ~node:i ~flow:0 ~hash:i)
-        ~delay:(float_of_int (i mod 3))
-        (fun () -> emit i)
+      Sim.schedule sim ~delay:(float_of_int (i mod 3)) (fun () -> emit i)
     done;
     Sim.schedule sim ~delay:1.0 (fun () ->
         Sim.schedule sim ~delay:0.5 (fun () -> emit 100));
@@ -34,9 +31,8 @@ let test_default_chooser_identity () =
 let test_chooser_delays_earlier () =
   let sim = Sim.create () in
   let log = ref [] in
-  let tag n = Sim.tag ~kind:"t" ~node:n ~flow:0 ~hash:n in
-  Sim.schedule sim ~tag:(tag 0) ~delay:1.0 (fun () -> log := (0, Sim.now sim) :: !log);
-  Sim.schedule sim ~tag:(tag 1) ~delay:2.0 (fun () -> log := (1, Sim.now sim) :: !log);
+  Sim.schedule sim ~delay:1.0 (fun () -> log := (0, Sim.now sim) :: !log);
+  Sim.schedule sim ~delay:2.0 (fun () -> log := (1, Sim.now sim) :: !log);
   Sim.set_chooser ~window:1.5 sim (fun ~now:_ cands -> Array.length cands - 1);
   while Sim.step sim do () done;
   match List.rev !log with

@@ -545,7 +545,7 @@ let oracle_case_gen =
   in
   let ingress =
     frequency
-      [ (2, return P4update.Switch.host_port); (2, int_bound (oracle_ports - 1)); (1, return (-1)) ]
+      [ (2, return Netsim.port_host); (2, int_bound (oracle_ports - 1)); (1, return (-1)) ]
   in
   let flip b =
     let* i = int_bound (Bytes.length b - 1) in
@@ -740,7 +740,7 @@ let test_injected_frame_allocation () =
   let w, flow_id = forwarding_world () in
   let next = List.nth Topo.Topologies.fig1_old_path 1 in
   check_budget "host-injected frame"
-    (forwarded_words w w.Harness.World.switches.(0) ~port:P4update.Switch.host_port ~next
+    (forwarded_words w w.Harness.World.switches.(0) ~port:Netsim.port_host ~next
        (data_frame flow_id))
     frame_word_budget
 
@@ -789,9 +789,10 @@ let test_unm_allocation () =
    has staged) sent through [Netsim.controller_transmit] and taken by one
    [Sim.step]: the send, the delivery event, the decoded record and
    Alg. 1's rejection.  No trace key or attribute is built without a
-   sink and no register access allocates: 47 words, and the budget
-   leaves a third as much again (69 through the interpreter, 159 when
-   every UIM built its trace key). *)
+   sink and no register access allocates: 45 words, and the budget
+   leaves about a third as much again (47 while the delivery was a
+   closure, 69 through the interpreter, 159 when every UIM built its
+   trace key). *)
 let stale_uim_word_budget = 63.0
 
 let test_stale_uim_allocation () =
@@ -862,6 +863,14 @@ let test_sim_step_allocation () =
    up with [Hashtbl.find_opt]). *)
 let audited_hop_word_budget = 3.0
 
+(* The same step without the auditor: one unaudited data delivery,
+   [Netsim.transmit] plus the [Sim.step] that hands the ttl-1 frame to
+   the next switch, which drops it.  The frame event (a 5-field record,
+   6 words) and three boxed floats, the hop delay, the event time and
+   the clock: 12 words (17 when each delivery was a closure over its
+   node, port and frame that built a [Netsim.Data] block on firing). *)
+let delivery_word_budget = 12.0
+
 let test_audited_hop_allocation () =
   let words_per_step ~audited =
     let w, flow_id = forwarding_world () in
@@ -898,6 +907,7 @@ let test_audited_hop_allocation () =
     (Gc.minor_words () -. before) /. float_of_int runs
   in
   let plain = words_per_step ~audited:false in
+  check_budget "unaudited delivery" plain delivery_word_budget;
   check_budget "audited hop" (words_per_step ~audited:true -. plain) audited_hop_word_budget
 
 (* [Controller.prepare_batch] on 20 drawn AttMpls updates, each from a

@@ -25,8 +25,8 @@ module W = P4update.Wire
 (* --- differential queue properties ---------------------------------- *)
 
 (* A schedule mixing pushes (with deliberately colliding times drawn
-   from a small grid), pops, removals by seq, a rare clear and
-   occasional tag attachments.  Of the 200 op codes, 134 push (so the
+   from a small grid), pops, removals by seq and a rare clear.  Of the
+   200 op codes, 134 push (so the
    heap drifts upward and outgrows its initial capacity), 20 remove,
    45 pop and 1 clears. *)
 let op_gen =
@@ -39,10 +39,6 @@ type op = Push | Pop | Remove | Clear
 let op_of_code c =
   if c < 134 then Push else if c < 154 then Remove else if c < 199 then Pop else Clear
 
-let tag_of_int i =
-  { Heap.tag_kind = "k" ^ string_of_int (i mod 3); tag_node = i; tag_flow = i * 7;
-    tag_hash = i * 31 }
-
 (* What a schedule reached on the flat heap: whether it grew past the
    initial capacity, and whether some compaction shrank the arrays while
    entries were live (so [resize] renumbered their slots). *)
@@ -50,13 +46,15 @@ type reach = { grew : bool; compacted_live : bool }
 
 (* Same sizes, same candidate sets under fold, same drain order. *)
 let same_pending h r =
-  let entry ~time ~seq ~tag = (seq, time, tag) in
+  let entry ~time ~seq ~payload = (seq, time, payload) in
   let flat_set =
     List.sort compare
-      (Heap.fold h ~init:[] ~f:(fun acc ~time ~seq ~tag -> entry ~time ~seq ~tag :: acc))
+      (Heap.fold h ~init:[] ~f:(fun acc ~time ~seq ~payload ->
+           entry ~time ~seq ~payload :: acc))
   and ref_set =
     List.sort compare
-      (Heap_ref.fold r ~init:[] ~f:(fun acc ~time ~seq ~tag -> entry ~time ~seq ~tag :: acc))
+      (Heap_ref.fold r ~init:[] ~f:(fun acc ~time ~seq ~payload ->
+           entry ~time ~seq ~payload :: acc))
   in
   let rec drain () =
     match (Heap.pop h, Heap_ref.pop r) with
@@ -82,7 +80,7 @@ let run_schedule_reach ops =
   let ok = ref true in
   let check b = if not b then ok := false in
   List.iter
-    (fun (code, (t, tagged)) ->
+    (fun (code, (t, back)) ->
       incr opno;
       if !opno land 63 = 0 then begin
         let before = Heap.capacity h in
@@ -95,9 +93,8 @@ let run_schedule_reach ops =
          let time = float_of_int t /. 2.0 in
          let p = !payload in
          incr payload;
-         let tag = if tagged = 0 then Some (tag_of_int p) else None in
-         Heap.push ?tag h ~time p;
-         Heap_ref.push ?tag r ~time p
+         Heap.push h ~time p;
+         Heap_ref.push r ~time p
        | Pop -> (
          match (Heap.pop h, Heap_ref.pop r) with
          | None, None -> ()
@@ -105,12 +102,12 @@ let run_schedule_reach ops =
          | _ -> check false)
        | Remove ->
          (* payloads equal seqs: both queues number pushes identically *)
-         let victim = !payload - 1 - ((t * 8) + tagged) in
+         let victim = !payload - 1 - ((t * 8) + back) in
          let a = Heap.remove_seq h victim and b = Heap_ref.remove_seq r victim in
          check
            (match (a, b) with
             | None, None -> true
-            | Some (t1, g1, p1), Some (t2, g2, p2) -> t1 = t2 && g1 = g2 && p1 = p2
+            | Some (t1, p1), Some (t2, p2) -> t1 = t2 && p1 = p2
             | _ -> false)
        | Clear ->
          Heap.clear h;
@@ -150,15 +147,14 @@ let remove_seq_matches (ops, victim) =
   let h = Heap.create () and r = Heap_ref.create () in
   let payload = ref 0 in
   List.iter
-    (fun (code, (t, tagged)) ->
+    (fun (code, (t, _)) ->
       (* two pushes to one pop: the heap drifts upward and grows *)
       if code mod 3 <= 1 then begin
         let time = float_of_int t /. 2.0 in
         let p = !payload in
         incr payload;
-        let tag = if tagged = 0 then Some (tag_of_int p) else None in
-        Heap.push ?tag h ~time p;
-        Heap_ref.push ?tag r ~time p
+        Heap.push h ~time p;
+        Heap_ref.push r ~time p
       end
       else begin
         ignore (Heap.pop h);
