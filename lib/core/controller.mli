@@ -148,8 +148,9 @@ val update_flow :
 (** {2 UFM collection} *)
 
 (** [completion_time t ~flow_id ~version] is the time of the first
-    success UFM for that update, if received: a table lookup, filled as
-    reports arrive. *)
+    success UFM for that update, if received while the flow was
+    registered.  Each flow's completions live in its Flow DB entry, so
+    {!retire_flow} drops them. *)
 val completion_time : t -> flow_id:int -> version:int -> float option
 
 (** [on_report t f] registers a hook called on every incoming UFM. *)
@@ -211,7 +212,7 @@ val abort_update : ?reason:string -> t -> flow_id:int -> bool
 val aborted_version : t -> flow_id:int -> int option
 
 (** [retire_flow t ~flow_id] forgets the flow — its Flow DB entry, with
-    the push history and abort bookkeeping — so long-horizon workloads
+    the push history, abort bookkeeping and completions — so long-horizon workloads
     (soak churn) return to their baseline footprint, and its pending
     recovery timers do nothing.  Installed data-plane rules stay; a
     stale rule cannot violate the consistency invariants. *)

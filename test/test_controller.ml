@@ -142,9 +142,33 @@ let test_reports_and_alarms () =
   Alcotest.(check int) "reported by the ingress" 0 success.Controller.r_node;
   Alcotest.(check int) "no alarms on a clean run" 0 (Controller.alarm_count ctl)
 
+(* Completions live in the flow's Flow DB entry: retiring the flow
+   drops them, and a flow registered again under the same id starts
+   with none (a retired flow's version 2 is not the new flow's). *)
+let test_retire_drops_completions () =
+  let w, ctl = make () in
+  let install () =
+    Harness.World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topo.Topologies.fig1_old_path
+  in
+  let flow_id = (install ()).Controller.flow_id in
+  let version =
+    Controller.update_flow ctl ~flow_id ~new_path:Topo.Topologies.fig1_new_path ()
+  in
+  ignore (Harness.World.run w);
+  Alcotest.(check bool) "completed while registered" true
+    (Controller.completion_time ctl ~flow_id ~version <> None);
+  Controller.retire_flow ctl ~flow_id;
+  Alcotest.(check (option (float 0.0))) "dropped on retirement" None
+    (Controller.completion_time ctl ~flow_id ~version);
+  ignore (install ());
+  Alcotest.(check (option (float 0.0))) "none for the re-registered flow" None
+    (Controller.completion_time ctl ~flow_id ~version)
+
 let suite =
   [
     Alcotest.test_case "flow DB" `Quick test_flow_db;
+    Alcotest.test_case "retiring a flow drops its completions" `Quick
+      test_retire_drops_completions;
     Alcotest.test_case "prepare contents" `Quick test_prepare_contents;
     Alcotest.test_case "prepare unknown flow" `Quick test_prepare_unknown_flow;
     Alcotest.test_case "policy boundaries (SS7.5)" `Quick test_policy_boundaries;
