@@ -241,6 +241,60 @@ let test_node_failure_reroutes () =
      | o -> Alcotest.failf "broken: %a" Harness.Fwdcheck.pp_outcome o)
   | None -> Alcotest.fail "flow lost"
 
+(* Every §11 ladder step emits its trace instant, hung under the root
+   span of the update it acts on while that update is in flight.  Three
+   fig1 runs, each with the SL update to the new path in flight:
+   - node 0 loses both links and (0, 1) comes back at 150 ms, so the
+     restored link's retransmission fires (it emitted no instant once);
+   - node 5 dies for good, so the flow reroutes onto the old path;
+   - the egress restarts, so the controller resyncs it. *)
+let recovery_instants ~faults =
+  let w = Harness.World.make (fig1 ()) in
+  Controller.enable_recovery ~timeout_ms:500.0 w.controller;
+  let flow =
+    Harness.World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topo.Topologies.fig1_old_path
+  in
+  let sink = Obs.Trace.create () in
+  Obs.Trace.install sink;
+  Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
+      ignore
+        (Controller.update_flow w.controller ~flow_id:flow.flow_id
+           ~new_path:Topo.Topologies.fig1_new_path ~update_type:Wire.Sl ());
+      faults w.net;
+      ignore (Harness.World.run ~until:5_000.0 w));
+  let parents name =
+    List.filter_map
+      (function
+        | Obs.Trace.Instant { name = n; parent; _ } when n = name -> Some parent
+        | _ -> None)
+      (Obs.Trace.events sink)
+  in
+  (Option.get (Controller.recovery_stats w.controller), parents)
+
+let test_recovery_instants_anchored () =
+  let anchored what parents =
+    Alcotest.(check bool) (what ^ " emitted") true (parents <> []);
+    Alcotest.(check bool) (what ^ " under the update's root span") true
+      (List.for_all (fun p -> p <> 0) parents)
+  in
+  let stats, parents =
+    recovery_instants ~faults:(fun net ->
+        Netsim.fail_link net ~u:0 ~v:4 ~at:10.0;
+        Netsim.fail_link net ~u:0 ~v:1 ~at:10.0;
+        Netsim.restore_link net ~u:0 ~v:1 ~at:150.0)
+  in
+  Alcotest.(check int) "one instant per retransmission" stats.Controller.retransmissions
+    (List.length (parents "recovery.retransmit"));
+  anchored "restored-link retransmission" (parents "recovery.retransmit");
+  let _, parents = recovery_instants ~faults:(fun net -> Netsim.fail_node net ~node:5 ~at:10.0) in
+  anchored "reroute" (parents "recovery.reroute");
+  let _, parents =
+    recovery_instants ~faults:(fun net ->
+        Netsim.fail_node net ~node:7 ~at:10.0;
+        Netsim.restore_node net ~node:7 ~at:100.0)
+  in
+  anchored "resync" (parents "recovery.resync")
+
 let suite =
   [
     Alcotest.test_case "FRM routes a new flow" `Quick test_frm_routes_new_flow;
@@ -255,4 +309,6 @@ let suite =
       test_recovery_survives_lost_success_ufm;
     Alcotest.test_case "restart wipes and resyncs the UIB" `Quick test_restart_resyncs_uib;
     Alcotest.test_case "node failure triggers a reroute" `Quick test_node_failure_reroutes;
+    Alcotest.test_case "recovery instants hang under the update" `Quick
+      test_recovery_instants_anchored;
   ]
