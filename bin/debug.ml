@@ -21,9 +21,9 @@ let render_attrs attrs =
 
 let node_label n = if n < 0 then "ctl" else Printf.sprintf "v%d" n
 
-let install_renderer () =
+let install_renderer sink =
   let open_spans : (int, Obs.Trace.span_info) Hashtbl.t = Hashtbl.create 64 in
-  Obs.Trace.on_event (function
+  Obs.Trace.on_event sink (function
     | Obs.Trace.Span_begin b -> Hashtbl.replace open_spans b.id b
     | Obs.Trace.Span_end { id; ts; attrs } -> (
       match Hashtbl.find_opt open_spans id with
@@ -36,7 +36,7 @@ let install_renderer () =
       Printf.printf "t=%8.2f  %-4s %-12s %s\n" ts (node_label node) name
         (render_attrs attrs))
 
-let dump_uibs world ~flow_id =
+let dump_uibs sink world ~flow_id =
   for n = 0 to Array.length world.Harness.World.switches - 1 do
     let uib = Switch.uib world.Harness.World.switches.(n) in
     let egress = Uib.egress_port uib flow_id in
@@ -45,7 +45,7 @@ let dump_uibs world ~flow_id =
       | Some nb -> string_of_int nb
       | None -> if egress = Wire.port_local then "local" else "none"
     in
-    Obs.Trace.instant ~cat:"debug" "uib.state" ~node:n
+    Obs.Trace.instant sink ~cat:"debug" "uib.state" ~node:n
       ~attrs:
         [
           Obs.Trace.flow flow_id;
@@ -58,10 +58,9 @@ let dump_uibs world ~flow_id =
 
 let () =
   let sink = Obs.Trace.create ~exclude:[ "sim"; "net"; "p4rt" ] () in
-  Obs.Trace.install sink;
-  install_renderer ();
+  install_renderer sink;
   let topo = Topo.Topologies.fig1 () in
-  let world = Harness.World.make ~seed:21 topo in
+  let world = Harness.World.make ~seed:21 ~trace:sink topo in
   Array.iter Switch.enable_consecutive_dl world.switches;
   Controller.set_allow_consecutive_dl world.controller true;
   let flow = Harness.World.install_flow world ~src:0 ~dst:7 ~size:100
@@ -77,20 +76,19 @@ let () =
     match Harness.Fwdcheck.trace world.net world.switches ~flow_id:flow.flow_id ~src:0 with
     | Harness.Fwdcheck.Reaches_egress _ -> ()
     | o ->
-      Obs.Trace.instant ~cat:"debug" "fwd.violation"
+      Obs.Trace.instant sink ~cat:"debug" "fwd.violation"
         ~attrs:
           [
             Obs.Trace.flow flow.flow_id;
             Obs.Trace.str "outcome" (Format.asprintf "%a" Harness.Fwdcheck.pp_outcome o);
           ];
-      dump_uibs world ~flow_id:flow.flow_id;
+      dump_uibs sink world ~flow_id:flow.flow_id;
       stop := true
   done;
   Printf.printf "-- %d trace events recorded\n" (List.length (Obs.Trace.events sink));
   (if Array.length Sys.argv > 1 then begin
      let oc = open_out Sys.argv.(1) in
-     output_string oc (Obs.Trace.to_chrome ~pretty:true sink);
+     output_string oc (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events sink));
      close_out oc;
      Printf.printf "-- chrome trace written to %s\n" Sys.argv.(1)
-   end);
-  Obs.Trace.uninstall ()
+   end)

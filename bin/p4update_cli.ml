@@ -176,7 +176,8 @@ let trace_cmd =
       end
     in
     let result = Harness.Traced.run cfg setup sys in
-    write_file out (Obs.Trace.to_chrome ~pretty:true result.Harness.Traced.tr_sink);
+    write_file out
+      (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events result.Harness.Traced.tr_sink));
     Printf.printf "completion: %.2f ms\n" result.Harness.Traced.tr_completion_ms;
     Printf.printf "wrote %s (%d events; load it at https://ui.perfetto.dev)\n" out
       (List.length (Obs.Trace.events result.Harness.Traced.tr_sink));
@@ -269,7 +270,7 @@ let chaos_cmd =
                     (let e = Filename.extension path in
                      if e = "" then ".json" else e)
               in
-              write_file path (Obs.Trace.to_chrome ~pretty:true sink);
+              write_file path (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events sink));
               Printf.printf "trace: %d events -> %s\n"
                 (List.length (Obs.Trace.events sink)) path
             | _ -> ());
@@ -366,10 +367,9 @@ let mc_cmd =
            | None -> ()
            | Some path ->
              let sink = Obs.Trace.create ~exclude:[ "sim" ] () in
-             Mc.Scenario.with_toggle sc ~unsafe (fun () ->
-                 Mc.Explore.replay ~cfg sc ~window:r.Mc.Explore.r_window_ms
-                   cex.Mc.Explore.cex_schedule sink);
-             write_file path (Obs.Trace.to_chrome ~pretty:true sink);
+             Mc.Explore.replay ~cfg ~unsafe sc ~window:r.Mc.Explore.r_window_ms
+               cex.Mc.Explore.cex_schedule sink;
+             write_file path (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events sink));
              Printf.printf "counterexample replay: %d events -> %s (load at \
                             https://ui.perfetto.dev)\n"
                (List.length (Obs.Trace.events sink)) path)
@@ -378,9 +378,8 @@ let mc_cmd =
            | None -> ()
            | Some path ->
              let sink = Obs.Trace.create ~exclude:[ "sim" ] () in
-             Mc.Scenario.with_toggle sc ~unsafe (fun () ->
-                 Mc.Explore.replay ~cfg sc ~window:r.Mc.Explore.r_window_ms [] sink);
-             write_file path (Obs.Trace.to_chrome ~pretty:true sink);
+             Mc.Explore.replay ~cfg ~unsafe sc ~window:r.Mc.Explore.r_window_ms [] sink;
+             write_file path (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events sink));
              Printf.printf "default-schedule replay: %d events -> %s\n"
                (List.length (Obs.Trace.events sink)) path))
       scenarios;

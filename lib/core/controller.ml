@@ -78,6 +78,7 @@ type entry = {
 
 type t = {
   net : Netsim.t;
+  trace : Obs.Trace.sink option; (* the sink of the network's simulation *)
   flow_db : (int, entry) Hashtbl.t;
   mutable report_hooks : (report -> unit) list;
   mutable push_hooks : (flow_id:int -> version:int -> unit) list;
@@ -381,28 +382,23 @@ let send_uims t prepared =
      indication should leave the (serialized) controller first. *)
   List.iter
     (fun (node, uim) ->
-      (if Obs.Trace.enabled () then begin
+      (match t.trace with
+       | None -> ()
+       | Some sink ->
          (* One flight span per in-flight indication: a retransmission only
             opens a fresh span once the previous flight has landed (the
             switch pops the anchor on arrival). *)
-         let key =
-           Wire.span_key_uim ~flow_id:uim.Wire.flow_id
-             ~version:uim.Wire.version_new ~node
-         in
-         if Obs.Trace.anchor_get key = 0 then
-           Obs.Trace.anchor_set key
-             (Obs.Trace.span_begin ~cat:"ctl" "uim.flight"
-                ~parent:
-                  (Obs.Trace.anchor_get
-                     (Wire.span_key_update ~flow_id:uim.Wire.flow_id
-                        ~version:uim.Wire.version_new))
+         let flow = uim.Wire.flow_id and version = uim.Wire.version_new in
+         if Obs.Trace.anchor_get sink Uim ~flow ~version ~node = 0 then
+           Obs.Trace.anchor_set sink Uim ~flow ~version ~node
+             (Obs.Trace.span_begin sink ~cat:"ctl" "uim.flight"
+                ~parent:(Obs.Trace.anchor_get sink Update ~flow ~version)
                 ~attrs:
                   [
-                    Obs.Trace.flow uim.Wire.flow_id;
-                    Obs.Trace.version uim.Wire.version_new;
+                    Obs.Trace.flow flow;
+                    Obs.Trace.version version;
                     Obs.Trace.int "to" node;
-                  ])
-       end);
+                  ]));
       Netsim.controller_transmit t.net ~to_:node (Wire.control_to_bytes uim))
     (List.rev prepared.p_uims)
 
@@ -444,9 +440,11 @@ let note_step t counter ~kind ~flow_id ~version ?(b = 0) ?trigger (name, attrs) 
   (match trigger with
    | Some reason -> ignore (Obs.Flight_recorder.trigger ~now ~reason)
    | None -> ());
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~cat:"recovery" name
-      ~parent:(Obs.Trace.anchor_get (Wire.span_key_update ~flow_id ~version))
+  match t.trace with
+  | None -> ()
+  | Some sink ->
+    Obs.Trace.instant sink ~cat:"recovery" name
+      ~parent:(Obs.Trace.anchor_get sink Update ~flow:flow_id ~version)
       ~attrs:(Obs.Trace.flow flow_id :: Obs.Trace.version version :: attrs)
 
 (* Withdraw [e]'s in-flight update; false when there is none. *)
@@ -458,19 +456,20 @@ let abort t e ~reason =
     note_step t (fun rc -> rc.rc_aborts) ~kind:Obs.Flight_recorder.k_abort ~flow_id ~version
       ~trigger:"abort"
       ("recovery.abort", [ Obs.Trace.str "reason" reason ]);
-    if Obs.Trace.enabled () then begin
-      (* Indications dropped in flight leave their spans anchored; the
-         abort is where those flights end. *)
-      List.iter
-        (fun (node, _) ->
-          Obs.Trace.span_end
-            (Obs.Trace.anchor_pop (Wire.span_key_uim ~flow_id ~version ~node))
-            ~attrs:[ Obs.Trace.str "outcome" "aborted" ])
-        p.p_uims;
-      Obs.Trace.span_end
-        (Obs.Trace.anchor_pop (Wire.span_key_update ~flow_id ~version))
-        ~attrs:[ Obs.Trace.str "outcome" "aborted" ]
-    end;
+    (match t.trace with
+     | None -> ()
+     | Some sink ->
+       (* Indications dropped in flight leave their spans anchored; the
+          abort is where those flights end. *)
+       List.iter
+         (fun (node, _) ->
+           Obs.Trace.span_end sink
+             (Obs.Trace.anchor_pop sink Uim ~flow:flow_id ~version ~node)
+             ~attrs:[ Obs.Trace.str "outcome" "aborted" ])
+         p.p_uims;
+       Obs.Trace.span_end sink
+         (Obs.Trace.anchor_pop sink Update ~flow:flow_id ~version)
+         ~attrs:[ Obs.Trace.str "outcome" "aborted" ]);
     (* Committed nodes ignore the withdraw; their rules stay until a
        higher version supersedes them. *)
     List.iter
@@ -524,18 +523,19 @@ let rec push t prepared =
     ~kind:Obs.Flight_recorder.k_push ~node:(-1) ~flow:flow_id ~a:version
     ~b:(List.length prepared.p_uims);
   (* Root span of the update's causal tree; ended by the success UFM. *)
-  if Obs.Trace.enabled () then
-    Obs.Trace.anchor_set
-      (Wire.span_key_update ~flow_id ~version)
-      (Obs.Trace.span_begin ~cat:"update" "update"
-         ~attrs:
-           [
-             Obs.Trace.flow flow_id;
-             Obs.Trace.version version;
-             Obs.Trace.str "type"
-               (match prepared.p_type with Wire.Sl -> "sl" | Wire.Dl -> "dl");
-             Obs.Trace.int "nodes" (List.length prepared.p_uims);
-           ]);
+  (match t.trace with
+   | None -> ()
+   | Some sink ->
+     Obs.Trace.anchor_set sink Update ~flow:flow_id ~version
+       (Obs.Trace.span_begin sink ~cat:"update" "update"
+          ~attrs:
+            [
+              Obs.Trace.flow flow_id;
+              Obs.Trace.version version;
+              Obs.Trace.str "type"
+                (match prepared.p_type with Wire.Sl -> "sl" | Wire.Dl -> "dl");
+              Obs.Trace.int "nodes" (List.length prepared.p_uims);
+            ]));
   send_uims t prepared;
   match t.recovery with
   | Some rc ->
@@ -572,9 +572,11 @@ and transition t e event =
       | Some p when e.flow.version = version && p.p_version = version ->
         e.flow.path <- List.map fst p.p_uims;
         (* No parent: the abort closed the update's root span. *)
-        if Obs.Trace.enabled () then
-          Obs.Trace.instant ~cat:"recovery" "recovery.abort_rescinded"
-            ~attrs:[ Obs.Trace.flow e.flow.flow_id; Obs.Trace.version version ]
+        Option.iter
+          (fun sink ->
+            Obs.Trace.instant sink ~cat:"recovery" "recovery.abort_rescinded"
+              ~attrs:[ Obs.Trace.flow e.flow.flow_id; Obs.Trace.version version ])
+          t.trace
       | Some _ | None -> ())
     | Some _ | None -> ())
   | None, _ -> ()
@@ -731,20 +733,19 @@ let handle t ~from bytes =
         Obs.Flight_recorder.note ~now:report.r_time
           ~kind:Obs.Flight_recorder.k_report ~node:from ~flow:c.flow_id
           ~a:c.version_new ~b:report.r_status;
-        (if Obs.Trace.enabled () then begin
+        (match t.trace with
+         | None -> ()
+         | Some sink ->
            (* End the switch's UFM flight span, and on first success close
               the update's root span — the causal tree is complete. *)
-           Obs.Trace.span_end
-             (Obs.Trace.anchor_pop
-                (Wire.span_key_ufm ~flow_id:c.flow_id ~version:c.version_new
-                   ~node:from))
+           let flow = c.flow_id and version = c.version_new in
+           Obs.Trace.span_end sink
+             (Obs.Trace.anchor_pop sink Ufm ~flow ~version ~node:from)
              ~attrs:[ Obs.Trace.int "status" report.r_status ];
            if report.r_status = Wire.ufm_success then
-             Obs.Trace.span_end
-               (Obs.Trace.anchor_pop
-                  (Wire.span_key_update ~flow_id:c.flow_id ~version:c.version_new))
-               ~attrs:[ Obs.Trace.int "ingress" from ]
-         end);
+             Obs.Trace.span_end sink
+               (Obs.Trace.anchor_pop sink Update ~flow ~version)
+               ~attrs:[ Obs.Trace.int "ingress" from ]);
         (if report.r_status = Wire.ufm_success then
            match Hashtbl.find_opt t.flow_db c.flow_id with
            | Some e ->
@@ -774,6 +775,7 @@ let create network =
   let t =
     {
       net = network;
+      trace = Sim.trace (Netsim.sim network);
       flow_db = Hashtbl.create 64;
       report_hooks = [];
       push_hooks = [];

@@ -47,6 +47,7 @@ type action =
 
 type t = {
   net : Netsim.t;
+  trace : Obs.Trace.sink option; (* the sink of the network's simulation *)
   node : int;
   uib : Uib.t;
   name : string; (* the [pipeline] attribute of traced frames *)
@@ -67,17 +68,13 @@ type t = {
   mutable digest : Bytes.t;
   mutable watchdog_ms : float option; (* §11 failure handling, opt-in *)
   mutable consecutive_dl : bool; (* Appendix C extension, opt-in *)
+  mutable label_guard : bool; (* DESIGN §4b fix 1, off only in mc's pins *)
+  mutable gateway_guard : bool; (* DESIGN §4b fix 2, off only in mc's pins *)
 }
 
-let congestion_budget = 10_000
+type guard = Inside_segment_label | Gateway_rule
 
-(* Test-only escape hatch: when set, a segment-egress gateway proposes
-   its segment even without a live forwarding rule — the paper's literal
-   Alg. 2, without the DESIGN §4b egress-port guard against the
-   controller's inconsistent view.  The model checker's regression pins
-   flip this to show the resulting blackhole interleaving. *)
-let unsafe_ruleless_gateway = ref false
-let set_unsafe_ruleless_gateway v = unsafe_ruleless_gateway := v
+let congestion_budget = 10_000
 
 let push_action t a = t.queue <- a :: t.queue
 
@@ -85,6 +82,10 @@ let node t = t.node
 let stats t = t.stats
 let enable_watchdog t ~timeout_ms = t.watchdog_ms <- Some timeout_ms
 let enable_consecutive_dl t = t.consecutive_dl <- true
+
+let disable_guard t = function
+  | Inside_segment_label -> t.label_guard <- false
+  | Gateway_rule -> t.gateway_guard <- false
 let uib t = t.uib
 let on_commit t f = t.commit_hooks <- t.commit_hooks @ [ f ]
 let on_deliver t f = t.deliver_hooks <- t.deliver_hooks @ [ f ]
@@ -130,18 +131,18 @@ let ufm ~flow_id ~version ~status ~src =
 
 (* Trace helpers.  Spans are handed across wire messages through the
    sink's anchor table (the byte format is fixed); every helper is a no-op
-   when no sink is installed.  Anchor keys and attribute lists are built
-   only behind an [Obs.Trace.enabled] (or nonzero span id) check, so the
-   untraced path pays no [sprintf] per message. *)
+   when the network's simulation has no sink.  Attribute lists are built
+   only behind a [t.trace] (or nonzero span id) check, so the untraced
+   path allocates nothing for tracing. *)
 
-let root_span (c : Wire.control) =
-  Obs.Trace.anchor_get
-    (Wire.span_key_update ~flow_id:c.Wire.flow_id ~version:c.Wire.version_new)
+let root_span sink (c : Wire.control) =
+  Obs.Trace.anchor_get sink Update ~flow:c.Wire.flow_id ~version:c.Wire.version_new
 
 let trace_unm_send t (msg : Wire.control) =
-  if Obs.Trace.enabled () && msg.Wire.kind = Wire.Unm then begin
+  match t.trace with
+  | Some sink when msg.Wire.kind = Wire.Unm ->
     let id =
-      Obs.Trace.span_begin ~cat:"ctl" "unm.hop" ~node:t.node ~parent:(root_span msg)
+      Obs.Trace.span_begin sink ~cat:"ctl" "unm.hop" ~node:t.node ~parent:(root_span sink msg)
         ~attrs:
           [
             Obs.Trace.flow msg.flow_id;
@@ -149,27 +150,26 @@ let trace_unm_send t (msg : Wire.control) =
             Obs.Trace.int "layer" msg.layer;
           ]
     in
-    Obs.Trace.anchor_set
-      (Wire.span_key_unm ~flow_id:msg.flow_id ~version:msg.version_new ~node:t.node)
-      id
-  end
+    Obs.Trace.anchor_set sink Unm ~flow:msg.flow_id ~version:msg.version_new ~node:t.node id
+  | Some _ | None -> ()
 
 (* Switch-to-controller send with a flight span ended by the controller. *)
 let notify_ctl t (msg : Wire.control) =
-  if Obs.Trace.enabled () then begin
-    let id =
-      Obs.Trace.span_begin ~cat:"ctl" "ufm.flight" ~node:t.node ~parent:(root_span msg)
-        ~attrs:
-          [
-            Obs.Trace.flow msg.flow_id;
-            Obs.Trace.version msg.version_new;
-            Obs.Trace.int "status" msg.layer;
-          ]
-    in
-    Obs.Trace.anchor_set
-      (Wire.span_key_ufm ~flow_id:msg.flow_id ~version:msg.version_new ~node:t.node)
-      id
-  end;
+  (match t.trace with
+   | None -> ()
+   | Some sink ->
+     let id =
+       Obs.Trace.span_begin sink ~cat:"ctl" "ufm.flight" ~node:t.node
+         ~parent:(root_span sink msg)
+         ~attrs:
+           [
+             Obs.Trace.flow msg.flow_id;
+             Obs.Trace.version msg.version_new;
+             Obs.Trace.int "status" msg.layer;
+           ]
+     in
+     Obs.Trace.anchor_set sink Ufm ~flow:msg.flow_id ~version:msg.version_new ~node:t.node
+       id);
   Netsim.notify_controller t.net ~from:t.node (Wire.control_to_bytes msg)
 
 let rec send_upstream t msg ~port =
@@ -189,8 +189,10 @@ and fire_commit t flow_id (pc : pending_commit) =
     || Uib.ver_cur u flow_id >= pc.pc_version
     || Uib.withdrawn_version u flow_id >= pc.pc_version
   then begin
-    if pc.pc_span <> 0 then
-      Obs.Trace.span_end pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "cancelled" ];
+    (match t.trace with
+     | Some sink when pc.pc_span <> 0 ->
+       Obs.Trace.span_end sink pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "cancelled" ]
+     | Some _ | None -> ());
     Hashtbl.remove t.pending flow_id
   end
   else begin
@@ -210,8 +212,10 @@ and fire_commit t flow_id (pc : pending_commit) =
         ~high_priority:high ~other_high_waiters
     with
     | Congestion.Defer_capacity | Congestion.Defer_priority ->
-      if pc.pc_span <> 0 then
-        Obs.Trace.span_end pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "deferred" ];
+      (match t.trace with
+       | Some sink when pc.pc_span <> 0 ->
+         Obs.Trace.span_end sink pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "deferred" ]
+       | Some _ | None -> ());
       t.stats.congestion_defers <- t.stats.congestion_defers + 1;
       if not (Hashtbl.mem t.waiting_on flow_id) then begin
         Hashtbl.add t.waiting_on flow_id pc.pc_egress;
@@ -267,14 +271,16 @@ and fire_commit t flow_id (pc : pending_commit) =
       Hashtbl.remove t.pending flow_id;
       Hashtbl.remove t.cong_counts flow_id;
       t.stats.commits <- t.stats.commits + 1;
-      if pc.pc_span <> 0 then
-        Obs.Trace.span_end pc.pc_span
-          ~attrs:
-            [
-              Obs.Trace.str "outcome" "committed";
-              Obs.Trace.int "egress" pc.pc_egress;
-              Obs.Trace.int "label" pc.pc_label;
-            ];
+      (match t.trace with
+       | Some sink when pc.pc_span <> 0 ->
+         Obs.Trace.span_end sink pc.pc_span
+           ~attrs:
+             [
+               Obs.Trace.str "outcome" "committed";
+               Obs.Trace.int "egress" pc.pc_egress;
+               Obs.Trace.int "label" pc.pc_label;
+             ]
+       | Some _ | None -> ());
       (* Rule cleanup (§11): tell the abandoned old parent that no further
          packets will arrive, so it can free its rule and reservation. *)
       if
@@ -325,19 +331,19 @@ let schedule_commit t flow_id pc =
     | None -> true
   in
   if supersedes then begin
-    if Obs.Trace.enabled () then
-      pc.pc_span <-
-        Obs.Trace.span_begin ~cat:"switch" "commit" ~node:t.node
-          ~parent:
-            (Obs.Trace.anchor_get
-               (Wire.span_key_update ~flow_id ~version:pc.pc_version))
-          ~attrs:
-            [
-              Obs.Trace.flow flow_id;
-              Obs.Trace.version pc.pc_version;
-              Obs.Trace.int "egress" pc.pc_egress;
-              ("two_phase", Obs.Json.Bool pc.pc_two_phase);
-            ];
+    (match t.trace with
+     | None -> ()
+     | Some sink ->
+       pc.pc_span <-
+         Obs.Trace.span_begin sink ~cat:"switch" "commit" ~node:t.node
+           ~parent:(Obs.Trace.anchor_get sink Update ~flow:flow_id ~version:pc.pc_version)
+           ~attrs:
+             [
+               Obs.Trace.flow flow_id;
+               Obs.Trace.version pc.pc_version;
+               Obs.Trace.int "egress" pc.pc_egress;
+               ("two_phase", Obs.Json.Bool pc.pc_two_phase);
+             ]);
     Hashtbl.replace t.pending flow_id pc;
     (* Re-committing an identical forwarding rule does not touch the
        forwarding table, so it skips the platform's rule-install delay;
@@ -360,11 +366,13 @@ let no_frame = Bytes.empty
    raises at most one. *)
 let alarm t ~flow_id ~version ~status =
   t.stats.alarms <- t.stats.alarms + 1;
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~cat:"switch" "alarm" ~node:t.node
-      ~parent:(Obs.Trace.anchor_get (Wire.span_key_update ~flow_id ~version))
-      ~attrs:
-        [ Obs.Trace.flow flow_id; Obs.Trace.version version; Obs.Trace.int "status" status ];
+  (match t.trace with
+   | None -> ()
+   | Some sink ->
+     Obs.Trace.instant sink ~cat:"switch" "alarm" ~node:t.node
+       ~parent:(Obs.Trace.anchor_get sink Update ~flow:flow_id ~version)
+       ~attrs:
+         [ Obs.Trace.flow flow_id; Obs.Trace.version version; Obs.Trace.int "status" status ]);
   t.digest <- Wire.control_to_bytes (ufm ~flow_id ~version ~status ~src:t.node)
 
 (* A data frame, read in place: [classify] vouched for its length. *)
@@ -430,11 +438,12 @@ let handle_uim t (c : Wire.control) =
   let flow_id = c.flow_id in
   let accepted = Uib.stage_uim u flow_id c in
   (* End the controller's flight span for this indication. *)
-  if Obs.Trace.enabled () then
-    Obs.Trace.span_end
-      (Obs.Trace.anchor_pop
-         (Wire.span_key_uim ~flow_id ~version:c.version_new ~node:t.node))
-      ~attrs:[ ("accepted", Obs.Json.Bool accepted) ];
+  (match t.trace with
+   | None -> ()
+   | Some sink ->
+     Obs.Trace.span_end sink
+       (Obs.Trace.anchor_pop sink Uim ~flow:flow_id ~version:c.version_new ~node:t.node)
+       ~attrs:[ ("accepted", Obs.Json.Bool accepted) ]);
   (* §11 failure handling: a re-pushed indication for the already-staged
      version makes an already-committed egress (or DL segment egress)
      regenerate its notification, restarting a chain lost to packet
@@ -527,7 +536,7 @@ let handle_uim t (c : Wire.control) =
       (* Local verification: only a node that actually holds a forwarding
          rule may invite upstream traffic.  The controller may wrongly
          believe this node is on the old path (inconsistent view, par. 5). *)
-      && (!unsafe_ruleless_gateway || Uib.egress_port u flow_id <> Wire.port_none)
+      && ((not t.gateway_guard) || Uib.egress_port u flow_id <> Wire.port_none)
     then begin
       (* A segment-egress gateway immediately proposes its segment id to
          its segment (second-layer UNM), before updating itself. *)
@@ -590,23 +599,24 @@ let handle_unm_verified t (c : Wire.control) =
     && Uib.uim_type u flow_id = Wire.update_type_to_int Wire.Dl
   in
   let decision =
-    if dual then Verify.dl_verify ~consecutive:t.consecutive_dl node (unm_view_of c)
+    if dual then Verify.dl_verify ~consecutive:t.consecutive_dl ~label_guard:t.label_guard node
+        (unm_view_of c)
     else Verify.sl_verify node (unm_view_of c)
   in
   (* End the sender's hop span with the Alg. 1/2 verdict, and leave an
      instant for the verification step itself. *)
-  if Obs.Trace.enabled () then begin
-    let hop =
-      Obs.Trace.anchor_pop
-        (Wire.span_key_unm ~flow_id ~version:c.version_new ~node:c.src_node)
-    in
-    Obs.Trace.span_end hop ~attrs:[ Obs.Trace.str "decision" (decision_name decision) ];
-    Obs.Trace.instant ~cat:"verify"
-      ((if dual then "dl_verify." else "sl_verify.") ^ decision_name decision)
-      ~node:t.node
-      ~parent:(if hop <> 0 then hop else root_span c)
-      ~attrs:[ Obs.Trace.flow flow_id; Obs.Trace.version c.version_new ]
-  end;
+  (match t.trace with
+   | None -> ()
+   | Some sink ->
+     let hop =
+       Obs.Trace.anchor_pop sink Unm ~flow:flow_id ~version:c.version_new ~node:c.src_node
+     in
+     Obs.Trace.span_end sink hop ~attrs:[ Obs.Trace.str "decision" (decision_name decision) ];
+     Obs.Trace.instant sink ~cat:"verify"
+       ((if dual then "dl_verify." else "sl_verify.") ^ decision_name decision)
+       ~node:t.node
+       ~parent:(if hop <> 0 then hop else root_span sink c)
+       ~attrs:[ Obs.Trace.flow flow_id; Obs.Trace.version c.version_new ]);
   match decision with
   | Verify.Commit source ->
     let utype = Uib.uim_type u flow_id in
@@ -688,10 +698,12 @@ let handle_unm t (c : Wire.control) =
     Uib.withdrawn_version u c.flow_id >= c.version_new
     && Uib.ver_cur u c.flow_id < c.version_new
   then begin
-    if Obs.Trace.enabled () then
-      Obs.Trace.span_end
-        (Obs.Trace.anchor_pop
-           (Wire.span_key_unm ~flow_id:c.flow_id ~version:c.version_new ~node:c.src_node))
+    match t.trace with
+    | None -> ()
+    | Some sink ->
+      Obs.Trace.span_end sink
+        (Obs.Trace.anchor_pop sink Unm ~flow:c.flow_id ~version:c.version_new
+           ~node:c.src_node)
         ~attrs:[ Obs.Trace.str "decision" "withdrawn" ]
   end
   else handle_unm_verified t c
@@ -719,8 +731,10 @@ let handle_withdraw t (c : Wire.control) =
        Hashtbl.remove t.waiting_on flow_id
      | None -> ());
     t.stats.withdrawals <- t.stats.withdrawals + 1;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~cat:"switch" "withdraw" ~node:t.node ~parent:(root_span c)
+    match t.trace with
+    | None -> ()
+    | Some sink ->
+      Obs.Trace.instant sink ~cat:"switch" "withdraw" ~node:t.node ~parent:(root_span sink c)
         ~attrs:
           [
             Obs.Trace.flow flow_id;
@@ -815,28 +829,31 @@ let drain_actions t =
    ends, then the deferred actions run. *)
 let receive t ~port bytes =
   let span =
-    if Obs.Trace.enabled () then
-      Obs.Trace.span_begin ~cat:"p4rt" "pipeline.process"
+    match t.trace with
+    | None -> 0
+    | Some sink ->
+      Obs.Trace.span_begin sink ~cat:"p4rt" "pipeline.process"
         ~attrs:
           [
             Obs.Trace.str "pipeline" t.name;
             Obs.Trace.str "instance" "normal";
             Obs.Trace.int "in_port" port;
           ]
-    else 0
   in
   ingress t ~in_port:port bytes;
   let out_bytes = t.out_bytes and digest = t.digest in
   t.out_bytes <- no_frame;
   t.digest <- no_frame;
-  if span <> 0 then
-    Obs.Trace.span_end span
-      ~attrs:
-        [
-          Obs.Trace.int "emissions" (if out_bytes == no_frame then 0 else 1);
-          Obs.Trace.int "digests" (if digest == no_frame then 0 else 1);
-          ("resubmit", Obs.Json.Bool false);
-        ];
+  (match t.trace with
+   | Some sink when span <> 0 ->
+     Obs.Trace.span_end sink span
+       ~attrs:
+         [
+           Obs.Trace.int "emissions" (if out_bytes == no_frame then 0 else 1);
+           Obs.Trace.int "digests" (if digest == no_frame then 0 else 1);
+           ("resubmit", Obs.Json.Bool false);
+         ]
+   | Some _ | None -> ());
   if out_bytes != no_frame then Netsim.transmit t.net ~from:t.node ~port:t.out_port out_bytes;
   if digest != no_frame then Netsim.notify_controller t.net ~from:t.node digest;
   drain_actions t
@@ -857,6 +874,7 @@ let create net ~node =
   let t =
     {
       net;
+      trace = Sim.trace (Netsim.sim net);
       node;
       uib = u;
       name = Printf.sprintf "p4update-sw%d" node;
@@ -886,6 +904,8 @@ let create net ~node =
       digest = no_frame;
       watchdog_ms = None;
       consecutive_dl = false;
+      label_guard = true;
+      gateway_guard = true;
     }
   in
   Netsim.attach net ~node (receive t);
@@ -896,8 +916,9 @@ let create net ~node =
    capacities are re-read from the (persistent) platform configuration.
    The controller is expected to re-sync the UIB afterwards. *)
 let restart t =
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~cat:"switch" "switch.restart" ~node:t.node;
+  Option.iter
+    (fun sink -> Obs.Trace.instant sink ~cat:"switch" "switch.restart" ~node:t.node)
+    t.trace;
   Hashtbl.iter (fun _ pc -> pc.pc_cancelled <- true) t.pending;
   Hashtbl.reset t.pending;
   Hashtbl.reset t.wait_counts;

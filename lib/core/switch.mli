@@ -118,8 +118,18 @@ val enable_consecutive_dl : t -> unit
     order. *)
 val fingerprint : t -> int
 
-(** Test-only: drop the DESIGN §4b egress-port guard so a segment-egress
-    gateway without a live forwarding rule still proposes its segment
-    (the paper's literal Alg. 2).  Global toggle; always restore to
-    [false] after use. *)
-val set_unsafe_ruleless_gateway : bool -> unit
+(** The two DESIGN §4b guards this switch adds to the paper's literal
+    Alg. 2. *)
+type guard =
+  | Inside_segment_label
+      (** fix 1: an inside-segment node that still carries a live rule
+          joins only a segment with a strictly smaller old-distance label
+          (see {!Verify.dl_verify}) *)
+  | Gateway_rule
+      (** fix 2: a segment-egress gateway proposes its segment only while
+          it holds a forwarding rule *)
+
+(** Test-only: drop one guard on this switch.  The model checker's
+    regression pins drop it on every switch of one world to show the
+    violation it prevents; no other world is affected. *)
+val disable_guard : t -> guard -> unit

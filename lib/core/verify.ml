@@ -52,15 +52,7 @@ let sl_verify node unm =
    - nodes already at the new version: pure label carriers that adopt a
      strictly better label (or break ties with the hop counter) and pass
      the proposal upstream. *)
-(* Test-only escape hatch: when set, inside-segment nodes commit on the
-   distance check alone, as written in the paper's Alg. 2 — i.e. without
-   the strictly-smaller-label guard documented in DESIGN §4b.  The model
-   checker's regression scenarios flip this to prove the guard is what
-   keeps the loop away. *)
-let unsafe_inside_segment_commit = ref false
-let set_unsafe_inside_segment_commit v = unsafe_inside_segment_commit := v
-
-let dl_verify ?(consecutive = false) node unm =
+let dl_verify ?(consecutive = false) ?(label_guard = true) node unm =
   (* Appendix C: committed parents are always safe to follow — the set of
      nodes committed at the new version grows from the egress outward, so
      pointing at one can neither blackhole nor loop. *)
@@ -79,7 +71,7 @@ let dl_verify ?(consecutive = false) node unm =
        tests; the paper's Alg. 2 assumes such nodes are rule-less). *)
     if node.uim_distance <> unm.u_dist_new + 1 then Reject_distance
     else if
-      !unsafe_inside_segment_commit || node.ver_cur = 0
+      (not label_guard) || node.ver_cur = 0
       || node.dist_cur > unm.u_dist_old
       || committed_parent_ok
     then Commit Via_dl_inside

@@ -71,15 +71,14 @@ val sl_verify : node_view -> unm_view -> decision
     no longer informative — may also commit when the notification comes
     from a parent that has already committed this version: the committed
     set grows from the egress outward, which preserves blackhole and loop
-    freedom without an intervening single-layer update. *)
-val dl_verify : ?consecutive:bool -> node_view -> unm_view -> decision
+    freedom without an intervening single-layer update.
+
+    [label_guard] (default [true]) is DESIGN §4b's strictly-smaller
+    old-distance-label check for inside-segment nodes that still carry a
+    live rule.  [false] is the paper's literal Alg. 2 (distance check
+    only); only the model checker's regression pins turn it off, to show
+    the loop the guard prevents. *)
+val dl_verify :
+  ?consecutive:bool -> ?label_guard:bool -> node_view -> unm_view -> decision
 
 val decision_to_string : decision -> string
-
-(** Test-only: weaken Alg. 2's inside-segment branch to the paper's
-    literal form (distance check only), dropping the strictly-smaller
-    old-distance-label guard that DESIGN §4b adds for nodes still
-    carrying a live rule.  The model checker's regression pins flip this
-    on and assert a loop interleaving exists.  Always restore to [false]
-    (e.g. with [Fun.protect]) — this is a global toggle, not per-world. *)
-val set_unsafe_inside_segment_commit : bool -> unit

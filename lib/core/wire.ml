@@ -405,9 +405,3 @@ let pp_control fmt c =
     (kind_name c.kind) c.flow_id c.version_new c.version_old c.dist_new c.dist_old
     (match c.update_type with Sl -> "SL" | Dl -> "DL")
     c.layer c.counter c.flow_size c.egress_port c.notify_port c.role c.src_node
-
-(* Trace anchor keys (span handoff across messages; see the mli). *)
-let span_key_update ~flow_id ~version = Printf.sprintf "update:%d:%d" flow_id version
-let span_key_uim ~flow_id ~version ~node = Printf.sprintf "uim:%d:%d:%d" flow_id version node
-let span_key_unm ~flow_id ~version ~node = Printf.sprintf "unm:%d:%d:%d" flow_id version node
-let span_key_ufm ~flow_id ~version ~node = Printf.sprintf "ufm:%d:%d:%d" flow_id version node

@@ -170,14 +170,3 @@ val classify : Bytes.t -> frame_class
 val control_kind_of_bytes : Bytes.t -> int option
 
 val pp_control : Format.formatter -> control -> unit
-
-(** {2 Trace anchor keys}
-
-    The wire format cannot carry trace span ids, so the instrumentation in
-    {!Controller} and {!Switch} hands spans across messages through the
-    sink's anchor table under these keys (see [Obs.Trace]). *)
-
-val span_key_update : flow_id:int -> version:int -> string
-val span_key_uim : flow_id:int -> version:int -> node:int -> string
-val span_key_unm : flow_id:int -> version:int -> node:int -> string
-val span_key_ufm : flow_id:int -> version:int -> node:int -> string

@@ -40,24 +40,31 @@ type t = {
   mutable tick_every : float;  (* 0.0 = disabled *)
   mutable tick_next : float;
   mutable on_tick : (now:float -> unit) option;
+  trace : Obs.Trace.sink option;
 }
 
-let create ?(seed = 0x5eed) () =
-  {
-    clock = 0.0;
-    queue = Event_heap.create ();
-    on_frame = no_frame_handler;
-    random = Random.State.make [| seed |];
-    chooser = None;
-    chooser_window = 0.0;
-    events = 0;
-    wall_s = 0.0;
-    tick_every = 0.0;
-    tick_next = 0.0;
-    on_tick = None;
-  }
+let create ?(seed = 0x5eed) ?trace () =
+  let t =
+    {
+      clock = 0.0;
+      queue = Event_heap.create ();
+      on_frame = no_frame_handler;
+      random = Random.State.make [| seed |];
+      chooser = None;
+      chooser_window = 0.0;
+      events = 0;
+      wall_s = 0.0;
+      tick_every = 0.0;
+      tick_next = 0.0;
+      on_tick = None;
+      trace;
+    }
+  in
+  Option.iter (fun sink -> Obs.Trace.adopt sink ~clock:(fun () -> t.clock)) trace;
+  t
 
 let now t = t.clock
+let trace t = t.trace
 let rng t = t.random
 let compact t = Event_heap.compact t.queue
 
@@ -135,11 +142,12 @@ let dispatch t ~time e =
   if t.on_tick <> None then fire_ticks t;
   (* The "sim" category is excluded by default; enabling it gives a span
      per dispatched event for scheduler-level profiling. *)
-  if Obs.Trace.enabled () then
-    Obs.Trace.with_span ~cat:"sim" "dispatch"
+  match t.trace with
+  | None -> fire t e
+  | Some sink ->
+    Obs.Trace.with_span sink ~cat:"sim" "dispatch"
       ~attrs:[ Obs.Trace.float "time" time ]
       (fun () -> fire t e)
-  else fire t e
 
 (* Choice-point path: collect every pending event within the reorder
    window of the earliest one (sorted by the default (time, seq) order,

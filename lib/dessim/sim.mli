@@ -38,11 +38,18 @@ type candidate = { c_time : float; c_seq : int; c_frame : frame_event option }
     next.  Out-of-range indices raise [Invalid_argument]. *)
 type chooser = now:float -> candidate array -> int
 
-(** [create ~seed ()] makes an empty simulation with its clock at [0.0]. *)
-val create : ?seed:int -> unit -> t
+(** [create ~seed ()] makes an empty simulation with its clock at [0.0].
+    With [~trace], the simulation adopts the sink ({!Obs.Trace.adopt}):
+    its events are stamped with this clock, and every layer built on
+    the simulation records into it.  A sink that another simulation
+    already owns raises [Invalid_argument]. *)
+val create : ?seed:int -> ?trace:Obs.Trace.sink -> unit -> t
 
 (** Current simulated time in milliseconds. *)
 val now : t -> float
+
+(** The trace sink this simulation adopted, if any. *)
+val trace : t -> Obs.Trace.sink option
 
 (** Random state of this simulation; use it for every stochastic choice so
     runs are reproducible. *)

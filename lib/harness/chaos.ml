@@ -130,11 +130,13 @@ let verdict_name = function
    against its fault-free baseline of the same seed.  Tracing happens at
    the injection decision point, so the instant carries the verdict even
    when the packet never reaches a handler (Drop). *)
-let trace_injection ~plane verdict =
-  if Obs.Trace.enabled () && verdict <> Netsim.Deliver then
-    Obs.Trace.instant ~cat:"chaos" "fault.injected"
+let trace_injection sim ~plane verdict =
+  match Sim.trace sim with
+  | Some sink when verdict <> Netsim.Deliver ->
+    Obs.Trace.instant sink ~cat:"chaos" "fault.injected"
       ~attrs:
         [ Obs.Trace.str "plane" plane; Obs.Trace.str "verdict" (verdict_name verdict) ]
+  | Some _ | None -> ()
 
 let install_fault_hooks (w : World.t) (plan : Run_config.fault_plan) =
   let sim = w.World.sim in
@@ -143,7 +145,7 @@ let install_fault_hooks (w : World.t) (plan : Run_config.fault_plan) =
     Netsim.set_data_fault w.World.net (fun ~from:_ ~to_:_ bytes ->
         if active () && Sim.uniform sim ~bound:1.0 < plan.fp_data_prob then begin
           let v = draw_verdict sim ~downgrade_corrupt:(is_control_frame bytes) in
-          trace_injection ~plane:"data" v;
+          trace_injection sim ~plane:"data" v;
           v
         end
         else Netsim.Deliver);
@@ -151,7 +153,7 @@ let install_fault_hooks (w : World.t) (plan : Run_config.fault_plan) =
     Netsim.set_control_fault w.World.net (fun ~dir:_ bytes ->
         if active () && Sim.uniform sim ~bound:1.0 < plan.fp_control_prob then begin
           let v = draw_verdict sim ~downgrade_corrupt:(is_control_frame bytes) in
-          trace_injection ~plane:"control" v;
+          trace_injection sim ~plane:"control" v;
           v
         end
         else Netsim.Deliver)
@@ -212,9 +214,9 @@ let install_probes (w : World.t) (plan : Run_config.fault_plan) monitor
 
 let hash_combine h x = ((h * 1000003) lxor x) land 0x3FFFFFFF
 
-let run_one ?traffic ~scenario ~seed (plan : Run_config.fault_plan) =
+let run_one ?traffic ?trace ~scenario ~seed (plan : Run_config.fault_plan) =
   let topo = topo_of scenario in
-  let w = World.make ~seed topo in
+  let w = World.make ~seed ?trace topo in
   let trace_hash = ref 0x1505 in
   Netsim.on_delivery w.World.net (fun time node port bytes ->
       trace_hash :=
@@ -318,14 +320,7 @@ let run ?traffic (cfg : Run_config.t) ~scenario =
      a second span tree at the same timestamps.  Probe traffic likewise
      rides the degraded run only — the baseline's job is the workload's
      fault-free convergence reference, not a second packet audit. *)
-  let faulty =
-    match cfg.Run_config.trace_sink with
-    | None -> run_one ?traffic ~scenario ~seed plan
-    | Some sink ->
-      Obs.Trace.install sink;
-      Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
-          run_one ?traffic ~scenario ~seed plan)
-  in
+  let faulty = run_one ?traffic ?trace:cfg.Run_config.trace_sink ~scenario ~seed plan in
   let baseline =
     run_one ~scenario ~seed
       { plan with fp_data_prob = 0.0; fp_control_prob = 0.0; fp_max_element_failures = 0 }

@@ -548,9 +548,6 @@ let run wl (cfg : Run_config.t) topo =
         if Traffic.in_flight tr <> 0 then
           leak "traffic flight table not empty after finalize: %d" (Traffic.in_flight tr))
       audit;
-    let anchors = Obs.Trace.anchor_count () in
-    if anchors <> 0 && stuck = [] then
-      leak "trace anchors outstanding on a settled plane: %d" anchors;
     (* End-of-run incident triggers: each breach dumps the recorder
        window while the run's tail is still in the ring. *)
     let now = Sim.now sim in

@@ -35,7 +35,9 @@ type t = {
   runs : int;                        (** sample count of multi-run experiments *)
   iterations : int;                  (** inner-loop size (fig8 preparations) *)
   congestion : bool;                 (** congestion-aware variant (fig8) *)
-  trace_sink : Obs.Trace.sink option;(** install around the run when present *)
+  trace_sink : Obs.Trace.sink option;(** adopted by the simulation of the
+                                         one traced run ([Traced.run], the
+                                         degraded [Chaos.run]) *)
   fault_plan : fault_plan option;    (** inject faults when present (chaos) *)
   reorder_window_ms : float option;  (** mc chooser window override *)
   recorder : bool;                   (** always-on flight recorder (default on) *)

@@ -63,8 +63,8 @@ let workload_of topo ~seed ~headroom =
 let horizon_ms = 120_000.0
 let fail_incomplete system = failwith (system_name system ^ ": update did not complete")
 
-let run_p4u ?update_type config topo ~seed updates =
-  let w = World.make ~seed ~config topo in
+let run_p4u ?update_type ?trace config topo ~seed updates =
+  let w = World.make ~seed ~config ?trace topo in
   let flow_ids =
     List.map
       (fun u ->
@@ -130,7 +130,7 @@ let run_central net ~congestion updates =
   | None -> fail_incomplete Central
 
 (* The seed's updates on a fresh topology; a single flow moves [paths]. *)
-let run_with ?update_type setup system ~paths ~seed =
+let run_with ?update_type ?trace setup system ~paths ~seed =
   let topo = setup.topo () in
   let updates, congestion =
     match setup.flows with
@@ -140,9 +140,9 @@ let run_with ?update_type setup system ~paths ~seed =
       ([ { src = List.hd old_path; dst; size = 100; old_path; new_path } ], false)
     | Multi { headroom } -> (workload_of topo ~seed ~headroom, true)
   in
-  let baseline_net () = Netsim.create ~config:setup.config (Sim.create ~seed ()) topo in
+  let baseline_net () = Netsim.create ~config:setup.config (Sim.create ~seed ?trace ()) topo in
   match system with
-  | P4u -> run_p4u ?update_type setup.config topo ~seed updates
+  | P4u -> run_p4u ?update_type ?trace setup.config topo ~seed updates
   | Ez -> run_ez (baseline_net ()) ~congestion updates
   | Central -> run_central (baseline_net ()) ~congestion updates
 
@@ -227,8 +227,8 @@ let single_paths topo =
 
 let paths_of setup = lazy (single_paths (setup.topo ()))
 
-let run ?update_type setup system ~seed =
-  run_with ?update_type setup system ~paths:(paths_of setup) ~seed
+let run ?update_type ?trace setup system ~seed =
+  run_with ?update_type ?trace setup system ~paths:(paths_of setup) ~seed
 
 (* A congested transition can be genuinely unschedulable for a
    one-move-at-a-time heuristic (the 15-puzzle effect, §7.4); such seeds

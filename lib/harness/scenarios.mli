@@ -35,8 +35,14 @@ val multi : headroom:float -> (unit -> Topo.Topologies.t) -> setup
 (** [run setup system ~seed] installs the old paths, pushes every update
     at t = 0 and returns the time (ms) of the last completion: the
     controller receiving the flow's UFM.  Raises [Failure] if an update
-    never completes. *)
-val run : ?update_type:P4update.Wire.update_type -> setup -> system -> seed:int -> float
+    never completes.  With [trace], the run's simulation adopts the sink. *)
+val run :
+  ?update_type:P4update.Wire.update_type ->
+  ?trace:Obs.Trace.sink ->
+  setup ->
+  system ->
+  seed:int ->
+  float
 
 (** [sample cfg setup system] runs seeds [Run_config.run_seed cfg 0 ..
     runs - 1] and returns the completion times.  Seeds whose transition

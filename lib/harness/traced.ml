@@ -1,6 +1,6 @@
 (* Traced scenario runners and the per-update phase breakdown.
 
-   A run is executed with a trace sink installed; afterwards the span tree
+   A run's simulation records into a trace sink; afterwards the span tree
    is folded into one row per (flow, version): where the update's
    end-to-end time went.  The decomposition is exact by construction —
    every phase is a difference of milestones on the update's root span, so
@@ -157,7 +157,5 @@ let run (cfg : Run_config.t) setup system =
     | Some s -> s
     | None -> Obs.Trace.create ~exclude:[ "sim"; "net"; "p4rt" ] ()
   in
-  Obs.Trace.install sink;
-  Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
-      let completion = Scenarios.run setup system ~seed:cfg.Run_config.seed in
-      { tr_sink = sink; tr_completion_ms = completion; tr_phases = phase_rows sink })
+  let completion = Scenarios.run ~trace:sink setup system ~seed:cfg.Run_config.seed in
+  { tr_sink = sink; tr_completion_ms = completion; tr_phases = phase_rows sink }

@@ -1,6 +1,7 @@
 (** Traced scenario runners and per-update phase breakdowns.
 
-    Runs a {!Scenarios} scenario with an [Obs.Trace] sink installed and
+    Runs a {!Scenarios} scenario whose simulation records into an
+    [Obs.Trace] sink and
     folds the resulting span tree into one row per (flow, version)
     explaining where the completion time went.  The phases are exact
     differences of milestones on the update's root span, so

@@ -27,11 +27,8 @@ let install_flow ?flow_id w ~src ~dst ~size ~path =
     p.C.p_uims;
   flow
 
-let make ?seed ?config ?(flows = []) topo =
-  let sim = Sim.create ?seed () in
-  (* Trace timestamps follow this world's simulated clock (no-op when no
-     sink is installed). *)
-  Obs.Trace.set_clock (fun () -> Sim.now sim);
+let make ?seed ?config ?trace ?(flows = []) topo =
+  let sim = Sim.create ?seed ?trace () in
   let net = Netsim.create ?config sim topo in
   let n = Topo.Graph.node_count topo.Topo.Topologies.graph in
   let switches = Array.init n (fun node -> P4update.Switch.create net ~node) in

@@ -20,14 +20,16 @@ type flow_spec = { fs_src : int; fs_dst : int; fs_size : int; fs_path : int list
     100). *)
 val flow : ?size:int -> src:int -> dst:int -> path:int list -> unit -> flow_spec
 
-(** [make ?seed ?config ?flows topo] builds the world (one switch per
-    node and one controller) and installs every flow of [flows] in
+(** [make ?seed ?config ?trace ?flows topo] builds the world (one switch
+    per node and one controller) and installs every flow of [flows] in
     order.  Declarative construction replaces make-then-[install_flow]
     sequences; installed flows are found again with {!find_flow} /
-    {!flow_of_pair}. *)
+    {!flow_of_pair}.  With [trace], the world's simulation adopts the
+    sink (see {!Dessim.Sim.create}) and every layer records into it. *)
 val make :
   ?seed:int ->
   ?config:Netsim.config ->
+  ?trace:Obs.Trace.sink ->
   ?flows:flow_spec list ->
   Topo.Topologies.t ->
   t

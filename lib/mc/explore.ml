@@ -213,9 +213,9 @@ let visited_prune visited ~fp ~sleep ~depth =
     false
   end
 
-let execute ?visited ?stats ?on_choice ?(cfg = Scenario.default_cfg) sc ~window ~por
-    ~max_depth ~max_events ~prefix () =
-  let ctx = sc.Scenario.sc_build cfg in
+let execute ?visited ?stats ?on_choice ?(cfg = Scenario.default_cfg) ~unsafe sc ~window
+    ~por ~max_depth ~max_events ~prefix () =
+  let ctx = Scenario.build ~unsafe sc cfg in
   let w = ctx.Scenario.cx_world in
   let sim = w.World.sim in
   let prefix = Array.of_list prefix in
@@ -403,7 +403,7 @@ let take n l = List.filteri (fun i _ -> i < n) l
 
 (* The DFS: stops at the first violation (unminimized) or when the
    schedule space within the bounds is exhausted. *)
-let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) sc =
+let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc =
   let window =
     match bounds.b_window_ms with
     | Some w -> w
@@ -419,7 +419,7 @@ let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) sc =
     else begin
       stats.st_schedules <- stats.st_schedules + 1;
       let r =
-        execute ~visited ~stats ~cfg sc ~window ~por:bounds.b_por
+        execute ~visited ~stats ~cfg ~unsafe sc ~window ~por:bounds.b_por
           ~max_depth:bounds.b_max_depth ~max_events:bounds.b_max_events ~prefix ()
       in
       (match r.ex_stop with
@@ -460,15 +460,15 @@ let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) sc =
 (* Counterexample minimization (delta debugging over choice indices)    *)
 (* ------------------------------------------------------------------ *)
 
-let still_fails ~cfg sc ~window ~max_events vec =
+let still_fails ~cfg ~unsafe sc ~window ~max_events vec =
   let r =
-    execute ~cfg sc ~window ~por:false ~max_depth:max_int ~max_events ~prefix:vec ()
+    execute ~cfg ~unsafe sc ~window ~por:false ~max_depth:max_int ~max_events ~prefix:vec ()
   in
   r.ex_violation <> None
 
 (* Greedily reset choices to the default (index 0) while the violation
    persists, then drop the all-default tail.  Each probe is one replay. *)
-let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) sc ~window vec =
+let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc ~window vec =
   let max_events = bounds.b_max_events in
   let vec = ref (Array.of_list vec) in
   let changed = ref true in
@@ -479,7 +479,7 @@ let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) sc ~window
         if v <> 0 then begin
           let candidate = Array.copy !vec in
           candidate.(d) <- 0;
-          if still_fails ~cfg sc ~window ~max_events (Array.to_list candidate) then begin
+          if still_fails ~cfg ~unsafe sc ~window ~max_events (Array.to_list candidate) then begin
             vec := candidate;
             changed := true
           end
@@ -496,45 +496,46 @@ let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) sc ~window
 (* Deterministic replay with tracing                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-run one schedule under a trace sink; every choice point becomes an
-   ["mc.choice"] instant in category ["mc"], on top of the regular
-   cross-layer instrumentation, so the counterexample loads into
-   Perfetto with the scheduling decisions visible. *)
-let replay ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) sc ~window vec sink =
-  Obs.Trace.install sink;
-  Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
-      let r =
-        execute ~cfg sc ~window ~por:false ~max_depth:max_int
-          ~max_events:bounds.b_max_events ~prefix:vec
-          ~on_choice:(fun ~depth ~chosen ~alternatives ->
-            Obs.Trace.instant ~cat:"mc" "mc.choice"
-              ~node:chosen.ci_node
-              ~attrs:
-                [
-                  Obs.Trace.int "depth" depth;
-                  Obs.Trace.str "kind" chosen.ci_kind;
-                  Obs.Trace.flow chosen.ci_flow;
-                  Obs.Trace.int "alternatives" alternatives;
-                ])
-          ()
-      in
-      match r.ex_violation with
-      | Some (what, _) ->
-        Obs.Trace.instant ~cat:"mc" "mc.violation" ~attrs:[ Obs.Trace.str "what" what ]
-      | None -> ())
+(* Re-run one schedule with the world's simulation recording into
+   [sink]; every choice point becomes an ["mc.choice"] instant in category
+   ["mc"], on top of the regular cross-layer instrumentation, so the
+   counterexample loads into Perfetto with the scheduling decisions
+   visible. *)
+let replay ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ?(unsafe = false) sc
+    ~window vec sink =
+  let cfg = { cfg with Harness.Run_config.trace_sink = Some sink } in
+  let r =
+    execute ~cfg ~unsafe sc ~window ~por:false ~max_depth:max_int
+      ~max_events:bounds.b_max_events ~prefix:vec
+      ~on_choice:(fun ~depth ~chosen ~alternatives ->
+        Obs.Trace.instant sink ~cat:"mc" "mc.choice" ~node:chosen.ci_node
+          ~attrs:
+            [
+              Obs.Trace.int "depth" depth;
+              Obs.Trace.str "kind" chosen.ci_kind;
+              Obs.Trace.flow chosen.ci_flow;
+              Obs.Trace.int "alternatives" alternatives;
+            ])
+      ()
+  in
+  match r.ex_violation with
+  | Some (what, _) ->
+    Obs.Trace.instant sink ~cat:"mc" "mc.violation" ~attrs:[ Obs.Trace.str "what" what ]
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* One-call check: explore, then minimize any counterexample            *)
 (* ------------------------------------------------------------------ *)
 
 let check ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ?(unsafe = false) sc =
-  Scenario.with_toggle sc ~unsafe (fun () ->
-      let r = explore ~bounds ~cfg sc in
-      match r.r_verdict with
-      | Found cex ->
-        let minimized = minimize ~bounds ~cfg sc ~window:r.r_window_ms cex.cex_schedule in
-        { r with r_verdict = Found { cex with cex_schedule = minimized } }
-      | _ -> r)
+  let r = explore ~bounds ~cfg ~unsafe sc in
+  match r.r_verdict with
+  | Found cex ->
+    let minimized =
+      minimize ~bounds ~cfg ~unsafe sc ~window:r.r_window_ms cex.cex_schedule
+    in
+    { r with r_verdict = Found { cex with cex_schedule = minimized } }
+  | _ -> r
 
 let verdict_line r =
   let st = r.r_stats in

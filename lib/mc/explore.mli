@@ -58,23 +58,25 @@ type result = {
 
 (** [check ?bounds ?cfg ?unsafe sc] runs the DFS, which stops at the
     first violation or when the schedule space within the bounds is
-    exhausted, then {!minimize}s any counterexample, with the
-    scenario's §4b fix toggled off for the whole run when [unsafe]
-    (default [false]).  This is the CLI and test entry point.  [cfg]
+    exhausted, then minimizes any counterexample.  With [unsafe]
+    (default [false]) every world it builds drops the scenario's §4b
+    guard ({!Scenario.build}).  This is the CLI and test entry point.  [cfg]
     (default {!Scenario.default_cfg}) supplies the build seed and, when
     [bounds.b_window_ms] is [None], the reorder-window override
     ([cfg.reorder_window_ms]). *)
 val check :
   ?bounds:bounds -> ?cfg:Harness.Run_config.t -> ?unsafe:bool -> Scenario.t -> result
 
-(** [replay sc ~window schedule sink] re-executes one schedule under
-    [sink]; every branch decision emits an ["mc.choice"] instant (category
-    ["mc"]) and a violation, if hit, an ["mc.violation"] instant — on top
-    of the regular cross-layer instrumentation.  Export the sink with
+(** [replay sc ~window schedule sink] re-executes one schedule in a world
+    whose simulation adopts [sink]; every branch decision emits an
+    ["mc.choice"] instant (category ["mc"]) and a violation, if hit, an
+    ["mc.violation"] instant — on top of the regular cross-layer
+    instrumentation.  [unsafe] is as for {!check}.  Export the sink with
     {!Obs.Trace.to_chrome} for Perfetto. *)
 val replay :
   ?bounds:bounds ->
   ?cfg:Harness.Run_config.t ->
+  ?unsafe:bool ->
   Scenario.t ->
   window:float ->
   int list ->

@@ -22,13 +22,11 @@ type ctx = {
   cx_horizon_ms : float;
 }
 
-type unsafe_toggle = No_toggle | Inside_segment | Ruleless_gateway
-
 type t = {
   sc_name : string;
   sc_descr : string;
   sc_window_ms : float; (* default reorder window *)
-  sc_toggle : unsafe_toggle;
+  sc_guard : P4update.Switch.guard option;
       (* which DESIGN §4b fix [--unsafe] disables for this scenario *)
   sc_build : Harness.Run_config.t -> ctx;
 }
@@ -52,7 +50,8 @@ let mc_config =
   }
 
 let make_world ?flows (cfg : Harness.Run_config.t) topo =
-  World.make ~seed:cfg.Harness.Run_config.seed ~config:mc_config ?flows topo
+  World.make ~seed:cfg.Harness.Run_config.seed ~config:mc_config
+    ?trace:cfg.Harness.Run_config.trace_sink ?flows topo
 
 (* Fig. 2a: the paper's running example — one SL update moving the flow
    from [0;1;2;3;4] to [0;1;2;4] on the 5-node Fig. 2 topology. *)
@@ -218,53 +217,49 @@ let all =
       sc_name = "fig2a";
       sc_descr = "Fig. 2a SL update on the 5-node topology (Thm. 1-4, exhaustive)";
       sc_window_ms = 1.0;
-      sc_toggle = No_toggle;
+      sc_guard = None;
       sc_build = build_fig2a;
     };
     {
       sc_name = "six-skip";
       sc_descr = "6-node skip-ahead: SL U3 overtakes DL U2 (Fig. 4)";
       sc_window_ms = 0.5;
-      sc_toggle = No_toggle;
+      sc_guard = None;
       sc_build = build_six_skip;
     };
     {
       sc_name = "ruleless-gateway";
       sc_descr = "DESIGN 4b fix 2 pin: inconsistent view, ruleless segment egress";
       sc_window_ms = 1.0;
-      sc_toggle = Ruleless_gateway;
+      sc_guard = Some P4update.Switch.Gateway_rule;
       sc_build = build_ruleless_gateway;
     };
     {
       sc_name = "stale-label";
       sc_descr = "DESIGN 4b fix 1 pin: stale inside-segment label, racing versions";
       sc_window_ms = 3.0;
-      sc_toggle = Inside_segment;
+      sc_guard = Some P4update.Switch.Inside_segment_label;
       sc_build = build_stale_label;
     };
     {
       sc_name = "abort-race";
       sc_descr = "WDM withdraw races staged commits and the success UFM (sec. 11)";
       sc_window_ms = 2.0;
-      sc_toggle = No_toggle;
+      sc_guard = None;
       sc_build = build_abort_race;
     };
   ]
 
 let find name = List.find_opt (fun s -> s.sc_name = name) all
 
-(* Flip the scenario's §4b fix off for the duration of [f] — used by the
-   regression tests and the CLI's [--unsafe] mode to demonstrate that the
-   checker finds the violation the fix prevents. *)
-let with_toggle sc ~unsafe f =
-  if not unsafe then f ()
-  else begin
-    let set v =
-      match sc.sc_toggle with
-      | No_toggle -> ()
-      | Inside_segment -> P4update.Verify.set_unsafe_inside_segment_commit v
-      | Ruleless_gateway -> P4update.Switch.set_unsafe_ruleless_gateway v
-    in
-    set true;
-    Fun.protect ~finally:(fun () -> set false) f
-  end
+(* A building never steps the simulation, so dropping the guard after
+   [sc_build] is the same as building the switches without it. *)
+let build ?(unsafe = false) sc cfg =
+  let ctx = sc.sc_build cfg in
+  (match sc.sc_guard with
+   | Some guard when unsafe ->
+     Array.iter
+       (fun sw -> P4update.Switch.disable_guard sw guard)
+       ctx.cx_world.World.switches
+   | Some _ | None -> ());
+  ctx

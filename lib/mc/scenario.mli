@@ -22,16 +22,14 @@ type ctx = {
   cx_horizon_ms : float;
 }
 
-(** Which DESIGN §4b fix [--unsafe] disables for a scenario (see
-    {!with_toggle}). *)
-type unsafe_toggle = No_toggle | Inside_segment | Ruleless_gateway
-
 type t = {
   sc_name : string;
   sc_descr : string;
   sc_window_ms : float;  (** default reorder window *)
-  sc_toggle : unsafe_toggle;
+  sc_guard : P4update.Switch.guard option;
+      (** the DESIGN §4b fix [--unsafe] disables (see {!build}) *)
   sc_build : Harness.Run_config.t -> ctx;
+      (** the world's simulation adopts [cfg.trace_sink] when present *)
 }
 
 (** The canonical configuration of the checker's default path: seed 7
@@ -49,8 +47,9 @@ val all : t list
 
 val find : string -> t option
 
-(** [with_toggle sc ~unsafe f] flips the scenario's §4b fix off for the
-    duration of [f] — used by the regression tests and the CLI's
-    [--unsafe] mode to demonstrate that the checker finds the violation
-    the fix prevents.  With [~unsafe:false], just runs [f]. *)
-val with_toggle : t -> unsafe:bool -> (unit -> 'a) -> 'a
+(** [build ?unsafe sc cfg] builds one instance of [sc].  With [unsafe]
+    (default [false]) every switch of its world drops the scenario's
+    [sc_guard] — used by the regression tests and the CLI's [--unsafe]
+    mode to show that the checker finds the violation the fix prevents.
+    Other worlds keep their guards. *)
+val build : ?unsafe:bool -> t -> Harness.Run_config.t -> ctx

@@ -259,16 +259,17 @@ let fire_topo_event t ev =
    in
    Obs.Flight_recorder.note ~now:(Sim.now t.sim) ~kind:Obs.Flight_recorder.k_topo
      ~node ~flow:(-1) ~a ~b);
-  if Obs.Trace.enabled () then begin
-    let name, attrs =
-      match ev with
-      | Link_down (u, v) -> ("link.down", [ Obs.Trace.int "u" u; Obs.Trace.int "v" v ])
-      | Link_up (u, v) -> ("link.up", [ Obs.Trace.int "u" u; Obs.Trace.int "v" v ])
-      | Node_down n -> ("node.down", [ Obs.Trace.int "node" n ])
-      | Node_up n -> ("node.up", [ Obs.Trace.int "node" n ])
-    in
-    Obs.Trace.instant ~cat:"topo" ~attrs name
-  end;
+  (match Sim.trace t.sim with
+   | None -> ()
+   | Some sink ->
+     let name, attrs =
+       match ev with
+       | Link_down (u, v) -> ("link.down", [ Obs.Trace.int "u" u; Obs.Trace.int "v" v ])
+       | Link_up (u, v) -> ("link.up", [ Obs.Trace.int "u" u; Obs.Trace.int "v" v ])
+       | Node_down n -> ("node.down", [ Obs.Trace.int "node" n ])
+       | Node_up n -> ("node.up", [ Obs.Trace.int "node" n ])
+     in
+     Obs.Trace.instant sink ~cat:"topo" ~attrs name);
   List.iter (fun f -> f ev) t.topo_observers
 
 let check_link t u v fn =
@@ -331,27 +332,29 @@ let duplicate_gap_ms = 0.01
    through the hook at most once more (it may itself be dropped, delayed
    or corrupted), and a [Duplicate] verdict on the copy is absorbed as
    [Deliver] so duplicate-of-duplicate storms are impossible. *)
-let fault_instant name =
-  if Obs.Trace.enabled () then Obs.Trace.instant ~cat:"fault" name
+let fault_instant t name =
+  match Sim.trace t.sim with
+  | Some sink -> Obs.Trace.instant sink ~cat:"fault" name
+  | None -> ()
 
 let rec apply_fault t ~hook ~deliver ~delay ~dup_budget bytes =
   match hook bytes with
   | Deliver -> deliver bytes delay
   | Drop ->
     Obs.Metrics.incr t.stats.h_dropped_by_fault;
-    fault_instant "fault.drop"
+    fault_instant t "fault.drop"
   | Delay extra ->
     Obs.Metrics.incr t.stats.h_delayed_by_fault;
-    fault_instant "fault.delay";
+    fault_instant t "fault.delay";
     deliver bytes (delay +. Float.max 0.0 extra)
   | Corrupt ->
     Obs.Metrics.incr t.stats.h_corrupted_by_fault;
-    fault_instant "fault.corrupt";
+    fault_instant t "fault.corrupt";
     deliver (corrupt_bytes (Sim.rng t.sim) bytes) delay
   | Duplicate when dup_budget <= 0 -> deliver bytes delay
   | Duplicate ->
     Obs.Metrics.incr t.stats.h_duplicated_by_fault;
-    fault_instant "fault.duplicate";
+    fault_instant t "fault.duplicate";
     deliver bytes delay;
     apply_fault t ~hook ~deliver
       ~delay:(delay +. duplicate_gap_ms)
@@ -492,9 +495,11 @@ let deliver t (fr : Sim.frame_event) =
       Obs.Metrics.incr t.stats.h_data_packets;
       Obs.Flight_recorder.note ~now:(Sim.now t.sim) ~kind:Obs.Flight_recorder.k_deliver
         ~node ~flow:(-1) ~a:fr.via ~b:port;
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"net" ~node "data.rx"
-          ~attrs:[ Obs.Trace.int "from" fr.via; Obs.Trace.int "port" port ];
+      (match Sim.trace t.sim with
+       | None -> ()
+       | Some sink ->
+         Obs.Trace.instant sink ~cat:"net" ~node "data.rx"
+           ~attrs:[ Obs.Trace.int "from" fr.via; Obs.Trace.int "port" port ]);
       notify_observers (Sim.now t.sim) node port fr.frame t.observers;
       t.handlers.(node) ~port fr.frame
     end

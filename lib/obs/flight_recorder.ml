@@ -1,7 +1,7 @@
 (* Always-on flight recorder: a fixed-capacity ring of compact trace
    events that survives at scale-engine speed.
 
-   The PR 2 trace sink allocates one boxed event per record, which is why
+   The trace sink allocates one boxed event per record, which is why
    the scale and soak harnesses run with it disabled — and why, until
    now, the exact runs where an invariant violation or abort storm
    mattered most left no forensic record.  The recorder keeps the last N
@@ -13,8 +13,8 @@
 
    On a trigger (invariant violation, abort, give-up, stuck update, leak
    reading, SLO breach) the ring's current window is dumped as a
-   Perfetto-loadable Chrome trace-event JSON file — the plane's black
-   box.  Dumps are capped per recorder so an abort storm cannot flood the
+   Perfetto-loadable Chrome trace-event JSON file of trace instants — the
+   plane's black box.  Dumps are capped per recorder so an abort storm cannot flood the
    incident directory; triggers beyond the cap still count.
 
    Determinism: the recorder never consumes simulator randomness and
@@ -92,7 +92,7 @@ let dropped t = max 0 (t.total - t.cap)
 let triggers t = t.triggers
 let incidents t = t.incidents
 
-(* --- the global recorder, Trace-style ------------------------------- *)
+(* --- the global recorder ---------------------------------------------- *)
 
 let current : t option ref = ref None
 
@@ -151,93 +151,29 @@ let clear r =
 
 (* --- Perfetto export ------------------------------------------------ *)
 
-(* Chrome trace-event JSON (the array flavour Perfetto and
-   chrome://tracing both load), mirroring Trace.to_chrome's conventions:
-   simulated ms map to trace microseconds, node i is tid i+1 on pid 0
-   with the controller on tid 0, and every ring slot becomes an instant
-   event.  The trigger is appended as a final instant carrying the
-   reason, so a loaded snapshot shows what tripped the dump. *)
-
-let tid_of_node node = node + 1
-
+(* An incident snapshot is the ring window as trace instants (category
+   "recorder", one per slot, the payload in [flow]/[a]/[b]) followed by
+   the trigger marker carrying the reason, so a loaded snapshot shows
+   what tripped the dump.  [Trace.to_chrome] writes it, with the same
+   conventions as any other trace. *)
 let snapshot_events r ~now ~reason =
-  let us ts = ts *. 1000.0 in
-  let evs = events r in
-  let nodes = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace nodes e.ev_node ()) evs;
-  Hashtbl.replace nodes (-1) ();
-  let meta =
-    Hashtbl.fold
-      (fun node () acc ->
-        let label = if node < 0 then "controller" else Printf.sprintf "node %d" node in
-        Json.Obj
-          [
-            ("ph", Json.Str "M");
-            ("name", Json.Str "thread_name");
-            ("pid", Json.Int 0);
-            ("tid", Json.Int (tid_of_node node));
-            ("args", Json.Obj [ ("name", Json.Str label) ]);
-          ]
-        :: acc)
-      nodes []
-    |> List.sort (fun a b ->
-           match (Json.member "tid" a, Json.member "tid" b) with
-           | Some (Json.Int x), Some (Json.Int y) -> compare x y
-           | _ -> 0)
+  let instant ~name ~node ~ts attrs =
+    Trace.Instant { name; cat = "recorder"; node; ts; parent = 0; attrs }
   in
-  let instant e =
-    Json.Obj
-      [
-        ("ph", Json.Str "i");
-        ("s", Json.Str "t");
-        ("name", Json.Str (kind_name e.ev_kind));
-        ("cat", Json.Str "recorder");
-        ("ts", Json.Float (us e.ev_ts));
-        ("pid", Json.Int 0);
-        ("tid", Json.Int (tid_of_node e.ev_node));
-        ( "args",
-          Json.Obj
-            [
-              ("flow", Json.Int e.ev_flow);
-              ("a", Json.Int e.ev_a);
-              ("b", Json.Int e.ev_b);
-            ] );
-      ]
-  in
-  let trigger =
-    Json.Obj
-      [
-        ("ph", Json.Str "i");
-        ("s", Json.Str "g");
-        ("name", Json.Str ("incident: " ^ reason));
-        ("cat", Json.Str "recorder");
-        ("ts", Json.Float (us now));
-        ("pid", Json.Int 0);
-        ("tid", Json.Int 0);
-        ( "args",
-          Json.Obj
-            [
-              ("reason", Json.Str reason);
-              ("events_retained", Json.Int (min r.total r.cap));
-              ("events_total", Json.Int r.total);
-              ("events_dropped", Json.Int (dropped r));
-            ] );
-      ]
-  in
-  meta @ List.map instant evs @ [ trigger ]
-
-(* The Chrome trace-event JSON a trigger dumps. *)
-let snapshot_string r ~now ~reason =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "  ";
-      Buffer.add_string buf (Json.to_string ev))
-    (snapshot_events r ~now ~reason);
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  List.map
+    (fun e ->
+      instant ~name:(kind_name e.ev_kind) ~node:e.ev_node ~ts:e.ev_ts
+        [ Trace.int "flow" e.ev_flow; Trace.int "a" e.ev_a; Trace.int "b" e.ev_b ])
+    (events r)
+  @ [
+      instant ~name:("incident: " ^ reason) ~node:(-1) ~ts:now
+        [
+          Trace.str "reason" reason;
+          Trace.int "events_retained" (min r.total r.cap);
+          Trace.int "events_total" r.total;
+          Trace.int "events_dropped" (dropped r);
+        ];
+    ]
 
 (* Reason fragment made filename-safe. *)
 let slug reason =
@@ -271,7 +207,7 @@ let trigger ~now ~reason =
        in
        r.incidents <- r.incidents + 1;
        let oc = open_out path in
-       output_string oc (snapshot_string r ~now ~reason);
+       output_string oc (Trace.to_chrome ~pretty:true (snapshot_events r ~now ~reason));
        close_out oc;
        Some path
      | Some _ | None -> None)

@@ -13,7 +13,9 @@
     On a {!trigger} (invariant violation, abort, give-up, stuck update,
     leak reading, SLO breach) the ring's current window is dumped as a
     Perfetto-loadable Chrome trace-event JSON file — the plane's black
-    box.  Dumps are capped per recorder so an abort storm cannot flood
+    box.  The dump is a list of {!Trace.Instant}s (one per ring slot in
+    category ["recorder"], then the trigger marker) written by
+    {!Trace.to_chrome}.  Dumps are capped per recorder so an abort storm cannot flood
     the incident directory; triggers beyond the cap still count.
 
     Determinism: the recorder never consumes simulator randomness and
@@ -47,7 +49,14 @@ val create : ?capacity:int -> ?incident_dir:string -> ?max_incidents:int -> unit
     [Invalid_argument]).  [incident_dir] enables snapshot dumps on
     trigger, at most [max_incidents] (default 32) per recorder. *)
 
-(** {2 The global recorder} — Trace-style install/uninstall. *)
+(** {2 The global recorder}
+
+    Unlike a {!Trace.sink}, which belongs to the simulation that adopts
+    it, the recorder is installed process-wide.  It is the last piece
+    of process-global run state: the benchmark driver
+    ([perfbench/episode.ml]) installs and reads it through exactly this
+    API, so moving it into the simulation waits for a change that may
+    edit the benchmark. *)
 
 val install : t -> unit
 val uninstall : unit -> unit

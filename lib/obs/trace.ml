@@ -1,20 +1,21 @@
 (* Cross-layer trace sink.
 
-   A single global sink (installed/uninstalled explicitly) collects span
-   begin/end pairs and instant events stamped with *simulated* time.  When no
-   sink is installed every entry point is a cheap [None] check, so the
-   instrumented hot paths cost one load + branch — the "no-op when disabled"
+   A sink belongs to the one simulation that adopts it ([Dessim.Sim.create
+   ~trace]) and collects span begin/end pairs and instant events stamped
+   with that simulation's clock.  Layers read the sink from their own
+   simulation; an untraced simulation has none, so the instrumented hot
+   paths cost one field load + branch — the "no-op when disabled"
    guarantee DESIGN.md documents.
 
    Causality: spans carry an optional parent span id.  Layers that cannot
    thread ids through function arguments (wire messages have a fixed byte
-   format) park span ids in the sink's anchor table under a string key such
-   as "uim:<flow>:<ver>:<node>" and the receiving side picks them up.
+   format) park span ids in the sink's anchor table under a (kind, flow,
+   version, node) key and the receiving side picks them up.
 
    Determinism: the sink never consumes simulator randomness and never
-   schedules events; timestamps come from a [clock] closure that reads
-   [Dessim.Sim.now].  Two same-seed runs therefore produce byte-identical
-   JSONL — a property the test suite asserts. *)
+   schedules events; timestamps come from the adopting simulation's
+   clock.  Two same-seed runs therefore produce byte-identical JSONL — a
+   property the test suite asserts. *)
 
 type attr = string * Json.t
 
@@ -40,38 +41,26 @@ type event =
       attrs : attr list;
     }
 
+type anchor = Update | Uim | Unm | Ufm
+
 type sink = {
   mutable events : event list;  (** newest first *)
   mutable next_id : int;
-  mutable clock : unit -> float;
+  mutable clock : (unit -> float) option;  (** the adopting simulation's *)
   exclude : string list;  (** categories filtered out at record time *)
-  anchors : (string, int) Hashtbl.t;
+  anchors : (anchor * int * int * int, int) Hashtbl.t;
   mutable listeners : (event -> unit) list;
 }
 
-let current : sink option ref = ref None
+let create ?(exclude = [ "sim" ]) () =
+  { events = []; next_id = 1; clock = None; exclude; anchors = Hashtbl.create 64; listeners = [] }
 
-let create ?(exclude = [ "sim" ]) ?(clock = fun () -> 0.0) () =
-  {
-    events = [];
-    next_id = 1;
-    clock;
-    exclude;
-    anchors = Hashtbl.create 64;
-    listeners = [];
-  }
+let adopt s ~clock =
+  if s.clock <> None then invalid_arg "Trace.adopt: this sink already belongs to a simulation";
+  s.clock <- Some clock
 
-let install s = current := Some s
-let uninstall () = current := None
-let enabled () = !current <> None
-
-let set_clock clock =
-  match !current with None -> () | Some s -> s.clock <- clock
-
-let on_event f =
-  match !current with
-  | None -> ()
-  | Some s -> s.listeners <- f :: s.listeners
+let on_event s f = s.listeners <- f :: s.listeners
+let now s = match s.clock with Some clock -> clock () | None -> 0.0
 
 let record s ev =
   s.events <- ev :: s.events;
@@ -79,69 +68,47 @@ let record s ev =
 
 let cat_enabled s cat = not (List.mem cat s.exclude)
 
-let span_begin ?(parent = 0) ?(attrs = []) ?(node = -1) ~cat name =
-  match !current with
-  | None -> 0
-  | Some s ->
-    if not (cat_enabled s cat) then 0
-    else begin
-      let id = s.next_id in
-      s.next_id <- id + 1;
-      record s (Span_begin { id; parent; name; cat; node; ts = s.clock (); attrs });
-      id
-    end
+let span_begin s ?(parent = 0) ?(attrs = []) ?(node = -1) ~cat name =
+  if not (cat_enabled s cat) then 0
+  else begin
+    let id = s.next_id in
+    s.next_id <- id + 1;
+    record s (Span_begin { id; parent; name; cat; node; ts = now s; attrs });
+    id
+  end
 
-let span_end ?(attrs = []) id =
-  if id <> 0 then
-    match !current with
-    | None -> ()
-    | Some s -> record s (Span_end { id; ts = s.clock (); attrs })
+let span_end s ?(attrs = []) id =
+  if id <> 0 then record s (Span_end { id; ts = now s; attrs })
 
-let instant ?(parent = 0) ?(attrs = []) ?(node = -1) ~cat name =
-  match !current with
-  | None -> ()
-  | Some s ->
-    if cat_enabled s cat then
-      record s (Instant { name; cat; node; ts = s.clock (); parent; attrs })
+let instant s ?(parent = 0) ?(attrs = []) ?(node = -1) ~cat name =
+  if cat_enabled s cat then
+    record s (Instant { name; cat; node; ts = now s; parent; attrs })
 
-let with_span ?parent ?attrs ?node ~cat name f =
-  let id = span_begin ?parent ?attrs ?node ~cat name in
+let with_span s ?parent ?attrs ?node ~cat name f =
+  let id = span_begin s ?parent ?attrs ?node ~cat name in
   match f () with
   | v ->
-    span_end id;
+    span_end s id;
     v
   | exception e ->
-    span_end ~attrs:[ ("error", Json.Bool true) ] id;
+    span_end s ~attrs:[ ("error", Json.Bool true) ] id;
     raise e
 
 (* --- anchors: span handoff across wire messages --- *)
 
-let anchor_set key id =
-  if id <> 0 then
-    match !current with
-    | None -> ()
-    | Some s -> Hashtbl.replace s.anchors key id
+let anchor_set s ?(node = -1) kind ~flow ~version id =
+  if id <> 0 then Hashtbl.replace s.anchors (kind, flow, version, node) id
 
-let anchor_get key =
-  match !current with
+let anchor_get s ?(node = -1) kind ~flow ~version =
+  Option.value (Hashtbl.find_opt s.anchors (kind, flow, version, node)) ~default:0
+
+let anchor_pop s ?(node = -1) kind ~flow ~version =
+  let key = (kind, flow, version, node) in
+  match Hashtbl.find_opt s.anchors key with
+  | Some id ->
+    Hashtbl.remove s.anchors key;
+    id
   | None -> 0
-  | Some s -> ( match Hashtbl.find_opt s.anchors key with Some id -> id | None -> 0)
-
-let anchor_pop key =
-  match !current with
-  | None -> 0
-  | Some s -> (
-    match Hashtbl.find_opt s.anchors key with
-    | Some id ->
-      Hashtbl.remove s.anchors key;
-      id
-    | None -> 0)
-
-(* Outstanding anchors in the installed sink: a leak probe.  Every span
-   handed off across the wire should be popped by a terminal handler, so
-   a quiesced plane leaves this at zero. *)
-let anchor_count () =
-  match !current with None -> 0 | Some s -> Hashtbl.length s.anchors
 
 (* --- introspection --- *)
 
@@ -196,7 +163,7 @@ let to_jsonl s =
 
 let tid_of_node node = node + 1
 
-let chrome_events s =
+let chrome_events evs =
   (* Collect span metadata so ends can be matched with begins. *)
   let begins = Hashtbl.create 128 in
   List.iter
@@ -207,7 +174,7 @@ let chrome_events s =
         | Some (`Open b) -> Hashtbl.replace begins id (`Closed (b, ts, attrs))
         | _ -> ())
       | Instant _ -> ())
-    (events s);
+    evs;
   let node_of_span id =
     match Hashtbl.find_opt begins id with
     | Some (`Open b) | Some (`Closed (b, _, _)) -> Some b.node
@@ -309,7 +276,7 @@ let chrome_events s =
                ("tid", Json.Int (tid_of_node node));
                ("args", Json.Obj (base_args 0 parent attrs));
              ]))
-    (events s);
+    evs;
   let meta =
     Hashtbl.fold
       (fun node () acc ->
@@ -335,8 +302,8 @@ let chrome_events s =
   in
   meta @ List.rev !out
 
-let to_chrome ?(pretty = false) s =
-  let evs = chrome_events s in
+let to_chrome ?(pretty = false) evs =
+  let evs = chrome_events evs in
   if pretty then
     let buf = Buffer.create 8192 in
     Buffer.add_string buf "[\n";

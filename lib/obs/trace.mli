@@ -1,21 +1,23 @@
 (** Cross-layer trace sink.
 
-    A single global sink (installed/uninstalled explicitly) collects
-    span begin/end pairs and instant events stamped with {e simulated}
-    time.  When no sink is installed every entry point is a cheap
-    [None] check, so the instrumented hot paths cost one load + branch
-    — the "no-op when disabled" guarantee DESIGN.md documents.
+    A sink belongs to one simulation: [Dessim.Sim.create ~trace] adopts
+    it ({!adopt}), and from then on it collects span begin/end pairs and
+    instant events stamped with that simulation's {e simulated} clock.
+    Every layer reads the sink from its own simulation, so two traced
+    worlds side by side record into two sinks.  An untraced simulation
+    has no sink, and the instrumented hot paths cost one field load +
+    branch — the "no-op when disabled" guarantee DESIGN.md documents.
 
     Causality: spans carry an optional parent span id.  Layers that
     cannot thread ids through function arguments (wire messages have a
     fixed byte format) park span ids in the sink's anchor table under a
-    string key such as ["uim:<flow>:<ver>:<node>"] and the receiving
-    side picks them up.
+    (kind, flow, version, node) key and the receiving side picks them
+    up.
 
     Determinism: the sink never consumes simulator randomness and never
-    schedules events; timestamps come from a [clock] closure that reads
-    [Dessim.Sim.now].  Two same-seed runs therefore produce
-    byte-identical JSONL — a property the test suite asserts. *)
+    schedules events; timestamps come from the adopting simulation's
+    clock.  Two same-seed runs therefore produce byte-identical JSONL —
+    a property the test suite asserts. *)
 
 type attr = string * Json.t
 
@@ -43,35 +45,34 @@ type event =
 
 type sink
 
-val create : ?exclude:string list -> ?clock:(unit -> float) -> unit -> sink
+val create : ?exclude:string list -> unit -> sink
 (** [exclude] (default [["sim"]]) lists categories dropped at record
-    time; [clock] supplies timestamps (default: constant 0). *)
+    time.  Events are stamped 0 until the sink is adopted. *)
 
-val install : sink -> unit
-val uninstall : unit -> unit
-val enabled : unit -> bool
+val adopt : sink -> clock:(unit -> float) -> unit
+(** Stamp every later event with [clock ()].  [Dessim.Sim.create ~trace]
+    calls it once with its own clock; a sink that already has a clock
+    raises [Invalid_argument], so one sink never mixes two simulations. *)
 
-val set_clock : (unit -> float) -> unit
-(** Swap the installed sink's clock; no-op when none is installed. *)
+val on_event : sink -> (event -> unit) -> unit
+(** Register a listener, called synchronously on every event [sink]
+    records. *)
 
-val on_event : (event -> unit) -> unit
-(** Register a listener on the installed sink, called synchronously on
-    every recorded event; no-op when none is installed. *)
-
-(** {2 Recording} — all no-ops (and {!span_begin} returns 0) when no
-    sink is installed or the category is excluded. *)
+(** {2 Recording} — a category in the sink's [exclude] list records
+    nothing (and {!span_begin} returns 0). *)
 
 val span_begin :
-  ?parent:int -> ?attrs:attr list -> ?node:int -> cat:string -> string -> int
+  sink -> ?parent:int -> ?attrs:attr list -> ?node:int -> cat:string -> string -> int
 (** Returns the new span id, or 0 when not recorded. *)
 
-val span_end : ?attrs:attr list -> int -> unit
+val span_end : sink -> ?attrs:attr list -> int -> unit
 (** Safe on id 0 (does nothing). *)
 
 val instant :
-  ?parent:int -> ?attrs:attr list -> ?node:int -> cat:string -> string -> unit
+  sink -> ?parent:int -> ?attrs:attr list -> ?node:int -> cat:string -> string -> unit
 
 val with_span :
+  sink ->
   ?parent:int ->
   ?attrs:attr list ->
   ?node:int ->
@@ -82,19 +83,20 @@ val with_span :
 (** Brackets [f] with a span; an escaping exception ends the span with
     an [("error", true)] attribute and re-raises. *)
 
-(** {2 Anchors} — span handoff across wire messages.  All no-ops
-    (getters return 0) when no sink is installed. *)
+(** {2 Anchors} — span handoff across wire messages, keyed by the
+    message kind, flow, version and the node ([-1], the default, for an
+    update's root span). *)
 
-val anchor_set : string -> int -> unit
+type anchor = Update | Uim | Unm | Ufm
+
+val anchor_set : sink -> ?node:int -> anchor -> flow:int -> version:int -> int -> unit
 (** Ignores id 0. *)
 
-val anchor_get : string -> int
-val anchor_pop : string -> int
+val anchor_get : sink -> ?node:int -> anchor -> flow:int -> version:int -> int
+(** 0 when nothing is anchored under the key. *)
 
-val anchor_count : unit -> int
-(** Outstanding anchors in the installed sink: a leak probe.  Every
-    span handed off across the wire should be popped by a terminal
-    handler, so a quiesced plane leaves this at zero. *)
+val anchor_pop : sink -> ?node:int -> anchor -> flow:int -> version:int -> int
+(** {!anchor_get}, and the key is removed. *)
 
 (** {2 Introspection and export} *)
 
@@ -104,8 +106,9 @@ val events : sink -> event list
 val to_jsonl : sink -> string
 (** One compact JSON object per event, oldest first. *)
 
-val to_chrome : ?pretty:bool -> sink -> string
-(** Chrome trace-event format (the JSON array flavour Perfetto and
+val to_chrome : ?pretty:bool -> event list -> string
+(** [to_chrome evs] writes [evs] (typically [events sink]) in Chrome
+    trace-event format (the JSON array flavour Perfetto and
     chrome://tracing both load).  Simulated ms map to trace
     microseconds; node [i] becomes tid [i+1] on pid 0 with the
     controller on tid 0.  Parent links that cross threads are expressed

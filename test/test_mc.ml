@@ -98,16 +98,15 @@ let pin ~scenario ~needle ~bounds () =
       (contains cex.Mc.Explore.cex_what needle);
     (* Deterministic replay: running the minimized schedule again (fix
        still off) reproduces the violation. *)
-    Mc.Scenario.with_toggle sc ~unsafe:true (fun () ->
-        check (scenario ^ ": minimized schedule replays") true
-          (let sink = Obs.Trace.create () in
-           Mc.Explore.replay sc ~window:sc.Mc.Scenario.sc_window_ms
-             cex.Mc.Explore.cex_schedule sink;
-           List.exists
-             (function
-               | Obs.Trace.Instant { name = "mc.violation"; _ } -> true
-               | _ -> false)
-             (Obs.Trace.events sink)))
+    check (scenario ^ ": minimized schedule replays") true
+      (let sink = Obs.Trace.create () in
+       Mc.Explore.replay ~unsafe:true sc ~window:sc.Mc.Scenario.sc_window_ms
+         cex.Mc.Explore.cex_schedule sink;
+       List.exists
+         (function
+           | Obs.Trace.Instant { name = "mc.violation"; _ } -> true
+           | _ -> false)
+         (Obs.Trace.events sink))
   | _ -> Alcotest.failf "%s: checker missed the violation with the fix OFF" scenario
 
 let small_bounds = { Mc.Explore.default_bounds with Mc.Explore.b_max_schedules = 3000 }

@@ -6,64 +6,65 @@ module Trace = Obs.Trace
 module Json = Obs.Json
 module Metrics = Obs.Metrics
 
-let with_fresh_sink ?exclude ?clock f =
-  let sink = Trace.create ?exclude ?clock () in
-  Trace.install sink;
-  Fun.protect ~finally:Trace.uninstall (fun () -> f sink)
-
 (* --- spans --- *)
 
 let test_span_nesting () =
   let now = ref 0.0 in
-  with_fresh_sink ~clock:(fun () -> !now) (fun sink ->
-      let parent = Trace.span_begin ~cat:"update" "update" ~attrs:[ Trace.flow 7 ] in
-      now := 1.0;
-      let child = Trace.span_begin ~cat:"switch" "commit" ~parent ~node:3 in
-      Alcotest.(check bool) "ids nonzero" true (parent <> 0 && child <> 0);
-      Alcotest.(check bool) "ids distinct" true (parent <> child);
-      now := 5.0;
-      Trace.span_end child ~attrs:[ Trace.str "outcome" "committed" ];
-      now := 10.0;
-      Trace.span_end parent;
-      match Trace.events sink with
-      | [
-       Trace.Span_begin p;
-       Trace.Span_begin c;
-       Trace.Span_end { id = i1; ts = t1; _ };
-       Trace.Span_end { id = i2; ts = t2; _ };
-      ] ->
-        Alcotest.(check int) "root has no parent" 0 p.Trace.parent;
-        Alcotest.(check int) "child parent is root" parent c.Trace.parent;
-        Alcotest.(check int) "child node" 3 c.Trace.node;
-        Alcotest.(check (float 0.0)) "child begin ts" 1.0 c.Trace.ts;
-        Alcotest.(check int) "child ends first" child i1;
-        Alcotest.(check int) "parent ends last" parent i2;
-        Alcotest.(check bool) "nested interval" true (t1 <= t2)
-      | evs -> Alcotest.failf "unexpected event stream (%d events)" (List.length evs))
+  let sink = Trace.create () in
+  Trace.adopt sink ~clock:(fun () -> !now);
+  let parent = Trace.span_begin sink ~cat:"update" "update" ~attrs:[ Trace.flow 7 ] in
+  now := 1.0;
+  let child = Trace.span_begin sink ~cat:"switch" "commit" ~parent ~node:3 in
+  Alcotest.(check bool) "ids nonzero" true (parent <> 0 && child <> 0);
+  Alcotest.(check bool) "ids distinct" true (parent <> child);
+  now := 5.0;
+  Trace.span_end sink child ~attrs:[ Trace.str "outcome" "committed" ];
+  now := 10.0;
+  Trace.span_end sink parent;
+  match Trace.events sink with
+  | [
+   Trace.Span_begin p;
+   Trace.Span_begin c;
+   Trace.Span_end { id = i1; ts = t1; _ };
+   Trace.Span_end { id = i2; ts = t2; _ };
+  ] ->
+    Alcotest.(check int) "root has no parent" 0 p.Trace.parent;
+    Alcotest.(check int) "child parent is root" parent c.Trace.parent;
+    Alcotest.(check int) "child node" 3 c.Trace.node;
+    Alcotest.(check (float 0.0)) "child begin ts" 1.0 c.Trace.ts;
+    Alcotest.(check int) "child ends first" child i1;
+    Alcotest.(check int) "parent ends last" parent i2;
+    Alcotest.(check bool) "nested interval" true (t1 <= t2)
+  | evs -> Alcotest.failf "unexpected event stream (%d events)" (List.length evs)
 
 let test_disabled_and_filtered () =
-  Trace.uninstall ();
-  Alcotest.(check bool) "disabled" false (Trace.enabled ());
-  Alcotest.(check int) "begin when disabled" 0 (Trace.span_begin ~cat:"x" "noop");
-  Trace.span_end 0;
-  Trace.instant ~cat:"x" "noop";
-  with_fresh_sink ~exclude:[ "sim" ] (fun sink ->
-      Alcotest.(check int) "excluded cat yields id 0" 0
-        (Trace.span_begin ~cat:"sim" "dispatch");
-      Trace.instant ~cat:"sim" "tick";
-      Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.events sink));
-      ignore (Trace.span_begin ~cat:"ctl" "kept");
-      Alcotest.(check int) "other cats recorded" 1 (List.length (Trace.events sink)))
+  (* An untraced simulation has no sink, so its layers record nowhere. *)
+  Alcotest.(check bool) "untraced sim has no sink" true
+    (Option.is_none (Dessim.Sim.trace (Dessim.Sim.create ())));
+  let sink = Trace.create ~exclude:[ "sim" ] () in
+  Alcotest.(check int) "excluded cat yields id 0" 0
+    (Trace.span_begin sink ~cat:"sim" "dispatch");
+  Trace.span_end sink 0;
+  Trace.instant sink ~cat:"sim" "tick";
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.events sink));
+  ignore (Trace.span_begin sink ~cat:"ctl" "kept");
+  Alcotest.(check int) "other cats recorded" 1 (List.length (Trace.events sink))
 
 let test_anchors () =
-  with_fresh_sink (fun _sink ->
-      let id = Trace.span_begin ~cat:"update" "update" in
-      Trace.anchor_set "uim:1:2:3" id;
-      Alcotest.(check int) "get" id (Trace.anchor_get "uim:1:2:3");
-      Alcotest.(check int) "pop" id (Trace.anchor_pop "uim:1:2:3");
-      Alcotest.(check int) "pop empties" 0 (Trace.anchor_get "uim:1:2:3");
-      Trace.anchor_set "zero" 0;
-      Alcotest.(check int) "id 0 not anchored" 0 (Trace.anchor_get "zero"))
+  let sink = Trace.create () in
+  let id = Trace.span_begin sink ~cat:"update" "update" in
+  Trace.anchor_set sink Trace.Uim ~flow:1 ~version:2 ~node:3 id;
+  Alcotest.(check int) "get" id (Trace.anchor_get sink Trace.Uim ~flow:1 ~version:2 ~node:3);
+  Alcotest.(check int) "kind is part of the key" 0
+    (Trace.anchor_get sink Trace.Unm ~flow:1 ~version:2 ~node:3);
+  Alcotest.(check int) "node is part of the key" 0
+    (Trace.anchor_get sink Trace.Uim ~flow:1 ~version:2 ~node:4);
+  Alcotest.(check int) "pop" id (Trace.anchor_pop sink Trace.Uim ~flow:1 ~version:2 ~node:3);
+  Alcotest.(check int) "pop empties" 0
+    (Trace.anchor_get sink Trace.Uim ~flow:1 ~version:2 ~node:3);
+  Trace.anchor_set sink Trace.Update ~flow:1 ~version:2 0;
+  Alcotest.(check int) "id 0 not anchored" 0
+    (Trace.anchor_get sink Trace.Update ~flow:1 ~version:2)
 
 (* --- metrics --- *)
 
@@ -222,10 +223,9 @@ let test_trace_determinism () =
     (Trace.to_jsonl b.Harness.Traced.tr_sink)
 
 let test_no_sink_equivalence () =
-  (* With no sink installed the run must produce the same completion time:
+  (* Without a sink the run must produce the same completion time:
      tracing never perturbs the simulation. *)
   let traced = traced_fig1 1234 in
-  Alcotest.(check bool) "no sink left installed" false (Trace.enabled ());
   let bare =
     Harness.Scenarios.run fig1_setup Harness.Scenarios.P4u ~seed:1234
   in
@@ -234,7 +234,7 @@ let test_no_sink_equivalence () =
 
 let test_chrome_export_wellformed () =
   let r = traced_fig1 1234 in
-  let json = Json.of_string (Trace.to_chrome r.Harness.Traced.tr_sink) in
+  let json = Json.of_string (Trace.to_chrome (Trace.events r.Harness.Traced.tr_sink)) in
   let evs =
     match Json.to_list json with
     | Some evs -> evs
@@ -306,6 +306,77 @@ let test_phase_breakdown () =
   Alcotest.(check bool) "renders" true
     (String.length (Harness.Traced.render_phases r.Harness.Traced.tr_phases) > 0)
 
+(* --- a sink belongs to one simulation --- *)
+
+let test_sink_has_one_owner () =
+  let sink = Trace.create () in
+  ignore (Dessim.Sim.create ~trace:sink ());
+  Alcotest.check_raises "a second simulation is refused"
+    (Invalid_argument "Trace.adopt: this sink already belongs to a simulation") (fun () ->
+      ignore (Dessim.Sim.create ~trace:sink ()))
+
+(* Fig. 1's SL update. *)
+let fig1_update ?trace () =
+  let w =
+    Harness.World.make ~seed:11 ?trace (Topo.Topologies.fig1 ())
+      ~flows:[ Harness.World.flow ~src:0 ~dst:7 ~path:Topo.Topologies.fig1_old_path () ]
+  in
+  let flow = Option.get (Harness.World.flow_of_pair w ~src:0 ~dst:7) in
+  ignore
+    (P4update.Controller.update_flow w.controller ~flow_id:flow.P4update.Controller.flow_id
+       ~new_path:Topo.Topologies.fig1_new_path ~update_type:P4update.Wire.Sl ());
+  w
+
+(* A faulted B4 update in the chaos harness's style: §11 recovery and
+   switch watchdogs on, every fifth control frame dropped, and node 3 of
+   the new path down from 20 to 320 ms. *)
+let b4_faulted ?trace () =
+  let w =
+    Harness.World.make ~seed:3 ?trace (Topo.Topologies.b4 ())
+      ~flows:[ Harness.World.flow ~src:5 ~dst:9 ~path:[ 5; 4; 6; 7; 9 ] () ]
+  in
+  P4update.Controller.enable_recovery w.controller;
+  Array.iter (fun sw -> P4update.Switch.enable_watchdog sw ~timeout_ms:200.0) w.switches;
+  let frames = ref 0 in
+  Netsim.set_control_fault w.net (fun ~dir:_ _ ->
+      incr frames;
+      if !frames mod 5 = 0 then Netsim.Drop else Netsim.Deliver);
+  Netsim.fail_node w.net ~node:3 ~at:20.0;
+  Netsim.restore_node w.net ~node:3 ~at:320.0;
+  let flow = Option.get (Harness.World.flow_of_pair w ~src:5 ~dst:9) in
+  ignore
+    (P4update.Controller.update_flow w.controller ~flow_id:flow.P4update.Controller.flow_id
+       ~new_path:[ 5; 6; 3; 2; 4; 7; 9 ] ());
+  w
+
+let alone (build : ?trace:Trace.sink -> unit -> Harness.World.t) =
+  let sink = Trace.create () in
+  ignore (Harness.World.run (build ~trace:sink ()));
+  Trace.to_jsonl sink
+
+(* Two traced worlds stepped alternately, with an untraced third stepped
+   in between, record exactly what each records alone. *)
+let test_worlds_side_by_side () =
+  let sink_a = Trace.create () and sink_b = Trace.create () in
+  let a = fig1_update ~trace:sink_a () and b = b4_faulted ~trace:sink_b () in
+  let c = b4_faulted () in
+  let rec interleave steps =
+    if steps > 1_000_000 then Alcotest.fail "worlds did not drain";
+    let more_a = Dessim.Sim.step a.sim in
+    let more_c = Dessim.Sim.step c.sim in
+    let more_b = Dessim.Sim.step b.sim in
+    if more_a || more_b || more_c then interleave (steps + 1)
+  in
+  interleave 0;
+  let jsonl_a = Trace.to_jsonl sink_a and jsonl_b = Trace.to_jsonl sink_b in
+  Alcotest.(check bool) "fig1 traced" true (jsonl_a <> "");
+  Alcotest.(check bool) "b4 recovered under its root span" true
+    (List.exists
+       (function Trace.Instant { cat = "recovery"; _ } -> true | _ -> false)
+       (Trace.events sink_b));
+  Alcotest.(check string) "fig1 sink as alone" (alone fig1_update) jsonl_a;
+  Alcotest.(check string) "b4 sink as alone" (alone b4_faulted) jsonl_b
+
 let suite =
   [
     Alcotest.test_case "span nesting & causality" `Quick test_span_nesting;
@@ -324,4 +395,6 @@ let suite =
     Alcotest.test_case "no-sink equivalence" `Quick test_no_sink_equivalence;
     Alcotest.test_case "chrome export well-formed" `Quick test_chrome_export_wellformed;
     Alcotest.test_case "phase breakdown" `Quick test_phase_breakdown;
+    Alcotest.test_case "a sink has one simulation" `Quick test_sink_has_one_owner;
+    Alcotest.test_case "two traced worlds side by side" `Quick test_worlds_side_by_side;
   ]

@@ -249,19 +249,17 @@ let test_node_failure_reroutes () =
    - node 5 dies for good, so the flow reroutes onto the old path;
    - the egress restarts, so the controller resyncs it. *)
 let recovery_instants ~faults =
-  let w = Harness.World.make (fig1 ()) in
+  let sink = Obs.Trace.create () in
+  let w = Harness.World.make ~trace:sink (fig1 ()) in
   Controller.enable_recovery ~timeout_ms:500.0 w.controller;
   let flow =
     Harness.World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topo.Topologies.fig1_old_path
   in
-  let sink = Obs.Trace.create () in
-  Obs.Trace.install sink;
-  Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
-      ignore
-        (Controller.update_flow w.controller ~flow_id:flow.flow_id
-           ~new_path:Topo.Topologies.fig1_new_path ~update_type:Wire.Sl ());
-      faults w.net;
-      ignore (Harness.World.run ~until:5_000.0 w));
+  ignore
+    (Controller.update_flow w.controller ~flow_id:flow.flow_id
+       ~new_path:Topo.Topologies.fig1_new_path ~update_type:Wire.Sl ());
+  faults w.net;
+  ignore (Harness.World.run ~until:5_000.0 w);
   let parents name =
     List.filter_map
       (function

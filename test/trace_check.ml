@@ -68,7 +68,7 @@ let () =
     (Trace.to_jsonl r.Harness.Traced.tr_sink = Trace.to_jsonl r2.Harness.Traced.tr_sink);
   (* Chrome export parses back and satisfies the trace-event schema. *)
   let evs =
-    match Json.of_string (Trace.to_chrome r.Harness.Traced.tr_sink) with
+    match Json.of_string (Trace.to_chrome (Trace.events r.Harness.Traced.tr_sink)) with
     | Json.List evs -> evs
     | _ -> fail "chrome export is not a JSON array"
     | exception Json.Parse_error m -> fail "chrome export does not parse: %s" m
