@@ -479,11 +479,11 @@ let rule_update_delay t ~node =
 (* ------------------------------------------------------------------ *)
 
 (* The simulation's frame handler: each delivery scheduled above fires
-   here, as the data it was scheduled with.  A frame in flight is lost
-   if its receiver (or, for a data frame, its link) went down before it
-   arrived; a resubmission at a dead node vanishes uncounted.  A
-   controller-bound message then waits for the controller's FIFO
-   server, a timer like any other. *)
+   here, as the data it was scheduled with.  A frame in flight is lost,
+   and counted in [net.failure.dropped], if its receiver (or, for a data
+   frame, its link) went down before it arrived.  A controller-bound
+   message then waits for the controller's FIFO server, a timer like any
+   other. *)
 let deliver t (fr : Sim.frame_event) =
   let node = fr.node in
   match fr.kind with
@@ -503,10 +503,9 @@ let deliver t (fr : Sim.frame_event) =
       notify_observers (Sim.now t.sim) node port fr.frame t.observers;
       t.handlers.(node) ~port fr.frame
     end
-  | Inject | Ctl_down ->
+  | Inject | Ctl_down | Resubmit ->
     if t.node_down.(node) then Obs.Metrics.incr t.stats.h_dropped_by_failure
     else t.handlers.(node) ~port:fr.port fr.frame
-  | Resubmit -> if not t.node_down.(node) then t.handlers.(node) ~port:fr.port fr.frame
   | Ctl_up ->
     let service_done = controller_slot t in
     Sim.schedule t.sim ~delay:service_done (fun () ->

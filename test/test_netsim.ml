@@ -241,6 +241,21 @@ let test_node_failure_silences_node () =
   Alcotest.(check int) "failure losses counted" 2
     (Netsim.counters net).Netsim.dropped_by_failure
 
+(* A resubmission is a frame in flight like any other: lost, and counted,
+   when its node goes down before it comes back round. *)
+let test_resubmission_lost_at_dead_node () =
+  let sim = Sim.create () in
+  let net = Netsim.create sim (line_topo ()) in
+  let received = ref [] in
+  Netsim.attach net ~node:1 (fun ~port:_ b -> received := Bytes.to_string b :: !received);
+  Netsim.fail_node net ~node:1 ~at:10.0;
+  Sim.schedule_at sim ~time:5.0 (fun () -> Netsim.resubmit net ~node:1 (Bytes.of_string "a"));
+  Sim.schedule_at sim ~time:9.9 (fun () -> Netsim.resubmit net ~node:1 (Bytes.of_string "b"));
+  let _ = Sim.run sim in
+  Alcotest.(check (list string)) "only the resubmission before the failure" [ "a" ] !received;
+  Alcotest.(check int) "the lost one counted" 1
+    (Netsim.counters net).Netsim.dropped_by_failure
+
 let test_observer_sees_delivery () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
@@ -439,6 +454,8 @@ let suite =
     Alcotest.test_case "control counters split by kind" `Quick test_control_kind_counters;
     Alcotest.test_case "link failure loses packets" `Quick test_link_failure_loses_packets;
     Alcotest.test_case "node failure silences node" `Quick test_node_failure_silences_node;
+    Alcotest.test_case "resubmission lost at a dead node" `Quick
+      test_resubmission_lost_at_dead_node;
     Alcotest.test_case "delivery observer" `Quick test_observer_sees_delivery;
     Alcotest.test_case "straggler distribution" `Quick test_straggler_distribution;
     Alcotest.test_case "geo control latency" `Quick test_control_latency_geo;
