@@ -432,8 +432,10 @@ let live e ~version =
 (* One ladder step's bookkeeping, in the order every step emits it: its
    counter, its flight-recorder note (with an incident trigger for the
    two end-of-ladder steps) and its trace instant [name], hung under the
-   root span of the update at [version] while that span is open. *)
-let note_step t counter ~kind ~flow_id ~version ?(b = 0) ?trigger (name, attrs) =
+   root span of the update at [under] (default [version]) while that
+   span is open. *)
+let note_step t counter ~kind ~flow_id ~version ?(under = version) ?(b = 0) ?trigger
+    (name, attrs) =
   (match t.recovery with Some rc -> Obs.Metrics.incr (counter rc) | None -> ());
   let now = Sim.now (Netsim.sim t.net) in
   Obs.Flight_recorder.note ~now ~kind ~node:(-1) ~flow:flow_id ~a:version ~b;
@@ -444,7 +446,7 @@ let note_step t counter ~kind ~flow_id ~version ?(b = 0) ?trigger (name, attrs) 
   | None -> ()
   | Some sink ->
     Obs.Trace.instant sink ~cat:"recovery" name
-      ~parent:(Obs.Trace.anchor_get sink Update ~flow:flow_id ~version)
+      ~parent:(Obs.Trace.anchor_get sink Update ~flow:flow_id ~version:under)
       ~attrs:(Obs.Trace.flow flow_id :: Obs.Trace.version version :: attrs)
 
 (* Withdraw [e]'s in-flight update; false when there is none. *)
@@ -608,8 +610,10 @@ and transition t e event =
       else if retransmit t e ~version ~attempt:0 then
         backoff t rc ~flow_id:e.flow.flow_id ~version ~attempt:1
 
-(* With no surviving alternative (or already on it) the flow waits for a
-   restore or restart event. *)
+(* A reroute or resync acts on an update that has usually completed, its
+   root span closed, so each hangs under the root span of the push it
+   starts.  With no surviving alternative (or already on it) the flow
+   waits for a restore or restart event. *)
 and reroute t e =
   let flow = e.flow in
   let node_ok n = Netsim.node_is_up t.net ~node:n in
@@ -619,16 +623,20 @@ and reroute t e =
       ~node_ok ~edge_ok
   with
   | Some new_path when new_path <> flow.path ->
+    let version = flow.version in
+    let under = update_flow t ~flow_id:flow.flow_id ~new_path () in
     note_step t (fun rc -> rc.rc_reroutes) ~kind:Obs.Flight_recorder.k_reroute
-      ~flow_id:flow.flow_id ~version:flow.version ("recovery.reroute", []);
-    ignore (update_flow t ~flow_id:flow.flow_id ~new_path ())
+      ~flow_id:flow.flow_id ~version ~under ("recovery.reroute", [])
   | Some _ | None -> ()
 
 and resync t e =
   let flow = e.flow in
+  let version = flow.version in
+  let under =
+    update_flow t ~flow_id:flow.flow_id ~new_path:flow.path ~update_type:Wire.Sl ()
+  in
   note_step t (fun rc -> rc.rc_resyncs) ~kind:Obs.Flight_recorder.k_resync
-    ~flow_id:flow.flow_id ~version:flow.version ("recovery.resync", []);
-  ignore (update_flow t ~flow_id:flow.flow_id ~new_path:flow.path ~update_type:Wire.Sl ())
+    ~flow_id:flow.flow_id ~version ~under ("recovery.resync", [])
 
 let entries_sorted t =
   List.sort

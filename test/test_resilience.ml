@@ -241,13 +241,16 @@ let test_node_failure_reroutes () =
      | o -> Alcotest.failf "broken: %a" Harness.Fwdcheck.pp_outcome o)
   | None -> Alcotest.fail "flow lost"
 
-(* Every §11 ladder step emits its trace instant, hung under the root
-   span of the update it acts on while that update is in flight.  Three
-   fig1 runs, each with the SL update to the new path in flight:
+(* Every §11 ladder step emits its trace instant under a root span: a
+   retransmission under the update it re-sends, a reroute or resync
+   under the push it starts.  Three fig1 runs with the SL update to the
+   new path in flight:
    - node 0 loses both links and (0, 1) comes back at 150 ms, so the
      restored link's retransmission fires (it emitted no instant once);
    - node 5 dies for good, so the flow reroutes onto the old path;
-   - the egress restarts, so the controller resyncs it. *)
+   - the egress restarts, so the controller resyncs it.
+   The last two again with the fault after the update completed, when
+   its root span is already closed. *)
 let recovery_instants ~faults =
   let sink = Obs.Trace.create () in
   let w = Harness.World.make ~trace:sink (fig1 ()) in
@@ -291,7 +294,17 @@ let test_recovery_instants_anchored () =
         Netsim.fail_node net ~node:7 ~at:10.0;
         Netsim.restore_node net ~node:7 ~at:100.0)
   in
-  anchored "resync" (parents "recovery.resync")
+  anchored "resync" (parents "recovery.resync");
+  let _, parents =
+    recovery_instants ~faults:(fun net -> Netsim.fail_node net ~node:5 ~at:1_000.0)
+  in
+  anchored "reroute after completion" (parents "recovery.reroute");
+  let _, parents =
+    recovery_instants ~faults:(fun net ->
+        Netsim.fail_node net ~node:7 ~at:1_000.0;
+        Netsim.restore_node net ~node:7 ~at:1_100.0)
+  in
+  anchored "resync after completion" (parents "recovery.resync")
 
 let suite =
   [
