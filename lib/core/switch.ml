@@ -86,6 +86,7 @@ let enable_consecutive_dl t = t.consecutive_dl <- true
 let disable_guard t = function
   | Inside_segment_label -> t.label_guard <- false
   | Gateway_rule -> t.gateway_guard <- false
+
 let uib t = t.uib
 let on_commit t f = t.commit_hooks <- t.commit_hooks @ [ f ]
 let on_deliver t f = t.deliver_hooks <- t.deliver_hooks @ [ f ]
@@ -142,7 +143,8 @@ let trace_unm_send t (msg : Wire.control) =
   match t.trace with
   | Some sink when msg.Wire.kind = Wire.Unm ->
     let id =
-      Obs.Trace.span_begin sink ~cat:"ctl" "unm.hop" ~node:t.node ~parent:(root_span sink msg)
+      Obs.Trace.span_begin sink ~cat:"ctl" "unm.hop" ~node:t.node
+        ~parent:(root_span sink msg)
         ~attrs:
           [
             Obs.Trace.flow msg.flow_id;
@@ -372,7 +374,9 @@ let alarm t ~flow_id ~version ~status =
      Obs.Trace.instant sink ~cat:"switch" "alarm" ~node:t.node
        ~parent:(Obs.Trace.anchor_get sink Update ~flow:flow_id ~version)
        ~attrs:
-         [ Obs.Trace.flow flow_id; Obs.Trace.version version; Obs.Trace.int "status" status ]);
+         [
+           Obs.Trace.flow flow_id; Obs.Trace.version version; Obs.Trace.int "status" status;
+         ]);
   t.digest <- Wire.control_to_bytes (ufm ~flow_id ~version ~status ~src:t.node)
 
 (* A data frame, read in place: [classify] vouched for its length. *)
@@ -599,7 +603,8 @@ let handle_unm_verified t (c : Wire.control) =
     && Uib.uim_type u flow_id = Wire.update_type_to_int Wire.Dl
   in
   let decision =
-    if dual then Verify.dl_verify ~consecutive:t.consecutive_dl ~label_guard:t.label_guard node
+    if dual then
+      Verify.dl_verify ~consecutive:t.consecutive_dl ~label_guard:t.label_guard node
         (unm_view_of c)
     else Verify.sl_verify node (unm_view_of c)
   in
@@ -611,7 +616,8 @@ let handle_unm_verified t (c : Wire.control) =
      let hop =
        Obs.Trace.anchor_pop sink Unm ~flow:flow_id ~version:c.version_new ~node:c.src_node
      in
-     Obs.Trace.span_end sink hop ~attrs:[ Obs.Trace.str "decision" (decision_name decision) ];
+     Obs.Trace.span_end sink hop
+       ~attrs:[ Obs.Trace.str "decision" (decision_name decision) ];
      Obs.Trace.instant sink ~cat:"verify"
        ((if dual then "dl_verify." else "sl_verify.") ^ decision_name decision)
        ~node:t.node
@@ -734,7 +740,8 @@ let handle_withdraw t (c : Wire.control) =
     match t.trace with
     | None -> ()
     | Some sink ->
-      Obs.Trace.instant sink ~cat:"switch" "withdraw" ~node:t.node ~parent:(root_span sink c)
+      Obs.Trace.instant sink ~cat:"switch" "withdraw" ~node:t.node
+        ~parent:(root_span sink c)
         ~attrs:
           [
             Obs.Trace.flow flow_id;

@@ -140,7 +140,9 @@ let run_with ?update_type ?trace setup system ~paths ~seed =
       ([ { src = List.hd old_path; dst; size = 100; old_path; new_path } ], false)
     | Multi { headroom } -> (workload_of topo ~seed ~headroom, true)
   in
-  let baseline_net () = Netsim.create ~config:setup.config (Sim.create ~seed ?trace ()) topo in
+  let baseline_net () =
+    Netsim.create ~config:setup.config (Sim.create ~seed ?trace ()) topo
+  in
   match system with
   | P4u -> run_p4u ?update_type ?trace setup.config topo ~seed updates
   | Ez -> run_ez (baseline_net ()) ~congestion updates

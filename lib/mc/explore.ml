@@ -468,7 +468,8 @@ let still_fails ~cfg ~unsafe sc ~window ~max_events vec =
 
 (* Greedily reset choices to the default (index 0) while the violation
    persists, then drop the all-default tail.  Each probe is one replay. *)
-let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc ~window vec =
+let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc ~window
+    vec =
   let max_events = bounds.b_max_events in
   let vec = ref (Array.of_list vec) in
   let changed = ref true in
@@ -479,7 +480,8 @@ let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc
         if v <> 0 then begin
           let candidate = Array.copy !vec in
           candidate.(d) <- 0;
-          if still_fails ~cfg ~unsafe sc ~window ~max_events (Array.to_list candidate) then begin
+          if still_fails ~cfg ~unsafe sc ~window ~max_events (Array.to_list candidate)
+          then begin
             vec := candidate;
             changed := true
           end

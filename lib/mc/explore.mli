@@ -60,7 +60,9 @@ type result = {
     first violation or when the schedule space within the bounds is
     exhausted, then minimizes any counterexample.  With [unsafe]
     (default [false]) every world it builds drops the scenario's §4b
-    guard ({!Scenario.build}).  This is the CLI and test entry point.  [cfg]
+    guard ({!Scenario.build}).  [check] builds one world per schedule, so
+    [cfg.trace_sink] must be [None]: a sink belongs to one simulation
+    (trace a schedule with {!replay}).  This is the CLI and test entry point.  [cfg]
     (default {!Scenario.default_cfg}) supplies the build seed and, when
     [bounds.b_window_ms] is [None], the reorder-window override
     ([cfg.reorder_window_ms]). *)

@@ -53,10 +53,18 @@ type sink = {
 }
 
 let create ?(exclude = [ "sim" ]) () =
-  { events = []; next_id = 1; clock = None; exclude; anchors = Hashtbl.create 64; listeners = [] }
+  {
+    events = [];
+    next_id = 1;
+    clock = None;
+    exclude;
+    anchors = Hashtbl.create 64;
+    listeners = [];
+  }
 
 let adopt s ~clock =
-  if s.clock <> None then invalid_arg "Trace.adopt: this sink already belongs to a simulation";
+  if Option.is_some s.clock then
+    invalid_arg "Trace.adopt: this sink already belongs to a simulation";
   s.clock <- Some clock
 
 let on_event s f = s.listeners <- f :: s.listeners
