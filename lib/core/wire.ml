@@ -385,15 +385,6 @@ let classify bytes =
       if len < control_bytes_len then Truncated else Control_frame
     else Foreign
 
-(* Classifier for [Netsim.set_control_classifier]: the message kind of a
-   valid control frame without materializing the record. *)
-let control_kind_of_bytes bytes =
-  if Bytes.length bytes < control_bytes_len || get16 bytes 4 <> etype_control then None
-  else
-    match (msg_kind_of_int (get8 bytes 6), update_type_of_int (get8 bytes 17)) with
-    | Some kind, Some _ -> Some (msg_kind_to_int kind)
-    | _ -> None
-
 let pp_control fmt c =
   let kind_name = function
     | Frm -> "FRM" | Uim -> "UIM" | Unm -> "UNM" | Ufm -> "UFM" | Cln -> "CLN"

@@ -165,8 +165,4 @@ type frame_class = Truncated | Data_frame | Control_frame | Foreign
 
 val classify : Bytes.t -> frame_class
 
-(** Message kind of a valid control frame (for
-    [Netsim.set_control_classifier]) without materializing the record. *)
-val control_kind_of_bytes : Bytes.t -> int option
-
 val pp_control : Format.formatter -> control -> unit

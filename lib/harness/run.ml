@@ -425,10 +425,6 @@ let run wl (cfg : Run_config.t) topo =
     probe ();
     let in_flight = Option.fold ~none:0 ~some:Traffic.in_flight audit in
     let flows = List.length (C.flows w.World.controller) in
-    Obs.Metrics.incr (Obs.Metrics.counter metrics "soak.cycles");
-    Obs.Metrics.set (Obs.Metrics.gauge metrics "soak.heap_pending")
-      (float_of_int (Sim.pending sim));
-    Obs.Metrics.set (Obs.Metrics.gauge metrics "soak.flow_db") (float_of_int flows);
     Obs.Flight_recorder.note ~now:(Sim.now sim) ~kind:Obs.Flight_recorder.k_leak ~node:(-1)
       ~flow:(-1) ~a:(Sim.pending sim) ~b:in_flight;
     cycles :=

@@ -155,11 +155,7 @@ type t = {
   mutable acc_excused : int;
   mutable acc_latencies : float list;
   mutable acc_digest : int;
-  (* metric handles in the network's registry *)
-  m_injected : Obs.Metrics.counter;
-  m_delivered : Obs.Metrics.counter;
-  m_reordered : Obs.Metrics.counter;
-  m_latency : Obs.Metrics.histogram;
+  m_injected : Obs.Metrics.counter; (* in the network's registry *)
 }
 
 (* The filler of free window slots. *)
@@ -255,13 +251,8 @@ let on_egress t node ~time (d : P4update.Wire.data) =
     pk.pk_delivered_at <- node;
     (* Latency from the wire-carried ingress timestamp (µs). *)
     pk.pk_latency_ms <- time -. (float_of_int d.P4update.Wire.d_ts /. 1000.0);
-    Obs.Metrics.incr t.m_delivered;
-    Obs.Metrics.observe t.m_latency pk.pk_latency_ms;
     let st = pk.pk_st in
-    if seq < st.fl_last_seq then begin
-      t.reordered <- t.reordered + 1;
-      Obs.Metrics.incr t.m_reordered
-    end
+    if seq < st.fl_last_seq then t.reordered <- t.reordered + 1
     else st.fl_last_seq <- seq
   end
 
@@ -361,9 +352,6 @@ let attach ?(workload = default_workload) (w : World.t) =
       acc_latencies = [];
       acc_digest = 0x1505;
       m_injected = Obs.Metrics.counter metrics "traffic.injected";
-      m_delivered = Obs.Metrics.counter metrics "traffic.delivered";
-      m_reordered = Obs.Metrics.counter metrics "traffic.reordered";
-      m_latency = Obs.Metrics.histogram metrics "traffic.latency_ms";
     }
   in
   Netsim.on_delivery w.World.net (fun time node port bytes ->

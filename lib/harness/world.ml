@@ -33,8 +33,6 @@ let make ?seed ?config ?trace ?(flows = []) topo =
   let n = Topo.Graph.node_count topo.Topo.Topologies.graph in
   let switches = Array.init n (fun node -> P4update.Switch.create net ~node) in
   let controller = C.create net in
-  (* Split the network's control-plane counters by wire kind (FRM/UIM/...). *)
-  Netsim.set_control_classifier net P4update.Wire.control_kind_of_bytes;
   (* A node that comes back up lost its pipeline state (§11). *)
   Netsim.on_topology_event net (function
     | Netsim.Node_up node when node >= 0 && node < n ->

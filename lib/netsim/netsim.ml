@@ -36,12 +36,6 @@ type topo_event =
   | Node_down of int
   | Node_up of int
 
-let kind_space = 8
-
-(* Human-readable wire-kind names used in metric names; index = kind. *)
-let kind_names =
-  [| "unclassified"; "frm"; "uim"; "unm"; "ufm"; "cln"; "kind6"; "kind7" |]
-
 (* Read-only snapshot of the network counters.  The live values now live in
    an [Obs.Metrics] registry (one per network); [counters] rebuilds this
    record on each call so existing field-access call sites keep working. *)
@@ -56,7 +50,6 @@ type counters = {
   corrupted_by_fault : int;
   duplicated_by_fault : int;
   dropped_by_failure : int;
-  control_kind_tx : int array; (* per wire msg kind; slot 0 = unclassified *)
 }
 
 (* Pre-resolved counter handles so the hot paths do one field mutation per
@@ -72,7 +65,6 @@ type stats_handles = {
   h_corrupted_by_fault : Obs.Metrics.counter;
   h_duplicated_by_fault : Obs.Metrics.counter;
   h_dropped_by_failure : Obs.Metrics.counter;
-  h_control_kind_tx : Obs.Metrics.counter array;
 }
 
 type t = {
@@ -90,7 +82,6 @@ type t = {
   mutable controller_handler : (from:int -> Bytes.t -> unit) option;
   mutable data_fault : (from:int -> to_:int -> Bytes.t -> fault) option;
   mutable control_fault : (dir:ctl_direction -> Bytes.t -> fault) option;
-  mutable control_classifier : (Bytes.t -> int option) option;
   mutable observers : (float -> int -> int -> Bytes.t -> unit) list;
   mutable topo_observers : (topo_event -> unit) list;
   node_down : bool array;
@@ -130,8 +121,6 @@ let make_stats_handles metrics =
     h_corrupted_by_fault = c "net.fault.corrupted";
     h_duplicated_by_fault = c "net.fault.duplicated";
     h_dropped_by_failure = c "net.failure.dropped";
-    h_control_kind_tx =
-      Array.init kind_space (fun k -> c ("net.ctl.kind." ^ kind_names.(k)));
   }
 
 let make config sim topo =
@@ -162,7 +151,6 @@ let make config sim topo =
     controller_handler = None;
     data_fault = None;
     control_fault = None;
-    control_classifier = None;
     observers = [];
     topo_observers = [];
     node_down = Array.make n false;
@@ -192,12 +180,7 @@ let counters t =
     corrupted_by_fault = c s.h_corrupted_by_fault;
     duplicated_by_fault = c s.h_duplicated_by_fault;
     dropped_by_failure = c s.h_dropped_by_failure;
-    control_kind_tx = Array.map c s.h_control_kind_tx;
   }
-
-let control_kind_count t ~kind =
-  if kind < 0 || kind >= kind_space then 0
-  else Obs.Metrics.count t.stats.h_control_kind_tx.(kind)
 
 let port_count t ~node = Array.length t.ports.(node)
 
@@ -229,7 +212,6 @@ let set_data_fault t hook = t.data_fault <- Some hook
 let clear_data_fault t = t.data_fault <- None
 let set_control_fault t hook = t.control_fault <- Some hook
 let clear_control_fault t = t.control_fault <- None
-let set_control_classifier t f = t.control_classifier <- Some f
 let on_delivery t f = t.observers <- t.observers @ [ f ]
 let on_topology_event t f = t.topo_observers <- t.topo_observers @ [ f ]
 
@@ -416,13 +398,6 @@ let resubmit t ~node frame =
 (* Control plane                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let classify_control t bytes =
-  match t.control_classifier with
-  | None -> ()
-  | Some f ->
-    let kind = match f bytes with Some k when k > 0 && k < kind_space -> k | _ -> 0 in
-    Obs.Metrics.incr t.stats.h_control_kind_tx.(kind)
-
 (* The controller is a single-thread FIFO server: each message (in either
    direction) occupies it for [controller_service_ms]. *)
 let controller_slot t =
@@ -442,7 +417,6 @@ let notify_controller t ~from bytes =
   if t.node_down.(from) then Obs.Metrics.incr t.stats.h_dropped_by_failure
   else begin
     Obs.Metrics.incr t.stats.h_control_to_controller;
-    classify_control t bytes;
     let uplink = sample_ctl_latency t ~node:from in
     apply_fault t
       ~hook:(control_hook t ~dir:(To_controller from))
@@ -454,7 +428,6 @@ let notify_controller t ~from bytes =
 
 let controller_transmit t ~to_ bytes =
   Obs.Metrics.incr t.stats.h_control_to_switch;
-  classify_control t bytes;
   (* The controller's FIFO slot is paid once at send time; wire-level
      faults (including duplication) happen after the serialization
      point. *)

@@ -178,25 +178,12 @@ type counters = {
   duplicated_by_fault : int;
   dropped_by_failure : int;
       (** lost to a failed link or node (either plane) *)
-  control_kind_tx : int array;
-      (** control-channel sends per wire message kind, as classified by
-          {!set_control_classifier}; slot 0 counts unclassified sends *)
 }
 
 val counters : t -> counters
 
 (** The network's metrics registry ([net.*] counters). *)
 val metrics : t -> Obs.Metrics.t
-
-(** [set_control_classifier t f] installs the function used to split the
-    control-message counters by wire kind ([f bytes] returns the kind
-    tag, e.g. {!P4update.Wire.msg_kind_to_int}).  The network layer
-    itself is payload-agnostic, so without a classifier all control
-    sends land in slot 0. *)
-val set_control_classifier : t -> (Bytes.t -> int option) -> unit
-
-(** Control-channel sends recorded for [kind] (both directions). *)
-val control_kind_count : t -> kind:int -> int
 
 (** Per-switch control-plane latency used by this network (for analysis). *)
 val control_latency_of : t -> node:int -> float

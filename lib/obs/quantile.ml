@@ -1,17 +1,11 @@
-(* The one quantile implementation.
+(* The one quantile implementation: exact order statistics over a sample
+   list.  [Harness.Stats.percentile_opt] and [Timeseries] both delegate to
+   {!of_list_opt}, so a caller passing p = 101 gets the same
+   [Invalid_argument] either way.
 
-   Percentile estimation used to live twice — exact order statistics in
-   [Harness.Stats] and (implicitly) the log2-histogram buckets in
-   [Metrics] — with no shared p-range validation.  Both now route through
-   this module: [Stats.percentile_opt] delegates to {!of_list_opt} and
-   [Metrics.percentile_opt] to {!of_buckets_opt}, so a caller passing
-   p = 101 gets the same [Invalid_argument] either way.
-
-   Conventions shared by every entry point:
-   - [p] is a percentile in [0, 100]; out-of-range or non-finite raises
-     [Invalid_argument] with the caller-supplied [who] prefix.
-   - Empty samples return [None]; [*_opt]-free wrappers are the callers'
-     business. *)
+   [p] is a percentile in [0, 100]; out-of-range or non-finite raises
+   [Invalid_argument] with the caller-supplied [who] prefix.  Empty samples
+   return [None]; [*_opt]-free wrappers are the callers' business. *)
 
 let check_p ~who p =
   if not (Float.is_finite p) || p < 0.0 || p > 100.0 then
@@ -38,39 +32,3 @@ let of_list_opt ?(who = "Quantile.of_list_opt") p xs =
   match xs with
   | [] -> None
   | xs -> of_sorted_array ~who p (Array.of_list (List.sort compare xs))
-
-(* Histogram estimation over power-of-two buckets: bucket 0 covers
-   [0, 1), bucket i >= 1 covers [2^(i-1), 2^i).  The target rank is
-   located by a cumulative walk and interpolated linearly inside its
-   bucket — the classic Prometheus-style estimate, accurate to a factor
-   bounded by the bucket width.  [count] is the total sample count (the
-   buckets may sum to less if the caller clamps). *)
-let of_buckets_opt ?(who = "Quantile.of_buckets_opt") p ~count ~buckets =
-  check_p ~who p;
-  if count <= 0 then None
-  else begin
-    (* Powers of two as floats: [1 lsl 63] would overflow OCaml's 63-bit
-       ints for the last bucket, so the edges are computed in float. *)
-    let pow2 i = 2.0 ** float_of_int i in
-    let floor_of i = if i = 0 then 0.0 else pow2 (i - 1) in
-    let ceil_of i = pow2 i in
-    (* Same convention as Stats: rank over n-1 so p=0 is the first sample
-       and p=100 the last. *)
-    let rank = p /. 100.0 *. float_of_int (count - 1) in
-    let target = rank +. 1.0 in  (* 1-based position of the sample *)
-    let n = Array.length buckets in
-    let rec walk i seen =
-      if i >= n then Some (ceil_of (n - 1))
-      else
-        let here = buckets.(i) in
-        if here > 0 && float_of_int (seen + here) >= target then begin
-          (* Interpolate within bucket i between its floor and ceiling by
-             the fraction of the bucket's population below the target. *)
-          let lo = floor_of i and hi = ceil_of i in
-          let frac = (target -. float_of_int seen) /. float_of_int here in
-          Some (lo +. (Float.min 1.0 (Float.max 0.0 frac) *. (hi -. lo)))
-        end
-        else walk (i + 1) (seen + here)
-    in
-    walk 0 0
-  end

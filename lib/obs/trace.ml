@@ -49,7 +49,6 @@ type sink = {
   mutable clock : (unit -> float) option;  (** the adopting simulation's *)
   exclude : string list;  (** categories filtered out at record time *)
   anchors : (anchor * int * int * int, int) Hashtbl.t;
-  mutable listeners : (event -> unit) list;
 }
 
 let create ?(exclude = [ "sim" ]) () =
@@ -59,7 +58,6 @@ let create ?(exclude = [ "sim" ]) () =
     clock = None;
     exclude;
     anchors = Hashtbl.create 64;
-    listeners = [];
   }
 
 let adopt s ~clock =
@@ -67,12 +65,9 @@ let adopt s ~clock =
     invalid_arg "Trace.adopt: this sink already belongs to a simulation";
   s.clock <- Some clock
 
-let on_event s f = s.listeners <- f :: s.listeners
 let now s = match s.clock with Some clock -> clock () | None -> 0.0
 
-let record s ev =
-  s.events <- ev :: s.events;
-  List.iter (fun f -> f ev) s.listeners
+let record s ev = s.events <- ev :: s.events
 
 let cat_enabled s cat = not (List.mem cat s.exclude)
 

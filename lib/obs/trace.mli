@@ -54,10 +54,6 @@ val adopt : sink -> clock:(unit -> float) -> unit
     calls it once with its own clock; a sink that already has a clock
     raises [Invalid_argument], so one sink never mixes two simulations. *)
 
-val on_event : sink -> (event -> unit) -> unit
-(** Register a listener, called synchronously on every event [sink]
-    records. *)
-
 (** {2 Recording} — a category in the sink's [exclude] list records
     nothing (and {!span_begin} returns 0). *)
 

@@ -177,23 +177,6 @@ let test_control_fault_both_directions () =
   let _ = Sim.run sim in
   Alcotest.(check int) "delivered after clear" 1 !downlink
 
-let test_control_kind_counters () =
-  let sim = Sim.create () in
-  let net = Netsim.create sim (line_topo ()) in
-  Netsim.attach net ~node:0 (fun ~port:_ _ -> ());
-  Netsim.set_controller net (fun ~from:_ _ -> ());
-  (* Classify by first byte, like the harness does with Wire kinds. *)
-  Netsim.set_control_classifier net (fun bytes ->
-      match Bytes.get bytes 0 with '2' -> Some 2 | '4' -> Some 4 | _ -> None);
-  Netsim.controller_transmit net ~to_:0 (Bytes.of_string "2uim");
-  Netsim.controller_transmit net ~to_:0 (Bytes.of_string "2uim");
-  Netsim.notify_controller net ~from:2 (Bytes.of_string "4ufm");
-  Netsim.notify_controller net ~from:2 (Bytes.of_string "?junk");
-  let _ = Sim.run sim in
-  Alcotest.(check int) "UIM sends" 2 (Netsim.control_kind_count net ~kind:2);
-  Alcotest.(check int) "UFM sends" 1 (Netsim.control_kind_count net ~kind:4);
-  Alcotest.(check int) "unclassified in slot 0" 1 (Netsim.control_kind_count net ~kind:0)
-
 let test_link_failure_loses_packets () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
@@ -451,7 +434,6 @@ let suite =
     Alcotest.test_case "fault: outcome counters" `Quick test_fault_outcome_counters;
     Alcotest.test_case "control fault: both directions" `Quick
       test_control_fault_both_directions;
-    Alcotest.test_case "control counters split by kind" `Quick test_control_kind_counters;
     Alcotest.test_case "link failure loses packets" `Quick test_link_failure_loses_packets;
     Alcotest.test_case "node failure silences node" `Quick test_node_failure_silences_node;
     Alcotest.test_case "resubmission lost at a dead node" `Quick

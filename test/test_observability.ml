@@ -1,11 +1,10 @@
-(* Tests for the PR 7 observability plane: the shared quantile
-   implementation (Stats and Metrics must agree), Metrics histogram edge
-   cases, the flight recorder's ring semantics and incident snapshots,
+(* Tests for the observability plane: the shared quantile implementation
+   (Stats delegates to it), the flight recorder's ring semantics and
+   incident snapshots,
    the Sim tick hook driving the SLO time-series, and the bench rows
    writer (Obs.Rows). *)
 
 module Sim = Dessim.Sim
-module Metrics = Obs.Metrics
 module Quantile = Obs.Quantile
 module Recorder = Obs.Flight_recorder
 module Rows = Obs.Rows
@@ -45,73 +44,7 @@ let test_quantile_unified () =
   (* Both front ends reject the same out-of-range p. *)
   Alcotest.check_raises "Stats rejects p=101"
     (Invalid_argument "Stats.percentile: p outside [0, 100]") (fun () ->
-      ignore (Harness.Stats.percentile_opt 101.0 xs));
-  let r = Metrics.create () in
-  let h = Metrics.histogram r "lat" in
-  Metrics.observe h 1.0;
-  Alcotest.check_raises "Metrics rejects p=101"
-    (Invalid_argument "Metrics.percentile: p outside [0, 100]") (fun () ->
-      ignore (Metrics.percentile_opt h 101.0));
-  Alcotest.check_raises "Metrics rejects nan"
-    (Invalid_argument "Metrics.percentile: p outside [0, 100]") (fun () ->
-      ignore (Metrics.percentile_opt h Float.nan))
-
-(* Histogram estimates must stay within the enclosing bucket of the
-   exact answer; with all samples in one bucket the estimate is bounded
-   by that bucket's edges. *)
-let test_histogram_percentile_agreement () =
-  let r = Metrics.create () in
-  let h = Metrics.histogram r "lat" in
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  List.iter (Metrics.observe h) xs;
-  List.iter
-    (fun p ->
-      let exact = Option.get (Harness.Stats.percentile_opt p xs) in
-      let est = Option.get (Metrics.percentile_opt h p) in
-      (* Bucket i covers [2^(i-1), 2^i): the estimate can be off by at
-         most a factor of 2 either way. *)
-      Alcotest.(check bool)
-        (Printf.sprintf "p%.0f estimate within bucket bounds (%.1f vs %.1f)" p est
-           exact)
-        true
-        (est >= exact /. 2.0 && est <= exact *. 2.0))
-    [ 10.0; 50.0; 90.0; 99.0 ]
-
-(* --- Metrics histogram edges ---------------------------------------- *)
-
-let test_histogram_edges () =
-  let r = Metrics.create () in
-  (* Zero samples: no percentile. *)
-  let h0 = Metrics.histogram r "empty" in
-  Alcotest.(check (option (float 0.0))) "empty histogram" None
-    (Metrics.percentile_opt h0 50.0);
-  Alcotest.check_raises "percentile on empty raises"
-    (Invalid_argument "Metrics.percentile: empty histogram") (fun () ->
-      ignore (Metrics.percentile h0 50.0));
-  (* One sample: every percentile lands in its bucket. *)
-  let h1 = Metrics.histogram r "one" in
-  Metrics.observe h1 3.0;
-  List.iter
-    (fun p ->
-      let v = Option.get (Metrics.percentile_opt h1 p) in
-      Alcotest.(check bool)
-        (Printf.sprintf "single sample p%.0f in [2,4]" p)
-        true (v >= 2.0 && v <= 4.0))
-    [ 0.0; 50.0; 100.0 ];
-  (* A huge sample clamps into the last bucket and stays finite. *)
-  let hmax = Metrics.histogram r "huge" in
-  Metrics.observe hmax (float_of_int max_int);
-  let v = Option.get (Metrics.percentile_opt hmax 99.0) in
-  Alcotest.(check bool) "max_int sample finite" true (Float.is_finite v);
-  Alcotest.(check bool) "max_int sample clamped to last bucket" true
-    (v <= 2.0 ** 63.0 && v >= 2.0 ** 61.0);
-  (* Negative samples clamp into bucket 0 = [0, 1). *)
-  let hneg = Metrics.histogram r "neg" in
-  Metrics.observe hneg (-5.0);
-  let v = Option.get (Metrics.percentile_opt hneg 50.0) in
-  Alcotest.(check bool) "negative sample clamps to [0,1]" true (v >= 0.0 && v <= 1.0);
-  (* min/max still see the raw values even when the bucket clamps. *)
-  Alcotest.(check int) "clamped sample counted" 1 (Metrics.hcount hneg)
+      ignore (Harness.Stats.percentile_opt 101.0 xs))
 
 (* --- flight recorder: ring semantics -------------------------------- *)
 
@@ -400,9 +333,6 @@ let test_recorder_soak_determinism () =
 let suite =
   [
     Alcotest.test_case "quantile: Stats and Metrics unified" `Quick test_quantile_unified;
-    Alcotest.test_case "quantile: histogram vs exact agreement" `Quick
-      test_histogram_percentile_agreement;
-    Alcotest.test_case "metrics histogram edges" `Quick test_histogram_edges;
     Alcotest.test_case "recorder ring wraparound" `Quick test_recorder_wraparound;
     Alcotest.test_case "recorder disabled is a no-op" `Quick test_note_without_recorder;
     Alcotest.test_case "incident snapshots deterministic" `Quick

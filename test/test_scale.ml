@@ -262,8 +262,7 @@ let prop_control_codec_equiv =
       Bytes.equal bytes oracle
       && Bytes.equal (P4rt.Packet.serialize (W.control_to_packet c)) oracle
       && W.control_of_bytes bytes = Some c
-      && Codec_oracle.control_of_bytes bytes = Some c
-      && W.control_kind_of_bytes bytes = Some (W.msg_kind_to_int c.W.kind))
+      && Codec_oracle.control_of_bytes bytes = Some c)
 
 let prop_data_codec_equiv =
   QCheck.Test.make ~name:"fast data codec = boxed codec" ~count:500
@@ -298,11 +297,8 @@ let prop_decode_equiv_random_bytes =
     ~count:500 random_frame
     (fun s ->
       let b = Bytes.of_string s in
-      let oracle_control = Codec_oracle.control_of_bytes b in
-      W.control_of_bytes b = oracle_control
-      && W.data_of_bytes b = Codec_oracle.data_of_bytes b
-      && W.control_kind_of_bytes b
-         = Option.map (fun c -> W.msg_kind_to_int c.W.kind) oracle_control)
+      W.control_of_bytes b = Codec_oracle.control_of_bytes b
+      && W.data_of_bytes b = Codec_oracle.data_of_bytes b)
 
 let prop_data_field_accessors =
   (* The in-place field reads agree with the full decode: -1 exactly
