@@ -170,7 +170,8 @@ type source = Slots of population | Intent of Intent_churn.t
 (* Time [prepare_batch] over a request batch without mutating the world
    it measures: a throwaway [World] is built on the same topology, the
    batch's flows are re-registered into it at their current paths, and
-   the timing loop hammers the clone's controller. *)
+   the timing loop hammers the clone's controller.  The clone stays
+   untraced: a run's sink belongs to the run's own simulation. *)
 let retime_prep (w : World.t) requests =
   let clone = World.make ~seed:0 (Netsim.topology w.World.net) in
   List.iter
@@ -204,7 +205,7 @@ let run wl (cfg : Run_config.t) topo =
    | Open _, Per_cycle _ -> invalid_arg "Run.run: per-cycle churn needs cycles"
    | _ -> ());
   Observe.with_recorder cfg @@ fun _recorder ->
-  let w = World.make ~seed:cfg.Run_config.seed topo in
+  let w = World.make ~seed:cfg.Run_config.seed ?trace:cfg.Run_config.trace_sink topo in
   let sim = w.World.sim in
   let net = w.World.net in
   let metrics = Netsim.metrics net in

@@ -36,8 +36,9 @@ type t = {
   iterations : int;                  (** inner-loop size (fig8 preparations) *)
   congestion : bool;                 (** congestion-aware variant (fig8) *)
   trace_sink : Obs.Trace.sink option;(** adopted by the simulation of the
-                                         one traced run ([Traced.run], the
-                                         degraded [Chaos.run]) *)
+                                         one traced run ([Traced.run],
+                                         [Run.run], the degraded
+                                         [Chaos.run], an mc world) *)
   fault_plan : fault_plan option;    (** inject faults when present (chaos) *)
   reorder_window_ms : float option;  (** mc chooser window override *)
   recorder : bool;                   (** always-on flight recorder (default on) *)

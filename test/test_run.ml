@@ -145,6 +145,35 @@ let test_soak_quick_pins () =
          ((c.cy_injected, c.cy_pending_events), (c.cy_flows, (c.cy_in_flight, c.cy_violations))))
        r.r_cycles)
 
+(* A run given [Run_config.trace_sink] records into it: one [update] span
+   per push.  Tracing never perturbs the schedule, so the traced run is
+   the untraced run. *)
+let test_traced_run () =
+  let wl =
+    { scale_workload with
+      updates = 40;
+      audit = Some { Traffic.default_workload with tw_stop_ms = 100.0 } }
+  in
+  let run ?trace_sink () =
+    Run.run wl (Run_config.make ~seed:42 ?trace_sink ~recorder:false ()) (Topologies.b4 ())
+  in
+  let sink = Obs.Trace.create () in
+  let traced = run ~trace_sink:sink () and plain = run () in
+  let updates =
+    List.length
+      (List.filter
+         (function Obs.Trace.Span_begin { name = "update"; _ } -> true | _ -> false)
+         (Obs.Trace.events sink))
+  in
+  Alcotest.(check bool) "pushed some" true (traced.r_pushed > 0);
+  int "one update span per push" traced.r_pushed updates;
+  int "pushed" plain.r_pushed traced.r_pushed;
+  int "events" plain.r_events traced.r_events;
+  Alcotest.(check (list (float 0.0))) "completions" plain.r_completion_ms
+    traced.r_completion_ms;
+  let digest (r : Run.result) = (Option.get r.r_traffic).Traffic.ts_digest in
+  int "traffic digest" (digest plain) (digest traced)
+
 (* [ops] is a list of (slot, retire) replacements applied to a
    population of [flows] on [topo] seeded with [seed]. *)
 let population_holds topo ~flows (seed, ops) =
@@ -190,6 +219,7 @@ let suite =
     Alcotest.test_case "soak smoke pinned" `Quick test_soak_pins;
     Alcotest.test_case "soak smoke intent-churn pinned" `Quick test_soak_intent_pins;
     Alcotest.test_case "soak quick pinned" `Quick test_soak_quick_pins;
+    Alcotest.test_case "a traced run records its pushes" `Quick test_traced_run;
     QCheck_alcotest.to_alcotest (prop_population "attmpls" Topologies.attmpls);
     QCheck_alcotest.to_alcotest (prop_population "chinanet" Topologies.chinanet);
   ]
