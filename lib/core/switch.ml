@@ -437,6 +437,19 @@ let handle_data t ~in_port bytes =
       t.out_bytes <- Wire.data_forward_copy bytes ~ttl:(ttl - 1) ~tag
     end
 
+(* §11 failure handling: a staged indication that never commits means
+   the notification chain was lost somewhere downstream — alarm the
+   controller so it can re-trigger the update. *)
+let arm_watchdog t ~flow_id ~version timeout_ms =
+  Sim.schedule (Netsim.sim t.net) ~delay:timeout_ms (fun () ->
+      if Uib.ver_cur t.uib flow_id < version
+         && Uib.uim_version t.uib flow_id = version
+         && Uib.withdrawn_version t.uib flow_id < version
+      then begin
+        t.stats.alarms <- t.stats.alarms + 1;
+        notify_ctl t (ufm ~flow_id ~version ~status:Wire.ufm_alarm_timeout ~src:t.node)
+      end)
+
 let handle_uim t (c : Wire.control) =
   let u = t.uib in
   let flow_id = c.flow_id in
@@ -455,16 +468,7 @@ let handle_uim t (c : Wire.control) =
   if (not accepted) && c.version_new = Uib.uim_version u flow_id then begin
     (match t.watchdog_ms with
      | Some timeout_ms when Uib.ver_cur u flow_id < c.version_new ->
-       Sim.schedule (Netsim.sim t.net) ~delay:timeout_ms (fun () ->
-           if Uib.ver_cur t.uib flow_id < c.version_new
-              && Uib.uim_version t.uib flow_id = c.version_new
-              && Uib.withdrawn_version t.uib flow_id < c.version_new
-           then begin
-             t.stats.alarms <- t.stats.alarms + 1;
-             notify_ctl t
-               (ufm ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_timeout
-                  ~src:t.node)
-           end)
+       arm_watchdog t ~flow_id ~version:c.version_new timeout_ms
      | Some _ | None -> ());
     (* Any committed node (egress, gateway or mid-path) replays the exact
        notification it sent when its rule fired, so the chain restarts
@@ -494,21 +498,8 @@ let handle_uim t (c : Wire.control) =
   end;
   if accepted then begin
     Hashtbl.remove t.wait_counts flow_id;
-    (* §11 failure handling: a staged indication that never commits means
-       the notification chain was lost somewhere downstream — alarm the
-       controller so it can re-trigger the update. *)
     (match t.watchdog_ms with
-     | Some timeout_ms ->
-       Sim.schedule (Netsim.sim t.net) ~delay:timeout_ms (fun () ->
-           if Uib.ver_cur t.uib flow_id < c.version_new
-              && Uib.uim_version t.uib flow_id = c.version_new
-              && Uib.withdrawn_version t.uib flow_id < c.version_new
-           then begin
-             t.stats.alarms <- t.stats.alarms + 1;
-             notify_ctl t
-               (ufm ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_timeout
-                  ~src:t.node)
-           end)
+     | Some timeout_ms -> arm_watchdog t ~flow_id ~version:c.version_new timeout_ms
      | None -> ());
     let utype = Wire.update_type_to_int c.update_type in
     if c.role land Wire.role_flow_egress <> 0 then
