@@ -910,6 +910,67 @@ let test_audited_hop_allocation () =
   check_budget "unaudited delivery" plain delivery_word_budget;
   check_budget "audited hop" (words_per_step ~audited:true -. plain) audited_hop_word_budget
 
+(* One probe's first delivery at its flow's egress, audited by
+   [Harness.Traffic]: N distinct probes are in the flight window, each
+   dropped at the ingress (ttl 1) before it moved, and each is delivered
+   once by a [Sim.step] that hands its frame from the last hop to the
+   egress switch.  Minus the same deliveries without the auditor, the
+   cost is the hop's cons, the switch's decode and record copy for the
+   egress hook, the boxed clock and the boxed latency: 28 words (58 when
+   every delivery also fed a latency histogram: the retained sample's
+   cons, boxed floats for its sum and running maximum, and one boxed
+   float per halving step of the log2 bucket search, about ten for these
+   ~1 s latencies). *)
+let audited_egress_word_budget = 28.0
+
+let test_audited_egress_allocation () =
+  let probes = 1000 in
+  let words_per_delivery ~audited =
+    let w, flow_id = forwarding_world () in
+    if audited then begin
+      let t =
+        Harness.Traffic.attach
+          ~workload:
+            { Harness.Traffic.tw_mean_gap_ms = 1.0;
+              tw_poisson = false;
+              tw_stop_ms = float_of_int (probes + 1) +. 0.5;
+              tw_ttl = 1 }
+          w
+      in
+      Harness.Traffic.start t;
+      ignore (Harness.World.run w);
+      Alcotest.(check int) "every probe awaits delivery" (probes + 1)
+        (Harness.Traffic.in_flight t)
+    end;
+    let egress, last_hop =
+      match List.rev Topo.Topologies.fig1_old_path with
+      | egress :: last_hop :: _ -> (egress, last_hop)
+      | _ -> assert false
+    in
+    let port = Netsim.port_of_neighbor w.net ~node:last_hop ~neighbor:egress in
+    let frames =
+      Array.init (probes + 1) (fun seq ->
+          Wire.data_to_bytes
+            { Wire.d_flow_id = flow_id; seq; ttl = 1; origin = 0; dst = 7; tag = 0; d_ts = 0 })
+    in
+    let sim = w.Harness.World.sim in
+    let deliver seq =
+      Netsim.transmit w.net ~from:last_hop ~port frames.(seq);
+      if not (Dessim.Sim.step sim) || Dessim.Sim.pending sim <> 0 then
+        Alcotest.fail "one step must deliver the frame and leave nothing pending"
+    in
+    deliver 0;
+    let before = Gc.minor_words () in
+    for seq = 1 to probes do
+      deliver seq
+    done;
+    (Gc.minor_words () -. before) /. float_of_int probes
+  in
+  let plain = words_per_delivery ~audited:false in
+  check_budget "unaudited egress delivery" plain delivery_word_budget;
+  check_budget "audited egress" (words_per_delivery ~audited:true -. plain)
+    audited_egress_word_budget
+
 (* [Controller.prepare_batch] on 20 drawn AttMpls updates, each from a
    registered flow's shortest path to its second-shortest with the §7.5
    policy choosing the type (the bench row
@@ -978,5 +1039,6 @@ let suite =
     Alcotest.test_case "stale UIM delivery allocation" `Quick test_stale_uim_allocation;
     Alcotest.test_case "Sim.step allocation" `Quick test_sim_step_allocation;
     Alcotest.test_case "audited hop allocation" `Quick test_audited_hop_allocation;
+    Alcotest.test_case "audited egress allocation" `Quick test_audited_egress_allocation;
     Alcotest.test_case "prepared update allocation" `Quick test_prepare_batch_allocation;
   ]
