@@ -6,8 +6,8 @@
    sampled off {!Dessim.Sim}'s observability tick.  This module owns the
    install/uninstall discipline so the harnesses stay composable: a
    harness only installs a recorder if the caller has not already done so
-   (the soak monitor drives the scale engine as a subroutine; the outer
-   recorder must survive), and always uninstalls exactly what it
+   (a benchmark or test that installed one around the run reads it
+   afterwards, so it must survive), and always uninstalls exactly what it
    installed. *)
 
 module Sim = Dessim.Sim

@@ -6,9 +6,9 @@
     time-series sampled off [Dessim.Sim]'s observability tick.  This
     module owns the install/uninstall discipline so the harnesses stay
     composable: a harness only installs a recorder if the caller has
-    not already done so (the soak monitor drives the scale engine as a
-    subroutine; the outer recorder must survive), and always uninstalls
-    exactly what it installed. *)
+    not already done so (a benchmark or test that installed one around
+    the run reads it afterwards, so it must survive), and always
+    uninstalls exactly what it installed. *)
 
 val with_recorder :
   Run_config.t -> (Obs.Flight_recorder.t option -> 'a) -> 'a

@@ -19,8 +19,8 @@
     At every cycle boundary the traffic engine drains into running
     totals and the monitor takes leak readings: the event heap, the Flow
     DB and the flight table must return to baseline.  After the settle
-    tail, no trace anchor may be outstanding and no pushed update may be
-    {e stuck} (neither completed, superseded, retired nor aborted).
+    tail, no pushed update may be {e stuck} (neither completed,
+    superseded, retired nor aborted).
     {!Run.ok} is the soak SLO. *)
 
 (** 8 cycles of 6 s, then an 8 s settle tail. *)

@@ -18,8 +18,7 @@ let stddev = function
    callers that want to handle emptiness themselves. *)
 
 (* The order-statistics math (and the p-range validation) is shared with
-   Obs.Metrics' histogram estimator through Obs.Quantile — one
-   implementation, one error message. *)
+   Obs.Timeseries through Obs.Quantile — one implementation. *)
 let percentile_opt p xs = Obs.Quantile.of_list_opt ~who:"Stats.percentile" p xs
 
 let percentile p xs =
