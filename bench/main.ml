@@ -116,8 +116,7 @@ let bechamel_intent_tests () =
   let open Bechamel in
   let w = Harness.World.make ~seed:7 (Topo.Topologies.b4 ()) in
   let g = Netsim.graph w.Harness.World.net in
-  let profile = { Harness.Intent_churn.default_profile with ip_flows = 24 } in
-  let program = Harness.Intent_churn.program (Harness.Intent_churn.create ~profile w) in
+  let program = Harness.Intent_churn.program (Harness.Intent_churn.create ~flows:24 w) in
   let comp = Intent.Compiler.create g program in
   let used = Hashtbl.create 64 in
   List.iter

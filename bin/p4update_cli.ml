@@ -352,8 +352,9 @@ let mc_cmd =
       { Mc.Scenario.default_cfg with Harness.Run_config.reorder_window_ms = window }
     in
     let bounds =
-      { Mc.Explore.default_bounds with
-        b_max_depth = depth; b_max_schedules = max_schedules; b_por = not no_por }
+      { Mc.Explore.b_max_depth = depth;
+        b_max_schedules = max_schedules;
+        b_por = not no_por }
     in
     let found = ref false in
     List.iter

@@ -1,5 +1,3 @@
-let priority_gate_enabled = ref true
-
 type verdict =
   | Proceed
   | Defer_capacity
@@ -7,14 +5,14 @@ type verdict =
 
 let is_real_port port = port <> Wire.port_none && port <> Wire.port_local
 
-let check uib ~flow_id ~new_port ~size ~high_priority ~other_high_waiters =
+let check uib ~flow_id ~new_port ~size ~priority_gate ~high_priority ~other_high_waiters =
   let old_port = Uib.egress_port uib flow_id in
   if not (is_real_port new_port) then Proceed
   else if new_port = old_port && size <= Uib.flow_size uib flow_id then
     (* The flow already holds at least [size] on this port (§A.2). *)
     Proceed
   else if Uib.remaining uib new_port < size then Defer_capacity
-  else if !priority_gate_enabled && (not high_priority) && other_high_waiters > 0 then
+  else if priority_gate && (not high_priority) && other_high_waiters > 0 then
     Defer_priority
   else Proceed
 

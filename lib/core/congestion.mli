@@ -8,27 +8,26 @@
     low-priority flow may only enter a port on which no promoted flow is
     still waiting to enter. *)
 
-(** Ablation hook: disable the dynamic priority gate (capacity checks
-    remain).  Used by the bench harness to quantify §7.4's contribution. *)
-val priority_gate_enabled : bool ref
-
 type verdict =
   | Proceed           (** commit now *)
   | Defer_capacity    (** insufficient remaining capacity: wait *)
   | Defer_priority    (** capacity fine, but a high-priority flow is queued *)
 
-(** [check uib ~flow_id ~new_port ~size ~high_priority
+(** [check uib ~flow_id ~new_port ~size ~priority_gate ~high_priority
     ~other_high_waiters] evaluates whether the move of [flow_id] (of
     [size] centi-units) onto [new_port] may proceed.  [other_high_waiters]
     is the number of {e other} high-priority flows currently queued for
-    [new_port]: a low-priority flow must let those go first (§7.4).
-    Moving within the same port, or to the local port, is always allowed
+    [new_port]: with [priority_gate], a low-priority flow must let those
+    go first (§7.4); without it only capacity is checked (the switch's
+    [Priority_gate] guard, dropped by the scheduler ablation).  Moving
+    within the same port, or to the local port, is always allowed
     (§A.2). *)
 val check :
   Uib.t ->
   flow_id:int ->
   new_port:int ->
   size:int ->
+  priority_gate:bool ->
   high_priority:bool ->
   other_high_waiters:int ->
   verdict

@@ -35,18 +35,17 @@ type recovery_stats = {
   give_ups : int;
 }
 
-(* The counters live in the network's Obs.Metrics registry so Traced,
-   Chaos and Soak all read one source; the handles are hoisted here so
-   the hot paths stay single field mutations. *)
+(* The recovery loop's settings and its counters, which
+   [recovery_stats] copies out. *)
 type recovery = {
   rc_timeout_ms : float;
   rc_max_retries : int;
   rc_deadline_ms : float option;
-  rc_retransmissions : Obs.Metrics.counter;
-  rc_reroutes : Obs.Metrics.counter;
-  rc_resyncs : Obs.Metrics.counter;
-  rc_aborts : Obs.Metrics.counter;
-  rc_give_ups : Obs.Metrics.counter;
+  mutable rc_retransmissions : int;
+  mutable rc_reroutes : int;
+  mutable rc_resyncs : int;
+  mutable rc_aborts : int;
+  mutable rc_give_ups : int;
 }
 
 (* Preparation scratch, built on first use and reused by every
@@ -347,11 +346,11 @@ let recovery_stats t =
   Option.map
     (fun rc ->
       {
-        retransmissions = Obs.Metrics.count rc.rc_retransmissions;
-        reroutes = Obs.Metrics.count rc.rc_reroutes;
-        resyncs = Obs.Metrics.count rc.rc_resyncs;
-        aborts = Obs.Metrics.count rc.rc_aborts;
-        give_ups = Obs.Metrics.count rc.rc_give_ups;
+        retransmissions = rc.rc_retransmissions;
+        reroutes = rc.rc_reroutes;
+        resyncs = rc.rc_resyncs;
+        aborts = rc.rc_aborts;
+        give_ups = rc.rc_give_ups;
       })
     t.recovery
 
@@ -434,9 +433,9 @@ let live e ~version =
    two end-of-ladder steps) and its trace instant [name], hung under the
    root span of the update at [under] (default [version]) while that
    span is open. *)
-let note_step t counter ~kind ~flow_id ~version ?(under = version) ?(b = 0) ?trigger
+let note_step t count ~kind ~flow_id ~version ?(under = version) ?(b = 0) ?trigger
     (name, attrs) =
-  (match t.recovery with Some rc -> Obs.Metrics.incr (counter rc) | None -> ());
+  (match t.recovery with Some rc -> count rc | None -> ());
   let now = Sim.now (Netsim.sim t.net) in
   Obs.Flight_recorder.note ~now ~kind ~node:(-1) ~flow:flow_id ~a:version ~b;
   (match trigger with
@@ -455,8 +454,9 @@ let abort t e ~reason =
   | Some p when live e ~version:p.p_version ->
     let flow_id = e.flow.flow_id and version = p.p_version in
     e.aborted <- Some version;
-    note_step t (fun rc -> rc.rc_aborts) ~kind:Obs.Flight_recorder.k_abort ~flow_id ~version
-      ~trigger:"abort"
+    note_step t
+      (fun rc -> rc.rc_aborts <- rc.rc_aborts + 1)
+      ~kind:Obs.Flight_recorder.k_abort ~flow_id ~version ~trigger:"abort"
       ("recovery.abort", [ Obs.Trace.str "reason" reason ]);
     (match t.trace with
      | None -> ()
@@ -490,7 +490,9 @@ let abort_update ?(reason = "operator") t ~flow_id =
   | None -> false
 
 let give_up t e ~version ~why =
-  note_step t (fun rc -> rc.rc_give_ups) ~kind:Obs.Flight_recorder.k_give_up
+  note_step t
+    (fun rc -> rc.rc_give_ups <- rc.rc_give_ups + 1)
+    ~kind:Obs.Flight_recorder.k_give_up
     ~flow_id:e.flow.flow_id ~version ~trigger:"give-up"
     ("recovery.give_up", [ Obs.Trace.str "why" why ]);
   ignore (abort t e ~reason:why)
@@ -500,7 +502,9 @@ let give_up t e ~version ~why =
 let retransmit t e ~version ~attempt =
   match e.pushed with
   | Some p when p.p_version = version ->
-    note_step t (fun rc -> rc.rc_retransmissions) ~kind:Obs.Flight_recorder.k_retransmit
+    note_step t
+      (fun rc -> rc.rc_retransmissions <- rc.rc_retransmissions + 1)
+      ~kind:Obs.Flight_recorder.k_retransmit
       ~flow_id:e.flow.flow_id ~version ~b:attempt
       ("recovery.retransmit", [ Obs.Trace.int "attempt" attempt ]);
     send_uims t p;
@@ -625,7 +629,9 @@ and reroute t e =
   | Some new_path when new_path <> flow.path ->
     let version = flow.version in
     let under = update_flow t ~flow_id:flow.flow_id ~new_path () in
-    note_step t (fun rc -> rc.rc_reroutes) ~kind:Obs.Flight_recorder.k_reroute
+    note_step t
+      (fun rc -> rc.rc_reroutes <- rc.rc_reroutes + 1)
+      ~kind:Obs.Flight_recorder.k_reroute
       ~flow_id:flow.flow_id ~version ~under ("recovery.reroute", [])
   | Some _ | None -> ()
 
@@ -635,7 +641,9 @@ and resync t e =
   let under =
     update_flow t ~flow_id:flow.flow_id ~new_path:flow.path ~update_type:Wire.Sl ()
   in
-  note_step t (fun rc -> rc.rc_resyncs) ~kind:Obs.Flight_recorder.k_resync
+  note_step t
+    (fun rc -> rc.rc_resyncs <- rc.rc_resyncs + 1)
+    ~kind:Obs.Flight_recorder.k_resync
     ~flow_id:flow.flow_id ~version ~under ("recovery.resync", [])
 
 let entries_sorted t =
@@ -681,18 +689,17 @@ let handle_topo_event t topo_event =
 
 let enable_recovery ?(timeout_ms = 500.0) ?(max_retries = 6) ?deadline_ms t =
   if t.recovery = None then begin
-    let m = Netsim.metrics t.net in
     t.recovery <-
       Some
         {
           rc_timeout_ms = timeout_ms;
           rc_max_retries = max_retries;
           rc_deadline_ms = deadline_ms;
-          rc_retransmissions = Obs.Metrics.counter m "recovery.retransmissions";
-          rc_reroutes = Obs.Metrics.counter m "recovery.reroutes";
-          rc_resyncs = Obs.Metrics.counter m "recovery.resyncs";
-          rc_aborts = Obs.Metrics.counter m "recovery.aborts";
-          rc_give_ups = Obs.Metrics.counter m "recovery.give_ups";
+          rc_retransmissions = 0;
+          rc_reroutes = 0;
+          rc_resyncs = 0;
+          rc_aborts = 0;
+          rc_give_ups = 0;
         };
     Netsim.on_topology_event t.net (handle_topo_event t)
   end

@@ -41,9 +41,8 @@ type report = {
 }
 
 (** Snapshot of the §11 recovery counters (see {!enable_recovery}).  The
-    live counters sit in the network's [Obs.Metrics] registry under
-    [recovery.retransmissions] etc., so Traced / Chaos / Soak all read
-    one source; this record is a point-in-time copy. *)
+    live counters are fields of the controller's recovery state; this
+    record is a point-in-time copy. *)
 type recovery_stats = {
   retransmissions : int; (** idempotent UIM re-sends *)
   reroutes : int;        (** re-label/re-segment around a failure *)

@@ -12,6 +12,7 @@ type stats = {
   mutable waits : int;
   mutable congestion_defers : int;
   mutable withdrawals : int;
+  mutable parse_errors : int;
 }
 
 (* A forwarding-rule commit staged behind the platform's rule-update
@@ -52,9 +53,8 @@ type t = {
   uib : Uib.t;
   name : string; (* the [pipeline] attribute of traced frames *)
   stats : stats;
-  parse_errors : Obs.Metrics.counter; (* net-wide, in [Netsim.metrics] *)
   mutable commit_hooks : (flow_id:int -> version:int -> time:float -> unit) list;
-  mutable deliver_hooks : (time:float -> Wire.data -> unit) list;
+  mutable deliver_hooks : (time:float -> Bytes.t -> unit) list;
   pending : (int, pending_commit) Hashtbl.t; (* flow id -> staged commit *)
   wait_counts : (int, int) Hashtbl.t; (* flow id -> resubmissions so far *)
   cong_counts : (int, int) Hashtbl.t; (* flow id -> congestion defers so far *)
@@ -70,9 +70,10 @@ type t = {
   mutable consecutive_dl : bool; (* Appendix C extension, opt-in *)
   mutable label_guard : bool; (* DESIGN §4b fix 1, off only in mc's pins *)
   mutable gateway_guard : bool; (* DESIGN §4b fix 2, off only in mc's pins *)
+  mutable priority_gate : bool; (* §7.4's dynamic priorities, off in the ablation *)
 }
 
-type guard = Inside_segment_label | Gateway_rule
+type guard = Inside_segment_label | Gateway_rule | Priority_gate
 
 let congestion_budget = 10_000
 
@@ -86,6 +87,7 @@ let enable_consecutive_dl t = t.consecutive_dl <- true
 let disable_guard t = function
   | Inside_segment_label -> t.label_guard <- false
   | Gateway_rule -> t.gateway_guard <- false
+  | Priority_gate -> t.priority_gate <- false
 
 let uib t = t.uib
 let on_commit t f = t.commit_hooks <- t.commit_hooks @ [ f ]
@@ -211,7 +213,7 @@ and fire_commit t flow_id (pc : pending_commit) =
     in
     match
       Congestion.check u ~flow_id ~new_port:pc.pc_egress ~size:pc.pc_size
-        ~high_priority:high ~other_high_waiters
+        ~priority_gate:t.priority_gate ~high_priority:high ~other_high_waiters
     with
     | Congestion.Defer_capacity | Congestion.Defer_priority ->
       (match t.trace with
@@ -419,13 +421,9 @@ let handle_data t ~in_port bytes =
        auditor learns a packet left the network. *)
     match t.deliver_hooks with
     | [] -> ()
-    | hooks -> (
-      match Wire.data_of_bytes bytes with
-      | Some d ->
-        let d = { d with Wire.d_flow_id = flow_id; tag } in
-        let time = Sim.now (Netsim.sim t.net) in
-        List.iter (fun f -> f ~time d) hooks
-      | None -> () (* [classify] vouched for a data header *))
+    | hooks ->
+      let time = Sim.now (Netsim.sim t.net) in
+      List.iter (fun f -> f ~time bytes) hooks
   end
   else
     let ttl = Wire.data_ttl_of_bytes bytes in
@@ -801,7 +799,7 @@ let ingress t ~in_port bytes =
   | Wire.Data_frame -> handle_data t ~in_port bytes
   | Wire.Control_frame -> handle_control t bytes
   | Wire.Foreign -> ()
-  | Wire.Truncated -> Obs.Metrics.incr t.parse_errors
+  | Wire.Truncated -> t.stats.parse_errors <- t.stats.parse_errors + 1
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -887,8 +885,8 @@ let create net ~node =
           waits = 0;
           congestion_defers = 0;
           withdrawals = 0;
+          parse_errors = 0;
         };
-      parse_errors = Obs.Metrics.counter (Netsim.metrics net) "p4rt.parser.errors";
       commit_hooks = [];
       deliver_hooks = [];
       pending = Hashtbl.create 16;
@@ -904,6 +902,7 @@ let create net ~node =
       consecutive_dl = false;
       label_guard = true;
       gateway_guard = true;
+      priority_gate = true;
     }
   in
   Netsim.attach net ~node (receive t);

@@ -14,8 +14,8 @@
     The same program written over the [Wire.parser] parse graph is the
     test suite's reference: a differential property holds the two to
     the same emissions, digests, deliveries, counters and parse
-    errors.  A parse error is counted on [p4rt.parser.errors] in the
-    network's registry ({!Netsim.metrics}).
+    errors.  A parse error is counted in the switch's own
+    [stats.parse_errors].
 
     Forwarding-rule installation pays the platform's rule-update delay
     (when the network is configured with one); verification itself is
@@ -33,6 +33,7 @@ type stats = {
   mutable waits : int;           (** resubmissions while waiting for a UIM *)
   mutable congestion_defers : int;
   mutable withdrawals : int;     (** staged versions discarded by a WDM (§11 abort) *)
+  mutable parse_errors : int;    (** frames too short for their etype *)
 }
 
 (** [create net ~node] builds the switch, initializes its per-port
@@ -48,8 +49,8 @@ val uib : t -> Uib.t
     [-1] for a resubmission, or {!Netsim.port_controller} for controller
     frames.  {!create} attaches
     it to the network as the node's device.  A frame too short for its
-    etype counts on the global ["p4rt.parser.errors"] counter; a foreign
-    etype is dropped silently.  The received buffer is never written.
+    etype counts in [stats.parse_errors]; a foreign etype is dropped
+    silently.  The received buffer is never written.
     The frame's emission (on [Netsim.transmit]) and digest (on
     [Netsim.notify_controller]) leave once it is processed, in that
     order, then its deferred sends, commits and resubmissions run.
@@ -61,12 +62,15 @@ val receive : t -> port:int -> Bytes.t -> unit
     this switch commits a forwarding rule. *)
 val on_commit : t -> (flow_id:int -> version:int -> time:float -> unit) -> unit
 
-(** [on_deliver t f] registers an egress hook: [f ~time d] runs whenever
-    this switch delivers data packet [d] locally (its rule maps the flow
-    to [Wire.port_local]).  Local delivery never crosses a link, so
-    [Netsim.on_delivery] observers cannot see it — this hook is how a
-    live auditor learns a packet left the network. *)
-val on_deliver : t -> (time:float -> Wire.data -> unit) -> unit
+(** [on_deliver t f] registers an egress hook: [f ~time bytes] runs
+    whenever this switch delivers the data frame [bytes] locally (its
+    rule maps the flow to [Wire.port_local]).  [bytes] is the frame as
+    received, read in place with the [Wire.data_*_of_bytes] readers like
+    a [Netsim.on_delivery] observer's; the hook must not write it.
+    Local delivery never crosses a link, so [Netsim.on_delivery]
+    observers cannot see it — this hook is how a live auditor learns a
+    packet left the network. *)
+val on_deliver : t -> (time:float -> Bytes.t -> unit) -> unit
 
 (** [inject_data t data] lets the attached host push a data packet into
     the switch's ingress, as {!receive} on {!Netsim.port_host} (used by traffic
@@ -119,7 +123,7 @@ val enable_consecutive_dl : t -> unit
 val fingerprint : t -> int
 
 (** The two DESIGN §4b guards this switch adds to the paper's literal
-    Alg. 2. *)
+    Alg. 2, and §7.4's priority gate. *)
 type guard =
   | Inside_segment_label
       (** fix 1: an inside-segment node that still carries a live rule
@@ -128,8 +132,13 @@ type guard =
   | Gateway_rule
       (** fix 2: a segment-egress gateway proposes its segment only while
           it holds a forwarding rule *)
+  | Priority_gate
+      (** §7.4: a low-priority flow waits while a promoted flow is queued
+          for the port it wants (see {!Congestion.check}) *)
 
-(** Test-only: drop one guard on this switch.  The model checker's
-    regression pins drop it on every switch of one world to show the
-    violation it prevents; no other world is affected. *)
+(** Drop one guard on this switch; no other switch or world is
+    affected.  The model checker's regression pins drop a §4b fix on
+    every switch of one world to show the violation it prevents, and
+    the scheduler ablation drops the priority gate on the worlds it
+    samples. *)
 val disable_guard : t -> guard -> unit

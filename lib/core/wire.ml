@@ -360,6 +360,7 @@ let data_flow_id_of_bytes bytes = if is_data bytes then get16 bytes 6 else -1
 let data_ttl_of_bytes bytes = if is_data bytes then get8 bytes 12 else -1
 let data_dst_of_bytes bytes = if is_data bytes then get16 bytes 14 else -1
 let data_tag_of_bytes bytes = if is_data bytes then get16 bytes 16 else -1
+let data_ts_of_bytes bytes = if is_data bytes then get32 bytes 18 else -1
 
 (* A forwarded frame: a copy with ttl and tag rewritten, every other
    byte (trailing payload included) unchanged. *)

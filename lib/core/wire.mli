@@ -149,6 +149,7 @@ val data_flow_id_of_bytes : Bytes.t -> int
 val data_ttl_of_bytes : Bytes.t -> int
 val data_dst_of_bytes : Bytes.t -> int
 val data_tag_of_bytes : Bytes.t -> int
+val data_ts_of_bytes : Bytes.t -> int
 
 (** [data_forward_copy b ~ttl ~tag] is a copy of data frame [b] with
     [ttl] and [tag] stored (masked to their widths) and every other byte,

@@ -1,8 +1,9 @@
 let multi topo = Scenarios.multi ~headroom:1.4 topo
 
 (* P4Update's samples over seeds 1000, 1001, ... *)
-let sample ~runs ?update_type setup =
-  Scenarios.sample ?update_type (Run_config.make ~seed:1000 ~runs ()) setup Scenarios.P4u
+let sample ~runs ?update_type ?disable setup =
+  Scenarios.sample ?update_type ?disable (Run_config.make ~seed:1000 ~runs ()) setup
+    Scenarios.P4u
 
 let pct a b = 100.0 *. ((a /. b) -. 1.0)
 
@@ -68,14 +69,8 @@ let render_scheduler_ablation ~runs () =
   Buffer.add_string buf
     "P4Update multi-flow completion with and without the dynamic priority gate:\n";
   let setup = multi Topo.Topologies.internet2 in
-  let measure enabled =
-    P4update.Congestion.priority_gate_enabled := enabled;
-    let samples = sample ~runs setup in
-    P4update.Congestion.priority_gate_enabled := true;
-    samples
-  in
-  let with_gate = measure true in
-  let without = measure false in
+  let with_gate = sample ~runs setup in
+  let without = sample ~runs ~disable:P4update.Switch.Priority_gate setup in
   Buffer.add_string buf
     (Printf.sprintf "  with priority gate    %7.1f ms (n=%d)\n" (Stats.mean with_gate)
        (List.length with_gate));

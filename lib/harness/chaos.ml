@@ -197,6 +197,8 @@ let schedule_element_failures ?(start = 0.0) (w : World.t) ~window_ms ~max_failu
 (* Invariant probes (Thm. 1-4) — shared implementation in Invariants.   *)
 (* ------------------------------------------------------------------ *)
 
+let probe_interval_ms = 500.0
+
 let install_probes (w : World.t) (plan : Run_config.fault_plan) monitor
     (flows : P4update.Controller.flow list) =
   let sim = w.World.sim in
@@ -204,9 +206,9 @@ let install_probes (w : World.t) (plan : Run_config.fault_plan) monitor
     if time <= plan.fp_horizon_ms then
       Sim.schedule_at sim ~time (fun () ->
           Invariants.check_structural monitor flows;
-          arm (time +. plan.fp_probe_interval_ms))
+          arm (time +. probe_interval_ms))
   in
-  arm plan.fp_probe_interval_ms
+  arm probe_interval_ms
 
 (* ------------------------------------------------------------------ *)
 (* One run                                                              *)
@@ -223,12 +225,13 @@ let run_one ?traffic ?trace ~scenario ~seed (plan : Run_config.fault_plan) =
         hash_combine !trace_hash
           (Hashtbl.hash (int_of_float (time *. 1000.0), node, port, Bytes.to_string bytes)));
   Array.iter
-    (fun sw -> P4update.Switch.enable_watchdog sw ~timeout_ms:plan.fp_watchdog_ms)
+    (fun sw ->
+      P4update.Switch.enable_watchdog sw ~timeout_ms:Run_config.default_watchdog_ms)
     w.World.switches;
   if plan.fp_recovery then P4update.Controller.enable_recovery w.World.controller;
   (* Workload first, fault schedule second: a fault-free baseline run of
      the same seed draws the identical workload. *)
-  let planned = draw_flows w.World.sim topo plan.fp_flows in
+  let planned = draw_flows w.World.sim topo 3 in
   let flows =
     List.map
       (fun pl ->

@@ -2,13 +2,13 @@
     scheduled link/node failures, invariant probes and a convergence
     verdict, reproducible from a single seed.
 
-    A run draws a small workload (old path installed, an update to an
-    alternative path scheduled mid-window), then injects stochastic
+    A run draws a workload of 3 flows (old path installed, an update to
+    an alternative path scheduled mid-window), then injects stochastic
     faults — drop, delay, reorder-via-delay, corrupt, duplicate — on the
     data plane and the control channel for the duration of the fault
     window, plus up to two link/node failures (each restored within the
-    window).  Every [fp_probe_interval_ms] the forwarding state of every
-    flow is checked against the Thm. 1–4 invariants:
+    window).  Every 500 ms the forwarding state of every flow is checked
+    against the Thm. 1–4 invariants:
 
     - no loop, ever;
     - no blackhole at a node that never failed;

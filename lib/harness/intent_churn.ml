@@ -17,26 +17,13 @@ module Lang = Intent.Lang
 module Compiler = Intent.Compiler
 module Bridge = Intent.Bridge
 
-type profile = {
-  ip_flows : int;          (* flow intents in the drawn program *)
-  ip_ecmp_frac : float;    (* fraction spread with Ecmp_spread *)
-  ip_ecmp_k : int;
-  ip_way_frac : float;     (* fraction pinned through a waypoint *)
-  ip_drain_bias : float;   (* probability an event is drain/undrain vs TE *)
-  ip_max_drains : int;     (* concurrent drained links *)
-  ip_demand : int;         (* per-flow demand (capacity units) *)
-}
-
-let default_profile =
-  {
-    ip_flows = 40;
-    ip_ecmp_frac = 0.25;
-    ip_ecmp_k = 3;
-    ip_way_frac = 0.25;
-    ip_drain_bias = 0.6;
-    ip_max_drains = 2;
-    ip_demand = 1;
-  }
+(* The program's policy mix and the intent-event mix (see [create]). *)
+let ecmp_frac = 0.25
+let ecmp_k = 3
+let way_frac = 0.25
+let demand = 1
+let drain_bias = 0.6
+let max_drains = 2
 
 type stats = {
   ic_events : int;          (* compiler events applied (intent + topo) *)
@@ -52,7 +39,6 @@ type stats = {
 
 type t = {
   world : World.t;
-  profile : profile;
   compiler : Compiler.t;
   bridge : Bridge.t;
   topo_queue : Netsim.topo_event Queue.t;
@@ -67,7 +53,7 @@ type t = {
 
 (* ---- program synthesis ------------------------------------------------ *)
 
-let draw_program (w : World.t) g profile =
+let draw_program (w : World.t) g ~flows:n_flows =
   let n = Graph.node_count g in
   let seen = Hashtbl.create 64 in
   let draw_pair ~need_alts =
@@ -92,17 +78,17 @@ let draw_program (w : World.t) g profile =
     go 0
   in
   let flows = ref [] in
-  for i = 0 to profile.ip_flows - 1 do
+  for i = 0 to n_flows - 1 do
     let r = Sim.uniform w.World.sim ~bound:1.0 in
     let policy_kind =
-      if r < profile.ip_ecmp_frac then `Ecmp
-      else if r < profile.ip_ecmp_frac +. profile.ip_way_frac then `Way
+      if r < ecmp_frac then `Ecmp
+      else if r < ecmp_frac +. way_frac then `Way
       else `Shortest
     in
     let src, dst = draw_pair ~need_alts:(policy_kind = `Ecmp) in
     let policy =
       match policy_kind with
-      | `Ecmp -> Lang.Ecmp_spread profile.ip_ecmp_k
+      | `Ecmp -> Lang.Ecmp_spread ecmp_k
       | `Shortest -> Lang.Shortest_path
       | `Way ->
         (* A waypoint off the shortest path models a TE pin; fall back to
@@ -125,7 +111,7 @@ let draw_program (w : World.t) g profile =
         fi_dst = dst;
         fi_policy = policy;
         fi_priority = prio;
-        fi_demand = profile.ip_demand;
+        fi_demand = demand;
       }
       :: !flows
   done;
@@ -146,9 +132,9 @@ let lower t diff =
   Bridge.lower t.bridge ~program:(Compiler.program t.compiler) ~diff
     ~install:(install_cb t) ~retire:(retire_cb t)
 
-let create ?(profile = default_profile) (w : World.t) =
+let create ~flows (w : World.t) =
   let g = Netsim.graph w.World.net in
-  let program = draw_program w g profile in
+  let program = draw_program w g ~flows in
   let compiler = Compiler.create g program in
   let bridge = Bridge.create () in
   (* Pre-existing (non-intent) flows keep their ids. *)
@@ -158,7 +144,6 @@ let create ?(profile = default_profile) (w : World.t) =
   let t =
     {
       world = w;
-      profile;
       compiler;
       bridge;
       topo_queue = Queue.create ();
@@ -206,10 +191,10 @@ let drain_candidates t =
 let draw_intent_event t =
   let sim = t.world.World.sim in
   let r = Sim.uniform sim ~bound:1.0 in
-  if r < t.profile.ip_drain_bias then begin
+  if r < drain_bias then begin
     let want_undrain =
       t.active_drains <> []
-      && (List.length t.active_drains >= t.profile.ip_max_drains
+      && (List.length t.active_drains >= max_drains
          || Sim.uniform sim ~bound:1.0 < 0.4)
     in
     if want_undrain then begin

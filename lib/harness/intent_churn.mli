@@ -9,20 +9,6 @@
     topology).  Each event is compiled incrementally and lowered into
     one correlated [Controller.prepare_batch] burst. *)
 
-type profile = {
-  ip_flows : int;  (** flow intents in the drawn program *)
-  ip_ecmp_frac : float;  (** fraction spread with [Ecmp_spread] *)
-  ip_ecmp_k : int;
-  ip_way_frac : float;  (** fraction pinned through a waypoint *)
-  ip_drain_bias : float;  (** probability an event is drain/undrain vs TE *)
-  ip_max_drains : int;  (** concurrent drained links *)
-  ip_demand : int;  (** per-flow demand (capacity units) *)
-}
-
-(** 40 intents, 25% ECMP (k=3), 25% waypoint, drain-biased event mix,
-    at most 2 concurrent drains, demand 1. *)
-val default_profile : profile
-
 type stats = {
   ic_events : int;  (** compiler events applied (intent + topo) *)
   ic_intent_events : int;
@@ -37,11 +23,15 @@ type stats = {
 
 type t
 
-(** [create w] draws a program from [w]'s RNG, compiles it, installs
-    every member flow (bridge-allocated ids, version 1) and subscribes
-    to topology events.  Call before attaching the traffic auditor so
-    the initial population is visible to [World.flows]. *)
-val create : ?profile:profile -> World.t -> t
+(** [create ~flows w] draws a program of [flows] flow intents from
+    [w]'s RNG — 25% spread over 3 ECMP paths, 25% pinned through a
+    waypoint, the rest on shortest paths, each of demand 1 — compiles
+    it, installs every member flow (bridge-allocated ids, version 1) and
+    subscribes to topology events.  Of the drawn intent events, 60%
+    drain or undrain a link (at most 2 drained at once) and the rest
+    re-optimize TE.  Call before attaching the traffic auditor so the
+    initial population is visible to [World.flows]. *)
+val create : flows:int -> World.t -> t
 
 (** Hook invoked for member flows installed mid-run (e.g. an ECMP
     member regaining a path after a restore); the scale engine routes

@@ -69,7 +69,6 @@ type result = {
   r_events : int;
   r_events_per_s : float;
   r_updates_per_s : float;
-  r_prep_per_s : float;
   r_violations : Invariants.violation list;
   r_series : Obs.Timeseries.window list;
   r_traffic : Traffic.summary option;
@@ -165,37 +164,6 @@ let rotate p ~want =
 
 type source = Slots of population | Intent of Intent_churn.t
 
-(* ---- preparation re-timing ------------------------------------------- *)
-
-(* Time [prepare_batch] over a request batch without mutating the world
-   it measures: a throwaway [World] is built on the same topology, the
-   batch's flows are re-registered into it at their current paths, and
-   the timing loop hammers the clone's controller.  The clone stays
-   untraced: a run's sink belongs to the run's own simulation. *)
-let retime_prep (w : World.t) requests =
-  let clone = World.make ~seed:0 (Netsim.topology w.World.net) in
-  List.iter
-    (fun (flow_id, _) ->
-      match World.find_flow w ~flow_id with
-      | Some f ->
-        ignore
-          (World.install_flow clone ~flow_id:f.C.flow_id ~src:f.C.src ~dst:f.C.dst
-             ~size:f.C.size ~path:f.C.path)
-      | None -> ())
-    requests;
-  let batch = List.length requests in
-  if batch = 0 then 0.0
-  else begin
-    let reps = ref 0 in
-    let started = Dessim.Wallclock.now_s () in
-    let elapsed () = Dessim.Wallclock.elapsed_s ~since:started in
-    while elapsed () < 0.2 do
-      ignore (C.prepare_batch clone.World.controller requests);
-      incr reps
-    done;
-    float_of_int (!reps * batch) /. elapsed ()
-  end
-
 (* ---- the run loop ---------------------------------------------------- *)
 
 let run wl (cfg : Run_config.t) topo =
@@ -208,7 +176,6 @@ let run wl (cfg : Run_config.t) topo =
   let w = World.make ~seed:cfg.Run_config.seed ?trace:cfg.Run_config.trace_sink topo in
   let sim = w.World.sim in
   let net = w.World.net in
-  let metrics = Netsim.metrics net in
   let cycled = match wl.pacing with Cycles _ -> true | Open _ -> false in
   Option.iter
     (fun f ->
@@ -222,9 +189,7 @@ let run wl (cfg : Run_config.t) topo =
      state. *)
   let source =
     if cfg.Run_config.intent_churn then
-      Intent
-        (Intent_churn.create
-           ~profile:{ Intent_churn.default_profile with Intent_churn.ip_flows = wl.flows } w)
+      Intent (Intent_churn.create ~flows:wl.flows w)
     else Slots (populate w ~flows:wl.flows)
   in
   (* An open run probes from the start; a cycled one per cycle. *)
@@ -239,6 +204,7 @@ let run wl (cfg : Run_config.t) topo =
         end)
       wl.audit
   in
+  let injected () = Option.fold ~none:0 ~some:Traffic.injected audit in
   let note_admitted ~flow_id =
     Option.iter (fun tr -> Traffic.note_admitted tr ~flow_id) audit
   in
@@ -303,10 +269,10 @@ let run wl (cfg : Run_config.t) topo =
         (Printf.sprintf "p4update %s %s" (if cycled then "soak" else "scale")
            topo.Topo.Topologies.name)
       ~register:(fun ts ->
-        let count name () = float_of_int (Obs.Metrics.get_count metrics name) in
         Obs.Timeseries.dist ts "update_latency" ~unit_:"ms";
         if cycled then
-          Obs.Timeseries.rate ts "pkts" ~unit_:"pkts/s" (count "traffic.injected")
+          Obs.Timeseries.rate ts "pkts" ~unit_:"pkts/s" (fun () ->
+              float_of_int (injected ()))
         else
           Obs.Timeseries.rate ts "pushed" ~unit_:"updates/s" (fun () ->
               float_of_int !pushed);
@@ -316,10 +282,14 @@ let run wl (cfg : Run_config.t) topo =
             float_of_int (Hashtbl.length pending));
         if cycled then
           List.iter
-            (fun (name, counter) ->
-              Obs.Timeseries.rate ts name ~unit_:"ops/s" (count counter))
-            [ ("retransmit", "recovery.retransmissions"); ("reroute", "recovery.reroutes");
-              ("abort", "recovery.aborts") ];
+            (fun (name, count) ->
+              Obs.Timeseries.rate ts name ~unit_:"ops/s" (fun () ->
+                  match C.recovery_stats w.World.controller with
+                  | Some r -> float_of_int (count r)
+                  | None -> 0.0))
+            [ ("retransmit", fun r -> r.C.retransmissions);
+              ("reroute", fun r -> r.C.reroutes);
+              ("abort", fun r -> r.C.aborts) ];
         Obs.Timeseries.gauge ts "heap" ~unit_:"events" (fun () ->
             float_of_int (Sim.pending sim)))
   in
@@ -358,8 +328,6 @@ let run wl (cfg : Run_config.t) topo =
   let churned = ref 0 in
   let probes = ref 0 in
   let element_failures = ref 0 in
-  let prep_s = ref 0.0 in
-  let prepared_n = ref 0 in
   let probe () =
     incr probes;
     Invariants.check_structural monitor (World.flows w)
@@ -369,27 +337,18 @@ let run wl (cfg : Run_config.t) topo =
     incr churned;
     note_admitted ~flow_id
   in
-  (* The timing span covers preparation only — for intent bursts that
-     includes the recompile and lowering, which ARE its preparation. *)
-  let timed prepare =
-    let started = Dessim.Wallclock.now_s () in
-    let prepared = prepare () in
-    prep_s := !prep_s +. Dessim.Wallclock.elapsed_s ~since:started;
-    prepared_n := !prepared_n + List.length prepared;
-    prepared
-  in
   let burst () =
     let want = min wl.burst !quota in
     let prepared =
       match source with
       | Intent ic ->
-        let prepared = timed (fun () -> Intent_churn.burst ic) in
+        let prepared = Intent_churn.burst ic in
         if prepared = [] then incr underfilled;
         prepared
       | Slots pop ->
         let requests = rotate pop ~want in
         if List.length requests < want then incr underfilled;
-        timed (fun () -> C.prepare_batch w.World.controller requests)
+        C.prepare_batch w.World.controller requests
     in
     let now = Sim.now sim in
     List.iter
@@ -430,7 +389,7 @@ let run wl (cfg : Run_config.t) topo =
       ~flow:(-1) ~a:(Sim.pending sim) ~b:in_flight;
     cycles :=
       { cy_index = k;
-        cy_injected = Obs.Metrics.get_count metrics "traffic.injected";
+        cy_injected = injected ();
         cy_pending_events = Sim.pending sim;
         cy_flows = flows;
         cy_in_flight = in_flight;
@@ -565,25 +524,6 @@ let run wl (cfg : Run_config.t) topo =
     | _ -> ()
   end;
   let stats = Sim.stats sim in
-  (* In-run timing deltas are too coarse to divide by when each burst
-     prepares in microseconds, so a short open run re-times preparation
-     against a clone ({!retime_prep}): repeated [prepare_batch] calls on
-     the live controller would grow its prepare cache and advance
-     prepared versions purely for measurement. *)
-  let prep_per_s =
-    if cycled || !prep_s > 0.01 then
-      if !prep_s > 0.0 then float_of_int !prepared_n /. !prep_s else 0.0
-    else
-      retime_prep w
-        (match source with
-         | Intent _ ->
-           List.map (fun (f : C.flow) -> (f.C.flow_id, f.C.path)) (World.flows w)
-         | Slots pop ->
-           Array.to_list
-             (Array.map
-                (fun s -> (s.flow_id, s.paths.((s.cur + 1) mod Array.length s.paths)))
-                pop.slots))
-  in
   Observe.finish_series cfg sim series;
   {
     r_topology = topo.Topo.Topologies.name;
@@ -606,7 +546,6 @@ let run wl (cfg : Run_config.t) topo =
     r_updates_per_s =
       (if stats.Sim.st_wall_s > 0.0 then float_of_int !completed /. stats.Sim.st_wall_s
        else 0.0);
-    r_prep_per_s = prep_per_s;
     r_violations = Invariants.violations monitor;
     r_series = Obs.Timeseries.windows series;
     r_traffic = traffic;

@@ -109,9 +109,6 @@ type result = {
   r_events : int;
   r_events_per_s : float;  (** kernel dispatch rate (monotonic wall clock) *)
   r_updates_per_s : float; (** completed updates per wall second *)
-  r_prep_per_s : float;
-      (** preparation throughput.  An open run whose in-run preparation
-          took under 10 ms re-times it with {!retime_prep} *)
   r_violations : Invariants.violation list;
   r_series : Obs.Timeseries.window list;
       (** rolling SLO windows: update-latency p50/p99, push (open) or
@@ -154,9 +151,3 @@ val populate : World.t -> flows:int -> population
     and returns its id.  With [retire] the slot's old flow is retired
     from the control plane first. *)
 val replace : population -> retire:bool -> int -> int
-
-(** [retime_prep w requests] measures [prepare_batch] throughput
-    (updates/s) for [requests] without touching [w]'s controller: the
-    timing loop runs against one throwaway clone world that carries the
-    requests' flows at their current paths. *)
-val retime_prep : World.t -> (int * int list) list -> float

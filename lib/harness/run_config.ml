@@ -12,15 +12,12 @@
 
 (* The chaos harness's knobs. *)
 type fault_plan = {
-  fp_flows : int;
   fp_window_ms : float;
   fp_horizon_ms : float;
-  fp_probe_interval_ms : float;
   fp_data_prob : float;
   fp_control_prob : float;
   fp_max_element_failures : int;
   fp_recovery : bool;
-  fp_watchdog_ms : float;
 }
 
 (* The one switch-watchdog default: every harness (chaos, soak) derives
@@ -29,15 +26,12 @@ let default_watchdog_ms = 400.0
 
 let default_faults =
   {
-    fp_flows = 3;
     fp_window_ms = 3000.0;
     fp_horizon_ms = 120_000.0;
-    fp_probe_interval_ms = 500.0;
     fp_data_prob = 0.08;
     fp_control_prob = 0.08;
     fp_max_element_failures = 2;
     fp_recovery = true;
-    fp_watchdog_ms = default_watchdog_ms;
   }
 
 type t = {

@@ -8,26 +8,24 @@
     the shared command-line flags and passes it to whichever subcommand
     runs.  Runners read the fields they care about and ignore the rest. *)
 
-(** Stochastic-fault schedule knobs of the chaos harness ({!Chaos.run}). *)
+(** Stochastic-fault schedule knobs of the chaos harness ({!Chaos.run}),
+    whose workload is 3 flows under the {!default_watchdog_ms} switch
+    watchdog, probed every 500 ms. *)
 type fault_plan = {
-  fp_flows : int;                (** workload size *)
   fp_window_ms : float;          (** faults and failures stop after this *)
   fp_horizon_ms : float;         (** simulation bound for convergence *)
-  fp_probe_interval_ms : float;
   fp_data_prob : float;          (** per-packet fault probability, data plane *)
   fp_control_prob : float;       (** per-message fault probability, control *)
   fp_max_element_failures : int; (** 0–n scheduled link/node failures *)
   fp_recovery : bool;            (** arm the §11 recovery loop *)
-  fp_watchdog_ms : float;        (** switch watchdog timeout *)
 }
 
 (** The single source of the switch-watchdog default (ms); chaos and soak
     configurations derive from it. *)
 val default_watchdog_ms : float
 
-(** 3 flows, 3 s fault window, 120 s horizon, probes every 500 ms, 8%
-    fault probability on both planes, up to 2 element failures, §11
-    recovery on, {!default_watchdog_ms}. *)
+(** 3 s fault window, 120 s horizon, 8% fault probability on both
+    planes, up to 2 element failures, §11 recovery on. *)
 val default_faults : fault_plan
 
 type t = {

@@ -20,7 +20,7 @@ let pp ppf (r : Run.result) =
   Format.fprintf ppf
     "@[<v>%s: %d/%d updates completed in %d bursts (%d underfilled, %.1f ms simulated)@,\
      completion p50 %.2f ms  p99 %.2f ms   churned %d  probes %d  violations %d@,\
-     kernel: %d events, %.0f events/s   %.0f updates/s   prep %.0f updates/s@]"
+     kernel: %d events, %.0f events/s   %.0f updates/s@]"
     r.r_topology r.r_completed r.r_pushed r.r_bursts r.r_underfilled r.r_sim_ms r.r_p50_ms
     r.r_p99_ms r.r_churned r.r_probes (List.length r.r_violations) r.r_events
-    r.r_events_per_s r.r_updates_per_s r.r_prep_per_s
+    r.r_events_per_s r.r_updates_per_s

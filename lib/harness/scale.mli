@@ -17,6 +17,7 @@ val default_workload : Run.workload
 (** {!Run.alt_paths}, the rotation's path set. *)
 val alt_paths : Topo.Graph.t -> src:int -> dst:int -> int list array option
 
-(** Three lines: completion, percentiles and probes, kernel and
-    preparation throughput. *)
+(** Three lines: completion, percentiles and probes, kernel throughput.
+    Preparation throughput is perfbench's
+    [controller.prepare_ns_per_update]. *)
 val pp : Format.formatter -> Run.result -> unit

@@ -47,9 +47,16 @@ val run :
 (** [sample cfg setup system] runs seeds [Run_config.run_seed cfg 0 ..
     runs - 1] and returns the completion times.  Seeds whose transition
     cannot complete are skipped, so the sample can be shorter than
-    [cfg.runs]. *)
+    [cfg.runs].  With [disable], every P4Update switch of every sampled
+    world drops that guard ({!P4update.Switch.disable_guard}); the
+    baselines ignore it. *)
 val sample :
-  ?update_type:P4update.Wire.update_type -> Run_config.t -> setup -> system -> float list
+  ?update_type:P4update.Wire.update_type ->
+  ?disable:P4update.Switch.guard ->
+  Run_config.t ->
+  setup ->
+  system ->
+  float list
 
 (** [single_paths topo] is the single-flow scenario of [topo]: Fig. 1's
     old and new paths on the Fig. 1 topology, {!single_flow_paths}

@@ -155,7 +155,6 @@ type t = {
   mutable acc_excused : int;
   mutable acc_latencies : float list;
   mutable acc_digest : int;
-  m_injected : Obs.Metrics.counter; (* in the network's registry *)
 }
 
 (* The filler of free window slots. *)
@@ -242,15 +241,20 @@ let on_hop t _time node _port bytes =
   if pk != no_pkt && pk.pk_flow = P4update.Wire.data_flow_id_of_bytes bytes then
     pk.pk_hops <- node :: pk.pk_hops
 
-(* Egress: the packet left the network at [node]. *)
-let on_egress t node ~time (d : P4update.Wire.data) =
-  let seq = d.P4update.Wire.seq in
+(* Egress: the packet left the network at [node].  Read in place like
+   [on_hop]. *)
+let on_egress t node ~time bytes =
+  let seq = P4update.Wire.data_seq_of_bytes bytes in
   let pk = find t seq in
-  if pk != no_pkt && pk.pk_flow = d.P4update.Wire.d_flow_id && pk.pk_delivered_at < 0
+  if
+    pk != no_pkt
+    && pk.pk_flow = P4update.Wire.data_flow_id_of_bytes bytes
+    && pk.pk_delivered_at < 0
   then begin
     pk.pk_delivered_at <- node;
     (* Latency from the wire-carried ingress timestamp (µs). *)
-    pk.pk_latency_ms <- time -. (float_of_int d.P4update.Wire.d_ts /. 1000.0);
+    pk.pk_latency_ms <-
+      time -. (float_of_int (P4update.Wire.data_ts_of_bytes bytes) /. 1000.0);
     let st = pk.pk_st in
     if seq < st.fl_last_seq then t.reordered <- t.reordered + 1
     else st.fl_last_seq <- seq
@@ -280,7 +284,6 @@ let inject t flow_id (st : flow_state) =
     t.window <-
       Array.append t.window (Array.init chunks (fun _ -> Array.make chunk_len no_pkt));
   (slot t i).(i land chunk_mask) <- pk;
-  Obs.Metrics.incr t.m_injected;
   let d =
     {
       P4update.Wire.d_flow_id = flow_id;
@@ -336,7 +339,6 @@ let note_pushed t ~flow_id ~version =
 let attach ?(workload = default_workload) (w : World.t) =
   if Topo.Graph.node_count (Netsim.graph w.World.net) > 1 lsl 20 then
     invalid_arg "Traffic.attach: more than 2^20 nodes";
-  let metrics = Netsim.metrics w.World.net in
   let t =
     {
       world = w;
@@ -351,15 +353,14 @@ let attach ?(workload = default_workload) (w : World.t) =
       acc_excused = 0;
       acc_latencies = [];
       acc_digest = 0x1505;
-      m_injected = Obs.Metrics.counter metrics "traffic.injected";
     }
   in
   Netsim.on_delivery w.World.net (fun time node port bytes ->
       on_hop t time node port bytes);
   Array.iter
     (fun sw ->
-      P4update.Switch.on_deliver sw (fun ~time d ->
-          on_egress t (P4update.Switch.node sw) ~time d))
+      P4update.Switch.on_deliver sw (fun ~time bytes ->
+          on_egress t (P4update.Switch.node sw) ~time bytes))
     w.World.switches;
   List.iter
     (fun (f : P4update.Controller.flow) ->
@@ -489,6 +490,7 @@ let drain ?excuse t =
   t.drained_upto <- t.next_seq
 
 let in_flight t = t.next_seq - t.drained_upto
+let injected t = t.next_seq
 
 let history t ~flow_id =
   match Hashtbl.find_opt t.flows flow_id with Some st -> st.fl_history | None -> []

@@ -124,6 +124,9 @@ val drain : ?excuse:(int -> injected_at:float -> bool) -> t -> unit
 (** Packets injected but not yet retired by {!drain} — the leak probe. *)
 val in_flight : t -> int
 
+(** Packets injected so far. *)
+val injected : t -> int
+
 (** A flow's version history, latest recorded first, one entry per
     version ([[]] for a flow the auditor never saw). *)
 val history : t -> flow_id:int -> vrec list

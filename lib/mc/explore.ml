@@ -38,21 +38,15 @@ module World = Harness.World
 (* ------------------------------------------------------------------ *)
 
 type bounds = {
-  b_window_ms : float option; (* [None]: the scenario's default *)
   b_max_depth : int;          (* branch points per schedule *)
   b_max_schedules : int;
-  b_max_events : int;         (* events per schedule (termination net) *)
   b_por : bool;
 }
 
-let default_bounds =
-  {
-    b_window_ms = None;
-    b_max_depth = 400;
-    b_max_schedules = 20_000;
-    b_max_events = 50_000;
-    b_por = true;
-  }
+let default_bounds = { b_max_depth = 400; b_max_schedules = 20_000; b_por = true }
+
+(* Events per execution: the termination net of every run. *)
+let max_events = 50_000
 
 type stats = {
   mutable st_schedules : int;       (* executions run to a verdict *)
@@ -214,7 +208,7 @@ let visited_prune visited ~fp ~sleep ~depth =
   end
 
 let execute ?visited ?stats ?on_choice ?(cfg = Scenario.default_cfg) ~unsafe sc ~window
-    ~por ~max_depth ~max_events ~prefix () =
+    ~por ~max_depth ~prefix () =
   let ctx = Scenario.build ~unsafe sc cfg in
   let w = ctx.Scenario.cx_world in
   let sim = w.World.sim in
@@ -404,11 +398,7 @@ let take n l = List.filteri (fun i _ -> i < n) l
 (* The DFS: stops at the first violation (unminimized) or when the
    schedule space within the bounds is exhausted. *)
 let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc =
-  let window =
-    match bounds.b_window_ms with
-    | Some w -> w
-    | None -> Scenario.window_of cfg sc
-  in
+  let window = Scenario.window_of cfg sc in
   let stats = make_stats () in
   let visited = Hashtbl.create 4096 in
   let counterexample = ref None in
@@ -420,7 +410,7 @@ let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc 
       stats.st_schedules <- stats.st_schedules + 1;
       let r =
         execute ~visited ~stats ~cfg ~unsafe sc ~window ~por:bounds.b_por
-          ~max_depth:bounds.b_max_depth ~max_events:bounds.b_max_events ~prefix ()
+          ~max_depth:bounds.b_max_depth ~prefix ()
       in
       (match r.ex_stop with
        | Cut_visited -> stats.st_pruned_visited <- stats.st_pruned_visited + 1
@@ -460,17 +450,15 @@ let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc 
 (* Counterexample minimization (delta debugging over choice indices)    *)
 (* ------------------------------------------------------------------ *)
 
-let still_fails ~cfg ~unsafe sc ~window ~max_events vec =
+let still_fails ~cfg ~unsafe sc ~window vec =
   let r =
-    execute ~cfg ~unsafe sc ~window ~por:false ~max_depth:max_int ~max_events ~prefix:vec ()
+    execute ~cfg ~unsafe sc ~window ~por:false ~max_depth:max_int ~prefix:vec ()
   in
   r.ex_violation <> None
 
 (* Greedily reset choices to the default (index 0) while the violation
    persists, then drop the all-default tail.  Each probe is one replay. *)
-let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc ~window
-    vec =
-  let max_events = bounds.b_max_events in
+let minimize ~cfg ~unsafe sc ~window vec =
   let vec = ref (Array.of_list vec) in
   let changed = ref true in
   while !changed do
@@ -480,7 +468,7 @@ let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc
         if v <> 0 then begin
           let candidate = Array.copy !vec in
           candidate.(d) <- 0;
-          if still_fails ~cfg ~unsafe sc ~window ~max_events (Array.to_list candidate)
+          if still_fails ~cfg ~unsafe sc ~window (Array.to_list candidate)
           then begin
             vec := candidate;
             changed := true
@@ -503,12 +491,10 @@ let minimize ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc
    ["mc"], on top of the regular cross-layer instrumentation, so the
    counterexample loads into Perfetto with the scheduling decisions
    visible. *)
-let replay ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ?(unsafe = false) sc
-    ~window vec sink =
+let replay ?(cfg = Scenario.default_cfg) ?(unsafe = false) sc ~window vec sink =
   let cfg = { cfg with Harness.Run_config.trace_sink = Some sink } in
   let r =
-    execute ~cfg ~unsafe sc ~window ~por:false ~max_depth:max_int
-      ~max_events:bounds.b_max_events ~prefix:vec
+    execute ~cfg ~unsafe sc ~window ~por:false ~max_depth:max_int ~prefix:vec
       ~on_choice:(fun ~depth ~chosen ~alternatives ->
         Obs.Trace.instant sink ~cat:"mc" "mc.choice" ~node:chosen.ci_node
           ~attrs:
@@ -533,9 +519,7 @@ let check ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ?(unsafe = fa
   let r = explore ~bounds ~cfg ~unsafe sc in
   match r.r_verdict with
   | Found cex ->
-    let minimized =
-      minimize ~bounds ~cfg ~unsafe sc ~window:r.r_window_ms cex.cex_schedule
-    in
+    let minimized = minimize ~cfg ~unsafe sc ~window:r.r_window_ms cex.cex_schedule in
     { r with r_verdict = Found { cex with cex_schedule = minimized } }
   | _ -> r
 

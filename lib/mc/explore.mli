@@ -10,16 +10,13 @@
     with declared expectations are additionally checked for convergence
     when a run drains. *)
 
-(** Exploration bounds.  [b_window_ms] overrides the scenario's default
-    reorder window; [b_max_depth] bounds branch points per schedule
-    (deeper choice points follow the default order); [b_max_events]
-    bounds events per execution; [b_por] disables sleep sets when
-    [false] (for measuring the reduction factor). *)
+(** Exploration bounds.  [b_max_depth] bounds branch points per
+    schedule (deeper choice points follow the default order);
+    [b_por] disables sleep sets when [false] (for measuring the
+    reduction factor).  Every execution stops after 50 000 events. *)
 type bounds = {
-  b_window_ms : float option;
   b_max_depth : int;
   b_max_schedules : int;
-  b_max_events : int;
   b_por : bool;
 }
 
@@ -63,9 +60,9 @@ type result = {
     guard ({!Scenario.build}).  [check] builds one world per schedule, so
     [cfg.trace_sink] must be [None]: a sink belongs to one simulation
     (trace a schedule with {!replay}).  This is the CLI and test entry point.  [cfg]
-    (default {!Scenario.default_cfg}) supplies the build seed and, when
-    [bounds.b_window_ms] is [None], the reorder-window override
-    ([cfg.reorder_window_ms]). *)
+    (default {!Scenario.default_cfg}) supplies the build seed and the
+    reorder-window override ([cfg.reorder_window_ms], the CLI's
+    [--window]). *)
 val check :
   ?bounds:bounds -> ?cfg:Harness.Run_config.t -> ?unsafe:bool -> Scenario.t -> result
 
@@ -76,7 +73,6 @@ val check :
     instrumentation.  [unsafe] is as for {!check}.  Export the sink with
     {!Obs.Trace.to_chrome} for Perfetto. *)
 val replay :
-  ?bounds:bounds ->
   ?cfg:Harness.Run_config.t ->
   ?unsafe:bool ->
   Scenario.t ->

@@ -46,7 +46,6 @@ let mc_config =
     Netsim.default_config with
     control_latency = Netsim.Fixed 1.0;
     rule_update_mean_ms = None;
-    controller_background_ms = 0.0;
   }
 
 let make_world ?flows (cfg : Harness.Run_config.t) topo =

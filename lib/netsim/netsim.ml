@@ -12,8 +12,6 @@ type config = {
   rule_update_mean_ms : float option;
   resubmit_delay_ms : float;
   control_latency : control_latency;
-  controller_service_ms : float;
-  controller_background_ms : float;
 }
 
 let default_config =
@@ -22,9 +20,10 @@ let default_config =
     rule_update_mean_ms = None;
     resubmit_delay_ms = 0.25;
     control_latency = Geo;
-    controller_service_ms = 0.25;
-    controller_background_ms = 0.0;
   }
+
+(* The controller's per-message service time (its FIFO server, [40]). *)
+let controller_service_ms = 0.25
 
 type fault = Deliver | Drop | Delay of float | Corrupt | Duplicate
 
@@ -36,35 +35,19 @@ type topo_event =
   | Node_down of int
   | Node_up of int
 
-(* Read-only snapshot of the network counters.  The live values now live in
-   an [Obs.Metrics] registry (one per network); [counters] rebuilds this
-   record on each call so existing field-access call sites keep working. *)
+(* The network's counters: one field mutation per event on the hot
+   paths, read live through [counters]. *)
 type counters = {
-  data_packets : int;
-  data_injected : int;
-  control_to_switch : int;
-  control_to_controller : int;
-  resubmissions : int;
-  dropped_by_fault : int;
-  delayed_by_fault : int;
-  corrupted_by_fault : int;
-  duplicated_by_fault : int;
-  dropped_by_failure : int;
-}
-
-(* Pre-resolved counter handles so the hot paths do one field mutation per
-   event instead of a name lookup. *)
-type stats_handles = {
-  h_data_packets : Obs.Metrics.counter;
-  h_data_injected : Obs.Metrics.counter;
-  h_control_to_switch : Obs.Metrics.counter;
-  h_control_to_controller : Obs.Metrics.counter;
-  h_resubmissions : Obs.Metrics.counter;
-  h_dropped_by_fault : Obs.Metrics.counter;
-  h_delayed_by_fault : Obs.Metrics.counter;
-  h_corrupted_by_fault : Obs.Metrics.counter;
-  h_duplicated_by_fault : Obs.Metrics.counter;
-  h_dropped_by_failure : Obs.Metrics.counter;
+  mutable data_packets : int;
+  mutable data_injected : int;
+  mutable control_to_switch : int;
+  mutable control_to_controller : int;
+  mutable resubmissions : int;
+  mutable dropped_by_fault : int;
+  mutable delayed_by_fault : int;
+  mutable corrupted_by_fault : int;
+  mutable duplicated_by_fault : int;
+  mutable dropped_by_failure : int;
 }
 
 type t = {
@@ -87,8 +70,7 @@ type t = {
   node_down : bool array;
   ctl_latency : float array; (* per-node control-plane latency (Geo/Fixed) *)
   mutable controller_busy_until : float;
-  metrics : Obs.Metrics.t;
-  stats : stats_handles;
+  stats : counters;
 }
 
 let compute_ctl_latencies topo cfg =
@@ -108,21 +90,6 @@ let compute_ctl_latencies topo cfg =
       (Graph.distances_avoiding g ~src:controller ~node_ok:(fun _ -> true)
          ~edge_ok:(fun _ _ -> true))
 
-let make_stats_handles metrics =
-  let c = Obs.Metrics.counter metrics in
-  {
-    h_data_packets = c "net.data.rx";
-    h_data_injected = c "net.data.injected";
-    h_control_to_switch = c "net.ctl.to_switch";
-    h_control_to_controller = c "net.ctl.to_controller";
-    h_resubmissions = c "net.data.resubmit";
-    h_dropped_by_fault = c "net.fault.dropped";
-    h_delayed_by_fault = c "net.fault.delayed";
-    h_corrupted_by_fault = c "net.fault.corrupted";
-    h_duplicated_by_fault = c "net.fault.duplicated";
-    h_dropped_by_failure = c "net.failure.dropped";
-  }
-
 let make config sim topo =
   let g = topo.Topologies.graph in
   let n = Graph.node_count g in
@@ -132,7 +99,6 @@ let make config sim topo =
     let rec find i = if arr.(i) = node then i else find (i + 1) in
     find 0
   in
-  let metrics = Obs.Metrics.create () in
   {
     sim;
     topo;
@@ -156,31 +122,26 @@ let make config sim topo =
     node_down = Array.make n false;
     ctl_latency = compute_ctl_latencies topo config;
     controller_busy_until = 0.0;
-    metrics;
-    stats = make_stats_handles metrics;
+    stats =
+      {
+        data_packets = 0;
+        data_injected = 0;
+        control_to_switch = 0;
+        control_to_controller = 0;
+        resubmissions = 0;
+        dropped_by_fault = 0;
+        delayed_by_fault = 0;
+        corrupted_by_fault = 0;
+        duplicated_by_fault = 0;
+        dropped_by_failure = 0;
+      };
   }
 
 let sim t = t.sim
 let topology t = t.topo
 let graph t = t.topo.Topologies.graph
 let config t = t.cfg
-let metrics t = t.metrics
-
-let counters t =
-  let s = t.stats in
-  let c = Obs.Metrics.count in
-  {
-    data_packets = c s.h_data_packets;
-    data_injected = c s.h_data_injected;
-    control_to_switch = c s.h_control_to_switch;
-    control_to_controller = c s.h_control_to_controller;
-    resubmissions = c s.h_resubmissions;
-    dropped_by_fault = c s.h_dropped_by_fault;
-    delayed_by_fault = c s.h_delayed_by_fault;
-    corrupted_by_fault = c s.h_corrupted_by_fault;
-    duplicated_by_fault = c s.h_duplicated_by_fault;
-    dropped_by_failure = c s.h_dropped_by_failure;
-  }
+let counters t = t.stats
 
 let port_count t ~node = Array.length t.ports.(node)
 
@@ -323,19 +284,19 @@ let rec apply_fault t ~hook ~deliver ~delay ~dup_budget bytes =
   match hook bytes with
   | Deliver -> deliver bytes delay
   | Drop ->
-    Obs.Metrics.incr t.stats.h_dropped_by_fault;
+    t.stats.dropped_by_fault <- t.stats.dropped_by_fault + 1;
     fault_instant t "fault.drop"
   | Delay extra ->
-    Obs.Metrics.incr t.stats.h_delayed_by_fault;
+    t.stats.delayed_by_fault <- t.stats.delayed_by_fault + 1;
     fault_instant t "fault.delay";
     deliver bytes (delay +. Float.max 0.0 extra)
   | Corrupt ->
-    Obs.Metrics.incr t.stats.h_corrupted_by_fault;
+    t.stats.corrupted_by_fault <- t.stats.corrupted_by_fault + 1;
     fault_instant t "fault.corrupt";
     deliver (corrupt_bytes (Sim.rng t.sim) bytes) delay
   | Duplicate when dup_budget <= 0 -> deliver bytes delay
   | Duplicate ->
-    Obs.Metrics.incr t.stats.h_duplicated_by_fault;
+    t.stats.duplicated_by_fault <- t.stats.duplicated_by_fault + 1;
     fault_instant t "fault.duplicate";
     deliver bytes delay;
     apply_fault t ~hook ~deliver
@@ -364,7 +325,7 @@ let transmit t ~from ~port bytes =
     let neighbor = t.ports.(from).(port) in
     if t.node_down.(from) then () (* a dead node emits nothing *)
     else if t.node_down.(neighbor) || t.link_down.(from).(port) then
-      Obs.Metrics.incr t.stats.h_dropped_by_failure
+      t.stats.dropped_by_failure <- t.stats.dropped_by_failure + 1
     else begin
       let delay = t.hop_delay.(from).(port) in
       let rx_port = t.rx_port.(from).(port) in
@@ -384,13 +345,13 @@ let port_controller = 1000
 let port_host = 1001
 
 let host_inject ?(delay = 0.0) t ~node frame =
-  Obs.Metrics.incr t.stats.h_data_injected;
+  t.stats.data_injected <- t.stats.data_injected + 1;
   Obs.Flight_recorder.note ~now:(Sim.now t.sim) ~kind:Obs.Flight_recorder.k_inject
     ~node ~flow:(-1) ~a:(Bytes.length frame) ~b:0;
   Sim.schedule_frame t.sim ~delay { kind = Inject; node; port = port_host; via = -1; frame }
 
 let resubmit t ~node frame =
-  Obs.Metrics.incr t.stats.h_resubmissions;
+  t.stats.resubmissions <- t.stats.resubmissions + 1;
   Sim.schedule_frame t.sim ~delay:t.cfg.resubmit_delay_ms
     { kind = Resubmit; node; port = -1; via = node; frame }
 
@@ -402,21 +363,17 @@ let resubmit t ~node frame =
    direction) occupies it for [controller_service_ms]. *)
 let controller_slot t =
   let now = Sim.now t.sim in
-  let background =
-    if t.cfg.controller_background_ms <= 0.0 then 0.0
-    else Sim.exponential t.sim ~mean:t.cfg.controller_background_ms
-  in
   let start = Float.max now t.controller_busy_until in
-  t.controller_busy_until <- start +. t.cfg.controller_service_ms +. background;
+  t.controller_busy_until <- start +. controller_service_ms;
   t.controller_busy_until -. now
 
 let control_hook t ~dir =
   match t.control_fault with None -> no_fault | Some hook -> hook ~dir
 
 let notify_controller t ~from bytes =
-  if t.node_down.(from) then Obs.Metrics.incr t.stats.h_dropped_by_failure
+  if t.node_down.(from) then t.stats.dropped_by_failure <- t.stats.dropped_by_failure + 1
   else begin
-    Obs.Metrics.incr t.stats.h_control_to_controller;
+    t.stats.control_to_controller <- t.stats.control_to_controller + 1;
     let uplink = sample_ctl_latency t ~node:from in
     apply_fault t
       ~hook:(control_hook t ~dir:(To_controller from))
@@ -427,7 +384,7 @@ let notify_controller t ~from bytes =
   end
 
 let controller_transmit t ~to_ bytes =
-  Obs.Metrics.incr t.stats.h_control_to_switch;
+  t.stats.control_to_switch <- t.stats.control_to_switch + 1;
   (* The controller's FIFO slot is paid once at send time; wire-level
      faults (including duplication) happen after the serialization
      point. *)
@@ -453,7 +410,7 @@ let rule_update_delay t ~node =
 
 (* The simulation's frame handler: each delivery scheduled above fires
    here, as the data it was scheduled with.  A frame in flight is lost,
-   and counted in [net.failure.dropped], if its receiver (or, for a data
+   and counted in [dropped_by_failure], if its receiver (or, for a data
    frame, its link) went down before it arrived.  A controller-bound
    message then waits for the controller's FIFO server, a timer like any
    other. *)
@@ -463,9 +420,9 @@ let deliver t (fr : Sim.frame_event) =
   | Data ->
     let port = fr.port in
     if t.node_down.(node) || t.link_down.(node).(port) then
-      Obs.Metrics.incr t.stats.h_dropped_by_failure
+      t.stats.dropped_by_failure <- t.stats.dropped_by_failure + 1
     else begin
-      Obs.Metrics.incr t.stats.h_data_packets;
+      t.stats.data_packets <- t.stats.data_packets + 1;
       Obs.Flight_recorder.note ~now:(Sim.now t.sim) ~kind:Obs.Flight_recorder.k_deliver
         ~node ~flow:(-1) ~a:fr.via ~b:port;
       (match Sim.trace t.sim with
@@ -477,7 +434,7 @@ let deliver t (fr : Sim.frame_event) =
       t.handlers.(node) ~port fr.frame
     end
   | Inject | Ctl_down | Resubmit ->
-    if t.node_down.(node) then Obs.Metrics.incr t.stats.h_dropped_by_failure
+    if t.node_down.(node) then t.stats.dropped_by_failure <- t.stats.dropped_by_failure + 1
     else t.handlers.(node) ~port:fr.port fr.frame
   | Ctl_up ->
     let service_done = controller_slot t in

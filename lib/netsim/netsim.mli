@@ -12,7 +12,8 @@
     latency is the shortest-path latency to it; for the fat-tree the
     latency is drawn from a normal distribution; the controller itself is
     a single-threaded FIFO server, so every control message also pays
-    queueing plus processing delay (Jarschel-style model [40]). *)
+    queueing plus a fixed 0.25 ms of processing (Jarschel-style model
+    [40]). *)
 
 type t
 
@@ -30,12 +31,6 @@ type config = {
   resubmit_delay_ms : float;
       (** cost of one resubmission loop iteration (§8) *)
   control_latency : control_latency;
-  controller_service_ms : float;
-      (** controller per-message service time (queueing server) *)
-  controller_background_ms : float;
-      (** mean of an additional exponential queueing delay per control
-          message, modelling the controller's background load ([40]);
-          0 disables it *)
 }
 
 val default_config : config
@@ -105,7 +100,7 @@ val resubmit : t -> node:int -> Bytes.t -> unit
 (** [host_inject t ~node bytes] delivers [bytes] to [node]'s device as
     host traffic entering the network at that node, after [delay]
     (default 0) simulated ms, through the event heap.  Counted in
-    [net.data.injected]; lost (counted as failure drop) if the node is
+    [data_injected]; lost (counted as failure drop) if the node is
     down at delivery time. *)
 val host_inject : ?delay:float -> t -> node:int -> Bytes.t -> unit
 
@@ -162,28 +157,23 @@ val on_topology_event : t -> (topo_event -> unit) -> unit
     delivery with [(time, node, port, bytes)] before the device runs. *)
 val on_delivery : t -> (float -> int -> int -> Bytes.t -> unit) -> unit
 
-(** Read-only snapshot of the network counters.  The live values are held
-    in an {!Obs.Metrics} registry (one per network, see {!metrics});
-    {!counters} materialises this record from it on each call, so the
-    historical field-access API keeps working unchanged. *)
-type counters = {
-  data_packets : int;
-  data_injected : int;  (** host packets entered via {!host_inject} *)
-  control_to_switch : int;
-  control_to_controller : int;
-  resubmissions : int;
-  dropped_by_fault : int;
-  delayed_by_fault : int;
-  corrupted_by_fault : int;
-  duplicated_by_fault : int;
-  dropped_by_failure : int;
+(** The network counters.  {!counters} returns the live record: the
+    network bumps its fields as it goes, callers only read them. *)
+type counters = private {
+  mutable data_packets : int;
+  mutable data_injected : int;  (** host packets entered via {!host_inject} *)
+  mutable control_to_switch : int;
+  mutable control_to_controller : int;
+  mutable resubmissions : int;
+  mutable dropped_by_fault : int;
+  mutable delayed_by_fault : int;
+  mutable corrupted_by_fault : int;
+  mutable duplicated_by_fault : int;
+  mutable dropped_by_failure : int;
       (** lost to a failed link or node (either plane) *)
 }
 
 val counters : t -> counters
-
-(** The network's metrics registry ([net.*] counters). *)
-val metrics : t -> Obs.Metrics.t
 
 (** Per-switch control-plane latency used by this network (for analysis). *)
 val control_latency_of : t -> node:int -> float

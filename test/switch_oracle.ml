@@ -30,7 +30,7 @@ type t = {
   uib : Uib.t;
   stats : Switch.stats;
   frm_sent : (int, unit) Hashtbl.t;
-  mutable deliver_hooks : (time:float -> Wire.data -> unit) list;
+  mutable deliver_hooks : (time:float -> Bytes.t -> unit) list;
 }
 
 type emission = { out_port : int; bytes : Bytes.t }
@@ -41,9 +41,9 @@ type outcome = { emission : emission option; digest : Bytes.t option; parse_erro
 
 let dropped = { emission = None; digest = None; parse_error = false }
 
-(* [flow_id] is already masked to a register index; [h] is [pkt]'s data
-   header. *)
-let handle_data t pkt h ~in_port ~flow_id =
+(* [flow_id] is already masked to a register index; [h] is the data
+   header of [pkt], the parse of [frame]. *)
+let handle_data t frame pkt h ~in_port ~flow_id =
   let u = t.uib in
   let from_host = in_port = host_port in
   (* The ingress stamps packets with the active tag (2-phase commit). *)
@@ -83,15 +83,8 @@ let handle_data t pkt h ~in_port ~flow_id =
     (* Local delivery bypasses [Netsim.transmit], so [Netsim.on_delivery]
        observers never see it; the egress hook is the only place a live
        auditor learns a packet left the network. *)
-    (match t.deliver_hooks with
-     | [] -> ()
-     | hooks -> (
-       match Wire.data_of_packet pkt with
-       | Some d ->
-         let d = { d with Wire.d_flow_id = flow_id; tag } in
-         let time = Sim.now (Netsim.sim t.net) in
-         List.iter (fun f -> f ~time d) hooks
-       | None -> () (* the parse path holds a data header *)));
+    let time = Sim.now (Netsim.sim t.net) in
+    List.iter (fun f -> f ~time frame) t.deliver_hooks;
     dropped
   end
   else
@@ -123,11 +116,14 @@ let handle_control pkt =
    a control handler would run. *)
 let receive t ~in_port frame =
   match Wire.packet_of_bytes frame with
-  | None -> { dropped with parse_error = true }
+  | None ->
+    t.stats.parse_errors <- t.stats.parse_errors + 1;
+    { dropped with parse_error = true }
   | Some pkt -> (
     match Packet.header pkt Wire.data_schema with
     | Some h ->
-      handle_data t pkt h ~in_port ~flow_id:(Header.get h "flow_id" land (Wire.flow_space - 1))
+      handle_data t frame pkt h ~in_port
+        ~flow_id:(Header.get h "flow_id" land (Wire.flow_space - 1))
     | None -> handle_control pkt)
 
 let no_stats () =
@@ -141,6 +137,7 @@ let no_stats () =
     waits = 0;
     congestion_defers = 0;
     withdrawals = 0;
+    parse_errors = 0;
   }
 
 (* The reference of node [node] of [net], with its own registers. *)

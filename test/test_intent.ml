@@ -387,8 +387,7 @@ let intent_scale_deterministic () =
 let compiler_footprint_pins () =
   let w = World.make ~seed:7 (Topo.Topologies.b4 ()) in
   let g = Netsim.graph w.World.net in
-  let profile = { Harness.Intent_churn.default_profile with ip_flows = 24 } in
-  let ic = Harness.Intent_churn.create ~profile w in
+  let ic = Harness.Intent_churn.create ~flows:24 w in
   let program = Harness.Intent_churn.program ic in
   let flows = List.length program.Lang.flows in
   check Alcotest.int "flows" 24 flows;

@@ -67,7 +67,7 @@ let test_controller_fifo_serialization () =
   let _ = Sim.run sim in
   match List.rev !arrivals with
   | [ t1; t2 ] ->
-    let service = (Netsim.config net).Netsim.controller_service_ms in
+    let service = 0.25 (* the controller's fixed service time *) in
     Alcotest.(check bool)
       (Printf.sprintf "serialized (%.3f then %.3f)" t1 t2)
       true

@@ -1,10 +1,9 @@
-(* Tests for the lib/obs tracing + metrics subsystem: span causality,
-   category filtering, anchors, the counter registry, JSON round-trips,
-   Chrome-trace well-formedness, and trace determinism. *)
+(* Tests for the lib/obs tracing subsystem: span causality, category
+   filtering, anchors, JSON round-trips, Chrome-trace well-formedness,
+   and trace determinism. *)
 
 module Trace = Obs.Trace
 module Json = Obs.Json
-module Metrics = Obs.Metrics
 
 (* --- spans --- *)
 
@@ -65,18 +64,6 @@ let test_anchors () =
   Trace.anchor_set sink Trace.Update ~flow:1 ~version:2 0;
   Alcotest.(check int) "id 0 not anchored" 0
     (Trace.anchor_get sink Trace.Update ~flow:1 ~version:2)
-
-(* --- metrics --- *)
-
-let test_metrics_registry () =
-  let r = Metrics.create () in
-  let c = Metrics.counter r "net.rx" in
-  Alcotest.(check bool) "counter idempotent" true (c == Metrics.counter r "net.rx");
-  Metrics.incr c;
-  Metrics.incr c;
-  Alcotest.(check int) "count" 2 (Metrics.count c);
-  Alcotest.(check int) "get_count by name" 2 (Metrics.get_count r "net.rx");
-  Alcotest.(check int) "get_count of an absent name" 0 (Metrics.get_count r "net.tx")
 
 (* --- JSON --- *)
 
@@ -353,7 +340,6 @@ let suite =
     Alcotest.test_case "span nesting & causality" `Quick test_span_nesting;
     Alcotest.test_case "disabled & filtered are no-ops" `Quick test_disabled_and_filtered;
     Alcotest.test_case "anchors" `Quick test_anchors;
-    Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     QCheck_alcotest.to_alcotest fuzz_garbage;
     QCheck_alcotest.to_alcotest fuzz_truncated;

@@ -442,8 +442,8 @@ let test_flow_id_masked () =
       (Bytes.to_string (decremented frame)) (Bytes.to_string e.Switch_oracle.bytes)
   | _ -> Alcotest.fail "expected one emission"
 
-(* The parse errors the switches of [net] counted. *)
-let parse_errors net = Obs.Metrics.get_count (Netsim.metrics net) "p4rt.parser.errors"
+(* The parse errors [sw] counted. *)
+let parse_errors sw = (P4update.Switch.stats sw).P4update.Switch.parse_errors
 
 let test_malformed_frames_dropped () =
   let w, flow_id = forwarding_world () in
@@ -451,21 +451,21 @@ let test_malformed_frames_dropped () =
   let frame = data_frame flow_id in
   List.iter
     (fun len ->
-      let before = parse_errors w.net in
+      let before = parse_errors sw in
       Alcotest.(check int) (Printf.sprintf "%d-byte prefix emits nothing" len) 0
         (List.length (emitted w sw ~port:in_port (Bytes.sub frame 0 len)));
       Alcotest.(check int) (Printf.sprintf "%d-byte prefix is a parse error" len) (before + 1)
-        (parse_errors w.net))
+        (parse_errors sw))
     [ 0; 3; 6; 21 ];
   (* A foreign etype parses (the parse graph accepts after the base
      header) and is dropped, counted nowhere. *)
   let foreign = Bytes.copy frame in
   Bytes.set_uint16_be foreign 4 0x86DD;
-  let before = parse_errors w.net and stats = P4update.Switch.stats sw in
+  let before = parse_errors sw and stats = P4update.Switch.stats sw in
   let forwarded = stats.P4update.Switch.forwarded in
   Alcotest.(check int) "foreign etype emits nothing" 0
     (List.length (emitted w sw ~port:in_port foreign));
-  Alcotest.(check int) "foreign etype is no parse error" before (parse_errors w.net);
+  Alcotest.(check int) "foreign etype is no parse error" before (parse_errors sw);
   Alcotest.(check int) "nor a forward" forwarded stats.P4update.Switch.forwarded
 
 (* Through the network: the bytes handed to [Netsim.transmit] reach the
@@ -631,12 +631,12 @@ let run_oracle_case c =
   List.for_all
     (fun (port, frame) ->
       let original = Bytes.copy frame in
-      let errors = parse_errors net in
+      let errors = parse_errors sw in
       let emissions, digests =
         Switch_oracle.capture net ~node:oracle_node (fun () ->
             P4update.Switch.receive sw ~port frame)
       in
-      let counted = parse_errors net - errors in
+      let counted = parse_errors sw - errors in
       let expected = Switch_oracle.receive r ~in_port:port frame in
       (* [Netsim.transmit] drops an emission to a port the node lacks *)
       let reference =
@@ -915,13 +915,13 @@ let test_audited_hop_allocation () =
    dropped at the ingress (ttl 1) before it moved, and each is delivered
    once by a [Sim.step] that hands its frame from the last hop to the
    egress switch.  Minus the same deliveries without the auditor, the
-   cost is the hop's cons, the switch's decode and record copy for the
-   egress hook, the boxed clock and the boxed latency: 28 words (58 when
-   every delivery also fed a latency histogram: the retained sample's
-   cons, boxed floats for its sum and running maximum, and one boxed
-   float per halving step of the log2 bucket search, about ten for these
-   ~1 s latencies). *)
-let audited_egress_word_budget = 28.0
+   cost is the hop's cons, the boxed clock and the boxed latency: 10
+   words, the egress hook reading the frame in place (58 when every
+   delivery also fed a latency histogram: the retained sample's cons,
+   boxed floats for its sum and running maximum, and one boxed float
+   per halving step of the log2 bucket search, about ten for these ~1 s
+   latencies). *)
+let audited_egress_word_budget = 10.0
 
 let test_audited_egress_allocation () =
   let probes = 1000 in

@@ -301,15 +301,20 @@ let prop_decode_equiv_random_bytes =
       && W.data_of_bytes b = Codec_oracle.data_of_bytes b)
 
 let prop_data_field_accessors =
-  (* The in-place field reads agree with the full decode: -1 exactly
-     where it rejects the frame. *)
+  (* The in-place field reads of the auditor's hop and egress hooks
+     (seq, flow id, ingress timestamp) agree with the full decode: -1
+     exactly where it rejects the frame. *)
   QCheck.Test.make ~name:"data seq / flow id accessors = data_of_bytes" ~count:500
     random_frame
     (fun s ->
       let b = Bytes.of_string s in
       match W.data_of_bytes b with
-      | None -> W.data_seq_of_bytes b = -1 && W.data_flow_id_of_bytes b = -1
-      | Some d -> W.data_seq_of_bytes b = d.W.seq && W.data_flow_id_of_bytes b = d.W.d_flow_id)
+      | None ->
+        W.data_seq_of_bytes b = -1 && W.data_flow_id_of_bytes b = -1
+        && W.data_ts_of_bytes b = -1
+      | Some d ->
+        W.data_seq_of_bytes b = d.W.seq && W.data_flow_id_of_bytes b = d.W.d_flow_id
+        && W.data_ts_of_bytes b = d.W.d_ts)
 
 let prop_data_readers_and_forward_copy =
   (* The switch's data path: in-place ttl / dst / tag reads agree with the
