@@ -329,9 +329,6 @@ let run_figures () =
   section "Ablation - resubmission delay sweep (par. 8 BMv2 modification)";
   print_string (Harness.Ablation.render_resubmit_sweep ~runs:(max 3 (runs / 3)) ());
 
-  section "Ablation - congestion scheduler: dynamic priorities vs FIFO (par. 7.4)";
-  print_string (Harness.Ablation.render_scheduler_ablation ~runs:(max 3 (runs / 3)) ());
-
   run_bechamel ()
 
 let () =

@@ -1,20 +1,17 @@
 (* Shared CLI building blocks.
 
-   Every subcommand of [p4update_cli] historically copy-pasted its own
-   --seed/--topo/--runs specs and observability flags; they are defined
-   once here so all subcommands (and the bench front end) agree on flag
-   names, docs and defaults, and a new cross-cutting flag lands
-   everywhere at once.
+   Every flag that more than one subcommand takes is declared once
+   here, so the subcommands agree on its name, doc, default and
+   validation, and a new cross-cutting flag lands everywhere at once.
 
    Exit codes, uniform across subcommands (see [exits]):
      0  success
      1  consistency / audit / SLO failure: Thm. 1-4 violation, per-packet
         audit violation, convergence failure, soak SLO breach, or (mc) a
         counterexample verdict inconsistent with --unsafe
-     2  usage or input errors: unparseable intent programs/events
-        (cmdliner itself reports flag errors as 124)
-     3  bench regression: a --check run outside the baseline's tolerance
-        band (the bench binary only)                                      *)
+     2  usage or input errors: unparseable intent programs/events, or a
+        run workload the run loop rejects (cmdliner itself reports flag
+        errors, refused run settings included, as 124)                 *)
 
 open Cmdliner
 
@@ -53,16 +50,29 @@ let seed_arg ~default =
 (* The scenario runners historically number their runs 1000, 1001, ... *)
 let scenario_seed_base = 1000
 
-(* Shared observability flags: the long-horizon harnesses (scale,
-   traffic, soak, chaos, top) all take the same four. *)
-type obs_flags = {
-  ob_no_recorder : bool;
-  ob_incident_dir : string option;
-  ob_tick_ms : float option;
-  ob_series_out : string option;
-}
+(* Validating converters: a value no run can use is a usage error
+   (exit 124), not an exception or a hang deep inside a simulation. *)
+let checked conv ~what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
 
-let obs_term =
+let positive_int = checked Arg.int ~what:"a positive integer" (fun n -> n > 0)
+let natural = checked Arg.int ~what:"a non-negative integer" (fun n -> n >= 0)
+
+let positive_float =
+  checked Arg.float ~what:"a positive finite number" (fun x -> Float.is_finite x && x > 0.0)
+
+let probability =
+  checked Arg.float ~what:"a probability in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
+
+(* --no-recorder and --incident-dir: every run with a flight recorder
+   (scale, soak, chaos). *)
+let recorder_term =
   let no_recorder_arg =
     Arg.(value & flag
          & info [ "no-recorder" ]
@@ -76,11 +86,18 @@ let obs_term =
                    (invariant violation, abort, give-up, stuck update, leak, \
                    SLO breach).")
   in
+  Term.(const (fun no_recorder incident_dir (cfg : Harness.Run_config.t) ->
+            { cfg with recorder = not no_recorder; incident_dir })
+        $ no_recorder_arg $ incident_dir_arg)
+
+(* --tick-ms and --series-out: the runs that keep a rolling SLO series
+   (scale, soak). *)
+let series_term =
   let tick_ms_arg =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some positive_float) None
          & info [ "tick-ms" ] ~docv:"MS"
              ~doc:"Rolling SLO time-series window length in simulated ms \
-                   (default: the harness's own).")
+                   (default: 1000 for scale, 500 for soak).")
   in
   let series_out_arg =
     Arg.(value & opt (some string) None
@@ -88,22 +105,68 @@ let obs_term =
              ~doc:"Export the rolling SLO time-series as JSONL (one object per \
                    window).")
   in
-  Term.(const (fun ob_no_recorder ob_incident_dir ob_tick_ms ob_series_out ->
-            { ob_no_recorder; ob_incident_dir; ob_tick_ms; ob_series_out })
-        $ no_recorder_arg $ incident_dir_arg $ tick_ms_arg $ series_out_arg)
+  Term.(const (fun tick_ms series_out (cfg : Harness.Run_config.t) ->
+            { cfg with tick_ms; series_out })
+        $ tick_ms_arg $ series_out_arg)
 
-(* One Run_config per invocation: flags override [Run_config.default]. *)
-let cfg_of ~seed ?runs ?iterations ?congestion ?trace_sink ?fault_plan
-    ?reorder_window_ms ?obs ?live_top ?intent_churn () =
-  let recorder, incident_dir, tick_ms, series_out =
-    match obs with
-    | None -> (None, None, None, None)
-    | Some o ->
-      (Some (not o.ob_no_recorder), o.ob_incident_dir, o.ob_tick_ms, o.ob_series_out)
-  in
-  Harness.Run_config.make ~seed ?runs ?iterations ?congestion ?trace_sink
-    ?fault_plan ?reorder_window_ms ?recorder ?incident_dir ?tick_ms ?series_out
-    ?live_top ?intent_churn ()
+(* --- run settings --------------------------------------------------- *)
+
+(* A run setting is a flag that, when given, changes the preset workload
+   its subcommand starts from, or refuses to with a reason.  Nothing is
+   accepted and then ignored: a setting the workload would not read is
+   refused. *)
+type setting = (Harness.Run.workload -> (Harness.Run.workload, string) result) Term.t
+
+let setting parse names ~docv ~doc ~absent set : setting =
+  Term.(const (fun v wl -> match v with None -> Ok wl | Some v -> set v wl)
+        $ Arg.(value & opt (some parse) None & info names ~docv ~doc ~absent))
+
+let switch names ~doc set : setting =
+  Term.(const (fun on wl -> if on then set wl else Ok wl)
+        $ Arg.(value & flag & info names ~doc))
+
+(* The settings, applied in order; the first refusal is a usage error. *)
+let settings_term (settings : setting list) =
+  List.fold_left
+    (fun acc s -> Term.(const (fun f g wl -> Result.bind (f wl) g) $ acc $ s))
+    (Term.const Result.ok) settings
+
+(* Changes the probe auditor's workload; refused on a run without one. *)
+let audited flag set (wl : Harness.Run.workload) =
+  match wl.audit with
+  | Some a -> Ok { wl with audit = Some (set a) }
+  | None -> Error (flag ^ " needs --audit")
+
+let source_setting =
+  setting
+    (Arg.enum [ ("rotation", Harness.Run.Rotation); ("intent", Harness.Run.Intent) ])
+    [ "source" ] ~docv:"SRC" ~absent:"rotation"
+    ~doc:"Where flows and updates come from: $(b,rotation) flips random flows \
+          between their alternative paths; $(b,intent) drives seeded \
+          drain/undrain maintenance cycles and TE re-pins through the intent \
+          compiler, one correlated burst per event."
+    (fun source wl -> Ok { wl with source })
+
+let flows_setting ~absent =
+  setting positive_int [ "flows" ] ~docv:"N" ~absent
+    ~doc:"Concurrent flow population (member flows with $(b,--source intent))."
+    (fun flows wl -> Ok { wl with flows })
+
+let updates_setting names ~doc ~absent =
+  setting natural names ~docv:"N" ~doc ~absent (fun updates wl -> Ok { wl with updates })
+
+let gap_setting ~absent =
+  setting positive_float [ "gap-mean" ] ~docv:"MS" ~absent
+    ~doc:"Per-flow mean probe gap (ms); scale takes it with $(b,--audit)."
+    (fun gap -> audited "--gap-mean" (fun a -> { a with tw_mean_gap_ms = gap }))
+
+(* A workload the run loop refuses (say, more flows than the topology
+   has fresh flow ids for) is an input error. *)
+let run_workload wl cfg topo =
+  try Harness.Run.run wl cfg topo
+  with Invalid_argument msg | Failure msg ->
+    prerr_endline msg;
+    exit 2
 
 let system_conv =
   let parse = function
@@ -131,7 +194,9 @@ let exits =
   Cmd.Exit.info 1
     ~doc:"on a consistency failure: a Thm. 1-4 invariant violation, a \
           per-packet audit violation, convergence failure or soak SLO breach."
-  :: Cmd.Exit.info 2 ~doc:"on unparseable input (intent programs, events)."
+  :: Cmd.Exit.info 2
+       ~doc:"on unparseable input (intent programs, events) or a run workload \
+             the run loop rejects."
   :: Cmd.Exit.defaults
 
 (* [Cmd.info] with the uniform exit-code table attached. *)

@@ -4,9 +4,11 @@
 
    Every subcommand builds exactly one [Harness.Run_config.t] from its
    flags and hands it to the library — the CLI owns flag parsing, the
-   config record owns the knobs.  Flag specs shared across subcommands
-   (--seed/--topo/--runs, the observability four) and the
-   uniform exit-code table live in {!Cli_common}.
+   config record owns the knobs.  The two run families are presets over
+   one [Harness.Run.workload]: [scale] is an open run, [soak] a cycled
+   one.  Flag specs shared across subcommands (--seed/--topo/--runs, the
+   recorder and series flags, the run settings) and the uniform
+   exit-code table live in {!Cli_common}.
 
    Examples:
      p4update topo --name b4
@@ -14,6 +16,8 @@
      p4update multi --topo fat-tree --system p4update
      p4update fig --id 7c
      p4update scale --topo chinanet --updates 2000
+     p4update scale --audit --updates 50
+     p4update soak --quick --live
 *)
 
 open Cmdliner
@@ -57,7 +61,8 @@ let single_cmd =
   let run (name, build) system seed runs =
     Printf.printf "single-flow update on %s: " name;
     print_paths (Harness.Scenarios.single_paths (build ()));
-    summarize (cfg_of ~seed ~runs ()) (Harness.Scenarios.single build) (systems_of system)
+    summarize (Harness.Run_config.make ~seed ~runs ()) (Harness.Scenarios.single build)
+      (systems_of system)
   in
   Cmd.v (cmd_info "single" ~doc:"Run the single-flow (straggler) scenario.")
     Term.(const run $ topo_arg () $ system_arg $ seed_arg ~default:scenario_seed_base
@@ -66,7 +71,8 @@ let single_cmd =
 let multi_cmd =
   let run (name, build) system seed runs =
     Printf.printf "multi-flow update on %s (congested, near capacity)\n" name;
-    summarize (cfg_of ~seed ~runs ()) (Harness.Scenarios.multi ~headroom:1.4 build)
+    summarize (Harness.Run_config.make ~seed ~runs ())
+      (Harness.Scenarios.multi ~headroom:1.4 build)
       (systems_of system)
   in
   Cmd.v (cmd_info "multi" ~doc:"Run the multi-flow (congestion) scenario.")
@@ -117,10 +123,11 @@ let fig_cmd =
          print_string (Harness.Experiments.render_fig7 (Harness.Experiments.run_fig7 cfg sc))
        | None -> Printf.eprintf "unknown figure id %S\n" id; exit 1)
   in
-  let run id seed runs phases =
+  let run id runs phases =
     (* Figures default to their published sample counts (Run_config.default);
-       an explicit --runs overrides. *)
-    let cfg = cfg_of ~seed ?runs () in
+       an explicit --runs overrides.  Fig. 2 runs seed 1; the others and
+       --phases fix their own seeds. *)
+    let cfg = Harness.Run_config.make ?runs () in
     if phases then
       match fig7 id with
       | Some sc ->
@@ -134,8 +141,7 @@ let fig_cmd =
     else run_figure cfg id
   in
   Cmd.v (cmd_info "fig" ~doc:"Regenerate one evaluation figure.")
-    Term.(const run $ id_arg $ seed_arg ~default:Harness.Run_config.default.seed
-          $ runs_opt_arg $ phases_arg)
+    Term.(const run $ id_arg $ runs_opt_arg $ phases_arg)
 
 (* --- trace --- *)
 
@@ -162,7 +168,7 @@ let trace_cmd =
   let run (name, build) system seed out jsonl multi full =
     let sys = match system with Some s -> s | None -> Harness.Scenarios.P4u in
     let exclude = if full then [] else [ "sim"; "net"; "p4rt" ] in
-    let cfg = cfg_of ~seed ~trace_sink:(Obs.Trace.create ~exclude ()) () in
+    let cfg = Harness.Run_config.make ~seed ~trace_sink:(Obs.Trace.create ~exclude ()) () in
     let sys_name = Harness.Scenarios.system_name sys in
     let setup =
       if multi then begin
@@ -238,7 +244,7 @@ let chaos_cmd =
                    Chrome trace JSON; with several runs, FILE gets the scenario and seed \
                    appended.")
   in
-  let run scenario seed runs no_recovery trace_out obs =
+  let run scenario seed runs no_recovery trace_out recorder =
     let fault_plan =
       { Harness.Run_config.default_faults with fp_recovery = not no_recovery }
     in
@@ -257,7 +263,7 @@ let chaos_cmd =
               | None -> None
               | Some _ -> Some (Obs.Trace.create ~exclude:[ "sim"; "net"; "p4rt" ] ())
             in
-            let cfg = cfg_of ~seed ~fault_plan ?trace_sink ~obs () in
+            let cfg = recorder (Harness.Run_config.make ~seed ~fault_plan ?trace_sink ()) in
             let r = Harness.Chaos.run cfg ~scenario:sc in
             (match (trace_out, trace_sink) with
             | Some path, Some sink ->
@@ -291,7 +297,7 @@ let chaos_cmd =
          "Run seeded chaos schedules (both-plane faults plus link/node failures) and check \
           the Thm. 1-4 invariants and convergence.")
     Term.(const run $ scenario_arg $ seed_arg $ runs_arg $ no_recovery_arg $ trace_out_arg
-          $ obs_term)
+          $ recorder_term)
 
 (* --- mc --- *)
 
@@ -398,201 +404,167 @@ let mc_cmd =
     Term.(const run $ scenario_arg $ window_arg $ depth_arg $ max_schedules_arg
           $ no_por_arg $ unsafe_arg $ trace_out_arg)
 
-(* --- scale --- *)
+(* --- scale and soak: the two run families --- *)
 
 let scale_cmd =
   let d = Harness.Scale.default_workload in
-  let updates_arg =
-    Arg.(value & opt int d.updates
-         & info [ "updates"; "u" ] ~docv:"N" ~doc:"Total updates to drive.")
+  let rotation_only flag set (wl : Harness.Run.workload) =
+    match wl.source with
+    | Rotation -> Ok (set wl)
+    | Intent -> Error (flag ^ " applies to --source rotation only")
   in
-  let flows_arg =
-    Arg.(value & opt int d.flows
-         & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flow population.")
+  let settings =
+    settings_term
+      [ source_setting;
+        switch [ "audit" ]
+          ~doc:"Race per-flow probe traffic against the bursts and audit every \
+                packet's trajectory for per-packet consistency (old/new path, \
+                mixed, loops, blackholes), reporting delivery rate, latency \
+                percentiles and a deterministic outcome digest."
+          (fun wl -> Ok { wl with audit = Some Harness.Traffic.default_workload });
+        gap_setting
+          ~absent:(Printf.sprintf "%g" Harness.Traffic.default_workload.tw_mean_gap_ms);
+        switch [ "constant-rate" ]
+          ~doc:"Constant inter-packet gaps instead of Poisson (with $(b,--audit))."
+          (audited "--constant-rate" (fun a -> { a with tw_poisson = false }));
+        updates_setting [ "updates"; "u" ] ~doc:"Total updates to drive."
+          ~absent:(string_of_int d.updates);
+        flows_setting ~absent:(string_of_int d.flows);
+        setting positive_float [ "arrival-mean" ] ~docv:"MS"
+          ~doc:"Poisson mean between bursts (ms)."
+          ~absent:(Printf.sprintf "%g" d.arrival_mean_ms)
+          (fun arrival_mean_ms wl -> Ok { wl with arrival_mean_ms });
+        setting positive_int [ "burst" ] ~docv:"N" ~doc:"Updates per arrival burst."
+          ~absent:(string_of_int d.burst)
+          (fun burst -> rotation_only "--burst" (fun wl -> { wl with burst }));
+        setting probability [ "churn" ] ~docv:"P" ~doc:"Per-burst flow churn probability."
+          ~absent:(match d.churn with Per_burst p -> Printf.sprintf "%g" p | Per_cycle _ -> "0")
+          (fun p -> rotation_only "--churn" (fun wl -> { wl with churn = Per_burst p }));
+        setting natural [ "probe-every" ] ~docv:"N"
+          ~doc:"Invariant probe every N bursts (0 disables)."
+          ~absent:(match d.probe with Every_bursts n -> string_of_int n | Every_ms _ -> "0")
+          (fun n wl -> Ok { wl with probe = Every_bursts n }) ]
   in
-  let arrival_arg =
-    Arg.(value & opt float d.arrival_mean_ms
-         & info [ "arrival-mean" ] ~docv:"MS" ~doc:"Poisson mean between bursts (ms).")
-  in
-  let burst_arg =
-    Arg.(value & opt int d.burst
-         & info [ "burst" ] ~docv:"N" ~doc:"Updates per arrival burst.")
-  in
-  let churn_arg =
-    let p = match d.churn with Harness.Run.Per_burst p -> p | Per_cycle _ -> 0.0 in
-    Arg.(value & opt float p
-         & info [ "churn" ] ~docv:"P" ~doc:"Per-burst flow churn probability.")
-  in
-  let probe_arg =
-    let n = match d.probe with Harness.Run.Every_bursts n -> n | Every_ms _ -> 0 in
-    Arg.(value & opt int n
-         & info [ "probe-every" ] ~docv:"N"
-             ~doc:"Invariant probe every N bursts (0 disables).")
-  in
-  let intent_churn_arg =
-    Arg.(value & flag
-         & info [ "intent-churn" ]
-             ~doc:"Source churn from the intent layer (seeded drain/undrain \
-                   cycles and TE re-pins compiled into correlated bursts) \
-                   instead of Poisson path flips.")
-  in
-  let run (name, build) seed updates flows arrival_mean burst churn probe_every
-      intent_churn obs =
-    let cfg = cfg_of ~seed ~obs ~intent_churn () in
-    let workload =
-      { d with
-        updates; flows; arrival_mean_ms = arrival_mean; burst;
-        churn = Per_burst churn; probe = Every_bursts probe_every }
-    in
-    Printf.printf "scale run on %s: %d updates over %d flows (seed %d)\n" name updates
-      flows seed;
-    let r = Harness.Run.run workload cfg (build ()) in
-    Format.printf "%a@." Harness.Scale.pp r;
-    if r.r_violations <> [] then begin
-      List.iter
-        (fun v ->
-          Printf.printf "  t=%.1fms flow=%d: %s\n" v.Harness.Invariants.v_time
-            v.Harness.Invariants.v_flow v.Harness.Invariants.v_what)
-        r.r_violations;
-      exit 1
-    end
+  let run (name, build) seed settings recorder series =
+    match settings d with
+    | Error msg -> `Error (true, msg)
+    | Ok (wl : Harness.Run.workload) ->
+      let cfg = series (recorder (Harness.Run_config.make ~seed ())) in
+      Printf.printf "scale run on %s: %d updates over %d flows%s (seed %d)\n" name
+        wl.updates wl.flows
+        (if Option.is_some wl.audit then ", probes audited" else "")
+        seed;
+      let r = run_workload wl cfg (build ()) in
+      Format.printf "%a@." Harness.Scale.pp r;
+      Option.iter (Format.printf "%a@." Harness.Traffic.pp) r.r_traffic;
+      if not (Harness.Run.ok r) then begin
+        List.iter
+          (fun (v : Harness.Invariants.violation) ->
+            Printf.printf "  t=%.1fms flow=%d: %s\n" v.v_time v.v_flow v.v_what)
+          r.r_violations;
+        exit 1
+      end;
+      `Ok ()
   in
   Cmd.v
     (cmd_info "scale"
        ~doc:
          "Drive a many-concurrent-update workload (Poisson arrival bursts, flow churn, \
-          sampled Thm. 1-4 invariant probes) over a WAN and report completion-time \
-          percentiles and kernel/controller throughput.")
-    Term.(const run
-          $ topo_arg ~default:("attmpls", Topo.Topologies.attmpls) ()
-          $ seed_arg ~default:Harness.Run_config.default.seed
-          $ updates_arg $ flows_arg $ arrival_arg $ burst_arg $ churn_arg $ probe_arg
-          $ intent_churn_arg $ obs_term)
-
-(* --- traffic --- *)
-
-let traffic_cmd =
-  let d = Harness.Scale.default_workload in
-  let updates_arg =
-    Arg.(value & opt int d.updates
-         & info [ "updates"; "u" ] ~docv:"N" ~doc:"Total updates to drive.")
-  in
-  let flows_arg =
-    Arg.(value & opt int d.flows
-         & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flow population.")
-  in
-  let gap_arg =
-    Arg.(value & opt float Harness.Traffic.default_workload.Harness.Traffic.tw_mean_gap_ms
-         & info [ "gap-mean" ] ~docv:"MS" ~doc:"Per-flow mean inter-packet gap (ms).")
-  in
-  let constant_arg =
-    Arg.(value & flag
-         & info [ "constant-rate" ]
-             ~doc:"Constant inter-packet gaps instead of Poisson.")
-  in
-  let stop_arg =
-    Arg.(value & opt float Harness.Traffic.default_workload.Harness.Traffic.tw_stop_ms
-         & info [ "stop" ] ~docv:"MS" ~doc:"Stop injecting at this simulated time.")
-  in
-  let run (name, build) seed updates flows gap_mean constant stop obs =
-    let cfg = cfg_of ~seed ~obs () in
-    let audit =
-      { Harness.Traffic.default_workload with
-        tw_mean_gap_ms = gap_mean; tw_poisson = not constant; tw_stop_ms = stop }
-    in
-    Printf.printf
-      "traffic run on %s: probes racing %d updates over %d flows (seed %d)\n" name
-      updates flows seed;
-    let r = Harness.Run.run { d with updates; flows; audit = Some audit } cfg (build ()) in
-    Format.printf "%a@.%a@." Harness.Scale.pp r
-      (Format.pp_print_option Harness.Traffic.pp) r.r_traffic;
-    if not (Harness.Run.ok r) then begin
-      Printf.printf "per-packet or structural consistency violations detected\n";
-      exit 1
-    end
-  in
-  Cmd.v
-    (cmd_info "traffic"
-       ~doc:
-         "Race sustained per-flow probe traffic against the scale engine's update \
-          bursts and audit every packet's trajectory for per-packet consistency \
-          (old/new path, mixed, loops, blackholes), reporting delivery rate, latency \
-          percentiles and a deterministic outcome digest.")
-    Term.(const run
-          $ topo_arg ~default:("attmpls", Topo.Topologies.attmpls) ()
-          $ seed_arg ~default:Harness.Run_config.default.seed
-          $ updates_arg $ flows_arg $ gap_arg $ constant_arg $ stop_arg $ obs_term)
-
-(* --- soak --- *)
+          sampled Thm. 1-4 invariant probes) over a WAN in one open run and report \
+          completion-time percentiles and kernel/controller throughput; with \
+          $(b,--audit), race audited probe traffic against the bursts.")
+    Term.(ret
+            (const run
+             $ topo_arg ~default:("attmpls", Topo.Topologies.attmpls) ()
+             $ seed_arg ~default:Harness.Run_config.default.seed
+             $ settings $ recorder_term $ series_term))
 
 let soak_cmd =
-  let cyc = Harness.Soak.default_cycles in
+  (* The flag's value in the default preset and in the --quick one. *)
+  let preset (default, quick) show f =
+    Printf.sprintf "%s, or %s with $(b,--quick)" (show (f default)) (show (f quick))
+  in
+  let configs = Harness.Soak.(default_config, quick_config) in
+  let cycles = Harness.Soak.(default_cycles, quick_cycles) in
   let cycles_arg =
-    Arg.(value & opt int cyc.cycles
-         & info [ "cycles" ] ~docv:"N" ~doc:"Number of soak cycles.")
+    Arg.(value & opt (some positive_int) None
+         & info [ "cycles" ] ~docv:"N" ~doc:"Number of soak cycles."
+             ~absent:(preset cycles string_of_int (fun c -> c.cycles)))
   in
   let cycle_ms_arg =
-    Arg.(value & opt float cyc.cycle_ms
-         & info [ "cycle-ms" ] ~docv:"MS" ~doc:"Length of one cycle (simulated ms).")
+    Arg.(value & opt (some positive_float) None
+         & info [ "cycle-ms" ] ~docv:"MS" ~doc:"Length of one cycle (simulated ms)."
+             ~absent:(preset cycles (Printf.sprintf "%g") (fun c -> c.cycle_ms)))
   in
-  let population_arg =
-    Arg.(value & opt int Harness.Soak.default_config.flows
-         & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flow population.")
-  in
-  let updates_arg =
-    Arg.(value & opt int Harness.Soak.default_config.updates
-         & info [ "updates-per-cycle"; "u" ] ~docv:"N" ~doc:"Updates pushed per cycle.")
-  in
-  let gap_arg =
-    Arg.(value & opt float Harness.Soak.default_audit.tw_mean_gap_ms
-         & info [ "gap-mean" ] ~docv:"MS" ~doc:"Per-flow mean probe gap (ms).")
-  in
-  let fault_arg =
-    Arg.(value & opt float Harness.Soak.default_faults.control_prob
-         & info [ "fault-prob" ] ~docv:"P"
-             ~doc:"Per-message control-plane fault probability in the window.")
+  let settings =
+    settings_term
+      [ flows_setting ~absent:(preset configs string_of_int (fun wl -> wl.flows));
+        updates_setting [ "updates-per-cycle"; "u" ] ~doc:"Updates pushed per cycle."
+          ~absent:(preset configs string_of_int (fun wl -> wl.updates));
+        gap_setting
+          ~absent:(preset configs (Printf.sprintf "%g") (fun wl ->
+                       (Option.get wl.audit).tw_mean_gap_ms));
+        setting probability [ "fault-prob" ] ~docv:"P"
+          ~doc:"Per-message control-plane fault probability in the window."
+          ~absent:(preset configs (Printf.sprintf "%g") (fun wl ->
+                       (Option.get wl.faults).control_prob))
+          (fun control_prob wl ->
+            Ok { wl with faults = Option.map (fun f -> { f with Harness.Run.control_prob }) wl.faults });
+        source_setting ]
   in
   let quick_arg =
     Arg.(value & flag
-         & info [ "quick" ] ~doc:"CI-sized preset (tens of thousands of probes).")
+         & info [ "quick" ]
+             ~doc:"Start from the CI-sized preset (tens of thousands of probes); \
+                   explicit sizing flags still override it.")
+  in
+  let live_arg =
+    Arg.(value & flag
+         & info [ "live" ]
+             ~doc:"Repaint a live text dashboard of the rolling SLO time-series \
+                   (probe and completion rates, update-latency p50/p99, in-flight \
+                   updates, recovery activity, heap footprint) at every simulated tick.")
   in
   let verbose_arg =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the per-cycle leak readings.")
   in
-  let churn_arg =
-    Arg.(value
-         & opt (enum [ ("poisson", false); ("intent", true) ]) false
-         & info [ "churn" ] ~docv:"KIND"
-             ~doc:"Churn source: $(b,poisson) flips random flow pairs \
-                   independently; $(b,intent) drives seeded drain/undrain \
-                   maintenance cycles and TE re-pins through the intent \
-                   compiler, one correlated burst per event.")
-  in
-  let run (name, build) seed cycles cycle_ms population updates gap fault quick verbose
-      intent_churn obs =
-    let cyc = if quick then Harness.Soak.quick_cycles else { cyc with cycles; cycle_ms } in
-    let config =
-      if quick then Harness.Soak.quick_config
-      else
-        { Harness.Soak.default_config with
-          flows = population; updates; pacing = Cycles cyc;
-          audit = Some { Harness.Soak.default_audit with tw_mean_gap_ms = gap };
-          faults = Some { Harness.Soak.default_faults with control_prob = fault } }
+  let run (name, build) seed quick cycles cycle_ms settings live verbose recorder series =
+    let base, cyc =
+      if quick then (Harness.Soak.quick_config, Harness.Soak.quick_cycles)
+      else (Harness.Soak.default_config, Harness.Soak.default_cycles)
     in
-    let cfg = cfg_of ~seed ~obs ~intent_churn () in
-    Printf.printf
-      "soak run on %s: %d cycles x %.0f ms, %d flows, faults + %s churn + probes (seed %d)\n"
-      name cyc.cycles cyc.cycle_ms config.flows
-      (if intent_churn then "intent" else "poisson")
-      seed;
-    let r = Harness.Run.run config cfg (build ()) in
-    Format.printf "%a@." Harness.Soak.pp r;
-    if verbose || not (Harness.Run.ok r) then
-      List.iter print_endline (Harness.Soak.report_lines r);
-    if not (Harness.Run.ok r) then begin
-      Printf.printf "soak SLO breach\n";
-      exit 1
-    end
+    let cyc =
+      { cyc with
+        cycles = Option.value cycles ~default:cyc.cycles;
+        cycle_ms = Option.value cycle_ms ~default:cyc.cycle_ms }
+    in
+    match settings { base with pacing = Cycles cyc } with
+    | Error msg -> `Error (true, msg)
+    | Ok (wl : Harness.Run.workload) ->
+      let cfg =
+        series (recorder (Harness.Run_config.make ~seed ~live_top:live ()))
+      in
+      Printf.printf
+        "soak run on %s: %d cycles x %.0f ms, %d flows, faults + %s churn + probes%s \
+         (seed %d)\n%!"
+        name cyc.cycles cyc.cycle_ms wl.flows
+        (match wl.source with Rotation -> "rotation" | Intent -> "intent")
+        (if live then
+           Printf.sprintf ", tick %.0f ms"
+             (Option.value cfg.Harness.Run_config.tick_ms
+                ~default:(Harness.Run.default_tick_ms wl))
+         else "")
+        seed;
+      let r = run_workload wl cfg (build ()) in
+      if live then print_newline ();
+      Format.printf "%a@." Harness.Soak.pp r;
+      if verbose || not (Harness.Run.ok r) then
+        List.iter print_endline (Harness.Soak.report_lines r);
+      if not (Harness.Run.ok r) then begin
+        Printf.printf "soak SLO breach\n";
+        exit 1
+      end;
+      `Ok ()
   in
   Cmd.v
     (cmd_info "soak"
@@ -600,11 +572,12 @@ let soak_cmd =
          "Long-horizon soak: churn + rolling faults + sustained probe audits, cycle \
           after cycle, with leak and stuck-update readings at every cycle boundary. \
           Exits nonzero on any SLO breach (violation, stuck update or leak).")
-    Term.(const run
-          $ topo_arg ()
-          $ seed_arg ~default:Harness.Run_config.default.seed
-          $ cycles_arg $ cycle_ms_arg $ population_arg $ updates_arg $ gap_arg
-          $ fault_arg $ quick_arg $ verbose_arg $ churn_arg $ obs_term)
+    Term.(ret
+            (const run
+             $ topo_arg ()
+             $ seed_arg ~default:Harness.Run_config.default.seed
+             $ quick_arg $ cycles_arg $ cycle_ms_arg $ settings $ live_arg $ verbose_arg
+             $ recorder_term $ series_term))
 
 (* --- intent --- *)
 
@@ -762,47 +735,6 @@ let intent_cmd =
     Term.(const run $ mode_arg $ topo_arg () $ seed_arg ~default:7 $ file_arg
           $ event_arg)
 
-(* --- top --- *)
-
-let top_cmd =
-  let quick_arg =
-    Arg.(value & flag
-         & info [ "quick" ] ~doc:"CI-sized soak preset instead of the full one.")
-  in
-  let cycles_arg =
-    Arg.(value & opt (some int) None
-         & info [ "cycles" ] ~docv:"N" ~doc:"Override the number of soak cycles.")
-  in
-  let run (name, build) seed quick cycles obs =
-    let base, cyc =
-      if quick then (Harness.Soak.quick_config, Harness.Soak.quick_cycles)
-      else (Harness.Soak.default_config, Harness.Soak.default_cycles)
-    in
-    let cyc = match cycles with None -> cyc | Some n -> { cyc with cycles = n } in
-    let config = { base with pacing = Cycles cyc } in
-    let cfg = cfg_of ~seed ~obs ~live_top:true () in
-    Printf.printf "top: soak on %s, %d cycles x %.0f ms, tick %.0f ms (seed %d)\n%!"
-      name cyc.cycles cyc.cycle_ms
-      (Option.value obs.ob_tick_ms ~default:(Harness.Run.default_tick_ms config)) seed;
-    let r = Harness.Run.run config cfg (build ()) in
-    print_newline ();
-    Format.printf "%a@." Harness.Soak.pp r;
-    if not (Harness.Run.ok r) then begin
-      List.iter print_endline (Harness.Soak.report_lines r);
-      exit 1
-    end
-  in
-  Cmd.v
-    (cmd_info "top"
-       ~doc:
-         "Run a soak with the live text dashboard: the rolling SLO time-series \
-          (probe and completion rates, update-latency p50/p99, in-flight updates, \
-          recovery activity, heap footprint) re-rendered at every simulated tick.")
-    Term.(const run
-          $ topo_arg ()
-          $ seed_arg ~default:Harness.Run_config.default.seed
-          $ quick_arg $ cycles_arg $ obs_term)
-
 (* --- import --- *)
 
 let import_cmd =
@@ -811,7 +743,7 @@ let import_cmd =
          & info [] ~docv:"FILE" ~doc:"Topology Zoo GraphML file.")
   in
   let run file seed runs =
-    let cfg = cfg_of ~seed ~runs () in
+    let cfg = Harness.Run_config.make ~seed ~runs () in
     let name = Filename.remove_extension (Filename.basename file) in
     let topo = Topo.Graphml.to_topology ~name (Topo.Graphml.parse_file file) in
     let g = topo.Topo.Topologies.graph in
@@ -832,4 +764,4 @@ let () =
     (Cmd.eval
        (Cmd.group (cmd_info "p4update" ~doc)
           [ topo_cmd; single_cmd; multi_cmd; fig_cmd; trace_cmd; chaos_cmd; mc_cmd;
-            scale_cmd; traffic_cmd; soak_cmd; intent_cmd; top_cmd; import_cmd ]))
+            scale_cmd; soak_cmd; intent_cmd; import_cmd ]))

@@ -140,3 +140,36 @@ let create network ~node ~on_message =
   t
 
 let inject_data t d = handle_data t d
+
+(* ---- one flow across every node's agent ------------------------------ *)
+
+let register_flow agents ~src ~dst ~size ~path =
+  let flow_id = Topo.Traffic.flow_id_of_pair ~src ~dst land (P4update.Wire.flow_space - 1) in
+  let arr = Array.of_list path in
+  Array.iteri
+    (fun i node ->
+      let a = agents.(node) in
+      let port =
+        if i = Array.length arr - 1 then P4update.Wire.port_local
+        else Netsim.port_of_neighbor a.net ~node ~neighbor:arr.(i + 1)
+      in
+      set_rule a ~flow_id ~port;
+      reserve_initial a ~flow_id ~port ~size)
+    arr;
+  flow_id
+
+let trace agents ~flow_id ~src =
+  let net = agents.(src).net in
+  let n = Topo.Graph.node_count (Netsim.graph net) in
+  let rec walk node acc steps =
+    if steps > n then None
+    else
+      let port = port_of agents.(node) ~flow_id in
+      if port = P4update.Wire.port_local then Some (List.rev (node :: acc))
+      else if port = P4update.Wire.port_none then None
+      else
+        match Netsim.neighbor_of_port net ~node ~port with
+        | None -> None
+        | Some next -> walk next (node :: acc) (steps + 1)
+  in
+  walk src [] 0

@@ -24,9 +24,6 @@ val node : t -> int
 val port_of : t -> flow_id:int -> int
 (** [P4update.Wire.port_none] when the flow has no rule *)
 
-(** [set_rule t ~flow_id ~port] installs immediately (initial state). *)
-val set_rule : t -> flow_id:int -> port:int -> unit
-
 (** [install t ~flow_id ~port ~size ~k] installs after the rule-update
     delay, moving the capacity reservation, then runs [k ()].  Capacity is
     {e not} checked — the caller gates on it (or doesn't, like Central).
@@ -47,7 +44,6 @@ val note_version : t -> flow_id:int -> version:int -> unit
 (** {2 Capacity accounting} *)
 
 val remaining : t -> port:int -> int
-val reserve_initial : t -> flow_id:int -> port:int -> size:int -> unit
 
 (** {2 Messaging} *)
 
@@ -56,3 +52,16 @@ val send_to_controller : t -> P4update.Wire.control -> unit
 
 (** [inject_data t data] host-side packet injection. *)
 val inject_data : t -> P4update.Wire.data -> unit
+
+(** {2 One flow across every node's agent}
+
+    [agents] is indexed by node. *)
+
+(** [register_flow agents ~src ~dst ~size ~path] installs [path]'s
+    initial rules and reservations at once and returns the flow id. *)
+val register_flow : t array -> src:int -> dst:int -> size:int -> path:int list -> int
+
+(** The nodes a packet from [src] visits following the installed rules,
+    ending at the node that delivers it locally; [None] on a missing
+    rule or a loop. *)
+val trace : t array -> flow_id:int -> src:int -> int list option

@@ -170,18 +170,8 @@ let create network ~congestion =
   t
 
 let register_flow t ~src ~dst ~size ~path =
-  let flow_id = Topo.Traffic.flow_id_of_pair ~src ~dst land (P4update.Wire.flow_space - 1) in
+  let flow_id = Agent.register_flow t.agents ~src ~dst ~size ~path in
   Hashtbl.replace t.flows flow_id { f_id = flow_id; f_src = src; f_dst = dst; f_size = size; f_path = path };
-  let arr = Array.of_list path in
-  Array.iteri
-    (fun i node ->
-      let port =
-        if i = Array.length arr - 1 then P4update.Wire.port_local
-        else Netsim.port_of_neighbor t.net ~node ~neighbor:arr.(i + 1)
-      in
-      Agent.set_rule t.agents.(node) ~flow_id ~port;
-      Agent.reserve_initial t.agents.(node) ~flow_id ~port ~size)
-    arr;
   flow_id
 
 let moves_of_update t ~flow_id ~new_path =
@@ -216,17 +206,4 @@ let schedule_updates t updates =
   if t.pending_moves = [] then t.done_time <- Some (Sim.now (Netsim.sim t.net))
   else start_round t
 
-let trace t ~flow_id ~src =
-  let n = Topo.Graph.node_count (Netsim.graph t.net) in
-  let rec walk node acc steps =
-    if steps > n then None
-    else
-      let port = Agent.port_of t.agents.(node) ~flow_id in
-      if port = P4update.Wire.port_local then Some (List.rev (node :: acc))
-      else if port = P4update.Wire.port_none then None
-      else
-        match Netsim.neighbor_of_port t.net ~node ~port with
-        | None -> None
-        | Some next -> walk next (node :: acc) (steps + 1)
-  in
-  walk src [] 0
+let trace t ~flow_id ~src = Agent.trace t.agents ~flow_id ~src

@@ -526,19 +526,7 @@ let create network ~congestion =
   in
   Lazy.force t
 
-let register_flow t ~src ~dst ~size ~path =
-  let flow_id = Topo.Traffic.flow_id_of_pair ~src ~dst land (P4update.Wire.flow_space - 1) in
-  let arr = Array.of_list path in
-  Array.iteri
-    (fun i node ->
-      let port =
-        if i = Array.length arr - 1 then P4update.Wire.port_local
-        else Netsim.port_of_neighbor t.net ~node ~neighbor:arr.(i + 1)
-      in
-      Agent.set_rule t.agents.(node) ~flow_id ~port;
-      Agent.reserve_initial t.agents.(node) ~flow_id ~port ~size)
-    arr;
-  flow_id
+let register_flow t = Agent.register_flow t.agents
 
 let push t plans =
   List.iter
@@ -568,17 +556,4 @@ let schedule_updates t requests = push t (prepare t.net ~congestion:t.congestion
 
 let completion_time t ~flow_id = Hashtbl.find_opt t.completions flow_id
 
-let trace t ~flow_id ~src =
-  let n = Topo.Graph.node_count (Netsim.graph t.net) in
-  let rec walk node acc steps =
-    if steps > n then None
-    else
-      let port = Agent.port_of t.agents.(node) ~flow_id in
-      if port = P4update.Wire.port_local then Some (List.rev (node :: acc))
-      else if port = P4update.Wire.port_none then None
-      else
-        match Netsim.neighbor_of_port t.net ~node ~port with
-        | None -> None
-        | Some next -> walk next (node :: acc) (steps + 1)
-  in
-  walk src [] 0
+let trace t = Agent.trace t.agents

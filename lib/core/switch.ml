@@ -197,7 +197,10 @@ and fire_commit t flow_id (pc : pending_commit) =
      | Some sink when pc.pc_span <> 0 ->
        Obs.Trace.span_end sink pc.pc_span ~attrs:[ Obs.Trace.str "outcome" "cancelled" ]
      | Some _ | None -> ());
-    Hashtbl.remove t.pending flow_id
+    (* A superseded commit's timer must not drop its successor's entry. *)
+    match Hashtbl.find_opt t.pending flow_id with
+    | Some staged when staged == pc -> Hashtbl.remove t.pending flow_id
+    | Some _ | None -> ()
   end
   else begin
     (* Congestion check happens at commit time so reservations are never

@@ -1,9 +1,8 @@
 let multi topo = Scenarios.multi ~headroom:1.4 topo
 
 (* P4Update's samples over seeds 1000, 1001, ... *)
-let sample ~runs ?update_type ?disable setup =
-  Scenarios.sample ?update_type ?disable (Run_config.make ~seed:1000 ~runs ()) setup
-    Scenarios.P4u
+let sample ~runs ?update_type setup =
+  Scenarios.sample ?update_type (Run_config.make ~seed:1000 ~runs ()) setup Scenarios.P4u
 
 let pct a b = 100.0 *. ((a /. b) -. 1.0)
 
@@ -58,23 +57,4 @@ let render_resubmit_sweep ~runs () =
         (Printf.sprintf "  resubmit %5.2f ms -> completion %7.1f ms (n=%d)\n" resubmit_delay_ms
            (Stats.mean samples) (List.length samples)))
     [ 0.05; 0.25; 1.0; 4.0 ];
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler priority-gate ablation                                     *)
-(* ------------------------------------------------------------------ *)
-
-let render_scheduler_ablation ~runs () =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "P4Update multi-flow completion with and without the dynamic priority gate:\n";
-  let setup = multi Topo.Topologies.internet2 in
-  let with_gate = sample ~runs setup in
-  let without = sample ~runs ~disable:P4update.Switch.Priority_gate setup in
-  Buffer.add_string buf
-    (Printf.sprintf "  with priority gate    %7.1f ms (n=%d)\n" (Stats.mean with_gate)
-       (List.length with_gate));
-  Buffer.add_string buf
-    (Printf.sprintf "  without (capacity-only) %5.1f ms (n=%d)\n" (Stats.mean without)
-       (List.length without));
   Buffer.contents buf

@@ -1,6 +1,5 @@
 (** Ablation studies for the design choices DESIGN.md calls out:
-    the §7.5 SL/DL policy, the §8 resubmission cost, and the §7.4
-    dynamic-priority congestion scheduler. *)
+    the §7.5 SL/DL policy and the §8 resubmission cost. *)
 
 (** Forced SL vs forced DL vs the §7.5 policy, on the single-flow
     (straggler) scenarios and on the multi-flow scenarios — reproduces the
@@ -12,6 +11,3 @@ val render_sl_vs_dl : runs:int -> unit -> string
     function of the resubmission-loop delay (the BMv2 modification of §8
     reduced this cost). *)
 val render_resubmit_sweep : runs:int -> unit -> string
-
-(** The §7.4 scheduler with and without the dynamic priority gate. *)
-val render_scheduler_ablation : runs:int -> unit -> string

@@ -30,7 +30,10 @@ type faults = {
   deadline_ms : float option;
 }
 
+type source = Rotation | Intent
+
 type workload = {
+  source : source;
   flows : int;
   updates : int;
   burst : int;
@@ -162,7 +165,7 @@ let rotate p ~want =
       (s.flow_id, s.paths.(s.cur)))
     !picked
 
-type source = Slots of population | Intent of Intent_churn.t
+type population_state = Slots of population | Program of Intent_churn.t
 
 (* ---- the run loop ---------------------------------------------------- *)
 
@@ -188,9 +191,9 @@ let run wl (cfg : Run_config.t) topo =
   (* Population first, then the observers: they see it as the initial
      state. *)
   let source =
-    if cfg.Run_config.intent_churn then
-      Intent (Intent_churn.create ~flows:wl.flows w)
-    else Slots (populate w ~flows:wl.flows)
+    match wl.source with
+    | Intent -> Program (Intent_churn.create ~flows:wl.flows w)
+    | Rotation -> Slots (populate w ~flows:wl.flows)
   in
   (* An open run probes from the start; a cycled one per cycle. *)
   let audit =
@@ -211,7 +214,7 @@ let run wl (cfg : Run_config.t) topo =
   (* Member flows installed mid-run (an ECMP member regaining a path)
      are announced to the auditor like any churn admission. *)
   (match source with
-   | Intent ic -> Intent_churn.set_on_install ic note_admitted
+   | Program ic -> Intent_churn.set_on_install ic note_admitted
    | Slots _ -> ());
   let monitor = Invariants.create w in
   (* Blackhole excuse: a probe injected while (or shortly before / after)
@@ -341,7 +344,7 @@ let run wl (cfg : Run_config.t) topo =
     let want = min wl.burst !quota in
     let prepared =
       match source with
-      | Intent ic ->
+      | Program ic ->
         let prepared = Intent_churn.burst ic in
         if prepared = [] then incr underfilled;
         prepared
@@ -487,7 +490,7 @@ let run wl (cfg : Run_config.t) topo =
        the bridge's install count. *)
     let baseline_flows =
       match source with
-      | Intent ic -> (Intent_churn.stats ic).Intent_churn.ic_installs
+      | Program ic -> (Intent_churn.stats ic).Intent_churn.ic_installs
       | Slots _ -> wl.flows
     in
     List.iter
@@ -533,7 +536,7 @@ let run wl (cfg : Run_config.t) topo =
     r_underfilled = !underfilled;
     r_churned =
       (match source with
-       | Intent ic -> (Intent_churn.stats ic).Intent_churn.ic_intent_events
+       | Program ic -> (Intent_churn.stats ic).Intent_churn.ic_intent_events
        | Slots _ -> !churned);
     r_probes = !probes;
     r_completion_ms = samples;

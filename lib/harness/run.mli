@@ -4,8 +4,7 @@
     A run composes three kinds of value on one world:
 
     - a {e workload}: a flow population (rotation slots, each flow with
-      at least two alternative paths) or, with
-      [Run_config.intent_churn], the {!Intent_churn} program; Poisson
+      at least two alternative paths) or the {!Intent_churn} program; Poisson
       arrival bursts of distinct flows prepared through
       [Controller.prepare_batch] and pushed; churn; and the pacing — one
       open update stream ({!Scale}) or fixed-length cycles ({!Soak});
@@ -63,8 +62,17 @@ type faults = {
   deadline_ms : float option; (** §11 operator deadline → abort ([None]: retries only) *)
 }
 
+(** Where the flows and their updates come from. *)
+type source =
+  | Rotation  (** rotation slots, each flow flipping between its alternative paths *)
+  | Intent
+      (** the {!Intent_churn} program: seeded drain/undrain cycles and TE
+          re-pins, each compiled into one correlated burst; it brings its
+          own churn and burst sizes, so [churn] and [burst] go unread *)
+
 type workload = {
-  flows : int;             (** population size (intent members with intent churn) *)
+  source : source;
+  flows : int;             (** population size (intent member flows for [Intent]) *)
   updates : int;           (** update quota (per cycle when cycled) *)
   burst : int;             (** updates per arrival burst (distinct flows) *)
   arrival_mean_ms : float; (** Poisson mean between bursts *)

@@ -47,7 +47,6 @@ type t = {
   tick_ms : float option;
   series_out : string option;
   live_top : bool;
-  intent_churn : bool;
 }
 
 let default =
@@ -64,14 +63,12 @@ let default =
     tick_ms = None;
     series_out = None;
     live_top = false;
-    intent_churn = false;
   }
 
 let make ?(seed = default.seed) ?(runs = default.runs)
     ?(iterations = default.iterations) ?(congestion = default.congestion)
     ?trace_sink ?fault_plan ?reorder_window_ms ?(recorder = default.recorder)
-    ?incident_dir ?tick_ms ?series_out ?(live_top = default.live_top)
-    ?(intent_churn = default.intent_churn) () =
+    ?incident_dir ?tick_ms ?series_out ?(live_top = default.live_top) () =
   {
     seed;
     runs;
@@ -85,7 +82,6 @@ let make ?(seed = default.seed) ?(runs = default.runs)
     tick_ms;
     series_out;
     live_top;
-    intent_churn;
   }
 
 (* The seed of the [i]th run of a multi-run experiment: run 0 uses the

@@ -44,8 +44,6 @@ type t = {
   tick_ms : float option;            (** SLO time-series tick override *)
   series_out : string option;        (** write windows as JSONL here *)
   live_top : bool;                   (** render the top dashboard per window *)
-  intent_churn : bool;               (** source churn from [Intent_churn]
-                                         instead of Poisson pair flips *)
 }
 
 (** seed 1, 30 runs, 1000 iterations, no congestion, no sink, no faults,
@@ -66,7 +64,6 @@ val make :
   ?tick_ms:float ->
   ?series_out:string ->
   ?live_top:bool ->
-  ?intent_churn:bool ->
   unit ->
   t
 

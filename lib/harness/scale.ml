@@ -3,7 +3,8 @@
 
 let default_workload =
   {
-    Run.flows = 200;
+    Run.source = Run.Rotation;
+    flows = 200;
     updates = 1000;
     burst = 8;
     arrival_mean_ms = 5.0;

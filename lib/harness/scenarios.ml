@@ -63,12 +63,8 @@ let workload_of topo ~seed ~headroom =
 let horizon_ms = 120_000.0
 let fail_incomplete system = failwith (system_name system ^ ": update did not complete")
 
-let run_p4u ?update_type ?trace ?disable config topo ~seed updates =
+let run_p4u ?update_type ?trace config topo ~seed updates =
   let w = World.make ~seed ~config ?trace topo in
-  Option.iter
-    (fun guard ->
-      Array.iter (fun sw -> P4update.Switch.disable_guard sw guard) w.World.switches)
-    disable;
   let flow_ids =
     List.map
       (fun u ->
@@ -134,7 +130,7 @@ let run_central net ~congestion updates =
   | None -> fail_incomplete Central
 
 (* The seed's updates on a fresh topology; a single flow moves [paths]. *)
-let run_with ?update_type ?trace ?disable setup system ~paths ~seed =
+let run_with ?update_type ?trace setup system ~paths ~seed =
   let topo = setup.topo () in
   let updates, congestion =
     match setup.flows with
@@ -148,7 +144,7 @@ let run_with ?update_type ?trace ?disable setup system ~paths ~seed =
     Netsim.create ~config:setup.config (Sim.create ~seed ?trace ()) topo
   in
   match system with
-  | P4u -> run_p4u ?update_type ?trace ?disable setup.config topo ~seed updates
+  | P4u -> run_p4u ?update_type ?trace setup.config topo ~seed updates
   | Ez -> run_ez (baseline_net ()) ~congestion updates
   | Central -> run_central (baseline_net ()) ~congestion updates
 
@@ -239,10 +235,10 @@ let run ?update_type ?trace setup system ~seed =
 (* A congested transition can be genuinely unschedulable for a
    one-move-at-a-time heuristic (the 15-puzzle effect, §7.4); such seeds
    are skipped and the reported n shrinks. *)
-let sample ?update_type ?disable (cfg : Run_config.t) setup system =
+let sample ?update_type (cfg : Run_config.t) setup system =
   let paths = paths_of setup in
   List.init cfg.Run_config.runs (Run_config.run_seed cfg)
   |> List.filter_map (fun seed ->
-         match run_with ?update_type ?disable setup system ~paths ~seed with
+         match run_with ?update_type setup system ~paths ~seed with
          | t -> Some t
          | exception Failure _ -> None)

@@ -47,12 +47,9 @@ val run :
 (** [sample cfg setup system] runs seeds [Run_config.run_seed cfg 0 ..
     runs - 1] and returns the completion times.  Seeds whose transition
     cannot complete are skipped, so the sample can be shorter than
-    [cfg.runs].  With [disable], every P4Update switch of every sampled
-    world drops that guard ({!P4update.Switch.disable_guard}); the
-    baselines ignore it. *)
+    [cfg.runs]. *)
 val sample :
   ?update_type:P4update.Wire.update_type ->
-  ?disable:P4update.Switch.guard ->
   Run_config.t ->
   setup ->
   system ->

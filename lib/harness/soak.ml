@@ -19,7 +19,8 @@ let default_faults =
    the next, and the settle tail covers the stragglers of the last one. *)
 let default_config =
   {
-    Run.flows = 40;
+    Run.source = Run.Rotation;
+    flows = 40;
     updates = 48;
     burst = 4;
     arrival_mean_ms = 40.0;

@@ -26,16 +26,11 @@
 (** 8 cycles of 6 s, then an 8 s settle tail. *)
 val default_cycles : Run.cycles
 
-(** Probes at a 1 ms mean gap for the first 4 s of each cycle. *)
-val default_audit : Traffic.workload
-
-(** 5% control-frame faults in a 2.5 s window, up to 2 element failures
-    and a 1.5 s operator deadline. *)
-val default_faults : Run.faults
-
 (** ~1.28M expected probe packets: 40 flows, 48 updates per cycle in
-    bursts of 4, 2 churned per cycle, probes every 500 ms, with
-    {!default_cycles}, {!default_audit} and {!default_faults}. *)
+    bursts of 4, 2 churned per cycle, Thm. 1–4 probes every 500 ms, over
+    {!default_cycles}; audit probes at a 1 ms mean gap for the first 4 s
+    of each cycle; 5% control-frame faults in a 2.5 s window, up to 2
+    element failures and a 1.5 s operator deadline. *)
 val default_config : Run.workload
 
 (** 3 cycles of 4 s, then a 6 s settle tail. *)

@@ -339,6 +339,10 @@ let note_pushed t ~flow_id ~version =
 let attach ?(workload = default_workload) (w : World.t) =
   if Topo.Graph.node_count (Netsim.graph w.World.net) > 1 lsl 20 then
     invalid_arg "Traffic.attach: more than 2^20 nodes";
+  (* A zero gap re-arms every injector at the same instant: simulated
+     time would never reach [tw_stop_ms]. *)
+  if not (Float.is_finite workload.tw_mean_gap_ms && workload.tw_mean_gap_ms > 0.0) then
+    invalid_arg "Traffic.attach: tw_mean_gap_ms must be positive";
   let t =
     {
       world = w;

@@ -90,7 +90,8 @@ type t
 
 (** [attach ?workload w] registers the auditor's observers (link hops,
     per-switch egress hooks) and seeds the version history from the
-    world's current flows.  Injection starts with {!start}. *)
+    world's current flows.  Injection starts with {!start}.  Raises
+    [Invalid_argument] unless [tw_mean_gap_ms] is finite and positive. *)
 val attach : ?workload:workload -> World.t -> t
 
 (** Arm one injector per known flow (idempotent per flow). *)

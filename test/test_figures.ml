@@ -95,36 +95,22 @@ let sl_vs_dl_text =
   \  b4         SL   256.6 ms   DL   256.6 ms   SL vs DL   +0.0%   (paper: SL faster)\n\
   \  internet2  SL    58.7 ms   DL    58.7 ms   SL vs DL   +0.0%   (paper: SL faster)\n"
 
-let scheduler_text =
-  "P4Update multi-flow completion with and without the dynamic priority gate:\n\
-  \  with priority gate       58.7 ms (n=2)\n\
-  \  without (capacity-only)  58.7 ms (n=2)\n"
-
 let test_sl_vs_dl () =
   Alcotest.(check string) "SL vs DL text" sl_vs_dl_text
     (Harness.Ablation.render_sl_vs_dl ~runs:3 ())
 
-let scheduler = lazy (Harness.Ablation.render_scheduler_ablation ~runs:3 ())
-
-let test_scheduler () =
-  Alcotest.(check string) "scheduler ablation text" scheduler_text (Lazy.force scheduler)
-
-(* The sweep's default-delay row is the scheduler ablation's gated run:
-   the same workload (with its schedulability redraw) at 0.25 ms. *)
+(* The sweep's default-delay row is the congested Internet2 run at the
+   default 0.25 ms resubmission delay (with its schedulability redraw). *)
 let test_resubmit_default_row () =
-  let row text ~prefix =
-    match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text) with
-    | Some l ->
-      let rest = String.sub l (String.length prefix) (String.length l - String.length prefix) in
-      Scanf.sscanf rest " %f ms (n=%d)" (fun mean n -> (mean, n))
-    | None -> Alcotest.failf "no %S row in:\n%s" prefix text
-  in
-  let sweep =
-    row (Harness.Ablation.render_resubmit_sweep ~runs:3 ())
-      ~prefix:"  resubmit  0.25 ms -> completion"
-  in
-  let gated = row (Lazy.force scheduler) ~prefix:"  with priority gate" in
-  Alcotest.(check (pair (float 1e-9) int)) "0.25 ms row = gated row" gated sweep
+  let prefix = "  resubmit  0.25 ms -> completion" in
+  let text = Harness.Ablation.render_resubmit_sweep ~runs:3 () in
+  match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text) with
+  | Some l ->
+    let rest = String.sub l (String.length prefix) (String.length l - String.length prefix) in
+    Alcotest.(check (pair (float 1e-9) int))
+      "0.25 ms row" (58.7, 2)
+      (Scanf.sscanf rest " %f ms (n=%d)" (fun mean n -> (mean, n)))
+  | None -> Alcotest.failf "no %S row in:\n%s" prefix text
 
 let suite =
   [
@@ -132,7 +118,6 @@ let suite =
     Alcotest.test_case "fig4 samples pinned" `Quick test_fig4;
     Alcotest.test_case "fig7 samples pinned" `Quick test_fig7;
     Alcotest.test_case "sl-vs-dl ablation text pinned" `Quick test_sl_vs_dl;
-    Alcotest.test_case "scheduler ablation text pinned" `Quick test_scheduler;
     Alcotest.test_case "resubmit sweep default row = gated run" `Quick
       test_resubmit_default_row;
   ]

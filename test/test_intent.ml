@@ -359,12 +359,11 @@ let digest_t = Alcotest.(pair (pair int int) (pair int (pair int int)))
 let flat (a, b, c, d, e) = ((a, b), (c, (d, e)))
 
 let intent_scale_deterministic () =
-  let cfg =
-    Harness.Run_config.make ~seed:5 ~recorder:false ~intent_churn:true ()
-  in
+  let cfg = Harness.Run_config.make ~seed:5 ~recorder:false () in
   let wl =
     {
       Harness.Scale.default_workload with
+      source = Harness.Run.Intent;
       updates = 80;
       flows = 16;
       arrival_mean_ms = 8.0;
@@ -427,10 +426,11 @@ let compiler_footprint_pins () =
   check bool "largest diff below a full recompile" true (!max_diff < flows)
 
 let intent_churn_run_pins () =
-  let cfg = Harness.Run_config.make ~seed:5 ~recorder:false ~intent_churn:true () in
+  let cfg = Harness.Run_config.make ~seed:5 ~recorder:false () in
   let wl =
     {
       Harness.Scale.default_workload with
+      source = Harness.Run.Intent;
       updates = 200;
       flows = 24;
       arrival_mean_ms = 8.0;
@@ -447,11 +447,11 @@ let intent_churn_run_pins () =
   check Alcotest.int "violations" 0 (List.length r.r_violations)
 
 let soak_intent_quick () =
-  let cfg =
-    Harness.Run_config.make ~seed:3 ~recorder:false ~intent_churn:true ()
-  in
+  let cfg = Harness.Run_config.make ~seed:3 ~recorder:false () in
   let r =
-    Harness.Run.run Harness.Soak.quick_config cfg (Topo.Topologies.b4 ())
+    Harness.Run.run
+      { Harness.Soak.quick_config with source = Harness.Run.Intent }
+      cfg (Topo.Topologies.b4 ())
   in
   check Alcotest.(list string) "no leaks" [] r.r_leaks;
   check bool "soak SLO holds under intent churn" true (Harness.Run.ok r)

@@ -306,6 +306,41 @@ let test_recovery_instants_anchored () =
   in
   anchored "resync after completion" (parents "recovery.resync")
 
+(* Two UIMs for one flow reach the egress back to back: v3 supersedes
+   v2's staged commit.  Under Exp(100 ms) installs at seed 1, v2's
+   cancelled timer fires at 131.754 ms and v3's commit is due at
+   144.955 ms; the node power-cycles in between (138.355 ms).  The
+   restart must cancel v3 — the stale v2 timer may not have dropped it
+   from the pending table — so the node ends as blank as it restarted. *)
+let test_superseded_timer_keeps_successor () =
+  let config = { Netsim.default_config with rule_update_mean_ms = Some 100.0 } in
+  let w = Harness.World.make ~seed:1 ~config (fig1 ()) in
+  let flow_id = Topo.Traffic.flow_id_of_pair ~src:0 ~dst:7 land (Wire.flow_space - 1) in
+  let egress = 7 in
+  List.iter
+    (fun (version, size) ->
+      Netsim.controller_transmit w.net ~to_:egress
+        (Wire.control_to_bytes
+           {
+             (Wire.control_default Wire.Uim) with
+             flow_id;
+             version_new = version;
+             flow_size = size;
+             egress_port = Wire.port_local;
+             role = Wire.role_flow_egress;
+           }))
+    [ (2, 200); (3, 300) ];
+  let restart_at = 138.355 in
+  let late_commits = ref [] in
+  Switch.on_commit w.switches.(egress) (fun ~flow_id:_ ~version ~time ->
+      if time >= restart_at then late_commits := version :: !late_commits);
+  Netsim.fail_node w.net ~node:egress ~at:restart_at;
+  Netsim.restore_node w.net ~node:egress ~at:restart_at;
+  let _ = Harness.World.run w in
+  Alcotest.(check (list int)) "no commit after the restart" [] !late_commits;
+  Alcotest.(check int) "restarted node holds no version" 0
+    (Switch.version_of w.switches.(egress) ~flow_id)
+
 let suite =
   [
     Alcotest.test_case "FRM routes a new flow" `Quick test_frm_routes_new_flow;
@@ -319,6 +354,8 @@ let suite =
     Alcotest.test_case "recovery survives a lost success UFM" `Quick
       test_recovery_survives_lost_success_ufm;
     Alcotest.test_case "restart wipes and resyncs the UIB" `Quick test_restart_resyncs_uib;
+    Alcotest.test_case "superseded commit timer keeps its successor" `Quick
+      test_superseded_timer_keeps_successor;
     Alcotest.test_case "node failure triggers a reroute" `Quick test_node_failure_reroutes;
     Alcotest.test_case "recovery instants hang under the update" `Quick
       test_recovery_instants_anchored;

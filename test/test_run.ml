@@ -24,8 +24,8 @@ let ms = Alcotest.(check (float 1e-6))
 
 let scale_workload = { Scale.default_workload with Run.updates = 200; flows = 50 }
 
-let scale_run ?(intent_churn = false) ?recorder ?(topo = Topologies.attmpls) () =
-  Run.run scale_workload (Run_config.make ~seed:42 ~intent_churn ?recorder ()) (topo ())
+let scale_run ?(source = Run.Rotation) ?recorder ?(topo = Topologies.attmpls) () =
+  Run.run { scale_workload with source } (Run_config.make ~seed:42 ?recorder ()) (topo ())
 
 let check_scale (r : Run.result) ~pushed ~completed ~events ~bursts ~churned ~p50 ~p99 =
   int "pushed" pushed r.r_pushed;
@@ -59,7 +59,7 @@ let test_scale_chinanet_pins () =
     ~p99:300.952116
 
 let test_scale_intent_pins () =
-  check_scale (scale_run ~intent_churn:true ()) ~pushed:203 ~completed:159 ~events:3913
+  check_scale (scale_run ~source:Run.Intent ()) ~pushed:203 ~completed:159 ~events:3913
     ~bursts:46 ~churned:50 ~p50:122.259334 ~p99:191.139223
 
 let traffic_run topo =
@@ -95,8 +95,8 @@ let test_traffic_chinanet_pins () =
   int "digest" 0x107a158a ts.Traffic.ts_digest;
   check_probes ts ~p50:25.833743 ~p99:51.195470
 
-let soak_run ?(intent_churn = false) config ~seed =
-  Run.run config (Run_config.make ~seed ~intent_churn ()) (Topologies.b4 ())
+let soak_run ?(source = Run.Rotation) config ~seed =
+  Run.run { config with Run.source } (Run_config.make ~seed ()) (Topologies.b4 ())
 
 let check_soak (r : Run.result) ~events ~completed ~injected ~digest =
   let ts = Option.get r.r_traffic in
@@ -118,7 +118,7 @@ let test_soak_pins () =
   ms "p99" 1386.644076 r.r_p99_ms
 
 let test_soak_intent_pins () =
-  let r = soak_run ~intent_churn:true Test_soak.smoke_config ~seed:11 in
+  let r = soak_run ~source:Run.Intent Test_soak.smoke_config ~seed:11 in
   check_soak r ~events:62079 ~completed:17 ~injected:12874 ~digest:0x1d2a17b8;
   int "pushed" 28 r.r_pushed;
   int "churned" 10 r.r_churned

@@ -536,8 +536,25 @@ let test_fat_tree_fingerprint_stable () =
   in
   Alcotest.(check int) "fingerprint stable run to run" (fp ()) (fp ())
 
+(* A gap that is not positive would re-arm each injector at one instant
+   forever; the auditor refuses it before anything is simulated. *)
+let test_attach_rejects_gap () =
+  List.iter
+    (fun (tw_mean_gap_ms, tw_poisson) ->
+      let w = World.make ~seed:1 (Topologies.fig1 ()) in
+      Alcotest.check_raises
+        (Printf.sprintf "gap %g (poisson %b)" tw_mean_gap_ms tw_poisson)
+        (Invalid_argument "Traffic.attach: tw_mean_gap_ms must be positive")
+        (fun () ->
+          ignore
+            (Traffic.attach
+               ~workload:{ Traffic.default_workload with tw_mean_gap_ms; tw_poisson }
+               w)))
+    [ (0.0, false); (0.0, true); (-1.0, true); (Float.nan, false) ]
+
 let suite =
   [
+    Alcotest.test_case "attach rejects a non-positive gap" `Quick test_attach_rejects_gap;
     Alcotest.test_case "kernel stats use monotonic wall clock" `Quick
       test_wall_clock;
     Alcotest.test_case "admission requires two alternative paths" `Quick
