@@ -254,7 +254,7 @@ let run_figures () =
     runs;
 
   section "Fig. 2 - risk inconsistencies, update quickly? (par. 4.1)";
-  let fig2 = Harness.Experiments.run_fig2 Harness.Run_config.default in
+  let fig2 = Harness.Experiments.run_fig2 () in
   print_string (Harness.Experiments.render_fig2 fig2);
   Harness.Svg.render_fig2 ~dir:figures_dir fig2;
   List.iter
@@ -267,9 +267,7 @@ let run_figures () =
 
   section "Fig. 4 - maintain consistency, delay updates? (par. 4.2)";
   (* Fig. 4 keeps its published sample count even in quick mode. *)
-  let fig4 =
-    Harness.Experiments.run_fig4 (Harness.Run_config.make ~runs:Harness.Scenarios.runs ())
-  in
+  let fig4 = Harness.Experiments.run_fig4 ~runs:Harness.Scenarios.runs in
   print_string (Harness.Experiments.render_fig4 fig4);
   Harness.Svg.render_fig4 ~dir:figures_dir fig4;
   record "fig4/p4update/median" "ms" (Harness.Stats.median fig4.Harness.Experiments.f4_p4update);
@@ -279,7 +277,7 @@ let run_figures () =
   section "Fig. 7 - total update time (par. 9.2)";
   List.iter
     (fun scenario ->
-      let result = Harness.Experiments.run_fig7 (Harness.Run_config.make ~runs ()) scenario in
+      let result = Harness.Experiments.run_fig7 ~runs scenario in
       print_string (Harness.Experiments.render_fig7 result);
       Harness.Svg.render_fig7 ~dir:figures_dir result;
       List.iter
@@ -306,17 +304,14 @@ let run_figures () =
       rows
   in
   section "Fig. 8a - control plane preparation time, no congestion (par. 9.3)";
-  let fig8a =
-    Harness.Experiments.run_fig8 (Harness.Run_config.make ~iterations:fig8_iterations ())
-  in
+  let fig8a = Harness.Experiments.run_fig8 ~iterations:fig8_iterations ~congestion:false in
   print_string (Harness.Experiments.render_fig8 ~congestion:false fig8a);
   Harness.Svg.render_fig8 ~dir:figures_dir ~congestion:false fig8a;
   record_fig8 "fig8a" fig8a;
 
   section "Fig. 8b - control plane preparation time with congestion freedom (par. 9.3)";
   let fig8b =
-    Harness.Experiments.run_fig8
-      (Harness.Run_config.make ~iterations:(fig8_iterations / 10) ~congestion:true ())
+    Harness.Experiments.run_fig8 ~iterations:(fig8_iterations / 10) ~congestion:true
   in
   print_string (Harness.Experiments.render_fig8 ~congestion:true fig8b);
   Harness.Svg.render_fig8 ~dir:figures_dir ~congestion:true fig8b;

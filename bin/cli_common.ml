@@ -9,9 +9,10 @@
      1  consistency / audit / SLO failure: Thm. 1-4 violation, per-packet
         audit violation, convergence failure, soak SLO breach, or (mc) a
         counterexample verdict inconsistent with --unsafe
-     2  usage or input errors: unparseable intent programs/events, or a
-        run workload the run loop rejects (cmdliner itself reports flag
-        errors, refused run settings included, as 124)                 *)
+     2  input errors: unparseable intent programs or events, a GraphML
+        file import cannot use, or a run workload the run loop rejects
+   124  usage errors (cmdliner's): a refused flag or run setting, or a
+        subcommand name that is not exact                              *)
 
 open Cmdliner
 
@@ -70,44 +71,37 @@ let positive_float =
 let probability =
   checked Arg.float ~what:"a probability in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
 
-(* --no-recorder and --incident-dir: every run with a flight recorder
-   (scale, soak, chaos). *)
-let recorder_term =
-  let no_recorder_arg =
-    Arg.(value & flag
-         & info [ "no-recorder" ]
-             ~doc:"Disable the always-on flight recorder for this run.")
-  in
-  let incident_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "incident-dir" ] ~docv:"DIR"
-             ~doc:"Dump the flight recorder's retained window here as a \
-                   Perfetto-loadable incident snapshot whenever a trigger fires \
-                   (invariant violation, abort, give-up, stuck update, leak, \
-                   SLO breach).")
-  in
-  Term.(const (fun no_recorder incident_dir (cfg : Harness.Run_config.t) ->
-            { cfg with recorder = not no_recorder; incident_dir })
-        $ no_recorder_arg $ incident_dir_arg)
+(* --incident-dir: every run with a flight recorder (scale, soak,
+   chaos). *)
+let incident_dir_arg =
+  Arg.(value & opt (some string) None
+       & info [ "incident-dir" ] ~docv:"DIR"
+           ~doc:"Dump the flight recorder's retained window here as a \
+                 Perfetto-loadable incident snapshot whenever a trigger fires \
+                 (invariant violation, abort, give-up, stuck update, leak, \
+                 SLO breach).")
+
+(* The flight recorder is the process's one global, so it is installed
+   here at the process edge, never by the library: [with_recorder
+   incident_dir f] runs [f ()] under a fresh recorder and removes it
+   when [f] returns or raises.  Recording never changes a run. *)
+let with_recorder incident_dir f =
+  Obs.Flight_recorder.install (Obs.Flight_recorder.create ?incident_dir ());
+  Fun.protect ~finally:Obs.Flight_recorder.uninstall f
 
 (* --tick-ms and --series-out: the runs that keep a rolling SLO series
    (scale, soak). *)
-let series_term =
-  let tick_ms_arg =
-    Arg.(value & opt (some positive_float) None
-         & info [ "tick-ms" ] ~docv:"MS"
-             ~doc:"Rolling SLO time-series window length in simulated ms \
-                   (default: 1000 for scale, 500 for soak).")
-  in
-  let series_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "series-out" ] ~docv:"FILE"
-             ~doc:"Export the rolling SLO time-series as JSONL (one object per \
-                   window).")
-  in
-  Term.(const (fun tick_ms series_out (cfg : Harness.Run_config.t) ->
-            { cfg with tick_ms; series_out })
-        $ tick_ms_arg $ series_out_arg)
+let tick_ms_arg =
+  Arg.(value & opt (some positive_float) None
+       & info [ "tick-ms" ] ~docv:"MS"
+           ~doc:"Rolling SLO time-series window length in simulated ms \
+                 (default: 1000 for scale, 500 for soak).")
+
+let series_out_arg =
+  Arg.(value & opt (some string) None
+       & info [ "series-out" ] ~docv:"FILE"
+           ~doc:"Export the rolling SLO time-series as JSONL (one object per \
+                 window).")
 
 (* --- run settings --------------------------------------------------- *)
 
@@ -160,13 +154,31 @@ let gap_setting ~absent =
     ~doc:"Per-flow mean probe gap (ms); scale takes it with $(b,--audit)."
     (fun gap -> audited "--gap-mean" (fun a -> { a with tw_mean_gap_ms = gap }))
 
-(* A workload the run loop refuses (say, more flows than the topology
-   has fresh flow ids for) is an input error. *)
-let run_workload wl cfg topo =
-  try Harness.Run.run wl cfg topo
-  with Invalid_argument msg | Failure msg ->
-    prerr_endline msg;
-    exit 2
+(* One line per invariant violation (scale, chaos). *)
+let print_violations =
+  List.iter (fun (v : Harness.Invariants.violation) ->
+      Printf.printf "  t=%.1fms flow=%d: %s\n" v.v_time v.v_flow v.v_what)
+
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
+
+(* One scale or soak run under its own flight recorder, its SLO series
+   written to [series_out] when given.  A workload the run loop refuses
+   (say, more flows than the topology has fresh flow ids for) is an
+   input error. *)
+let run_workload ~incident_dir ~series_out ?tick_ms ?on_window ~seed wl topo =
+  let r =
+    try with_recorder incident_dir (fun () -> Harness.Run.run ?tick_ms ?on_window ~seed wl topo)
+    with Invalid_argument msg | Failure msg ->
+      prerr_endline msg;
+      exit 2
+  in
+  Option.iter
+    (fun path -> write_file path (Obs.Timeseries.to_jsonl r.Harness.Run.r_series))
+    series_out;
+  r
 
 let system_conv =
   let parse = function
@@ -195,14 +207,9 @@ let exits =
     ~doc:"on a consistency failure: a Thm. 1-4 invariant violation, a \
           per-packet audit violation, convergence failure or soak SLO breach."
   :: Cmd.Exit.info 2
-       ~doc:"on unparseable input (intent programs, events) or a run workload \
-             the run loop rejects."
+       ~doc:"on unusable input (intent programs, events, GraphML files) or a run \
+             workload the run loop rejects."
   :: Cmd.Exit.defaults
 
 (* [Cmd.info] with the uniform exit-code table attached. *)
 let cmd_info name ~doc = Cmd.info name ~doc ~exits
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc

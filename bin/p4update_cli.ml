@@ -2,13 +2,11 @@
    scenarios, regenerate the paper's figures, and stress the plane with
    the scale engine.
 
-   Every subcommand builds exactly one [Harness.Run_config.t] from its
-   flags and hands it to the library — the CLI owns flag parsing, the
-   config record owns the knobs.  The two run families are presets over
-   one [Harness.Run.workload]: [scale] is an open run, [soak] a cycled
-   one.  Flag specs shared across subcommands (--seed/--topo/--runs, the
-   recorder and series flags, the run settings) and the uniform
-   exit-code table live in {!Cli_common}.
+   Each subcommand passes the library entry point it calls exactly what
+   that entry point reads.  [scale] (an open run) and [soak] (a cycled
+   one) are presets over one [Harness.Run.workload].  Flag specs shared
+   across subcommands, the per-run flight recorder of scale, soak and
+   chaos, and the uniform exit-code table live in {!Cli_common}.
 
    Examples:
      p4update topo --name b4
@@ -45,12 +43,12 @@ let topo_cmd =
 
 (* --- single / multi --- *)
 
-let summarize cfg setup systems =
+let summarize ~seed ~runs setup systems =
   List.iter
     (fun sys ->
       print_endline
         (Harness.Stats.summary (Harness.Scenarios.system_name sys)
-           (Harness.Scenarios.sample cfg setup sys)))
+           (Harness.Scenarios.sample ~seed ~runs setup sys)))
     systems
 
 let print_paths (old_path, new_path) =
@@ -61,8 +59,7 @@ let single_cmd =
   let run (name, build) system seed runs =
     Printf.printf "single-flow update on %s: " name;
     print_paths (Harness.Scenarios.single_paths (build ()));
-    summarize (Harness.Run_config.make ~seed ~runs ()) (Harness.Scenarios.single build)
-      (systems_of system)
+    summarize ~seed ~runs (Harness.Scenarios.single build) (systems_of system)
   in
   Cmd.v (cmd_info "single" ~doc:"Run the single-flow (straggler) scenario.")
     Term.(const run $ topo_arg () $ system_arg $ seed_arg ~default:scenario_seed_base
@@ -71,9 +68,7 @@ let single_cmd =
 let multi_cmd =
   let run (name, build) system seed runs =
     Printf.printf "multi-flow update on %s (congested, near capacity)\n" name;
-    summarize (Harness.Run_config.make ~seed ~runs ())
-      (Harness.Scenarios.multi ~headroom:1.4 build)
-      (systems_of system)
+    summarize ~seed ~runs (Harness.Scenarios.multi ~headroom:1.4 build) (systems_of system)
   in
   Cmd.v (cmd_info "multi" ~doc:"Run the multi-flow (congestion) scenario.")
     Term.(const run $ topo_arg () $ system_arg $ seed_arg ~default:scenario_seed_base
@@ -86,10 +81,9 @@ let fig_cmd =
     Arg.(required & opt (some string) None
          & info [ "id" ] ~docv:"ID" ~doc:"Figure id: 2, 4, 7a..7f, 8a, 8b.")
   in
-  let runs_opt_arg =
-    Arg.(value & opt (some int) None
-         & info [ "runs"; "r" ] ~docv:"N"
-             ~doc:"Number of seeded runs (default: the figure's own).")
+  let runs_arg =
+    Arg.(value & opt int Harness.Scenarios.runs
+         & info [ "runs"; "r" ] ~docv:"N" ~doc:"Number of seeded runs (Figs. 4 and 7).")
   in
   let phases_arg =
     Arg.(value & flag
@@ -102,46 +96,38 @@ let fig_cmd =
       (fun sc -> sc.Harness.Experiments.f7_id = id)
       (Harness.Experiments.fig7_scenarios ())
   in
-  let run_figure cfg id =
+  let fig8 ~iterations ~congestion =
+    print_string
+      (Harness.Experiments.render_fig8 ~congestion
+         (Harness.Experiments.run_fig8 ~iterations ~congestion))
+  in
+  let run_figure ~runs id =
     match id with
-    | "2" -> print_string (Harness.Experiments.render_fig2 (Harness.Experiments.run_fig2 cfg))
-    | "4" -> print_string (Harness.Experiments.render_fig4 (Harness.Experiments.run_fig4 cfg))
-    | "8a" ->
-      print_string
-        (Harness.Experiments.render_fig8 ~congestion:false
-           (Harness.Experiments.run_fig8 cfg))
-    | "8b" ->
-      let cfg =
-        { cfg with Harness.Run_config.congestion = true; iterations = 100 }
-      in
-      print_string
-        (Harness.Experiments.render_fig8 ~congestion:true
-           (Harness.Experiments.run_fig8 cfg))
+    | "2" -> print_string (Harness.Experiments.render_fig2 (Harness.Experiments.run_fig2 ()))
+    | "4" -> print_string (Harness.Experiments.render_fig4 (Harness.Experiments.run_fig4 ~runs))
+    | "8a" -> fig8 ~iterations:1000 ~congestion:false
+    | "8b" -> fig8 ~iterations:100 ~congestion:true
     | id ->
       (match fig7 id with
        | Some sc ->
-         print_string (Harness.Experiments.render_fig7 (Harness.Experiments.run_fig7 cfg sc))
+         print_string (Harness.Experiments.render_fig7 (Harness.Experiments.run_fig7 ~runs sc))
        | None -> Printf.eprintf "unknown figure id %S\n" id; exit 1)
   in
   let run id runs phases =
-    (* Figures default to their published sample counts (Run_config.default);
-       an explicit --runs overrides.  Fig. 2 runs seed 1; the others and
-       --phases fix their own seeds. *)
-    let cfg = Harness.Run_config.make ?runs () in
+    (* Every figure and --phases fixes its own seeds. *)
     if phases then
       match fig7 id with
       | Some sc ->
-        let cfg = { cfg with Harness.Run_config.seed = scenario_seed_base } in
         print_string
           (Harness.Experiments.render_phase_breakdown
-             (Harness.Experiments.run_phase_breakdown cfg sc Harness.Scenarios.P4u))
+             (Harness.Experiments.run_phase_breakdown sc Harness.Scenarios.P4u))
       | None ->
         Printf.eprintf "--phases needs a Fig. 7 scenario id (7a..7f), got %S\n" id;
         exit 1
-    else run_figure cfg id
+    else run_figure ~runs id
   in
   Cmd.v (cmd_info "fig" ~doc:"Regenerate one evaluation figure.")
-    Term.(const run $ id_arg $ runs_opt_arg $ phases_arg)
+    Term.(const run $ id_arg $ runs_arg $ phases_arg)
 
 (* --- trace --- *)
 
@@ -168,7 +154,6 @@ let trace_cmd =
   let run (name, build) system seed out jsonl multi full =
     let sys = match system with Some s -> s | None -> Harness.Scenarios.P4u in
     let exclude = if full then [] else [ "sim"; "net"; "p4rt" ] in
-    let cfg = Harness.Run_config.make ~seed ~trace_sink:(Obs.Trace.create ~exclude ()) () in
     let sys_name = Harness.Scenarios.system_name sys in
     let setup =
       if multi then begin
@@ -181,7 +166,7 @@ let trace_cmd =
         Harness.Scenarios.single build
       end
     in
-    let result = Harness.Traced.run cfg setup sys in
+    let result = Harness.Traced.run ~trace:(Obs.Trace.create ~exclude ()) ~seed setup sys in
     write_file out
       (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events result.Harness.Traced.tr_sink));
     Printf.printf "completion: %.2f ms\n" result.Harness.Traced.tr_completion_ms;
@@ -244,10 +229,8 @@ let chaos_cmd =
                    Chrome trace JSON; with several runs, FILE gets the scenario and seed \
                    appended.")
   in
-  let run scenario seed runs no_recovery trace_out recorder =
-    let fault_plan =
-      { Harness.Run_config.default_faults with fp_recovery = not no_recovery }
-    in
+  let run scenario seed runs no_recovery trace_out incident_dir =
+    let plan = { Harness.Run_config.default_faults with fp_recovery = not no_recovery } in
     let scenarios =
       match scenario with Some sc -> [ sc ] | None -> Harness.Chaos.all_scenarios
     in
@@ -258,34 +241,29 @@ let chaos_cmd =
       (fun sc ->
         List.iter
           (fun seed ->
-            let trace_sink =
-              match trace_out with
-              | None -> None
-              | Some _ -> Some (Obs.Trace.create ~exclude:[ "sim"; "net"; "p4rt" ] ())
+            let trace =
+              Option.map (fun _ -> Obs.Trace.create ~exclude:[ "sim"; "net"; "p4rt" ] ()) trace_out
             in
-            let cfg = recorder (Harness.Run_config.make ~seed ~fault_plan ?trace_sink ()) in
-            let r = Harness.Chaos.run cfg ~scenario:sc in
-            (match (trace_out, trace_sink) with
+            (* The recorder rides the degraded run and its baseline: a
+               baseline-run violation is every bit as reportable. *)
+            let r =
+              with_recorder incident_dir (fun () -> Harness.Chaos.run ?trace ~plan ~seed sc)
+            in
+            (match (trace_out, trace) with
             | Some path, Some sink ->
               let path =
                 if single then path
                 else
-                  Printf.sprintf "%s.%s.%d%s"
-                    (Filename.remove_extension path)
-                    (Harness.Chaos.scenario_name sc) seed
-                    (let e = Filename.extension path in
-                     if e = "" then ".json" else e)
+                  let ext = match Filename.extension path with "" -> ".json" | e -> e in
+                  Printf.sprintf "%s.%s.%d%s" (Filename.remove_extension path)
+                    (Harness.Chaos.scenario_name sc) seed ext
               in
               write_file path (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events sink));
               Printf.printf "trace: %d events -> %s\n"
                 (List.length (Obs.Trace.events sink)) path
             | _ -> ());
             print_endline (Harness.Chaos.report_line r);
-            List.iter
-              (fun v ->
-                Printf.printf "  t=%.1fms flow=%d: %s\n" v.Harness.Chaos.v_time
-                  v.Harness.Chaos.v_flow v.Harness.Chaos.v_what)
-              r.Harness.Chaos.r_violations;
+            print_violations r.Harness.Chaos.r_violations;
             if not no_recovery && not (Harness.Chaos.ok r) then incr failed)
           seeds)
       scenarios;
@@ -297,7 +275,7 @@ let chaos_cmd =
          "Run seeded chaos schedules (both-plane faults plus link/node failures) and check \
           the Thm. 1-4 invariants and convergence.")
     Term.(const run $ scenario_arg $ seed_arg $ runs_arg $ no_recovery_arg $ trace_out_arg
-          $ recorder_term)
+          $ incident_dir_arg)
 
 (* --- mc --- *)
 
@@ -352,11 +330,6 @@ let mc_cmd =
             (String.concat ", " (List.map (fun s -> s.Mc.Scenario.sc_name) Mc.Scenario.all));
           exit 1)
     in
-    (* The reorder window rides on the config; bounds keep the search
-       knobs.  Scenario worlds pin their own seed (Scenario.default_cfg). *)
-    let cfg =
-      { Mc.Scenario.default_cfg with Harness.Run_config.reorder_window_ms = window }
-    in
     let bounds =
       { Mc.Explore.b_max_depth = depth;
         b_max_schedules = max_schedules;
@@ -365,30 +338,25 @@ let mc_cmd =
     let found = ref false in
     List.iter
       (fun sc ->
-        let r = Mc.Explore.check ~bounds ~cfg ~unsafe sc in
+        let r = Mc.Explore.check ~bounds ?window ~unsafe sc in
         print_endline (Mc.Explore.verdict_line r);
-        match r.Mc.Explore.r_verdict with
-        | Mc.Explore.Found cex ->
-          found := true;
-          (match trace_out with
-           | None -> ()
-           | Some path ->
-             let sink = Obs.Trace.create ~exclude:[ "sim" ] () in
-             Mc.Explore.replay ~cfg ~unsafe sc ~window:r.Mc.Explore.r_window_ms
-               cex.Mc.Explore.cex_schedule sink;
-             write_file path (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events sink));
-             Printf.printf "counterexample replay: %d events -> %s (load at \
-                            https://ui.perfetto.dev)\n"
-               (List.length (Obs.Trace.events sink)) path)
-        | _ ->
-          (match trace_out with
-           | None -> ()
-           | Some path ->
-             let sink = Obs.Trace.create ~exclude:[ "sim" ] () in
-             Mc.Explore.replay ~cfg ~unsafe sc ~window:r.Mc.Explore.r_window_ms [] sink;
-             write_file path (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events sink));
-             Printf.printf "default-schedule replay: %d events -> %s\n"
-               (List.length (Obs.Trace.events sink)) path))
+        (* Replay the minimized counterexample, or the default schedule
+           when there is none. *)
+        let schedule, what, hint =
+          match r.Mc.Explore.r_verdict with
+          | Mc.Explore.Found cex ->
+            found := true;
+            (cex.Mc.Explore.cex_schedule, "counterexample", " (load at https://ui.perfetto.dev)")
+          | _ -> ([], "default-schedule", "")
+        in
+        Option.iter
+          (fun path ->
+            let sink = Obs.Trace.create ~exclude:[ "sim" ] () in
+            Mc.Explore.replay ~unsafe sc ~window:r.Mc.Explore.r_window_ms schedule sink;
+            write_file path (Obs.Trace.to_chrome ~pretty:true (Obs.Trace.events sink));
+            Printf.printf "%s replay: %d events -> %s%s\n" what
+              (List.length (Obs.Trace.events sink)) path hint)
+          trace_out)
       scenarios;
     (* [--unsafe] succeeding means the violation WAS found; plain runs
        succeed when no violation exists. *)
@@ -445,23 +413,19 @@ let scale_cmd =
           ~absent:(match d.probe with Every_bursts n -> string_of_int n | Every_ms _ -> "0")
           (fun n wl -> Ok { wl with probe = Every_bursts n }) ]
   in
-  let run (name, build) seed settings recorder series =
+  let run (name, build) seed settings incident_dir tick_ms series_out =
     match settings d with
     | Error msg -> `Error (true, msg)
     | Ok (wl : Harness.Run.workload) ->
-      let cfg = series (recorder (Harness.Run_config.make ~seed ())) in
       Printf.printf "scale run on %s: %d updates over %d flows%s (seed %d)\n" name
         wl.updates wl.flows
         (if Option.is_some wl.audit then ", probes audited" else "")
         seed;
-      let r = run_workload wl cfg (build ()) in
+      let r = run_workload ~incident_dir ~series_out ?tick_ms ~seed wl (build ()) in
       Format.printf "%a@." Harness.Scale.pp r;
       Option.iter (Format.printf "%a@." Harness.Traffic.pp) r.r_traffic;
       if not (Harness.Run.ok r) then begin
-        List.iter
-          (fun (v : Harness.Invariants.violation) ->
-            Printf.printf "  t=%.1fms flow=%d: %s\n" v.v_time v.v_flow v.v_what)
-          r.r_violations;
+        print_violations r.r_violations;
         exit 1
       end;
       `Ok ()
@@ -476,8 +440,8 @@ let scale_cmd =
     Term.(ret
             (const run
              $ topo_arg ~default:("attmpls", Topo.Topologies.attmpls) ()
-             $ seed_arg ~default:Harness.Run_config.default.seed
-             $ settings $ recorder_term $ series_term))
+             $ seed_arg ~default:1 $ settings $ incident_dir_arg $ tick_ms_arg
+             $ series_out_arg))
 
 let soak_cmd =
   (* The flag's value in the default preset and in the --quick one. *)
@@ -528,7 +492,8 @@ let soak_cmd =
   let verbose_arg =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the per-cycle leak readings.")
   in
-  let run (name, build) seed quick cycles cycle_ms settings live verbose recorder series =
+  let run (name, build) seed quick cycles cycle_ms settings live verbose incident_dir tick_ms
+      series_out =
     let base, cyc =
       if quick then (Harness.Soak.quick_config, Harness.Soak.quick_cycles)
       else (Harness.Soak.default_config, Harness.Soak.default_cycles)
@@ -541,9 +506,6 @@ let soak_cmd =
     match settings { base with pacing = Cycles cyc } with
     | Error msg -> `Error (true, msg)
     | Ok (wl : Harness.Run.workload) ->
-      let cfg =
-        series (recorder (Harness.Run_config.make ~seed ~live_top:live ()))
-      in
       Printf.printf
         "soak run on %s: %d cycles x %.0f ms, %d flows, faults + %s churn + probes%s \
          (seed %d)\n%!"
@@ -551,11 +513,20 @@ let soak_cmd =
         (match wl.source with Rotation -> "rotation" | Intent -> "intent")
         (if live then
            Printf.sprintf ", tick %.0f ms"
-             (Option.value cfg.Harness.Run_config.tick_ms
-                ~default:(Harness.Run.default_tick_ms wl))
+             (Option.value tick_ms ~default:(Harness.Run.default_tick_ms wl))
          else "")
         seed;
-      let r = run_workload wl cfg (build ()) in
+      let topo = build () in
+      let title = "p4update soak " ^ topo.Topo.Topologies.name in
+      (* The screen is cleared only on a terminal: a redirected log gets
+         plain appended frames. *)
+      let dashboard ts =
+        if Out_channel.isatty stdout then print_string "\027[H\027[2J";
+        print_string (Obs.Timeseries.render_top ~title ts);
+        flush stdout
+      in
+      let on_window = if live then Some dashboard else None in
+      let r = run_workload ~incident_dir ~series_out ?tick_ms ?on_window ~seed wl topo in
       if live then print_newline ();
       Format.printf "%a@." Harness.Soak.pp r;
       if verbose || not (Harness.Run.ok r) then
@@ -575,9 +546,9 @@ let soak_cmd =
     Term.(ret
             (const run
              $ topo_arg ()
-             $ seed_arg ~default:Harness.Run_config.default.seed
+             $ seed_arg ~default:1
              $ quick_arg $ cycles_arg $ cycle_ms_arg $ settings $ live_arg $ verbose_arg
-             $ recorder_term $ series_term))
+             $ incident_dir_arg $ tick_ms_arg $ series_out_arg))
 
 (* --- intent --- *)
 
@@ -743,15 +714,25 @@ let import_cmd =
          & info [] ~docv:"FILE" ~doc:"Topology Zoo GraphML file.")
   in
   let run file seed runs =
-    let cfg = Harness.Run_config.make ~seed ~runs () in
     let name = Filename.remove_extension (Filename.basename file) in
-    let topo = Topo.Graphml.to_topology ~name (Topo.Graphml.parse_file file) in
+    (* A file that does not parse, an empty or disconnected graph, or one
+       with no alternative path for the scenario is an input error. *)
+    let topo, paths =
+      try
+        let topo = Topo.Graphml.to_topology ~name (Topo.Graphml.parse_file file) in
+        (topo, Harness.Scenarios.single_paths topo)
+      with
+      | Topo.Graphml.Parse_error msg | Invalid_argument msg | Failure msg | Sys_error msg ->
+        Printf.eprintf "%s: %s\n" file msg;
+        exit 2
+    in
     let g = topo.Topo.Topologies.graph in
     Printf.printf "%s: %d nodes, %d edges (imported)\n" name (Topo.Graph.node_count g)
       (Topo.Graph.edge_count g);
     print_string "single-flow scenario: ";
-    print_paths (Harness.Scenarios.single_paths topo);
-    summarize cfg (Harness.Scenarios.single (fun () -> topo)) Harness.Scenarios.all_systems
+    print_paths paths;
+    summarize ~seed ~runs (Harness.Scenarios.single (fun () -> topo))
+      Harness.Scenarios.all_systems
   in
   Cmd.v
     (cmd_info "import"
@@ -760,8 +741,19 @@ let import_cmd =
 
 let () =
   let doc = "P4Update (CoNEXT '21) reproduction toolkit" in
-  exit
-    (Cmd.eval
-       (Cmd.group (cmd_info "p4update" ~doc)
-          [ topo_cmd; single_cmd; multi_cmd; fig_cmd; trace_cmd; chaos_cmd; mc_cmd;
-            scale_cmd; soak_cmd; intent_cmd; import_cmd ]))
+  let cmds =
+    [ topo_cmd; single_cmd; multi_cmd; fig_cmd; trace_cmd; chaos_cmd; mc_cmd;
+      scale_cmd; soak_cmd; intent_cmd; import_cmd ]
+  in
+  (* cmdliner resolves a unique prefix of a subcommand name, so a retired
+     name such as [top] would run [topo].  Only exact names pass. *)
+  let names = List.sort compare (List.map Cmd.name cmds) in
+  (match List.find_opt (fun a -> a = "" || a.[0] <> '-') (List.tl (Array.to_list Sys.argv)) with
+   | Some a when not (List.mem a names) ->
+     Printf.eprintf
+       "p4update: unknown command '%s', must be one of %s.\n\
+        Try 'p4update --help' for more information.\n"
+       a (String.concat ", " (List.map (Printf.sprintf "'%s'") names));
+     exit Cmd.Exit.cli_error
+   | _ -> ());
+  exit (Cmd.eval (Cmd.group (cmd_info "p4update" ~doc) cmds))

@@ -13,7 +13,7 @@ let () =
   print_endline "  (b) v2->v4               pushed late (delayed in the control plane)";
   print_endline "  (c) v0->v3->v1->v2->v4   pushed first, computed against the (b) view";
   print_endline "";
-  let results = Harness.Experiments.run_fig2 Harness.Run_config.default in
+  let results = Harness.Experiments.run_fig2 () in
   print_string (Harness.Experiments.render_fig2 results);
   print_endline "";
   List.iter

@@ -2,7 +2,7 @@ let multi topo = Scenarios.multi ~headroom:1.4 topo
 
 (* P4Update's samples over seeds 1000, 1001, ... *)
 let sample ~runs ?update_type setup =
-  Scenarios.sample ?update_type (Run_config.make ~seed:1000 ~runs ()) setup Scenarios.P4u
+  Scenarios.sample ?update_type ~seed:1000 ~runs setup Scenarios.P4u
 
 let pct a b = 100.0 *. ((a /. b) -. 1.0)
 

@@ -249,11 +249,7 @@ let run_one ?traffic ?trace ~scenario ~seed (plan : Run_config.fault_plan) =
       Sim.schedule_at w.World.sim ~time:at (fun () ->
           ignore
             (P4update.Controller.update_flow w.World.controller
-               ~flow_id:f.P4update.Controller.flow_id ~new_path:pl.pl_new ());
-          Option.iter
-            (fun t ->
-              Traffic.note_pushed t ~flow_id:f.P4update.Controller.flow_id ~version:0)
-            tr))
+               ~flow_id:f.P4update.Controller.flow_id ~new_path:pl.pl_new ())))
     planned flows;
   Option.iter Traffic.start tr;
   install_fault_hooks w plan;
@@ -313,17 +309,12 @@ let run_one ?traffic ?trace ~scenario ~seed (plan : Run_config.fault_plan) =
     r_traffic = Option.map (fun t -> Traffic.finalize t) tr;
   }
 
-let run ?traffic (cfg : Run_config.t) ~scenario =
-  let plan = Option.value cfg.Run_config.fault_plan ~default:Run_config.default_faults in
-  let seed = cfg.Run_config.seed in
-  (* The flight recorder rides the whole pair of runs (degraded +
-     baseline): a baseline-run violation is every bit as reportable. *)
-  Observe.with_recorder cfg @@ fun _recorder ->
+let run ?traffic ?trace ~plan ~seed scenario =
   (* Only the degraded run is traced: the fault-free baseline would overlay
      a second span tree at the same timestamps.  Probe traffic likewise
      rides the degraded run only — the baseline's job is the workload's
      fault-free convergence reference, not a second packet audit. *)
-  let faulty = run_one ?traffic ?trace:cfg.Run_config.trace_sink ~scenario ~seed plan in
+  let faulty = run_one ?traffic ?trace ~scenario ~seed plan in
   let baseline =
     run_one ~scenario ~seed
       { plan with fp_data_prob = 0.0; fp_control_prob = 0.0; fp_max_element_failures = 0 }

@@ -67,13 +67,11 @@ type report = {
 (** All invariants held and every flow converged. *)
 val ok : report -> bool
 
-(** [run cfg ~scenario]: the seed, the flight recorder, the trace sink
-    and the fault plan (default {!Run_config.default_faults}) all come
-    from [cfg].  Executes the faulty run and its fault-free baseline
-    (identical workload) and merges both into one report.  The sink is
-    installed around the degraded run only (not the baseline);
-    injected faults appear as ["fault.injected"] instants in category
-    ["chaos"].  Tracing never perturbs the schedule, so the report —
+(** [run ~plan ~seed scenario] executes the faulty run and its
+    fault-free baseline (identical workload, seeded with [seed]) and
+    merges both into one report.  The degraded run's simulation adopts
+    [trace] (the baseline runs untraced); injected faults appear as
+    ["fault.injected"] instants in category ["chaos"].  Tracing never perturbs the schedule, so the report —
     including [r_trace_hash] — is identical with or without a sink.
 
     [?traffic] additionally races sustained probe traffic (the
@@ -81,7 +79,13 @@ val ok : report -> bool
     and reports the per-packet audit in [r_traffic].  Runs without
     [?traffic] draw exactly the same schedule as before the auditor
     existed ([r_trace_hash] unchanged). *)
-val run : ?traffic:Traffic.workload -> Run_config.t -> scenario:scenario -> report
+val run :
+  ?traffic:Traffic.workload ->
+  ?trace:Obs.Trace.sink ->
+  plan:Run_config.fault_plan ->
+  seed:int ->
+  scenario ->
+  report
 
 (** One-line degradation summary. *)
 val report_line : report -> string

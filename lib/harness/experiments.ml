@@ -132,8 +132,9 @@ let fig2_ez ~seed =
   let _ = Sim.run ~until:(fig2_horizon +. 500.0) sim in
   fig2_summarize ~system:"ez-Segway" ~sent:!sent ~v1:!v1 ~v4:!v4
 
-let run_fig2 (cfg : Run_config.t) =
-  let seed = cfg.Run_config.seed in
+(* Both systems run the §4.1 scenario with seed 1. *)
+let run_fig2 () =
+  let seed = 1 in
   [ fig2_p4update ~seed; fig2_ez ~seed ]
 
 (* ------------------------------------------------------------------ *)
@@ -197,8 +198,8 @@ let fig4_ez_run ~seed =
   | Some t -> t
   | None -> failwith "fig4: ez-Segway did not complete U3"
 
-let run_fig4 (cfg : Run_config.t) =
-  let seeds = List.init cfg.Run_config.runs (fun i -> 100 + i) in
+let run_fig4 ~runs =
+  let seeds = List.init runs (fun i -> 100 + i) in
   let f4_p4update = List.map (fun seed -> fig4_p4u_run ~seed) seeds in
   let f4_ez = List.map (fun seed -> fig4_ez_run ~seed) seeds in
   { f4_p4update; f4_ez; f4_speedup = Stats.mean f4_ez /. Stats.mean f4_p4update }
@@ -236,12 +237,13 @@ type fig7_result = {
   f7_samples : (Scenarios.system * float list) list;
 }
 
-let run_fig7 (cfg : Run_config.t) scenario =
-  let cfg = { cfg with Run_config.seed = fig7_seed } in
+let run_fig7 ~runs scenario =
   {
     f7_scenario = scenario;
     f7_samples =
-      List.map (fun s -> (s, Scenarios.sample cfg scenario.f7_setup s)) Scenarios.all_systems;
+      List.map
+        (fun s -> (s, Scenarios.sample ~seed:fig7_seed ~runs scenario.f7_setup s))
+        Scenarios.all_systems;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -251,17 +253,16 @@ let run_fig7 (cfg : Run_config.t) scenario =
 type phase_result = {
   pb_scenario : fig7_scenario;
   pb_system : Scenarios.system;
-  pb_seed : int;
   pb_completion_ms : float;
   pb_rows : Traced.phase_row list;
 }
 
-let run_phase_breakdown (cfg : Run_config.t) scenario system =
-  let r = Traced.run cfg scenario.f7_setup system in
+(* The breakdown traces the first Fig. 7 sample, seed 1000. *)
+let run_phase_breakdown scenario system =
+  let r = Traced.run ~seed:fig7_seed scenario.f7_setup system in
   {
     pb_scenario = scenario;
     pb_system = system;
-    pb_seed = cfg.Run_config.seed;
     pb_completion_ms = r.Traced.tr_completion_ms;
     pb_rows = r.Traced.tr_phases;
   }
@@ -271,7 +272,7 @@ let render_phase_breakdown r =
   Buffer.add_string buf
     (Printf.sprintf "Fig. %s - %s (%s, seed %d): where the completion time goes (ms)\n"
        r.pb_scenario.f7_id r.pb_scenario.f7_title
-       (Scenarios.system_name r.pb_system) r.pb_seed);
+       (Scenarios.system_name r.pb_system) fig7_seed);
   (match r.pb_rows with
   | [] ->
     Buffer.add_string buf
@@ -341,8 +342,7 @@ let time_it f =
   done;
   (Sys.time () -. t0) *. 1000.0 /. float_of_int fig8_reps
 
-let run_fig8 (cfg : Run_config.t) =
-  let iterations = cfg.Run_config.iterations and congestion = cfg.Run_config.congestion in
+let run_fig8 ~iterations ~congestion =
   List.map
     (fun topo ->
       let graph = topo.Topo.Topologies.graph in

@@ -16,9 +16,9 @@ type fig2_result = {
   f2_lost : int;                       (** seqs never delivered at v4 *)
 }
 
-(** [run_fig2 cfg] runs the §4.1 scenario for SL-P4Update and ez-Segway
-    with [cfg.seed]. *)
-val run_fig2 : Run_config.t -> fig2_result list
+(** [run_fig2 ()] runs the §4.1 scenario for SL-P4Update and ez-Segway
+    with seed 1. *)
+val run_fig2 : unit -> fig2_result list
 
 (** {2 Fig. 4 — skip-ahead over an ongoing update} *)
 
@@ -28,8 +28,8 @@ type fig4_result = {
   f4_speedup : float;        (** mean(ez) / mean(p4update) — paper: ≈ 4 *)
 }
 
-(** [run_fig4 cfg] runs [cfg.runs] seeded pairs. *)
-val run_fig4 : Run_config.t -> fig4_result
+(** [run_fig4 ~runs] runs [runs] seeded pairs, seeds 100, 101, ... *)
+val run_fig4 : runs:int -> fig4_result
 
 (** {2 Fig. 7 — total update time CDFs} *)
 
@@ -46,27 +46,25 @@ type fig7_result = {
   f7_samples : (Scenarios.system * float list) list;
 }
 
-(** [run_fig7 cfg scenario] runs all three systems, [cfg.runs] seeds
-    each from 1000 ([cfg.seed] is not used). *)
-val run_fig7 : Run_config.t -> fig7_scenario -> fig7_result
+(** [run_fig7 ~runs scenario] runs all three systems, [runs] seeds each
+    from 1000. *)
+val run_fig7 : runs:int -> fig7_scenario -> fig7_result
 
 (** {2 Phase breakdown — where a traced run's completion time goes} *)
 
 type phase_result = {
   pb_scenario : fig7_scenario;
   pb_system : Scenarios.system;
-  pb_seed : int;
   pb_completion_ms : float;
   pb_rows : Traced.phase_row list;
 }
 
-(** [run_phase_breakdown cfg scenario system] runs seed [cfg.seed] of a
-    Fig. 7 scenario under a trace sink and folds the span tree into
-    per-update phase rows (prep / control-plane flight / data-plane
-    propagation / verification / ack).  Baseline systems produce no rows: only P4Update is
-    span-instrumented. *)
-val run_phase_breakdown :
-  Run_config.t -> fig7_scenario -> Scenarios.system -> phase_result
+(** [run_phase_breakdown scenario system] runs seed 1000 (the first
+    sample of {!run_fig7}) of a Fig. 7 scenario under a trace sink and
+    folds the span tree into per-update phase rows (prep / control-plane
+    flight / data-plane propagation / verification / ack).  Baseline
+    systems produce no rows: only P4Update is span-instrumented. *)
+val run_phase_breakdown : fig7_scenario -> Scenarios.system -> phase_result
 
 val render_phase_breakdown : phase_result -> string
 
@@ -88,10 +86,10 @@ val random_updates : Random.State.t -> Topo.Graph.t -> count:int -> (int list * 
 (** ez-Segway's request for one drawn update (size 100, pair-derived id). *)
 val ez_request : int list * int list -> Baselines.Ez_segway.update_request
 
-(** [run_fig8 cfg] measures the preparation runtime over
-    [cfg.iterations] random updates on the four WANs of Fig. 8, in the
-    congestion-aware variant when [cfg.congestion]. *)
-val run_fig8 : Run_config.t -> fig8_row list
+(** [run_fig8 ~iterations ~congestion] measures the preparation runtime
+    over [iterations] random updates on the four WANs of Fig. 8, in the
+    congestion-aware variant when [congestion]. *)
+val run_fig8 : iterations:int -> congestion:bool -> fig8_row list
 
 (** {2 Rendering} *)
 

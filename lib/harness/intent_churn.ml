@@ -7,9 +7,9 @@
    burst as compiler events, so the intent plane re-routes around real
    failures while the §11 recovery plane races it.
 
-   Every random draw comes from the world's simulation RNG: a
-   [Run_config.seed] fully determines the program, the event stream and
-   every emitted update. *)
+   Every random draw comes from the world's simulation RNG: the world's
+   seed fully determines the program, the event stream and every
+   emitted update. *)
 
 module Sim = Dessim.Sim
 module Graph = Topo.Graph

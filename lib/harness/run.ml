@@ -11,8 +11,8 @@
 
    The scale engine is an open run (one stream until the quota is
    pushed); the soak monitor is a cycled run with every monitor on.
-   Both draw from the world's sim RNG in a fixed order, so a
-   [Run_config.seed] determines the whole run. *)
+   Both draw from the world's sim RNG in a fixed order, so the seed
+   determines the whole run. *)
 
 module Sim = Dessim.Sim
 module Graph = Topo.Graph
@@ -169,14 +169,13 @@ type population_state = Slots of population | Program of Intent_churn.t
 
 (* ---- the run loop ---------------------------------------------------- *)
 
-let run wl (cfg : Run_config.t) topo =
+let run ?trace ?tick_ms ?on_window ~seed wl topo =
   (match wl.pacing, wl.churn with
    | _ when wl.flows < 1 || wl.burst < 1 -> invalid_arg "Run.run: empty workload"
    | Cycles c, _ when c.cycles < 1 -> invalid_arg "Run.run: no cycles"
    | Open _, Per_cycle _ -> invalid_arg "Run.run: per-cycle churn needs cycles"
    | _ -> ());
-  Observe.with_recorder cfg @@ fun _recorder ->
-  let w = World.make ~seed:cfg.Run_config.seed ?trace:cfg.Run_config.trace_sink topo in
+  let w = World.make ~seed ?trace topo in
   let sim = w.World.sim in
   let net = w.World.net in
   let cycled = match wl.pacing with Cycles _ -> true | Open _ -> false in
@@ -266,36 +265,36 @@ let run wl (cfg : Run_config.t) topo =
   let completions = ref [] in
   let completed = ref 0 in
   let pushed = ref 0 in
-  let series =
-    Observe.attach_series cfg sim ~default_tick_ms:(default_tick_ms wl)
-      ~title:
-        (Printf.sprintf "p4update %s %s" (if cycled then "soak" else "scale")
-           topo.Topo.Topologies.name)
-      ~register:(fun ts ->
-        Obs.Timeseries.dist ts "update_latency" ~unit_:"ms";
-        if cycled then
-          Obs.Timeseries.rate ts "pkts" ~unit_:"pkts/s" (fun () ->
-              float_of_int (injected ()))
-        else
-          Obs.Timeseries.rate ts "pushed" ~unit_:"updates/s" (fun () ->
-              float_of_int !pushed);
-        Obs.Timeseries.rate ts "completed" ~unit_:"updates/s" (fun () ->
-            float_of_int !completed);
-        Obs.Timeseries.gauge ts "in_flight" ~unit_:"updates" (fun () ->
-            float_of_int (Hashtbl.length pending));
-        if cycled then
-          List.iter
-            (fun (name, count) ->
-              Obs.Timeseries.rate ts name ~unit_:"ops/s" (fun () ->
-                  match C.recovery_stats w.World.controller with
-                  | Some r -> float_of_int (count r)
-                  | None -> 0.0))
-            [ ("retransmit", fun r -> r.C.retransmissions);
-              ("reroute", fun r -> r.C.reroutes);
-              ("abort", fun r -> r.C.aborts) ];
-        Obs.Timeseries.gauge ts "heap" ~unit_:"events" (fun () ->
-            float_of_int (Sim.pending sim)))
-  in
+  (* The rolling SLO series, sampled off the simulator's observability
+     tick; its probes are registered before the first window closes. *)
+  let tick_ms = Option.value tick_ms ~default:(default_tick_ms wl) in
+  let series = Obs.Timeseries.create ~tick_ms in
+  Obs.Timeseries.dist series "update_latency" ~unit_:"ms";
+  if cycled then
+    Obs.Timeseries.rate series "pkts" ~unit_:"pkts/s" (fun () ->
+        float_of_int (injected ()))
+  else
+    Obs.Timeseries.rate series "pushed" ~unit_:"updates/s" (fun () ->
+        float_of_int !pushed);
+  Obs.Timeseries.rate series "completed" ~unit_:"updates/s" (fun () ->
+      float_of_int !completed);
+  Obs.Timeseries.gauge series "in_flight" ~unit_:"updates" (fun () ->
+      float_of_int (Hashtbl.length pending));
+  if cycled then
+    List.iter
+      (fun (name, count) ->
+        Obs.Timeseries.rate series name ~unit_:"ops/s" (fun () ->
+            match C.recovery_stats w.World.controller with
+            | Some r -> float_of_int (count r)
+            | None -> 0.0))
+      [ ("retransmit", fun r -> r.C.retransmissions);
+        ("reroute", fun r -> r.C.reroutes);
+        ("abort", fun r -> r.C.aborts) ];
+  Obs.Timeseries.gauge series "heap" ~unit_:"events" (fun () ->
+      float_of_int (Sim.pending sim));
+  Sim.set_tick sim ~every_ms:tick_ms (fun ~now ->
+      Obs.Timeseries.tick series ~now;
+      Option.iter (fun f -> f series) on_window);
   C.on_report w.World.controller (fun r ->
       if r.C.r_status = P4update.Wire.ufm_success then begin
         let key = (r.C.r_flow, r.C.r_version) in
@@ -527,7 +526,7 @@ let run wl (cfg : Run_config.t) topo =
     | _ -> ()
   end;
   let stats = Sim.stats sim in
-  Observe.finish_series cfg sim series;
+  Sim.clear_tick sim;
   {
     r_topology = topo.Topo.Topologies.name;
     r_pushed = !pushed;

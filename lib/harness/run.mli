@@ -21,9 +21,10 @@
     the retired flow's higher-version switch state — a version rollback
     local verification cannot tell from a fault.
 
-    Everything random draws from the world's simulation RNG, so
-    [Run_config.seed] determines the run; only the wall-clock fields
-    vary. *)
+    Everything random draws from the world's simulation RNG, so the
+    seed determines the run; only the wall-clock fields vary.  A run
+    never installs the flight recorder: it notes into whichever one the
+    process has installed, and recording never changes the run. *)
 
 (** How the population churns. *)
 type churn =
@@ -85,8 +86,8 @@ type workload = {
   faults : faults option;
 }
 
-(** Rolling SLO window length (simulated ms) when [Run_config.tick_ms]
-    is not set: 1 s for an open run, 0.5 s for a cycled one. *)
+(** Rolling SLO window length (simulated ms) when {!run} gets no
+    [tick_ms]: 1 s for an open run, 0.5 s for a cycled one. *)
 val default_tick_ms : workload -> float
 
 (** Leak reading at a cycle boundary, after the traffic drain. *)
@@ -133,9 +134,19 @@ type result = {
   r_leaks : string list;   (** cycled runs: leak / monotonicity breaches *)
 }
 
-(** [run workload cfg topo] executes [workload] on a fresh world over
-    [topo], seeded from [cfg]. *)
-val run : workload -> Run_config.t -> Topo.Topologies.t -> result
+(** [run ~seed workload topo] executes [workload] on a fresh world over
+    [topo] seeded with [seed].  The world's simulation adopts [trace].
+    The rolling SLO series closes a window every [tick_ms] (default
+    {!default_tick_ms}) and hands the series to [on_window] after each
+    one. *)
+val run :
+  ?trace:Obs.Trace.sink ->
+  ?tick_ms:float ->
+  ?on_window:(Obs.Timeseries.t -> unit) ->
+  seed:int ->
+  workload ->
+  Topo.Topologies.t ->
+  result
 
 (** Zero invariant violations, zero probe-audit violations (excused
     blackholes aside), zero stuck updates and zero leaks. *)

@@ -235,9 +235,9 @@ let run ?update_type ?trace setup system ~seed =
 (* A congested transition can be genuinely unschedulable for a
    one-move-at-a-time heuristic (the 15-puzzle effect, §7.4); such seeds
    are skipped and the reported n shrinks. *)
-let sample ?update_type (cfg : Run_config.t) setup system =
+let sample ?update_type ~seed ~runs setup system =
   let paths = paths_of setup in
-  List.init cfg.Run_config.runs (Run_config.run_seed cfg)
+  List.init runs (fun i -> seed + i)
   |> List.filter_map (fun seed ->
          match run_with ?update_type setup system ~paths ~seed with
          | t -> Some t

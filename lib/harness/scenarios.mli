@@ -44,13 +44,13 @@ val run :
   seed:int ->
   float
 
-(** [sample cfg setup system] runs seeds [Run_config.run_seed cfg 0 ..
-    runs - 1] and returns the completion times.  Seeds whose transition
-    cannot complete are skipped, so the sample can be shorter than
-    [cfg.runs]. *)
+(** [sample ~seed ~runs setup system] runs seeds [seed .. seed + runs - 1]
+    and returns the completion times.  Seeds whose transition cannot
+    complete are skipped, so the sample can be shorter than [runs]. *)
 val sample :
   ?update_type:P4update.Wire.update_type ->
-  Run_config.t ->
+  seed:int ->
+  runs:int ->
   setup ->
   system ->
   float list

@@ -151,11 +151,11 @@ type result = {
   tr_phases : phase_row list;
 }
 
-let run (cfg : Run_config.t) setup system =
+let run ?trace ~seed setup system =
   let sink =
-    match cfg.Run_config.trace_sink with
+    match trace with
     | Some s -> s
     | None -> Obs.Trace.create ~exclude:[ "sim"; "net"; "p4rt" ] ()
   in
-  let completion = Scenarios.run ~trace:sink setup system ~seed:cfg.Run_config.seed in
+  let completion = Scenarios.run ~trace:sink setup system ~seed in
   { tr_sink = sink; tr_completion_ms = completion; tr_phases = phase_rows sink }

@@ -29,8 +29,9 @@ type result = {
   tr_phases : phase_row list;
 }
 
-(** [run cfg setup system] runs seed [cfg.seed] of the scenario under a
-    trace sink: [cfg.trace_sink] when present, otherwise a fresh one that
+(** [run ~seed setup system] runs seed [seed] of the scenario under a
+    trace sink: [trace] when present, otherwise a fresh one that
     excludes the ["sim"; "net"; "p4rt"] categories (scheduler and
     packet-level events off, protocol spans on). *)
-val run : Run_config.t -> Scenarios.setup -> Scenarios.system -> result
+val run :
+  ?trace:Obs.Trace.sink -> seed:int -> Scenarios.setup -> Scenarios.system -> result

@@ -326,11 +326,11 @@ let start_flow t flow_id =
 
 (* ---- engine lifecycle ------------------------------------------------ *)
 
-let note_pushed t ~flow_id ~version =
+(* Record a pushed update: the controller's flow record already shows
+   the pushed state. *)
+let note_pushed t ~flow_id =
   match (Hashtbl.find_opt t.flows flow_id, World.find_flow t.world ~flow_id) with
   | Some st, Some f ->
-    ignore version;
-    (* The controller's flow record already shows the pushed state. *)
     record_version st ~version:f.P4update.Controller.version
       ~path:f.P4update.Controller.path
       ~dl:(f.P4update.Controller.last_type = P4update.Wire.Dl)
@@ -373,10 +373,9 @@ let attach ?(workload = default_workload) (w : World.t) =
   (* Subscribe to every controller push — explicit caller pushes AND the
      recovery loop's internal reroutes/resyncs — so the version history
      never misses a path the plane is switching to.  record_version is
-     idempotent per version, so callers that also report pushes cost
-     nothing extra. *)
-  P4update.Controller.on_push w.World.controller (fun ~flow_id ~version ->
-      note_pushed t ~flow_id ~version);
+     idempotent per version, so a re-pushed update adds nothing. *)
+  P4update.Controller.on_push w.World.controller (fun ~flow_id ~version:_ ->
+      note_pushed t ~flow_id);
   t
 
 let start t = Hashtbl.iter (fun flow_id _ -> start_flow t flow_id) t.flows

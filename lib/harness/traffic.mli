@@ -89,8 +89,9 @@ val violations : summary -> int
 type t
 
 (** [attach ?workload w] registers the auditor's observers (link hops,
-    per-switch egress hooks) and seeds the version history from the
-    world's current flows.  Injection starts with {!start}.  Raises
+    per-switch egress hooks, every controller push) and seeds the
+    version history from the world's current flows; each push then
+    extends it.  Injection starts with {!start}.  Raises
     [Invalid_argument] unless [tw_mean_gap_ms] is finite and positive. *)
 val attach : ?workload:workload -> World.t -> t
 
@@ -102,10 +103,6 @@ val start : t -> unit
     engine: idle injectors are re-armed, running ones simply observe the
     later deadline. *)
 val inject_until : t -> stop_ms:float -> unit
-
-(** Record a pushed update: the controller's flow record (already showing
-    the new version and path) extends the flow's version history. *)
-val note_pushed : t -> flow_id:int -> version:int -> unit
 
 (** Record a newly admitted flow and arm its injector. *)
 val note_admitted : t -> flow_id:int -> unit

@@ -207,9 +207,9 @@ let visited_prune visited ~fp ~sleep ~depth =
     false
   end
 
-let execute ?visited ?stats ?on_choice ?(cfg = Scenario.default_cfg) ~unsafe sc ~window
-    ~por ~max_depth ~prefix () =
-  let ctx = Scenario.build ~unsafe sc cfg in
+let execute ?visited ?stats ?on_choice ?trace ~unsafe sc ~window ~por ~max_depth ~prefix
+    () =
+  let ctx = Scenario.build ~unsafe ?trace sc in
   let w = ctx.Scenario.cx_world in
   let sim = w.World.sim in
   let prefix = Array.of_list prefix in
@@ -397,8 +397,7 @@ let take n l = List.filteri (fun i _ -> i < n) l
 
 (* The DFS: stops at the first violation (unminimized) or when the
    schedule space within the bounds is exhausted. *)
-let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc =
-  let window = Scenario.window_of cfg sc in
+let explore ~bounds ~window ~unsafe sc =
   let stats = make_stats () in
   let visited = Hashtbl.create 4096 in
   let counterexample = ref None in
@@ -409,7 +408,7 @@ let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc 
     else begin
       stats.st_schedules <- stats.st_schedules + 1;
       let r =
-        execute ~visited ~stats ~cfg ~unsafe sc ~window ~por:bounds.b_por
+        execute ~visited ~stats ~unsafe sc ~window ~por:bounds.b_por
           ~max_depth:bounds.b_max_depth ~prefix ()
       in
       (match r.ex_stop with
@@ -450,15 +449,13 @@ let explore ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ~unsafe sc 
 (* Counterexample minimization (delta debugging over choice indices)    *)
 (* ------------------------------------------------------------------ *)
 
-let still_fails ~cfg ~unsafe sc ~window vec =
-  let r =
-    execute ~cfg ~unsafe sc ~window ~por:false ~max_depth:max_int ~prefix:vec ()
-  in
+let still_fails ~unsafe sc ~window vec =
+  let r = execute ~unsafe sc ~window ~por:false ~max_depth:max_int ~prefix:vec () in
   r.ex_violation <> None
 
 (* Greedily reset choices to the default (index 0) while the violation
    persists, then drop the all-default tail.  Each probe is one replay. *)
-let minimize ~cfg ~unsafe sc ~window vec =
+let minimize ~unsafe sc ~window vec =
   let vec = ref (Array.of_list vec) in
   let changed = ref true in
   while !changed do
@@ -468,8 +465,7 @@ let minimize ~cfg ~unsafe sc ~window vec =
         if v <> 0 then begin
           let candidate = Array.copy !vec in
           candidate.(d) <- 0;
-          if still_fails ~cfg ~unsafe sc ~window (Array.to_list candidate)
-          then begin
+          if still_fails ~unsafe sc ~window (Array.to_list candidate) then begin
             vec := candidate;
             changed := true
           end
@@ -491,10 +487,9 @@ let minimize ~cfg ~unsafe sc ~window vec =
    ["mc"], on top of the regular cross-layer instrumentation, so the
    counterexample loads into Perfetto with the scheduling decisions
    visible. *)
-let replay ?(cfg = Scenario.default_cfg) ?(unsafe = false) sc ~window vec sink =
-  let cfg = { cfg with Harness.Run_config.trace_sink = Some sink } in
+let replay ?(unsafe = false) sc ~window vec sink =
   let r =
-    execute ~cfg ~unsafe sc ~window ~por:false ~max_depth:max_int ~prefix:vec
+    execute ~trace:sink ~unsafe sc ~window ~por:false ~max_depth:max_int ~prefix:vec
       ~on_choice:(fun ~depth ~chosen ~alternatives ->
         Obs.Trace.instant sink ~cat:"mc" "mc.choice" ~node:chosen.ci_node
           ~attrs:
@@ -515,11 +510,12 @@ let replay ?(cfg = Scenario.default_cfg) ?(unsafe = false) sc ~window vec sink =
 (* One-call check: explore, then minimize any counterexample            *)
 (* ------------------------------------------------------------------ *)
 
-let check ?(bounds = default_bounds) ?(cfg = Scenario.default_cfg) ?(unsafe = false) sc =
-  let r = explore ~bounds ~cfg ~unsafe sc in
+let check ?(bounds = default_bounds) ?window ?(unsafe = false) sc =
+  let window = Option.value window ~default:sc.Scenario.sc_window_ms in
+  let r = explore ~bounds ~window ~unsafe sc in
   match r.r_verdict with
   | Found cex ->
-    let minimized = minimize ~cfg ~unsafe sc ~window:r.r_window_ms cex.cex_schedule in
+    let minimized = minimize ~unsafe sc ~window cex.cex_schedule in
     { r with r_verdict = Found { cex with cex_schedule = minimized } }
   | _ -> r
 

@@ -53,18 +53,15 @@ type result = {
   r_stats : stats;
 }
 
-(** [check ?bounds ?cfg ?unsafe sc] runs the DFS, which stops at the
+(** [check ?bounds ?window ?unsafe sc] runs the DFS, which stops at the
     first violation or when the schedule space within the bounds is
-    exhausted, then minimizes any counterexample.  With [unsafe]
-    (default [false]) every world it builds drops the scenario's §4b
-    guard ({!Scenario.build}).  [check] builds one world per schedule, so
-    [cfg.trace_sink] must be [None]: a sink belongs to one simulation
-    (trace a schedule with {!replay}).  This is the CLI and test entry point.  [cfg]
-    (default {!Scenario.default_cfg}) supplies the build seed and the
-    reorder-window override ([cfg.reorder_window_ms], the CLI's
-    [--window]). *)
-val check :
-  ?bounds:bounds -> ?cfg:Harness.Run_config.t -> ?unsafe:bool -> Scenario.t -> result
+    exhausted, then minimizes any counterexample.  [window] (the CLI's
+    [--window]) overrides the scenario's reorder window [sc_window_ms].
+    With [unsafe] (default [false]) every world it builds drops the
+    scenario's §4b guard ({!Scenario.build}).  [check] builds one
+    untraced world per schedule; trace a schedule with {!replay}.  This
+    is the CLI and test entry point. *)
+val check : ?bounds:bounds -> ?window:float -> ?unsafe:bool -> Scenario.t -> result
 
 (** [replay sc ~window schedule sink] re-executes one schedule in a world
     whose simulation adopts [sink]; every branch decision emits an
@@ -73,7 +70,6 @@ val check :
     instrumentation.  [unsafe] is as for {!check}.  Export the sink with
     {!Obs.Trace.to_chrome} for Perfetto. *)
 val replay :
-  ?cfg:Harness.Run_config.t ->
   ?unsafe:bool ->
   Scenario.t ->
   window:float ->

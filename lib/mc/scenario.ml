@@ -28,18 +28,12 @@ type t = {
   sc_window_ms : float; (* default reorder window *)
   sc_guard : P4update.Switch.guard option;
       (* which DESIGN §4b fix [--unsafe] disables for this scenario *)
-  sc_build : Harness.Run_config.t -> ctx;
+  sc_build : Obs.Trace.sink option -> ctx;
 }
 
-(* The canonical configuration of the checker's default path: seed 7
-   (pinned by the fingerprint regression tests) and the per-scenario
-   reorder window. *)
-let default_cfg = Harness.Run_config.make ~seed:7 ()
-
-(* Reorder window for a run: an explicit [reorder_window_ms] in the
-   config beats the scenario's default. *)
-let window_of (cfg : Harness.Run_config.t) sc =
-  Option.value cfg.Harness.Run_config.reorder_window_ms ~default:sc.sc_window_ms
+(* Every scenario world runs seed 7, which the fingerprint regression
+   tests pin. *)
+let seed = 7
 
 let mc_config =
   {
@@ -48,15 +42,13 @@ let mc_config =
     rule_update_mean_ms = None;
   }
 
-let make_world ?flows (cfg : Harness.Run_config.t) topo =
-  World.make ~seed:cfg.Harness.Run_config.seed ~config:mc_config
-    ?trace:cfg.Harness.Run_config.trace_sink ?flows topo
+let make_world ?flows trace topo = World.make ~seed ~config:mc_config ?trace ?flows topo
 
 (* Fig. 2a: the paper's running example — one SL update moving the flow
    from [0;1;2;3;4] to [0;1;2;4] on the 5-node Fig. 2 topology. *)
-let build_fig2a cfg =
+let build_fig2a trace =
   let w =
-    make_world cfg (Topologies.fig2 ())
+    make_world trace (Topologies.fig2 ())
       ~flows:[ World.flow ~src:0 ~dst:4 ~path:Topologies.fig2_config_a () ]
   in
   let monitor = Harness.Invariants.create w in
@@ -78,10 +70,10 @@ let build_fig2a cfg =
    still converge to U3's path. *)
 let six_skip_gap_ms = 2.0
 
-let build_six_skip cfg =
+let build_six_skip trace =
   let v1 = [ 0; 2; 3; 5 ] and u2 = [ 0; 1; 3; 2; 4; 5 ] and u3 = [ 0; 2; 4; 5 ] in
   let w =
-    make_world cfg (Topologies.six_node ())
+    make_world trace (Topologies.six_node ())
       ~flows:[ World.flow ~src:0 ~dst:5 ~path:v1 () ]
   in
   let monitor = Harness.Invariants.create w in
@@ -114,9 +106,9 @@ let build_six_skip cfg =
    label 0: with the guard off ([--unsafe]), node 1 joins and forwards
    into empty node 3 — a blackhole at a healthy node.  With the guard,
    3 never proposes until it holds a rule, and every schedule is safe. *)
-let build_ruleless_gateway cfg =
+let build_ruleless_gateway trace =
   let w =
-    make_world cfg (Topologies.fig2 ())
+    make_world trace (Topologies.fig2 ())
       ~flows:[ World.flow ~src:0 ~dst:4 ~path:Topologies.fig2_config_b () ]
   in
   let monitor = Harness.Invariants.create w in
@@ -155,9 +147,9 @@ let build_ruleless_gateway cfg =
    the check off, 3 commits 3->2 while 2 still forwards 2->3 — a loop.
    In the default delivery order v2 commits first and nothing goes
    wrong, which is why random testing missed it (DESIGN §4b). *)
-let build_stale_label cfg =
+let build_stale_label trace =
   let w =
-    make_world cfg (Topologies.fig2 ())
+    make_world trace (Topologies.fig2 ())
       ~flows:[ World.flow ~src:0 ~dst:4 ~path:Topologies.fig2_config_a () ]
   in
   let monitor = Harness.Invariants.create w in
@@ -189,9 +181,9 @@ let build_stale_label cfg =
    [cx_expect = None] checks. *)
 let abort_race_delay_ms = 2.0
 
-let build_abort_race cfg =
+let build_abort_race trace =
   let w =
-    make_world cfg (Topologies.fig2 ())
+    make_world trace (Topologies.fig2 ())
       ~flows:[ World.flow ~src:0 ~dst:4 ~path:Topologies.fig2_config_a () ]
   in
   let monitor = Harness.Invariants.create w in
@@ -253,8 +245,8 @@ let find name = List.find_opt (fun s -> s.sc_name = name) all
 
 (* A building never steps the simulation, so dropping the guard after
    [sc_build] is the same as building the switches without it. *)
-let build ?(unsafe = false) sc cfg =
-  let ctx = sc.sc_build cfg in
+let build ?(unsafe = false) ?trace sc =
+  let ctx = sc.sc_build trace in
   (match sc.sc_guard with
    | Some guard when unsafe ->
      Array.iter

@@ -28,18 +28,10 @@ type t = {
   sc_window_ms : float;  (** default reorder window *)
   sc_guard : P4update.Switch.guard option;
       (** the DESIGN §4b fix [--unsafe] disables (see {!build}) *)
-  sc_build : Harness.Run_config.t -> ctx;
-      (** the world's simulation adopts [cfg.trace_sink] when present *)
+  sc_build : Obs.Trace.sink option -> ctx;
+      (** builds the world with seed 7 (pinned by the fingerprint
+          regression tests); its simulation adopts the sink when given *)
 }
-
-(** The canonical configuration of the checker's default path: seed 7
-    (pinned by the fingerprint regression tests) and the per-scenario
-    reorder window. *)
-val default_cfg : Harness.Run_config.t
-
-(** Reorder window for a run: an explicit [reorder_window_ms] in the
-    config beats the scenario's default. *)
-val window_of : Harness.Run_config.t -> t -> float
 
 (** The scenario registry, in CLI listing order: fig2a, six-skip,
     ruleless-gateway, stale-label, abort-race. *)
@@ -47,9 +39,9 @@ val all : t list
 
 val find : string -> t option
 
-(** [build ?unsafe sc cfg] builds one instance of [sc].  With [unsafe]
-    (default [false]) every switch of its world drops the scenario's
-    [sc_guard] — used by the regression tests and the CLI's [--unsafe]
+(** [build ?unsafe ?trace sc] builds one instance of [sc], its
+    simulation adopting [trace].  With [unsafe] (default [false]) every
+    switch of its world drops the scenario's [sc_guard] — used by the regression tests and the CLI's [--unsafe]
     mode to show that the checker finds the violation the fix prevents.
     Other worlds keep their guards. *)
-val build : ?unsafe:bool -> t -> Harness.Run_config.t -> ctx
+val build : ?unsafe:bool -> ?trace:Obs.Trace.sink -> t -> ctx

@@ -98,7 +98,6 @@ let current : t option ref = ref None
 
 let install r = current := Some r
 let uninstall () = current := None
-let installed () = !current <> None
 let get () = !current
 
 (* --- recording ------------------------------------------------------ *)

@@ -53,14 +53,14 @@ val create : ?capacity:int -> ?incident_dir:string -> ?max_incidents:int -> unit
 
     Unlike a {!Trace.sink}, which belongs to the simulation that adopts
     it, the recorder is installed process-wide.  It is the last piece
-    of process-global run state: the benchmark driver
-    ([perfbench/episode.ml]) installs and reads it through exactly this
-    API, so moving it into the simulation waits for a change that may
-    edit the benchmark. *)
+    of process-global run state, so only the process edge installs it:
+    the CLI (one fresh recorder per scale, soak or chaos run), the
+    benchmark driver ([perfbench/episode.ml]) and tests, never the
+    library ([test/lint_globals.py] enforces this).  Moving it into the
+    simulation waits for a change that may edit the benchmark. *)
 
 val install : t -> unit
 val uninstall : unit -> unit
-val installed : unit -> bool
 val get : unit -> t option
 
 val note : now:float -> kind:int -> node:int -> flow:int -> a:int -> b:int -> unit

@@ -107,7 +107,7 @@ let labels t =
 (* --- exporters ------------------------------------------------------ *)
 
 (* One JSON object per window, flat: {"t_ms": ..., "<probe>": value, ...} *)
-let to_jsonl t =
+let to_jsonl ws =
   let buf = Buffer.create 4096 in
   List.iter
     (fun w ->
@@ -118,7 +118,7 @@ let to_jsonl t =
       in
       Buffer.add_string buf (Json.to_string obj);
       Buffer.add_char buf '\n')
-    (windows t);
+    ws;
   Buffer.contents buf
 
 (* --- the `top` dashboard -------------------------------------------- *)

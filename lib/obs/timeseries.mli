@@ -53,9 +53,10 @@ val windows : t -> window list
 
 (** {2 Exporters} *)
 
-val to_jsonl : t -> string
+val to_jsonl : window list -> string
 (** One flat JSON object per window:
-    [{"t_ms": ..., "<probe>": value, ...}]. *)
+    [{"t_ms": ..., "<probe>": value, ...}].  Takes a bare window list,
+    like {!trend_lines}, so a harness result's series exports alone. *)
 
 val trend_lines : ?trail:int -> window list -> string list
 (** Trend lines from a bare window list (e.g. the series a harness

@@ -1,8 +1,10 @@
 (* Hostile run flags (part of [dune runtest]): each argv below must make
    the CLI exit with the given code, within a wall-clock limit, without
    simulating anything.  124 is cmdliner's usage error — a value no run
-   can use, or a flag the run would ignore; 2 is a workload the run loop
-   itself refuses.  Unchecked, such values reach the run loop as
+   can use, a flag the run would ignore, or a subcommand name that is
+   only a prefix of a real one (such as the retired [top] and
+   [traffic]); 2 is a workload the run loop itself refuses, or a GraphML
+   file [import] cannot use.  Unchecked, such values reach the run loop as
    uncaught exceptions (125), and a zero constant-rate probe gap would
    re-arm its injectors at one simulated instant forever; the limit
    turns such a hang into a failure.
@@ -24,6 +26,9 @@ let cases =
     ([ "chaos"; "--series-out"; "series.jsonl" ], 124);
     ([ "fig"; "--id"; "2"; "--seed"; "3" ], 124);
     ([ "scale"; "--flows"; "5000"; "--updates"; "10" ], 2);
+    ([ "import"; "/dev/null" ], 2);
+    ([ "top" ], 124);
+    ([ "traffic" ], 124);
   ]
 
 let limit_s = 30.0

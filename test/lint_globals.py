@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail when a lib/ module binds process-global mutable state.
+"""Fail when a lib/ module binds or installs process-global mutable state.
 
 A top-level binding of a ref, Hashtbl.create, Array.make, Atomic.make,
 Queue.create or Buffer.create in lib/**/*.ml is one value that every
@@ -8,7 +8,10 @@ another, or an exception between a set and its reset leaks through it.
 The library keeps its state in the values a run creates instead.
 
 The one allowed binding is Obs.Flight_recorder.current, the recorder
-that perfbench installs and removes through Flight_recorder's API.
+that a process installs and removes through Flight_recorder's API.  Only
+the process edge (the CLI, perfbench, tests) may do that: a call to
+Flight_recorder.install or uninstall in lib/ fails too, so no library
+run swaps the global out from under its caller.
 
 Run from the repository root:  python3 test/lint_globals.py
 """
@@ -23,6 +26,7 @@ ALLOWED = {("lib/obs/flight_recorder.ml", "current")}
 BINDING = re.compile(
     r"^(?:let|and)(?:\[@[^\]]*\])?\s+\(?\s*([a-z_][A-Za-z0-9_']*)\s*(?::[^=]*)?\)?\s*=\s*(.*)$"
 )
+INSTALL = re.compile(r"\bFlight_recorder\.(install|uninstall)\b")
 MUTABLE = re.compile(
     r"^\(?\s*(ref|Hashtbl\.create|Array\.make|Atomic\.make|Queue\.create|Buffer\.create)\b"
 )
@@ -44,9 +48,19 @@ def bindings(path):
             yield i + 1, name, k.group(1)
 
 
+def installs(path):
+    for i, line in enumerate(path.read_text().splitlines()):
+        m = INSTALL.search(line)
+        if m:
+            yield i + 1, m.group(1)
+
+
 def main():
     flagged = allowed = 0
     for path in sorted(pathlib.Path("lib").rglob("*.ml")):
+        for lineno, what in installs(path):
+            flagged += 1
+            print(f"INSTALL  {path}:{lineno}: Flight_recorder.{what}")
         for lineno, name, what in bindings(path):
             where = f"{path}:{lineno}: {name} = {what}"
             if (path.as_posix(), name) in ALLOWED:
@@ -56,7 +70,8 @@ def main():
                 flagged += 1
                 print(f"GLOBAL   {where}")
     if flagged:
-        print(f"{flagged} process-global binding(s) in lib/; keep the state in a value a run creates")
+        print(f"{flagged} process-global binding(s) or recorder install(s) in lib/; "
+              "keep the state in a value a run creates, install the recorder at the process edge")
         return 1
     print(f"no process-global state in lib/ ({allowed} allowed)")
     return 0

@@ -11,7 +11,7 @@ let quick_plan =
   { Run_config.default_faults with fp_window_ms = 2000.0; fp_horizon_ms = 60_000.0 }
 
 let run ?(plan = quick_plan) ~scenario ~seed () =
-  Chaos.run (Run_config.make ~seed ~fault_plan:plan ~recorder:false ()) ~scenario
+  Chaos.run ~plan ~seed scenario
 
 let scenario_of_case n =
   match n mod 3 with 0 -> Chaos.Fig1 | 1 -> Chaos.B4 | _ -> Chaos.Fat_tree

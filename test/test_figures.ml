@@ -22,7 +22,7 @@ let test_fig2 () =
     Alcotest.(check int) (name "worst copies") max_copies r.E.f2_max_copies;
     Alcotest.(check int) (name "lost") lost r.E.f2_lost
   in
-  match E.run_fig2 Harness.Run_config.default with
+  match E.run_fig2 () with
   | [ p4u; ez ] ->
     Alcotest.(check string) "first system" "SL-P4Update" p4u.E.f2_system;
     Alcotest.(check string) "second system" "ez-Segway" ez.E.f2_system;
@@ -33,7 +33,7 @@ let test_fig2 () =
 (* --- Fig. 4 ------------------------------------------------------------ *)
 
 let test_fig4 () =
-  let r = E.run_fig4 (Harness.Run_config.make ~runs:3 ()) in
+  let r = E.run_fig4 ~runs:3 in
   samples "P4Update" [ 277.852588; 264.142371; 342.276854 ] r.E.f4_p4update;
   samples "ez-Segway" [ 551.824593; 553.363573; 419.956967 ] r.E.f4_ez;
   ms "speedup" (Harness.Stats.mean r.E.f4_ez /. Harness.Stats.mean r.E.f4_p4update)
@@ -67,14 +67,13 @@ let fig7_pins =
   ]
 
 let test_fig7 () =
-  let cfg = Harness.Run_config.make ~runs:3 () in
   let scenarios = E.fig7_scenarios () in
   Alcotest.(check (list string)) "scenario ids"
     (List.map (fun (id, _, _, _) -> id) fig7_pins)
     (List.map (fun sc -> sc.E.f7_id) scenarios);
   List.iter2
     (fun sc (id, p4u, ez, central) ->
-      let r = E.run_fig7 cfg sc in
+      let r = E.run_fig7 ~runs:3 sc in
       Alcotest.(check (list string)) (id ^ " systems")
         (List.map S.system_name S.all_systems)
         (List.map (fun (s, _) -> S.system_name s) r.E.f7_samples);

@@ -359,7 +359,6 @@ let digest_t = Alcotest.(pair (pair int int) (pair int (pair int int)))
 let flat (a, b, c, d, e) = ((a, b), (c, (d, e)))
 
 let intent_scale_deterministic () =
-  let cfg = Harness.Run_config.make ~seed:5 ~recorder:false () in
   let wl =
     {
       Harness.Scale.default_workload with
@@ -370,8 +369,8 @@ let intent_scale_deterministic () =
       pacing = Harness.Run.Open 120_000.0;
     }
   in
-  let r1 = Harness.Run.run wl cfg (Topo.Topologies.b4 ()) in
-  let r2 = Harness.Run.run wl cfg (Topo.Topologies.b4 ()) in
+  let r1 = Harness.Run.run ~seed:5 wl (Topo.Topologies.b4 ()) in
+  let r2 = Harness.Run.run ~seed:5 wl (Topo.Topologies.b4 ()) in
   check digest_t "same seed, same run" (flat (scale_digest r1))
     (flat (scale_digest r2));
   check Alcotest.int "no invariant violations" 0
@@ -426,7 +425,6 @@ let compiler_footprint_pins () =
   check bool "largest diff below a full recompile" true (!max_diff < flows)
 
 let intent_churn_run_pins () =
-  let cfg = Harness.Run_config.make ~seed:5 ~recorder:false () in
   let wl =
     {
       Harness.Scale.default_workload with
@@ -437,7 +435,7 @@ let intent_churn_run_pins () =
       pacing = Harness.Run.Open 600_000.0;
     }
   in
-  let r = Harness.Run.run wl cfg (Topo.Topologies.b4 ()) in
+  let r = Harness.Run.run ~seed:5 wl (Topo.Topologies.b4 ()) in
   check Alcotest.int "pushed" 204 r.r_pushed;
   check Alcotest.int "completed" 87 r.r_completed;
   check Alcotest.int "events" 3196 r.r_events;
@@ -447,11 +445,10 @@ let intent_churn_run_pins () =
   check Alcotest.int "violations" 0 (List.length r.r_violations)
 
 let soak_intent_quick () =
-  let cfg = Harness.Run_config.make ~seed:3 ~recorder:false () in
   let r =
-    Harness.Run.run
+    Harness.Run.run ~seed:3
       { Harness.Soak.quick_config with source = Harness.Run.Intent }
-      cfg (Topo.Topologies.b4 ())
+      (Topo.Topologies.b4 ())
   in
   check Alcotest.(list string) "no leaks" [] r.r_leaks;
   check bool "soak SLO holds under intent churn" true (Harness.Run.ok r)

@@ -170,7 +170,7 @@ let fig1_setup =
   { (Harness.Scenarios.single Topo.Topologies.fig1) with config = Netsim.default_config }
 
 let traced_fig1 seed =
-  Harness.Traced.run (Harness.Run_config.make ~seed ()) fig1_setup Harness.Scenarios.P4u
+  Harness.Traced.run ~seed fig1_setup Harness.Scenarios.P4u
 
 let test_trace_determinism () =
   let a = traced_fig1 1234 and b = traced_fig1 1234 in

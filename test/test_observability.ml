@@ -203,7 +203,7 @@ let test_timeseries_windows () =
     (List.assoc_opt "lat.n" w1.Obs.Timeseries.w_values);
   (* JSONL: one line per window, each a parseable flat object. *)
   let lines =
-    String.split_on_char '\n' (String.trim (Obs.Timeseries.to_jsonl ts))
+    String.split_on_char '\n' (String.trim (Obs.Timeseries.to_jsonl ws))
   in
   Alcotest.(check int) "one JSONL line per window" 2 (List.length lines);
   List.iter
@@ -305,7 +305,6 @@ let test_recorder_soak_determinism () =
   let run () =
     let r = Recorder.create () in
     Recorder.install r;
-    let cfg = Harness.Run_config.make ~seed:11 () in
     let config =
       { Harness.Soak.quick_config with
         Harness.Run.pacing =
@@ -313,7 +312,7 @@ let test_recorder_soak_determinism () =
     in
     let result =
       Fun.protect ~finally:Recorder.uninstall (fun () ->
-          Harness.Run.run config cfg (Topo.Topologies.fig1 ()))
+          Harness.Run.run ~seed:11 config (Topo.Topologies.fig1 ()))
     in
     (result, Recorder.total r, Recorder.events r)
   in

@@ -13,7 +13,6 @@
      alternative paths, and the Flow DB tracks the population. *)
 
 module Run = Harness.Run
-module Run_config = Harness.Run_config
 module Scale = Harness.Scale
 module Soak = Harness.Soak
 module Traffic = Harness.Traffic
@@ -24,8 +23,8 @@ let ms = Alcotest.(check (float 1e-6))
 
 let scale_workload = { Scale.default_workload with Run.updates = 200; flows = 50 }
 
-let scale_run ?(source = Run.Rotation) ?recorder ?(topo = Topologies.attmpls) () =
-  Run.run { scale_workload with source } (Run_config.make ~seed:42 ?recorder ()) (topo ())
+let scale_run ?(source = Run.Rotation) ?(topo = Topologies.attmpls) () =
+  Run.run ~seed:42 { scale_workload with source } (topo ())
 
 let check_scale (r : Run.result) ~pushed ~completed ~events ~bursts ~churned ~p50 ~p99 =
   int "pushed" pushed r.r_pushed;
@@ -50,7 +49,7 @@ let test_scale_pins () =
   Obs.Flight_recorder.install recorder;
   scale_pins ~recorder (Fun.protect ~finally:Obs.Flight_recorder.uninstall scale_run)
 
-let test_scale_recorder_off_pins () = scale_pins (scale_run ~recorder:false ())
+let test_scale_recorder_off_pins () = scale_pins (scale_run ())
 
 let test_scale_chinanet_pins () =
   check_scale
@@ -63,10 +62,10 @@ let test_scale_intent_pins () =
     ~bursts:46 ~churned:50 ~p50:122.259334 ~p99:191.139223
 
 let traffic_run topo =
-  Run.run
+  Run.run ~seed:42
     { scale_workload with
       audit = Some { Traffic.default_workload with tw_stop_ms = 300.0 } }
-    (Run_config.make ~seed:42 ()) (topo ())
+    (topo ())
 
 let check_probes (ts : Traffic.summary) ~p50 ~p99 =
   ms "probe p50" p50 ts.ts_p50_ms;
@@ -96,7 +95,7 @@ let test_traffic_chinanet_pins () =
   check_probes ts ~p50:25.833743 ~p99:51.195470
 
 let soak_run ?(source = Run.Rotation) config ~seed =
-  Run.run { config with Run.source } (Run_config.make ~seed ()) (Topologies.b4 ())
+  Run.run ~seed { config with Run.source } (Topologies.b4 ())
 
 let check_soak (r : Run.result) ~events ~completed ~injected ~digest =
   let ts = Option.get r.r_traffic in
@@ -145,7 +144,7 @@ let test_soak_quick_pins () =
          ((c.cy_injected, c.cy_pending_events), (c.cy_flows, (c.cy_in_flight, c.cy_violations))))
        r.r_cycles)
 
-(* A run given [Run_config.trace_sink] records into it: one [update] span
+(* A run given a trace sink records into it: one [update] span
    per push.  Tracing never perturbs the schedule, so the traced run is
    the untraced run. *)
 let test_traced_run () =
@@ -154,11 +153,9 @@ let test_traced_run () =
       updates = 40;
       audit = Some { Traffic.default_workload with tw_stop_ms = 100.0 } }
   in
-  let run ?trace_sink () =
-    Run.run wl (Run_config.make ~seed:42 ?trace_sink ~recorder:false ()) (Topologies.b4 ())
-  in
+  let run ?trace () = Run.run ?trace ~seed:42 wl (Topologies.b4 ()) in
   let sink = Obs.Trace.create () in
-  let traced = run ~trace_sink:sink () and plain = run () in
+  let traced = run ~trace:sink () and plain = run () in
   let updates =
     List.length
       (List.filter

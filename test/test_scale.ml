@@ -383,8 +383,7 @@ let test_chaos_pins () =
   List.iter
     (fun (name, seed, expected) ->
       let scenario = Option.get (Harness.Chaos.scenario_of_string name) in
-      let cfg = Harness.Run_config.make ~seed () in
-      let r = Harness.Chaos.run cfg ~scenario in
+      let r = Harness.Chaos.run ~plan:Harness.Run_config.default_faults ~seed scenario in
       Alcotest.(check int)
         (Printf.sprintf "chaos %s seed %d hash" name seed)
         expected r.Harness.Chaos.r_trace_hash)
@@ -398,7 +397,7 @@ let mc_pins =
   ]
 
 let mc_fingerprint sc =
-  let ctx = sc.Mc.Scenario.sc_build Mc.Scenario.default_cfg in
+  let ctx = sc.Mc.Scenario.sc_build None in
   let w = ctx.Mc.Scenario.cx_world in
   ignore (Harness.World.run ~until:ctx.Mc.Scenario.cx_horizon_ms w);
   let sw =
@@ -428,7 +427,7 @@ let test_trace_digest () =
   let setup =
     { (Harness.Scenarios.single Topo.Topologies.fig1) with config = Netsim.default_config }
   in
-  let r = Harness.Traced.run (Harness.Run_config.make ~seed:2024 ()) setup Harness.Scenarios.P4u in
+  let r = Harness.Traced.run ~seed:2024 setup Harness.Scenarios.P4u in
   Alcotest.(check int) "trace JSONL digest" 0x2aabd754
     (djb2 (Obs.Trace.to_jsonl r.Harness.Traced.tr_sink));
   Alcotest.(check (float 0.001)) "completion" 204.5 r.Harness.Traced.tr_completion_ms
@@ -445,11 +444,9 @@ let data_trace_workload =
 
 let data_trace_run () =
   let sink = Obs.Trace.create () in
-  let cfg =
-    Harness.Run_config.make ~seed:3 ~trace_sink:sink ~fault_plan:data_trace_plan
-      ~recorder:false ()
-  in
-  ignore (Harness.Chaos.run ~traffic:data_trace_workload cfg ~scenario:Harness.Chaos.B4);
+  ignore
+    (Harness.Chaos.run ~traffic:data_trace_workload ~trace:sink ~plan:data_trace_plan
+       ~seed:3 Harness.Chaos.B4);
   Obs.Trace.to_jsonl sink
 
 (* Lines of [jsonl] that contain [needle]. *)
@@ -479,8 +476,7 @@ let small_workload =
     Harness.Run.updates = 120; flows = 30; probe = Harness.Run.Every_bursts 10 }
 
 let test_scale_runs () =
-  let cfg = Harness.Run_config.make ~seed:11 () in
-  let r = Harness.Run.run small_workload cfg (Topo.Topologies.attmpls ()) in
+  let r = Harness.Run.run ~seed:11 small_workload (Topo.Topologies.attmpls ()) in
   Alcotest.(check int) "all updates pushed" 120 r.r_pushed;
   Alcotest.(check bool) "most updates completed (rest overtaken by skip-ahead)" true
     (r.r_completed > 85);
@@ -489,8 +485,7 @@ let test_scale_runs () =
   Alcotest.(check bool) "percentiles ordered" true (r.r_p50_ms <= r.r_p99_ms)
 
 let test_scale_deterministic () =
-  let cfg = Harness.Run_config.make ~seed:11 () in
-  let run () = Harness.Run.run small_workload cfg (Topo.Topologies.chinanet ()) in
+  let run () = Harness.Run.run ~seed:11 small_workload (Topo.Topologies.chinanet ()) in
   let a = run () and b = run () in
   Alcotest.(check int) "completed" a.r_completed b.r_completed;
   Alcotest.(check int) "events" a.r_events b.r_events;

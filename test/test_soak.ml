@@ -313,7 +313,7 @@ let smoke_config =
   }
 
 let run_smoke () =
-  Harness.Run.run smoke_config (Harness.Run_config.make ~seed:11 ()) (Topo.Topologies.b4 ())
+  Harness.Run.run ~seed:11 smoke_config (Topo.Topologies.b4 ())
 
 let injected (r : Harness.Run.result) = (Option.get r.r_traffic).Harness.Traffic.ts_injected
 
@@ -340,9 +340,9 @@ let test_soak_smoke_deterministic () =
    never-reuse set by pair (not id) failed this run. *)
 let test_churn_never_reuses_flow_ids () =
   let r =
-    Harness.Run.run
+    Harness.Run.run ~seed:3
       { Harness.Soak.quick_config with churn = Harness.Run.Per_cycle 6 }
-      (Harness.Run_config.make ~seed:3 ()) (Topo.Topologies.b4 ())
+      (Topo.Topologies.b4 ())
   in
   Alcotest.(check int) "no stuck update" 0 (List.length r.r_stuck);
   Alcotest.(check int) "no audit violation" 0

@@ -23,7 +23,7 @@ let small_scale =
     audit = Some { Traffic.default_workload with tw_stop_ms = 250.0 } }
 
 let run_small seed =
-  let r = Run.run small_scale (Harness.Run_config.make ~seed ()) (Topologies.attmpls ()) in
+  let r = Run.run ~seed small_scale (Topologies.attmpls ()) in
   (r, Option.get r.r_traffic)
 
 (* Satellite 1: kernel run stats measure monotonic wall time.  Under the
@@ -65,8 +65,7 @@ let test_underfill_recorded () =
     { Scale.default_workload with Run.updates = 16; flows = 2; burst = 8;
       churn = Run.Per_burst 0.0 }
   in
-  let cfg = Harness.Run_config.make ~seed:5 () in
-  let r = Run.run wl cfg (Topologies.attmpls ()) in
+  let r = Run.run ~seed:5 wl (Topologies.attmpls ()) in
   Alcotest.(check bool)
     (Printf.sprintf "under-fill recorded (%d bursts, %d underfilled)" r.r_bursts
        r.r_underfilled)
@@ -111,16 +110,14 @@ let test_zero_violations () =
 (* Chaos integration: traffic is opt-in and rides the degraded run; with
    the fault schedule turned off the audit is clean end to end. *)
 let test_chaos_traffic () =
-  let fault_plan =
+  let plan =
     { Harness.Run_config.default_faults with
       fp_window_ms = 1000.0; fp_horizon_ms = 5000.0;
       fp_data_prob = 0.0; fp_control_prob = 0.0; fp_max_element_failures = 0 }
   in
   let workload = { Traffic.default_workload with Traffic.tw_stop_ms = 400.0 } in
   let r =
-    Harness.Chaos.run ~traffic:workload
-      (Harness.Run_config.make ~seed:2 ~fault_plan ~recorder:false ())
-      ~scenario:Harness.Chaos.Fig1
+    Harness.Chaos.run ~traffic:workload ~plan ~seed:2 Harness.Chaos.Fig1
   in
   match r.Harness.Chaos.r_traffic with
   | None -> Alcotest.fail "traffic audit missing from report"
@@ -355,9 +352,9 @@ let test_window_grows_and_releases () =
 let history_versions t ~flow_id =
   List.map (fun r -> r.Traffic.vr_version) (Traffic.history t ~flow_id)
 
-(* N distinct pushes give N + 1 entries; re-reporting any of them,
-   newest or not, adds nothing — also when a stale prepared update
-   lowers the flow's version (Fig. 2's pattern). *)
+(* N distinct pushes give N + 1 entries; pushing a prepared update
+   again adds nothing — also when a stale prepared update lowers the
+   flow's version (Fig. 2's pattern). *)
 let test_history_idempotent () =
   let w = World.make ~seed:4 (Topologies.fig1 ()) in
   let f = World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topologies.fig1_old_path in
@@ -371,8 +368,6 @@ let test_history_idempotent () =
   done;
   Alcotest.(check (list int)) "six pushes, seven entries" [ 7; 6; 5; 4; 3; 2; 1 ]
     (history_versions t ~flow_id);
-  List.iter (fun version -> Traffic.note_pushed t ~flow_id ~version) [ 7; 7; 3 ];
-  Alcotest.(check int) "re-reports add nothing" 7 (List.length (Traffic.history t ~flow_id));
   let p_low = P4update.Controller.prepare c ~flow_id ~new_path:Topologies.fig1_new_path () in
   P4update.Controller.bump_version c ~flow_id;
   let p_high = P4update.Controller.prepare c ~flow_id ~new_path:Topologies.fig1_old_path () in
@@ -480,15 +475,7 @@ let fat_tree_burst ~audit ~topo ~specs ~warm_ms ~stop_ms =
     tr;
   ignore (World.run ~until:warm_ms w);
   let prepared = P4update.Controller.prepare_batch c requests in
-  List.iter
-    (fun (p : P4update.Controller.prepared) ->
-      Option.iter
-        (fun tr ->
-          Traffic.note_pushed tr ~flow_id:p.P4update.Controller.p_flow
-            ~version:p.P4update.Controller.p_version)
-        tr;
-      P4update.Controller.push c p)
-    prepared;
+  List.iter (P4update.Controller.push c) prepared;
   ignore (World.run w);
   let audited, audit_violations =
     match tr with

@@ -21,20 +21,19 @@ let setup =
   { (Harness.Scenarios.single Topo.Topologies.fig1) with config = Netsim.default_config }
 
 let run seed =
-  Harness.Traced.run (Harness.Run_config.make ~seed ()) setup Harness.Scenarios.P4u
+  Harness.Traced.run ~seed setup Harness.Scenarios.P4u
 
 (* Probe traffic through a faulted B4 chaos run under a sink that keeps
    the p4rt and net categories. *)
 let probe_run () =
   let sink = Trace.create () in
-  let fault_plan =
+  let plan =
     { Harness.Run_config.default_faults with fp_window_ms = 600.0; fp_horizon_ms = 3000.0 }
   in
-  let cfg = Harness.Run_config.make ~seed:3 ~trace_sink:sink ~fault_plan ~recorder:false () in
   ignore
     (Harness.Chaos.run
        ~traffic:{ Harness.Traffic.default_workload with Harness.Traffic.tw_stop_ms = 250.0 }
-       cfg ~scenario:Harness.Chaos.B4);
+       ~trace:sink ~plan ~seed:3 Harness.Chaos.B4);
   sink
 
 let has_keys keys attrs = List.for_all (fun k -> List.mem_assoc k attrs) keys
