@@ -164,14 +164,15 @@ let bechamel_uib_tests () =
            end;
            incr version;
            let c =
-             {
-               (P4update.Wire.control_default P4update.Wire.Uim) with
-               version_new = !version;
-               dist_new = 3;
-               egress_port = !version land 7;
-               notify_port = (!version + 1) land 7;
-               flow_size = 100;
-             }
+             P4update.Wire.control_to_bytes
+               {
+                 (P4update.Wire.control_default P4update.Wire.Uim) with
+                 version_new = !version;
+                 dist_new = 3;
+                 egress_port = !version land 7;
+                 notify_port = (!version + 1) land 7;
+                 flow_size = 100;
+               }
            in
            for fid = 0 to P4update.Wire.flow_space - 1 do
              if Uib.stage_uim u fid c then begin

@@ -82,8 +82,10 @@ let fig_cmd =
          & info [ "id" ] ~docv:"ID" ~doc:"Figure id: 2, 4, 7a..7f, 8a, 8b.")
   in
   let runs_arg =
-    Arg.(value & opt int Harness.Scenarios.runs
-         & info [ "runs"; "r" ] ~docv:"N" ~doc:"Number of seeded runs (Figs. 4 and 7).")
+    Arg.(value & opt (some int) None
+         & info [ "runs"; "r" ] ~docv:"N"
+             ~absent:(string_of_int Harness.Scenarios.runs)
+             ~doc:"Number of seeded runs (Figs. 4 and 7 only).")
   in
   let phases_arg =
     Arg.(value & flag
@@ -101,33 +103,40 @@ let fig_cmd =
       (Harness.Experiments.render_fig8 ~congestion
          (Harness.Experiments.run_fig8 ~iterations ~congestion))
   in
-  let run_figure ~runs id =
-    match id with
-    | "2" -> print_string (Harness.Experiments.render_fig2 (Harness.Experiments.run_fig2 ()))
-    | "4" -> print_string (Harness.Experiments.render_fig4 (Harness.Experiments.run_fig4 ~runs))
-    | "8a" -> fig8 ~iterations:1000 ~congestion:false
-    | "8b" -> fig8 ~iterations:100 ~congestion:true
-    | id ->
-      (match fig7 id with
-       | Some sc ->
-         print_string (Harness.Experiments.render_fig7 (Harness.Experiments.run_fig7 ~runs sc))
-       | None -> Printf.eprintf "unknown figure id %S\n" id; exit 1)
-  in
+  (* Every figure and --phases fixes its own seeds; only Figs. 4 and 7
+     read a run count.  A figure id, --phases or --runs the run cannot
+     use is a usage error. *)
   let run id runs phases =
-    (* Every figure and --phases fixes its own seeds. *)
-    if phases then
-      match fig7 id with
-      | Some sc ->
-        print_string
-          (Harness.Experiments.render_phase_breakdown
-             (Harness.Experiments.run_phase_breakdown sc Harness.Scenarios.P4u))
-      | None ->
-        Printf.eprintf "--phases needs a Fig. 7 scenario id (7a..7f), got %S\n" id;
-        exit 1
-    else run_figure ~runs id
+    let sc = fig7 id in
+    if sc = None && not (List.mem id [ "2"; "4"; "8a"; "8b" ]) then
+      `Error (true, Printf.sprintf "unknown figure id %S (2, 4, 7a..7f, 8a, 8b)" id)
+    else if phases && sc = None then
+      `Error (true, Printf.sprintf "--phases needs a Fig. 7 scenario id (7a..7f), got %S" id)
+    else if runs <> None && (phases || (sc = None && id <> "4")) then
+      `Error
+        ( true,
+          Printf.sprintf "--runs applies to Figs. 4 and 7a..7f only, not %s"
+            (if phases then "--phases" else "Fig. " ^ id) )
+    else begin
+      let runs = Option.value runs ~default:Harness.Scenarios.runs in
+      (match (sc, id) with
+       | Some sc, _ when phases ->
+         print_string
+           (Harness.Experiments.render_phase_breakdown
+              (Harness.Experiments.run_phase_breakdown sc Harness.Scenarios.P4u))
+       | Some sc, _ ->
+         print_string (Harness.Experiments.render_fig7 (Harness.Experiments.run_fig7 ~runs sc))
+       | None, "2" ->
+         print_string (Harness.Experiments.render_fig2 (Harness.Experiments.run_fig2 ()))
+       | None, "4" ->
+         print_string (Harness.Experiments.render_fig4 (Harness.Experiments.run_fig4 ~runs))
+       | None, "8a" -> fig8 ~iterations:1000 ~congestion:false
+       | None, _ -> fig8 ~iterations:100 ~congestion:true);
+      `Ok ()
+    end
   in
   Cmd.v (cmd_info "fig" ~doc:"Regenerate one evaluation figure.")
-    Term.(const run $ id_arg $ runs_arg $ phases_arg)
+    Term.(ret (const run $ id_arg $ runs_arg $ phases_arg))
 
 (* --- trace --- *)
 
@@ -280,12 +289,24 @@ let chaos_cmd =
 (* --- mc --- *)
 
 let mc_cmd =
+  let names = String.concat ", " (List.map (fun s -> s.Mc.Scenario.sc_name) Mc.Scenario.all) in
+  let scenario_conv =
+    let parse s =
+      match Mc.Scenario.find s with
+      | Some sc -> Ok (Some sc)
+      | None when s = "all" -> Ok None
+      | None -> Error (`Msg (Printf.sprintf "unknown mc scenario %S (try: %s or all)" s names))
+    in
+    let print fmt = function
+      | Some sc -> Format.pp_print_string fmt sc.Mc.Scenario.sc_name
+      | None -> Format.pp_print_string fmt "all"
+    in
+    Arg.conv (parse, print)
+  in
   let scenario_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt scenario_conv None
          & info [ "scenario" ] ~docv:"SC"
-             ~doc:(Printf.sprintf "Scenario to check: %s or all (default)."
-                     (String.concat ", "
-                        (List.map (fun s -> s.Mc.Scenario.sc_name) Mc.Scenario.all))))
+             ~doc:(Printf.sprintf "Scenario to check: %s or all (default)." names))
   in
   let window_arg =
     Arg.(value & opt (some float) None
@@ -319,17 +340,7 @@ let mc_cmd =
                    none — and write a Chrome trace with mc.choice instants.")
   in
   let run scenario window depth max_schedules no_por unsafe trace_out =
-    let scenarios =
-      match scenario with
-      | None -> Mc.Scenario.all
-      | Some name -> (
-        match Mc.Scenario.find name with
-        | Some sc -> [ sc ]
-        | None ->
-          Printf.eprintf "unknown mc scenario %S (try: %s)\n" name
-            (String.concat ", " (List.map (fun s -> s.Mc.Scenario.sc_name) Mc.Scenario.all));
-          exit 1)
-    in
+    let scenarios = match scenario with None -> Mc.Scenario.all | Some sc -> [ sc ] in
     let bounds =
       { Mc.Explore.b_max_depth = depth;
         b_max_schedules = max_schedules;

@@ -733,55 +733,60 @@ let route_new_flow t (c : Wire.control) =
    separate from [install_handler] so a caller that re-points the
    network's handler can still dispatch here. *)
 let handle t ~from bytes =
-  match Wire.control_of_bytes bytes with
-      | Some c when c.kind = Wire.Ufm ->
-        let report =
-          {
-            r_flow = c.flow_id;
-            r_version = c.version_new;
-            r_status = c.layer;
-            r_node = from;
-            r_time = Sim.now (Netsim.sim t.net);
-          }
-        in
-        if report.r_status <> Wire.ufm_success then t.alarms <- t.alarms + 1;
-        Obs.Flight_recorder.note ~now:report.r_time
-          ~kind:Obs.Flight_recorder.k_report ~node:from ~flow:c.flow_id
-          ~a:c.version_new ~b:report.r_status;
-        (match t.trace with
-         | None -> ()
-         | Some sink ->
-           (* End the switch's UFM flight span, and on first success close
-              the update's root span — the causal tree is complete. *)
-           let flow = c.flow_id and version = c.version_new in
-           Obs.Trace.span_end sink
-             (Obs.Trace.anchor_pop sink Ufm ~flow ~version ~node:from)
-             ~attrs:[ Obs.Trace.int "status" report.r_status ];
-           if report.r_status = Wire.ufm_success then
-             Obs.Trace.span_end sink
-               (Obs.Trace.anchor_pop sink Update ~flow ~version)
-               ~attrs:[ Obs.Trace.int "ingress" from ]);
-        (if report.r_status = Wire.ufm_success then
-           match Hashtbl.find_opt t.flow_db c.flow_id with
-           | Some e ->
-             (* §11 abort racing a late success: the ingress committed
-                before the withdraw reached it, so the update in fact
-                succeeded. *)
-             if e.aborted <> None then transition t e (Late_success c.version_new);
-             if not (Hashtbl.mem e.completed c.version_new) then
-               Hashtbl.add e.completed c.version_new report.r_time
-           | None -> ());
-        List.iter (fun f -> f report) t.report_hooks;
-        if report.r_status = Wire.ufm_alarm_timeout then begin
-          (* §11: a watchdog alarm on a broken path means retransmission
-             cannot help — re-label and re-segment around the failure. *)
-          match Hashtbl.find_opt t.flow_db c.flow_id with
-          | Some e when not (path_alive t e.flow.path) -> transition t e Path_lost
-          | Some _ | None -> ()
-        end
-      | Some c when c.kind = Wire.Frm ->
-        if t.auto_route && find_flow t ~flow_id:c.flow_id = None then route_new_flow t c
+  match Wire.control_kind_of_bytes bytes with
+  | Some Wire.Ufm ->
+    (* A UFM is read in place: its flow id, version and status. *)
+    let flow = Wire.control_flow_id_of_bytes bytes
+    and version = Wire.control_version_new_of_bytes bytes
+    and status = Wire.control_layer_of_bytes bytes in
+    let report =
+      {
+        r_flow = flow;
+        r_version = version;
+        r_status = status;
+        r_node = from;
+        r_time = Sim.now (Netsim.sim t.net);
+      }
+    in
+    if status <> Wire.ufm_success then t.alarms <- t.alarms + 1;
+    Obs.Flight_recorder.note ~now:report.r_time ~kind:Obs.Flight_recorder.k_report ~node:from
+      ~flow ~a:version ~b:status;
+    (match t.trace with
+     | None -> ()
+     | Some sink ->
+       (* End the switch's UFM flight span, and on first success close
+          the update's root span — the causal tree is complete. *)
+       Obs.Trace.span_end sink
+         (Obs.Trace.anchor_pop sink Ufm ~flow ~version ~node:from)
+         ~attrs:[ Obs.Trace.int "status" status ];
+       if status = Wire.ufm_success then
+         Obs.Trace.span_end sink
+           (Obs.Trace.anchor_pop sink Update ~flow ~version)
+           ~attrs:[ Obs.Trace.int "ingress" from ]);
+    (if status = Wire.ufm_success then
+       match Hashtbl.find_opt t.flow_db flow with
+       | Some e ->
+         (* §11 abort racing a late success: the ingress committed
+            before the withdraw reached it, so the update in fact
+            succeeded. *)
+         if e.aborted <> None then transition t e (Late_success version);
+         if not (Hashtbl.mem e.completed version) then
+           Hashtbl.add e.completed version report.r_time
+       | None -> ());
+    List.iter (fun f -> f report) t.report_hooks;
+    if status = Wire.ufm_alarm_timeout then begin
+      (* §11: a watchdog alarm on a broken path means retransmission
+         cannot help — re-label and re-segment around the failure. *)
+      match Hashtbl.find_opt t.flow_db flow with
+      | Some e when not (path_alive t e.flow.path) -> transition t e Path_lost
       | Some _ | None -> ()
+    end
+  | Some Wire.Frm -> (
+    (* FRMs are rare: the record path is kept. *)
+    match Wire.control_of_bytes bytes with
+    | Some c -> if t.auto_route && find_flow t ~flow_id:c.flow_id = None then route_new_flow t c
+    | None -> ())
+  | Some _ | None -> ()
 
 let install_handler t =
   Netsim.set_controller t.net (fun ~from bytes -> handle t ~from bytes)

@@ -32,7 +32,8 @@ type pending_commit = {
   mutable pc_label : int; (* old-distance label to commit *)
   mutable pc_counter : int;
   mutable pc_cancelled : bool;
-  pc_resubmit_bytes : Bytes.t; (* re-processed if capacity defers the commit *)
+  pc_resubmit_bytes : Bytes.t;
+      (* the received frame, re-processed if capacity defers the commit *)
   mutable pc_span : int; (* trace span covering stage -> fire (0 = untraced) *)
 }
 
@@ -42,8 +43,8 @@ type pending_commit = {
 
 type action =
   | Schedule_commit of int * pending_commit
-  | Send_upstream of Wire.control * int (* message, port *)
-  | Send_ufm of Wire.control
+  | Send_upstream of Bytes.t * int (* frame, port *)
+  | Send_ufm of Bytes.t
   | Resubmit_bytes of Bytes.t
 
 type t = {
@@ -97,36 +98,34 @@ let on_deliver t f = t.deliver_hooks <- t.deliver_hooks @ [ f ]
 (* Message construction                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Every frame the switch originates is written once, straight into a
+   fresh frame; no [Wire.control] record is built on the way. *)
+
+let dl = Wire.update_type_to_int Wire.Dl
+
+(* A frame whose unnamed fields are [Wire.control_default]'s. *)
+let plain_frame kind ~flow_id ~version ~dist_new ~layer ~flow_size ~src_node =
+  Wire.control_frame ~kind ~flow_id ~version_new:version ~version_old:0 ~dist_new ~dist_old:0
+    ~update_type:Wire.Sl ~layer ~counter:0 ~flow_size ~egress_port:Wire.port_none
+    ~notify_port:Wire.port_none ~role:0 ~src_node
+
+(* The notification of this node's committed state.  The committed flag
+   in its role vouches that this node's whole forwarding chain is
+   committed at this version — true only when its own commit was
+   triggered by a chain-connected notification (rooted at the egress). *)
 let unm_of_committed t ~flow_id ~layer ~utype =
   let u = t.uib in
-  {
-    (Wire.control_default Wire.Unm) with
-    flow_id;
-    version_new = Uib.ver_cur u flow_id;
-    version_old = Uib.ver_prev u flow_id;
-    dist_new = Uib.dist_cur u flow_id;
-    dist_old = Uib.dist_prev u flow_id;
-    update_type =
-      (match Wire.update_type_of_int utype with Some ut -> ut | None -> Wire.Sl);
-    layer;
-    counter = Uib.counter u flow_id;
-    flow_size = Uib.flow_size u flow_id;
-    (* The committed flag vouches that this node's whole forwarding chain
-       is committed at this version — true only when its own commit was
-       triggered by a chain-connected notification (rooted at the
-       egress). *)
-    role = (if Uib.chain_ok u flow_id = 1 then Wire.role_committed else 0);
-    src_node = t.node;
-  }
+  Wire.control_frame ~kind:Wire.Unm ~flow_id ~version_new:(Uib.ver_cur u flow_id)
+    ~version_old:(Uib.ver_prev u flow_id) ~dist_new:(Uib.dist_cur u flow_id)
+    ~dist_old:(Uib.dist_prev u flow_id)
+    ~update_type:(if utype = dl then Wire.Dl else Wire.Sl)
+    ~layer ~counter:(Uib.counter u flow_id) ~flow_size:(Uib.flow_size u flow_id)
+    ~egress_port:Wire.port_none ~notify_port:Wire.port_none
+    ~role:(if Uib.chain_ok u flow_id = 1 then Wire.role_committed else 0)
+    ~src_node:t.node
 
 let ufm ~flow_id ~version ~status ~src =
-  {
-    (Wire.control_default Wire.Ufm) with
-    flow_id;
-    version_new = version;
-    layer = status;
-    src_node = src;
-  }
+  plain_frame Wire.Ufm ~flow_id ~version ~dist_new:0 ~layer:status ~flow_size:0 ~src_node:src
 
 (* ------------------------------------------------------------------ *)
 (* Commit machinery                                                     *)
@@ -138,49 +137,51 @@ let ufm ~flow_id ~version ~status ~src =
    only behind a [t.trace] (or nonzero span id) check, so the untraced
    path allocates nothing for tracing. *)
 
-let root_span sink (c : Wire.control) =
-  Obs.Trace.anchor_get sink Update ~flow:c.Wire.flow_id ~version:c.Wire.version_new
+let root_span sink ~flow ~version = Obs.Trace.anchor_get sink Update ~flow ~version
 
-let trace_unm_send t (msg : Wire.control) =
+let trace_unm_send t frame =
   match t.trace with
-  | Some sink when msg.Wire.kind = Wire.Unm ->
+  | Some sink when Wire.control_kind_of_bytes frame = Some Wire.Unm ->
+    let flow = Wire.control_flow_id_of_bytes frame
+    and version = Wire.control_version_new_of_bytes frame in
     let id =
       Obs.Trace.span_begin sink ~cat:"ctl" "unm.hop" ~node:t.node
-        ~parent:(root_span sink msg)
+        ~parent:(root_span sink ~flow ~version)
         ~attrs:
           [
-            Obs.Trace.flow msg.flow_id;
-            Obs.Trace.version msg.version_new;
-            Obs.Trace.int "layer" msg.layer;
+            Obs.Trace.flow flow;
+            Obs.Trace.version version;
+            Obs.Trace.int "layer" (Wire.control_layer_of_bytes frame);
           ]
     in
-    Obs.Trace.anchor_set sink Unm ~flow:msg.flow_id ~version:msg.version_new ~node:t.node id
+    Obs.Trace.anchor_set sink Unm ~flow ~version ~node:t.node id
   | Some _ | None -> ()
 
 (* Switch-to-controller send with a flight span ended by the controller. *)
-let notify_ctl t (msg : Wire.control) =
+let notify_ctl t frame =
   (match t.trace with
    | None -> ()
    | Some sink ->
+     let flow = Wire.control_flow_id_of_bytes frame
+     and version = Wire.control_version_new_of_bytes frame in
      let id =
        Obs.Trace.span_begin sink ~cat:"ctl" "ufm.flight" ~node:t.node
-         ~parent:(root_span sink msg)
+         ~parent:(root_span sink ~flow ~version)
          ~attrs:
            [
-             Obs.Trace.flow msg.flow_id;
-             Obs.Trace.version msg.version_new;
-             Obs.Trace.int "status" msg.layer;
+             Obs.Trace.flow flow;
+             Obs.Trace.version version;
+             Obs.Trace.int "status" (Wire.control_layer_of_bytes frame);
            ]
      in
-     Obs.Trace.anchor_set sink Ufm ~flow:msg.flow_id ~version:msg.version_new ~node:t.node
-       id);
-  Netsim.notify_controller t.net ~from:t.node (Wire.control_to_bytes msg)
+     Obs.Trace.anchor_set sink Ufm ~flow ~version ~node:t.node id);
+  Netsim.notify_controller t.net ~from:t.node frame
 
-let rec send_upstream t msg ~port =
+let rec send_upstream t frame ~port =
   if port = Wire.port_none then ()
   else begin
-    trace_unm_send t msg;
-    Netsim.transmit t.net ~from:t.node ~port (Wire.control_to_bytes msg)
+    trace_unm_send t frame;
+    Netsim.transmit t.net ~from:t.node ~port frame
   end
 
 and fire_commit t flow_id (pc : pending_commit) =
@@ -207,12 +208,14 @@ and fire_commit t flow_id (pc : pending_commit) =
        based on stale capacity (§7.4). *)
     let high = Congestion.is_promoted u ~flow_id in
     let other_high_waiters =
-      Hashtbl.fold
-        (fun g port acc ->
-          if g <> flow_id && port = pc.pc_egress && Congestion.is_promoted u ~flow_id:g
-          then acc + 1
-          else acc)
-        t.waiting_on 0
+      if Hashtbl.length t.waiting_on = 0 then 0
+      else
+        Hashtbl.fold
+          (fun g port acc ->
+            if g <> flow_id && port = pc.pc_egress && Congestion.is_promoted u ~flow_id:g
+            then acc + 1
+            else acc)
+          t.waiting_on 0
     in
     match
       Congestion.check u ~flow_id ~new_port:pc.pc_egress ~size:pc.pc_size
@@ -295,16 +298,14 @@ and fire_commit t flow_id (pc : pending_commit) =
         && old_port <> pc.pc_egress
       then
         send_upstream t
-          {
-            (Wire.control_default Wire.Cln) with
-            flow_id;
-            version_new = pc.pc_version;
-            flow_size = old_size;
-            src_node = t.node;
-          }
+          (plain_frame Wire.Cln ~flow_id ~version:pc.pc_version ~dist_new:0 ~layer:0
+             ~flow_size:old_size ~src_node:t.node)
           ~port:old_port;
-      let time = Sim.now (Netsim.sim t.net) in
-      List.iter (fun f -> f ~flow_id ~version:pc.pc_version ~time) t.commit_hooks;
+      (match t.commit_hooks with
+       | [] -> ()
+       | hooks ->
+         let time = Sim.now (Netsim.sim t.net) in
+         List.iter (fun f -> f ~flow_id ~version:pc.pc_version ~time) hooks);
       notify_after_commit t flow_id pc
   end
 
@@ -319,7 +320,7 @@ and notify_after_commit t flow_id pc =
     if pc.pc_two_phase then Uib.set_stamp_tag u flow_id pc.pc_version;
     (* Flow ingress: report completion.  SL completes here; DL completes
        once the egress' 0 label has travelled the whole path. *)
-    let is_dl = pc.pc_utype = Wire.update_type_to_int Wire.Dl in
+    let is_dl = pc.pc_utype = dl in
     if (not is_dl) || Uib.dist_prev u flow_id = 0 then
       if Uib.ufm_sent u flow_id < pc.pc_version then begin
         Uib.set_ufm_sent u flow_id pc.pc_version;
@@ -382,7 +383,7 @@ let alarm t ~flow_id ~version ~status =
          [
            Obs.Trace.flow flow_id; Obs.Trace.version version; Obs.Trace.int "status" status;
          ]);
-  t.digest <- Wire.control_to_bytes (ufm ~flow_id ~version ~status ~src:t.node)
+  t.digest <- ufm ~flow_id ~version ~status ~src:t.node
 
 (* A data frame, read in place: [classify] vouched for its length. *)
 let handle_data t ~in_port bytes =
@@ -405,15 +406,10 @@ let handle_data t ~in_port bytes =
        any other switch just counts the blackhole. *)
     if from_host && not (Hashtbl.mem t.frm_sent flow_id) then begin
       Hashtbl.add t.frm_sent flow_id ();
+      (* the clone of the first packet carries the destination *)
       t.digest <-
-        Wire.control_to_bytes
-          {
-            (Wire.control_default Wire.Frm) with
-            flow_id;
-            (* the clone of the first packet carries the destination *)
-            dist_new = Wire.data_dst_of_bytes bytes;
-            src_node = t.node;
-          }
+        plain_frame Wire.Frm ~flow_id ~version:0 ~dist_new:(Wire.data_dst_of_bytes bytes)
+          ~layer:0 ~flow_size:0 ~src_node:t.node
     end
     else t.stats.dropped_no_rule <- t.stats.dropped_no_rule + 1
   end
@@ -451,33 +447,39 @@ let arm_watchdog t ~flow_id ~version timeout_ms =
         notify_ctl t (ufm ~flow_id ~version ~status:Wire.ufm_alarm_timeout ~src:t.node)
       end)
 
-let handle_uim t (c : Wire.control) =
+(* The control handlers read the received frame in place: [handle_control]
+   vouched that [Wire.control_of_bytes] accepts it, so every field reader
+   returns the field, and [flow_id] is the frame's id masked to a register
+   index.  What a handler sends is written straight into a fresh frame;
+   what it resubmits, now or from a deferred commit, is the received frame
+   itself. *)
+
+let handle_uim t ~flow_id frame =
   let u = t.uib in
-  let flow_id = c.flow_id in
-  let accepted = Uib.stage_uim u flow_id c in
+  let version = Wire.control_version_new_of_bytes frame in
+  let accepted = Uib.stage_uim u flow_id frame in
   (* End the controller's flight span for this indication. *)
   (match t.trace with
    | None -> ()
    | Some sink ->
      Obs.Trace.span_end sink
-       (Obs.Trace.anchor_pop sink Uim ~flow:flow_id ~version:c.version_new ~node:t.node)
+       (Obs.Trace.anchor_pop sink Uim ~flow:flow_id ~version ~node:t.node)
        ~attrs:[ ("accepted", Obs.Json.Bool accepted) ]);
+  let role = Wire.control_role_of_bytes frame in
+  let utype = Wire.control_update_type_of_bytes frame in
   (* §11 failure handling: a re-pushed indication for the already-staged
      version makes an already-committed egress (or DL segment egress)
      regenerate its notification, restarting a chain lost to packet
      drops.  Idempotent: downstream duplicates are ignored by Alg. 1/2. *)
-  if (not accepted) && c.version_new = Uib.uim_version u flow_id then begin
+  if (not accepted) && version = Uib.uim_version u flow_id then begin
     (match t.watchdog_ms with
-     | Some timeout_ms when Uib.ver_cur u flow_id < c.version_new ->
-       arm_watchdog t ~flow_id ~version:c.version_new timeout_ms
+     | Some timeout_ms when Uib.ver_cur u flow_id < version ->
+       arm_watchdog t ~flow_id ~version timeout_ms
      | Some _ | None -> ());
     (* Any committed node (egress, gateway or mid-path) replays the exact
        notification it sent when its rule fired, so the chain restarts
        from the furthest committed point — not only from the egress. *)
-    if
-      Uib.ver_cur u flow_id >= c.version_new
-      && Uib.notify_port u flow_id <> Wire.port_none
-    then begin
+    if Uib.ver_cur u flow_id >= version && Uib.notify_port u flow_id <> Wire.port_none then begin
       let layer = if Uib.dist_cur u flow_id = 0 then 1 else 2 in
       push_action t
         (Send_upstream
@@ -489,70 +491,62 @@ let handle_uim t (c : Wire.control) =
        been lost on the control channel, and the controller keys its
        retransmissions on (flow, version). *)
     if
-      Uib.ver_cur u flow_id >= c.version_new
-      && c.role land Wire.role_flow_ingress <> 0
-      && (c.update_type = Wire.Sl || Uib.dist_prev u flow_id = 0)
+      Uib.ver_cur u flow_id >= version
+      && role land Wire.role_flow_ingress <> 0
+      && (utype <> dl || Uib.dist_prev u flow_id = 0)
     then
-      push_action t
-        (Send_ufm
-           (ufm ~flow_id ~version:c.version_new ~status:Wire.ufm_success ~src:t.node))
+      push_action t (Send_ufm (ufm ~flow_id ~version ~status:Wire.ufm_success ~src:t.node))
   end;
   if accepted then begin
     Hashtbl.remove t.wait_counts flow_id;
     (match t.watchdog_ms with
-     | Some timeout_ms -> arm_watchdog t ~flow_id ~version:c.version_new timeout_ms
+     | Some timeout_ms -> arm_watchdog t ~flow_id ~version timeout_ms
      | None -> ());
-    let utype = Wire.update_type_to_int c.update_type in
-    if c.role land Wire.role_flow_egress <> 0 then
+    let notify_port = Wire.control_notify_port_of_bytes frame in
+    if role land Wire.role_flow_egress <> 0 then
       (* The egress applies the new configuration directly (§7.1) and
          notifies its child once the rule is in place. *)
       push_action t
         (Schedule_commit
            ( flow_id,
              {
-               pc_version = c.version_new;
-               pc_dist_new = c.dist_new;
-               pc_egress = c.egress_port;
-               pc_notify = c.notify_port;
-               pc_size = c.flow_size;
+               pc_version = version;
+               pc_dist_new = Wire.control_dist_new_of_bytes frame;
+               pc_egress = Wire.control_egress_port_of_bytes frame;
+               pc_notify = notify_port;
+               pc_size = Wire.control_flow_size_of_bytes frame;
                pc_utype = utype;
                pc_ver_prev = Uib.ver_cur u flow_id;
-               pc_two_phase = c.role land Wire.role_two_phase <> 0;
+               pc_two_phase = role land Wire.role_two_phase <> 0;
                pc_chain = true; (* the egress roots the committed chain *)
                pc_label = Uib.dist_cur u flow_id;
                pc_counter = 0;
                pc_cancelled = false;
-               pc_resubmit_bytes = Wire.control_to_bytes c;
+               pc_resubmit_bytes = frame;
                pc_span = 0;
              } ))
     else if
-      c.update_type = Wire.Dl
-      && c.role land Wire.role_segment_egress <> 0
-      && c.notify_port <> Wire.port_none
+      utype = dl
+      && role land Wire.role_segment_egress <> 0
+      && notify_port <> Wire.port_none
       (* Local verification: only a node that actually holds a forwarding
          rule may invite upstream traffic.  The controller may wrongly
          believe this node is on the old path (inconsistent view, par. 5). *)
       && ((not t.gateway_guard) || Uib.egress_port u flow_id <> Wire.port_none)
-    then begin
+    then
       (* A segment-egress gateway immediately proposes its segment id to
          its segment (second-layer UNM), before updating itself. *)
-      let proposal =
-        {
-          (Wire.control_default Wire.Unm) with
-          flow_id;
-          version_new = c.version_new;
-          version_old = Uib.ver_cur u flow_id;
-          dist_new = c.dist_new;
-          dist_old = Uib.dist_cur u flow_id;
-          update_type = Wire.Dl;
-          layer = 2;
-          counter = Uib.counter u flow_id;
-          flow_size = c.flow_size;
-          src_node = t.node;
-        }
-      in
-      push_action t (Send_upstream (proposal, c.notify_port))
-    end
+      push_action t
+        (Send_upstream
+           ( Wire.control_frame ~kind:Wire.Unm ~flow_id ~version_new:version
+               ~version_old:(Uib.ver_cur u flow_id)
+               ~dist_new:(Wire.control_dist_new_of_bytes frame)
+               ~dist_old:(Uib.dist_cur u flow_id) ~update_type:Wire.Dl ~layer:2
+               ~counter:(Uib.counter u flow_id)
+               ~flow_size:(Wire.control_flow_size_of_bytes frame)
+               ~egress_port:Wire.port_none ~notify_port:Wire.port_none ~role:0
+               ~src_node:t.node,
+             notify_port ))
   end
 
 let node_view_of u flow_id =
@@ -562,20 +556,20 @@ let node_view_of u flow_id =
     ver_prev = Uib.ver_prev u flow_id;
     dist_prev = Uib.dist_prev u flow_id;
     counter = Uib.counter u flow_id;
-    last_dual = Uib.last_type u flow_id = Wire.update_type_to_int Wire.Dl;
+    last_dual = Uib.last_type u flow_id = dl;
     uim_version = Uib.uim_version u flow_id;
     uim_distance = Uib.uim_distance u flow_id;
   }
 
-let unm_view_of (c : Wire.control) =
+let unm_view_of frame =
   {
-    Verify.u_ver_new = c.version_new;
-    u_ver_old = c.version_old;
-    u_dist_new = c.dist_new;
-    u_dist_old = c.dist_old;
-    u_counter = c.counter;
-    u_dual = c.update_type = Wire.Dl;
-    u_committed = c.role land Wire.role_committed <> 0;
+    Verify.u_ver_new = Wire.control_version_new_of_bytes frame;
+    u_ver_old = Wire.control_version_old_of_bytes frame;
+    u_dist_new = Wire.control_dist_new_of_bytes frame;
+    u_dist_old = Wire.control_dist_old_of_bytes frame;
+    u_counter = Wire.control_counter_of_bytes frame;
+    u_dual = Wire.control_update_type_of_bytes frame = dl;
+    u_committed = Wire.control_role_of_bytes frame land Wire.role_committed <> 0;
   }
 
 let decision_name = function
@@ -586,19 +580,16 @@ let decision_name = function
   | Verify.Reject_distance -> "reject_distance"
   | Verify.Ignore -> "ignore"
 
-let handle_unm_verified t (c : Wire.control) =
+let handle_unm_verified t ~flow_id frame =
   let u = t.uib in
-  let flow_id = c.flow_id in
+  let version = Wire.control_version_new_of_bytes frame in
   let node = node_view_of u flow_id in
-  let dual =
-    c.update_type = Wire.Dl
-    && Uib.uim_type u flow_id = Wire.update_type_to_int Wire.Dl
-  in
+  let dual = Wire.control_update_type_of_bytes frame = dl && Uib.uim_type u flow_id = dl in
   let decision =
     if dual then
       Verify.dl_verify ~consecutive:t.consecutive_dl ~label_guard:t.label_guard node
-        (unm_view_of c)
-    else Verify.sl_verify node (unm_view_of c)
+        (unm_view_of frame)
+    else Verify.sl_verify node (unm_view_of frame)
   in
   (* End the sender's hop span with the Alg. 1/2 verdict, and leave an
      instant for the verification step itself. *)
@@ -606,40 +597,47 @@ let handle_unm_verified t (c : Wire.control) =
    | None -> ()
    | Some sink ->
      let hop =
-       Obs.Trace.anchor_pop sink Unm ~flow:flow_id ~version:c.version_new ~node:c.src_node
+       Obs.Trace.anchor_pop sink Unm ~flow:flow_id ~version
+         ~node:(Wire.control_src_node_of_bytes frame)
      in
      Obs.Trace.span_end sink hop
        ~attrs:[ Obs.Trace.str "decision" (decision_name decision) ];
      Obs.Trace.instant sink ~cat:"verify"
        ((if dual then "dl_verify." else "sl_verify.") ^ decision_name decision)
        ~node:t.node
-       ~parent:(if hop <> 0 then hop else root_span sink c)
-       ~attrs:[ Obs.Trace.flow flow_id; Obs.Trace.version c.version_new ]);
+       ~parent:(if hop <> 0 then hop else root_span sink ~flow:flow_id ~version)
+       ~attrs:[ Obs.Trace.flow flow_id; Obs.Trace.version version ]);
+  let committed = Wire.control_role_of_bytes frame land Wire.role_committed <> 0 in
   match decision with
   | Verify.Commit source ->
     let utype = Uib.uim_type u flow_id in
     let label, counter, ver_prev =
       match source with
-      | Verify.Via_sl ->
-        (Uib.dist_cur u flow_id, 0, Uib.ver_cur u flow_id)
-      | Verify.Via_dl_inside -> (c.dist_old, c.counter + 1, c.version_new - 1)
-      | Verify.Via_dl_gateway -> (c.dist_old, c.counter + 1, c.version_old)
+      | Verify.Via_sl -> (Uib.dist_cur u flow_id, 0, Uib.ver_cur u flow_id)
+      | Verify.Via_dl_inside ->
+        ( Wire.control_dist_old_of_bytes frame,
+          Wire.control_counter_of_bytes frame + 1,
+          version - 1 )
+      | Verify.Via_dl_gateway ->
+        ( Wire.control_dist_old_of_bytes frame,
+          Wire.control_counter_of_bytes frame + 1,
+          Wire.control_version_old_of_bytes frame )
     in
     (match Hashtbl.find_opt t.pending flow_id with
-     | Some pc when pc.pc_version = c.version_new && not pc.pc_cancelled ->
+     | Some pc when pc.pc_version = version && not pc.pc_cancelled ->
        (* A commit for this version is already staged; absorb a better
           label or chain-connectedness instead of scheduling a duplicate. *)
        if label < pc.pc_label then begin
          pc.pc_label <- label;
          pc.pc_counter <- counter
        end;
-       if c.role land Wire.role_committed <> 0 then pc.pc_chain <- true
+       if committed then pc.pc_chain <- true
      | Some _ | None ->
        push_action t
          (Schedule_commit
             ( flow_id,
               {
-                pc_version = c.version_new;
+                pc_version = version;
                 pc_dist_new = Uib.uim_distance u flow_id;
                 pc_egress = Uib.uim_egress u flow_id;
                 pc_notify = Uib.uim_notify u flow_id;
@@ -647,42 +645,44 @@ let handle_unm_verified t (c : Wire.control) =
                 pc_utype = utype;
                 pc_ver_prev = ver_prev;
                 pc_two_phase = Uib.uim_role u flow_id land Wire.role_two_phase <> 0;
-                pc_chain = c.role land Wire.role_committed <> 0;
+                pc_chain = committed;
                 pc_label = label;
                 pc_counter = counter;
                 pc_cancelled = false;
-                pc_resubmit_bytes = Wire.control_to_bytes c;
+                pc_resubmit_bytes = frame;
                 pc_span = 0;
               } )))
   | Verify.Inherit_and_pass ->
-    Uib.set_dist_prev u flow_id c.dist_old;
-    Uib.set_counter u flow_id (c.counter + 1);
+    let dist_old = Wire.control_dist_old_of_bytes frame in
+    Uib.set_dist_prev u flow_id dist_old;
+    Uib.set_counter u flow_id (Wire.control_counter_of_bytes frame + 1);
     (* A chain-connected message from the committed successor makes this
        node's chain connected as well. *)
-    if c.role land Wire.role_committed <> 0 then Uib.set_chain_ok u flow_id 1;
+    if committed then Uib.set_chain_ok u flow_id 1;
     let notify = Uib.notify_port u flow_id in
     if notify <> Wire.port_none then
       push_action t
-        (Send_upstream (unm_of_committed t ~flow_id ~layer:c.layer ~utype:(Uib.last_type u flow_id), notify))
-    else if c.dist_old = 0 && Uib.ufm_sent u flow_id < c.version_new then begin
-      Uib.set_ufm_sent u flow_id c.version_new;
-      push_action t
-        (Send_ufm (ufm ~flow_id ~version:c.version_new ~status:Wire.ufm_success ~src:t.node))
+        (Send_upstream
+           ( unm_of_committed t ~flow_id ~layer:(Wire.control_layer_of_bytes frame)
+               ~utype:(Uib.last_type u flow_id),
+             notify ))
+    else if dist_old = 0 && Uib.ufm_sent u flow_id < version then begin
+      Uib.set_ufm_sent u flow_id version;
+      push_action t (Send_ufm (ufm ~flow_id ~version ~status:Wire.ufm_success ~src:t.node))
     end
   | Verify.Wait_for_uim ->
     let count = Option.value (Hashtbl.find_opt t.wait_counts flow_id) ~default:0 in
     if count >= wait_budget then begin
       Hashtbl.remove t.wait_counts flow_id;
-      alarm t ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_wait_budget
+      alarm t ~flow_id ~version ~status:Wire.ufm_alarm_wait_budget
     end
     else begin
       Hashtbl.replace t.wait_counts flow_id (count + 1);
       t.stats.waits <- t.stats.waits + 1;
-      push_action t (Resubmit_bytes (Wire.control_to_bytes c))
+      push_action t (Resubmit_bytes frame)
     end
-  | Verify.Reject_stale -> alarm t ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_stale
-  | Verify.Reject_distance ->
-    alarm t ~flow_id ~version:c.version_new ~status:Wire.ufm_alarm_distance
+  | Verify.Reject_stale -> alarm t ~flow_id ~version ~status:Wire.ufm_alarm_stale
+  | Verify.Reject_distance -> alarm t ~flow_id ~version ~status:Wire.ufm_alarm_distance
   | Verify.Ignore -> ()
 
 (* §11 abort: a notification for a withdrawn, uncommitted version is dead
@@ -690,21 +690,19 @@ let handle_unm_verified t (c : Wire.control) =
    controller just discarded.  Committed versions are untouchable (the
    withdraw itself refuses them), so this check can only suppress a
    commit that has not happened yet. *)
-let handle_unm t (c : Wire.control) =
+let handle_unm t ~flow_id frame =
   let u = t.uib in
-  if
-    Uib.withdrawn_version u c.flow_id >= c.version_new
-    && Uib.ver_cur u c.flow_id < c.version_new
-  then begin
+  let version = Wire.control_version_new_of_bytes frame in
+  if Uib.withdrawn_version u flow_id >= version && Uib.ver_cur u flow_id < version then begin
     match t.trace with
     | None -> ()
     | Some sink ->
       Obs.Trace.span_end sink
-        (Obs.Trace.anchor_pop sink Unm ~flow:c.flow_id ~version:c.version_new
-           ~node:c.src_node)
+        (Obs.Trace.anchor_pop sink Unm ~flow:flow_id ~version
+           ~node:(Wire.control_src_node_of_bytes frame))
         ~attrs:[ Obs.Trace.str "decision" "withdrawn" ]
   end
-  else handle_unm_verified t c
+  else handle_unm_verified t ~flow_id frame
 
 (* §11 abort: the controller withdraws a staged (uncommitted) update.
    Already-committed versions ignore the message — their rules are part
@@ -712,10 +710,9 @@ let handle_unm t (c : Wire.control) =
    Otherwise the withdraw floor in the UIB kills the staged indication,
    any pending commit, and blocks late duplicates (UIM/UNM) of the
    aborted version from resurrecting it. *)
-let handle_withdraw t (c : Wire.control) =
+let handle_withdraw t ~flow_id frame =
   let u = t.uib in
-  let flow_id = c.flow_id in
-  let version = c.version_new in
+  let version = Wire.control_version_new_of_bytes frame in
   if Uib.ver_cur u flow_id < version then begin
     let had_staged = Uib.withdraw u flow_id ~version in
     (match Hashtbl.find_opt t.pending flow_id with
@@ -733,7 +730,7 @@ let handle_withdraw t (c : Wire.control) =
     | None -> ()
     | Some sink ->
       Obs.Trace.instant sink ~cat:"switch" "withdraw" ~node:t.node
-        ~parent:(root_span sink c)
+        ~parent:(root_span sink ~flow:flow_id ~version)
         ~attrs:
           [
             Obs.Trace.flow flow_id;
@@ -746,23 +743,39 @@ let handle_withdraw t (c : Wire.control) =
    update.  Nodes that participate in the update (their staged indication
    is at least as new) ignore it: their own commit manages the
    reservations. *)
-let handle_cleanup t (c : Wire.control) =
+let handle_cleanup t ~flow_id frame =
   let u = t.uib in
-  let flow_id = c.flow_id in
   (* Only release the capacity reservation: the stale rule itself stays in
      place, because other (equally stale) parents of older versions may
      still route traffic through this node, and a stale rule can never
      violate the consistency invariants.  Idempotent via the cleaned
      flag, so duplicated cleanup packets cannot double-release. *)
-  if Uib.uim_version u flow_id < c.version_new && Uib.cleaned u flow_id = 0 then begin
+  if
+    Uib.uim_version u flow_id < Wire.control_version_new_of_bytes frame
+    && Uib.cleaned u flow_id = 0
+  then begin
     let port = Uib.egress_port u flow_id in
     if port <> Wire.port_none && port <> Wire.port_local then begin
       Uib.release u port (Uib.flow_size u flow_id);
       Uib.set_cleaned u flow_id 1;
-      (* Propagate along the abandoned old path. *)
+      (* Propagate along the abandoned old path: the received cleanup with
+         this node's reservation and id. *)
       push_action t
         (Send_upstream
-           ({ c with flow_size = Uib.flow_size u flow_id; src_node = t.node }, port))
+           ( Wire.control_frame ~kind:Wire.Cln ~flow_id
+               ~version_new:(Wire.control_version_new_of_bytes frame)
+               ~version_old:(Wire.control_version_old_of_bytes frame)
+               ~dist_new:(Wire.control_dist_new_of_bytes frame)
+               ~dist_old:(Wire.control_dist_old_of_bytes frame)
+               ~update_type:
+                 (if Wire.control_update_type_of_bytes frame = dl then Wire.Dl else Wire.Sl)
+               ~layer:(Wire.control_layer_of_bytes frame)
+               ~counter:(Wire.control_counter_of_bytes frame)
+               ~flow_size:(Uib.flow_size u flow_id)
+               ~egress_port:(Wire.control_egress_port_of_bytes frame)
+               ~notify_port:(Wire.control_notify_port_of_bytes frame)
+               ~role:(Wire.control_role_of_bytes frame) ~src_node:t.node,
+             port ))
     end
   end
 
@@ -773,26 +786,25 @@ let valid_port t port =
   port = Wire.port_none || port = Wire.port_local
   || (port >= 0 && port < Netsim.port_count t.net ~node:t.node)
 
-(* A control frame is decoded, then dropped once its handler ran. *)
-let handle_control t bytes =
-  match Wire.control_of_bytes bytes with
-  | Some c ->
-    (* Registers are indexed by the flow-id hash: mask like the P4 program
-       does.  A corrupted id aliases some slot and is then rejected by the
-       verification checks. *)
-    let c =
-      if c.Wire.flow_id < Wire.flow_space then c
-      else { c with Wire.flow_id = c.Wire.flow_id land (Wire.flow_space - 1) }
-    in
-    (match c.kind with
-     | Wire.Uim when valid_port t c.egress_port && valid_port t c.notify_port ->
-       handle_uim t c
-     | Wire.Uim -> ()
-     | Wire.Unm -> handle_unm t c
-     | Wire.Cln -> handle_cleanup t c
-     | Wire.Wdm -> handle_withdraw t c
-     | Wire.Frm | Wire.Ufm -> () (* switch is not their consumer *))
-  | None -> ()
+(* A control frame is read in place, then dropped once its handler ran.
+   Registers are indexed by the flow-id hash: mask like the P4 program
+   does.  A corrupted id aliases some slot and is then rejected by the
+   verification checks. *)
+let handle_control t frame =
+  match Wire.control_kind_of_bytes frame with
+  | None | Some (Wire.Frm | Wire.Ufm) -> () (* the switch is not their consumer *)
+  | Some kind -> (
+    let flow_id = Wire.control_flow_id_of_bytes frame land (Wire.flow_space - 1) in
+    match kind with
+    | Wire.Uim ->
+      if
+        valid_port t (Wire.control_egress_port_of_bytes frame)
+        && valid_port t (Wire.control_notify_port_of_bytes frame)
+      then handle_uim t ~flow_id frame
+    | Wire.Unm -> handle_unm t ~flow_id frame
+    | Wire.Cln -> handle_cleanup t ~flow_id frame
+    | Wire.Wdm -> handle_withdraw t ~flow_id frame
+    | Wire.Frm | Wire.Ufm -> ())
 
 (* The parse verdict comes from the base header's fixed offsets: a frame
    too short for its etype is a parse error, a foreign etype is dropped

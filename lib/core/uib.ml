@@ -164,17 +164,19 @@ let withdraw t fid ~version =
     had_staged
   end
 
-let stage_uim t fid (c : Wire.control) =
-  if c.version_new <= uim_version t fid || c.version_new <= withdrawn_version t fid
-  then false
+(* The staged fields are read straight from the indication's frame;
+   [fid] is its flow id already masked to a register index. *)
+let stage_uim t fid frame =
+  let version = Wire.control_version_new_of_bytes frame in
+  if version <= uim_version t fid || version <= withdrawn_version t fid then false
   else begin
-    set t fid f_uim_version c.version_new;
-    set t fid f_uim_distance c.dist_new;
-    set t fid f_uim_egress c.egress_port;
-    set t fid f_uim_notify c.notify_port;
-    set t fid f_uim_role c.role;
-    set t fid f_uim_type (Wire.update_type_to_int c.update_type);
-    set t fid f_uim_size c.flow_size;
+    set t fid f_uim_version version;
+    set t fid f_uim_distance (Wire.control_dist_new_of_bytes frame);
+    set t fid f_uim_egress (Wire.control_egress_port_of_bytes frame);
+    set t fid f_uim_notify (Wire.control_notify_port_of_bytes frame);
+    set t fid f_uim_role (Wire.control_role_of_bytes frame);
+    set t fid f_uim_type (Wire.control_update_type_of_bytes frame);
+    set t fid f_uim_size (Wire.control_flow_size_of_bytes frame);
     true
   end
 

@@ -71,11 +71,13 @@ val uim_role : t -> int -> int
 val uim_type : t -> int -> int
 val uim_size : t -> int -> int
 
-(** [stage_uim t flow_id uim] overwrites the staged state if the UIM
-    version is strictly higher than the staged one (and above the
-    withdraw floor).  Returns [true] when the message was accepted as
-    the new highest indication. *)
-val stage_uim : t -> int -> Wire.control -> bool
+(** [stage_uim t flow_id frame] overwrites the staged state with the
+    fields of the UIM [frame], read in place, if its version is strictly
+    higher than the staged one (and above the withdraw floor).  Returns
+    [true] when the message was accepted as the new highest indication.
+    [flow_id] is the register index; the frame's own flow id is not
+    read.  [frame] must be one {!Wire.control_of_bytes} accepts. *)
+val stage_uim : t -> int -> Bytes.t -> bool
 
 val withdrawn_version : t -> int -> int
 (** highest version the controller has withdrawn here (0 = none);

@@ -274,26 +274,35 @@ let[@inline] get32 b pos =
 
 (* Fixed byte offsets (eth: dst@0 src@2 etype@4; payload header at 6). *)
 
-let control_to_bytes (c : control) =
+(* The one control-frame writer: every field stored at its offset into
+   a fresh frame, masked to its width. *)
+let control_frame ~kind ~flow_id ~version_new ~version_old ~dist_new ~dist_old ~update_type
+    ~layer ~counter ~flow_size ~egress_port ~notify_port ~role ~src_node =
   let b = Bytes.create control_bytes_len in
   put16 b 0 0;
   put16 b 2 0;
   put16 b 4 etype_control;
-  put8 b 6 (msg_kind_to_int c.kind);
-  put16 b 7 c.flow_id;
-  put16 b 9 c.version_new;
-  put16 b 11 c.version_old;
-  put16 b 13 c.dist_new;
-  put16 b 15 c.dist_old;
-  put8 b 17 (update_type_to_int c.update_type);
-  put8 b 18 c.layer;
-  put16 b 19 c.counter;
-  put16 b 21 c.flow_size;
-  put8 b 23 c.egress_port;
-  put8 b 24 c.notify_port;
-  put8 b 25 c.role;
-  put16 b 26 c.src_node;
+  put8 b 6 (msg_kind_to_int kind);
+  put16 b 7 flow_id;
+  put16 b 9 version_new;
+  put16 b 11 version_old;
+  put16 b 13 dist_new;
+  put16 b 15 dist_old;
+  put8 b 17 (update_type_to_int update_type);
+  put8 b 18 layer;
+  put16 b 19 counter;
+  put16 b 21 flow_size;
+  put8 b 23 egress_port;
+  put8 b 24 notify_port;
+  put8 b 25 role;
+  put16 b 26 src_node;
   b
+
+let control_to_bytes (c : control) =
+  control_frame ~kind:c.kind ~flow_id:c.flow_id ~version_new:c.version_new
+    ~version_old:c.version_old ~dist_new:c.dist_new ~dist_old:c.dist_old
+    ~update_type:c.update_type ~layer:c.layer ~counter:c.counter ~flow_size:c.flow_size
+    ~egress_port:c.egress_port ~notify_port:c.notify_port ~role:c.role ~src_node:c.src_node
 
 let data_to_bytes (d : data) =
   let b = Bytes.create data_bytes_len in
@@ -312,30 +321,48 @@ let data_to_bytes (d : data) =
 (* A frame shorter than its format, a foreign etype, or an invalid
    msg_type / update_type decodes to [None], as through the parse
    graph. *)
+let control_kind_of_bytes bytes =
+  if Bytes.length bytes < control_bytes_len || get16 bytes 4 <> etype_control then None
+  else match get8 bytes 17 with 1 | 2 -> msg_kind_of_int (get8 bytes 6) | _ -> None
 
 let control_of_bytes bytes =
-  if Bytes.length bytes < control_bytes_len || get16 bytes 4 <> etype_control then None
-  else
-    match (msg_kind_of_int (get8 bytes 6), update_type_of_int (get8 bytes 17)) with
-    | Some kind, Some update_type ->
-      Some
-        {
-          kind;
-          flow_id = get16 bytes 7;
-          version_new = get16 bytes 9;
-          version_old = get16 bytes 11;
-          dist_new = get16 bytes 13;
-          dist_old = get16 bytes 15;
-          update_type;
-          layer = get8 bytes 18;
-          counter = get16 bytes 19;
-          flow_size = get16 bytes 21;
-          egress_port = get8 bytes 23;
-          notify_port = get8 bytes 24;
-          role = get8 bytes 25;
-          src_node = get16 bytes 26;
-        }
-    | _ -> None
+  match control_kind_of_bytes bytes with
+  | None -> None
+  | Some kind ->
+    Some
+      {
+        kind;
+        flow_id = get16 bytes 7;
+        version_new = get16 bytes 9;
+        version_old = get16 bytes 11;
+        dist_new = get16 bytes 13;
+        dist_old = get16 bytes 15;
+        update_type = (if get8 bytes 17 = 2 then Dl else Sl);
+        layer = get8 bytes 18;
+        counter = get16 bytes 19;
+        flow_size = get16 bytes 21;
+        egress_port = get8 bytes 23;
+        notify_port = get8 bytes 24;
+        role = get8 bytes 25;
+        src_node = get16 bytes 26;
+      }
+
+(* Single fields read in place at their offsets.  A handler checks the
+   frame once with [control_kind_of_bytes], so the readers do not check
+   it again; the stdlib accessors still bound every read. *)
+let control_flow_id_of_bytes bytes = Bytes.get_uint16_be bytes 7
+let control_version_new_of_bytes bytes = Bytes.get_uint16_be bytes 9
+let control_version_old_of_bytes bytes = Bytes.get_uint16_be bytes 11
+let control_dist_new_of_bytes bytes = Bytes.get_uint16_be bytes 13
+let control_dist_old_of_bytes bytes = Bytes.get_uint16_be bytes 15
+let control_update_type_of_bytes bytes = Bytes.get_uint8 bytes 17
+let control_layer_of_bytes bytes = Bytes.get_uint8 bytes 18
+let control_counter_of_bytes bytes = Bytes.get_uint16_be bytes 19
+let control_flow_size_of_bytes bytes = Bytes.get_uint16_be bytes 21
+let control_egress_port_of_bytes bytes = Bytes.get_uint8 bytes 23
+let control_notify_port_of_bytes bytes = Bytes.get_uint8 bytes 24
+let control_role_of_bytes bytes = Bytes.get_uint8 bytes 25
+let control_src_node_of_bytes bytes = Bytes.get_uint16_be bytes 26
 
 let[@inline] is_data bytes = Bytes.length bytes >= data_bytes_len && get16 bytes 4 = etype_data
 

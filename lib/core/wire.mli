@@ -39,7 +39,6 @@ val msg_kind_to_int : msg_kind -> int
 type update_type = Sl | Dl
 
 val update_type_to_int : update_type -> int
-val update_type_of_int : int -> update_type option
 
 (** {2 Node roles within an update (bit flags in the role field)} *)
 
@@ -133,6 +132,26 @@ val packet_of_bytes : Bytes.t -> P4rt.Packet.t option
 (** Encode into a fresh frame. *)
 val control_to_bytes : control -> Bytes.t
 
+(** [control_frame ~kind ...] is [control_to_bytes] of the record with
+    these fields, written straight into a fresh frame without building
+    the record.  Each field is masked to its width. *)
+val control_frame :
+  kind:msg_kind ->
+  flow_id:int ->
+  version_new:int ->
+  version_old:int ->
+  dist_new:int ->
+  dist_old:int ->
+  update_type:update_type ->
+  layer:int ->
+  counter:int ->
+  flow_size:int ->
+  egress_port:int ->
+  notify_port:int ->
+  role:int ->
+  src_node:int ->
+  Bytes.t
+
 val data_to_bytes : data -> Bytes.t
 
 (** [control_of_bytes b] / [data_of_bytes b]: [None] on short frames,
@@ -140,6 +159,31 @@ val data_to_bytes : data -> Bytes.t
 val control_of_bytes : Bytes.t -> control option
 
 val data_of_bytes : Bytes.t -> data option
+
+(** The [kind] of [control_of_bytes b] read in place: [None] exactly
+    when [control_of_bytes b] is [None].  Allocates nothing. *)
+val control_kind_of_bytes : Bytes.t -> msg_kind option
+
+(** One field of a control frame read in place at its fixed offset; none
+    allocates.  On a frame {!control_kind_of_bytes} accepts, each equals
+    the field of [control_of_bytes b]; the readers do not check the
+    frame again, and raise [Invalid_argument] on one shorter than a
+    control frame.  The update type is its wire code
+    ({!update_type_to_int}). *)
+val control_flow_id_of_bytes : Bytes.t -> int
+
+val control_version_new_of_bytes : Bytes.t -> int
+val control_version_old_of_bytes : Bytes.t -> int
+val control_dist_new_of_bytes : Bytes.t -> int
+val control_dist_old_of_bytes : Bytes.t -> int
+val control_update_type_of_bytes : Bytes.t -> int
+val control_layer_of_bytes : Bytes.t -> int
+val control_counter_of_bytes : Bytes.t -> int
+val control_flow_size_of_bytes : Bytes.t -> int
+val control_egress_port_of_bytes : Bytes.t -> int
+val control_notify_port_of_bytes : Bytes.t -> int
+val control_role_of_bytes : Bytes.t -> int
+val control_src_node_of_bytes : Bytes.t -> int
 
 (** One field of [data_of_bytes b] read in place, or [-1] exactly when
     [data_of_bytes b] is [None]; none allocates. *)

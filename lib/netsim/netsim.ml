@@ -303,8 +303,6 @@ let rec apply_fault t ~hook ~deliver ~delay ~dup_budget bytes =
       ~delay:(delay +. duplicate_gap_ms)
       ~dup_budget:(dup_budget - 1) bytes
 
-let no_fault _ = Deliver
-
 (* ------------------------------------------------------------------ *)
 (* Data plane                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -367,20 +365,24 @@ let controller_slot t =
   t.controller_busy_until <- start +. controller_service_ms;
   t.controller_busy_until -. now
 
-let control_hook t ~dir =
-  match t.control_fault with None -> no_fault | Some hook -> hook ~dir
-
+(* Both control-channel sends schedule their frame directly when no
+   control-fault hook is installed: no delivery closure, no direction
+   block, no boxed delay on the way. *)
 let notify_controller t ~from bytes =
   if t.node_down.(from) then t.stats.dropped_by_failure <- t.stats.dropped_by_failure + 1
   else begin
     t.stats.control_to_controller <- t.stats.control_to_controller + 1;
     let uplink = sample_ctl_latency t ~node:from in
-    apply_fault t
-      ~hook:(control_hook t ~dir:(To_controller from))
-      ~deliver:(fun frame delay ->
-        Sim.schedule_frame t.sim ~delay
-          { kind = Ctl_up; node = -1; port = -1; via = from; frame })
-      ~delay:uplink ~dup_budget:1 bytes
+    match t.control_fault with
+    | None ->
+      Sim.schedule_frame t.sim ~delay:uplink
+        { kind = Ctl_up; node = -1; port = -1; via = from; frame = bytes }
+    | Some hook ->
+      apply_fault t ~hook:(hook ~dir:(To_controller from))
+        ~deliver:(fun frame delay ->
+          Sim.schedule_frame t.sim ~delay
+            { kind = Ctl_up; node = -1; port = -1; via = from; frame })
+        ~delay:uplink ~dup_budget:1 bytes
   end
 
 let controller_transmit t ~to_ bytes =
@@ -390,13 +392,17 @@ let controller_transmit t ~to_ bytes =
      point. *)
   let service_done = controller_slot t in
   let downlink = sample_ctl_latency t ~node:to_ in
-  apply_fault t
-    ~hook:(control_hook t ~dir:(To_switch to_))
-    ~deliver:(fun frame delay ->
-      Sim.schedule_frame t.sim ~delay
-        { kind = Ctl_down; node = to_; port = port_controller; via = -1; frame })
-    ~delay:(service_done +. downlink +. t.cfg.switch_processing_ms)
-    ~dup_budget:1 bytes
+  let delay = service_done +. downlink +. t.cfg.switch_processing_ms in
+  match t.control_fault with
+  | None ->
+    Sim.schedule_frame t.sim ~delay
+      { kind = Ctl_down; node = to_; port = port_controller; via = -1; frame = bytes }
+  | Some hook ->
+    apply_fault t ~hook:(hook ~dir:(To_switch to_))
+      ~deliver:(fun frame delay ->
+        Sim.schedule_frame t.sim ~delay
+          { kind = Ctl_down; node = to_; port = port_controller; via = -1; frame })
+      ~delay ~dup_budget:1 bytes
 
 let rule_update_delay t ~node =
   ignore node;

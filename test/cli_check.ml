@@ -25,6 +25,10 @@ let cases =
     ([ "soak"; "--cycle-ms"; "0" ], 124);
     ([ "chaos"; "--series-out"; "series.jsonl" ], 124);
     ([ "fig"; "--id"; "2"; "--seed"; "3" ], 124);
+    ([ "fig"; "--id"; "2"; "--runs"; "5" ], 124);
+    ([ "fig"; "--id"; "7c"; "--phases"; "--runs"; "5" ], 124);
+    ([ "fig"; "--id"; "9z" ], 124);
+    ([ "mc"; "--scenario"; "bogus" ], 124);
     ([ "scale"; "--flows"; "5000"; "--updates"; "10" ], 2);
     ([ "import"; "/dev/null" ], 2);
     ([ "top" ], 124);

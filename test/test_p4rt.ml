@@ -499,17 +499,42 @@ let oracle_node = 2
 let oracle_ports = 4
 let oracle_flows = 4
 
-(* One flow's registers: committed version, egress port, tagged bank
-   (port, version) and the tag the ingress stamps. *)
+(* One flow's registers: the committed rule (version, distances, ports,
+   size, type, counter), the tagged bank (port, version), the tag the
+   ingress stamps, and the chain, cleanup and UFM flags.  Staged
+   indications and withdraw floors come from the case's own frames. *)
 type slot = {
   s_ver : int;
   s_egress : int;
   s_tagged_port : int;
   s_tagged_ver : int;
   s_stamp : int;
+  s_dist : int;
+  s_ver_prev : int;
+  s_dist_prev : int;
+  s_notify : int;
+  s_size : int;
+  s_dual : bool;
+  s_counter : int;
+  s_chain : bool;
+  s_cleaned : bool;
+  s_ufm_sent : int;
 }
 
-type oracle_case = { slots : slot array; frames : (int * Bytes.t) list (* ingress, frame *) }
+(* The switch's opt-in extensions and guards, set alike on both sides. *)
+type guards = {
+  g_watchdog : bool;
+  g_consecutive : bool;
+  g_label : bool;
+  g_gateway : bool;
+  g_priority : bool;
+}
+
+type oracle_case = {
+  slots : slot array;
+  guards : guards;
+  frames : (int * Bytes.t) list; (* ingress, frame *)
+}
 
 let hex b =
   String.concat ""
@@ -517,12 +542,18 @@ let hex b =
 
 let print_oracle_case c =
   let slot s =
-    Printf.sprintf "{ver=%d egress=%d tagged=%d@%d stamp=%d}" s.s_ver s.s_egress
-      s.s_tagged_port s.s_tagged_ver s.s_stamp
+    Printf.sprintf
+      "{ver=%d egress=%d tagged=%d@%d stamp=%d dist=%d prev=%d/%d notify=%d size=%d dual=%b \
+       counter=%d chain=%b cleaned=%b ufm=%d}"
+      s.s_ver s.s_egress s.s_tagged_port s.s_tagged_ver s.s_stamp s.s_dist s.s_ver_prev
+      s.s_dist_prev s.s_notify s.s_size s.s_dual s.s_counter s.s_chain s.s_cleaned s.s_ufm_sent
   in
+  let g = c.guards in
   let frame (port, b) = Printf.sprintf "%d<-%s" port (hex b) in
   String.concat " " (Array.to_list (Array.map slot c.slots))
-  ^ "\n" ^ String.concat "\n" (List.map frame c.frames)
+  ^ Printf.sprintf "\nwatchdog=%b consecutive=%b label=%b gateway=%b priority=%b\n" g.g_watchdog
+      g.g_consecutive g.g_label g.g_gateway g.g_priority
+  ^ String.concat "\n" (List.map frame c.frames)
 
 let oracle_case_gen =
   let open QCheck.Gen in
@@ -535,13 +566,37 @@ let oracle_case_gen =
         (2, oneofl [ Wire.port_none; Wire.port_local; oracle_ports; 99 ]);
       ]
   in
+  let small = int_bound 4 in
+  let size = frequency [ (4, int_bound 300); (1, int_bound 0xFFFF) ] in
   let slot =
     let* s_ver = frequency [ (3, int_range 1 3); (1, return 0) ] in
     let* s_egress = port in
     let* s_tagged_port = port in
     let* s_tagged_ver = int_bound 2 in
     let* s_stamp = int_bound 2 in
-    return { s_ver; s_egress; s_tagged_port; s_tagged_ver; s_stamp }
+    let* s_dist = small in
+    let* s_ver_prev = small in
+    let* s_dist_prev = small in
+    let* s_notify = port in
+    let* s_size = size in
+    let* s_dual = bool in
+    let* s_counter = int_bound 3 in
+    let* s_chain = bool in
+    let* s_cleaned = frequency [ (3, return false); (1, return true) ] in
+    let* s_ufm_sent = small in
+    return
+      {
+        s_ver; s_egress; s_tagged_port; s_tagged_ver; s_stamp; s_dist; s_ver_prev;
+        s_dist_prev; s_notify; s_size; s_dual; s_counter; s_chain; s_cleaned; s_ufm_sent;
+      }
+  in
+  let guards =
+    let* g_watchdog = frequency [ (3, return false); (1, return true) ] in
+    let* g_consecutive = bool in
+    let* g_label = frequency [ (3, return true); (1, return false) ] in
+    let* g_gateway = frequency [ (3, return true); (1, return false) ] in
+    let* g_priority = frequency [ (3, return true); (1, return false) ] in
+    return { g_watchdog; g_consecutive; g_label; g_gateway; g_priority }
   in
   let ingress =
     frequency
@@ -553,6 +608,44 @@ let oracle_case_gen =
     let b = Bytes.copy b in
     Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl bit));
     return b
+  in
+  let trailing b = map (fun p -> Bytes.cat b (Bytes.of_string p)) (string_size (int_range 1 40)) in
+  (* a control frame a handler runs on, over the registers of [flow] *)
+  let control d_flow_id =
+    let* kind =
+      frequency
+        [ (3, return Wire.Uim); (3, return Wire.Unm); (1, return Wire.Cln); (1, return Wire.Wdm) ]
+    in
+    let* version_new = small in
+    let* version_old = small in
+    let* dist_new = small in
+    let* dist_old = small in
+    let* dual = bool in
+    let* layer = int_bound 2 in
+    let* counter = int_bound 3 in
+    let* flow_size = size in
+    let* egress_port = port in
+    let* notify_port = port in
+    let* role = int_bound 63 in
+    let* src_node = int_bound 7 in
+    return
+      (Wire.control_to_bytes
+         {
+           Wire.kind;
+           flow_id = d_flow_id;
+           version_new;
+           version_old;
+           dist_new;
+           dist_old;
+           update_type = (if dual then Wire.Dl else Wire.Sl);
+           layer;
+           counter;
+           flow_size;
+           egress_port;
+           notify_port;
+           role;
+           src_node;
+         })
   in
   let frame =
     let* flow = int_bound (oracle_flows - 1) in
@@ -575,9 +668,14 @@ let oracle_case_gen =
       [
         (4, return valid);
         (1, map (fun len -> Bytes.sub valid 0 len) (int_bound 21));
-        (2, map (fun p -> Bytes.cat valid (Bytes.of_string p)) (string_size (int_range 1 40)));
+        (2, trailing valid);
         (1, map (relabel valid) (oneofl [ 0; 0x0801; 0x0806; 0x86DD; 0xFFFF ]));
         (2, flip valid);
+        (* control frames: UIM, UNM, CLN and WDM, also with a trailing
+           payload or a flipped bit *)
+        (6, control d_flow_id);
+        (1, control d_flow_id >>= trailing);
+        (2, control d_flow_id >>= flip);
         (* control-typed frames the switch drops without a handler *)
         ( 1,
           let* kind = oneofl [ Wire.Frm; Wire.Ufm ] in
@@ -601,54 +699,128 @@ let oracle_case_gen =
       ]
   in
   let* slots = array_repeat oracle_flows slot in
+  let* guards = guards in
   let* frames = list_size (int_range 1 24) (pair ingress frame) in
-  return { slots; frames }
+  return { slots; guards; frames }
 
 let load_slots u slots =
+  let module U = P4update.Uib in
   Array.iteri
     (fun flow s ->
-      P4update.Uib.set_ver_cur u flow s.s_ver;
-      P4update.Uib.set_egress_port u flow s.s_egress;
-      P4update.Uib.set_tagged_port u flow s.s_tagged_port;
-      P4update.Uib.set_tagged_version u flow s.s_tagged_ver;
-      P4update.Uib.set_stamp_tag u flow s.s_stamp)
+      U.set_ver_cur u flow s.s_ver;
+      U.set_egress_port u flow s.s_egress;
+      U.set_tagged_port u flow s.s_tagged_port;
+      U.set_tagged_version u flow s.s_tagged_ver;
+      U.set_stamp_tag u flow s.s_stamp;
+      U.set_dist_cur u flow s.s_dist;
+      U.set_ver_prev u flow s.s_ver_prev;
+      U.set_dist_prev u flow s.s_dist_prev;
+      U.set_notify_port u flow s.s_notify;
+      U.set_flow_size u flow s.s_size;
+      U.set_last_type u flow (Wire.update_type_to_int (if s.s_dual then Wire.Dl else Wire.Sl));
+      U.set_counter u flow s.s_counter;
+      U.set_chain_ok u flow (Bool.to_int s.s_chain);
+      U.set_cleaned u flow (Bool.to_int s.s_cleaned);
+      U.set_ufm_sent u flow s.s_ufm_sent)
     slots
 
-(* Run [c] through [Switch.receive] and through the reference program
-   [Switch_oracle.receive], from the same registers; after every frame
-   the two must agree on what they emit (ports and bytes), the digests
-   they punt, what they deliver locally, their counters and whether the
-   frame is a parse error, and neither may write the received buffer. *)
-let run_oracle_case c =
+let oracle_watchdog_ms = 5.0
+
+(* A fig1 network whose node [oracle_node] records the frames that reach
+   its device after [device] attached it: its resubmissions, as nothing
+   else of the network sends to it. *)
+let oracle_net device =
   let net = Netsim.create (Dessim.Sim.create ()) (Topo.Topologies.fig1 ()) in
-  let sw = P4update.Switch.create net ~node:oracle_node in
-  let r = Switch_oracle.create net ~node:oracle_node in
-  load_slots (P4update.Switch.uib sw) c.slots;
-  load_slots r.Switch_oracle.uib c.slots;
+  let d = device net in
+  let resubmitted = ref [] in
+  Netsim.attach net ~node:oracle_node (fun ~port:_ b ->
+      resubmitted := Bytes.copy b :: !resubmitted);
+  (net, d, resubmitted)
+
+(* A resubmitted frame as its handler reads it: the decoded record, its
+   flow id masked to the register index.  The switch resubmits the frame
+   it received, the reference its re-encoded record; they differ only in
+   an id's bits above the mask and in trailing bytes, neither of which a
+   handler reads. *)
+let as_handled b =
+  Option.map
+    (fun (c : Wire.control) -> { c with flow_id = c.flow_id land (Wire.flow_space - 1) })
+    (Wire.control_of_bytes b)
+
+(* What [f] makes node [oracle_node] of [net] do, [f] and every event it
+   schedules included: emissions, digests and resubmissions, and the
+   exception that stopped it, if one did.  Registers no handler could
+   have written (a committed port the node lacks) make both programs
+   raise alike. *)
+let observe net resubmitted f =
+  resubmitted := [];
+  let raised = ref None in
+  let emissions, digests =
+    Switch_oracle.capture net ~node:oracle_node (fun () ->
+        try
+          f ();
+          ignore (Dessim.Sim.run (Netsim.sim net))
+        with Invalid_argument msg -> raised := Some msg)
+  in
+  (emissions, digests, List.rev !resubmitted, !raised)
+
+(* Run [c] through [Switch.receive] and through the reference program
+   [Switch_oracle.receive], each on its own network from the same
+   registers, running every event a frame schedules (commits, watchdogs,
+   resubmissions) before the next.  After every frame the two must agree
+   on what they emit (ports and bytes), the digests they punt, what they
+   resubmit, what they deliver locally, their counters, their state
+   fingerprint ([Uib.fingerprint] and the staged commits), the clock, and
+   whether the frame is a parse error; neither may write the received
+   buffer. *)
+let run_oracle_case c =
+  let module S = P4update.Switch in
+  let net, sw, sw_resubmitted = oracle_net (fun net -> S.create net ~node:oracle_node) in
+  let rnet, r, ref_resubmitted =
+    oracle_net (fun net -> Switch_oracle.create net ~node:oracle_node)
+  in
+  let g = c.guards in
+  if g.g_watchdog then begin
+    S.enable_watchdog sw ~timeout_ms:oracle_watchdog_ms;
+    r.Switch_oracle.watchdog_ms <- Some oracle_watchdog_ms
+  end;
+  if g.g_consecutive then begin
+    S.enable_consecutive_dl sw;
+    r.consecutive_dl <- true
+  end;
+  if not g.g_label then S.disable_guard sw S.Inside_segment_label;
+  if not g.g_gateway then S.disable_guard sw S.Gateway_rule;
+  if not g.g_priority then S.disable_guard sw S.Priority_gate;
+  r.label_guard <- g.g_label;
+  r.gateway_guard <- g.g_gateway;
+  r.priority_gate <- g.g_priority;
+  load_slots (S.uib sw) c.slots;
+  load_slots r.uib c.slots;
   let sw_delivered = ref [] and ref_delivered = ref [] in
-  P4update.Switch.on_deliver sw (fun ~time d -> sw_delivered := (time, d) :: !sw_delivered);
+  S.on_deliver sw (fun ~time d -> sw_delivered := (time, d) :: !sw_delivered);
   Switch_oracle.on_deliver r (fun ~time d -> ref_delivered := (time, d) :: !ref_delivered);
   List.for_all
     (fun (port, frame) ->
       let original = Bytes.copy frame in
       let errors = parse_errors sw in
-      let emissions, digests =
-        Switch_oracle.capture net ~node:oracle_node (fun () ->
-            P4update.Switch.receive sw ~port frame)
+      let emissions, digests, resubmitted, raised =
+        observe net sw_resubmitted (fun () -> S.receive sw ~port frame)
       in
       let counted = parse_errors sw - errors in
-      let expected = Switch_oracle.receive r ~in_port:port frame in
-      (* [Netsim.transmit] drops an emission to a port the node lacks *)
-      let reference =
-        match expected.Switch_oracle.emission with
-        | Some e when e.Switch_oracle.out_port < oracle_ports -> [ e ]
-        | Some _ | None -> []
+      let expected = ref Switch_oracle.dropped in
+      let ref_emissions, ref_digests, ref_resubmitted, ref_raised =
+        observe rnet ref_resubmitted (fun () ->
+            expected := Switch_oracle.receive r ~in_port:port frame)
       in
-      emissions = reference
-      && List.equal Bytes.equal digests (Option.to_list expected.Switch_oracle.digest)
+      raised = ref_raised
+      && emissions = ref_emissions
+      && List.equal Bytes.equal digests ref_digests
+      && List.map as_handled resubmitted = List.map as_handled ref_resubmitted
       && !sw_delivered = !ref_delivered
-      && P4update.Switch.stats sw = r.Switch_oracle.stats
-      && counted = Bool.to_int expected.Switch_oracle.parse_error
+      && S.stats sw = r.stats
+      && S.fingerprint sw = Switch_oracle.fingerprint r
+      && Dessim.Sim.now (Netsim.sim net) = Dessim.Sim.now (Netsim.sim rnet)
+      && counted = Bool.to_int !expected.Switch_oracle.parse_error
       && Bytes.equal frame original)
     c.frames
 
@@ -662,45 +834,150 @@ let prop_switch_oracle =
 let test_switch_oracle_reach () =
   let rand = Random.State.make [| 24 |] in
   let total = Switch_oracle.no_stats () and parse = ref 0 and digests = ref 0 in
+  let resubmissions = ref 0 and emissions = ref 0 in
   List.iter
     (fun c ->
-      let net = Netsim.create (Dessim.Sim.create ()) (Topo.Topologies.fig1 ()) in
-      let r = Switch_oracle.create net ~node:oracle_node in
+      let net, r, _ = oracle_net (fun net -> Switch_oracle.create net ~node:oracle_node) in
       load_slots r.Switch_oracle.uib c.slots;
       List.iter
         (fun (port, frame) ->
-          let o = Switch_oracle.receive r ~in_port:port frame in
-          if o.Switch_oracle.parse_error then incr parse;
-          if o.Switch_oracle.digest <> None then incr digests)
+          let sent, _, _, _ =
+            observe net (ref []) (fun () ->
+                let o = Switch_oracle.receive r ~in_port:port frame in
+                if o.Switch_oracle.parse_error then incr parse;
+                if o.Switch_oracle.digest <> None then incr digests)
+          in
+          emissions := !emissions + List.length sent)
         c.frames;
+      resubmissions := !resubmissions + (Netsim.counters net).Netsim.resubmissions;
       let s = r.Switch_oracle.stats in
       total.forwarded <- total.forwarded + s.forwarded;
       total.delivered <- total.delivered + s.delivered;
       total.dropped_ttl <- total.dropped_ttl + s.dropped_ttl;
-      total.dropped_no_rule <- total.dropped_no_rule + s.dropped_no_rule)
+      total.dropped_no_rule <- total.dropped_no_rule + s.dropped_no_rule;
+      total.commits <- total.commits + s.commits;
+      total.waits <- total.waits + s.waits;
+      total.alarms <- total.alarms + s.alarms;
+      total.withdrawals <- total.withdrawals + s.withdrawals;
+      total.congestion_defers <- total.congestion_defers + s.congestion_defers)
     (QCheck.Gen.generate ~rand ~n:100 oracle_case_gen);
   List.iter
     (fun (what, n) -> Alcotest.(check bool) (what ^ " reached") true (n > 0))
     [
       ("forward", total.forwarded); ("local delivery", total.delivered);
       ("ttl expiry", total.dropped_ttl); ("blackhole", total.dropped_no_rule);
-      ("FRM digest", !digests); ("parse error", !parse);
+      ("digest", !digests); ("parse error", !parse); ("commit", total.commits);
+      ("wait", total.waits); ("alarm", total.alarms); ("withdraw", total.withdrawals);
+      ("congestion defer", total.congestion_defers); ("resubmission", !resubmissions);
+      ("emission", !emissions);
     ]
+
+(* The codec the control path rests on.  On any frame, each in-place
+   reader equals the field of [Wire.control_of_bytes], and the kind reader
+   is [None] exactly when the decoder is, which agrees with the parse
+   graph ([Codec_oracle]); [Wire.control_frame] of a
+   record's fields is [Wire.control_to_bytes] of the record and the
+   frame the parse-graph serializer ([Codec_oracle]) writes for it. *)
+let control_frame_of (c : Wire.control) =
+  Wire.control_frame ~kind:c.kind ~flow_id:c.flow_id ~version_new:c.version_new
+    ~version_old:c.version_old ~dist_new:c.dist_new ~dist_old:c.dist_old
+    ~update_type:c.update_type ~layer:c.layer ~counter:c.counter ~flow_size:c.flow_size
+    ~egress_port:c.egress_port ~notify_port:c.notify_port ~role:c.role ~src_node:c.src_node
+
+let control_record_gen =
+  let open QCheck.Gen in
+  let field = frequency [ (3, int_bound 0xFFFF); (1, int_bound 0x3_FFFF) ] in
+  let* kind = oneofl Wire.[ Frm; Uim; Unm; Ufm; Cln; Wdm ] in
+  let* dual = bool in
+  let* f = array_repeat 12 field in
+  return
+    {
+      Wire.kind;
+      flow_id = f.(0);
+      version_new = f.(1);
+      version_old = f.(2);
+      dist_new = f.(3);
+      dist_old = f.(4);
+      update_type = (if dual then Wire.Dl else Wire.Sl);
+      layer = f.(5);
+      counter = f.(6);
+      flow_size = f.(7);
+      egress_port = f.(8);
+      notify_port = f.(9);
+      role = f.(10);
+      src_node = f.(11);
+    }
+
+let control_bytes_gen =
+  let open QCheck.Gen in
+  let* c = control_record_gen in
+  let b = Wire.control_to_bytes c in
+  frequency
+    [
+      (3, return b);
+      (1, map (fun len -> Bytes.sub b 0 len) (int_bound 27));
+      (1, map (fun p -> Bytes.cat b (Bytes.of_string p)) (string_size (int_range 1 8)));
+      ( 3,
+        (* any byte, or the etype, msg_type and update_type bytes the
+           kind reader checks; any value, or a small one *)
+        let* i = oneof [ int_bound 27; oneofl [ 4; 5; 6; 17 ] ] in
+        let* v = frequency [ (1, int_bound 255); (3, int_bound 7) ] in
+        let b = Bytes.copy b in
+        Bytes.set_uint8 b i v;
+        return b );
+    ]
+
+let readers_match b =
+  let module W = Wire in
+  let decoded = W.control_of_bytes b in
+  decoded = Codec_oracle.control_of_bytes b
+  &&
+  match decoded with
+  | None -> W.control_kind_of_bytes b = None
+  | Some c ->
+    W.control_kind_of_bytes b = Some c.kind
+    && W.control_flow_id_of_bytes b = c.flow_id
+    && W.control_version_new_of_bytes b = c.version_new
+    && W.control_version_old_of_bytes b = c.version_old
+    && W.control_dist_new_of_bytes b = c.dist_new
+    && W.control_dist_old_of_bytes b = c.dist_old
+    && W.control_update_type_of_bytes b = W.update_type_to_int c.update_type
+    && W.control_layer_of_bytes b = c.layer
+    && W.control_counter_of_bytes b = c.counter
+    && W.control_flow_size_of_bytes b = c.flow_size
+    && W.control_egress_port_of_bytes b = c.egress_port
+    && W.control_notify_port_of_bytes b = c.notify_port
+    && W.control_role_of_bytes b = c.role
+    && W.control_src_node_of_bytes b = c.src_node
+
+let prop_control_in_place =
+  QCheck.Test.make ~name:"control readers and writer = the record codec" ~count:1000
+    (QCheck.pair
+       (QCheck.make ~print:hex control_bytes_gen)
+       (QCheck.make ~print:(Format.asprintf "%a" Wire.pp_control) control_record_gen))
+    (fun (b, c) ->
+      let written = control_frame_of c in
+      readers_match b
+      && Bytes.equal written (Wire.control_to_bytes c)
+      && Bytes.equal written (Codec_oracle.control_to_bytes c))
 
 (* ------------------------------------------------------------------ *)
 (* Allocation guard on the switch's frame path                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Minor words one [Switch.receive] of [bytes] at [port] allocates,
-   averaged over a batch after a warm-up run. *)
-let words_per_frame sw ~port bytes =
-  let runs = 1000 in
-  P4update.Switch.receive sw ~port bytes;
+(* Minor words of one [f i] for i = 1 .. [runs], averaged after a
+   warm-up run [f 0]. *)
+let words_per_run ~runs f =
+  f 0;
   let before = Gc.minor_words () in
-  for _ = 1 to runs do
-    P4update.Switch.receive sw ~port bytes
+  for i = 1 to runs do
+    f i
   done;
   (Gc.minor_words () -. before) /. float_of_int runs
+
+(* Minor words one [Switch.receive] of [bytes] at [port] allocates. *)
+let words_per_frame sw ~port bytes =
+  words_per_run ~runs:1000 (fun _ -> P4update.Switch.receive sw ~port bytes)
 
 let check_budget what words budget =
   if words > budget then
@@ -746,10 +1023,11 @@ let test_injected_frame_allocation () =
 
 (* A duplicate notification between switches: after an SL update
    completes, the committed successor's UNM reaches a committed node on
-   a data port and Alg. 1 ignores it.  That is the decoded record and
-   both verification views: 34 words, and the budget leaves half as
-   much again (56 words through the interpreter). *)
-let unm_word_budget = 51.0
+   a data port and Alg. 1 ignores it.  The frame is read in place, so
+   that is both verification views: 17 words, and the budget leaves a
+   third as much again (34 when the frame was decoded into a record, 56
+   through the interpreter). *)
+let unm_word_budget = 23.0
 
 let test_unm_allocation () =
   let w, flow_id = forwarding_world () in
@@ -785,15 +1063,130 @@ let test_unm_allocation () =
     (P4update.Switch.stats sw).P4update.Switch.commits;
   Alcotest.(check int) "nothing scheduled" 0 (Dessim.Sim.pending w.Harness.World.sim)
 
+(* Fail the link from [node] toward [neighbor] now, so a notification
+   sent that way is counted lost and schedules nothing. *)
+let cut (w : Harness.World.t) ~node ~neighbor =
+  Netsim.fail_link w.net ~u:node ~v:neighbor ~at:(Dessim.Sim.now w.sim);
+  ignore (Harness.World.run w)
+
+(* A staged egress indication: a UIM with the flow-egress role and a
+   version above the committed one reaches the new path's egress, which
+   stages it and schedules the commit, and one [Sim.step] fires the
+   commit, whose notification toward its child is lost on a failed
+   link.  The staged commit (16 words), its action and list cells, its
+   table binding and timer closure, the event and clock floats, and the
+   notification written once into its frame (5): 48 words, and the
+   budget leaves a third as much again (118 when the frame was decoded
+   into a record, the commit eagerly re-encoded it, the notification was
+   a record before its bytes and every commit built a fold closure and
+   a boxed clock for hooks it did not have). *)
+let egress_uim_word_budget = 64.0
+
+let test_egress_uim_allocation () =
+  let w, flow_id = forwarding_world () in
+  let version =
+    P4update.Controller.update_flow w.Harness.World.controller ~flow_id
+      ~new_path:Topo.Topologies.fig1_new_path ~update_type:Wire.Sl ()
+  in
+  ignore (Harness.World.run w);
+  let egress, child =
+    match List.rev Topo.Topologies.fig1_new_path with
+    | e :: c :: _ -> (e, c)
+    | _ -> assert false
+  in
+  cut w ~node:egress ~neighbor:child;
+  let sw = w.Harness.World.switches.(egress) in
+  let u = P4update.Switch.uib sw in
+  let runs = 1000 in
+  let uims =
+    Array.init (runs + 1) (fun i ->
+        Wire.control_to_bytes
+          {
+            (Wire.control_default Wire.Uim) with
+            flow_id;
+            version_new = version + 1 + i;
+            egress_port = P4update.Uib.egress_port u flow_id;
+            notify_port = Netsim.port_of_neighbor w.net ~node:egress ~neighbor:child;
+            flow_size = P4update.Uib.flow_size u flow_id;
+            role = Wire.role_flow_egress;
+            src_node = -1;
+          })
+  in
+  let sim = w.Harness.World.sim in
+  let commits = (P4update.Switch.stats sw).P4update.Switch.commits in
+  let words =
+    words_per_run ~runs (fun i ->
+        P4update.Switch.receive sw ~port:Netsim.port_controller uims.(i);
+        if not (Dessim.Sim.step sim) || Dessim.Sim.pending sim <> 0 then
+          Alcotest.fail "one step must fire the commit and leave nothing pending")
+  in
+  Alcotest.(check int) "every indication committed" (commits + runs + 1)
+    (P4update.Switch.stats sw).P4update.Switch.commits;
+  check_budget "staged egress UIM" words egress_uim_word_budget
+
+(* A notification Alg. 1 commits: the committed successor's UNM reaches
+   a node whose staged indication it matches, with its committed version
+   set back below it before each run, and one [Sim.step] fires the
+   commit, whose own notification is lost on a failed link.  The two
+   verification views (17 words) and what the staged egress UIM above
+   costs: 65 words, and the budget leaves a third as much again (135
+   through the decoded record, as above). *)
+let committed_unm_word_budget = 87.0
+
+let test_committed_unm_allocation () =
+  let w, flow_id = forwarding_world () in
+  let version =
+    P4update.Controller.update_flow w.Harness.World.controller ~flow_id
+      ~new_path:Topo.Topologies.fig1_new_path ~update_type:Wire.Sl ()
+  in
+  ignore (Harness.World.run w);
+  let child, node, succ =
+    match Topo.Topologies.fig1_new_path with c :: n :: s :: _ -> (c, n, s) | _ -> assert false
+  in
+  cut w ~node ~neighbor:child;
+  let su = P4update.Switch.uib w.Harness.World.switches.(succ) in
+  let unm =
+    Wire.control_to_bytes
+      {
+        (Wire.control_default Wire.Unm) with
+        flow_id;
+        version_new = version;
+        version_old = P4update.Uib.ver_prev su flow_id;
+        dist_new = P4update.Uib.dist_cur su flow_id;
+        dist_old = P4update.Uib.dist_prev su flow_id;
+        layer = 1;
+        flow_size = P4update.Uib.flow_size su flow_id;
+        role = Wire.role_committed;
+        src_node = succ;
+      }
+  in
+  let sw = w.Harness.World.switches.(node) in
+  let u = P4update.Switch.uib sw in
+  let port = Netsim.port_of_neighbor w.net ~node ~neighbor:succ in
+  let sim = w.Harness.World.sim in
+  let commits = (P4update.Switch.stats sw).P4update.Switch.commits in
+  let runs = 1000 in
+  let words =
+    words_per_run ~runs (fun _ ->
+        P4update.Uib.set_ver_cur u flow_id (version - 1);
+        P4update.Switch.receive sw ~port unm;
+        if not (Dessim.Sim.step sim) || Dessim.Sim.pending sim <> 0 then
+          Alcotest.fail "one step must fire the commit and leave nothing pending")
+  in
+  Alcotest.(check int) "every notification committed" (commits + runs + 1)
+    (P4update.Switch.stats sw).P4update.Switch.commits;
+  check_budget "committed UNM" words committed_unm_word_budget
+
 (* The untraced event path.  A stale UIM (below the version the switch
    has staged) sent through [Netsim.controller_transmit] and taken by one
-   [Sim.step]: the send, the delivery event, the decoded record and
-   Alg. 1's rejection.  No trace key or attribute is built without a
-   sink and no register access allocates: 45 words, and the budget
-   leaves about a third as much again (47 while the delivery was a
-   closure, 69 through the interpreter, 159 when every UIM built its
-   trace key). *)
-let stale_uim_word_budget = 63.0
+   [Sim.step]: the send, the delivery event and the rejection of the
+   frame, read in place.  No trace key or attribute is built without a
+   sink, no register access allocates and, with no control-fault hook,
+   the send builds no delivery closure: 18 words, and the budget leaves
+   a third as much again (45 when the send built a closure and the frame
+   was decoded into a record, 47 while the delivery was a closure, 69
+   through the interpreter, 159 when every UIM built its trace key). *)
+let stale_uim_word_budget = 24.0
 
 let test_stale_uim_allocation () =
   let w, flow_id = forwarding_world () in
@@ -1033,10 +1426,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_switch_oracle;
     Alcotest.test_case "switch oracle inputs reach every verdict" `Quick
       test_switch_oracle_reach;
+    QCheck_alcotest.to_alcotest prop_control_in_place;
     Alcotest.test_case "forwarded frame allocation" `Quick test_forwarded_frame_allocation;
     Alcotest.test_case "host-injected frame allocation" `Quick test_injected_frame_allocation;
     Alcotest.test_case "inter-switch UNM allocation" `Quick test_unm_allocation;
     Alcotest.test_case "stale UIM delivery allocation" `Quick test_stale_uim_allocation;
+    Alcotest.test_case "staged egress UIM allocation" `Quick test_egress_uim_allocation;
+    Alcotest.test_case "committed UNM allocation" `Quick test_committed_unm_allocation;
     Alcotest.test_case "Sim.step allocation" `Quick test_sim_step_allocation;
     Alcotest.test_case "audited hop allocation" `Quick test_audited_hop_allocation;
     Alcotest.test_case "audited egress allocation" `Quick test_audited_egress_allocation;

@@ -171,8 +171,12 @@ let apply u o = function
     let _, get, get_o = List.nth flow_getters i in
     (outcome (fun () -> get u fid), outcome (fun () -> get_o o fid))
   | Stage (fid, c) ->
-    ( outcome (fun () -> Bool.to_int (Uib.stage_uim u fid c)),
-      outcome (fun () -> Bool.to_int (O.stage_uim o fid c)) )
+    (* The switch stages a UIM from its frame, where each field is masked
+       to its wire width; the oracle stages the frame's decoded record. *)
+    let frame = Wire.control_to_bytes c in
+    ( outcome (fun () -> Bool.to_int (Uib.stage_uim u fid frame)),
+      outcome (fun () ->
+          Bool.to_int (O.stage_uim o fid (Option.get (Wire.control_of_bytes frame)))) )
   | Withdraw (fid, version) ->
     ( outcome (fun () -> Bool.to_int (Uib.withdraw u fid ~version)),
       outcome (fun () -> Bool.to_int (O.withdraw o fid ~version)) )
