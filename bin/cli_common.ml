@@ -105,22 +105,22 @@ let series_out_arg =
 
 (* --- run settings --------------------------------------------------- *)
 
-(* A run setting is a flag that, when given, changes the preset workload
-   its subcommand starts from, or refuses to with a reason.  Nothing is
-   accepted and then ignored: a setting the workload would not read is
-   refused. *)
-type setting = (Harness.Run.workload -> (Harness.Run.workload, string) result) Term.t
+(* A run setting is a flag that, when given, changes the preset its
+   subcommand starts from (a run workload, or chaos's fault model), or
+   refuses to with a reason.  Nothing is accepted and then ignored: a
+   setting the run would not read is refused. *)
+type 'a setting = ('a -> ('a, string) result) Term.t
 
-let setting parse names ~docv ~doc ~absent set : setting =
+let setting parse names ~docv ~doc ~absent set : _ setting =
   Term.(const (fun v wl -> match v with None -> Ok wl | Some v -> set v wl)
         $ Arg.(value & opt (some parse) None & info names ~docv ~doc ~absent))
 
-let switch names ~doc set : setting =
+let switch names ~doc set : _ setting =
   Term.(const (fun on wl -> if on then set wl else Ok wl)
         $ Arg.(value & flag & info names ~doc))
 
 (* The settings, applied in order; the first refusal is a usage error. *)
-let settings_term (settings : setting list) =
+let settings_term (settings : _ setting list) =
   List.fold_left
     (fun acc s -> Term.(const (fun f g wl -> Result.bind (f wl) g) $ acc $ s))
     (Term.const Result.ok) settings
@@ -139,15 +139,16 @@ let source_setting =
           between their alternative paths; $(b,intent) drives seeded \
           drain/undrain maintenance cycles and TE re-pins through the intent \
           compiler, one correlated burst per event."
-    (fun source wl -> Ok { wl with source })
+    (fun source (wl : Harness.Run.workload) -> Ok { wl with source })
 
 let flows_setting ~absent =
   setting positive_int [ "flows" ] ~docv:"N" ~absent
     ~doc:"Concurrent flow population (member flows with $(b,--source intent))."
-    (fun flows wl -> Ok { wl with flows })
+    (fun flows (wl : Harness.Run.workload) -> Ok { wl with flows })
 
 let updates_setting names ~doc ~absent =
-  setting natural names ~docv:"N" ~doc ~absent (fun updates wl -> Ok { wl with updates })
+  setting natural names ~docv:"N" ~doc ~absent (fun updates (wl : Harness.Run.workload) ->
+      Ok { wl with updates })
 
 let gap_setting ~absent =
   setting positive_float [ "gap-mean" ] ~docv:"MS" ~absent

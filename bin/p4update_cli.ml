@@ -226,24 +226,34 @@ let chaos_cmd =
     Arg.(value & opt (some int) None
          & info [ "seed" ] ~docv:"N" ~doc:"Run a single seed instead of a range.")
   in
-  let no_recovery_arg =
-    Arg.(value & flag
-         & info [ "no-recovery" ]
-             ~doc:"Disable the controller's \xc2\xa711 recovery loop (watchdog alarms only).")
+  let runs_arg =
+    Arg.(value & opt (some natural) None
+         & info [ "runs"; "r" ] ~docv:"N" ~absent:"10"
+             ~doc:"Run seeds 1 to N (not with $(b,--seed)).")
+  in
+  (* Overrides of the fault model, Run_config.default_faults. *)
+  let settings =
+    settings_term
+      [ switch [ "no-recovery" ]
+          ~doc:"Disable the controller's \xc2\xa711 recovery loop (watchdog alarms only)."
+          (fun f -> Ok { f with Harness.Run_config.recovery = No_recovery }) ]
   in
   let trace_out_arg =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:"Trace each degraded run (faults tagged as chaos instants) and write \
-                   Chrome trace JSON; with several runs, FILE gets the scenario and seed \
-                   appended.")
+             ~doc:"Trace each degraded run (every injected fault is a fault.* instant) \
+                   and write Chrome trace JSON; with several runs, FILE gets the \
+                   scenario and seed appended.")
   in
-  let run scenario seed runs no_recovery trace_out incident_dir =
-    let plan = { Harness.Run_config.default_faults with fp_recovery = not no_recovery } in
+  let run_all (faults : Harness.Run_config.faults) scenario seed runs trace_out incident_dir =
     let scenarios =
       match scenario with Some sc -> [ sc ] | None -> Harness.Chaos.all_scenarios
     in
-    let seeds = match seed with Some s -> [ s ] | None -> List.init runs (fun i -> i + 1) in
+    let seeds =
+      match seed with
+      | Some s -> [ s ]
+      | None -> List.init (Option.value runs ~default:10) (fun i -> i + 1)
+    in
     let single = List.length scenarios = 1 && List.length seeds = 1 in
     let failed = ref 0 in
     List.iter
@@ -256,7 +266,7 @@ let chaos_cmd =
             (* The recorder rides the degraded run and its baseline: a
                baseline-run violation is every bit as reportable. *)
             let r =
-              with_recorder incident_dir (fun () -> Harness.Chaos.run ?trace ~plan ~seed sc)
+              with_recorder incident_dir (fun () -> Harness.Chaos.run ?trace ~faults ~seed sc)
             in
             (match (trace_out, trace) with
             | Some path, Some sink ->
@@ -273,18 +283,26 @@ let chaos_cmd =
             | _ -> ());
             print_endline (Harness.Chaos.report_line r);
             print_violations r.Harness.Chaos.r_violations;
-            if not no_recovery && not (Harness.Chaos.ok r) then incr failed)
+            if faults.recovery <> No_recovery && not (Harness.Chaos.ok r) then incr failed)
           seeds)
       scenarios;
     if !failed > 0 then exit 1
+  in
+  let run scenario seed runs settings trace_out incident_dir =
+    match settings Harness.Run_config.default_faults with
+    | Error msg -> `Error (true, msg)
+    | Ok _ when seed <> None && runs <> None ->
+      `Error (true, "--runs sets a seed range, which --seed replaces")
+    | Ok faults -> `Ok (run_all faults scenario seed runs trace_out incident_dir)
   in
   Cmd.v
     (cmd_info "chaos"
        ~doc:
          "Run seeded chaos schedules (both-plane faults plus link/node failures) and check \
           the Thm. 1-4 invariants and convergence.")
-    Term.(const run $ scenario_arg $ seed_arg $ runs_arg $ no_recovery_arg $ trace_out_arg
-          $ incident_dir_arg)
+    Term.(ret
+            (const run $ scenario_arg $ seed_arg $ runs_arg $ settings $ trace_out_arg
+             $ incident_dir_arg))
 
 (* --- mc --- *)
 
@@ -400,7 +418,8 @@ let scale_cmd =
                 packet's trajectory for per-packet consistency (old/new path, \
                 mixed, loops, blackholes), reporting delivery rate, latency \
                 percentiles and a deterministic outcome digest."
-          (fun wl -> Ok { wl with audit = Some Harness.Traffic.default_workload });
+          (fun (wl : Harness.Run.workload) ->
+            Ok { wl with audit = Some Harness.Traffic.default_workload });
         gap_setting
           ~absent:(Printf.sprintf "%g" Harness.Traffic.default_workload.tw_mean_gap_ms);
         switch [ "constant-rate" ]
@@ -412,7 +431,7 @@ let scale_cmd =
         setting positive_float [ "arrival-mean" ] ~docv:"MS"
           ~doc:"Poisson mean between bursts (ms)."
           ~absent:(Printf.sprintf "%g" d.arrival_mean_ms)
-          (fun arrival_mean_ms wl -> Ok { wl with arrival_mean_ms });
+          (fun arrival_mean_ms (wl : Harness.Run.workload) -> Ok { wl with arrival_mean_ms });
         setting positive_int [ "burst" ] ~docv:"N" ~doc:"Updates per arrival burst."
           ~absent:(string_of_int d.burst)
           (fun burst -> rotation_only "--burst" (fun wl -> { wl with burst }));
@@ -422,7 +441,7 @@ let scale_cmd =
         setting natural [ "probe-every" ] ~docv:"N"
           ~doc:"Invariant probe every N bursts (0 disables)."
           ~absent:(match d.probe with Every_bursts n -> string_of_int n | Every_ms _ -> "0")
-          (fun n wl -> Ok { wl with probe = Every_bursts n }) ]
+          (fun n (wl : Harness.Run.workload) -> Ok { wl with probe = Every_bursts n }) ]
   in
   let run (name, build) seed settings incident_dir tick_ms series_out =
     match settings d with
@@ -480,11 +499,13 @@ let soak_cmd =
           ~absent:(preset configs (Printf.sprintf "%g") (fun wl ->
                        (Option.get wl.audit).tw_mean_gap_ms));
         setting probability [ "fault-prob" ] ~docv:"P"
-          ~doc:"Per-message control-plane fault probability in the window."
+          ~doc:"Per-frame fault probability of control-typed frames, on links and \
+                the control channel, in the window."
           ~absent:(preset configs (Printf.sprintf "%g") (fun wl ->
-                       (Option.get wl.faults).control_prob))
-          (fun control_prob wl ->
-            Ok { wl with faults = Option.map (fun f -> { f with Harness.Run.control_prob }) wl.faults });
+                       (Option.get wl.faults).channel))
+          (fun p (wl : Harness.Run.workload) ->
+            let set (f : Harness.Run_config.faults) = { f with control_link = p; channel = p } in
+            Ok { wl with faults = Option.map set wl.faults });
         source_setting ]
   in
   let quick_arg =

@@ -108,9 +108,9 @@ let draw_flows sim topo n =
    the control channel, UNM/CLN on data links) carry protocol state, and a
    real switch discards frames whose FCS fails — so a corrupted control
    frame is a drop, not a delivery of garbage.  Data-typed frames get the
-   actual bit flip (harmless to forwarding state). *)
-let is_control_frame bytes =
-  Option.is_some (P4update.Wire.control_of_bytes bytes)
+   actual bit flip (harmless to forwarding state).  The kind is read in
+   place: no record is decoded. *)
+let is_control_frame bytes = Option.is_some (P4update.Wire.control_kind_of_bytes bytes)
 
 let draw_verdict sim ~downgrade_corrupt =
   let x = Sim.uniform sim ~bound:1.0 in
@@ -119,44 +119,31 @@ let draw_verdict sim ~downgrade_corrupt =
   else if x < 0.85 then if downgrade_corrupt then Netsim.Drop else Netsim.Corrupt
   else Netsim.Duplicate
 
-let verdict_name = function
-  | Netsim.Deliver -> "deliver"
-  | Netsim.Drop -> "drop"
-  | Netsim.Delay _ -> "delay"
-  | Netsim.Corrupt -> "corrupt"
-  | Netsim.Duplicate -> "duplicate"
-
-(* Tag the trace with every injected fault so a degraded run can be diffed
-   against its fault-free baseline of the same seed.  Tracing happens at
-   the injection decision point, so the instant carries the verdict even
-   when the packet never reaches a handler (Drop). *)
-let trace_injection sim ~plane verdict =
-  match Sim.trace sim with
-  | Some sink when verdict <> Netsim.Deliver ->
-    Obs.Trace.instant sink ~cat:"chaos" "fault.injected"
-      ~attrs:
-        [ Obs.Trace.str "plane" plane; Obs.Trace.str "verdict" (verdict_name verdict) ]
-  | Some _ | None -> ()
-
-let install_fault_hooks (w : World.t) (plan : Run_config.fault_plan) =
+(* A shut window or a class at probability 0 draws nothing, so the RNG
+   stream depends only on the classes a run faults.  Every
+   control-channel frame is control-typed. *)
+let install_faults (w : World.t) (f : Run_config.faults) ~open_ =
   let sim = w.World.sim in
-  let active () = Sim.now sim < plan.fp_window_ms in
-  if plan.fp_data_prob > 0.0 then
+  Array.iter
+    (fun sw -> P4update.Switch.enable_watchdog sw ~timeout_ms:Run_config.default_watchdog_ms)
+    w.World.switches;
+  (match f.recovery with
+   | No_recovery -> ()
+   | Retries -> P4update.Controller.enable_recovery w.World.controller
+   | Deadline d -> P4update.Controller.enable_recovery ~deadline_ms:d w.World.controller);
+  let fault p ~control =
+    if p > 0.0 && Sim.uniform sim ~bound:1.0 < p then
+      draw_verdict sim ~downgrade_corrupt:control
+    else Netsim.Deliver
+  in
+  if f.data_link > 0.0 || f.control_link > 0.0 then
     Netsim.set_data_fault w.World.net (fun ~from:_ ~to_:_ bytes ->
-        if active () && Sim.uniform sim ~bound:1.0 < plan.fp_data_prob then begin
-          let v = draw_verdict sim ~downgrade_corrupt:(is_control_frame bytes) in
-          trace_injection sim ~plane:"data" v;
-          v
-        end
-        else Netsim.Deliver);
-  if plan.fp_control_prob > 0.0 then
-    Netsim.set_control_fault w.World.net (fun ~dir:_ bytes ->
-        if active () && Sim.uniform sim ~bound:1.0 < plan.fp_control_prob then begin
-          let v = draw_verdict sim ~downgrade_corrupt:(is_control_frame bytes) in
-          trace_injection sim ~plane:"control" v;
-          v
-        end
-        else Netsim.Deliver)
+        if not (open_ ()) then Netsim.Deliver
+        else if is_control_frame bytes then fault f.control_link ~control:true
+        else fault f.data_link ~control:false);
+  if f.channel > 0.0 then
+    Netsim.set_control_fault w.World.net (fun ~dir:_ _ ->
+        if open_ () then fault f.channel ~control:true else Netsim.Deliver)
 
 (* 0 .. max element failures, each restored well inside the fault window
    so convergence is expected once the window closes. *)
@@ -199,11 +186,10 @@ let schedule_element_failures ?(start = 0.0) (w : World.t) ~window_ms ~max_failu
 
 let probe_interval_ms = 500.0
 
-let install_probes (w : World.t) (plan : Run_config.fault_plan) monitor
-    (flows : P4update.Controller.flow list) =
+let install_probes (w : World.t) ~horizon_ms monitor (flows : P4update.Controller.flow list) =
   let sim = w.World.sim in
   let rec arm time =
-    if time <= plan.fp_horizon_ms then
+    if time <= horizon_ms then
       Sim.schedule_at sim ~time (fun () ->
           Invariants.check_structural monitor flows;
           arm (time +. probe_interval_ms))
@@ -216,7 +202,7 @@ let install_probes (w : World.t) (plan : Run_config.fault_plan) monitor
 
 let hash_combine h x = ((h * 1000003) lxor x) land 0x3FFFFFFF
 
-let run_one ?traffic ?trace ~scenario ~seed (plan : Run_config.fault_plan) =
+let run_one ?traffic ?trace ~horizon_ms ~scenario ~seed (faults : Run_config.faults) =
   let topo = topo_of scenario in
   let w = World.make ~seed ?trace topo in
   let trace_hash = ref 0x1505 in
@@ -224,13 +210,10 @@ let run_one ?traffic ?trace ~scenario ~seed (plan : Run_config.fault_plan) =
       trace_hash :=
         hash_combine !trace_hash
           (Hashtbl.hash (int_of_float (time *. 1000.0), node, port, Bytes.to_string bytes)));
-  Array.iter
-    (fun sw ->
-      P4update.Switch.enable_watchdog sw ~timeout_ms:Run_config.default_watchdog_ms)
-    w.World.switches;
-  if plan.fp_recovery then P4update.Controller.enable_recovery w.World.controller;
-  (* Workload first, fault schedule second: a fault-free baseline run of
-     the same seed draws the identical workload. *)
+  (* The fault hooks draw only on frames, and none is sent before the run
+     starts.  Workload first, failure schedule second: a fault-free
+     baseline run of the same seed draws the identical workload. *)
+  install_faults w faults ~open_:(fun () -> Sim.now w.World.sim < faults.window_ms);
   let planned = draw_flows w.World.sim topo 3 in
   let flows =
     List.map
@@ -245,21 +228,20 @@ let run_one ?traffic ?trace ~scenario ~seed (plan : Run_config.fault_plan) =
   let tr = Option.map (fun workload -> Traffic.attach ~workload w) traffic in
   List.iter2
     (fun pl (f : P4update.Controller.flow) ->
-      let at = 100.0 +. Sim.uniform w.World.sim ~bound:(plan.fp_window_ms /. 2.0) in
+      let at = 100.0 +. Sim.uniform w.World.sim ~bound:(faults.window_ms /. 2.0) in
       Sim.schedule_at w.World.sim ~time:at (fun () ->
           ignore
             (P4update.Controller.update_flow w.World.controller
                ~flow_id:f.P4update.Controller.flow_id ~new_path:pl.pl_new ())))
     planned flows;
   Option.iter Traffic.start tr;
-  install_fault_hooks w plan;
   let element_failures =
-    schedule_element_failures w ~window_ms:plan.fp_window_ms
-      ~max_failures:plan.fp_max_element_failures
+    schedule_element_failures w ~window_ms:faults.window_ms
+      ~max_failures:faults.element_failures
   in
   let monitor = Invariants.create w in
-  install_probes w plan monitor flows;
-  ignore (World.run ~until:plan.fp_horizon_ms w);
+  install_probes w ~horizon_ms monitor flows;
+  ignore (World.run ~until:horizon_ms w);
   let converged, completion =
     List.fold_left
       (fun (n, latest) (f : P4update.Controller.flow) ->
@@ -309,16 +291,13 @@ let run_one ?traffic ?trace ~scenario ~seed (plan : Run_config.fault_plan) =
     r_traffic = Option.map (fun t -> Traffic.finalize t) tr;
   }
 
-let run ?traffic ?trace ~plan ~seed scenario =
+let run ?traffic ?trace ?(horizon_ms = 120_000.0) ~faults ~seed scenario =
   (* Only the degraded run is traced: the fault-free baseline would overlay
      a second span tree at the same timestamps.  Probe traffic likewise
      rides the degraded run only — the baseline's job is the workload's
      fault-free convergence reference, not a second packet audit. *)
-  let faulty = run_one ?traffic ?trace ~scenario ~seed plan in
-  let baseline =
-    run_one ~scenario ~seed
-      { plan with fp_data_prob = 0.0; fp_control_prob = 0.0; fp_max_element_failures = 0 }
-  in
+  let faulty = run_one ?traffic ?trace ~horizon_ms ~scenario ~seed faults in
+  let baseline = run_one ~horizon_ms ~scenario ~seed (Run_config.fault_free faults) in
   {
     faulty with
     r_baseline_converged = baseline.r_converged;

@@ -3,12 +3,12 @@
     verdict, reproducible from a single seed.
 
     A run draws a workload of 3 flows (old path installed, an update to
-    an alternative path scheduled mid-window), then injects stochastic
-    faults — drop, delay, reorder-via-delay, corrupt, duplicate — on the
-    data plane and the control channel for the duration of the fault
-    window, plus up to two link/node failures (each restored within the
-    window).  Every 500 ms the forwarding state of every flow is checked
-    against the Thm. 1–4 invariants:
+    an alternative path scheduled mid-window) under a {!Run_config.faults}
+    model: drop, delay, reorder-via-delay, corrupt and duplicate faults
+    on links and the control channel while the window is open, plus up
+    to [element_failures] link/node failures, each restored within it.
+    Every 500 ms until the horizon the forwarding state of every flow is
+    checked against the Thm. 1–4 invariants:
 
     - no loop, ever;
     - no blackhole at a node that never failed;
@@ -16,13 +16,11 @@
     - per-switch committed versions strictly increase (reset only by a
       switch restart).
 
-    Corrupted control-typed frames are dropped rather than delivered
-    (the Ethernet-FCS model); data frames get an actual bit flip.
-
-    The same (scenario, seed, fault plan) reproduces the same run, byte for
-    byte ([r_trace_hash] is a digest of every data-plane delivery).  The
-    report also contains the fault-free baseline of the same seed for a
-    one-line degradation summary ({!report_line}). *)
+    The same (scenario, seed, faults, horizon) reproduces the same run,
+    byte for byte ([r_trace_hash] is a digest of every data-plane
+    delivery).  The report also contains the fault-free baseline
+    ({!Run_config.fault_free}) of the same seed for a one-line
+    degradation summary ({!report_line}). *)
 
 type scenario = Fig1 | B4 | Fat_tree
 
@@ -67,12 +65,14 @@ type report = {
 (** All invariants held and every flow converged. *)
 val ok : report -> bool
 
-(** [run ~plan ~seed scenario] executes the faulty run and its
-    fault-free baseline (identical workload, seeded with [seed]) and
-    merges both into one report.  The degraded run's simulation adopts
-    [trace] (the baseline runs untraced); injected faults appear as
-    ["fault.injected"] instants in category ["chaos"].  Tracing never perturbs the schedule, so the report —
-    including [r_trace_hash] — is identical with or without a sink.
+(** [run ~faults ~seed scenario] executes the faulty run and its
+    fault-free baseline (identical workload, seeded with [seed]), each
+    simulated for [horizon_ms] (default 120 s), and merges both into one
+    report.  The degraded run's simulation adopts [trace] (the baseline
+    runs untraced); each injected fault appears as a [fault.*] instant of
+    category ["fault"], recorded by {!Netsim}.  Tracing never perturbs
+    the schedule, so the report — including [r_trace_hash] — is
+    identical with or without a sink.
 
     [?traffic] additionally races sustained probe traffic (the
     {!Traffic} auditor) through the degraded run — not the baseline —
@@ -82,7 +82,8 @@ val ok : report -> bool
 val run :
   ?traffic:Traffic.workload ->
   ?trace:Obs.Trace.sink ->
-  plan:Run_config.fault_plan ->
+  ?horizon_ms:float ->
+  faults:Run_config.faults ->
   seed:int ->
   scenario ->
   report
@@ -90,14 +91,22 @@ val run :
 (** One-line degradation summary. *)
 val report_line : report -> string
 
-(** {2 Fault-model building blocks}
+(** {2 The fault model}
 
-    Shared with the fault window of {!Run} so every harness applies
-    the same Ethernet-FCS corruption model, fault distribution and
-    element-failure schedule. *)
+    Shared with {!Run}, so every harness applies the same corruption
+    model, verdict distribution and element-failure schedule. *)
+
+(** [install_faults w faults ~open_] arms every switch's watchdog
+    ({!Run_config.default_watchdog_ms}), the §11 recovery [faults] asks
+    for, and the frame hooks.  A hook tests [open_ ()] first and the
+    frame class second; a class at probability 0 draws nothing, and
+    neither the links (both link classes at 0) nor the channel (at 0)
+    get a hook.  Element failures are {!schedule_element_failures}. *)
+val install_faults : World.t -> Run_config.faults -> open_:(unit -> bool) -> unit
 
 (** A frame whose payload parses as a {!P4update.Wire.control} message
-    (control-typed even when it travels the data plane, like UNMs). *)
+    (control-typed even when it travels the data plane, like UNMs).  The
+    kind is read in place; it allocates nothing. *)
 val is_control_frame : bytes -> bool
 
 (** Draw a {!Netsim.fault} verdict from the shared distribution (40%

@@ -3,8 +3,8 @@
    One loop drives every burst workload: a population (rotation slots
    or the intent program), Poisson arrival bursts of distinct flows
    prepared as one batch and pushed, churn, and optional monitors — the
-   Thm. 1–4 probes, the per-packet Traffic auditor, the control-frame
-   fault window with scheduled element failures, and (for a cycled run)
+   Thm. 1–4 probes, the per-packet Traffic auditor, the fault window
+   with scheduled element failures, and (for a cycled run)
    boundary leak readings with stuck-update detection.  Completion
    times are captured with an [on_report] hook keyed by (flow, version):
    O(1) per UFM instead of scanning the report log.
@@ -23,13 +23,6 @@ type cycles = { cycles : int; cycle_ms : float; tail_ms : float }
 type pacing = Open of float | Cycles of cycles
 type probe = Every_bursts of int | Every_ms of float
 
-type faults = {
-  control_prob : float;
-  window_ms : float;
-  element_failures : int;
-  deadline_ms : float option;
-}
-
 type source = Rotation | Intent
 
 type workload = {
@@ -42,7 +35,7 @@ type workload = {
   pacing : pacing;
   probe : probe;
   audit : Traffic.workload option;
-  faults : faults option;
+  faults : Run_config.faults option;
 }
 
 let default_tick_ms wl = match wl.pacing with Open _ -> 1000.0 | Cycles _ -> 500.0
@@ -179,13 +172,11 @@ let run ?trace ?tick_ms ?on_window ~seed wl topo =
   let sim = w.World.sim in
   let net = w.World.net in
   let cycled = match wl.pacing with Cycles _ -> true | Open _ -> false in
+  (* Each cycle opens the fault window; the hooks draw nothing while it
+     is shut, so they go in before the population. *)
+  let fault_until = ref 0.0 in
   Option.iter
-    (fun f ->
-      Array.iter
-        (fun sw ->
-          P4update.Switch.enable_watchdog sw ~timeout_ms:Run_config.default_watchdog_ms)
-        w.World.switches;
-      C.enable_recovery ?deadline_ms:f.deadline_ms w.World.controller)
+    (fun f -> Chaos.install_faults w f ~open_:(fun () -> Sim.now sim < !fault_until))
     wl.faults;
   (* Population first, then the observers: they see it as the initial
      state. *)
@@ -247,7 +238,9 @@ let run ?trace ?tick_ms ?on_window ~seed wl topo =
         let grace_before = 250.0 in
         let grace_after =
           600.0
-          +. Option.value f.deadline_ms ~default:(4.0 *. Run_config.default_watchdog_ms)
+          +. (match f.Run_config.recovery with
+              | Deadline d -> d
+              | No_recovery | Retries -> 4.0 *. Run_config.default_watchdog_ms)
         in
         fun _flow ~injected_at ->
           List.exists
@@ -307,23 +300,6 @@ let run ?trace ?tick_ms ?on_window ~seed wl topo =
           completions := sample :: !completions
         | None -> ()
       end);
-  (* Fault hooks, gated by the current window.  Only control-typed frames
-     are faulted (the FCS model downgrades their corruption to a drop): a
-     probe is never touched by the injector, so every probe violation
-     indicts the update plane. *)
-  let fault_until = ref 0.0 in
-  Option.iter
-    (fun f ->
-      let open_ () = Sim.now sim < !fault_until in
-      let faulted () = Sim.uniform sim ~bound:1.0 < f.control_prob in
-      Netsim.set_data_fault net (fun ~from:_ ~to_:_ bytes ->
-          if open_ () && Chaos.is_control_frame bytes && faulted ()
-          then Chaos.draw_verdict sim ~downgrade_corrupt:true
-          else Netsim.Deliver);
-      Netsim.set_control_fault net (fun ~dir:_ _bytes ->
-          if open_ () && faulted () then Chaos.draw_verdict sim ~downgrade_corrupt:true
-          else Netsim.Deliver))
-    wl.faults;
   let quota = ref 0 in
   let bursts = ref 0 in
   let underfilled = ref 0 in
@@ -414,7 +390,7 @@ let run ?trace ?tick_ms ?on_window ~seed wl topo =
         let start = float_of_int k *. c.cycle_ms in
         Sim.schedule_at sim ~time:start (fun () ->
             Option.iter
-              (fun f ->
+              (fun (f : Run_config.faults) ->
                 fault_until := start +. f.window_ms;
                 element_failures :=
                   !element_failures
@@ -518,8 +494,8 @@ let run ?trace ?tick_ms ?on_window ~seed wl topo =
     if !leaks <> [] then ignore (Obs.Flight_recorder.trigger ~now ~reason:"leak");
     (* The soak SLO: update completion p99 must beat the operator deadline
        (past it, the §11 ladder would have aborted the update anyway). *)
-    match Option.bind wl.faults (fun f -> f.deadline_ms) with
-    | Some d when p99 > d ->
+    match wl.faults with
+    | Some { recovery = Deadline d; _ } when p99 > d ->
       Obs.Flight_recorder.note ~now ~kind:Obs.Flight_recorder.k_slo ~node:(-1) ~flow:(-1)
         ~a:(int_of_float p99) ~b:(int_of_float d);
       ignore (Obs.Flight_recorder.trigger ~now ~reason:"slo-breach")

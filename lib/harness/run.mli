@@ -9,7 +9,7 @@
       [Controller.prepare_batch] and pushed; churn; and the pacing — one
       open update stream ({!Scale}) or fixed-length cycles ({!Soak});
     - {e monitors}: Thm. 1–4 probes every n bursts or every t ms, the
-      {!Traffic} per-packet auditor, and the control-frame fault window
+      {!Traffic} per-packet auditor, and the {!Run_config.faults} window
       with scheduled element failures under §11 recovery.  A cycled run
       also takes leak readings at every cycle boundary and looks for
       stuck updates after the settle tail;
@@ -54,15 +54,6 @@ type probe =
   | Every_bursts of int  (** every n bursts; 0 disables probing *)
   | Every_ms of float    (** every t simulated ms *)
 
-(** The control-frame fault window, at the start of each cycle.  Switch
-    watchdogs run with {!Run_config.default_watchdog_ms}. *)
-type faults = {
-  control_prob : float;   (** per-message fault probability in the window *)
-  window_ms : float;
-  element_failures : int; (** max link/node failures per window, each restored *)
-  deadline_ms : float option; (** §11 operator deadline → abort ([None]: retries only) *)
-}
-
 (** Where the flows and their updates come from. *)
 type source =
   | Rotation  (** rotation slots, each flow flipping between its alternative paths *)
@@ -83,7 +74,9 @@ type workload = {
   audit : Traffic.workload option;
       (** probe traffic audited per packet; [tw_stop_ms] counts from
           each cycle's start *)
-  faults : faults option;
+  faults : Run_config.faults option;
+      (** the fault model ({!Chaos.install_faults}); a cycled run opens
+          its window at the start of every cycle, an open run never *)
 }
 
 (** Rolling SLO window length (simulated ms) when {!run} gets no

@@ -1,30 +1,29 @@
-(* The chaos harness's fault plan and the switch-watchdog default: the
-   two values more than one harness reads.  Everything else a run reads
-   is a labelled argument of its entry point.
+(* The fault model of every faulted run and the switch-watchdog default.
+   Dependency-free within the harness, so [Chaos] and [Run] read it
+   without a cycle; plain data, so a checker can enumerate it. *)
 
-   This module is deliberately dependency-free within the harness, so
-   [Chaos] (which needs [World] and [Invariants]) reads its fault plan
-   from here without a cycle. *)
+type recovery = No_recovery | Retries | Deadline of float
 
-type fault_plan = {
-  fp_window_ms : float;
-  fp_horizon_ms : float;
-  fp_data_prob : float;
-  fp_control_prob : float;
-  fp_max_element_failures : int;
-  fp_recovery : bool;
+type faults = {
+  data_link : float;
+  control_link : float;
+  channel : float;
+  window_ms : float;
+  element_failures : int;
+  recovery : recovery;
 }
 
-(* The one switch-watchdog default: every harness (chaos, soak) derives
-   from this constant instead of repeating the literal. *)
 let default_watchdog_ms = 400.0
 
 let default_faults =
   {
-    fp_window_ms = 3000.0;
-    fp_horizon_ms = 120_000.0;
-    fp_data_prob = 0.08;
-    fp_control_prob = 0.08;
-    fp_max_element_failures = 2;
-    fp_recovery = true;
+    data_link = 0.08;
+    control_link = 0.08;
+    channel = 0.08;
+    window_ms = 3000.0;
+    element_failures = 2;
+    recovery = Retries;
   }
+
+let fault_free f =
+  { f with data_link = 0.0; control_link = 0.0; channel = 0.0; element_failures = 0 }

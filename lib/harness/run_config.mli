@@ -1,27 +1,51 @@
-(** The fault plan of the chaos harness and the switch-watchdog default.
+(** The fault model of every faulted run (§11) and the switch-watchdog
+    default: the values more than one harness (and the benchmark driver)
+    reads.  It depends on nothing else in the harness, so {!Chaos} and
+    {!Run} read it without a cycle.
 
-    Every harness entry point takes labelled arguments for exactly what
-    it reads; this module keeps only the two shared values that more
-    than one harness (and the benchmark driver) reads.  It depends on
-    nothing else in the harness, so {!Chaos} and {!Run} read it without
-    a cycle. *)
+    {!Chaos.install_faults} installs a {!faults} record for {!Chaos.run}
+    and for a cycled {!Run.run}.  While the window is open, each frame
+    of a class is faulted with the class's probability, the verdict from
+    {!Chaos.draw_verdict} (40% drop, 30% delay, 15% corrupt, 15%
+    duplicate; corrupting a control-typed frame drops it).  The window
+    opens at 0 in a chaos run and at every cycle start in a cycled run,
+    and schedules up to [element_failures] link/node failures, each
+    restored inside it.  The presets:
 
-(** Stochastic-fault schedule knobs of the chaos harness ({!Chaos.run}),
-    whose workload is 3 flows under the {!default_watchdog_ms} switch
-    watchdog, probed every 500 ms. *)
-type fault_plan = {
-  fp_window_ms : float;          (** faults and failures stop after this *)
-  fp_horizon_ms : float;         (** simulation bound for convergence *)
-  fp_data_prob : float;          (** per-packet fault probability, data plane *)
-  fp_control_prob : float;       (** per-message fault probability, control *)
-  fp_max_element_failures : int; (** 0–n scheduled link/node failures *)
-  fp_recovery : bool;            (** arm the §11 recovery loop *)
+    {v
+    preset                  data_link control_link channel window  failures recovery
+    chaos (default_faults)  0.08      0.08         0.08    3000 ms 2        Retries
+    chaos no-recovery test  0.15      0.15         0       2000 ms 0        No_recovery
+    soak                    0         0.05         0.05    2500 ms 2        Deadline 1500
+    soak --quick            0         0.05         0.05    1600 ms 1        Deadline 1800
+    fault-free baseline     0         0            0       (kept)  0        (kept)
+    v}
+
+    [chaos --no-recovery] sets [recovery] to [No_recovery]; [soak
+    --fault-prob P] sets [control_link] and [channel] to P.  The record
+    holds no closures, so a checker can enumerate it. *)
+
+(** The controller's §11 recovery. *)
+type recovery =
+  | No_recovery        (** watchdog alarms only, nothing retransmitted *)
+  | Retries            (** bounded retransmit / reroute / resync *)
+  | Deadline of float  (** as [Retries], and abort an update after this many ms *)
+
+type faults = {
+  data_link : float;      (** per-frame fault probability, data frames on links *)
+  control_link : float;   (** control-typed frames (UNM, CLN) on links *)
+  channel : float;        (** control-channel frames (UIM, UFM, ...) *)
+  window_ms : float;      (** faults and failures stop this long after the window opens *)
+  element_failures : int; (** 0–n link/node failures per window, each restored *)
+  recovery : recovery;
 }
 
-(** The single source of the switch-watchdog default (ms); chaos and soak
-    configurations derive from it. *)
+(** The single source of the switch-watchdog default (ms). *)
 val default_watchdog_ms : float
 
-(** 3 s fault window, 120 s horizon, 8% fault probability on both
-    planes, up to 2 element failures, §11 recovery on. *)
-val default_faults : fault_plan
+(** The chaos preset (first row of the table). *)
+val default_faults : faults
+
+(** [fault_free f] is [f] with every probability and [element_failures]
+    at 0: a chaos run's fault-free baseline. *)
+val fault_free : faults -> faults

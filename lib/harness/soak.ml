@@ -5,12 +5,16 @@ let default_cycles = { Run.cycles = 8; cycle_ms = 6000.0; tail_ms = 8000.0 }
 let default_audit =
   { Traffic.default_workload with tw_mean_gap_ms = 1.0; tw_stop_ms = 4000.0 }
 
+(* Control-typed frames only, on links and the channel: a probe is
+   never faulted, so every probe violation indicts the update plane. *)
 let default_faults =
   {
-    Run.control_prob = 0.05;
+    Run_config.data_link = 0.0;
+    control_link = 0.05;
+    channel = 0.05;
     window_ms = 2500.0;
     element_failures = 2;
-    deadline_ms = Some 1500.0;
+    recovery = Deadline 1500.0;
   }
 
 (* ~1.28M probe packets expected: 8 cycles x 40 flows x 4 s windows at a
@@ -47,7 +51,7 @@ let quick_config =
     faults =
       Some
         { default_faults with
-          window_ms = 1600.0; element_failures = 1; deadline_ms = Some 1800.0 };
+          window_ms = 1600.0; element_failures = 1; recovery = Deadline 1800.0 };
   }
 
 let pp ppf (r : Run.result) =

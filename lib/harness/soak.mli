@@ -5,9 +5,10 @@
     running for hours of simulated time, organised in fixed-length
     cycles: Scale-style churn (a constant flow population rotating onto
     alternative paths, a few flows per cycle retired and re-admitted),
-    Chaos-style rolling faults (control-typed messages faulted with the
-    shared {!Chaos.draw_verdict} distribution during a per-cycle window,
-    plus link/node failures restored inside it) and sustained {!Traffic}
+    the {!Run_config.faults} model of Chaos in a per-cycle window (the
+    soak presets fault control-typed frames on links and the channel,
+    data frames never, plus link/node failures restored inside the
+    window; see the table in {!Run_config}) and sustained {!Traffic}
     probes audited packet by packet.  Probe data is never faulted
     directly, so every probe violation indicts the update plane; element
     failures do drop probes, which the flow-agnostic blackhole excuse

@@ -7,7 +7,7 @@
 let seeds = List.init 20 (fun i -> i + 1)
 
 let run ~scenario ~seed =
-  Harness.Chaos.run ~plan:Harness.Run_config.default_faults ~seed scenario
+  Harness.Chaos.run ~faults:Harness.Run_config.default_faults ~seed scenario
 
 let () =
   let failures = ref 0 in

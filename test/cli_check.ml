@@ -24,6 +24,8 @@ let cases =
     ([ "soak"; "--cycles"; "0" ], 124);
     ([ "soak"; "--cycle-ms"; "0" ], 124);
     ([ "chaos"; "--series-out"; "series.jsonl" ], 124);
+    ([ "chaos"; "--seed"; "1"; "--runs"; "3" ], 124);
+    ([ "chaos"; "--runs=-1" ], 124);
     ([ "fig"; "--id"; "2"; "--seed"; "3" ], 124);
     ([ "fig"; "--id"; "2"; "--runs"; "5" ], 124);
     ([ "fig"; "--id"; "7c"; "--phases"; "--runs"; "5" ], 124);

@@ -7,11 +7,10 @@ module Chaos = Harness.Chaos
 module Run_config = Harness.Run_config
 
 (* Small fault window and horizon keep the property cheap per case. *)
-let quick_plan =
-  { Run_config.default_faults with fp_window_ms = 2000.0; fp_horizon_ms = 60_000.0 }
+let quick_faults = { Run_config.default_faults with window_ms = 2000.0 }
 
-let run ?(plan = quick_plan) ~scenario ~seed () =
-  Chaos.run ~plan ~seed scenario
+let run ?(faults = quick_faults) ~scenario ~seed () =
+  Chaos.run ~faults ~horizon_ms:60_000.0 ~seed scenario
 
 let scenario_of_case n =
   match n mod 3 with 0 -> Chaos.Fig1 | 1 -> Chaos.B4 | _ -> Chaos.Fat_tree
@@ -42,18 +41,19 @@ let test_no_recovery_degrades_gracefully () =
   (* Data-plane-only faults with retransmission disabled: today's behaviour
      — watchdog alarms where the chain is lost, committed state never
      violates the invariants, and the run terminates (no silent hang). *)
-  let plan =
+  let faults =
     {
-      quick_plan with
-      fp_recovery = false;
-      fp_control_prob = 0.0;
-      fp_max_element_failures = 0;
-      fp_data_prob = 0.15;
+      quick_faults with
+      data_link = 0.15;
+      control_link = 0.15;
+      channel = 0.0;
+      element_failures = 0;
+      recovery = No_recovery;
     }
   in
   let alarms = ref 0 and stuck = ref 0 in
   for seed = 1 to 10 do
-    let r = run ~plan ~scenario:Chaos.Fig1 ~seed () in
+    let r = run ~faults ~scenario:Chaos.Fig1 ~seed () in
     Alcotest.(check (list (triple (float 0.0) int string)))
       (Printf.sprintf "no violations (seed %d)" seed)
       []
@@ -250,6 +250,96 @@ let test_counters_pinned () =
       ("resyncs", r.C.resyncs); ("aborts", r.C.aborts); ("give_ups", r.C.give_ups);
       ("parse errors", parse_errors) ]
 
+(* ---- the fault installer's frame-class rule ---------------------- *)
+
+module W = Harness.World
+
+let control_frame kind =
+  P4update.Wire.control_frame ~kind ~flow_id:1 ~version_new:2 ~version_old:1 ~dist_new:1
+    ~dist_old:1 ~update_type:P4update.Wire.Sl ~layer:0 ~counter:0 ~flow_size:1 ~egress_port:0
+    ~notify_port:0 ~role:0 ~src_node:0
+
+let data_frame =
+  P4update.Wire.data_to_bytes
+    { P4update.Wire.d_flow_id = 1; seq = 0; ttl = 64; origin = 0; dst = 7; tag = 0; d_ts = 0 }
+
+(* One frame of each class on fig1: a data frame and a UNM on node 0's
+   first link, a UIM on the control channel to node 1. *)
+let frame_classes =
+  [ ("data-link", fun (w : W.t) -> Netsim.transmit w.net ~from:0 ~port:0 data_frame);
+    ( "control-link",
+      fun w -> Netsim.transmit w.net ~from:0 ~port:0 (control_frame P4update.Wire.Unm) );
+    ( "channel",
+      fun w -> Netsim.controller_transmit w.net ~to_:1 (control_frame P4update.Wire.Uim) ) ]
+
+(* The model with [cls] at [p] and every other class at [rest]. *)
+let with_class cls p ~rest =
+  let at c = if c = cls then p else rest in
+  { (Run_config.fault_free Run_config.default_faults) with
+    data_link = at "data-link"; control_link = at "control-link"; channel = at "channel" }
+
+let faults_so_far (w : W.t) =
+  let n = Netsim.counters w.net in
+  n.dropped_by_fault + n.delayed_by_fault + n.corrupted_by_fault + n.duplicated_by_fault
+
+(* One class at probability 1: inside the window each frame of that
+   class is faulted and no other frame is; after it, nothing is. *)
+let test_installer_frame_classes () =
+  List.iter
+    (fun (cls, _) ->
+      let w = W.make ~seed:1 (Topo.Topologies.fig1 ()) in
+      let open_ = ref true in
+      Chaos.install_faults w (with_class cls 1.0 ~rest:0.0) ~open_:(fun () -> !open_);
+      let faulted send =
+        let before = faults_so_far w in
+        send w;
+        faults_so_far w > before
+      in
+      List.iter
+        (fun (frame, send) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at 1: %s frame faulted" cls frame)
+            (frame = cls) (faulted send))
+        frame_classes;
+      open_ := false;
+      List.iter
+        (fun (frame, send) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at 1, window shut: %s frame delivered" cls frame)
+            false (faulted send))
+        frame_classes)
+    frame_classes
+
+(* One class at probability 0 and the others at 1: its frames leave the
+   RNG where a world without hooks leaves it. *)
+let test_installer_zero_class_draws_nothing () =
+  List.iter
+    (fun (cls, send) ->
+      let hooked = W.make ~seed:1 (Topo.Topologies.fig1 ()) in
+      let bare = W.make ~seed:1 (Topo.Topologies.fig1 ()) in
+      Chaos.install_faults hooked (with_class cls 0.0 ~rest:1.0) ~open_:(fun () -> true);
+      for _ = 1 to 5 do
+        send hooked;
+        send bare
+      done;
+      let state (w : W.t) = Random.State.to_binary_string (Dessim.Sim.rng w.sim) in
+      Alcotest.(check int) (cls ^ " frames not faulted") 0 (faults_so_far hooked);
+      Alcotest.(check string) (cls ^ " at 0 draws nothing") (state bare) (state hooked))
+    frame_classes
+
+(* The class test reads the message kind in place: no words. *)
+let test_control_frame_test_allocation () =
+  List.iter
+    (fun (cls, bytes) ->
+      ignore (Chaos.is_control_frame bytes);
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Chaos.is_control_frame bytes))
+      done;
+      Alcotest.(check (float 0.0)) (cls ^ " frame: minor words") 0.0
+        (Gc.minor_words () -. before))
+    [ ("control", control_frame P4update.Wire.Unm); ("data", data_frame) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_finite_loss_converges;
@@ -259,4 +349,10 @@ let suite =
       test_no_recovery_degrades_gracefully;
     Alcotest.test_case "completion index = report-log scan" `Quick
       test_completion_index_matches_log;
+    Alcotest.test_case "installer faults exactly the open class" `Quick
+      test_installer_frame_classes;
+    Alcotest.test_case "installer: a class at 0 draws nothing" `Quick
+      test_installer_zero_class_draws_nothing;
+    Alcotest.test_case "control-frame test allocation" `Quick
+      test_control_frame_test_allocation;
   ]

@@ -383,7 +383,7 @@ let test_chaos_pins () =
   List.iter
     (fun (name, seed, expected) ->
       let scenario = Option.get (Harness.Chaos.scenario_of_string name) in
-      let r = Harness.Chaos.run ~plan:Harness.Run_config.default_faults ~seed scenario in
+      let r = Harness.Chaos.run ~faults:Harness.Run_config.default_faults ~seed scenario in
       Alcotest.(check int)
         (Printf.sprintf "chaos %s seed %d hash" name seed)
         expected r.Harness.Chaos.r_trace_hash)
@@ -436,8 +436,7 @@ let test_trace_digest () =
    races probes through a faulted B4 chaos run under a sink that keeps
    the p4rt and net categories.  Every forwarded, delivered, dropped and
    corrupted probe leaves a [pipeline.process] span in the JSONL. *)
-let data_trace_plan =
-  { Harness.Run_config.default_faults with fp_window_ms = 600.0; fp_horizon_ms = 3000.0 }
+let data_trace_faults = { Harness.Run_config.default_faults with window_ms = 600.0 }
 
 let data_trace_workload =
   { Harness.Traffic.default_workload with Harness.Traffic.tw_stop_ms = 250.0 }
@@ -445,8 +444,8 @@ let data_trace_workload =
 let data_trace_run () =
   let sink = Obs.Trace.create () in
   ignore
-    (Harness.Chaos.run ~traffic:data_trace_workload ~trace:sink ~plan:data_trace_plan
-       ~seed:3 Harness.Chaos.B4);
+    (Harness.Chaos.run ~traffic:data_trace_workload ~trace:sink ~faults:data_trace_faults
+       ~horizon_ms:3000.0 ~seed:3 Harness.Chaos.B4);
   Obs.Trace.to_jsonl sink
 
 (* Lines of [jsonl] that contain [needle]. *)
@@ -467,7 +466,7 @@ let test_data_trace_digest () =
   Alcotest.(check int) "pipeline.process spans" 1280
     (count_lines jsonl "\"pipeline.process\"");
   Alcotest.(check int) "host-injected frames" 315 (count_lines jsonl "\"in_port\":1001");
-  Alcotest.(check int) "data-frame trace JSONL digest" 0x19868f93 (djb2 jsonl)
+  Alcotest.(check int) "data-frame trace JSONL digest" 0x36bc9005 (djb2 jsonl)
 
 (* --- the scale engine ----------------------------------------------- *)
 

@@ -110,14 +110,12 @@ let test_zero_violations () =
 (* Chaos integration: traffic is opt-in and rides the degraded run; with
    the fault schedule turned off the audit is clean end to end. *)
 let test_chaos_traffic () =
-  let plan =
-    { Harness.Run_config.default_faults with
-      fp_window_ms = 1000.0; fp_horizon_ms = 5000.0;
-      fp_data_prob = 0.0; fp_control_prob = 0.0; fp_max_element_failures = 0 }
+  let faults =
+    Harness.Run_config.fault_free { Harness.Run_config.default_faults with window_ms = 1000.0 }
   in
   let workload = { Traffic.default_workload with Traffic.tw_stop_ms = 400.0 } in
   let r =
-    Harness.Chaos.run ~traffic:workload ~plan ~seed:2 Harness.Chaos.Fig1
+    Harness.Chaos.run ~traffic:workload ~faults ~horizon_ms:5000.0 ~seed:2 Harness.Chaos.Fig1
   in
   match r.Harness.Chaos.r_traffic with
   | None -> Alcotest.fail "traffic audit missing from report"

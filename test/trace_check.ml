@@ -27,13 +27,11 @@ let run seed =
    the p4rt and net categories. *)
 let probe_run () =
   let sink = Trace.create () in
-  let plan =
-    { Harness.Run_config.default_faults with fp_window_ms = 600.0; fp_horizon_ms = 3000.0 }
-  in
+  let faults = { Harness.Run_config.default_faults with window_ms = 600.0 } in
   ignore
     (Harness.Chaos.run
        ~traffic:{ Harness.Traffic.default_workload with Harness.Traffic.tw_stop_ms = 250.0 }
-       ~trace:sink ~plan ~seed:3 Harness.Chaos.B4);
+       ~trace:sink ~faults ~horizon_ms:3000.0 ~seed:3 Harness.Chaos.B4);
   sink
 
 let has_keys keys attrs = List.for_all (fun k -> List.mem_assoc k attrs) keys
