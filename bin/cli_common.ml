@@ -42,9 +42,6 @@ let topo_arg ?(default = ("b4", Topo.Topologies.b4)) () =
   Arg.(value & opt topo_conv default
        & info [ "topo"; "t" ] ~docv:"NAME" ~doc:"Topology to use.")
 
-let runs_arg =
-  Arg.(value & opt int 10 & info [ "runs"; "r" ] ~docv:"N" ~doc:"Number of seeded runs.")
-
 let seed_arg ~default =
   Arg.(value & opt int default & info [ "seed" ] ~docv:"N" ~doc:"Base simulation seed.")
 
@@ -64,6 +61,9 @@ let checked conv ~what ok =
 
 let positive_int = checked Arg.int ~what:"a positive integer" (fun n -> n > 0)
 let natural = checked Arg.int ~what:"a non-negative integer" (fun n -> n >= 0)
+
+let runs_arg =
+  Arg.(value & opt natural 10 & info [ "runs"; "r" ] ~docv:"N" ~doc:"Number of seeded runs.")
 
 let positive_float =
   checked Arg.float ~what:"a positive finite number" (fun x -> Float.is_finite x && x > 0.0)

@@ -82,7 +82,7 @@ let fig_cmd =
          & info [ "id" ] ~docv:"ID" ~doc:"Figure id: 2, 4, 7a..7f, 8a, 8b.")
   in
   let runs_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some natural) None
          & info [ "runs"; "r" ] ~docv:"N"
              ~absent:(string_of_int Harness.Scenarios.runs)
              ~doc:"Number of seeded runs (Figs. 4 and 7 only).")

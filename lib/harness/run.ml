@@ -167,6 +167,7 @@ let run ?trace ?tick_ms ?on_window ~seed wl topo =
    | _ when wl.flows < 1 || wl.burst < 1 -> invalid_arg "Run.run: empty workload"
    | Cycles c, _ when c.cycles < 1 -> invalid_arg "Run.run: no cycles"
    | Open _, Per_cycle _ -> invalid_arg "Run.run: per-cycle churn needs cycles"
+   | Open _, _ when Option.is_some wl.faults -> invalid_arg "Run.run: faults need cycles"
    | _ -> ());
   let w = World.make ~seed ?trace topo in
   let sim = w.World.sim in

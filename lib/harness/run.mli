@@ -76,7 +76,8 @@ type workload = {
           each cycle's start *)
   faults : Run_config.faults option;
       (** the fault model ({!Chaos.install_faults}); a cycled run opens
-          its window at the start of every cycle, an open run never *)
+          its window at the start of every cycle, and {!run} refuses it
+          on an open run *)
 }
 
 (** Rolling SLO window length (simulated ms) when {!run} gets no
@@ -131,7 +132,8 @@ type result = {
     [topo] seeded with [seed].  The world's simulation adopts [trace].
     The rolling SLO series closes a window every [tick_ms] (default
     {!default_tick_ms}) and hands the series to [on_window] after each
-    one. *)
+    one.  Raises [Invalid_argument] on an empty workload, zero cycles,
+    per-cycle churn or faults on an open run. *)
 val run :
   ?trace:Obs.Trace.sink ->
   ?tick_ms:float ->

@@ -111,6 +111,7 @@ type vrec = {
 
 (* Per-flow audit state. *)
 type flow_state = {
+  fl_index : int;             (* its slot in [t.states], fixed at creation *)
   fl_src : int;
   fl_dst : int;
   mutable fl_history : vrec list; (* latest recorded first, one entry per version *)
@@ -120,85 +121,137 @@ type flow_state = {
   mutable fl_injecting : bool;
 }
 
-(* One probe in flight (or finished); its seq is its window position. *)
-type pkt = {
-  pk_flow : int;
-  pk_st : flow_state;         (* its flow's audit state, fixed at injection *)
-  pk_version_at_inject : int; (* controller version of the flow at injection *)
-  pk_injected_at : float;     (* simulated injection instant *)
-  mutable pk_hops : int list; (* visited nodes, newest first *)
-  mutable pk_delivered_at : int; (* node, -1 while undelivered *)
-  mutable pk_latency_ms : float; (* wire-carried ingress timestamp delta *)
+(* The flight window, the hop arena and the latency buffer all store
+   their slots in chunks of [chunk_len]: slot [i] sits at offset
+   [i land chunk_mask] of chunk [i lsr chunk_bits] of a spine.  Every
+   chunk array is a pool-sized block, made the first time one of its
+   slots is used and kept for reuse after a drain, and growth copies
+   only the spine.  One flat array (a large block, reallocated on
+   growth) made the peak heap of identical perfbench episodes differ by
+   one 32 KB pool in about one run in twenty. *)
+let chunk_bits = 7
+let chunk_len = 1 lsl chunk_bits
+let chunk_mask = chunk_len - 1
+
+(* [spine] with a chunk for slot [i], the first slot of its chunk: a
+   full spine doubles, its new half holding [empty], and a missing
+   chunk is made by [make]. *)
+let with_chunk spine ~empty ~make i =
+  let c = i lsr chunk_bits in
+  let spine =
+    if c < Array.length spine then spine
+    else Array.append spine (Array.make (Array.length spine) empty)
+  in
+  if spine.(c) == empty then spine.(c) <- make ();
+  spine
+
+let new_int_chunk () = Array.make chunk_len 0
+let new_float_chunk () = Array.make chunk_len 0.0
+
+(* One chunk of the flight window, a column per probe field.  A probe's
+   seq is its window position. *)
+type chunk = {
+  c_flow : int array;          (* flow id *)
+  c_state : int array;         (* its flow's [fl_index], fixed at injection *)
+  c_cap : int array;           (* controller version of the flow at injection *)
+  c_injected_at : float array; (* simulated injection instant *)
+  c_delivered_at : int array;  (* node, -1 while undelivered *)
+  c_latency_ms : float array;  (* wire-carried ingress timestamp delta *)
+  c_newest_hop : int array;    (* hop-arena index of its newest hop *)
 }
+
+(* The filler of spine entries with no chunk yet. *)
+let no_chunk =
+  { c_flow = [||]; c_state = [||]; c_cap = [||]; c_injected_at = [||];
+    c_delivered_at = [||]; c_latency_ms = [||]; c_newest_hop = [||] }
+
+let new_chunk () =
+  { c_flow = new_int_chunk (); c_state = new_int_chunk (); c_cap = new_int_chunk ();
+    c_injected_at = new_float_chunk (); c_delivered_at = new_int_chunk ();
+    c_latency_ms = new_float_chunk (); c_newest_hop = new_int_chunk () }
 
 type t = {
   world : World.t;
   wl : workload;
   mutable stop_ms : float;       (* injectors stop at this simulated time *)
-  (* Never loses or swaps an entry ([start_flow] reuses one), so a probe
-     may carry its flow's state.  A stdlib table on purpose: [start]
-     iterates it, and that order decides the injectors' schedule and RNG
-     draws, hence every pinned digest. *)
+  (* A stdlib table on purpose: [start] iterates it, and that order
+     decides the injectors' schedule and RNG draws, hence every pinned
+     digest. *)
   flows : (int, flow_state) Hashtbl.t;
+  (* Every state ever made, by [fl_index]: a probe names its flow's
+     state by index, so egress and drain never look a flow up. *)
+  mutable states : flow_state array;
+  mutable state_count : int;
   (* The flight window: probe [seq] sits in slot [seq - drained_upto]
      until drained.  Seqs are dense from 0 and [drain] retires the whole
      prefix below [next_seq], so [drained_upto, next_seq) is exactly the
-     set of probes in flight.  Slots live in chunks of [chunk_len], see
-     [slot]. *)
-  mutable window : pkt array array;
+     set of probes in flight and a drain frees every slot for reuse. *)
+  mutable window : chunk array;
   mutable next_seq : int;
+  (* The hop arena: one int per hop of a probe in flight,
+     [(prev + 1) lsl node_bits lor node], where [prev] is the arena
+     index of the probe's previous hop (-1 for its first).  A drain
+     retires every probe in flight, so it empties the arena. *)
+  mutable hops : int array array;
+  mutable hop_count : int;
   mutable reordered : int;
   (* incremental drain accumulators (seq order, so the digest is
      independent of drain batching) *)
   mutable drained_upto : int;    (* every seq below this is accounted for *)
   acc_counts : int array;        (* per-outcome totals *)
   mutable acc_excused : int;
-  mutable acc_latencies : float list;
+  mutable latencies : float array array; (* delivered probes' latencies, drain order *)
+  mutable latency_count : int;
   mutable acc_digest : int;
 }
 
-(* The filler of free window slots. *)
-let no_pkt =
-  {
-    pk_flow = -1;
-    pk_st =
-      { fl_src = -1; fl_dst = -1; fl_history = []; fl_top = min_int; fl_version = 0;
-        fl_last_seq = -1; fl_injecting = false };
-    pk_version_at_inject = 0;
-    pk_injected_at = 0.0;
-    pk_hops = [];
-    pk_delivered_at = -1;
-    pk_latency_ms = 0.0;
-  }
-
-(* Window slot [i] is [(slot t i).(i land chunk_mask)].  Every chunk is
-   a pool-sized block and growth copies only the spine.  One flat array
-   (a large block, reallocated on growth) made the peak heap of
-   identical perfbench episodes differ by one 32 KB pool in about one
-   run in twenty. *)
-let chunk_bits = 7
-let chunk_len = 1 lsl chunk_bits
-let chunk_mask = chunk_len - 1
-
-let[@inline] slot t i = t.window.(i lsr chunk_bits)
-
-(* The probe [seq] if it is in flight, [no_pkt] otherwise. *)
-let[@inline] find t seq =
-  if seq >= t.drained_upto && seq < t.next_seq then
-    let i = seq - t.drained_upto in
-    (slot t i).(i land chunk_mask)
-  else no_pkt
-
 (* A directed edge a -> b as one int, so the audit compares edges with
    integer equality instead of polymorphic compare on tuples.  Node ids
-   stay below 2^20 in every topology this repository builds. *)
-let[@inline] edge a b = (a lsl 20) lor b
+   stay below 2^20 in every topology this repository builds; a hop-arena
+   entry packs a node the same way. *)
+let node_bits = 20
+let node_mask = (1 lsl node_bits) - 1
+
+let[@inline] edge a b = (a lsl node_bits) lor b
 
 let rec edges_of_path = function
   | a :: (b :: _ as rest) -> edge a b :: edges_of_path rest
   | _ -> []
 
 let rec mem_edge e = function [] -> false | x :: rest -> Int.equal x e || mem_edge e rest
+
+(* Append [node] to the hop arena after entry [prev] (-1 for a probe's
+   first hop); its index. *)
+let push_hop t ~prev node =
+  let k = t.hop_count in
+  if k land chunk_mask = 0 then
+    t.hops <- with_chunk t.hops ~empty:[||] ~make:new_int_chunk k;
+  t.hops.(k lsr chunk_bits).(k land chunk_mask) <- ((prev + 1) lsl node_bits) lor node;
+  t.hop_count <- k + 1;
+  k
+
+(* The visited nodes from arena entry [k] back to the first, newest
+   first: a short-lived list for [classify] and the digest. *)
+let rec hops_from t k =
+  if k < 0 then []
+  else
+    let e = t.hops.(k lsr chunk_bits).(k land chunk_mask) in
+    (e land node_mask) :: hops_from t ((e lsr node_bits) - 1)
+
+let push_latency t ms =
+  let k = t.latency_count in
+  if k land chunk_mask = 0 then
+    t.latencies <- with_chunk t.latencies ~empty:[||] ~make:new_float_chunk k;
+  t.latencies.(k lsr chunk_bits).(k land chunk_mask) <- ms;
+  t.latency_count <- k + 1
+
+(* Every latency drained so far, newest first. *)
+let latency_list t =
+  let rec from k acc =
+    if k = t.latency_count then acc
+    else from (k + 1) (t.latencies.(k lsr chunk_bits).(k land chunk_mask) :: acc)
+  in
+  from 0 []
 
 (* Idempotent per version.  A push normally reports a version above
    every recorded one (the controller prepares [version + 1] and [push]
@@ -214,9 +267,11 @@ let record_version st ~version ~path ~dl =
       { vr_version = version; vr_edges = edges_of_path path; vr_dl = dl } :: st.fl_history
   end
 
-let flow_state_of (f : P4update.Controller.flow) =
+(* A new state for flow [f], registered under the next dense index. *)
+let flow_state_of t (f : P4update.Controller.flow) =
   let st =
     {
+      fl_index = t.state_count;
       fl_src = f.P4update.Controller.src;
       fl_dst = f.P4update.Controller.dst;
       fl_history = [];
@@ -226,6 +281,10 @@ let flow_state_of (f : P4update.Controller.flow) =
       fl_injecting = false;
     }
   in
+  if t.state_count = Array.length t.states then
+    t.states <- Array.append t.states (Array.make (max 1 t.state_count) st);
+  t.states.(t.state_count) <- st;
+  t.state_count <- t.state_count + 1;
   record_version st ~version:f.P4update.Controller.version
     ~path:f.P4update.Controller.path
     ~dl:(f.P4update.Controller.last_type = P4update.Wire.Dl);
@@ -233,31 +292,35 @@ let flow_state_of (f : P4update.Controller.flow) =
 
 (* ---- delivery hooks -------------------------------------------------- *)
 
-(* A link-hop of one of our probes: prepend the receiving node.  Reads
-   the two header fields in place; a control frame or short frame has
-   seq -1 and finds nothing. *)
+(* A link-hop of one of our probes: append the receiving node to its
+   hops.  Reads the two header fields in place; a control frame or
+   short frame has seq -1 and finds nothing. *)
 let on_hop t _time node _port bytes =
-  let pk = find t (P4update.Wire.data_seq_of_bytes bytes) in
-  if pk != no_pkt && pk.pk_flow = P4update.Wire.data_flow_id_of_bytes bytes then
-    pk.pk_hops <- node :: pk.pk_hops
+  let seq = P4update.Wire.data_seq_of_bytes bytes in
+  if seq >= t.drained_upto && seq < t.next_seq then begin
+    let i = seq - t.drained_upto in
+    let c = t.window.(i lsr chunk_bits) and j = i land chunk_mask in
+    if c.c_flow.(j) = P4update.Wire.data_flow_id_of_bytes bytes then
+      c.c_newest_hop.(j) <- push_hop t ~prev:c.c_newest_hop.(j) node
+  end
 
 (* Egress: the packet left the network at [node].  Read in place like
    [on_hop]. *)
 let on_egress t node ~time bytes =
   let seq = P4update.Wire.data_seq_of_bytes bytes in
-  let pk = find t seq in
-  if
-    pk != no_pkt
-    && pk.pk_flow = P4update.Wire.data_flow_id_of_bytes bytes
-    && pk.pk_delivered_at < 0
-  then begin
-    pk.pk_delivered_at <- node;
-    (* Latency from the wire-carried ingress timestamp (µs). *)
-    pk.pk_latency_ms <-
-      time -. (float_of_int (P4update.Wire.data_ts_of_bytes bytes) /. 1000.0);
-    let st = pk.pk_st in
-    if seq < st.fl_last_seq then t.reordered <- t.reordered + 1
-    else st.fl_last_seq <- seq
+  if seq >= t.drained_upto && seq < t.next_seq then begin
+    let i = seq - t.drained_upto in
+    let c = t.window.(i lsr chunk_bits) and j = i land chunk_mask in
+    if c.c_flow.(j) = P4update.Wire.data_flow_id_of_bytes bytes && c.c_delivered_at.(j) < 0
+    then begin
+      c.c_delivered_at.(j) <- node;
+      (* Latency from the wire-carried ingress timestamp (µs). *)
+      c.c_latency_ms.(j) <-
+        time -. (float_of_int (P4update.Wire.data_ts_of_bytes bytes) /. 1000.0);
+      let st = t.states.(c.c_state.(j)) in
+      if seq < st.fl_last_seq then t.reordered <- t.reordered + 1
+      else st.fl_last_seq <- seq
+    end
   end
 
 (* ---- injection ------------------------------------------------------- *)
@@ -267,23 +330,16 @@ let inject t flow_id (st : flow_state) =
   let now = Sim.now sim in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let pk =
-    {
-      pk_flow = flow_id;
-      pk_st = st;
-      pk_version_at_inject = st.fl_version;
-      pk_injected_at = now;
-      pk_hops = [ st.fl_src ];
-      pk_delivered_at = -1;
-      pk_latency_ms = 0.0;
-    }
-  in
   let i = seq - t.drained_upto in
-  let chunks = Array.length t.window in
-  if i = chunks * chunk_len then
-    t.window <-
-      Array.append t.window (Array.init chunks (fun _ -> Array.make chunk_len no_pkt));
-  (slot t i).(i land chunk_mask) <- pk;
+  if i land chunk_mask = 0 then t.window <- with_chunk t.window ~empty:no_chunk ~make:new_chunk i;
+  let c = t.window.(i lsr chunk_bits) and j = i land chunk_mask in
+  c.c_flow.(j) <- flow_id;
+  c.c_state.(j) <- st.fl_index;
+  c.c_cap.(j) <- st.fl_version;
+  c.c_injected_at.(j) <- now;
+  c.c_delivered_at.(j) <- -1;
+  c.c_latency_ms.(j) <- 0.0;
+  c.c_newest_hop.(j) <- push_hop t ~prev:(-1) st.fl_src;
   let d =
     {
       P4update.Wire.d_flow_id = flow_id;
@@ -302,24 +358,27 @@ let gap t =
   if t.wl.tw_poisson then Sim.exponential sim ~mean:t.wl.tw_mean_gap_ms
   else t.wl.tw_mean_gap_ms
 
-(* A flow retired from the world (soak churn) stops probing: its stale
-   rules would still deliver, but auditing a forgotten flow forever
-   would grow the probe population without bound. *)
-let rec arm_injector t flow_id (st : flow_state) =
+(* One closure per armed flow, re-scheduled after each probe.  A flow
+   retired from the world (soak churn) stops probing: its stale rules
+   would still deliver, but auditing a forgotten flow forever would
+   grow the probe population without bound. *)
+let arm_injector t flow_id (st : flow_state) =
   let sim = t.world.World.sim in
-  Sim.schedule sim ~delay:(gap t) (fun () ->
-      if Sim.now sim < t.stop_ms && World.find_flow t.world ~flow_id <> None then begin
-        inject t flow_id st;
-        arm_injector t flow_id st
-      end
-      else st.fl_injecting <- false)
+  let rec fire () =
+    if Sim.now sim < t.stop_ms && World.find_flow t.world ~flow_id <> None then begin
+      inject t flow_id st;
+      Sim.schedule sim ~delay:(gap t) fire
+    end
+    else st.fl_injecting <- false
+  in
+  Sim.schedule sim ~delay:(gap t) fire
 
 let start_flow t flow_id =
   match (Hashtbl.find_opt t.flows flow_id, World.find_flow t.world ~flow_id) with
   | Some st, _ when st.fl_injecting -> ()
   | _, None -> ()
   | existing, Some f ->
-    let st = match existing with Some st -> st | None -> flow_state_of f in
+    let st = match existing with Some st -> st | None -> flow_state_of t f in
     Hashtbl.replace t.flows flow_id st;
     st.fl_injecting <- true;
     arm_injector t flow_id st
@@ -337,7 +396,7 @@ let note_pushed t ~flow_id =
   | _ -> ()
 
 let attach ?(workload = default_workload) (w : World.t) =
-  if Topo.Graph.node_count (Netsim.graph w.World.net) > 1 lsl 20 then
+  if Topo.Graph.node_count (Netsim.graph w.World.net) > 1 lsl node_bits then
     invalid_arg "Traffic.attach: more than 2^20 nodes";
   (* A zero gap re-arms every injector at the same instant: simulated
      time would never reach [tw_stop_ms]. *)
@@ -349,13 +408,18 @@ let attach ?(workload = default_workload) (w : World.t) =
       wl = workload;
       stop_ms = workload.tw_stop_ms;
       flows = Hashtbl.create 256;
-      window = Array.init (4096 / chunk_len) (fun _ -> Array.make chunk_len no_pkt);
+      states = [||];
+      state_count = 0;
+      window = Array.make (4096 / chunk_len) no_chunk;
       next_seq = 0;
+      hops = Array.make (4096 / chunk_len) [||];
+      hop_count = 0;
       reordered = 0;
       drained_upto = 0;
       acc_counts = Array.make 5 0;
       acc_excused = 0;
-      acc_latencies = [];
+      latencies = Array.make (4096 / chunk_len) [||];
+      latency_count = 0;
       acc_digest = 0x1505;
     }
   in
@@ -368,7 +432,7 @@ let attach ?(workload = default_workload) (w : World.t) =
     w.World.switches;
   List.iter
     (fun (f : P4update.Controller.flow) ->
-      Hashtbl.replace t.flows f.P4update.Controller.flow_id (flow_state_of f))
+      Hashtbl.replace t.flows f.P4update.Controller.flow_id (flow_state_of t f))
     (World.flows w);
   (* Subscribe to every controller push — explicit caller pushes AND the
      recovery loop's internal reroutes/resyncs — so the version history
@@ -443,28 +507,29 @@ let hash_combine h x = ((h * 1000003) lxor x) land 0x3FFFFFFF
 (* Classify and retire every packet injected so far.  Call at quiet
    instants only (the plane drained: every such packet is terminal), so
    the soak monitor can account for millions of probes cycle by cycle
-   while the flight window returns to empty between bursts — the leak
-   check depends on that.  Seq order keeps the running digest independent
-   of drain batching: one drain at the end and N incremental drains
-   produce identical summaries.  [?excuse flow ~injected_at] may waive a
+   while the flight window and the hop arena return to empty between
+   bursts, their chunks kept for the next one — the leak check depends
+   on that.  Seq order keeps the running digest independent of drain
+   batching: one drain at the end and N incremental drains produce
+   identical summaries.  [?excuse flow ~injected_at] may waive a
    blackhole (e.g. injected into a window where the flow's path had a
    failed element); waived packets count as [ts_excused], not as
    violations. *)
 let drain ?excuse t =
   let base = t.drained_upto in
   for seq = base to t.next_seq - 1 do
-    let chunk = slot t (seq - base) and j = (seq - base) land chunk_mask in
-    let pk = chunk.(j) in
-    chunk.(j) <- no_pkt;
-    let st = pk.pk_st in
+    let i = seq - base in
+    let c = t.window.(i lsr chunk_bits) and j = i land chunk_mask in
+    let flow = c.c_flow.(j) and st = t.states.(c.c_state.(j)) in
+    let delivered_at = c.c_delivered_at.(j) and latency_ms = c.c_latency_ms.(j) in
+    let hops = hops_from t c.c_newest_hop.(j) in
     let cls =
-      classify ~history:st.fl_history ~cap:pk.pk_version_at_inject ~dst:st.fl_dst
-        ~delivered_at:pk.pk_delivered_at pk.pk_hops
+      classify ~history:st.fl_history ~cap:c.c_cap.(j) ~dst:st.fl_dst ~delivered_at hops
     in
     let excused =
       cls = Blackhole
       && (match excuse with
-         | Some f -> f pk.pk_flow ~injected_at:pk.pk_injected_at
+         | Some f -> f flow ~injected_at:c.c_injected_at.(j)
          | None -> false)
     in
     if excused then t.acc_excused <- t.acc_excused + 1
@@ -476,21 +541,21 @@ let drain ?excuse t =
            flight-recorder window while the evidence is still in it. *)
         let now = Sim.now (Netsim.sim t.world.World.net) in
         Obs.Flight_recorder.note ~now ~kind:Obs.Flight_recorder.k_violation
-          ~node:pk.pk_delivered_at ~flow:pk.pk_flow ~a:(outcome_to_int cls) ~b:seq;
+          ~node:delivered_at ~flow ~a:(outcome_to_int cls) ~b:seq;
         ignore
           (Obs.Flight_recorder.trigger ~now
              ~reason:("traffic-" ^ outcome_name cls))
       | Old_path | New_path -> ()
     end;
-    if pk.pk_delivered_at >= 0 then
-      t.acc_latencies <- pk.pk_latency_ms :: t.acc_latencies;
+    if delivered_at >= 0 then push_latency t latency_ms;
     t.acc_digest <-
       hash_combine t.acc_digest
         (Hashtbl.hash
-           ( pk.pk_flow, seq, outcome_to_int cls, pk.pk_hops,
-             int_of_float ((pk.pk_latency_ms *. 1000.0) +. 0.5) ))
+           ( flow, seq, outcome_to_int cls, hops,
+             int_of_float ((latency_ms *. 1000.0) +. 0.5) ))
   done;
-  t.drained_upto <- t.next_seq
+  t.drained_upto <- t.next_seq;
+  t.hop_count <- 0
 
 let in_flight t = t.next_seq - t.drained_upto
 let injected t = t.next_seq
@@ -503,7 +568,7 @@ let finalize ?(wall_s = 0.0) t =
   let injected = t.next_seq in
   let counts = t.acc_counts in
   let delivered = counts.(0) + counts.(1) + counts.(2) in
-  let samples = t.acc_latencies in
+  let samples = latency_list t in
   {
     ts_injected = injected;
     ts_delivered = delivered;

@@ -26,9 +26,12 @@ let cases =
     ([ "chaos"; "--series-out"; "series.jsonl" ], 124);
     ([ "chaos"; "--seed"; "1"; "--runs"; "3" ], 124);
     ([ "chaos"; "--runs=-1" ], 124);
+    ([ "single"; "--runs=-1" ], 124);
+    ([ "multi"; "--runs=-1" ], 124);
     ([ "fig"; "--id"; "2"; "--seed"; "3" ], 124);
     ([ "fig"; "--id"; "2"; "--runs"; "5" ], 124);
     ([ "fig"; "--id"; "7c"; "--phases"; "--runs"; "5" ], 124);
+    ([ "fig"; "--id"; "7a"; "--runs=-1" ], 124);
     ([ "fig"; "--id"; "9z" ], 124);
     ([ "mc"; "--scenario"; "bogus" ], 124);
     ([ "scale"; "--flows"; "5000"; "--updates"; "10" ], 2);

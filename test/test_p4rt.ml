@@ -1251,10 +1251,12 @@ let test_sim_step_allocation () =
    carries a probe still in the flight window (delivered, not drained)
    and ttl 1, so one [Sim.step] hands it to the hop observers and the
    next switch drops it.  Minus the same step without the auditor, the
-   hop costs only the cons of the visited node, 3 words (15 when each
-   hop decoded the whole header into [Some] record and looked the probe
-   up with [Hashtbl.find_opt]). *)
-let audited_hop_word_budget = 3.0
+   hop costs only its one-word slot in the hop arena, whose chunks it
+   grows, about 1 word, and the budget leaves a third as much again (3
+   when each hop consed the visited node onto the probe's list, 15 when
+   each hop also decoded the whole header into [Some] record and looked
+   the probe up with [Hashtbl.find_opt]). *)
+let audited_hop_word_budget = 2.0
 
 (* The same step without the auditor: one unaudited data delivery,
    [Netsim.transmit] plus the [Sim.step] that hands the ttl-1 frame to
@@ -1308,13 +1310,15 @@ let test_audited_hop_allocation () =
    dropped at the ingress (ttl 1) before it moved, and each is delivered
    once by a [Sim.step] that hands its frame from the last hop to the
    egress switch.  Minus the same deliveries without the auditor, the
-   cost is the hop's cons, the boxed clock and the boxed latency: 10
-   words, the egress hook reading the frame in place (58 when every
-   delivery also fed a latency histogram: the retained sample's cons,
-   boxed floats for its sum and running maximum, and one boxed float
-   per halving step of the log2 bucket search, about ten for these ~1 s
-   latencies). *)
-let audited_egress_word_budget = 10.0
+   cost is the hop's arena slot and the floats boxed on the way to the
+   egress hook, which reads the frame in place and stores the latency
+   unboxed in the window: about 6 words, and the budget leaves a third
+   as much again (10 when the hop was a cons and the latency a boxed
+   float in the probe's record, 58 when every delivery also fed a
+   latency histogram: the retained sample's cons, boxed floats for its
+   sum and running maximum, and one boxed float per halving step of the
+   log2 bucket search, about ten for these ~1 s latencies). *)
+let audited_egress_word_budget = 8.0
 
 let test_audited_egress_allocation () =
   let probes = 1000 in
@@ -1363,6 +1367,44 @@ let test_audited_egress_allocation () =
   check_budget "unaudited egress delivery" plain delivery_word_budget;
   check_budget "audited egress" (words_per_delivery ~audited:true -. plain)
     audited_egress_word_budget
+
+(* One probe injection: the [Sim.step] that fires a flow's injector,
+   which writes the probe into [Harness.Traffic]'s flight window, builds
+   and schedules its frame and re-schedules the flow's injector.  The
+   ingress's link is down, so the step after it drops the frame.  About
+   33 words: the probe's window columns and first hop (8, amortised
+   chunks), its header record and frame, the frame event, the flow
+   lookup and the floats boxed by the step and the two schedules; the
+   budget leaves a third as much again (45 when each probe was a record
+   with a consed hop and the injector a fresh closure per probe). *)
+let probe_injection_word_budget = 44.0
+
+let test_probe_injection_allocation () =
+  let w, _ = forwarding_world () in
+  let sim = w.Harness.World.sim in
+  Netsim.fail_link w.net ~u:0 ~v:(List.nth Topo.Topologies.fig1_old_path 1)
+    ~at:(Dessim.Sim.now sim);
+  ignore (Harness.World.run w);
+  let t =
+    Harness.Traffic.attach
+      ~workload:
+        { Harness.Traffic.default_workload with
+          tw_mean_gap_ms = 1.0; tw_poisson = false; tw_stop_ms = 1e9 }
+      w
+  in
+  Harness.Traffic.start t;
+  let probes = 1000 and words = ref 0 in
+  for i = 0 to probes do
+    let before = Gc.minor_words () in
+    let fired = Dessim.Sim.step sim in
+    let after = Gc.minor_words () in
+    if i > 0 then words := !words + int_of_float (after -. before);
+    if not (fired && Dessim.Sim.step sim) || Dessim.Sim.pending sim <> 1 then
+      Alcotest.fail "an injection and its dropped frame must leave the next injection pending"
+  done;
+  Alcotest.(check int) "one probe per injection" (probes + 1) (Harness.Traffic.injected t);
+  let words = float_of_int !words /. float_of_int probes in
+  check_budget "probe injection" words probe_injection_word_budget
 
 (* [Controller.prepare_batch] on 20 drawn AttMpls updates, each from a
    registered flow's shortest path to its second-shortest with the §7.5
@@ -1436,5 +1478,6 @@ let suite =
     Alcotest.test_case "Sim.step allocation" `Quick test_sim_step_allocation;
     Alcotest.test_case "audited hop allocation" `Quick test_audited_hop_allocation;
     Alcotest.test_case "audited egress allocation" `Quick test_audited_egress_allocation;
+    Alcotest.test_case "probe injection allocation" `Quick test_probe_injection_allocation;
     Alcotest.test_case "prepared update allocation" `Quick test_prepare_batch_allocation;
   ]

@@ -144,6 +144,16 @@ let test_soak_quick_pins () =
          ((c.cy_injected, c.cy_pending_events), (c.cy_flows, (c.cy_in_flight, c.cy_violations))))
        r.r_cycles)
 
+(* The fault window opens only at a cycle start, so an open run would
+   accept the fault model and inject nothing. *)
+let test_open_run_refuses_faults () =
+  Alcotest.check_raises "faults need cycles" (Invalid_argument "Run.run: faults need cycles")
+    (fun () ->
+      ignore
+        (Run.run ~seed:1
+           { scale_workload with faults = Soak.default_config.Run.faults }
+           (Topologies.b4 ())))
+
 (* A run given a trace sink records into it: one [update] span
    per push.  Tracing never perturbs the schedule, so the traced run is
    the untraced run. *)
@@ -217,6 +227,7 @@ let suite =
     Alcotest.test_case "soak smoke intent-churn pinned" `Quick test_soak_intent_pins;
     Alcotest.test_case "soak quick pinned" `Quick test_soak_quick_pins;
     Alcotest.test_case "a traced run records its pushes" `Quick test_traced_run;
+    Alcotest.test_case "an open run refuses faults" `Quick test_open_run_refuses_faults;
     QCheck_alcotest.to_alcotest (prop_population "attmpls" Topologies.attmpls);
     QCheck_alcotest.to_alcotest (prop_population "chinanet" Topologies.chinanet);
   ]

@@ -270,11 +270,9 @@ let test_classify_examples () =
 
 (* ---- the flight window -------------------------------------------- *)
 
-(* Fig. 1 with one flow on the old path and a constant-rate injector:
-   [stop_ms / gap_ms] probes, rounded down. *)
-let probe_world ~gap_ms ~stop_ms =
-  let w = World.make ~seed:4 (Topologies.fig1 ()) in
-  let f = World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topologies.fig1_old_path in
+(* A started auditor on [w] with constant-rate injectors: [(stop_ms -
+   now) / gap_ms] probes per flow, rounded down. *)
+let probe_auditor w ~gap_ms ~stop_ms =
   let t =
     Traffic.attach
       ~workload:
@@ -283,7 +281,13 @@ let probe_world ~gap_ms ~stop_ms =
       w
   in
   Traffic.start t;
-  (w, f.P4update.Controller.flow_id, t)
+  t
+
+(* Fig. 1 with one flow on the old path and a [probe_auditor]. *)
+let probe_world ~gap_ms ~stop_ms =
+  let w = World.make ~seed:4 (Topologies.fig1 ()) in
+  let f = World.install_flow w ~src:0 ~dst:7 ~size:100 ~path:Topologies.fig1_old_path in
+  (w, f.P4update.Controller.flow_id, probe_auditor w ~gap_ms ~stop_ms)
 
 (* Frames no probe may claim, sent while probe 10 is in flight and probes
    0-9 are drained: drained seq 0, seq 100 never injected, probe 10's
@@ -325,25 +329,62 @@ let test_window_ignores_strays () =
   Alcotest.(check int) "digest as without the strays" clean.Traffic.ts_digest
     noisy.Traffic.ts_digest
 
-(* More than the window's initial 4096 slots between two drains; every
-   probe keeps its own hops, and a drain leaves the retired packets to
-   the collector (live words fall by at least a packet record each). *)
-let test_window_grows_and_releases () =
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* A burst of 5000 probes on [probe_world], run to quiet: the world and
+   the number of probes it left in flight. *)
+let burst_world () =
   let w, _, t = probe_world ~gap_ms:0.01 ~stop_ms:50.005 in
   ignore (World.run w);
-  let n = Traffic.in_flight t in
+  (w, t, Traffic.in_flight t)
+
+(* More than 4096 probes between two drains, each audited on the old
+   path; then a second equal burst reuses the window and the hop arena
+   the first one left, so the drains together retain no more than the
+   latency buffer's growth: one float per delivered probe, with its
+   chunk headers and spine well inside two words. *)
+let test_window_grows_and_is_reused () =
+  let w, t, n = burst_world () in
   Alcotest.(check bool) (Printf.sprintf "%d probes > 4096" n) true (n > 4096);
-  Gc.full_major ();
-  let live_before = (Gc.stat ()).Gc.live_words in
   Traffic.drain t;
   Alcotest.(check int) "in_flight after drain" 0 (Traffic.in_flight t);
-  Gc.full_major ();
-  let freed = live_before - (Gc.stat ()).Gc.live_words in
-  if freed < 8 * n then
-    Alcotest.failf "drain freed %d words for %d packets (< 8 each)" freed n;
+  let live_before = live_words () in
+  Traffic.inject_until t ~stop_ms:(Sim.now w.World.sim +. 50.005);
+  ignore (World.run w);
+  Alcotest.(check int) "an equal second burst" n (Traffic.in_flight t);
+  Traffic.drain t;
+  let grown = live_words () - live_before in
+  if grown > 2 * n then
+    Alcotest.failf "a reused window retained %d words for %d probes (> 2 each)" grown n;
   let s = Traffic.finalize t in
-  Alcotest.(check int) "injected" n s.Traffic.ts_injected;
-  Alcotest.(check int) "every probe audited on the old path" n s.Traffic.ts_old_path
+  Alcotest.(check int) "injected" (2 * n) s.Traffic.ts_injected;
+  Alcotest.(check int) "every probe audited on the old path" (2 * n) s.Traffic.ts_old_path
+
+(* Live words a probe in flight holds on Fig. 1's four-node path, its
+   auditor's window chunks and hop arena amortised: seven one-word
+   columns and four one-word hops with their chunk headers and spines,
+   about 12, and the budget leaves a third as much again (26 when each
+   probe was a record with boxed floats, a cons per hop and a window
+   slot).  A first, drained burst grows the world's event queue, so a
+   second auditor on the same world is charged only for what it holds
+   itself. *)
+let words_per_probe_in_flight_budget = 16.0
+
+let test_words_per_probe_in_flight () =
+  let w, t, n = burst_world () in
+  Traffic.drain t;
+  let live_before = live_words () in
+  let t' = probe_auditor w ~gap_ms:0.01 ~stop_ms:(Sim.now w.World.sim +. 50.005) in
+  ignore (World.run w);
+  let grown = live_words () - live_before in
+  (* [t'] holds the world: both stay live until here. *)
+  Alcotest.(check int) "an equal second burst" n (Traffic.in_flight t');
+  let words = float_of_int grown /. float_of_int n in
+  if words > words_per_probe_in_flight_budget then
+    Alcotest.failf "a probe in flight holds %.1f live words (budget %.0f)" words
+      words_per_probe_in_flight_budget
 
 (* ---- the version history ------------------------------------------ *)
 
@@ -560,8 +601,10 @@ let suite =
     Alcotest.test_case "one example per outcome" `Quick test_classify_examples;
     Alcotest.test_case "flight window ignores stray frames" `Quick
       test_window_ignores_strays;
-    Alcotest.test_case "flight window grows and releases" `Quick
-      test_window_grows_and_releases;
+    Alcotest.test_case "flight window grows and is reused" `Quick
+      test_window_grows_and_is_reused;
+    Alcotest.test_case "live words per probe in flight" `Quick
+      test_words_per_probe_in_flight;
     Alcotest.test_case "version history is idempotent" `Quick test_history_idempotent;
     Alcotest.test_case "pushed versions only rise" `Quick test_pushed_versions_rise;
     Alcotest.test_case "fat-tree burst audited" `Slow test_fat_tree_burst_audited;
