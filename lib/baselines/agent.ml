@@ -144,7 +144,7 @@ let inject_data t d = handle_data t d
 (* ---- one flow across every node's agent ------------------------------ *)
 
 let register_flow agents ~src ~dst ~size ~path =
-  let flow_id = Topo.Traffic.flow_id_of_pair ~src ~dst land (P4update.Wire.flow_space - 1) in
+  let flow_id = Topo.Traffic.flow_id_of_pair ~src ~dst in
   let arr = Array.of_list path in
   Array.iteri
     (fun i node ->

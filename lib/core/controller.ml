@@ -98,7 +98,7 @@ let register_flow ?(version = 1) ?flow_id t ~src ~dst ~size ~path =
       if id < 0 || id >= Wire.flow_space then
         invalid_arg "Controller.register_flow: flow id out of flow space";
       id
-    | None -> Topo.Traffic.flow_id_of_pair ~src ~dst land (Wire.flow_space - 1)
+    | None -> Topo.Traffic.flow_id_of_pair ~src ~dst
   in
   let flow = { flow_id; src; dst; size; version; path; last_type = Wire.Sl } in
   (* Registering over a live id replaces the flow but keeps its push and
@@ -721,7 +721,7 @@ let route_new_flow t (c : Wire.control) =
   let src = c.src_node and dst = c.dist_new in
   let graph = Netsim.graph t.net in
   if src <> dst && dst < Topo.Graph.node_count graph
-     && Topo.Traffic.flow_id_of_pair ~src ~dst land (Wire.flow_space - 1) = c.flow_id
+     && Topo.Traffic.flow_id_of_pair ~src ~dst = c.flow_id
   then
     match Topo.Graph.shortest_path graph ~src ~dst with
     | None -> ()

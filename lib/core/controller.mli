@@ -60,7 +60,7 @@ val create : Netsim.t -> t
 (** [register_flow t ~src ~dst ~size ~path] adds a flow (version 1 by
     default, assumed already installed in the data plane, e.g. via
     {!Switch.install_initial}).  Returns the flow record.  The flow id is
-    {!Topo.Traffic.flow_id_of_pair} masked into {!Wire.flow_space} unless
+    {!Topo.Traffic.flow_id_of_pair} unless
     [?flow_id] overrides it — the intent bridge uses the override to give
     each ECMP member of one (src, dst) pair its own flow identity.
     Registering over a live id replaces the flow record and keeps the

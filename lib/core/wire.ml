@@ -4,7 +4,7 @@ module Parser = P4rt.Parser
 
 let etype_control = 0x88B5
 let etype_data = 0x0800
-let flow_space = 1024
+let flow_space = Topo.Traffic.flow_space
 let port_none = 255
 let port_local = 254
 

@@ -11,7 +11,8 @@ val etype_control : int
 val etype_data : int
 
 val flow_space : int
-(** Number of distinct flow ids (register array size), 1024. *)
+(** Number of distinct flow ids (register array size),
+    {!Topo.Traffic.flow_space}. *)
 
 val port_none : int
 (** "no rule" egress-port value *)

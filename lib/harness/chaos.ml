@@ -68,7 +68,7 @@ let draw_flows sim topo n =
   let nodes = Graph.node_count g in
   let seen_ids = Hashtbl.create 8 in
   let fresh src dst =
-    let id = Topo.Traffic.flow_id_of_pair ~src ~dst land (P4update.Wire.flow_space - 1) in
+    let id = Topo.Traffic.flow_id_of_pair ~src ~dst in
     if Hashtbl.mem seen_ids id then false
     else begin
       Hashtbl.replace seen_ids id ();

@@ -319,7 +319,7 @@ let random_updates rng graph ~count =
 let ez_request (old_path, new_path) =
   let src = List.hd old_path and dst = List.nth old_path (List.length old_path - 1) in
   {
-    Baselines.Ez_segway.ur_flow = Topo.Traffic.flow_id_of_pair ~src ~dst land (Wire.flow_space - 1);
+    Baselines.Ez_segway.ur_flow = Topo.Traffic.flow_id_of_pair ~src ~dst;
     ur_size = 100;
     ur_old_path = old_path;
     ur_new_path = new_path;

@@ -109,7 +109,7 @@ let admit (w : World.t) ~used =
     if tries > 10_000 then failwith "Run.admit: no fresh flow id found";
     let src = Sim.uniform_int w.World.sim ~bound:n in
     let dst = Sim.uniform_int w.World.sim ~bound:n in
-    let id = Topo.Traffic.flow_id_of_pair ~src ~dst land (P4update.Wire.flow_space - 1) in
+    let id = Topo.Traffic.flow_id_of_pair ~src ~dst in
     if src = dst || Hashtbl.mem used id then draw (tries + 1)
     else
       match alt_paths g ~src ~dst with

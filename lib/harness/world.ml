@@ -48,10 +48,7 @@ let make ?seed ?config ?trace ?(flows = []) topo =
 let find_flow w ~flow_id = C.find_flow w.controller ~flow_id
 
 let flow_of_pair w ~src ~dst =
-  let flow_id =
-    Topo.Traffic.flow_id_of_pair ~src ~dst land (P4update.Wire.flow_space - 1)
-  in
-  find_flow w ~flow_id
+  find_flow w ~flow_id:(Topo.Traffic.flow_id_of_pair ~src ~dst)
 
 let flows w =
   List.sort

@@ -53,8 +53,8 @@ val install_flow :
 val find_flow : t -> flow_id:int -> P4update.Controller.flow option
 
 (** [flow_of_pair w ~src ~dst] finds the flow installed for that pair
-    (the id is {!Topo.Traffic.flow_id_of_pair} masked into the flow
-    space, the same derivation {!install_flow} uses). *)
+    (the id is {!Topo.Traffic.flow_id_of_pair}, the derivation
+    {!install_flow} uses). *)
 val flow_of_pair : t -> src:int -> dst:int -> P4update.Controller.flow option
 
 (** All flows in the controller's DB, sorted by id. *)

@@ -40,7 +40,7 @@ let alloc t ~name ~src ~dst ~index =
   match Hashtbl.find_opt t.ids (name, index) with
   | Some id -> id
   | None ->
-    let base = Topo.Traffic.flow_id_of_pair ~src ~dst land (space - 1) in
+    let base = Topo.Traffic.flow_id_of_pair ~src ~dst in
     let start = (base + (61 * index)) land (space - 1) in
     let rec probe i =
       if i >= space then failwith "Intent.Bridge: flow space exhausted";

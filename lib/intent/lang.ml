@@ -81,8 +81,8 @@ let parse_flow ~line_no toks =
               | None -> (fail "bad waypoint %S" via, rest))
           | "ecmp" :: k :: rest -> (
               match int_of_token k with
-              | Some k when k >= 1 -> (Ok (Ecmp_spread k), rest)
-              | _ -> (fail "bad ecmp width %S" k, rest))
+              | Some k when k >= 1 && k <= P4update.Wire.flow_space -> (Ok (Ecmp_spread k), rest)
+              | _ -> (fail "bad ecmp width %S (1 to %d)" k P4update.Wire.flow_space, rest))
           | tok :: _ -> (fail "unknown policy %S" tok, [])
           | [] -> (fail "flow %s: missing policy" name, [])
         in

@@ -29,7 +29,9 @@
 type policy =
   | Shortest_path
   | Waypoint of int  (** waypoint node id; never an endpoint *)
-  | Ecmp_spread of int  (** member count, >= 1 *)
+  | Ecmp_spread of int
+      (** member count, 1 to {!P4update.Wire.flow_space}: each member
+          takes a flow id *)
 
 type flow_intent = {
   fi_name : string;  (** unique, [[A-Za-z0-9_-]+] *)

@@ -215,39 +215,32 @@ let fire_topo_event t ev =
      Obs.Trace.instant sink ~cat:"topo" ~attrs name);
   List.iter (fun f -> f ev) t.topo_observers
 
-let check_link t u v fn =
-  if not (Graph.has_edge (graph t) u v) then
-    invalid_arg (Printf.sprintf "Netsim.%s: no link %d-%d" fn u v)
-
-let fail_link t ~u ~v ~at =
-  check_link t u v "fail_link";
+(* At [at], put the element [ev] names into [ev]'s state, firing [ev]
+   only if that flips it.  The element is checked now, not when the
+   event fires. *)
+let schedule_change t fn ~at ev =
+  (match ev with
+   | Link_down (u, v) | Link_up (u, v) ->
+     if not (Graph.has_edge (graph t) u v) then
+       invalid_arg (Printf.sprintf "Netsim.%s: no link %d-%d" fn u v)
+   | Node_down node | Node_up node ->
+     if node < 0 || node >= Array.length t.node_down then
+       invalid_arg (Printf.sprintf "Netsim.%s: no node %d" fn node));
+  let up = match ev with Link_up _ | Node_up _ -> true | Link_down _ | Node_down _ -> false in
   Sim.schedule_at t.sim ~time:at (fun () ->
-      if link_is_up t u v then begin
-        set_link_down t u v true;
-        fire_topo_event t (Link_down (u, v))
-      end)
+      match ev with
+      | (Link_down (u, v) | Link_up (u, v)) when link_is_up t u v <> up ->
+        set_link_down t u v (not up);
+        fire_topo_event t ev
+      | (Node_down node | Node_up node) when node_is_up t ~node <> up ->
+        t.node_down.(node) <- not up;
+        fire_topo_event t ev
+      | _ -> ())
 
-let restore_link t ~u ~v ~at =
-  check_link t u v "restore_link";
-  Sim.schedule_at t.sim ~time:at (fun () ->
-      if not (link_is_up t u v) then begin
-        set_link_down t u v false;
-        fire_topo_event t (Link_up (u, v))
-      end)
-
-let fail_node t ~node ~at =
-  Sim.schedule_at t.sim ~time:at (fun () ->
-      if node_is_up t ~node then begin
-        t.node_down.(node) <- true;
-        fire_topo_event t (Node_down node)
-      end)
-
-let restore_node t ~node ~at =
-  Sim.schedule_at t.sim ~time:at (fun () ->
-      if not (node_is_up t ~node) then begin
-        t.node_down.(node) <- false;
-        fire_topo_event t (Node_up node)
-      end)
+let fail_link t ~u ~v ~at = schedule_change t "fail_link" ~at (Link_down (u, v))
+let restore_link t ~u ~v ~at = schedule_change t "restore_link" ~at (Link_up (u, v))
+let fail_node t ~node ~at = schedule_change t "fail_node" ~at (Node_down node)
+let restore_node t ~node ~at = schedule_change t "restore_node" ~at (Node_up node)
 
 (* ------------------------------------------------------------------ *)
 (* Latency and faults                                                   *)

@@ -139,7 +139,9 @@ val clear_control_fault : t -> unit
     queued) and is expected to lose its pipeline state — the harness
     resets the switch's UIB registers when it observes [Node_up]
     (restart).  All transitions are scheduled at absolute simulated
-    times and are observable through {!on_topology_event}. *)
+    times and are observable through {!on_topology_event}; one that
+    finds its element already in the target state does nothing.  An
+    unknown link or node raises [Invalid_argument] at the call. *)
 
 val fail_link : t -> u:int -> v:int -> at:float -> unit
 val restore_link : t -> u:int -> v:int -> at:float -> unit

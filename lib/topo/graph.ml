@@ -66,189 +66,6 @@ let set_capacity g u v cap =
 let neighbors g u = check_node g u "neighbors"; List.map (fun (w, _, _) -> w) g.adjacency.(u)
 let edges g = List.rev g.edge_list
 
-let is_connected g =
-  if g.n = 0 then true
-  else begin
-    let seen = Array.make g.n false in
-    let queue = Queue.create () in
-    Queue.add 0 queue;
-    seen.(0) <- true;
-    let visited = ref 0 in
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      incr visited;
-      List.iter
-        (fun (v, _, _) ->
-          if not seen.(v) then begin
-            seen.(v) <- true;
-            Queue.add v queue
-          end)
-        g.adjacency.(u)
-    done;
-    !visited = g.n
-  end
-
-let hop_distances g ~dst =
-  check_node g dst "hop_distances";
-  let dist = Array.make g.n max_int in
-  dist.(dst) <- 0;
-  let queue = Queue.create () in
-  Queue.add dst queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    List.iter
-      (fun (v, _, _) ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
-        end)
-      g.adjacency.(u)
-  done;
-  dist
-
-(* Dijkstra over an adjacency view, so Yen's algorithm can mask nodes and
-   edges without copying the graph.  [blocked_node] and [blocked_edge]
-   filter the search space. *)
-let dijkstra_masked g ~src ~dst ~blocked_node ~blocked_edge =
-  let dist = Array.make g.n infinity in
-  let hops = Array.make g.n max_int in
-  let prev = Array.make g.n (-1) in
-  let visited = Array.make g.n false in
-  dist.(src) <- 0.0;
-  hops.(src) <- 0;
-  let better v alt alt_hops =
-    alt < dist.(v)
-    || (alt = dist.(v) && alt_hops < hops.(v))
-  in
-  let rec pick_min best i =
-    if i >= g.n then best
-    else
-      let best =
-        if visited.(i) || dist.(i) = infinity then best
-        else
-          match best with
-          | None -> Some i
-          | Some b ->
-            if
-              dist.(i) < dist.(b)
-              || (dist.(i) = dist.(b) && (hops.(i) < hops.(b) || (hops.(i) = hops.(b) && i < b)))
-            then Some i
-            else best
-      in
-      pick_min best (i + 1)
-  in
-  let rec loop () =
-    match pick_min None 0 with
-    | None -> ()
-    | Some u ->
-      if u = dst then ()
-      else begin
-        visited.(u) <- true;
-        List.iter
-          (fun (v, lat, _) ->
-            if (not visited.(v)) && (not (blocked_node v)) && not (blocked_edge u v) then begin
-              let alt = dist.(u) +. lat in
-              let alt_hops = hops.(u) + 1 in
-              if better v alt alt_hops then begin
-                dist.(v) <- alt;
-                hops.(v) <- alt_hops;
-                prev.(v) <- u
-              end
-            end)
-          g.adjacency.(u);
-        loop ()
-      end
-  in
-  loop ();
-  if dist.(dst) = infinity then None
-  else begin
-    let rec rebuild acc v = if v = src then src :: acc else rebuild (v :: acc) prev.(v) in
-    Some (rebuild [] dst, dist.(dst))
-  end
-
-let shortest_path g ~src ~dst =
-  check_node g src "shortest_path";
-  check_node g dst "shortest_path";
-  if src = dst then Some [ src ]
-  else
-    match
-      dijkstra_masked g ~src ~dst
-        ~blocked_node:(fun _ -> false)
-        ~blocked_edge:(fun _ _ -> false)
-    with
-    | None -> None
-    | Some (path, _) -> Some path
-
-(* Full single-source Dijkstra over the masked subgraph: distance from
-   [src] to every node, [infinity] where unreachable (or masked out).
-   Same (latency, hops, node-id) tie-breaking as [dijkstra_masked]; the
-   intent layer uses the result as a lower bound on any masked path. *)
-let distances_avoiding g ~src ~node_ok ~edge_ok =
-  check_node g src "distances_avoiding";
-  let dist = Array.make g.n infinity in
-  if not (node_ok src) then dist
-  else begin
-    let hops = Array.make g.n max_int in
-    let visited = Array.make g.n false in
-    dist.(src) <- 0.0;
-    hops.(src) <- 0;
-    let rec pick_min best i =
-      if i >= g.n then best
-      else
-        let best =
-          if visited.(i) || dist.(i) = infinity then best
-          else
-            match best with
-            | None -> Some i
-            | Some b ->
-              if
-                dist.(i) < dist.(b)
-                || (dist.(i) = dist.(b)
-                    && (hops.(i) < hops.(b) || (hops.(i) = hops.(b) && i < b)))
-              then Some i
-              else best
-        in
-        pick_min best (i + 1)
-    in
-    let rec loop () =
-      match pick_min None 0 with
-      | None -> ()
-      | Some u ->
-        visited.(u) <- true;
-        List.iter
-          (fun (v, lat, _) ->
-            if (not visited.(v)) && node_ok v && edge_ok u v then begin
-              let alt = dist.(u) +. lat in
-              let alt_hops = hops.(u) + 1 in
-              if
-                alt < dist.(v)
-                || (alt = dist.(v) && alt_hops < hops.(v))
-              then begin
-                dist.(v) <- alt;
-                hops.(v) <- alt_hops
-              end
-            end)
-          g.adjacency.(u);
-        loop ()
-    in
-    loop ();
-    dist
-  end
-
-let shortest_path_avoiding g ~src ~dst ~node_ok ~edge_ok =
-  check_node g src "shortest_path_avoiding";
-  check_node g dst "shortest_path_avoiding";
-  if not (node_ok src && node_ok dst) then None
-  else if src = dst then Some [ src ]
-  else
-    match
-      dijkstra_masked g ~src ~dst
-        ~blocked_node:(fun n -> not (node_ok n))
-        ~blocked_edge:(fun u v -> not (edge_ok u v))
-    with
-    | None -> None
-    | Some (path, _) -> Some path
-
 let path_latency g = function
   | [] | [ _ ] -> 0.0
   | path ->
@@ -258,110 +75,138 @@ let path_latency g = function
     in
     sum 0.0 path
 
-let path_is_valid g path =
-  let rec adjacent_ok = function
-    | a :: (b :: _ as rest) -> has_edge g a b && adjacent_ok rest
-    | _ -> true
+(* The one graph search: Dijkstra from [src] over the nodes with
+   [node_ok] and the edges with [edge_ok] ([src] itself is not tested),
+   settling nodes in (latency, hops, node id) order and stopping once it
+   settles [dst] ([-1] settles all it reaches).  Returns the latencies
+   ([infinity] where unreached) and each reached node's predecessor. *)
+let search g ~src ~dst ~node_ok ~edge_ok =
+  let dist = Array.make g.n infinity and hops = Array.make g.n max_int in
+  let prev = Array.make g.n (-1) and settled = Array.make g.n false in
+  dist.(src) <- 0.0;
+  hops.(src) <- 0;
+  (* Is ([d], [h]) ahead of node [v]?  The tie-break, written once. *)
+  let ahead d h v = d < dist.(v) || (d = dist.(v) && h < hops.(v)) in
+  let rec settle () =
+    let u = ref (-1) in
+    for i = 0 to g.n - 1 do
+      if (not settled.(i)) && dist.(i) < infinity && (!u < 0 || ahead dist.(i) hops.(i) !u)
+      then u := i
+    done;
+    let u = !u in
+    if u >= 0 && u <> dst then begin
+      settled.(u) <- true;
+      List.iter
+        (fun (v, lat, _) ->
+          if (not settled.(v)) && node_ok v && edge_ok u v then begin
+            let d = dist.(u) +. lat and h = hops.(u) + 1 in
+            if ahead d h v then begin
+              dist.(v) <- d;
+              hops.(v) <- h;
+              prev.(v) <- u
+            end
+          end)
+        g.adjacency.(u);
+      settle ()
+    end
   in
-  let simple =
-    let sorted = List.sort compare path in
-    let rec no_dup = function
-      | a :: (b :: _ as rest) -> a <> b && no_dup rest
-      | _ -> true
-    in
-    no_dup sorted
-  in
-  (match path with [] -> false | _ -> true) && simple && adjacent_ok path
+  settle ();
+  (dist, prev)
 
-(* Yen's k-shortest loop-free paths over the subgraph selected by
-   [node_ok]/[edge_ok]; the caller masks compose with Yen's own spur
-   masks.  The trivial-mask instance is [k_shortest_paths]. *)
+let all_nodes _ = true
+let all_edges _ _ = true
+
+let path_to g ~src ~dst ~node_ok ~edge_ok =
+  if not (node_ok src && node_ok dst) then None
+  else if src = dst then Some [ src ]
+  else
+    let dist, prev = search g ~src ~dst ~node_ok ~edge_ok in
+    if dist.(dst) = infinity then None
+    else
+      let rec rebuild acc v = if v = src then src :: acc else rebuild (v :: acc) prev.(v) in
+      Some (rebuild [] dst)
+
+let shortest_path_avoiding g ~src ~dst ~node_ok ~edge_ok =
+  check_node g src "shortest_path";
+  check_node g dst "shortest_path";
+  path_to g ~src ~dst ~node_ok ~edge_ok
+
+let shortest_path g ~src ~dst =
+  shortest_path_avoiding g ~src ~dst ~node_ok:all_nodes ~edge_ok:all_edges
+
+let distances_avoiding g ~src ~node_ok ~edge_ok =
+  check_node g src "distances_avoiding";
+  if node_ok src then fst (search g ~src ~dst:(-1) ~node_ok ~edge_ok)
+  else Array.make g.n infinity
+
+let is_connected g =
+  g.n = 0
+  || Array.for_all
+       (fun d -> d < infinity)
+       (fst (search g ~src:0 ~dst:(-1) ~node_ok:all_nodes ~edge_ok:all_edges))
+
+(* Yen's algorithm.  A round spurs from every node of the path accepted
+   last but its destination.  The root (that path up to the spur node,
+   newest node first) grows by one node per spur, and [sharing] holds the
+   rest of every accepted path that starts with root and spur: the edges
+   from the spur to their next nodes are masked, as are the root's nodes.
+   Candidates stay sorted by (latency, path); the best is accepted, up to
+   10,002 paths (10,001 rounds) whatever [k]. *)
 let k_shortest_paths_avoiding g ~src ~dst ~k ~node_ok ~edge_ok =
   check_node g src "k_shortest_paths";
   check_node g dst "k_shortest_paths";
+  let rank (p1, c1) (p2, c2) = match compare c1 c2 with 0 -> compare p1 p2 | c -> c in
+  let rec insert c = function
+    | x :: rest when rank x c < 0 -> x :: insert c rest
+    | l -> c :: l
+  in
+  (* [accepted] is newest first and [count] long. *)
+  let rec rounds count accepted candidates =
+    let rec spurs root sharing candidates = function
+      | spur :: (_ :: _ as rest) ->
+        let sharing =
+          List.filter_map (function s :: tail when s = spur -> Some tail | _ -> None) sharing
+        in
+        let next = List.filter_map (function v :: _ -> Some v | [] -> None) sharing in
+        let spur_node_ok v = (not (List.mem v root)) && node_ok v in
+        (* The search tests an edge only out of a node it settled, and
+           the spur, its source, is settled first. *)
+        let spur_edge_ok a b = (not (a = spur && List.mem b next)) && edge_ok a b in
+        let candidates =
+          match path_to g ~src:spur ~dst ~node_ok:spur_node_ok ~edge_ok:spur_edge_ok with
+          | None -> candidates
+          | Some spur_path ->
+            let path = List.rev_append root spur_path in
+            if List.exists (fun (p, _) -> p = path) candidates || List.mem path accepted then
+              candidates
+            else insert (path, path_latency g path) candidates
+        in
+        spurs (spur :: root) sharing candidates rest
+      | _ -> candidates
+    in
+    if count >= min k 10_002 then accepted
+    else
+      match spurs [] accepted candidates (List.hd accepted) with
+      | [] -> accepted
+      | (best, _) :: rest -> rounds (count + 1) (best :: accepted) rest
+  in
   if k <= 0 then []
   else
-    match shortest_path_avoiding g ~src ~dst ~node_ok ~edge_ok with
+    match path_to g ~src ~dst ~node_ok ~edge_ok with
     | None -> []
-    | Some first ->
-      let accepted = ref [ (first, path_latency g first) ] in
-      (* Candidates, kept sorted by (cost, path) for determinism. *)
-      let candidates = ref [] in
-      let add_candidate (path, cost) =
-        let known =
-          List.exists (fun (p, _) -> p = path) !candidates
-          || List.exists (fun (p, _) -> p = path) !accepted
-        in
-        if not known then candidates := (path, cost) :: !candidates
-      in
-      let rec take_prefix path i =
-        match (path, i) with
-        | _, 0 -> []
-        | x :: _, _ when i = 1 -> [ x ]
-        | x :: rest, _ -> x :: take_prefix rest (i - 1)
-        | [], _ -> []
-      in
-      let rec build iteration =
-        if List.length !accepted >= k then ()
-        else begin
-          let prev_path, _ = List.nth !accepted (List.length !accepted - 1) in
-          let len = List.length prev_path in
-          (* Spur from every node of the previous accepted path but the
-             last. *)
-          for i = 0 to len - 2 do
-            let root = take_prefix prev_path (i + 1) in
-            let spur = List.nth prev_path i in
-            (* Edges removed: the edge following the shared root in every
-               already-accepted or candidate path with the same root. *)
-            let removed_edges =
-              List.filter_map
-                (fun (p, _) ->
-                  if List.length p > i + 1 && take_prefix p (i + 1) = root then
-                    Some (List.nth p i, List.nth p (i + 1))
-                  else None)
-                !accepted
-            in
-            let root_without_spur = take_prefix root i in
-            let blocked_node v = List.mem v root_without_spur || not (node_ok v) in
-            let blocked_edge a b =
-              List.exists (fun (x, y) -> (x = a && y = b) || (x = b && y = a)) removed_edges
-              || not (edge_ok a b)
-            in
-            match dijkstra_masked g ~src:spur ~dst ~blocked_node ~blocked_edge with
-            | None -> ()
-            | Some (spur_path, _) ->
-              let total = root_without_spur @ spur_path in
-              if path_is_valid g total then add_candidate (total, path_latency g total)
-          done;
-          match
-            List.sort
-              (fun (p1, c1) (p2, c2) ->
-                match compare c1 c2 with 0 -> compare p1 p2 | n -> n)
-              !candidates
-          with
-          | [] -> ()
-          | best :: rest ->
-            candidates := rest;
-            accepted := !accepted @ [ best ];
-            if iteration < 10_000 then build (iteration + 1)
-        end
-      in
-      build 0;
-      List.map fst !accepted
+    | Some first -> List.rev (rounds 1 [ first ] [])
 
 let k_shortest_paths g ~src ~dst ~k =
-  k_shortest_paths_avoiding g ~src ~dst ~k
-    ~node_ok:(fun _ -> true)
-    ~edge_ok:(fun _ _ -> true)
+  k_shortest_paths_avoiding g ~src ~dst ~k ~node_ok:all_nodes ~edge_ok:all_edges
 
-(* One full Dijkstra per source.  Its distances equal, bit for bit, the
-   [path_latency] of each [shortest_path]: the same tie-breaking picks
-   the same path, whose latencies are added in the same order. *)
+(* One full search per source.  Its distances equal, bit for bit, the
+   [path_latency] of each [shortest_path]: the same search picks the same
+   path, whose latencies are added in the same order. *)
 let centroid g =
   if g.n = 0 then invalid_arg "Graph.centroid: empty graph";
   let eccentricity src =
     Array.fold_left Float.max 0.0
-      (distances_avoiding g ~src ~node_ok:(fun _ -> true) ~edge_ok:(fun _ _ -> true))
+      (distances_avoiding g ~src ~node_ok:all_nodes ~edge_ok:all_edges)
   in
   let rec best i best_node best_ecc =
     if i >= g.n then best_node

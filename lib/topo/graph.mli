@@ -44,20 +44,24 @@ val neighbors : t -> int -> int list
 
 val edges : t -> edge list
 
-(** [is_connected g] checks global connectivity via BFS from node 0
+(** {2 Paths}
+
+    Every query below runs one search, Dijkstra over the nodes with
+    [node_ok] and the edges with [edge_ok] (all of them when there are no
+    masks).  It orders nodes by latency, then hop count, then node id, so
+    each path and distance is deterministic. *)
+
+(** [is_connected g] is true when every node is reachable from node 0
     (vacuously true for the empty graph). *)
 val is_connected : t -> bool
 
 (** [shortest_path g ~src ~dst] is the minimum-latency path as a node list
-    [src; ...; dst], or [None] if unreachable.  Dijkstra with lexicographic
-    (latency, hop-count, node-id) tie-breaking for determinism. *)
+    [src; ...; dst], or [None] if unreachable. *)
 val shortest_path : t -> src:int -> dst:int -> int list option
 
-(** [shortest_path_avoiding g ~src ~dst ~node_ok ~edge_ok] is
-    {!shortest_path} restricted to the subgraph of nodes with
-    [node_ok n] and edges with [edge_ok u v] (used to route around
-    failed elements without copying the graph).  [None] when [src] or
-    [dst] is excluded or no surviving path exists. *)
+(** {!shortest_path} in the masked subgraph (used to route around failed
+    elements without copying the graph).  [None] when [src] or [dst] is
+    excluded or no surviving path exists. *)
 val shortest_path_avoiding :
   t ->
   src:int ->
@@ -66,15 +70,13 @@ val shortest_path_avoiding :
   edge_ok:(int -> int -> bool) ->
   int list option
 
-(** [k_shortest_paths g ~src ~dst ~k] are up to [k] loop-free paths in
-    non-decreasing latency order (Yen's algorithm). *)
+(** [k_shortest_paths g ~src ~dst ~k] are up to [k] loop-free paths ranked
+    by (latency, path) (Yen's algorithm; at most 10,002 however large
+    [k]). *)
 val k_shortest_paths : t -> src:int -> dst:int -> k:int -> int list list
 
-(** [k_shortest_paths_avoiding] is {!k_shortest_paths} restricted to the
-    subgraph of nodes with [node_ok n] and edges with [edge_ok u v]; the
-    caller masks compose with Yen's internal spur masks.  Used by the
-    intent compiler to spread ECMP members over the live, undrained
-    subgraph. *)
+(** {!k_shortest_paths} in the masked subgraph.  Used by the intent
+    compiler to spread ECMP members over the live, undrained subgraph. *)
 val k_shortest_paths_avoiding :
   t ->
   src:int ->
@@ -84,11 +86,10 @@ val k_shortest_paths_avoiding :
   edge_ok:(int -> int -> bool) ->
   int list list
 
-(** [distances_avoiding g ~src ~node_ok ~edge_ok] is the full
-    single-source Dijkstra over the masked subgraph: latency from [src]
-    to every node, [infinity] where unreachable or masked out.  Same
-    (latency, hops, node-id) tie-breaking as {!shortest_path}; the
-    result lower-bounds the latency of any masked path from [src]. *)
+(** [distances_avoiding g ~src ~node_ok ~edge_ok] is the latency from
+    [src] to every node of the masked subgraph, [infinity] where
+    unreachable or masked out; it lower-bounds the latency of any masked
+    path from [src]. *)
 val distances_avoiding :
   t -> src:int -> node_ok:(int -> bool) -> edge_ok:(int -> int -> bool) -> float array
 
@@ -96,14 +97,6 @@ val distances_avoiding :
     edge. *)
 val path_latency : t -> int list -> float
 
-(** [path_is_valid g p] checks that consecutive nodes are adjacent and the
-    path is simple (no repeated node). *)
-val path_is_valid : t -> int list -> bool
-
 (** [centroid g] is the node minimizing its maximum shortest-path latency
     to any other node (used to place the controller, §9.1). *)
 val centroid : t -> int
-
-(** [hop_distances g ~dst] is the array of hop counts to [dst] (BFS);
-    [max_int] where unreachable. *)
-val hop_distances : t -> dst:int -> int array

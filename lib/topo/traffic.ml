@@ -7,11 +7,13 @@ type flow = {
   new_path : int list;
 }
 
-(* Deterministic 16-bit mixing of the (src, dst) pair, standing in for the
-   P4 hash the ingress computes for the FRM. *)
+let flow_space = 1024
+
+(* Deterministic mixing of the (src, dst) pair into a register index,
+   standing in for the P4 hash the ingress computes for the FRM. *)
 let flow_id_of_pair ~src ~dst =
   let h = (src * 0x9e37) lxor (dst * 0x85eb) lxor ((src + dst) lsl 7) in
-  h land 0xffff
+  h land (flow_space - 1)
 
 let directed_pairs_of_path path =
   let rec pairs = function
@@ -83,7 +85,7 @@ let multi_flow_workload ?(utilization = 0.98) rng graph =
           let d = Random.State.int rng (n - 1) in
           if d >= src then d + 1 else d
         in
-        let flow_id = flow_id_of_pair ~src ~dst land 1023 in
+        let flow_id = flow_id_of_pair ~src ~dst in
         if Hashtbl.mem used_ids flow_id then attempt (tries - 1)
         else
           match Graph.k_shortest_paths graph ~src ~dst ~k:2 with

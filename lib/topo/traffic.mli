@@ -42,6 +42,11 @@ val tighten_capacities : Graph.t -> flow list -> headroom:float -> unit
     paper repeats traffic generation when the workload is infeasible. *)
 val transition_schedulable : Graph.t -> flow list -> bool
 
-(** Deterministic flow identifier from the (src, dst) pair — the "hash"
-    the ingress switch computes for the FRM (§8, Appendix B). *)
+(** Number of distinct flow ids: the size of every per-flow register
+    array, 1024. *)
+val flow_space : int
+
+(** Deterministic flow identifier from the (src, dst) pair, in
+    [[0, flow_space)] — the "hash" the ingress switch computes for the
+    FRM (§8, Appendix B). *)
 val flow_id_of_pair : src:int -> dst:int -> int

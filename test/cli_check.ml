@@ -4,12 +4,22 @@
    can use, a flag the run would ignore, or a subcommand name that is
    only a prefix of a real one (such as the retired [top] and
    [traffic]); 2 is a workload the run loop itself refuses, or a GraphML
-   file [import] cannot use.  Unchecked, such values reach the run loop as
+   file [import] cannot use, or an intent file the parser refuses (an
+   ECMP width above the flow space once ran Yen's algorithm for
+   minutes).  Unchecked, such values reach the run loop as
    uncaught exceptions (125), and a zero constant-rate probe gap would
    re-arm its injectors at one simulated instant forever; the limit
    turns such a hang into a failure.
 
    Usage: cli_check.exe PATH-TO-p4update_cli.exe *)
+
+(* A one-line intent program asking for a million ECMP members. *)
+let wide_intent =
+  let path = Filename.temp_file "wide" ".intent" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "flow wide 0 -> 7 ecmp 1000000 prio 0 demand 1\n");
+  at_exit (fun () -> Sys.remove path);
+  path
 
 let cases =
   [
@@ -36,6 +46,7 @@ let cases =
     ([ "mc"; "--scenario"; "bogus" ], 124);
     ([ "scale"; "--flows"; "5000"; "--updates"; "10" ], 2);
     ([ "import"; "/dev/null" ], 2);
+    ([ "intent"; "compile"; "--topo"; "attmpls"; "-f"; wide_intent ], 2);
     ([ "top" ], 124);
     ([ "traffic" ], 124);
   ]

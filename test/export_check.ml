@@ -1,14 +1,19 @@
-(* Dead-export check: every [val] of a library interface ([lib/**/*.mli])
-   must be used outside its own module, as a textual [Module.name] in
-   the code of [lib/], [bin/], [bench/], [perfbench/], [examples/] or
-   [test/] (comments and string literals do not count), unless the
-   allowlist names it with a reason.  An allowlist entry that names no
-   [val], or a [val] that is used after all, fails the check too, so the
-   list cannot go stale.
+(* Export check: every [val] of a library interface ([lib/**/*.mli])
+   must be used outside its own module by code that a run executes, as a
+   textual [Module.name] in the code of [lib/], [bin/], [perfbench/] or
+   [examples/] (comments and string literals do not count), unless the
+   allowlist names it with a reason.  A [val] used only by [test/] or
+   [bench/] fails as well as one used nowhere: the specs and harnesses
+   that only check the program belong with the checks.  An allowlist
+   entry that names no [val], or a [val] that a run uses after all,
+   fails the check too, so the list cannot go stale.
 
    Usage: export_check.exe ROOT ALLOWLIST *)
 
 let user_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
+
+(* The directories whose users do not count as a run. *)
+let check_dirs = [ "bench"; "test" ]
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -186,12 +191,21 @@ let () =
          files
   in
   let own path f = Filename.remove_extension f = Filename.remove_extension path in
-  let used path m name =
+  let checks f =
+    List.exists (fun d -> String.starts_with ~prefix:(Filename.concat root d ^ "/") f) check_dirs
+  in
+  (* [`Run], [`Checks] (only [test/] or [bench/] use it) or [`Nowhere]. *)
+  let users path m name =
     let names = names_of m in
-    List.exists
-      (fun (f, uses, _) ->
-        (not (own path f)) && List.exists (fun m -> Hashtbl.mem uses (m, name)) names)
-      files
+    let users =
+      List.filter
+        (fun (f, uses, _) ->
+          (not (own path f)) && List.exists (fun m -> Hashtbl.mem uses (m, name)) names)
+        files
+    in
+    if users = [] then `Nowhere
+    else if List.for_all (fun (f, _, _) -> checks f) users then `Checks
+    else `Run
   in
   let declared = ref [] and errors = ref [] in
   List.iter
@@ -202,13 +216,18 @@ let () =
           (fun (name, lnum) ->
             let key = m ^ "." ^ name in
             declared := key :: !declared;
-            match (used path m name, List.mem key allowed) with
-            | false, false ->
+            match (users path m name, List.mem key allowed) with
+            | `Nowhere, false ->
               errors :=
                 Printf.sprintf "%s:%d: %s is used nowhere outside its module" path lnum key
                 :: !errors
-            | true, true ->
-              errors := Printf.sprintf "allowlisted %s is used: drop the entry" key :: !errors
+            | `Checks, false ->
+              errors :=
+                Printf.sprintf "%s:%d: %s is used only by test/ and bench/" path lnum key
+                :: !errors
+            | `Run, true ->
+              errors :=
+                Printf.sprintf "allowlisted %s is used by a run: drop the entry" key :: !errors
             | _ -> ())
           (vals (code_of (read_file path)))
       end)

@@ -79,7 +79,7 @@ let test_k_shortest_on_wans () =
         (List.length paths >= 2);
       (* All paths valid, simple and strictly sorted by latency. *)
       List.iter
-        (fun p -> Alcotest.(check bool) "valid path" true (Graph.path_is_valid g p))
+        (fun p -> Alcotest.(check bool) "valid path" true (Graph_oracle.path_is_valid g p))
         paths;
       let costs = List.map (Graph.path_latency g) paths in
       let rec sorted = function
@@ -90,11 +90,6 @@ let test_k_shortest_on_wans () =
       let distinct = List.sort_uniq compare paths in
       Alcotest.(check int) "distinct" (List.length paths) (List.length distinct))
     [ Topo.Topologies.b4 (); Topo.Topologies.internet2 () ]
-
-let test_hop_distances () =
-  let g = diamond () in
-  let d = Graph.hop_distances g ~dst:3 in
-  Alcotest.(check (array int)) "hops" [| 2; 1; 1; 0 |] d
 
 let test_centroid_is_valid_node () =
   List.iter
@@ -147,7 +142,7 @@ let prop_shortest_path_valid =
         for dst = 0 to n - 1 do
           match Graph.shortest_path g ~src ~dst with
           | Some p ->
-            if not (Graph.path_is_valid g p) then ok := false;
+            if not (Graph_oracle.path_is_valid g p) then ok := false;
             if List.hd p <> src then ok := false;
             if List.nth p (List.length p - 1) <> dst then ok := false
           | None -> if Graph.is_connected g then ok := false
@@ -166,7 +161,7 @@ let prop_yen_paths_simple_and_sorted =
         | a :: (b :: _ as rest) -> a <= b && sorted rest
         | _ -> true
       in
-      List.for_all (Graph.path_is_valid g) paths
+      List.for_all (Graph_oracle.path_is_valid g) paths
       && sorted costs
       && List.length (List.sort_uniq compare paths) = List.length paths)
 
@@ -261,6 +256,61 @@ let prop_centroid_matches_oracle =
                 (Int64.bits_of_float (Netsim.control_latency_of net ~node)))
             (List.init (Graph.node_count g) Fun.id)))
 
+
+(* Random graphs of 1-12 nodes with latencies of 1-3 ms, so that equal
+   latencies and equal hop counts tie often, under random node and edge
+   masks; one graph in six may be disconnected and one in four has no
+   masks. *)
+let masked_graph seed =
+  let rng = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int rng 12 in
+  let g = Graph.create n in
+  let lat () = float_of_int (1 + Random.State.int rng 3) in
+  let connected = Random.State.int rng 6 > 0 in
+  for v = 1 to n - 1 do
+    if connected || Random.State.bool rng then
+      Graph.add_edge g ~u:(Random.State.int rng v) ~v ~latency_ms:(lat ()) ~capacity:10.0
+  done;
+  for _ = 1 to Random.State.int rng (2 * n) do
+    let u = Random.State.int rng n and v = Random.State.int rng n in
+    if u <> v && not (Graph.has_edge g u v) then
+      Graph.add_edge g ~u ~v ~latency_ms:(lat ()) ~capacity:10.0
+  done;
+  let masked = Random.State.int rng 4 > 0 in
+  let node_down = Array.init n (fun _ -> masked && Random.State.int rng 6 = 0) in
+  let edge_down = Array.init (n * n) (fun _ -> masked && Random.State.int rng 5 = 0) in
+  let node_ok v = not node_down.(v) in
+  let edge_ok u v = not edge_down.((min u v * n) + max u v) in
+  (g, masked, node_ok, edge_ok)
+
+let prop_search_matches_oracle =
+  QCheck.Test.make ~name:"one search equals the four-search oracle" ~count:500
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g, masked, node_ok, edge_ok = masked_graph seed in
+      let n = Graph.node_count g in
+      let nodes = List.init n Fun.id in
+      let pair_ok (src, dst) =
+        let k = 1 + (((src * n) + dst) mod 6) in
+        Graph.shortest_path_avoiding g ~src ~dst ~node_ok ~edge_ok
+        = Graph_oracle.shortest_path_avoiding g ~src ~dst ~node_ok ~edge_ok
+        && Graph.k_shortest_paths_avoiding g ~src ~dst ~k ~node_ok ~edge_ok
+           = Graph_oracle.k_shortest_paths_avoiding g ~src ~dst ~k ~node_ok ~edge_ok
+        && (masked
+            || Graph.shortest_path g ~src ~dst
+               = Graph_oracle.shortest_path_avoiding g ~src ~dst ~node_ok ~edge_ok
+               && Graph.k_shortest_paths g ~src ~dst ~k
+                  = Graph_oracle.k_shortest_paths_avoiding g ~src ~dst ~k ~node_ok ~edge_ok)
+      in
+      Graph.centroid g = Graph_oracle.centroid g
+      && Graph.is_connected g = Graph_oracle.is_connected g
+      && List.for_all
+           (fun src ->
+             Graph.distances_avoiding g ~src ~node_ok ~edge_ok
+             = Graph_oracle.distances_avoiding g ~src ~node_ok ~edge_ok
+             && List.for_all (fun dst -> pair_ok (src, dst)) nodes)
+           nodes)
+
 let suite =
   [
     Alcotest.test_case "basic structure" `Quick test_basic_structure;
@@ -271,11 +321,11 @@ let suite =
     Alcotest.test_case "unreachable destination" `Quick test_unreachable;
     Alcotest.test_case "k-shortest on diamond" `Quick test_k_shortest;
     Alcotest.test_case "k-shortest on WANs" `Quick test_k_shortest_on_wans;
-    Alcotest.test_case "hop distances" `Quick test_hop_distances;
     Alcotest.test_case "centroid valid" `Quick test_centroid_is_valid_node;
     Alcotest.test_case "capacity override" `Quick test_set_capacity;
     QCheck_alcotest.to_alcotest prop_shortest_path_valid;
     QCheck_alcotest.to_alcotest prop_yen_paths_simple_and_sorted;
     QCheck_alcotest.to_alcotest prop_first_yen_is_shortest;
     QCheck_alcotest.to_alcotest prop_centroid_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_search_matches_oracle;
   ]

@@ -114,6 +114,8 @@ let parser_rejects () =
   bad "src = dst" "flow a 0 -> 0 shortest";
   bad "via on endpoint" "flow a 0 -> 1 via 1";
   bad "ecmp k < 1" "flow a 0 -> 1 ecmp 0";
+  bad "ecmp wider than the flow space"
+    (Printf.sprintf "flow a 0 -> 1 ecmp %d" (P4update.Wire.flow_space + 1));
   bad "duplicate name" "flow a 0 -> 1 shortest\nflow a 2 -> 3 shortest";
   bad "trailing garbage" "flow a 0 -> 1 shortest junk";
   bad "self drain" "drain 3 - 3";

@@ -201,6 +201,22 @@ let test_link_failure_loses_packets () =
   Alcotest.(check bool) "down then up observed" true
     (List.rev !events = [ Netsim.Link_down (0, 1); Netsim.Link_up (0, 1) ])
 
+(* An unknown element is refused when the change is scheduled, not when
+   it would fire inside [Sim.run]. *)
+let test_unknown_element_refused () =
+  let sim = Sim.create () in
+  let net = Netsim.create sim (line_topo ()) in
+  Alcotest.check_raises "node" (Invalid_argument "Netsim.fail_node: no node 99") (fun () ->
+      Netsim.fail_node net ~node:99 ~at:10.0);
+  Alcotest.check_raises "negative node" (Invalid_argument "Netsim.restore_node: no node -1")
+    (fun () -> Netsim.restore_node net ~node:(-1) ~at:10.0);
+  Alcotest.check_raises "link" (Invalid_argument "Netsim.fail_link: no link 0-2") (fun () ->
+      Netsim.fail_link net ~u:0 ~v:2 ~at:10.0);
+  Alcotest.check_raises "restored link"
+    (Invalid_argument "Netsim.restore_link: no link 2-0") (fun () ->
+      Netsim.restore_link net ~u:2 ~v:0 ~at:10.0);
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.pending sim)
+
 let test_node_failure_silences_node () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
@@ -436,6 +452,8 @@ let suite =
       test_control_fault_both_directions;
     Alcotest.test_case "link failure loses packets" `Quick test_link_failure_loses_packets;
     Alcotest.test_case "node failure silences node" `Quick test_node_failure_silences_node;
+    Alcotest.test_case "unknown element refused at the call" `Quick
+      test_unknown_element_refused;
     Alcotest.test_case "resubmission lost at a dead node" `Quick
       test_resubmission_lost_at_dead_node;
     Alcotest.test_case "delivery observer" `Quick test_observer_sees_delivery;
