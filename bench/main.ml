@@ -41,7 +41,8 @@ let section title =
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: the Fig. 8 preparation kernels, the       *)
-(* controller's batch, the intent compiler, the UIB and the event heap  *)
+(* controller's batch, the intent compiler, the UIB, the event heap and *)
+(* the alternative-path search                                          *)
 (* ------------------------------------------------------------------ *)
 
 let bechamel_prepare_tests () =
@@ -213,17 +214,37 @@ let bechamel_heap_tests () =
            incr next));
   ]
 
+(* [Run.alt_paths] (Yen, k = 3), the path set every perfbench flow
+   rotates over, on the next ordered pair of AttMpls' 600 each run. *)
+let bechamel_topo_tests () =
+  let open Bechamel in
+  let g = (Topo.Topologies.attmpls ()).Topo.Topologies.graph in
+  let n = Topo.Graph.node_count g in
+  let pairs =
+    List.init (n * n) (fun i -> (i / n, i mod n))
+    |> List.filter (fun (src, dst) -> src <> dst)
+    |> Array.of_list
+  in
+  let next = ref 0 in
+  [
+    Test.make ~name:"topo/alt-paths-attmpls"
+      (Staged.stage (fun () ->
+           let src, dst = pairs.(!next) in
+           next := (!next + 1) mod Array.length pairs;
+           ignore (Harness.Run.alt_paths g ~src ~dst)));
+  ]
+
 let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
   section
     "Bechamel micro-benchmarks (Fig. 8 preparation kernels and the controller's batch, 20 \
-     updates per run; intent compiler; UIB; event heap)";
+     updates per run; intent compiler; UIB; event heap; alternative paths)";
   let instances = [ Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 200) () in
   let tests =
     bechamel_prepare_tests () @ bechamel_prepare_batch_tests () @ bechamel_intent_tests ()
-    @ bechamel_uib_tests () @ bechamel_heap_tests ()
+    @ bechamel_uib_tests () @ bechamel_heap_tests () @ bechamel_topo_tests ()
   in
   List.iter
     (fun test ->

@@ -26,6 +26,7 @@ val edge_count : t -> int
     non-finite [capacity]. *)
 val add_edge : t -> u:int -> v:int -> latency_ms:float -> capacity:float -> unit
 
+(** [has_edge g u v] is false when either id is out of range. *)
 val has_edge : t -> int -> int -> bool
 
 (** [latency g u v] is the latency of edge [u–v].  Raises [Not_found] if
@@ -49,7 +50,15 @@ val edges : t -> edge list
     Every query below runs one search, Dijkstra over the nodes with
     [node_ok] and the edges with [edge_ok] (all of them when there are no
     masks).  It orders nodes by latency, then hop count, then node id, so
-    each path and distance is deterministic. *)
+    each path and distance is deterministic.
+
+    A search settles nodes from a binary heap over packed adjacency
+    arrays: O((n + m) log n) time on the n nodes and m edges it reaches,
+    testing the masks at most once per edge out of a settled node.  Each query allocates
+    its own workspace (a few arrays of [node_count] entries); a Yen call
+    shares one across its spur searches.  The graph holds no scratch, so
+    a mask may run its own queries on the same graph, and an array a
+    query returns belongs to the caller. *)
 
 (** [is_connected g] is true when every node is reachable from node 0
     (vacuously true for the empty graph). *)
@@ -72,7 +81,8 @@ val shortest_path_avoiding :
 
 (** [k_shortest_paths g ~src ~dst ~k] are up to [k] loop-free paths ranked
     by (latency, path) (Yen's algorithm; at most 10,002 however large
-    [k]). *)
+    [k]).  Each accepted path costs one search per node from the index
+    where it left the path it was spurred from. *)
 val k_shortest_paths : t -> src:int -> dst:int -> k:int -> int list list
 
 (** {!k_shortest_paths} in the masked subgraph.  Used by the intent

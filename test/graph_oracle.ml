@@ -12,7 +12,9 @@
    The code is the library's as it stood, reading the graph through its
    interface: [adjacency g u] is the neighbour list with latencies, in
    insertion order, and [g.n] is [Graph.node_count g].  [path_is_valid],
-   which only Yen's spur check used, is the tests' path spec. *)
+   which only Yen's spur check used, is the tests' path spec.  A
+   test-only library: the unit tests and the [@graph-oracle] sweep
+   ([graph_oracle_sweep.ml]) both check against it. *)
 
 module Graph = Topo.Graph
 

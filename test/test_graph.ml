@@ -18,6 +18,8 @@ let test_basic_structure () =
   Alcotest.(check bool) "edge exists" true (Graph.has_edge g 0 1);
   Alcotest.(check bool) "edge symmetric" true (Graph.has_edge g 1 0);
   Alcotest.(check bool) "no edge" false (Graph.has_edge g 0 3);
+  Alcotest.(check bool) "out-of-range ids" false
+    (Graph.has_edge g (-1) 0 || Graph.has_edge g 0 4 || Graph.has_edge g 99 0);
   Alcotest.(check (float 0.001)) "latency" 2.0 (Graph.latency g 2 3);
   Alcotest.(check bool) "connected" true (Graph.is_connected g)
 
@@ -311,6 +313,74 @@ let prop_search_matches_oracle =
              && List.for_all (fun dst -> pair_ok (src, dst)) nodes)
            nodes)
 
+(* A mask that runs its own queries on the same graph: each query owns
+   its workspace, so the nested ones neither see nor move the outer
+   one's labels, and both get the answers they get alone.  An array
+   [distances_avoiding] returned is the caller's to mutate. *)
+let test_nested_queries () =
+  for seed = 1 to 200 do
+    let g, _, node_ok, edge_ok = masked_graph seed in
+    let n = Graph.node_count g in
+    let alone_path v = Graph.shortest_path g ~src:v ~dst:(n - 1) in
+    let alone_dist v = Graph.distances_avoiding g ~src:v ~node_ok ~edge_ok in
+    let paths = Array.init n alone_path and dists = Array.init n alone_dist in
+    let nested_ok = ref true in
+    let nested_node_ok v =
+      nested_ok := !nested_ok && alone_path v = paths.(v) && alone_dist v = dists.(v);
+      node_ok v
+    in
+    let nested_edge_ok u v =
+      nested_ok := !nested_ok && alone_path u = paths.(u);
+      edge_ok u v
+    in
+    for src = 0 to n - 1 do
+      let dst = (src + seed) mod n and k = 1 + (seed mod 6) in
+      let name what = Printf.sprintf "seed %d: %s %d->%d" seed what src dst in
+      Alcotest.(check (option (list int)))
+        (name "shortest path") (Graph.shortest_path_avoiding g ~src ~dst ~node_ok ~edge_ok)
+        (Graph.shortest_path_avoiding g ~src ~dst ~node_ok:nested_node_ok ~edge_ok:nested_edge_ok);
+      Alcotest.(check (list (list int)))
+        (name "yen") (Graph.k_shortest_paths_avoiding g ~src ~dst ~k ~node_ok ~edge_ok)
+        (Graph.k_shortest_paths_avoiding g ~src ~dst ~k ~node_ok:nested_node_ok
+           ~edge_ok:nested_edge_ok);
+      Alcotest.(check (array (float 0.0)))
+        (name "distances") dists.(src)
+        (Graph.distances_avoiding g ~src ~node_ok:nested_node_ok ~edge_ok:nested_edge_ok);
+      Array.fill (alone_dist src) 0 n (-1.0)
+    done;
+    Alcotest.(check bool) (Printf.sprintf "seed %d: nested answers" seed) true !nested_ok;
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: a mutated answer moves no later query" seed)
+      true
+      (Array.for_all Fun.id (Array.init n (fun v -> alone_dist v = dists.(v))))
+  done
+
+(* Minor words per [Run.alt_paths] (Yen, k = 3, the path set every
+   perfbench flow rotates over), averaged over every ordered pair of
+   AttMpls.  It costs 531 words a call: one workspace, the paths and the
+   candidates.  The budget leaves a third as much again (3,885 when each
+   spur scanned its own fresh arrays and candidates were ranked and
+   deduplicated by polymorphic comparison). *)
+let alt_paths_word_budget = 708.0
+
+let test_alt_paths_allocation () =
+  let g = (Topo.Topologies.attmpls ()).Topo.Topologies.graph in
+  let n = Graph.node_count g in
+  let pass () =
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        if src <> dst then ignore (Harness.Run.alt_paths g ~src ~dst)
+      done
+    done
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let words = (Gc.minor_words () -. before) /. float_of_int (n * (n - 1)) in
+  if words > alt_paths_word_budget then
+    Alcotest.failf "Run.alt_paths allocates %.0f minor words a call (budget %.0f)" words
+      alt_paths_word_budget
+
 let suite =
   [
     Alcotest.test_case "basic structure" `Quick test_basic_structure;
@@ -328,4 +398,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_first_yen_is_shortest;
     QCheck_alcotest.to_alcotest prop_centroid_matches_oracle;
     QCheck_alcotest.to_alcotest prop_search_matches_oracle;
+    Alcotest.test_case "nested queries" `Quick test_nested_queries;
+    Alcotest.test_case "alt_paths allocation" `Quick test_alt_paths_allocation;
   ]

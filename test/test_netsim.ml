@@ -215,6 +215,11 @@ let test_unknown_element_refused () =
   Alcotest.check_raises "restored link"
     (Invalid_argument "Netsim.restore_link: no link 2-0") (fun () ->
       Netsim.restore_link net ~u:2 ~v:0 ~at:10.0);
+  (* An out-of-range end is no link either, not an index error. *)
+  Alcotest.check_raises "out-of-range link" (Invalid_argument "Netsim.fail_link: no link 99-0")
+    (fun () -> Netsim.fail_link net ~u:99 ~v:0 ~at:10.0);
+  Alcotest.check_raises "negative link" (Invalid_argument "Netsim.restore_link: no link -1-0")
+    (fun () -> Netsim.restore_link net ~u:(-1) ~v:0 ~at:10.0);
   Alcotest.(check int) "nothing scheduled" 0 (Sim.pending sim)
 
 let test_node_failure_silences_node () =
